@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, Tail
 from .lattice import MultiIndex, prefix_table
 
 MIN_TREND_POINTS = 4
@@ -212,14 +212,14 @@ def run_l1_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceSer
 
     def point(n: MultiIndex) -> SeriesPoint:
         batch = dist.sample_batch(cfg.spec, n, cfg.seed, cfg.reps)
-        means = dist.mean_vector_field(cfg.spec, n)
+        means = dist.mean(cfg.spec, n)
         if means is not None:
-            centered = batch - means[np.newaxis]
+            batch -= means
             centering_used.append("analytic")
         else:
-            centered = batch - batch.mean(axis=0, keepdims=True)
+            batch -= batch.mean(axis=0, keepdims=True)
             centering_used.append("plugin")
-        M = _max_partial_norms(centered, n.d)
+        M = _max_partial_norms(batch, n.d)
         vals = M / n.size
         moment, se = _mean_se(vals)
         bound = bound_pass = None
@@ -275,7 +275,7 @@ def moricz_ratio(
         raise ValueError("n_schedule must be nonempty")
 
     def point(n: MultiIndex) -> MoriczPoint:
-        sm = dist.second_moment_field(spec, n)
+        sm = dist.expect(spec, Tail(2.0, 0.0), n)
         if sm is None:
             raise ValueError("moricz_ratio needs closed-form second moments")
         total = float(sm.sum())

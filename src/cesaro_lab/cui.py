@@ -21,26 +21,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .distributions import DistributionSpec
-from .errors import NoClosedFormError
-from .lattice import LatticeSample, MultiIndex, dyadic_boxes, leq, schedule_averages
+from .distributions import DistributionSpec, Tail
+from .lattice import MultiIndex, dyadic_boxes, leq, schedule_averages
 
 DEFAULT_A_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 LOW_REPS_FLOOR = 30
-
-
-def truncation_split(sample: LatticeSample, a: float) -> tuple[LatticeSample, LatticeSample]:
-    """Split X into Y = X 1(||X|| > a) and Z = X 1(||X|| <= a), cell by cell.
-
-    Y + Z reconstructs X exactly: each cell lands in exactly one part.
-    """
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    norms = np.sqrt((sample.values * sample.values).sum(axis=-1))
-    big = (norms > a)[..., np.newaxis]
-    y = np.where(big, sample.values, 0.0)
-    z = np.where(big, 0.0, sample.values)
-    return LatticeSample(sample.box, y), LatticeSample(sample.box, z)
 
 
 def _resolve_schedule(horizon: MultiIndex, schedule) -> list[MultiIndex]:
@@ -106,20 +91,12 @@ def cesaro_tail_sup(
     if a < 0:
         raise ValueError("a must be >= 0")
     sched = _resolve_schedule(horizon, schedule)
-    try:
-        fld = dist.tail_mean_field(spec, p, a, horizon, ge=ge)
-    except NoClosedFormError:
-        fld = None
-    if fld is not None:
-        avgs = schedule_averages(fld, sched)
+    fld, exact = dist.expectations(spec, Tail(p, a, ge), horizon, seed, reps)
+    avgs = schedule_averages(fld, sched)
+    if exact:
         j = int(np.argmax(avgs))
         return TailEstimate(float(avgs[j]), 0.0, "analytic", sched[j])
-    if reps < 1:
-        raise ValueError("reps must be >= 1 in empirical mode")
-    norms = dist.norm_batch(spec, horizon, seed, reps)
-    mask = (norms >= a) if ge else (norms > a)
-    vals = np.where(mask, norms**p if p != 1.0 else norms, 0.0)
-    value, se, box = _aggregate_sup(schedule_averages(vals, sched), sched)
+    value, se, box = _aggregate_sup(avgs, sched)
     return TailEstimate(value, se, "empirical", box, low_reps=reps < LOW_REPS_FLOOR)
 
 
@@ -221,19 +198,17 @@ def markov_event_array(
     if delta <= 0:
         raise ValueError("delta must be > 0")
     t = K / delta
-    try:
-        probs = dist.event_prob_field(spec, t, box, ge=True)
-        return EventArray(box, probs=probs, threshold=t, ge=True)
-    except NoClosedFormError:
-        norms = dist.norm_batch(spec, box, seed, reps)
-        return EventArray(
-            box,
-            indicators=norms >= t,
-            threshold=t,
-            ge=True,
-            source_seed=seed,
-            source_reps=reps,
-        )
+    fld, exact = dist.expectations(spec, Tail(0.0, t, ge=True), box, seed, reps)
+    if exact:
+        return EventArray(box, probs=fld, threshold=t, ge=True)
+    return EventArray(
+        box,
+        indicators=fld,
+        threshold=t,
+        ge=True,
+        source_seed=seed,
+        source_reps=reps,
+    )
 
 
 def _event_prob_sup(events: EventArray, schedule) -> tuple[float, float]:
@@ -268,18 +243,14 @@ def _event_moment_sup(
     if events.probs is not None:
         # events independent of the array (the adversarial construction uses
         # 0/1 probabilities, where independence is vacuous)
-        try:
-            fld = dist.tail_mean_field(spec, 1.0, 0.0, events.box, ge=False)
-            avgs = schedule_averages(events.probs * fld, schedule)
+        fld, exact = dist.expectations(spec, Tail(1.0, 0.0), events.box, seed, reps)
+        avgs = schedule_averages(events.probs * fld, schedule)
+        if exact:
             return float(avgs.max()), 0.0
-        except NoClosedFormError:
-            norms = dist.norm_batch(spec, events.box, seed, reps)
-            per_rep = schedule_averages(events.probs[np.newaxis] * norms, schedule)
-            value, se, _ = _aggregate_sup(per_rep, schedule)
-            return value, se
-    norms = dist.norm_batch(
-        spec, events.box, events.source_seed or seed, events.source_reps or reps
-    )
+        value, se, _ = _aggregate_sup(avgs, schedule)
+        return value, se
+    source_seed = events.source_seed if events.source_seed is not None else seed
+    norms = dist.norm_batch(spec, events.box, source_seed, events.source_reps or reps)
     per_rep = schedule_averages(norms * events.indicators, schedule)
     value, se, _ = _aggregate_sup(per_rep, schedule)
     return value, se
@@ -346,10 +317,9 @@ def adversarial_event_array(
     if delta <= 0:
         raise ValueError("delta must be > 0")
     sched = _resolve_schedule(horizon, schedule)
-    try:
-        fld = dist.tail_mean_field(spec, 1.0, 0.0, horizon, ge=False)
-    except NoClosedFormError:
-        fld = dist.norm_batch(spec, horizon, seed, reps).mean(axis=0)
+    fld, exact = dist.expectations(spec, Tail(1.0, 0.0), horizon, seed, reps)
+    if not exact:
+        fld = fld.mean(axis=0)
     flat = fld.ravel(order="C")
     order = np.argsort(-flat, kind="stable")
     coords = np.unravel_index(np.arange(flat.size), horizon.coords)

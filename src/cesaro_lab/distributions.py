@@ -1,10 +1,13 @@
 """Named generative families of lattice vector arrays.
 
 Each family documents its dependence structure and whether the p-th power
-norms are Cesaro uniformly integrable; closed-form moments are exposed where
-the family admits them. Samplers are pure functions of (spec, box, seed):
-cell i draws from a counter-based stream keyed by (seed, i), so enlarging a
-box never changes previously generated cells.
+norms are Cesaro uniformly integrable. Every closed form sits behind one
+per-family norm law: `fixed_norms` gives the cell norms when they are not
+random, and `expect` gives E g(||X_i||) for a norm functional g where the
+family admits it. `expectations` is the one place that chooses between that
+closed form and Monte Carlo. Samplers are pure functions of (spec, box,
+seed): cell i draws from a counter-based stream keyed by (seed, i), so
+enlarging a box never changes previously generated cells.
 """
 
 from __future__ import annotations
@@ -12,12 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import rng
-from .errors import NoClosedFormError
 from .lattice import LatticeSample, MultiIndex
 
 MOMENT_MODES = ("analytic", "empirical")
@@ -89,8 +91,29 @@ def _radial(vals: np.ndarray, D: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class Tail:
+    """The norm functional t -> t^p 1(t > a), or with 1(t >= a) when ge.
+
+    Tail(p, a) is the truncated p-th moment, Tail(0, a, ge=True) the event
+    probability, Tail(1, 0) the first and Tail(2, 0) the second moment.
+    """
+
+    p: float
+    a: float
+    ge: bool = False
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        mask = (t >= self.a) if self.ge else (t > self.a)
+        return np.where(mask, t**self.p if self.p != 1 else t, 0.0)
+
+
+NormFunctional = Callable[[np.ndarray], np.ndarray]
+
+
 class Family:
-    """Base for family implementations; closed forms default to unavailable."""
+    """Base for family implementations; the norm law defaults to random norms
+    without closed forms."""
 
     name: str = ""
     max_d: int | None = None
@@ -112,8 +135,20 @@ class Family:
     def is_cui(self, spec: DistributionSpec, p: float) -> bool:
         raise NotImplementedError
 
-    def norm_bound(self, spec: DistributionSpec, horizon: MultiIndex) -> float | None:
-        """Almost-sure upper bound on cell norms over the box, if one exists."""
+    # --- norm law -------------------------------------------------------
+    def fixed_norms(self, spec, box: MultiIndex) -> np.ndarray | None:
+        """Per-cell norms over the box when they are not random, else None."""
+        return None
+
+    def expect(self, spec, g: NormFunctional, box: MultiIndex) -> np.ndarray | None:
+        """Per-cell E g(||X_i||) in closed form, or None where there is none."""
+        norms = self.fixed_norms(spec, box)
+        return None if norms is None else g(norms)
+
+    def mean(self, spec, box: MultiIndex) -> np.ndarray | None:
+        """Per-cell mean vectors, shape box + (D,), or None without a closed form."""
+        if self.zero_mean(spec):
+            return np.broadcast_to(0.0, box.coords + (spec.dim_D,))
         return None
 
     # --- sampling -------------------------------------------------------
@@ -121,21 +156,11 @@ class Family:
         raise NotImplementedError
 
     def norm_values(self, spec, box: MultiIndex, starts: np.ndarray) -> np.ndarray:
+        fixed = self.fixed_norms(spec, box)
+        if fixed is not None:
+            return np.broadcast_to(fixed, (starts.shape[0],) + fixed.shape).copy()
         v = self.vectors(spec, box, starts)
         return np.sqrt((v * v).sum(axis=-1))
-
-    # --- closed forms ---------------------------------------------------
-    def tail_mean_field(self, spec, p, a, box: MultiIndex, ge: bool = False) -> np.ndarray:
-        raise NoClosedFormError(f"family {self.name} has no closed-form tail means")
-
-    def event_prob_field(self, spec, t, box: MultiIndex, ge: bool = True) -> np.ndarray:
-        raise NoClosedFormError(f"family {self.name} has no closed-form tail probabilities")
-
-    def mean_vector_field(self, spec, box: MultiIndex) -> np.ndarray | None:
-        return None
-
-    def second_moment_field(self, spec, box: MultiIndex) -> np.ndarray | None:
-        return None
 
 
 class _DeterministicFamily(Family):
@@ -149,29 +174,11 @@ class _DeterministicFamily(Family):
         reps = starts.shape[0]
         return np.broadcast_to(_radial(vals, spec.dim_D), (reps,) + vals.shape + (spec.dim_D,)).copy()
 
-    def norm_values(self, spec, box, starts):
-        vals = np.abs(self.cell_values(spec, box))
-        return np.broadcast_to(vals, (starts.shape[0],) + vals.shape).copy()
+    def fixed_norms(self, spec, box):
+        return np.abs(self.cell_values(spec, box))
 
-    def tail_mean_field(self, spec, p, a, box, ge=False):
-        v = np.abs(self.cell_values(spec, box))
-        mask = (v >= a) if ge else (v > a)
-        return np.where(mask, v**p, 0.0)
-
-    def event_prob_field(self, spec, t, box, ge=True):
-        v = np.abs(self.cell_values(spec, box))
-        mask = (v >= t) if ge else (v > t)
-        return mask.astype(np.float64)
-
-    def mean_vector_field(self, spec, box):
+    def mean(self, spec, box):
         return _radial(self.cell_values(spec, box), spec.dim_D)
-
-    def second_moment_field(self, spec, box):
-        v = self.cell_values(spec, box)
-        return v * v
-
-    def norm_bound(self, spec, horizon):
-        return float(np.abs(self.cell_values(spec, horizon)).max())
 
 
 class ConstantFamily(_DeterministicFamily):
@@ -179,7 +186,7 @@ class ConstantFamily(_DeterministicFamily):
     defaults = {"c": 1.0}
 
     def cell_values(self, spec, box):
-        return np.full(box.coords, float(spec.param("c")))
+        return np.broadcast_to(float(spec.param("c")), box.coords)
 
     def zero_mean(self, spec):
         return float(spec.param("c")) == 0.0
@@ -267,32 +274,23 @@ class ParetoRadialFamily(Family):
     def vectors(self, spec, box, starts):
         return _radial(self.norm_values(spec, box, starts), spec.dim_D)
 
-    def tail_mean_field(self, spec, p, a, box, ge=False):
+    def expect(self, spec, g, box):
         # E(X^p 1(X > a)) = alpha/(alpha-p) * max(a,1)^(p-alpha); continuous,
-        # so the >= variant coincides.
+        # so the >= variant coincides. p = 0 gives the event probability.
+        if not isinstance(g, Tail):
+            return None
         alpha = float(spec.param("alpha"))
-        if alpha <= p:
-            return np.full(box.coords, np.inf)
-        level = max(float(a), 1.0)
-        val = alpha / (alpha - p) * level ** (p - alpha)
-        return np.full(box.coords, val)
+        if alpha <= g.p:
+            return np.broadcast_to(np.inf, box.coords)
+        level = max(float(g.a), 1.0)
+        return np.broadcast_to(alpha / (alpha - g.p) * level ** (g.p - alpha), box.coords)
 
-    def event_prob_field(self, spec, t, box, ge=True):
-        alpha = float(spec.param("alpha"))
-        val = 1.0 if t <= 1.0 else float(t) ** (-alpha)
-        return np.full(box.coords, val)
-
-    def mean_vector_field(self, spec, box):
+    def mean(self, spec, box):
         alpha = float(spec.param("alpha"))
         if alpha <= 1.0:
             return None
-        return _radial(np.full(box.coords, alpha / (alpha - 1.0)), spec.dim_D)
-
-    def second_moment_field(self, spec, box):
-        alpha = float(spec.param("alpha"))
-        if alpha <= 2.0:
-            return np.full(box.coords, np.inf)
-        return np.full(box.coords, alpha / (alpha - 2.0))
+        e1 = _radial(np.array(alpha / (alpha - 1.0)), spec.dim_D)
+        return np.broadcast_to(e1, box.coords + (spec.dim_D,))
 
 
 class IidGaussianFamily(Family):
@@ -318,12 +316,12 @@ class IidGaussianFamily(Family):
         keys = rng.cell_keys(starts, _coord_grids(box))
         return float(spec.param("sigma")) * rng.normals(keys, spec.dim_D)
 
-    def mean_vector_field(self, spec, box):
-        return np.zeros(box.coords + (spec.dim_D,))
-
-    def second_moment_field(self, spec, box):
+    def expect(self, spec, g, box):
+        # only the second moment E||X||^2 = D sigma^2 has a closed form here
+        if not (isinstance(g, Tail) and g.p == 2 and g.a == 0):
+            return None
         s = float(spec.param("sigma"))
-        return np.full(box.coords, spec.dim_D * s * s)
+        return np.broadcast_to(spec.dim_D * s * s, box.coords)
 
 
 class IidRademacherFamily(Family):
@@ -338,22 +336,12 @@ class IidRademacherFamily(Family):
     def is_cui(self, spec, p):
         return True
 
-    def norm_bound(self, spec, horizon):
-        return 1.0
-
-    def norm_values(self, spec, box, starts):
-        keys = rng.cell_keys(starts, _coord_grids(box))
-        return np.broadcast_to(1.0, keys.shape).copy()
+    def fixed_norms(self, spec, box):
+        return np.broadcast_to(1.0, box.coords)
 
     def vectors(self, spec, box, starts):
         keys = rng.cell_keys(starts, _coord_grids(box))
         return _radial(rng.signs(rng.substream(keys, 0)), spec.dim_D)
-
-    def mean_vector_field(self, spec, box):
-        return np.zeros(box.coords + (spec.dim_D,))
-
-    def second_moment_field(self, spec, box):
-        return np.ones(box.coords)
 
 
 def subset_products(bits: np.ndarray) -> np.ndarray:
@@ -396,8 +384,8 @@ class PairwiseRademacherFamily(Family):
     def is_cui(self, spec, p):
         return True
 
-    def norm_bound(self, spec, horizon):
-        return 1.0
+    def fixed_norms(self, spec, box):
+        return np.broadcast_to(1.0, box.coords)
 
     def _signs(self, spec, box, starts):
         self.check_box(box)
@@ -415,19 +403,8 @@ class PairwiseRademacherFamily(Family):
         table = subset_products(bits)  # (R, n_blocks, L)
         return table[:, block.astype(np.int64), mask_idx]
 
-    def norm_values(self, spec, box, starts):
-        self.check_box(box)
-        return np.broadcast_to(1.0, (starts.shape[0], box.coords[0])).copy()
-
     def vectors(self, spec, box, starts):
         return _radial(self._signs(spec, box, starts), spec.dim_D)
-
-    def mean_vector_field(self, spec, box):
-        self.check_box(box)
-        return np.zeros(box.coords + (spec.dim_D,))
-
-    def second_moment_field(self, spec, box):
-        return np.ones(box.coords)
 
 
 _FAMILY_LIST = [
@@ -458,10 +435,15 @@ def _rep_starts(seed: int, reps: int, d: int) -> np.ndarray:
     return starts.reshape((reps,) + (1,) * d)
 
 
+def _checked_family(spec: DistributionSpec, box: MultiIndex) -> Family:
+    fam = get_family(spec.family)
+    fam.check_box(box)
+    return fam
+
+
 def sample_array(spec: DistributionSpec, n: MultiIndex, seed: int = 0) -> LatticeSample:
     """One realized array over the box [1, n], cells keyed by (seed, i)."""
-    fam = get_family(spec.family)
-    fam.check_box(n)
+    fam = _checked_family(spec, n)
     starts = np.array([rng.as_seed(seed)], dtype=np.uint64).reshape((1,) + (1,) * n.d)
     vals = fam.vectors(spec, n, starts)[0]
     return LatticeSample(n, vals)
@@ -475,71 +457,46 @@ def sample_batch(spec: DistributionSpec, n: MultiIndex, seed: int, reps: int) ->
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    fam = get_family(spec.family)
-    fam.check_box(n)
-    return fam.vectors(spec, n, _rep_starts(seed, reps, n.d))
+    return _checked_family(spec, n).vectors(spec, n, _rep_starts(seed, reps, n.d))
 
 
 def norm_batch(spec: DistributionSpec, n: MultiIndex, seed: int, reps: int) -> np.ndarray:
     """Realized cell norms, shape (reps,) + n.coords."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    fam = get_family(spec.family)
-    fam.check_box(n)
-    return fam.norm_values(spec, n, _rep_starts(seed, reps, n.d))
+    return _checked_family(spec, n).norm_values(spec, n, _rep_starts(seed, reps, n.d))
 
 
-def pairwise_rademacher_array(m: int, seed: int = 0) -> np.ndarray:
-    """The 2^m - 1 subset products of m independent signs, in layout order.
+def fixed_norms(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:
+    """Per-cell norms over the box when the family's norms are not random."""
+    return _checked_family(spec, box).fixed_norms(spec, box)
 
-    Matches the first block of the pairwise_rademacher family: cell i of a
-    d=1 sample holds entry i-1 of this array (for i <= 2^m - 1).
+
+def expect(spec: DistributionSpec, g: NormFunctional, box: MultiIndex) -> np.ndarray | None:
+    """Per-cell E g(||X_i||) over the box in closed form, or None, whatever the
+    spec's moment_mode."""
+    return _checked_family(spec, box).expect(spec, g, box)
+
+
+def mean(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:
+    """Per-cell mean vectors, shape box + (D,), or None without a closed form."""
+    return _checked_family(spec, box).mean(spec, box)
+
+
+def expectations(
+    spec: DistributionSpec, g: NormFunctional, box: MultiIndex, seed: int, reps: int
+) -> tuple[np.ndarray, bool]:
+    """E g(||X_i||) per cell, and whether it is exact.
+
+    Exact (shape box.coords) iff the spec's moment_mode is "analytic" and the
+    family has a closed form for g; otherwise g of `reps` realized norm
+    arrays, shape (reps,) + box.coords, for the caller to average.
     """
-    if m != int(m) or not (2 <= int(m) <= 20):
-        raise ValueError("m must be an integer in [2, 20]")
-    spec = DistributionSpec("pairwise_rademacher", {"m": int(m)}, dim_D=1)
-    fam = get_family("pairwise_rademacher")
-    starts = np.array([rng.as_seed(seed)], dtype=np.uint64).reshape((1, 1))
-    return fam._signs(spec, MultiIndex((2**m - 1,)), starts)[0]
-
-
-def tail_mean_field(spec, p, a, box: MultiIndex, ge: bool = False) -> np.ndarray:
-    """Per-cell E(||X_i||^p 1(||X_i|| > a)) (or >=) over the box; closed form only."""
-    if p <= 0:
-        raise ValueError("p must be > 0")
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    if spec.moment_mode != "analytic":
-        raise NoClosedFormError("spec requests empirical moments")
-    fam = get_family(spec.family)
-    fam.check_box(box)
-    return fam.tail_mean_field(spec, p, a, box, ge=ge)
-
-
-def analytic_tail_mean(spec, p: float, a: float, i: MultiIndex, ge: bool = False) -> float:
-    """Closed-form E(||X_i||^p 1(||X_i|| > a)) for a single cell i."""
-    fld = tail_mean_field(spec, p, a, i, ge=ge)
-    return float(fld[tuple(c - 1 for c in i.coords)])
-
-
-def event_prob_field(spec, t, box: MultiIndex, ge: bool = True) -> np.ndarray:
-    if spec.moment_mode != "analytic":
-        raise NoClosedFormError("spec requests empirical moments")
-    fam = get_family(spec.family)
-    fam.check_box(box)
-    return fam.event_prob_field(spec, t, box, ge=ge)
-
-
-def mean_vector_field(spec, box: MultiIndex) -> np.ndarray | None:
-    fam = get_family(spec.family)
-    fam.check_box(box)
-    return fam.mean_vector_field(spec, box)
-
-
-def second_moment_field(spec, box: MultiIndex) -> np.ndarray | None:
-    fam = get_family(spec.family)
-    fam.check_box(box)
-    return fam.second_moment_field(spec, box)
+    if spec.moment_mode == "analytic":
+        fld = expect(spec, g, box)
+        if fld is not None:
+            return fld, True
+    return g(norm_batch(spec, box, seed, reps)), False
 
 
 def is_cui(spec, p: float) -> bool:
@@ -552,7 +509,3 @@ def pairwise_independent(spec) -> bool:
 
 def zero_mean(spec) -> bool:
     return get_family(spec.family).zero_mean(spec)
-
-
-def norm_bound(spec, horizon: MultiIndex) -> float | None:
-    return get_family(spec.family).norm_bound(spec, horizon)

@@ -1,10 +1,6 @@
 """Shared exception types for domain and horizon failures."""
 
 
-class NoClosedFormError(ValueError):
-    """The requested moment has no closed form for this family/mode."""
-
-
 class HorizonTooSmallError(RuntimeError):
     """A tail-threshold search exhausted its cap at the configured horizon."""
 

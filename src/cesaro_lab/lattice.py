@@ -10,11 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .hilbert import HVector
 
 BRUTE_FORCE_CELL_CAP = 100_000
 
@@ -59,12 +57,6 @@ def leq(m: MultiIndex, n: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(m.coords, n.coords))
 
 
-def box_iter(n: MultiIndex) -> Iterator[MultiIndex]:
-    """All i with 1 <= i <= n, row-major (last coordinate fastest)."""
-    for tup in itertools.product(*(range(1, c + 1) for c in n.coords)):
-        yield MultiIndex(tup)
-
-
 @dataclass(frozen=True)
 class LatticeSample:
     """A dense array of D-dimensional vectors over the box [1, box]."""
@@ -86,18 +78,6 @@ class LatticeSample:
     @property
     def dim(self) -> int:
         return self.values.shape[-1]
-
-    def value_at(self, i: MultiIndex) -> HVector:
-        if not leq(i, self.box):
-            raise ValueError(f"index {i} outside box {self.box}")
-        return HVector(self.values[tuple(c - 1 for c in i.coords)])
-
-    @classmethod
-    def from_scalars(cls, box: MultiIndex, scalars) -> "LatticeSample":
-        arr = np.asarray(scalars, dtype=np.float64)
-        if arr.shape != box.coords:
-            raise ValueError(f"scalar field shape {arr.shape} != box {box.coords}")
-        return cls(box, arr[..., np.newaxis])
 
 
 def prefix_table(field: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -136,14 +116,6 @@ def max_partial_norm(sample: LatticeSample) -> float:
     S = prefix_sums(sample)
     norms = np.sqrt((S * S).sum(axis=-1))
     return float(norms.max())
-
-
-def cesaro_average(values, n: MultiIndex) -> float:
-    """Arithmetic mean of |n| reals attached to the box [1, n]."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size != n.size:
-        raise ValueError(f"expected {n.size} values for box {n}, got {arr.size}")
-    return float(arr.mean())
 
 
 def schedule_averages(field: np.ndarray, schedule: Sequence[MultiIndex]) -> np.ndarray:

@@ -219,11 +219,10 @@ def build_phi_from_cui(
     thresholds = thresholds_from_cui(
         spec, horizon, p, schedule, reps, seed, j_max, search_cap
     )
-    bound = dist.norm_bound(spec, horizon)
-    if bound is None:
-        calib = float(dist.norm_batch(spec, horizon, seed, max(reps, 1)).max())
-    else:
-        calib = float(bound)
+    norms = dist.fixed_norms(spec, horizon)
+    if norms is None:
+        norms = dist.norm_batch(spec, horizon, seed, max(reps, 1))
+    calib = float(norms.max())
     if n_max is None:
         n_max = max(math.ceil(4 * calib), 2 * max(thresholds), 64)
     if n_max < max(thresholds):
@@ -255,20 +254,19 @@ def poussin_moment_check(
 ) -> MomentEstimate:
     """Schedule sup of Cesaro-averaged E(phi(||X_i||)).
 
-    Exact for deterministic-value families; Monte Carlo otherwise. Any norm
-    beyond phi's domain raises PhiDomainError (enlarge n_max).
+    Exact for families with fixed norms in analytic mode; Monte Carlo
+    otherwise. Any norm beyond phi's domain raises PhiDomainError (enlarge
+    n_max).
     """
     sched = _resolve_schedule(horizon, schedule)
-    fam = dist.get_family(spec.family)
-    if isinstance(fam, dist._DeterministicFamily):
-        vals = np.abs(fam.cell_values(spec, horizon))
-        fld = phi_eval_many(phi, vals)
-        avgs = schedule_averages(fld, sched)
+    fld, exact = dist.expectations(
+        spec, lambda t: phi_eval_many(phi, t), horizon, seed, reps
+    )
+    avgs = schedule_averages(fld, sched)
+    if exact:
         j = int(np.argmax(avgs))
         return MomentEstimate(float(avgs[j]), 0.0, "analytic", sched[j])
-    norms = dist.norm_batch(spec, horizon, seed, reps)
-    fld = phi_eval_many(phi, norms)
-    value, se, box = _aggregate_sup(schedule_averages(fld, sched), sched)
+    value, se, box = _aggregate_sup(avgs, sched)
     return MomentEstimate(value, se, "empirical", box)
 
 

@@ -16,10 +16,9 @@ from cesaro_lab.cui import (
     cui_certificate,
     derive_delta,
     markov_event_array,
-    truncation_split,
     verify_criterion_equivalence,
 )
-from cesaro_lab.distributions import DistributionSpec, sample_array
+from cesaro_lab.distributions import DistributionSpec, norm_batch
 from cesaro_lab.lattice import MultiIndex
 
 
@@ -202,6 +201,20 @@ class TestEventCriterion:
         assert not rep.premise_holds
         assert rep.verdict  # implication with a false premise
 
+    @pytest.mark.parametrize("source_seed", [0, 7])
+    def test_indicator_moments_couple_to_the_source_seed(self, source_seed):
+        # seed 0 is a real source seed, not "unset": the moments must come
+        # from the same draw as the indicators, whatever seed the check gets
+        spec = spec_of("pareto_radial", alpha=3.0, mode="empirical")
+        box = MultiIndex((256,))
+        norms = norm_batch(spec, box, seed=source_seed, reps=50)
+        ev = EventArray(box, indicators=norms >= 2.0,
+                        source_seed=source_seed, source_reps=50)
+        rep = check_event_criterion(spec, ev, delta=0.5, eps=0.5, seed=5)
+        coupled = cesaro_tail_sup(spec, 1.0, 2.0, box, reps=50, seed=source_seed, ge=True)
+        assert rep.moment_sup == coupled.value
+        assert rep.moment_stderr == coupled.stderr
+
     def test_validation(self):
         ev = EventArray(MultiIndex((4,)), probs=np.zeros(4))
         with pytest.raises(ValueError):
@@ -278,26 +291,6 @@ class TestEquivalence:
             verify_criterion_equivalence(CONSTANT, [], MultiIndex((64,)))
         with pytest.raises(ValueError):
             verify_criterion_equivalence(CONSTANT, [-0.5], MultiIndex((64,)))
-
-
-class TestTruncationSplit:
-    def test_split_identity_and_disjoint_support(self):
-        sample = sample_array(
-            spec_of("pareto_radial", d=2, alpha=3.0), MultiIndex((50,)), seed=7
-        )
-        tail_part, bounded_part = truncation_split(sample, 2.0)
-        assert np.allclose(
-            tail_part.values + bounded_part.values, sample.values, atol=1e-12
-        )
-        tail_norms = np.sqrt((tail_part.values**2).sum(axis=-1))
-        bounded_norms = np.sqrt((bounded_part.values**2).sum(axis=-1))
-        assert np.all((tail_norms > 2.0) | (tail_norms == 0.0))
-        assert np.all(bounded_norms <= 2.0 + 1e-12)
-
-    def test_split_validation(self):
-        sample = sample_array(CONSTANT, MultiIndex((4,)))
-        with pytest.raises(ValueError):
-            truncation_split(sample, -1.0)
 
 
 class TestCuiReport:

@@ -8,14 +8,13 @@ import cesaro_lab.distributions as dist
 from cesaro_lab import rng
 from cesaro_lab.distributions import (
     DistributionSpec,
+    Tail,
     get_family,
     norm_batch,
-    pairwise_rademacher_array,
     sample_array,
     sample_batch,
     subset_products,
 )
-from cesaro_lab.errors import NoClosedFormError
 from cesaro_lab.lattice import MultiIndex
 
 
@@ -73,13 +72,13 @@ class TestConstant:
         assert s.values.shape == (2, 2, 3)
         assert np.all(s.values[..., 0] == 2.0)
         assert np.all(s.values[..., 1:] == 0.0)
-        assert dist.norm_bound(spec, MultiIndex((2, 2))) == 2.0
+        assert dist.fixed_norms(spec, MultiIndex((2, 2))).max() == 2.0
 
     def test_tail_mean_strict_vs_ge(self):
         spec = spec_of("constant", c=1.0)
         box = MultiIndex((4,))
-        strict = dist.tail_mean_field(spec, 1.0, 1.0, box, ge=False)
-        weak = dist.tail_mean_field(spec, 1.0, 1.0, box, ge=True)
+        strict = dist.expect(spec, Tail(1.0, 1.0), box)
+        weak = dist.expect(spec, Tail(1.0, 1.0, ge=True), box)
         assert np.all(strict == 0.0)
         assert np.all(weak == 1.0)
 
@@ -105,7 +104,7 @@ class TestSpiked:
     def test_tail_field_matches_direct_enumeration(self):
         spec = spec_of("spiked_cui", gap_base=2)
         box = MultiIndex((8,))
-        fld = dist.tail_mean_field(spec, 1.0, 1.5, box, ge=False)
+        fld = dist.expect(spec, Tail(1.0, 1.5), box)
         # spikes above 1.5 in norm: positions 4 (norm 2) and 8 (norm sqrt 8)
         expected = np.zeros(8)
         expected[3] = 2.0
@@ -127,7 +126,7 @@ class TestGrowing:
         # at truncation 5 the Cesaro mean over 1..10000 of sqrt(i) 1(sqrt(i) > 5)
         spec = spec_of("growing_non_cui", exponent=0.5)
         box = MultiIndex((10_000,))
-        fld = dist.tail_mean_field(spec, 1.0, 5.0, box, ge=False)
+        fld = dist.expect(spec, Tail(1.0, 5.0), box)
         i = np.arange(1, 10_001, dtype=np.float64)
         direct = np.where(np.sqrt(i) > 5.0, np.sqrt(i), 0.0)
         assert np.allclose(fld, direct)
@@ -159,28 +158,28 @@ class TestParetoRadial:
     ])
     def test_tail_mean_against_quadrature(self, alpha, p, a):
         spec = spec_of("pareto_radial", alpha=alpha)
-        got = dist.analytic_tail_mean(spec, p, a, MultiIndex((1,)))
+        got = dist.expect(spec, Tail(p, a), MultiIndex((1,)))[0]
         want = self.log_domain_quadrature(alpha, p, a)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_tail_mean_below_one_clamps(self):
         # the variable never falls below 1, so any level a <= 1 gives the full moment
         spec = spec_of("pareto_radial", alpha=3.0)
-        full = dist.analytic_tail_mean(spec, 1.0, 0.0, MultiIndex((1,)))
-        assert dist.analytic_tail_mean(spec, 1.0, 0.5, MultiIndex((1,))) == full
+        full = dist.expect(spec, Tail(1.0, 0.0), MultiIndex((1,)))[0]
+        assert dist.expect(spec, Tail(1.0, 0.5), MultiIndex((1,)))[0] == full
         assert full == pytest.approx(1.5)
 
     def test_infinite_moment_when_alpha_at_or_below_p(self):
         spec = spec_of("pareto_radial", alpha=0.8)
-        assert dist.analytic_tail_mean(spec, 1.0, 2.0, MultiIndex((1,))) == math.inf
+        assert dist.expect(spec, Tail(1.0, 2.0), MultiIndex((1,)))[0] == math.inf
         assert not dist.is_cui(spec, 1.0)
         assert dist.is_cui(spec_of("pareto_radial", alpha=3.0), 0.5)
 
     def test_event_probability(self):
         spec = spec_of("pareto_radial", alpha=3.0)
-        probs = dist.event_prob_field(spec, 2.0, MultiIndex((3,)))
+        probs = dist.expect(spec, Tail(0.0, 2.0, ge=True), MultiIndex((3,)))
         assert np.allclose(probs, 0.125)
-        assert np.all(dist.event_prob_field(spec, 0.5, MultiIndex((2,))) == 1.0)
+        assert np.all(dist.expect(spec, Tail(0.0, 0.5, ge=True), MultiIndex((2,))) == 1.0)
 
     def test_sample_norms_match_inverse_transform_moments(self):
         spec = spec_of("pareto_radial", d=3, alpha=3.0)
@@ -193,14 +192,14 @@ class TestParetoRadial:
         lens = np.sqrt((s.values**2).sum(axis=-1))
         assert np.all(lens >= 1.0 - 1e-12)
 
-    def test_mean_and_second_moment_fields(self):
+    def test_mean_and_second_moment_laws(self):
         spec = spec_of("pareto_radial", d=2, alpha=3.0)
-        mv = dist.mean_vector_field(spec, MultiIndex((2,)))
+        mv = dist.mean(spec, MultiIndex((2,)))
         assert np.allclose(mv, [[1.5, 0.0], [1.5, 0.0]])
-        sm = dist.second_moment_field(spec, MultiIndex((2,)))
+        sm = dist.expect(spec, Tail(2.0, 0.0), MultiIndex((2,)))
         assert np.allclose(sm, 3.0)
         heavy = spec_of("pareto_radial", alpha=1.0)
-        assert dist.mean_vector_field(heavy, MultiIndex((2,))) is None
+        assert dist.mean(heavy, MultiIndex((2,))) is None
 
 
 class TestGaussian:
@@ -210,13 +209,15 @@ class TestGaussian:
         assert abs(batch.mean()) < 0.02
         sq = (batch**2).sum(axis=-1)
         assert sq.mean() == pytest.approx(12.0, rel=0.03)
-        assert np.allclose(dist.second_moment_field(spec, MultiIndex((2,))), 12.0)
-        assert np.all(dist.mean_vector_field(spec, MultiIndex((2,))) == 0.0)
+        assert np.allclose(dist.expect(spec, Tail(2.0, 0.0), MultiIndex((2,))), 12.0)
+        assert np.all(dist.mean(spec, MultiIndex((2,))) == 0.0)
 
     def test_no_closed_form_tail(self):
         spec = spec_of("iid_gaussian")
-        with pytest.raises(NoClosedFormError):
-            dist.tail_mean_field(spec, 1.0, 1.0, MultiIndex((2,)))
+        assert dist.expect(spec, Tail(1.0, 1.0), MultiIndex((2,))) is None
+        fld, exact = dist.expectations(spec, Tail(1.0, 1.0), MultiIndex((2,)), 0, 3)
+        assert not exact
+        assert fld.shape == (3, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -229,7 +230,7 @@ class TestRademacher:
         s = sample_array(spec, MultiIndex((100,)), seed=3)
         assert set(np.unique(s.values[:, 0])) == {-1.0, 1.0}
         assert np.all(s.values[:, 1] == 0.0)
-        assert dist.norm_bound(spec, MultiIndex((100,))) == 1.0
+        assert np.all(dist.fixed_norms(spec, MultiIndex((100,))) == 1.0)
         assert dist.zero_mean(spec)
 
 
@@ -251,9 +252,10 @@ class TestPairwiseRademacher:
     def test_m2_exhaustive_structure(self):
         # [b1, b2, b1*b2]: the third coordinate is always the product of the
         # first two, so the triple is pairwise but not mutually independent
+        spec = spec_of("pairwise_rademacher", m=2)
         seen = set()
         for seed in range(64):
-            v = pairwise_rademacher_array(2, seed)
+            v = sample_array(spec, MultiIndex((3,)), seed).values[:, 0]
             assert v.shape == (3,)
             assert set(np.unique(v)) <= {-1.0, 1.0}
             assert v[2] == v[0] * v[1]
@@ -261,7 +263,10 @@ class TestPairwiseRademacher:
         assert seen == {(-1, -1), (-1, 1), (1, -1), (1, 1)}
 
     def test_triple_product_is_constant(self):
-        prods = [np.prod(pairwise_rademacher_array(2, s)) for s in range(32)]
+        spec = spec_of("pairwise_rademacher", m=2)
+        prods = [
+            np.prod(sample_array(spec, MultiIndex((3,)), s).values) for s in range(32)
+        ]
         assert set(prods) == {1.0}
 
     def test_block_tiling_reuses_subset_structure(self):
@@ -275,11 +280,6 @@ class TestPairwiseRademacher:
         assert not (
             np.array_equal(v[0:3], v[3:6]) and np.array_equal(v[3:6], v[6:9])
         )
-
-    def test_first_block_matches_module_level_array(self):
-        spec = spec_of("pairwise_rademacher", m=4)
-        s = sample_array(spec, MultiIndex((15,)), seed=11)
-        assert np.array_equal(s.values[:, 0], pairwise_rademacher_array(4, 11))
 
     def test_pairwise_correlations_are_null(self):
         spec = spec_of("pairwise_rademacher", m=4)
@@ -346,5 +346,8 @@ class TestSamplingContracts:
         spec = DistributionSpec(
             "constant", {"c": 1.0}, dim_D=1, moment_mode="empirical"
         )
-        with pytest.raises(NoClosedFormError):
-            dist.tail_mean_field(spec, 1.0, 0.5, MultiIndex((2,)))
+        fld, exact = dist.expectations(spec, Tail(1.0, 0.5), MultiIndex((2,)), 0, 3)
+        assert not exact
+        assert np.array_equal(fld, np.ones((3, 2)))
+        # the law itself still has the closed form; only the choice is empirical
+        assert np.array_equal(dist.expect(spec, Tail(1.0, 0.5), MultiIndex((2,))), [1.0, 1.0])

@@ -8,8 +8,6 @@ from cesaro_lab.lattice import (
     BRUTE_FORCE_CELL_CAP,
     LatticeSample,
     MultiIndex,
-    box_iter,
-    cesaro_average,
     dyadic_boxes,
     dyadic_square_schedule,
     leq,
@@ -79,23 +77,9 @@ class TestMultiIndex:
             assert leq(a, c)
 
 
-def test_box_iter_row_major_last_fastest():
-    got = list(box_iter(MultiIndex((2, 3))))
-    expected = [
-        (1, 1), (1, 2), (1, 3),
-        (2, 1), (2, 2), (2, 3),
-    ]
-    assert [g.coords for g in got] == expected
-
-
-def test_box_iter_counts():
-    assert len(list(box_iter(MultiIndex((3,))))) == 3
-    assert len(list(box_iter(MultiIndex((2, 2, 2))))) == 8
-
-
 def test_prefix_2x2_worked_example():
-    sample = LatticeSample.from_scalars(
-        MultiIndex((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]])
+    sample = LatticeSample(
+        MultiIndex((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]])[..., None]
     )
     table = prefix_sums(sample)
     assert table.shape == (2, 2, 1)
@@ -116,7 +100,7 @@ def test_prefix_matches_bruteforce_on_random_cases():
 
 def test_bruteforce_cell_cap():
     big = MultiIndex((BRUTE_FORCE_CELL_CAP + 1,))
-    sample = LatticeSample.from_scalars(big, np.zeros(big.size))
+    sample = LatticeSample(big, np.zeros(big.size)[..., None])
     with pytest.raises(ValueError):
         prefix_sums_bruteforce(sample)
 
@@ -137,27 +121,11 @@ def test_prefix_linearity():
     assert max_partial_norm(scaled) == pytest.approx(2.0 * max_partial_norm(s1))
 
 
-def test_value_at_and_bounds():
-    sample = LatticeSample.from_scalars(
-        MultiIndex((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]])
-    )
-    assert sample.value_at(MultiIndex((2, 1))).coeffs[0] == 3.0
-    with pytest.raises(ValueError):
-        sample.value_at(MultiIndex((3, 1)))
-
-
 def test_shape_validation():
     with pytest.raises(ValueError):
         LatticeSample(MultiIndex((2, 2)), np.zeros((2, 3, 1)))
     with pytest.raises(ValueError):
-        LatticeSample.from_scalars(MultiIndex((4,)), np.zeros(5))
-
-
-def test_cesaro_average():
-    vals = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert cesaro_average(vals, MultiIndex((2, 2))) == 2.5
-    with pytest.raises(ValueError):
-        cesaro_average(vals, MultiIndex((2, 3)))
+        LatticeSample(MultiIndex((4,)), np.zeros(5)[..., None])
 
 
 def test_schedule_averages_match_direct_means():
