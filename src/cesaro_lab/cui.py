@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import distributions as dist
-from .distributions import DistributionSpec, Tail
+from .distributions import DistributionSpec, NormSample, Tail
 from .lattice import MultiIndex, dyadic_boxes, leq, schedule_averages
 
 DEFAULT_A_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -40,6 +39,15 @@ def _resolve_schedule(horizon: MultiIndex, schedule) -> list[MultiIndex]:
         if not leq(b, horizon):
             raise ValueError(f"schedule box {b} exceeds horizon {horizon}")
     return boxes
+
+
+def _levels(a_grid: Sequence[float]) -> list[float]:
+    grid = [float(a) for a in a_grid]
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("a_grid must be nonempty and strictly increasing")
+    if grid[0] < 0:
+        raise ValueError("a_grid levels must be >= 0")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -86,18 +94,28 @@ def cesaro_tail_sup(
     otherwise plain Monte Carlo means over `reps` replications with a
     standard error propagated from the replication spread.
     """
+    _check_tail_args(p, a)
+    sched = _resolve_schedule(horizon, schedule)
+    return _tail_sup(NormSample(spec, horizon, seed, reps), sched, p, a, ge)
+
+
+def _check_tail_args(p: float, a: float) -> None:
     if not (0 < p <= 1):
         raise ValueError("p must lie in (0, 1]")
     if a < 0:
         raise ValueError("a must be >= 0")
-    sched = _resolve_schedule(horizon, schedule)
-    fld, exact = dist.expectations(spec, Tail(p, a, ge), horizon, seed, reps)
+
+
+def _tail_sup(sample: NormSample, sched, p: float, a: float, ge: bool) -> TailEstimate:
+    """cesaro_tail_sup answered from `sample`, whose box is the horizon; the
+    caller has checked p and a."""
+    fld, exact = sample.expectations(Tail(p, a, ge))
     avgs = schedule_averages(fld, sched)
     if exact:
         j = int(np.argmax(avgs))
         return TailEstimate(float(avgs[j]), 0.0, "analytic", sched[j])
     value, se, box = _aggregate_sup(avgs, sched)
-    return TailEstimate(value, se, "empirical", box, low_reps=reps < LOW_REPS_FLOOR)
+    return TailEstimate(value, se, "empirical", box, low_reps=sample.reps < LOW_REPS_FLOOR)
 
 
 def cui_certificate(
@@ -118,14 +136,15 @@ def cui_certificate(
     """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    grid = [float(a) for a in a_grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("a_grid must be nonempty and strictly increasing")
-    if grid[0] < 0:
-        raise ValueError("a_grid levels must be >= 0")
+    grid = _levels(a_grid)
+    _check_tail_args(p, 0.0)
+    sched = _resolve_schedule(horizon, schedule)
+    return _certificate(NormSample(spec, horizon, seed, reps), sched, p, eps, grid, ge)
+
+
+def _certificate(sample: NormSample, sched, p, eps, grid, ge=False) -> Optional[float]:
     for a in grid:
-        est = cesaro_tail_sup(spec, p, a, horizon, schedule, reps, seed, ge=ge)
-        if est.upper() < eps:
+        if _tail_sup(sample, sched, p, a, ge).upper() < eps:
             return a
     return None
 
@@ -193,21 +212,25 @@ def markov_event_array(
 ) -> EventArray:
     """The events A_i = {||X_i|| >= K/delta} used to recover CUI from the
     bounded-mean criterion; analytic probabilities when available."""
+    return _markov_events(NormSample(spec, box, seed, reps), K, delta)
+
+
+def _markov_events(sample: NormSample, K: float, delta: float) -> EventArray:
     if K <= 0:
         raise ValueError("K must be > 0")
     if delta <= 0:
         raise ValueError("delta must be > 0")
     t = K / delta
-    fld, exact = dist.expectations(spec, Tail(0.0, t, ge=True), box, seed, reps)
+    fld, exact = sample.expectations(Tail(0.0, t, ge=True))
     if exact:
-        return EventArray(box, probs=fld, threshold=t, ge=True)
+        return EventArray(sample.box, probs=fld, threshold=t, ge=True)
     return EventArray(
-        box,
+        sample.box,
         indicators=fld,
         threshold=t,
         ge=True,
-        source_seed=seed,
-        source_reps=reps,
+        source_seed=sample.seed,
+        source_reps=sample.reps,
     )
 
 
@@ -220,38 +243,28 @@ def _event_prob_sup(events: EventArray, schedule) -> tuple[float, float]:
     return value, se
 
 
-def _event_moment_sup(
-    spec: DistributionSpec,
-    events: EventArray,
-    schedule,
-    reps: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Schedule sup of Cesaro-averaged E(||X_i|| 1(A_i))."""
-    if events.threshold is not None:
-        est = cesaro_tail_sup(
-            spec,
-            1.0,
-            events.threshold,
-            events.box,
-            schedule,
-            reps=events.source_reps or reps,
-            seed=events.source_seed if events.source_seed is not None else seed,
-            ge=events.ge,
-        )
-        return est.value, est.stderr
-    if events.probs is not None:
+def _event_moment_sup(sample: NormSample, events: EventArray, schedule) -> tuple[float, float]:
+    """Schedule sup of Cesaro-averaged E(||X_i|| 1(A_i)); `sample` is the
+    caller's (spec, events.box, seed, reps)."""
+    if events.probs is not None and events.threshold is None:
         # events independent of the array (the adversarial construction uses
         # 0/1 probabilities, where independence is vacuous)
-        fld, exact = dist.expectations(spec, Tail(1.0, 0.0), events.box, seed, reps)
+        fld, exact = sample.expectations(Tail(1.0, 0.0))
         avgs = schedule_averages(events.probs * fld, schedule)
         if exact:
             return float(avgs.max()), 0.0
         value, se, _ = _aggregate_sup(avgs, schedule)
         return value, se
-    source_seed = events.source_seed if events.source_seed is not None else seed
-    norms = dist.norm_batch(spec, events.box, source_seed, events.source_reps or reps)
-    per_rep = schedule_averages(norms * events.indicators, schedule)
+    # threshold or realized events couple to the draw they were defined on
+    seed = events.source_seed if events.source_seed is not None else sample.seed
+    reps = events.source_reps or sample.reps
+    if (seed, reps) != (sample.seed, sample.reps):
+        sample = NormSample(sample.spec, events.box, seed, reps)
+    if events.threshold is not None:
+        _check_tail_args(1.0, events.threshold)
+        est = _tail_sup(sample, schedule, 1.0, events.threshold, events.ge)
+        return est.value, est.stderr
+    per_rep = schedule_averages(sample.norms() * events.indicators, schedule)
     value, se, _ = _aggregate_sup(per_rep, schedule)
     return value, se
 
@@ -286,8 +299,14 @@ def check_event_criterion(
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be > 0")
     sched = _resolve_schedule(events.box, schedule)
+    return _event_criterion(NormSample(spec, events.box, seed, reps), events, delta, eps, sched)
+
+
+def _event_criterion(
+    sample: NormSample, events: EventArray, delta: float, eps: float, sched
+) -> EventCriterionReport:
     prob_sup, prob_se = _event_prob_sup(events, sched)
-    mom_sup, mom_se = _event_moment_sup(spec, events, sched, reps, seed)
+    mom_sup, mom_se = _event_moment_sup(sample, events, sched)
     premise = prob_sup + 2.0 * prob_se < delta
     conclusion = mom_sup + 2.0 * mom_se < eps
     return EventCriterionReport(
@@ -317,7 +336,12 @@ def adversarial_event_array(
     if delta <= 0:
         raise ValueError("delta must be > 0")
     sched = _resolve_schedule(horizon, schedule)
-    fld, exact = dist.expectations(spec, Tail(1.0, 0.0), horizon, seed, reps)
+    return _adversarial_events(NormSample(spec, horizon, seed, reps), delta, sched)
+
+
+def _adversarial_events(sample: NormSample, delta: float, sched) -> EventArray:
+    horizon = sample.box
+    fld, exact = sample.expectations(Tail(1.0, 0.0))
     if not exact:
         fld = fld.mean(axis=0)
     flat = fld.ravel(order="C")
@@ -400,15 +424,15 @@ def verify_criterion_equivalence(
     """
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
+    grid = _levels(a_grid)
     sched = _resolve_schedule(horizon, schedule)
+    sample = NormSample(spec, horizon, seed, reps)
     checks: list[CheckRecord] = []
 
-    k_est = check_criterion_i(spec, horizon, sched, reps, seed)
+    k_est = _tail_sup(sample, sched, 1.0, 0.0, False)
     K = k_est.value
 
-    a0_bound = cui_certificate(
-        spec, 1.0, 1.0, a_grid, horizon, sched, reps, seed
-    )
+    a0_bound = _certificate(sample, sched, 1.0, 1.0, grid)
     certified = a0_bound is not None
     if certified:
         checks.append(
@@ -432,7 +456,9 @@ def verify_criterion_equivalence(
         )
 
     for eps in eps_list:
-        a0 = cui_certificate(spec, 1.0, eps / 2.0, a_grid, horizon, sched, reps, seed)
+        if eps <= 0:
+            raise ValueError("eps must be > 0")
+        a0 = _certificate(sample, sched, 1.0, eps / 2.0, grid)
         if a0 is None:
             checks.append(
                 CheckRecord(
@@ -457,14 +483,11 @@ def verify_criterion_equivalence(
 
         tested = [
             ("empty", EventArray(horizon, probs=np.zeros(horizon.coords))),
-            (
-                "adversarial",
-                adversarial_event_array(spec, delta, horizon, sched, reps, seed),
-            ),
-            ("markov", markov_event_array(spec, K, delta, horizon, reps, seed)),
+            ("adversarial", _adversarial_events(sample, delta, sched)),
+            ("markov", _markov_events(sample, K, delta)),
         ]
         for name, ev in tested:
-            rep = check_event_criterion(spec, ev, delta, eps, sched, reps, seed)
+            rep = _event_criterion(sample, ev, delta, eps, sched)
             checks.append(
                 CheckRecord(
                     f"eps={eps}:criterion_ii[{name}]",
@@ -486,7 +509,7 @@ def verify_criterion_equivalence(
                 note=f"threshold K/delta={K / delta!r}",
             )
         )
-        mom_sup, mom_se = _event_moment_sup(spec, markov_ev, sched, reps, seed)
+        mom_sup, mom_se = _event_moment_sup(sample, markov_ev, sched)
         checks.append(
             CheckRecord(
                 f"eps={eps}:moments_on_markov_events",
@@ -495,7 +518,7 @@ def verify_criterion_equivalence(
                 passed=mom_sup + 2.0 * mom_se < eps,
             )
         )
-        tail = cesaro_tail_sup(spec, 1.0, K / delta, horizon, sched, reps, seed, ge=False)
+        tail = _tail_sup(sample, sched, 1.0, K / delta, False)
         checks.append(
             CheckRecord(
                 f"eps={eps}:cui_tail_recovered",
@@ -562,20 +585,20 @@ def build_cui_report(
     ge: bool = False,
     threads: int = 1,
 ) -> CuiReport:
-    grid = [float(a) for a in a_grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("a_grid must be nonempty and strictly increasing")
+    grid = _levels(a_grid)
+    _check_tail_args(p, 0.0)
     sched = _resolve_schedule(horizon, schedule)
+    sample = NormSample(spec, horizon, seed, reps)
 
     def est_at(a: float) -> TailEstimate:
-        return cesaro_tail_sup(spec, p, a, horizon, sched, reps, seed, ge=ge)
+        return _tail_sup(sample, sched, p, a, ge)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             ests = list(pool.map(est_at, grid))
     else:
         ests = [est_at(a) for a in grid]
-    mean_est = check_criterion_i(spec, horizon, sched, reps, seed)
+    mean_est = _tail_sup(sample, sched, 1.0, 0.0, False)
     return CuiReport(
         p=p,
         a_grid=tuple(grid),

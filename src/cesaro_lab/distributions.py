@@ -4,16 +4,19 @@ Each family documents its dependence structure and whether the p-th power
 norms are Cesaro uniformly integrable. Every closed form sits behind one
 per-family norm law: `fixed_norms` gives the cell norms when they are not
 random, and `expect` gives E g(||X_i||) for a norm functional g where the
-family admits it. `expectations` is the one place that chooses between that
-closed form and Monte Carlo. Samplers are pure functions of (spec, box,
-seed): cell i draws from a counter-based stream keyed by (seed, i), so
-enlarging a box never changes previously generated cells.
+family admits it. `NormSample.expectations` is the one place that chooses
+between that closed form and Monte Carlo; a `NormSample` draws its norms at
+most once and answers every query from that one draw. Samplers are pure
+functions of (spec, box, seed): cell i draws from a counter-based stream
+keyed by (seed, i), so enlarging a box never changes previously generated
+cells.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -483,20 +486,44 @@ def mean(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:
     return _checked_family(spec, box).mean(spec, box)
 
 
-def expectations(
-    spec: DistributionSpec, g: NormFunctional, box: MultiIndex, seed: int, reps: int
-) -> tuple[np.ndarray, bool]:
-    """E g(||X_i||) per cell, and whether it is exact.
+class NormSample:
+    """The realized norms of `reps` arrays over one box, drawn at most once.
 
-    Exact (shape box.coords) iff the spec's moment_mode is "analytic" and the
-    family has a closed form for g; otherwise g of `reps` realized norm
-    arrays, shape (reps,) + box.coords, for the caller to average.
+    Callers that ask several questions of the same (spec, box, seed, reps)
+    share one NormSample. The draw is lazy, so queries answered in closed form
+    draw nothing; it is taken under a lock, so concurrent queries still draw
+    once, and the drawn array is read-only.
     """
-    if spec.moment_mode == "analytic":
-        fld = expect(spec, g, box)
-        if fld is not None:
-            return fld, True
-    return g(norm_batch(spec, box, seed, reps)), False
+
+    def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int, reps: int):
+        self.spec = spec
+        self.box = box
+        self.seed = seed
+        self.reps = reps
+        self._norms: np.ndarray | None = None
+        self._lock = threading.Lock()
+
+    def norms(self) -> np.ndarray:
+        """The realized cell norms, shape (reps,) + box.coords."""
+        with self._lock:
+            if self._norms is None:
+                norms = norm_batch(self.spec, self.box, self.seed, self.reps)
+                norms.flags.writeable = False
+                self._norms = norms
+        return self._norms
+
+    def expectations(self, g: NormFunctional) -> tuple[np.ndarray, bool]:
+        """E g(||X_i||) per cell, and whether it is exact.
+
+        Exact (shape box.coords) iff the spec's moment_mode is "analytic" and
+        the family has a closed form for g; otherwise g of the realized norms,
+        shape (reps,) + box.coords, for the caller to average.
+        """
+        if self.spec.moment_mode == "analytic":
+            fld = expect(self.spec, g, self.box)
+            if fld is not None:
+                return fld, True
+        return g(self.norms()), False
 
 
 def is_cui(spec, p: float) -> bool:

@@ -17,8 +17,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .cui import _aggregate_sup, _resolve_schedule, cesaro_tail_sup
-from .distributions import DistributionSpec
+from .cui import _aggregate_sup, _check_tail_args, _resolve_schedule, _tail_sup
+# the single-query form stays bound here: the benchmark tracer wraps it in
+# every module namespace (benchmarks/tests/test_tracer.py checks this binding)
+from .cui import cesaro_tail_sup  # noqa: F401
+from .distributions import DistributionSpec, NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 from .lattice import MultiIndex, schedule_averages
 
@@ -161,15 +164,23 @@ def thresholds_from_cui(
     The cap is part of the verdict: a family whose tails do not decay on this
     horizon runs past it and raises HorizonTooSmallError.
     """
+    sched = _resolve_schedule(horizon, schedule)
+    return _thresholds(NormSample(spec, horizon, seed, reps), sched, p, j_max, search_cap)
+
+
+def _thresholds(
+    sample: NormSample, sched, p: float, j_max: int, search_cap: int
+) -> tuple[int, ...]:
+    """thresholds_from_cui on a shared sample: every bisection probe queries it."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if search_cap < 1:
         raise ValueError("search_cap must be >= 1")
-    sched = _resolve_schedule(horizon, schedule)
+    _check_tail_args(p, 0.0)
+    horizon = sample.box
 
     def sup_at(level: int) -> float:
-        est = cesaro_tail_sup(spec, p, float(level), horizon, sched, reps, seed, ge=True)
-        return est.upper()
+        return _tail_sup(sample, sched, p, float(level), True).upper()
 
     out: list[int] = []
     prev = 0
@@ -216,12 +227,15 @@ def build_phi_from_cui(
     n_max defaults to max(ceil(4 * calibration max norm), 2 * N_jmax, 64) so
     both the family's norms and the useful slope range stay inside the domain.
     """
-    thresholds = thresholds_from_cui(
-        spec, horizon, p, schedule, reps, seed, j_max, search_cap
+    sample = NormSample(spec, horizon, seed, reps)
+    thresholds = _thresholds(
+        sample, _resolve_schedule(horizon, schedule), p, j_max, search_cap
     )
     norms = dist.fixed_norms(spec, horizon)
     if norms is None:
-        norms = dist.norm_batch(spec, horizon, seed, max(reps, 1))
+        if reps < 1:
+            sample = NormSample(spec, horizon, seed, 1)
+        norms = sample.norms()
     calib = float(norms.max())
     if n_max is None:
         n_max = max(math.ceil(4 * calib), 2 * max(thresholds), 64)
@@ -259,9 +273,11 @@ def poussin_moment_check(
     n_max).
     """
     sched = _resolve_schedule(horizon, schedule)
-    fld, exact = dist.expectations(
-        spec, lambda t: phi_eval_many(phi, t), horizon, seed, reps
-    )
+    return _moment_sup(NormSample(spec, horizon, seed, reps), sched, phi)
+
+
+def _moment_sup(sample: NormSample, sched, phi: PhiFunction) -> MomentEstimate:
+    fld, exact = sample.expectations(lambda t: phi_eval_many(phi, t))
     avgs = schedule_averages(fld, sched)
     if exact:
         j = int(np.argmax(avgs))
@@ -295,7 +311,8 @@ def poussin_forward_check(
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
     sched = _resolve_schedule(horizon, schedule)
-    mom = poussin_moment_check(spec, phi, horizon, sched, reps, seed)
+    sample = NormSample(spec, horizon, seed, reps)
+    mom = _moment_sup(sample, sched, phi)
     K = mom.value + 2.0 * mom.stderr
     levels = np.arange(1, phi.n_max + 1, dtype=np.float64)
     ratios = phi.prefix[1:] / levels
@@ -311,7 +328,7 @@ def poussin_forward_check(
                 "enlarge n_max or deepen the threshold list"
             )
         a = int(hits[0] + 1)
-        tail = cesaro_tail_sup(spec, 1.0, float(a), horizon, sched, reps, seed, ge=False)
+        tail = _tail_sup(sample, sched, 1.0, float(a), False)
         out.append(
             ForwardCheck(
                 eps=float(eps),
