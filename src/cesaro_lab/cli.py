@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import convergence, cui, poussin, rng
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 from .lattice import (
     LatticeSample,
@@ -176,13 +176,11 @@ def _ensure_out(out: str) -> Path:
 def run_check_cui(config: dict, out_dir: Path) -> int:
     t0 = time.perf_counter()
     spec = DistributionSpec.from_json(config["spec"])
+    sample = NormSample(spec, parse_horizon(config["horizon"]), config["seed"], config["reps"])
     report = cui.build_cui_report(
-        spec,
+        sample,
         p=config["p"],
         a_grid=config["a_grid"],
-        horizon=parse_horizon(config["horizon"]),
-        reps=config["reps"],
-        seed=config["seed"],
         ge=config["ge"],
         threads=config["threads"],
     )
@@ -220,28 +218,16 @@ def cmd_check_cui(args: argparse.Namespace) -> int:
 def run_poussin(config: dict, out_dir: Path) -> int:
     t0 = time.perf_counter()
     spec = DistributionSpec.from_json(config["spec"])
-    horizon = parse_horizon(config["horizon"])
+    sample = NormSample(spec, parse_horizon(config["horizon"]), config["seed"], config["reps"])
     built = poussin.build_phi_from_cui(
-        spec,
-        horizon,
-        reps=config["reps"],
-        seed=config["seed"],
+        sample,
         j_max=config["j_max"],
         search_cap=config["search_cap"],
         n_max=config["n_max"],
     )
     props = poussin.verify_phi_properties(built.phi)
-    moment = poussin.poussin_moment_check(
-        spec, built.phi, horizon, reps=config["reps"], seed=config["seed"]
-    )
-    forward = poussin.poussin_forward_check(
-        spec,
-        built.phi,
-        config["eps"],
-        horizon,
-        reps=config["reps"],
-        seed=config["seed"],
-    )
+    moment = poussin.poussin_moment_check(sample, built.phi)
+    forward = poussin.poussin_forward_check(sample, built.phi, config["eps"])
     report = {
         "thresholds": [int(v) for v in built.thresholds],
         "n_max": built.n_max,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import DistributionSpec, NormSample, Tail
+from .distributions import NormSample, Tail
 from .lattice import MultiIndex, dyadic_boxes, leq, schedule_averages
 
 DEFAULT_A_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -77,38 +77,26 @@ def _aggregate_sup(per_rep_avgs: np.ndarray, schedule) -> tuple[float, float, Mu
 
 
 def cesaro_tail_sup(
-    spec: DistributionSpec,
+    sample: NormSample,
     p: float,
     a: float,
-    horizon: MultiIndex,
     schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
     ge: bool = False,
 ) -> TailEstimate:
     """Schedule sup of Cesaro-averaged truncated p-th moments at level a.
 
-    The indicator is strict (||X|| > a) by default; ge=True switches to
+    The schedule defaults to the dyadic boxes of the sample's box. The
+    indicator is strict (||X|| > a) by default; ge=True switches to
     ||X|| >= a (the variant used when hunting integer tail levels).
     Expectations are closed-form when the family and moment mode admit them,
-    otherwise plain Monte Carlo means over `reps` replications with a
+    otherwise plain Monte Carlo means over the sample's replications with a
     standard error propagated from the replication spread.
     """
-    _check_tail_args(p, a)
-    sched = _resolve_schedule(horizon, schedule)
-    return _tail_sup(NormSample(spec, horizon, seed, reps), sched, p, a, ge)
-
-
-def _check_tail_args(p: float, a: float) -> None:
     if not (0 < p <= 1):
         raise ValueError("p must lie in (0, 1]")
     if a < 0:
         raise ValueError("a must be >= 0")
-
-
-def _tail_sup(sample: NormSample, sched, p: float, a: float, ge: bool) -> TailEstimate:
-    """cesaro_tail_sup answered from `sample`, whose box is the horizon; the
-    caller has checked p and a."""
+    sched = _resolve_schedule(sample.box, schedule)
     fld, exact = sample.expectations(Tail(p, a, ge))
     avgs = schedule_averages(fld, sched)
     if exact:
@@ -119,14 +107,11 @@ def _tail_sup(sample: NormSample, sched, p: float, a: float, ge: bool) -> TailEs
 
 
 def cui_certificate(
-    spec: DistributionSpec,
+    sample: NormSample,
     p: float,
     eps: float,
     a_grid: Sequence[float] = DEFAULT_A_GRID,
-    horizon: MultiIndex = MultiIndex((4096,)),
     schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
     ge: bool = False,
 ) -> Optional[float]:
     """Smallest grid level whose tail sup is certified below eps, else None.
@@ -137,27 +122,18 @@ def cui_certificate(
     if eps <= 0:
         raise ValueError("eps must be > 0")
     grid = _levels(a_grid)
-    _check_tail_args(p, 0.0)
-    sched = _resolve_schedule(horizon, schedule)
-    return _certificate(NormSample(spec, horizon, seed, reps), sched, p, eps, grid, ge)
-
-
-def _certificate(sample: NormSample, sched, p, eps, grid, ge=False) -> Optional[float]:
+    sched = _resolve_schedule(sample.box, schedule)
     for a in grid:
-        if _tail_sup(sample, sched, p, a, ge).upper() < eps:
+        if cesaro_tail_sup(sample, p, a, sched, ge).upper() < eps:
             return a
     return None
 
 
 def check_criterion_i(
-    spec: DistributionSpec,
-    horizon: MultiIndex,
-    schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
+    sample: NormSample, schedule: Optional[Sequence[MultiIndex]] = None
 ) -> TailEstimate:
     """K = sup over the schedule of Cesaro-averaged first moments E||X_i||."""
-    return cesaro_tail_sup(spec, 1.0, 0.0, horizon, schedule, reps, seed, ge=False)
+    return cesaro_tail_sup(sample, 1.0, 0.0, schedule)
 
 
 def derive_delta(eps: float, a0: float) -> float:
@@ -202,20 +178,10 @@ class EventArray:
             object.__setattr__(self, "indicators", arr)
 
 
-def markov_event_array(
-    spec: DistributionSpec,
-    K: float,
-    delta: float,
-    box: MultiIndex,
-    reps: int = 200,
-    seed: int = 0,
-) -> EventArray:
-    """The events A_i = {||X_i|| >= K/delta} used to recover CUI from the
-    bounded-mean criterion; analytic probabilities when available."""
-    return _markov_events(NormSample(spec, box, seed, reps), K, delta)
-
-
-def _markov_events(sample: NormSample, K: float, delta: float) -> EventArray:
+def markov_event_array(sample: NormSample, K: float, delta: float) -> EventArray:
+    """The events A_i = {||X_i|| >= K/delta} over the sample's box, used to
+    recover CUI from the bounded-mean criterion; analytic probabilities when
+    available, else the sample's realized indicators."""
     if K <= 0:
         raise ValueError("K must be > 0")
     if delta <= 0:
@@ -245,7 +211,7 @@ def _event_prob_sup(events: EventArray, schedule) -> tuple[float, float]:
 
 def _event_moment_sup(sample: NormSample, events: EventArray, schedule) -> tuple[float, float]:
     """Schedule sup of Cesaro-averaged E(||X_i|| 1(A_i)); `sample` is the
-    caller's (spec, events.box, seed, reps)."""
+    caller's, over events.box."""
     if events.probs is not None and events.threshold is None:
         # events independent of the array (the adversarial construction uses
         # 0/1 probabilities, where independence is vacuous)
@@ -261,8 +227,7 @@ def _event_moment_sup(sample: NormSample, events: EventArray, schedule) -> tuple
     if (seed, reps) != (sample.seed, sample.reps):
         sample = NormSample(sample.spec, events.box, seed, reps)
     if events.threshold is not None:
-        _check_tail_args(1.0, events.threshold)
-        est = _tail_sup(sample, schedule, 1.0, events.threshold, events.ge)
+        est = cesaro_tail_sup(sample, 1.0, events.threshold, schedule, events.ge)
         return est.value, est.stderr
     per_rep = schedule_averages(sample.norms() * events.indicators, schedule)
     value, se, _ = _aggregate_sup(per_rep, schedule)
@@ -283,28 +248,23 @@ class EventCriterionReport:
 
 
 def check_event_criterion(
-    spec: DistributionSpec,
+    sample: NormSample,
     events: EventArray,
     delta: float,
     eps: float,
     schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
 ) -> EventCriterionReport:
     """Does 'event averages below delta' force 'truncated moments below eps'?
 
-    The verdict is the implication: arrays that miss the delta premise pass
-    vacuously, since nothing is then asserted about their moments.
+    The sample and the events share one box. The verdict is the implication:
+    arrays that miss the delta premise pass vacuously, since nothing is then
+    asserted about their moments.
     """
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be > 0")
+    if sample.box != events.box:
+        raise ValueError(f"sample box {sample.box} != event box {events.box}")
     sched = _resolve_schedule(events.box, schedule)
-    return _event_criterion(NormSample(spec, events.box, seed, reps), events, delta, eps, sched)
-
-
-def _event_criterion(
-    sample: NormSample, events: EventArray, delta: float, eps: float, sched
-) -> EventCriterionReport:
     prob_sup, prob_se = _event_prob_sup(events, sched)
     mom_sup, mom_se = _event_moment_sup(sample, events, sched)
     premise = prob_sup + 2.0 * prob_se < delta
@@ -323,24 +283,15 @@ def _event_criterion(
 
 
 def adversarial_event_array(
-    spec: DistributionSpec,
-    delta: float,
-    horizon: MultiIndex,
-    schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
+    sample: NormSample, delta: float, schedule: Optional[Sequence[MultiIndex]] = None
 ) -> EventArray:
-    """Greedy worst case for the small-event criterion: make the cells with
-    the largest expected norms certain, as long as every schedule box keeps
-    its event average strictly below delta."""
+    """Greedy worst case for the small-event criterion over the sample's box:
+    make the cells with the largest expected norms certain, as long as every
+    schedule box keeps its event average strictly below delta."""
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    sched = _resolve_schedule(horizon, schedule)
-    return _adversarial_events(NormSample(spec, horizon, seed, reps), delta, sched)
-
-
-def _adversarial_events(sample: NormSample, delta: float, sched) -> EventArray:
     horizon = sample.box
+    sched = _resolve_schedule(horizon, schedule)
     fld, exact = sample.expectations(Tail(1.0, 0.0))
     if not exact:
         fld = fld.mean(axis=0)
@@ -403,12 +354,9 @@ class EquivalenceReport:
 
 
 def verify_criterion_equivalence(
-    spec: DistributionSpec,
+    sample: NormSample,
     eps_list: Sequence[float],
-    horizon: MultiIndex,
     schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
     a_grid: Sequence[float] = DEFAULT_A_GRID,
 ) -> EquivalenceReport:
     """Exercise both directions of the equivalence between CUI and the pair
@@ -420,19 +368,19 @@ def verify_criterion_equivalence(
     Reverse: with K from the bounded-mean criterion, the threshold events at
     K/delta must have small averages (by the Markov inequality), their
     truncated moments stay below eps, and the plain tail sup at a = K/delta
-    is then itself below eps, recovering CUI.
+    is then itself below eps, recovering CUI. Every question is asked of the
+    one sample, over its box.
     """
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
-    grid = _levels(a_grid)
+    horizon = sample.box
     sched = _resolve_schedule(horizon, schedule)
-    sample = NormSample(spec, horizon, seed, reps)
     checks: list[CheckRecord] = []
 
-    k_est = _tail_sup(sample, sched, 1.0, 0.0, False)
+    k_est = check_criterion_i(sample, sched)
     K = k_est.value
 
-    a0_bound = _certificate(sample, sched, 1.0, 1.0, grid)
+    a0_bound = cui_certificate(sample, 1.0, 1.0, a_grid, sched)
     certified = a0_bound is not None
     if certified:
         checks.append(
@@ -458,7 +406,7 @@ def verify_criterion_equivalence(
     for eps in eps_list:
         if eps <= 0:
             raise ValueError("eps must be > 0")
-        a0 = _certificate(sample, sched, 1.0, eps / 2.0, grid)
+        a0 = cui_certificate(sample, 1.0, eps / 2.0, a_grid, sched)
         if a0 is None:
             checks.append(
                 CheckRecord(
@@ -483,11 +431,13 @@ def verify_criterion_equivalence(
 
         tested = [
             ("empty", EventArray(horizon, probs=np.zeros(horizon.coords))),
-            ("adversarial", _adversarial_events(sample, delta, sched)),
-            ("markov", _markov_events(sample, K, delta)),
+            ("adversarial", adversarial_event_array(sample, delta, sched)),
+            ("markov", markov_event_array(sample, K, delta)),
         ]
-        for name, ev in tested:
-            rep = _event_criterion(sample, ev, delta, eps, sched)
+        reports = {
+            name: check_event_criterion(sample, ev, delta, eps, sched) for name, ev in tested
+        }
+        for name, rep in reports.items():
             checks.append(
                 CheckRecord(
                     f"eps={eps}:criterion_ii[{name}]",
@@ -498,27 +448,25 @@ def verify_criterion_equivalence(
                 )
             )
 
-        markov_ev = tested[2][1]
-        prob_sup, prob_se = _event_prob_sup(markov_ev, sched)
+        markov = reports["markov"]
         checks.append(
             CheckRecord(
                 f"eps={eps}:markov_events_small",
-                value=prob_sup,
+                value=markov.prob_sup,
                 bound=delta,
-                passed=prob_sup <= delta + 2.0 * prob_se,
+                passed=markov.prob_sup <= delta + 2.0 * markov.prob_stderr,
                 note=f"threshold K/delta={K / delta!r}",
             )
         )
-        mom_sup, mom_se = _event_moment_sup(sample, markov_ev, sched)
         checks.append(
             CheckRecord(
                 f"eps={eps}:moments_on_markov_events",
-                value=mom_sup,
+                value=markov.moment_sup,
                 bound=eps,
-                passed=mom_sup + 2.0 * mom_se < eps,
+                passed=markov.conclusion_holds,
             )
         )
-        tail = _tail_sup(sample, sched, 1.0, K / delta, False)
+        tail = cesaro_tail_sup(sample, 1.0, K / delta, sched)
         checks.append(
             CheckRecord(
                 f"eps={eps}:cui_tail_recovered",
@@ -575,30 +523,27 @@ class CuiReport:
 
 
 def build_cui_report(
-    spec: DistributionSpec,
+    sample: NormSample,
     p: float,
     a_grid: Sequence[float] = DEFAULT_A_GRID,
-    horizon: MultiIndex = MultiIndex((4096,)),
     schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
     ge: bool = False,
     threads: int = 1,
 ) -> CuiReport:
+    """Tail sups at every grid level and the first-moment sup, all over the
+    sample's box; `threads` > 1 evaluates the levels on a thread pool."""
     grid = _levels(a_grid)
-    _check_tail_args(p, 0.0)
-    sched = _resolve_schedule(horizon, schedule)
-    sample = NormSample(spec, horizon, seed, reps)
+    sched = _resolve_schedule(sample.box, schedule)
 
     def est_at(a: float) -> TailEstimate:
-        return _tail_sup(sample, sched, p, a, ge)
+        return cesaro_tail_sup(sample, p, a, sched, ge)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             ests = list(pool.map(est_at, grid))
     else:
         ests = [est_at(a) for a in grid]
-    mean_est = _tail_sup(sample, sched, 1.0, 0.0, False)
+    mean_est = check_criterion_i(sample, sched)
     return CuiReport(
         p=p,
         a_grid=tuple(grid),
@@ -606,7 +551,7 @@ def build_cui_report(
         stderr=tuple(e.stderr for e in ests),
         mean_sup=mean_est.value,
         mean_stderr=mean_est.stderr,
-        horizon=horizon,
+        horizon=sample.box,
         schedule=tuple(sched),
         mode=ests[0].mode,
         low_reps=any(e.low_reps for e in ests),

@@ -495,7 +495,7 @@ class NormSample:
     once, and the drawn array is read-only.
     """
 
-    def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int, reps: int):
+    def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int = 0, reps: int = 200):
         self.spec = spec
         self.box = box
         self.seed = seed

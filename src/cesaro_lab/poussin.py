@@ -17,11 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .cui import _aggregate_sup, _check_tail_args, _resolve_schedule, _tail_sup
-# the single-query form stays bound here: the benchmark tracer wraps it in
-# every module namespace (benchmarks/tests/test_tracer.py checks this binding)
-from .cui import cesaro_tail_sup  # noqa: F401
-from .distributions import DistributionSpec, NormSample
+from .cui import _aggregate_sup, _resolve_schedule, cesaro_tail_sup
+from .distributions import NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 from .lattice import MultiIndex, schedule_averages
 
@@ -149,38 +146,27 @@ def verify_phi_properties(
 
 
 def thresholds_from_cui(
-    spec: DistributionSpec,
-    horizon: MultiIndex,
+    sample: NormSample,
     p: float = 1.0,
     schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
     j_max: int = 8,
     search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> tuple[int, ...]:
     """Minimal strictly increasing integer levels N_j with tail sup
     (indicator ||X|| >= N_j) at or below 2^-j, searched up to `search_cap`.
+    Every bisection probe is a tail query on the one sample.
 
     The cap is part of the verdict: a family whose tails do not decay on this
     horizon runs past it and raises HorizonTooSmallError.
     """
-    sched = _resolve_schedule(horizon, schedule)
-    return _thresholds(NormSample(spec, horizon, seed, reps), sched, p, j_max, search_cap)
-
-
-def _thresholds(
-    sample: NormSample, sched, p: float, j_max: int, search_cap: int
-) -> tuple[int, ...]:
-    """thresholds_from_cui on a shared sample: every bisection probe queries it."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if search_cap < 1:
         raise ValueError("search_cap must be >= 1")
-    _check_tail_args(p, 0.0)
-    horizon = sample.box
+    sched = _resolve_schedule(sample.box, schedule)
 
     def sup_at(level: int) -> float:
-        return _tail_sup(sample, sched, p, float(level), True).upper()
+        return cesaro_tail_sup(sample, p, float(level), sched, ge=True).upper()
 
     out: list[int] = []
     prev = 0
@@ -189,7 +175,7 @@ def _thresholds(
         lo, hi = prev + 1, search_cap
         if lo > hi or sup_at(hi) > target:
             raise HorizonTooSmallError(
-                f"no tail level <= {search_cap} reaches 2^-{j} on horizon {horizon}; "
+                f"no tail level <= {search_cap} reaches 2^-{j} on horizon {sample.box}; "
                 "the family's Cesaro tails do not decay within the disclosed cap"
             )
         while lo < hi:
@@ -212,12 +198,9 @@ class PoussinConstruction:
 
 
 def build_phi_from_cui(
-    spec: DistributionSpec,
-    horizon: MultiIndex,
+    sample: NormSample,
     p: float = 1.0,
     schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
     j_max: int = 8,
     search_cap: int = DEFAULT_SEARCH_CAP,
     n_max: Optional[int] = None,
@@ -226,15 +209,13 @@ def build_phi_from_cui(
 
     n_max defaults to max(ceil(4 * calibration max norm), 2 * N_jmax, 64) so
     both the family's norms and the useful slope range stay inside the domain.
+    The search and the calibration share the sample's draw.
     """
-    sample = NormSample(spec, horizon, seed, reps)
-    thresholds = _thresholds(
-        sample, _resolve_schedule(horizon, schedule), p, j_max, search_cap
-    )
-    norms = dist.fixed_norms(spec, horizon)
+    thresholds = thresholds_from_cui(sample, p, schedule, j_max, search_cap)
+    norms = dist.fixed_norms(sample.spec, sample.box)
     if norms is None:
-        if reps < 1:
-            sample = NormSample(spec, horizon, seed, 1)
+        if sample.reps < 1:
+            sample = NormSample(sample.spec, sample.box, sample.seed, 1)
         norms = sample.norms()
     calib = float(norms.max())
     if n_max is None:
@@ -259,12 +240,7 @@ class MomentEstimate:
 
 
 def poussin_moment_check(
-    spec: DistributionSpec,
-    phi: PhiFunction,
-    horizon: MultiIndex,
-    schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
+    sample: NormSample, phi: PhiFunction, schedule: Optional[Sequence[MultiIndex]] = None
 ) -> MomentEstimate:
     """Schedule sup of Cesaro-averaged E(phi(||X_i||)).
 
@@ -272,11 +248,7 @@ def poussin_moment_check(
     otherwise. Any norm beyond phi's domain raises PhiDomainError (enlarge
     n_max).
     """
-    sched = _resolve_schedule(horizon, schedule)
-    return _moment_sup(NormSample(spec, horizon, seed, reps), sched, phi)
-
-
-def _moment_sup(sample: NormSample, sched, phi: PhiFunction) -> MomentEstimate:
+    sched = _resolve_schedule(sample.box, schedule)
     fld, exact = sample.expectations(lambda t: phi_eval_many(phi, t))
     avgs = schedule_averages(fld, sched)
     if exact:
@@ -298,21 +270,17 @@ class ForwardCheck:
 
 
 def poussin_forward_check(
-    spec: DistributionSpec,
+    sample: NormSample,
     phi: PhiFunction,
     eps_list: Sequence[float],
-    horizon: MultiIndex,
     schedule: Optional[Sequence[MultiIndex]] = None,
-    reps: int = 200,
-    seed: int = 0,
 ) -> list[ForwardCheck]:
     """Forward direction: with K the phi-moment sup, the first integer level a
     where phi(a)/a >= (K+1)/eps must push the tail sup at a below eps."""
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
-    sched = _resolve_schedule(horizon, schedule)
-    sample = NormSample(spec, horizon, seed, reps)
-    mom = _moment_sup(sample, sched, phi)
+    sched = _resolve_schedule(sample.box, schedule)
+    mom = poussin_moment_check(sample, phi, sched)
     K = mom.value + 2.0 * mom.stderr
     levels = np.arange(1, phi.n_max + 1, dtype=np.float64)
     ratios = phi.prefix[1:] / levels
@@ -328,7 +296,7 @@ def poussin_forward_check(
                 "enlarge n_max or deepen the threshold list"
             )
         a = int(hits[0] + 1)
-        tail = _tail_sup(sample, sched, 1.0, float(a), False)
+        tail = cesaro_tail_sup(sample, 1.0, float(a), sched)
         out.append(
             ForwardCheck(
                 eps=float(eps),

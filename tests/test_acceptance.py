@@ -28,7 +28,7 @@ from cesaro_lab.cui import (
     cui_certificate,
     verify_criterion_equivalence,
 )
-from cesaro_lab.distributions import DistributionSpec
+from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.lattice import (
     LatticeSample,
     MultiIndex,
@@ -88,7 +88,7 @@ def test_1_prefix_sum_oracle_equivalence(capsys):
 
 def test_2_heavy_tail_lp_convergence_with_certificate_bound(capsys):
     t0 = time.perf_counter()
-    cert_a = cui_certificate(PARETO, p=0.5, eps=0.1, horizon=MultiIndex((4096,)))
+    cert_a = cui_certificate(NormSample(PARETO, MultiIndex((4096,))), p=0.5, eps=0.1)
     ok = cert_a is not None
     detail = [f"certificate a={cert_a}"]
     if ok:
@@ -131,12 +131,12 @@ def test_3_pairwise_centered_l1_decay_under_log_envelope(capsys):
 def test_4_growing_profile_negative_control(capsys):
     horizon = MultiIndex((10000,))
     cert = cui_certificate(
-        DistributionSpec("growing_non_cui", {"exponent": 0.5}, dim_D=1),
-        p=1.0, eps=0.5, horizon=horizon,
+        NormSample(DistributionSpec("growing_non_cui", {"exponent": 0.5}, dim_D=1), horizon),
+        p=1.0, eps=0.5,
     )
     est = cesaro_tail_sup(
-        DistributionSpec("growing_non_cui", {"exponent": 0.5}, dim_D=1),
-        1.0, 5.0, horizon,
+        NormSample(DistributionSpec("growing_non_cui", {"exponent": 0.5}, dim_D=1), horizon),
+        1.0, 5.0,
     )
     # independent confirmation by direct partial summation over the schedule
     norms = np.sqrt(np.arange(1, 10001, dtype=np.float64))
@@ -171,7 +171,7 @@ def test_5_tail_criterion_equivalence_with_adversarial_events(capsys):
     details = []
     for spec in (CONSTANT, PARETO, SPIKED):
         report = verify_criterion_equivalence(
-            spec, [0.5, 0.1], MultiIndex((1024,)), reps=100, seed=3
+            NormSample(spec, MultiIndex((1024,)), seed=3, reps=100), [0.5, 0.1]
         )
         adversarial = [c for c in report.checks if "adversarial" in c.name]
         ok = ok and report.passed and all(c.passed for c in report.checks)
@@ -188,21 +188,19 @@ def test_5_tail_criterion_equivalence_with_adversarial_events(capsys):
 def test_6_convex_gauge_round_trip(capsys):
     horizon = MultiIndex((4096,))
     cases = [
-        (CONSTANT, dict(j_max=16)),
-        (PARETO, dict(j_max=24, search_cap=8192, seed=3)),
-        (SPIKED, dict(j_max=20, search_cap=256, n_max=512)),
+        (CONSTANT, 0, dict(j_max=16)),
+        (PARETO, 3, dict(j_max=24, search_cap=8192)),
+        (SPIKED, 0, dict(j_max=20, search_cap=256, n_max=512)),
     ]
     ok = True
     details = []
-    for spec, kw in cases:
-        seed = kw.get("seed", 0)
-        built = build_phi_from_cui(spec, horizon, reps=200, **kw)
+    for spec, seed, kw in cases:
+        sample = NormSample(spec, horizon, seed, reps=200)
+        built = build_phi_from_cui(sample, **kw)
         props = verify_phi_properties(built.phi)
-        mom = poussin_moment_check(spec, built.phi, horizon, reps=200, seed=seed)
+        mom = poussin_moment_check(sample, built.phi)
         slack = 0.0 if mom.mode == "analytic" else 2.0 * mom.stderr
-        forward = poussin_forward_check(
-            spec, built.phi, [0.5, 0.1], horizon, reps=200, seed=seed
-        )
+        forward = poussin_forward_check(sample, built.phi, [0.5, 0.1])
         case_ok = (
             props.all_pass
             and mom.value <= 1.0 + slack

@@ -18,7 +18,7 @@ from cesaro_lab.cui import (
     markov_event_array,
     verify_criterion_equivalence,
 )
-from cesaro_lab.distributions import DistributionSpec, norm_batch
+from cesaro_lab.distributions import DistributionSpec, NormSample, norm_batch
 from cesaro_lab.lattice import MultiIndex
 
 
@@ -34,27 +34,27 @@ GROWING = spec_of("growing_non_cui", exponent=0.5)
 
 class TestTailSup:
     def test_constant_below_and_above_norm(self):
-        est = cesaro_tail_sup(CONSTANT, 1.0, 0.5, MultiIndex((16,)))
+        sample = NormSample(CONSTANT, MultiIndex((16,)))
+        est = cesaro_tail_sup(sample, 1.0, 0.5)
         assert est.value == pytest.approx(1.0)
         assert est.mode == "analytic"
         assert est.stderr == 0.0
         # strict indicator: nothing exceeds the constant's own norm
-        assert cesaro_tail_sup(CONSTANT, 1.0, 1.0, MultiIndex((16,))).value == 0.0
+        assert cesaro_tail_sup(sample, 1.0, 1.0).value == 0.0
         # weak indicator keeps the mass at the boundary level
-        ge = cesaro_tail_sup(CONSTANT, 1.0, 1.0, MultiIndex((16,)), ge=True)
+        ge = cesaro_tail_sup(sample, 1.0, 1.0, ge=True)
         assert ge.value == pytest.approx(1.0)
 
     def test_growing_first_moment_anchor(self):
         # (1 + sqrt 2 + sqrt 3 + 2) / 4, frozen from direct evaluation
         est = cesaro_tail_sup(
-            GROWING, 1.0, 0.0, MultiIndex((4,)), schedule=[MultiIndex((4,))]
+            NormSample(GROWING, MultiIndex((4,))), 1.0, 0.0, schedule=[MultiIndex((4,))]
         )
         assert est.value == 1.5365660924854931
 
     def test_growing_criterion_i_attained_at_largest_box(self):
         est = check_criterion_i(
-            GROWING,
-            MultiIndex((4,)),
+            NormSample(GROWING, MultiIndex((4,))),
             schedule=[MultiIndex((1,)), MultiIndex((2,)), MultiIndex((4,))],
         )
         assert est.value == 1.5365660924854931
@@ -62,24 +62,26 @@ class TestTailSup:
 
     def test_growing_tails_increase_with_horizon(self):
         values = [
-            cesaro_tail_sup(GROWING, 1.0, 5.0, MultiIndex((h,))).value
+            cesaro_tail_sup(NormSample(GROWING, MultiIndex((h,))), 1.0, 5.0).value
             for h in (64, 256, 1024, 10_000)
         ]
         assert values == sorted(values)
         assert values[-1] > 10.0
 
     def test_pareto_analytic_sup_is_cellwise_constant(self):
-        est = cesaro_tail_sup(PARETO, 1.0, 2.0, MultiIndex((64,)))
+        est = cesaro_tail_sup(NormSample(PARETO, MultiIndex((64,))), 1.0, 2.0)
         assert est.value == pytest.approx(1.5 * 2.0 ** (-2.0), rel=1e-9)
 
     def test_empirical_mode_agrees_with_analytic(self):
         emp = cesaro_tail_sup(
-            spec_of("pareto_radial", alpha=3.0, mode="empirical"),
+            NormSample(
+                spec_of("pareto_radial", alpha=3.0, mode="empirical"),
+                MultiIndex((512,)),
+                seed=5,
+                reps=200,
+            ),
             1.0,
             2.0,
-            MultiIndex((512,)),
-            reps=200,
-            seed=5,
         )
         assert emp.mode == "empirical"
         assert emp.stderr > 0.0
@@ -88,44 +90,44 @@ class TestTailSup:
 
     def test_low_reps_flag(self):
         emp = cesaro_tail_sup(
-            spec_of("iid_gaussian"), 1.0, 1.0, MultiIndex((32,)), reps=5, seed=0
+            NormSample(spec_of("iid_gaussian"), MultiIndex((32,)), seed=0, reps=5), 1.0, 1.0
         )
         assert emp.low_reps
 
     def test_validation(self):
+        sample = NormSample(CONSTANT, MultiIndex((4,)))
         with pytest.raises(ValueError):
-            cesaro_tail_sup(CONSTANT, 0.0, 1.0, MultiIndex((4,)))
+            cesaro_tail_sup(sample, 0.0, 1.0)
         with pytest.raises(ValueError):
-            cesaro_tail_sup(CONSTANT, 1.2, 1.0, MultiIndex((4,)))
+            cesaro_tail_sup(sample, 1.2, 1.0)
         with pytest.raises(ValueError):
-            cesaro_tail_sup(CONSTANT, 1.0, -1.0, MultiIndex((4,)))
+            cesaro_tail_sup(sample, 1.0, -1.0)
         with pytest.raises(ValueError):
-            cesaro_tail_sup(
-                CONSTANT, 1.0, 1.0, MultiIndex((4,)), schedule=[MultiIndex((8,))]
-            )
+            cesaro_tail_sup(sample, 1.0, 1.0, schedule=[MultiIndex((8,))])
 
 
 class TestCertificate:
     def test_constant_certifies_at_one(self):
-        assert cui_certificate(CONSTANT, 1.0, 0.5, horizon=MultiIndex((64,))) == 1.0
+        assert cui_certificate(NormSample(CONSTANT, MultiIndex((64,))), 1.0, 0.5) == 1.0
 
     def test_pareto_levels(self):
-        horizon = MultiIndex((4096,))
+        sample = NormSample(PARETO, MultiIndex((4096,)))
         # tail(a) = 1.5 a^-2 under p=1: first grid level below eps
-        assert cui_certificate(PARETO, 1.0, 0.5, horizon=horizon) == 2.0
-        assert cui_certificate(PARETO, 1.0, 0.1, horizon=horizon) == 4.0
-        assert cui_certificate(PARETO, 0.5, 0.1, horizon=horizon) == 4.0
+        assert cui_certificate(sample, 1.0, 0.5) == 2.0
+        assert cui_certificate(sample, 1.0, 0.1) == 4.0
+        assert cui_certificate(sample, 0.5, 0.1) == 4.0
 
     def test_growing_has_no_certificate(self):
-        assert cui_certificate(GROWING, 1.0, 0.5, horizon=MultiIndex((10_000,))) is None
+        assert cui_certificate(NormSample(GROWING, MultiIndex((10_000,))), 1.0, 0.5) is None
 
     def test_validation(self):
+        sample = NormSample(CONSTANT, MultiIndex((4096,)))
         with pytest.raises(ValueError):
-            cui_certificate(CONSTANT, 1.0, 0.0)
+            cui_certificate(sample, 1.0, 0.0)
         with pytest.raises(ValueError):
-            cui_certificate(CONSTANT, 1.0, 0.5, a_grid=[2.0, 1.0])
+            cui_certificate(sample, 1.0, 0.5, a_grid=[2.0, 1.0])
         with pytest.raises(ValueError):
-            cui_certificate(CONSTANT, 1.0, 0.5, a_grid=[])
+            cui_certificate(sample, 1.0, 0.5, a_grid=[])
 
 
 class TestDeltaDevice:
@@ -152,52 +154,54 @@ class TestEventArrays:
             EventArray(MultiIndex((2,)), indicators=np.zeros(2, dtype=bool))
 
     def test_markov_constant_low_threshold_fills_everything(self):
-        ev = markov_event_array(CONSTANT, K=1.0, delta=2.0, box=MultiIndex((8,)))
+        ev = markov_event_array(NormSample(CONSTANT, MultiIndex((8,))), K=1.0, delta=2.0)
         assert ev.threshold == 0.5
         assert np.all(ev.probs == 1.0)
 
     def test_markov_constant_high_threshold_is_empty(self):
-        ev = markov_event_array(CONSTANT, K=1.0, delta=0.25, box=MultiIndex((8,)))
+        ev = markov_event_array(NormSample(CONSTANT, MultiIndex((8,))), K=1.0, delta=0.25)
         assert ev.threshold == 4.0
         assert np.all(ev.probs == 0.0)
 
     def test_markov_pareto_uses_analytic_probabilities(self):
-        ev = markov_event_array(PARETO, K=1.5, delta=0.75, box=MultiIndex((4,)))
+        ev = markov_event_array(NormSample(PARETO, MultiIndex((4,))), K=1.5, delta=0.75)
         assert ev.probs is not None
         assert np.allclose(ev.probs, 2.0**-3)
 
     def test_markov_gaussian_falls_back_to_indicators(self):
         spec = spec_of("iid_gaussian")
-        ev = markov_event_array(spec, K=1.0, delta=0.5, box=MultiIndex((8,)), reps=40)
+        ev = markov_event_array(NormSample(spec, MultiIndex((8,)), reps=40), K=1.0, delta=0.5)
         assert ev.probs is None
         assert ev.indicators.shape == (40, 8)
         assert ev.source_seed == 0 and ev.source_reps == 40
 
     def test_markov_validation(self):
+        sample = NormSample(CONSTANT, MultiIndex((2,)))
         with pytest.raises(ValueError):
-            markov_event_array(CONSTANT, K=0.0, delta=0.5, box=MultiIndex((2,)))
+            markov_event_array(sample, K=0.0, delta=0.5)
         with pytest.raises(ValueError):
-            markov_event_array(CONSTANT, K=1.0, delta=0.0, box=MultiIndex((2,)))
+            markov_event_array(sample, K=1.0, delta=0.0)
 
 
 class TestEventCriterion:
     def test_constant_wide_margins(self):
-        ev = markov_event_array(CONSTANT, K=1.0, delta=2.0, box=MultiIndex((8,)))
-        rep = check_event_criterion(CONSTANT, ev, delta=2.0, eps=2.0)
+        sample = NormSample(CONSTANT, MultiIndex((8,)))
+        ev = markov_event_array(sample, K=1.0, delta=2.0)
+        rep = check_event_criterion(sample, ev, delta=2.0, eps=2.0)
         assert rep.premise_holds and rep.conclusion_holds and rep.verdict
         assert rep.prob_sup == pytest.approx(1.0)
         assert rep.moment_sup == pytest.approx(1.0)
 
     def test_empty_events_have_zero_moment(self):
         ev = EventArray(MultiIndex((8,)), probs=np.zeros(8))
-        rep = check_event_criterion(CONSTANT, ev, delta=0.5, eps=0.5)
+        rep = check_event_criterion(NormSample(CONSTANT, ev.box), ev, delta=0.5, eps=0.5)
         assert rep.prob_sup == 0.0
         assert rep.moment_sup == 0.0
         assert rep.verdict
 
     def test_failed_premise_is_vacuous(self):
         ev = EventArray(MultiIndex((8,)), probs=np.ones(8))
-        rep = check_event_criterion(CONSTANT, ev, delta=0.5, eps=1e-9)
+        rep = check_event_criterion(NormSample(CONSTANT, ev.box), ev, delta=0.5, eps=1e-9)
         assert not rep.premise_holds
         assert rep.verdict  # implication with a false premise
 
@@ -210,22 +214,26 @@ class TestEventCriterion:
         norms = norm_batch(spec, box, seed=source_seed, reps=50)
         ev = EventArray(box, indicators=norms >= 2.0,
                         source_seed=source_seed, source_reps=50)
-        rep = check_event_criterion(spec, ev, delta=0.5, eps=0.5, seed=5)
-        coupled = cesaro_tail_sup(spec, 1.0, 2.0, box, reps=50, seed=source_seed, ge=True)
+        rep = check_event_criterion(NormSample(spec, box, seed=5), ev, delta=0.5, eps=0.5)
+        coupled = cesaro_tail_sup(
+            NormSample(spec, box, seed=source_seed, reps=50), 1.0, 2.0, ge=True
+        )
         assert rep.moment_sup == coupled.value
         assert rep.moment_stderr == coupled.stderr
 
     def test_validation(self):
         ev = EventArray(MultiIndex((4,)), probs=np.zeros(4))
         with pytest.raises(ValueError):
-            check_event_criterion(CONSTANT, ev, delta=0.0, eps=1.0)
+            check_event_criterion(NormSample(CONSTANT, ev.box), ev, delta=0.0, eps=1.0)
+        with pytest.raises(ValueError, match="box"):
+            check_event_criterion(NormSample(CONSTANT, MultiIndex((8,))), ev, delta=0.5, eps=1.0)
 
 
 class TestAdversarialEvents:
     def test_respects_delta_on_every_box(self):
         delta = 0.3
         horizon = MultiIndex((16,))
-        ev = adversarial_event_array(GROWING, delta, horizon)
+        ev = adversarial_event_array(NormSample(GROWING, horizon), delta)
         assert set(np.unique(ev.probs)) <= {0.0, 1.0}
         schedule = [MultiIndex((k,)) for k in (1, 2, 4, 8, 16)]
         for box in schedule:
@@ -233,14 +241,14 @@ class TestAdversarialEvents:
 
     def test_prefers_largest_cells(self):
         # the growing family's largest norms sit at the top of the box
-        ev = adversarial_event_array(GROWING, 0.26, MultiIndex((16,)))
+        ev = adversarial_event_array(NormSample(GROWING, MultiIndex((16,))), 0.26)
         chosen = np.nonzero(ev.probs)[0] + 1
         assert chosen.size > 0
         assert 16 in chosen
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            adversarial_event_array(GROWING, 0.0, MultiIndex((8,)))
+            adversarial_event_array(NormSample(GROWING, MultiIndex((8,))), 0.0)
 
 
 class TestEquivalence:
@@ -249,7 +257,7 @@ class TestEquivalence:
     )
     def test_passes_for_cui_families(self, spec):
         report = verify_criterion_equivalence(
-            spec, [0.5, 0.1], MultiIndex((1024,)), reps=100, seed=3
+            NormSample(spec, MultiIndex((1024,)), seed=3, reps=100), [0.5, 0.1]
         )
         assert report.cui_certified
         assert report.passed, [c.name for c in report.checks if not c.passed]
@@ -264,7 +272,7 @@ class TestEquivalence:
         # the horizon must outrun the truncation grid: at 10^4 the largest
         # norm is 100, beyond the grid's top level, so no certificate exists
         report = verify_criterion_equivalence(
-            GROWING, [0.5], MultiIndex((10_000,)), reps=50, seed=3
+            NormSample(GROWING, MultiIndex((10_000,)), seed=3, reps=50), [0.5]
         )
         assert not report.cui_certified
         assert not report.passed
@@ -273,13 +281,13 @@ class TestEquivalence:
         # finite-horizon caveat: with every norm <= 64 and 64 on the grid,
         # the strict-tail certificate is vacuous; verdicts are grid-relative
         report = verify_criterion_equivalence(
-            GROWING, [0.5], MultiIndex((4096,)), reps=50, seed=3
+            NormSample(GROWING, MultiIndex((4096,)), seed=3, reps=50), [0.5]
         )
         assert report.cui_certified
 
     def test_json_round_trips(self):
         report = verify_criterion_equivalence(
-            CONSTANT, [0.5], MultiIndex((64,)), reps=50, seed=3
+            NormSample(CONSTANT, MultiIndex((64,)), seed=3, reps=50), [0.5]
         )
         payload = json.loads(json.dumps(report.to_json()))
         assert payload["passed"] is True
@@ -287,16 +295,17 @@ class TestEquivalence:
         assert all("name" in c and "passed" in c for c in payload["checks"])
 
     def test_validation(self):
+        sample = NormSample(CONSTANT, MultiIndex((64,)))
         with pytest.raises(ValueError):
-            verify_criterion_equivalence(CONSTANT, [], MultiIndex((64,)))
+            verify_criterion_equivalence(sample, [])
         with pytest.raises(ValueError):
-            verify_criterion_equivalence(CONSTANT, [-0.5], MultiIndex((64,)))
+            verify_criterion_equivalence(sample, [-0.5])
 
 
 class TestCuiReport:
     def test_csv_and_json_shape(self):
         report = build_cui_report(
-            PARETO, 1.0, a_grid=(1.0, 2.0, 4.0), horizon=MultiIndex((256,))
+            NormSample(PARETO, MultiIndex((256,))), 1.0, a_grid=(1.0, 2.0, 4.0)
         )
         text = report.to_csv_text()
         lines = text.strip().split("\n")
@@ -311,25 +320,18 @@ class TestCuiReport:
         assert len(payload["a_grid"]) == 3
 
     def test_default_grid_is_disclosed(self):
-        report = build_cui_report(CONSTANT, 1.0, horizon=MultiIndex((64,)))
+        report = build_cui_report(NormSample(CONSTANT, MultiIndex((64,))), 1.0)
         assert report.a_grid == tuple(float(a) for a in DEFAULT_A_GRID)
 
     def test_threaded_report_matches_serial(self):
+        spec = spec_of("iid_gaussian", mode="empirical")
         serial = build_cui_report(
-            spec_of("iid_gaussian", mode="empirical"),
-            1.0,
-            a_grid=(1.0, 2.0),
-            horizon=MultiIndex((64,)),
-            reps=50,
-            seed=9,
+            NormSample(spec, MultiIndex((64,)), seed=9, reps=50), 1.0, a_grid=(1.0, 2.0)
         )
         threaded = build_cui_report(
-            spec_of("iid_gaussian", mode="empirical"),
+            NormSample(spec, MultiIndex((64,)), seed=9, reps=50),
             1.0,
             a_grid=(1.0, 2.0),
-            horizon=MultiIndex((64,)),
-            reps=50,
-            seed=9,
             threads=2,
         )
         assert serial.tail_sup == threaded.tail_sup

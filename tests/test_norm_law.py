@@ -15,7 +15,7 @@ from cesaro_lab.cui import (
     check_event_criterion,
     markov_event_array,
 )
-from cesaro_lab.distributions import DistributionSpec, Tail, norm_batch
+from cesaro_lab.distributions import DistributionSpec, NormSample, Tail, norm_batch
 from cesaro_lab.lattice import MultiIndex
 from cesaro_lab.poussin import (
     PhiFunction,
@@ -91,13 +91,13 @@ def test_no_closed_form_means_none(name, g):
 
 
 ESTIMATORS = {
-    "tail": lambda spec: cesaro_tail_sup(spec, 1.0, 1.5, BOX, reps=20),
-    "markov": lambda spec: markov_event_array(spec, 1.0, 0.5, BOX, reps=20),
+    "tail": lambda spec: cesaro_tail_sup(NormSample(spec, BOX, reps=20), 1.0, 1.5),
+    "markov": lambda spec: markov_event_array(NormSample(spec, BOX, reps=20), 1.0, 0.5),
     "event_moment": lambda spec: check_event_criterion(
-        spec, EventArray(BOX, probs=np.zeros(BOX.coords)), 0.5, 0.5, reps=20
+        NormSample(spec, BOX, reps=20), EventArray(BOX, probs=np.zeros(BOX.coords)), 0.5, 0.5
     ),
-    "adversarial": lambda spec: adversarial_event_array(spec, 0.5, BOX, reps=20),
-    "phi_moment": lambda spec: poussin_moment_check(spec, PHI, BOX, reps=20),
+    "adversarial": lambda spec: adversarial_event_array(NormSample(spec, BOX, reps=20), 0.5),
+    "phi_moment": lambda spec: poussin_moment_check(NormSample(spec, BOX, reps=20), PHI),
 }
 
 

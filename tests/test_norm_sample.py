@@ -1,8 +1,10 @@
-"""One NormSample per public call: each call draws its norms at most once,
-and every answer from the shared draw is bit-equal to the single-query path,
-which draws afresh for each query."""
+"""Queries take the caller's NormSample: a call, or a CLI command, draws its
+norms at most once, every tail query goes through the public
+`cesaro_tail_sup` binding, and every answer from a shared draw is bit-equal
+to the single-query path, which draws afresh for each query."""
 
 import dataclasses
+import json
 import sys
 import threading
 import time
@@ -12,6 +14,8 @@ import pytest
 
 import cesaro_lab.cui as cui
 import cesaro_lab.distributions as dist
+import cesaro_lab.poussin as poussin
+from cesaro_lab import cli
 from cesaro_lab.cui import (
     build_cui_report,
     cesaro_tail_sup,
@@ -102,27 +106,31 @@ class TestNormSample:
             sample.norms()
 
 
+def sample_of(spec, cls=NormSample):
+    return cls(spec, BOX, SEED, REPS)
+
+
 PUBLIC_CALLS = {
-    "build_cui_report": lambda spec: build_cui_report(spec, 0.5, GRID, BOX, reps=REPS, seed=SEED),
-    "cui_certificate": lambda spec: cui_certificate(spec, 1.0, 0.2, GRID, BOX, reps=REPS, seed=SEED),
-    "thresholds_from_cui": lambda spec: outcome(
-        lambda: thresholds_from_cui(spec, BOX, reps=REPS, seed=SEED, j_max=4, search_cap=64)
+    "build_cui_report": lambda sample: build_cui_report(sample, 0.5, GRID),
+    "cui_certificate": lambda sample: cui_certificate(sample, 1.0, 0.2, GRID),
+    "thresholds_from_cui": lambda sample: outcome(
+        lambda: thresholds_from_cui(sample, j_max=4, search_cap=64)
     ),
-    "build_phi_from_cui": lambda spec: outcome(
-        lambda: build_phi_from_cui(spec, BOX, reps=REPS, seed=SEED, j_max=4, search_cap=64)
+    "build_phi_from_cui": lambda sample: outcome(
+        lambda: build_phi_from_cui(sample, j_max=4, search_cap=64)
     ),
-    "poussin_forward_check": lambda spec: outcome(
-        lambda: poussin_forward_check(spec, PHI, [1.0, 0.5], BOX, reps=REPS, seed=SEED)
+    "poussin_forward_check": lambda sample: outcome(
+        lambda: poussin_forward_check(sample, PHI, [1.0, 0.5])
     ),
-    "verify_criterion_equivalence": lambda spec: verify_criterion_equivalence(
-        spec, [0.5, 0.25], BOX, reps=REPS, seed=SEED, a_grid=GRID
+    "verify_criterion_equivalence": lambda sample: verify_criterion_equivalence(
+        sample, [0.5, 0.25], a_grid=GRID
     ),
 }
 
 
 @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
 def test_one_draw_per_public_call(draws, call):
-    PUBLIC_CALLS[call](PARETO_EMPIRICAL)
+    PUBLIC_CALLS[call](sample_of(PARETO_EMPIRICAL))
     assert len(draws) == 1
     assert draws[0] == (PARETO_EMPIRICAL, BOX, SEED, REPS)
 
@@ -130,34 +138,97 @@ def test_one_draw_per_public_call(draws, call):
 @pytest.mark.parametrize("call", ["build_cui_report", "cui_certificate", "thresholds_from_cui"])
 @pytest.mark.parametrize("name", ["constant", "pareto_radial"])
 def test_closed_forms_draw_nothing(draws, name, call):
-    PUBLIC_CALLS[call](SPECS[name])
+    PUBLIC_CALLS[call](sample_of(SPECS[name]))
     assert draws == []
 
 
 def test_constant_gauge_and_forward_check_draw_nothing(draws):
-    PUBLIC_CALLS["build_phi_from_cui"](SPECS["constant"])
-    PUBLIC_CALLS["poussin_forward_check"](SPECS["constant"])
+    PUBLIC_CALLS["build_phi_from_cui"](sample_of(SPECS["constant"]))
+    PUBLIC_CALLS["poussin_forward_check"](sample_of(SPECS["constant"]))
     assert draws == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-cui", "--p", "0.5", "--horizon", "16x16", "--reps", "20"],
+        ["poussin", "--horizon", "256", "--j-max", "4", "--search-cap", "64",
+         "--reps", "20", "--eps", "1.0,0.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_command_draws_once(tmp_path, draws, argv):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(PARETO_EMPIRICAL.to_json()))
+    code = cli.main([*argv, "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(draws) == 1
+
+
+# --- every tail query through the public binding ---------------------------
+
+
+@pytest.fixture
+def tail_queries(monkeypatch):
+    """The level of every call to the cesaro_tail_sup bindings of cui and
+    poussin (the names a tracer wraps) made while the test runs."""
+    levels = []
+    real = cui.cesaro_tail_sup
+
+    def counting_tail_sup(sample, p, a, *args, **kwargs):
+        levels.append(a)
+        return real(sample, p, a, *args, **kwargs)
+
+    monkeypatch.setattr(cui, "cesaro_tail_sup", counting_tail_sup)
+    monkeypatch.setattr(poussin, "cesaro_tail_sup", counting_tail_sup)
+    return levels
+
+
+def test_report_queries_each_level_and_the_mean(tail_queries):
+    build_cui_report(sample_of(PARETO_EMPIRICAL), 0.5, GRID, threads=2)
+    assert sorted(tail_queries) == sorted([*GRID, 0.0])
+    assert len(tail_queries) == len(GRID) + 1
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_search_and_forward_check_query_per_probe_and_eps(tail_queries, spec):
+    probes = []
+    want = reference_thresholds(spec, probes=probes)
+    assert PUBLIC_CALLS["thresholds_from_cui"](sample_of(spec)) == want
+    assert tail_queries == [float(level) for level in probes]
+
+    del tail_queries[:]
+    forward = PUBLIC_CALLS["poussin_forward_check"](sample_of(spec))
+    if forward is not PhiDomainError:
+        assert tail_queries == [float(fc.level) for fc in forward]
+        assert len(tail_queries) == 2
 
 
 # --- bit-equality with the single-query path -------------------------------
 
 
 def tail(spec, p, a, ge=False):
-    return cesaro_tail_sup(spec, p, a, BOX, reps=REPS, seed=SEED, ge=ge)
+    return cesaro_tail_sup(sample_of(spec), p, a, ge=ge)
 
 
-def reference_thresholds(spec, j_max=4, search_cap=64):
-    """The bisection of thresholds_from_cui, one fresh draw per probe."""
+def reference_thresholds(spec, j_max=4, search_cap=64, probes=None):
+    """The bisection of thresholds_from_cui, one fresh draw per probe; each
+    probed level is appended to `probes` when it is given."""
+
+    def sup_at(level):
+        if probes is not None:
+            probes.append(level)
+        return tail(spec, 1.0, float(level), ge=True).upper()
+
     out, prev = [], 0
     for j in range(1, j_max + 1):
         target = 2.0**-j
         lo, hi = prev + 1, search_cap
-        if lo > hi or tail(spec, 1.0, float(hi), ge=True).upper() > target:
+        if lo > hi or sup_at(hi) > target:
             return HorizonTooSmallError
         while lo < hi:
             mid = (lo + hi) // 2
-            if tail(spec, 1.0, float(mid), ge=True).upper() <= target:
+            if sup_at(mid) <= target:
                 hi = mid
             else:
                 lo = mid + 1
@@ -168,24 +239,26 @@ def reference_thresholds(spec, j_max=4, search_cap=64):
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_cui_answers_equal_single_queries(spec):
-    report = PUBLIC_CALLS["build_cui_report"](spec)
+    report = PUBLIC_CALLS["build_cui_report"](sample_of(spec))
     ests = [tail(spec, 0.5, a) for a in GRID]
     assert report.tail_sup == tuple(e.value for e in ests)
     assert report.stderr == tuple(e.stderr for e in ests)
     assert report.mode == ests[0].mode
     assert report.low_reps == any(e.low_reps for e in ests)
-    mean = check_criterion_i(spec, BOX, reps=REPS, seed=SEED)
+    mean = check_criterion_i(sample_of(spec))
     assert (report.mean_sup, report.mean_stderr) == (mean.value, mean.stderr)
 
     certified = [a for a in GRID if tail(spec, 1.0, a).upper() < 0.2]
-    assert PUBLIC_CALLS["cui_certificate"](spec) == (certified[0] if certified else None)
+    assert PUBLIC_CALLS["cui_certificate"](sample_of(spec)) == (
+        certified[0] if certified else None
+    )
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_poussin_answers_equal_single_queries(spec):
     want = reference_thresholds(spec)
-    assert PUBLIC_CALLS["thresholds_from_cui"](spec) == want
-    built = PUBLIC_CALLS["build_phi_from_cui"](spec)
+    assert PUBLIC_CALLS["thresholds_from_cui"](sample_of(spec)) == want
+    built = PUBLIC_CALLS["build_phi_from_cui"](sample_of(spec))
     if want is HorizonTooSmallError:
         assert built is want
     else:
@@ -194,8 +267,8 @@ def test_poussin_answers_equal_single_queries(spec):
         assert built.thresholds == want
         assert built.calibration_max_norm == float(norms.max())
 
-    forward = PUBLIC_CALLS["poussin_forward_check"](spec)
-    mom = outcome(lambda: poussin_moment_check(spec, PHI, BOX, reps=REPS, seed=SEED))
+    forward = PUBLIC_CALLS["poussin_forward_check"](sample_of(spec))
+    mom = outcome(lambda: poussin_moment_check(sample_of(spec), PHI))
     if mom is PhiDomainError:
         assert forward is PhiDomainError
         return
@@ -220,11 +293,10 @@ class FreshSample(NormSample):
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
-def test_equivalence_report_equals_fresh_draw_path(monkeypatch, draws, spec):
-    shared = PUBLIC_CALLS["verify_criterion_equivalence"](spec).to_json()
+def test_equivalence_report_equals_fresh_draw_path(draws, spec):
+    shared = PUBLIC_CALLS["verify_criterion_equivalence"](sample_of(spec)).to_json()
     shared_draws = len(draws)
-    monkeypatch.setattr(cui, "NormSample", FreshSample)
-    fresh = PUBLIC_CALLS["verify_criterion_equivalence"](spec).to_json()
+    fresh = PUBLIC_CALLS["verify_criterion_equivalence"](sample_of(spec, FreshSample)).to_json()
     assert repr(shared) == repr(fresh)
     assert shared_draws <= 1
     if shared_draws:
@@ -248,7 +320,7 @@ def test_threaded_report_draws_once(monkeypatch, draws):
 
     def run(threads):
         results[threads] = build_cui_report(
-            PARETO_EMPIRICAL, 0.5, grid, box, reps=REPS, seed=SEED, threads=threads
+            NormSample(PARETO_EMPIRICAL, box, SEED, REPS), 0.5, grid, threads=threads
         )
 
     old = sys.getswitchinterval()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesaro_lab.distributions import DistributionSpec
+from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.errors import HorizonTooSmallError, PhiDomainError
 from cesaro_lab.lattice import MultiIndex
 from cesaro_lab.poussin import (
@@ -170,15 +170,15 @@ class TestPhiProperties:
 
 class TestThresholdSearch:
     def test_constant_minimal_levels(self):
-        got = thresholds_from_cui(CONSTANT, MultiIndex((4096,)), j_max=6)
+        got = thresholds_from_cui(NormSample(CONSTANT, MultiIndex((4096,))), j_max=6)
         assert got == (2, 3, 4, 5, 6, 7)
 
     def test_zero_family_takes_smallest_possible(self):
-        got = thresholds_from_cui(ZERO, MultiIndex((4096,)), j_max=4)
+        got = thresholds_from_cui(NormSample(ZERO, MultiIndex((4096,))), j_max=4)
         assert got == (1, 2, 3, 4)
 
     def test_pareto_levels_match_closed_form(self):
-        got = thresholds_from_cui(PARETO, MultiIndex((4096,)), j_max=6)
+        got = thresholds_from_cui(NormSample(PARETO, MultiIndex((4096,))), j_max=6)
         # smallest integers with 1.5 / N^2 <= 2^-j
         assert got == (2, 3, 4, 5, 7, 10)
         for j, N in enumerate(got, start=1):
@@ -187,67 +187,67 @@ class TestThresholdSearch:
                 assert 1.5 / (N - 1) ** 2 > 2.0**-j
 
     def test_spiked_levels(self):
-        got = thresholds_from_cui(SPIKED, MultiIndex((10_000,)), j_max=6,
+        got = thresholds_from_cui(NormSample(SPIKED, MultiIndex((10_000,))), j_max=6,
                                   search_cap=256)
         assert got == (3, 5, 9, 17, 33, 65)
 
     def test_cap_is_part_of_the_verdict(self):
         # N_6 = 65 for the spiked family, one past the default cap
         with pytest.raises(HorizonTooSmallError):
-            thresholds_from_cui(SPIKED, MultiIndex((10_000,)), j_max=6)
+            thresholds_from_cui(NormSample(SPIKED, MultiIndex((10_000,))), j_max=6)
 
     def test_growing_raises_at_first_level(self):
         with pytest.raises(HorizonTooSmallError):
-            thresholds_from_cui(GROWING, MultiIndex((10_000,)), j_max=1)
+            thresholds_from_cui(NormSample(GROWING, MultiIndex((10_000,))), j_max=1)
 
     def test_strictly_increasing(self):
-        got = thresholds_from_cui(SPIKED, MultiIndex((10_000,)), j_max=12,
+        got = thresholds_from_cui(NormSample(SPIKED, MultiIndex((10_000,))), j_max=12,
                                   search_cap=256)
         assert all(b > a for a, b in zip(got, got[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            thresholds_from_cui(CONSTANT, MultiIndex((64,)), j_max=0)
+            thresholds_from_cui(NormSample(CONSTANT, MultiIndex((64,))), j_max=0)
 
 
 class TestConstruction:
     def test_constant_build(self):
-        built = build_phi_from_cui(CONSTANT, MultiIndex((4096,)), j_max=6)
+        built = build_phi_from_cui(NormSample(CONSTANT, MultiIndex((4096,))), j_max=6)
         assert built.thresholds == (2, 3, 4, 5, 6, 7)
         assert built.calibration_max_norm == 1.0
         assert built.n_max == 64  # floor dominates 4*calibration and 2*max(N)
         assert built.phi.n_max == 64
 
     def test_n_max_override(self):
-        built = build_phi_from_cui(CONSTANT, MultiIndex((4096,)), j_max=6, n_max=20)
+        built = build_phi_from_cui(NormSample(CONSTANT, MultiIndex((4096,))), j_max=6, n_max=20)
         assert built.phi.n_max == 20
 
     def test_moment_check_analytic_families(self):
         for spec in (CONSTANT, ZERO, SPIKED):
-            built = build_phi_from_cui(spec, MultiIndex((10_000,)), j_max=8,
-                                       search_cap=256)
-            mom = poussin_moment_check(spec, built.phi, MultiIndex((10_000,)))
+            sample = NormSample(spec, MultiIndex((10_000,)))
+            built = build_phi_from_cui(sample, j_max=8, search_cap=256)
+            mom = poussin_moment_check(sample, built.phi)
             assert mom.mode == "analytic"
             assert mom.stderr == 0.0
             assert mom.value <= 1.0
 
     def test_zero_family_moment_is_exactly_zero(self):
-        built = build_phi_from_cui(ZERO, MultiIndex((64,)), j_max=4)
-        mom = poussin_moment_check(ZERO, built.phi, MultiIndex((64,)))
+        sample = NormSample(ZERO, MultiIndex((64,)))
+        built = build_phi_from_cui(sample, j_max=4)
+        mom = poussin_moment_check(sample, built.phi)
         assert mom.value == 0.0
 
     def test_moment_check_monte_carlo_family(self):
-        built = build_phi_from_cui(PARETO, MultiIndex((4096,)), j_max=12,
-                                   search_cap=256, seed=3)
-        mom = poussin_moment_check(PARETO, built.phi, MultiIndex((4096,)), seed=3)
+        sample = NormSample(PARETO, MultiIndex((4096,)), seed=3)
+        built = build_phi_from_cui(sample, j_max=12, search_cap=256)
+        mom = poussin_moment_check(sample, built.phi)
         assert mom.mode == "empirical"
         assert mom.value <= 1.0 + 2.0 * mom.stderr
 
     def test_forward_checks_constant(self):
-        built = build_phi_from_cui(CONSTANT, MultiIndex((4096,)), j_max=16)
-        checks = poussin_forward_check(
-            CONSTANT, built.phi, [0.5, 0.1], MultiIndex((4096,))
-        )
+        sample = NormSample(CONSTANT, MultiIndex((4096,)))
+        built = build_phi_from_cui(sample, j_max=16)
+        checks = poussin_forward_check(sample, built.phi, [0.5, 0.1])
         assert [c.eps for c in checks] == [0.5, 0.1]
         for c in checks:
             assert c.ratio >= (c.K + 1.0) / c.eps
@@ -256,13 +256,15 @@ class TestConstruction:
     def test_forward_check_needs_enough_slope(self):
         # a shallow gauge never reaches the required ratio: domain error, not
         # a silent failure
-        built = build_phi_from_cui(CONSTANT, MultiIndex((4096,)), j_max=2)
+        sample = NormSample(CONSTANT, MultiIndex((4096,)))
+        built = build_phi_from_cui(sample, j_max=2)
         with pytest.raises(PhiDomainError):
-            poussin_forward_check(CONSTANT, built.phi, [0.01], MultiIndex((4096,)))
+            poussin_forward_check(sample, built.phi, [0.01])
 
     def test_forward_check_validation(self):
-        built = build_phi_from_cui(CONSTANT, MultiIndex((64,)), j_max=4)
+        sample = NormSample(CONSTANT, MultiIndex((64,)))
+        built = build_phi_from_cui(sample, j_max=4)
         with pytest.raises(ValueError):
-            poussin_forward_check(CONSTANT, built.phi, [], MultiIndex((64,)))
+            poussin_forward_check(sample, built.phi, [])
         with pytest.raises(ValueError):
-            poussin_forward_check(CONSTANT, built.phi, [-0.5], MultiIndex((64,)))
+            poussin_forward_check(sample, built.phi, [-0.5])
