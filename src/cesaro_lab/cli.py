@@ -38,7 +38,6 @@ from .lattice import (
 )
 
 FAULT_ENV = "CESARO_LAB_INJECT_FAULT"
-THREADS_ENV = "CESARO_LAB_THREADS"
 
 try:
     from . import __version__ as _pkg_version
@@ -112,20 +111,6 @@ def load_spec(path: str) -> DistributionSpec:
     return DistributionSpec.from_json(payload)
 
 
-def resolve_threads(value: Optional[int]) -> int:
-    if value is None:
-        env = os.environ.get(THREADS_ENV, "").strip()
-        if not env:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV}={env!r} is not an integer")
-    if value < 1:
-        raise ValueError("threads must be >= 1")
-    return value
-
-
 def _py(obj):
     """Recursively coerce numpy scalars/arrays and boxes into plain JSON types."""
     if isinstance(obj, dict):
@@ -182,7 +167,6 @@ def run_check_cui(config: dict, out_dir: Path) -> int:
         p=config["p"],
         a_grid=config["a_grid"],
         ge=config["ge"],
-        threads=config["threads"],
     )
     (out_dir / "cui_report.csv").write_text(report.to_csv_text())
     write_json(out_dir / "cui_report.json", report.to_json())
@@ -206,7 +190,6 @@ def cmd_check_cui(args: argparse.Namespace) -> int:
         "reps": args.reps,
         "seed": args.seed,
         "ge": bool(args.ge),
-        "threads": resolve_threads(args.threads),
     }
     return run_check_cui(config, _ensure_out(args.out))
 
@@ -299,9 +282,9 @@ def run_converge(config: dict, out_dir: Path) -> int:
         bound_params=bound_params,
     )
     if mode == "lp":
-        series = convergence.run_lp_experiment(cfg, threads=config["threads"])
+        series = convergence.run_lp_experiment(cfg)
     elif mode == "l1":
-        series = convergence.run_l1_experiment(cfg, threads=config["threads"])
+        series = convergence.run_l1_experiment(cfg)
     else:
         raise ValueError(f"unknown mode {mode!r}: expected lp or l1")
     if len(series.points) >= convergence.MIN_TREND_POINTS:
@@ -343,7 +326,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
         "bound": None
         if bound is None
         else {"eps": bound.eps, "a": bound.a, "C": bound.C},
-        "threads": resolve_threads(args.threads),
     }
     return run_converge(config, _ensure_out(args.out))
 
@@ -533,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--reps", type=int, default=200)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--ge", action="store_true", help="use ||X|| >= a indicators")
-    pc.add_argument("--threads", type=int, default=None)
     pc.add_argument("--out", required=True, help="output directory")
     pc.set_defaults(func=cmd_check_cui)
 
@@ -561,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--reps", type=int, default=200)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--bound", default=None, help="eps,a for lp or eps,a,C for l1")
-    pv.add_argument("--threads", type=int, default=None)
     pv.add_argument("--out", required=True)
     pv.set_defaults(func=cmd_converge)
 

@@ -12,9 +12,8 @@ number here: only the observed ratio is reported.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,14 +22,6 @@ from .distributions import DistributionSpec, Tail
 from .lattice import MultiIndex, prefix_table
 
 MIN_TREND_POINTS = 4
-
-
-def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
-    """Ordered map; results are reduced in schedule order regardless of threads."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,7 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     return m, se
 
 
-def run_lp_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceSeries:
+def run_lp_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     """Moments E[(M_n / |n|^(1/p))^p] along the schedule, 0 < p < 1, uncentered."""
     if not (0 < cfg.p < 1):
         raise ValueError("lp mode needs 0 < p < 1")
@@ -181,7 +172,7 @@ def run_lp_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceSer
             bound_pass = moment <= bound + 3.0 * se
         return SeriesPoint(n, n.size, moment, se, bound, bound_pass)
 
-    points = _pmap(point, cfg.n_schedule, threads)
+    points = [point(n) for n in cfg.n_schedule]
     return ConvergenceSeries(
         mode="lp",
         p=cfg.p,
@@ -190,13 +181,13 @@ def run_lp_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceSer
         center=False,
         centering=None,
         pairwise_warning=False,
-        low_reps=cfg.reps < 30,
+        low_reps=cfg.reps < dist.LOW_REPS_FLOOR,
         spec_json=cfg.spec.to_json(),
         points=tuple(points),
     )
 
 
-def run_l1_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceSeries:
+def run_l1_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     """Centered moments E[max_k ||S_k - E S_k||] / |n| along the schedule.
 
     Centers with the family's analytic means when available, otherwise with
@@ -230,7 +221,7 @@ def run_l1_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceSer
             bound_pass = moment <= bound + 3.0 * se
         return SeriesPoint(n, n.size, moment, se, bound, bound_pass)
 
-    points = _pmap(point, cfg.n_schedule, threads)
+    points = [point(n) for n in cfg.n_schedule]
     return ConvergenceSeries(
         mode="l1",
         p=1.0,
@@ -239,7 +230,7 @@ def run_l1_experiment(cfg: ExperimentConfig, threads: int = 1) -> ConvergenceSer
         center=True,
         centering=centering_used[0] if centering_used else None,
         pairwise_warning=pairwise_warning,
-        low_reps=cfg.reps < 30,
+        low_reps=cfg.reps < dist.LOW_REPS_FLOOR,
         spec_json=cfg.spec.to_json(),
         points=tuple(points),
     )
@@ -259,7 +250,6 @@ def moricz_ratio(
     n_schedule: Sequence[MultiIndex],
     reps: int = 500,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[MoriczPoint]:
     """Observed E[max_k ||S_k||^2] against log^2(2 n_1)...log^2(2 n_d) sum E||X_i||^2.
 
@@ -290,7 +280,7 @@ def moricz_ratio(
         den = logs * total
         return MoriczPoint(n, num, se, den, num / den)
 
-    return _pmap(point, sched, threads)
+    return [point(n) for n in sched]
 
 
 @dataclass(frozen=True)

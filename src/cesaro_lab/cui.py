@@ -14,17 +14,15 @@ horizon and schedule it was computed on.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import NormSample, Tail
+from .distributions import LOW_REPS_FLOOR, NormSample, Tail
 from .lattice import MultiIndex, dyadic_boxes, leq, schedule_averages
 
 DEFAULT_A_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-LOW_REPS_FLOOR = 30
 
 
 def _resolve_schedule(horizon: MultiIndex, schedule) -> list[MultiIndex]:
@@ -528,21 +526,12 @@ def build_cui_report(
     a_grid: Sequence[float] = DEFAULT_A_GRID,
     schedule: Optional[Sequence[MultiIndex]] = None,
     ge: bool = False,
-    threads: int = 1,
 ) -> CuiReport:
     """Tail sups at every grid level and the first-moment sup, all over the
-    sample's box; `threads` > 1 evaluates the levels on a thread pool."""
+    sample's box."""
     grid = _levels(a_grid)
     sched = _resolve_schedule(sample.box, schedule)
-
-    def est_at(a: float) -> TailEstimate:
-        return cesaro_tail_sup(sample, p, a, sched, ge)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ests = list(pool.map(est_at, grid))
-    else:
-        ests = [est_at(a) for a in grid]
+    ests = [cesaro_tail_sup(sample, p, a, sched, ge) for a in grid]
     mean_est = check_criterion_i(sample, sched)
     return CuiReport(
         p=p,

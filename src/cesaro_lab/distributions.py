@@ -9,7 +9,9 @@ between that closed form and Monte Carlo; a `NormSample` draws its norms at
 most once and answers every query from that one draw. Samplers are pure
 functions of (spec, box, seed): cell i draws from a counter-based stream
 keyed by (seed, i), so enlarging a box never changes previously generated
-cells.
+cells. Every family but iid_gaussian takes its values on one line, s_i e1,
+and samples them as one column: the norms in R^dim_D are the same, so
+dim_D shapes only iid_gaussian.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from . import rng
 from .lattice import LatticeSample, MultiIndex
 
 MOMENT_MODES = ("analytic", "empirical")
+LOW_REPS_FLOOR = 30  # Monte Carlo answers from fewer replications are flagged
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,6 @@ def _coord_grids(box: MultiIndex) -> list[np.ndarray]:
     return grids
 
 
-def _radial(vals: np.ndarray, D: int) -> np.ndarray:
-    out = np.zeros(vals.shape + (D,), dtype=np.float64)
-    out[..., 0] = vals
-    return out
-
-
 @dataclass(frozen=True)
 class Tail:
     """The norm functional t -> t^p 1(t > a), or with 1(t >= a) when ge.
@@ -149,9 +146,10 @@ class Family:
         return None if norms is None else g(norms)
 
     def mean(self, spec, box: MultiIndex) -> np.ndarray | None:
-        """Per-cell mean vectors, shape box + (D,), or None without a closed form."""
+        """Per-cell mean vectors, broadcastable to the batch, or None without
+        a closed form."""
         if self.zero_mean(spec):
-            return np.broadcast_to(0.0, box.coords + (spec.dim_D,))
+            return np.broadcast_to(0.0, box.coords + (1,))
         return None
 
     # --- sampling -------------------------------------------------------
@@ -173,15 +171,14 @@ class _DeterministicFamily(Family):
         raise NotImplementedError
 
     def vectors(self, spec, box, starts):
-        vals = self.cell_values(spec, box)
-        reps = starts.shape[0]
-        return np.broadcast_to(_radial(vals, spec.dim_D), (reps,) + vals.shape + (spec.dim_D,)).copy()
+        vals = self.cell_values(spec, box)[..., None]
+        return np.broadcast_to(vals, (starts.shape[0],) + vals.shape).copy()
 
     def fixed_norms(self, spec, box):
         return np.abs(self.cell_values(spec, box))
 
     def mean(self, spec, box):
-        return _radial(self.cell_values(spec, box), spec.dim_D)
+        return self.cell_values(spec, box)[..., None]
 
 
 class ConstantFamily(_DeterministicFamily):
@@ -275,7 +272,7 @@ class ParetoRadialFamily(Family):
         return u ** (-1.0 / float(spec.param("alpha")))
 
     def vectors(self, spec, box, starts):
-        return _radial(self.norm_values(spec, box, starts), spec.dim_D)
+        return self.norm_values(spec, box, starts)[..., None]
 
     def expect(self, spec, g, box):
         # E(X^p 1(X > a)) = alpha/(alpha-p) * max(a,1)^(p-alpha); continuous,
@@ -292,8 +289,7 @@ class ParetoRadialFamily(Family):
         alpha = float(spec.param("alpha"))
         if alpha <= 1.0:
             return None
-        e1 = _radial(np.array(alpha / (alpha - 1.0)), spec.dim_D)
-        return np.broadcast_to(e1, box.coords + (spec.dim_D,))
+        return np.broadcast_to(alpha / (alpha - 1.0), box.coords + (1,))
 
 
 class IidGaussianFamily(Family):
@@ -344,7 +340,7 @@ class IidRademacherFamily(Family):
 
     def vectors(self, spec, box, starts):
         keys = rng.cell_keys(starts, _coord_grids(box))
-        return _radial(rng.signs(rng.substream(keys, 0)), spec.dim_D)
+        return rng.signs(rng.substream(keys, 0))[..., None]
 
 
 def subset_products(bits: np.ndarray) -> np.ndarray:
@@ -407,7 +403,7 @@ class PairwiseRademacherFamily(Family):
         return table[:, block.astype(np.int64), mask_idx]
 
     def vectors(self, spec, box, starts):
-        return _radial(self._signs(spec, box, starts), spec.dim_D)
+        return self._signs(spec, box, starts)[..., None]
 
 
 _FAMILY_LIST = [
@@ -453,7 +449,8 @@ def sample_array(spec: DistributionSpec, n: MultiIndex, seed: int = 0) -> Lattic
 
 
 def sample_batch(spec: DistributionSpec, n: MultiIndex, seed: int, reps: int) -> np.ndarray:
-    """`reps` independent arrays, shape (reps,) + n.coords + (D,).
+    """`reps` independent arrays, shape (reps,) + n.coords + (1,), or
+    (reps,) + n.coords + (dim_D,) for iid_gaussian.
 
     Replication r uses the derived seed derive_seed(seed, r), so row r equals
     sample_array(spec, n, derive_seed(seed, r)).values.
@@ -482,7 +479,8 @@ def expect(spec: DistributionSpec, g: NormFunctional, box: MultiIndex) -> np.nda
 
 
 def mean(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:
-    """Per-cell mean vectors, shape box + (D,), or None without a closed form."""
+    """Per-cell mean vectors, broadcastable to the batch, or None without a
+    closed form."""
     return _checked_family(spec, box).mean(spec, box)
 
 
@@ -491,8 +489,9 @@ class NormSample:
 
     Callers that ask several questions of the same (spec, box, seed, reps)
     share one NormSample. The draw is lazy, so queries answered in closed form
-    draw nothing; it is taken under a lock, so concurrent queries still draw
-    once, and the drawn array is read-only.
+    draw nothing; it is taken under a lock, so callers who share a sample
+    across their own threads still draw once, and the drawn array is
+    read-only.
     """
 
     def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int = 0, reps: int = 200):

@@ -55,19 +55,6 @@ class TestParsers:
         with pytest.raises(ValueError):
             cli.parse_eps_list("0.5,x")
 
-    def test_threads_resolution(self, monkeypatch):
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-        assert cli.resolve_threads(None) == 1
-        assert cli.resolve_threads(4) == 4
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        assert cli.resolve_threads(None) == 3
-        assert cli.resolve_threads(2) == 2  # explicit flag wins
-        monkeypatch.setenv(cli.THREADS_ENV, "banana")
-        with pytest.raises(ValueError):
-            cli.resolve_threads(None)
-        with pytest.raises(ValueError):
-            cli.resolve_threads(0)
-
 
 class TestUsageErrors:
     def test_no_command(self):
@@ -97,12 +84,6 @@ class TestUsageErrors:
 
     def test_unknown_family(self, tmp_path):
         spec = write_spec(tmp_path, "cauchy_surprise")
-        assert cli.main(["check-cui", "--spec", spec, "--out",
-                         str(tmp_path / "o")]) == 2
-
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "many")
-        spec = write_spec(tmp_path, "constant", c=1.0)
         assert cli.main(["check-cui", "--spec", spec, "--out",
                          str(tmp_path / "o")]) == 2
 
@@ -160,14 +141,6 @@ class TestCheckCui:
         from cesaro_lab import __version__
 
         assert manifest["version"] == __version__
-
-    def test_threads_env_lands_in_config(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        spec = write_spec(tmp_path, "constant", c=1.0)
-        code, out = self.run(tmp_path, spec, a_grid="1,2", horizon="64", reps="2")
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["threads"] == 2
 
 
 class TestConverge:
@@ -335,6 +308,26 @@ class TestReplay:
         self.assert_identical_modulo_duration(
             first, second, ["series.csv", "series.json"]
         )
+
+    def test_old_manifest_with_threads_key_replays(self, tmp_path):
+        # manifests written while converge had a thread count carry a
+        # "threads" config key; replay ignores it
+        spec = write_spec(tmp_path, "pareto_radial", dim_D=8, alpha=3.0)
+        first = tmp_path / "first"
+        code = cli.main(
+            ["converge", "--mode", "lp", "--spec", spec, "--p", "0.5",
+             "--schedule", "4x4;8x8;16x16", "--reps", "20", "--seed", "7",
+             "--out", str(first)]
+        )
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"]["threads"] = 2
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        second = tmp_path / "second"
+        assert self.replay(old, second) == 0
+        for name in ["series.csv", "series.json"]:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_check_cui_replay(self, tmp_path):
         spec = write_spec(tmp_path, "iid_gaussian", sigma=1.0, dim_D=2)

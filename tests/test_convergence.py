@@ -5,6 +5,7 @@ import pytest
 
 from cesaro_lab.convergence import (
     BoundParams,
+    _max_partial_norms,
     ConvergenceSeries,
     ExperimentConfig,
     SeriesPoint,
@@ -16,7 +17,7 @@ from cesaro_lab.convergence import (
     run_lp_experiment,
     trend_test,
 )
-from cesaro_lab.distributions import DistributionSpec
+from cesaro_lab.distributions import DistributionSpec, norm_batch, sample_batch
 from cesaro_lab.lattice import MultiIndex, dyadic_square_schedule
 
 
@@ -129,17 +130,53 @@ class TestLpExperiment:
             assert pt.bound == pytest.approx(bound_eq23(0.1, 4.0, 0.5, pt.n))
             assert pt.bound_pass is not None
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         cfg = lp_config(PARETO, reps=40, seed=9)
         a = run_lp_experiment(cfg)
         b = run_lp_experiment(cfg)
-        c = run_lp_experiment(cfg, threads=3)
         assert [p.moment for p in a.points] == [p.moment for p in b.points]
-        assert [p.moment for p in a.points] == [p.moment for p in c.points]
 
     def test_low_reps_flag(self):
         assert run_lp_experiment(lp_config(PARETO, reps=5)).low_reps
         assert not run_lp_experiment(lp_config(PARETO, reps=50)).low_reps
+
+
+RADIAL_CASES = [
+    pytest.param(spec_of("constant", d=8, c=2.0), (8, 8), False, id="constant"),
+    pytest.param(spec_of("spiked_cui", d=8, gap_base=2), (64,), False, id="spiked_cui"),
+    pytest.param(spec_of("growing_non_cui", d=8, exponent=0.5), (64,), False, id="growing_non_cui"),
+    pytest.param(spec_of("iid_rademacher", d=8), (8, 8), False, id="iid_rademacher"),
+    pytest.param(spec_of("pairwise_rademacher", d=8, m=3), (64,), False, id="pairwise_rademacher"),
+    pytest.param(spec_of("pareto_radial", d=8, alpha=3.0), (8, 8), False, id="pareto_radial"),
+    # |s| > 1e154 is drawn here, so S*S overflows to inf
+    pytest.param(spec_of("pareto_radial", d=8, alpha=0.02), (64, 64), True, id="pareto_overflow"),
+]
+
+
+class TestRadialOneColumn:
+    """Every family but iid_gaussian takes its values on the line through e1
+    and samples them as one column whatever dim_D; padding that column with
+    zeros to dim_D columns, as the embedding in R^dim_D would, changes no
+    maximal partial norm, bit for bit."""
+
+    @pytest.mark.parametrize("spec,coords,overflows", RADIAL_CASES)
+    def test_one_column_equals_zero_padded(self, spec, coords, overflows):
+        n = MultiIndex(coords)
+        batch = sample_batch(spec, n, seed=5, reps=20)
+        assert batch.shape == (20,) + coords + (1,)
+        padded = np.zeros(batch.shape[:-1] + (8,))
+        padded[..., :1] = batch
+        with np.errstate(over="ignore"):
+            got = _max_partial_norms(batch, n.d)
+            assert np.array_equal(got, _max_partial_norms(padded, n.d))
+        assert np.all(np.isinf(got)) == overflows
+
+    @pytest.mark.parametrize("alpha,coords", [(3.0, (8, 8)), (0.02, (64, 64))])
+    def test_pareto_column_is_the_norm(self, alpha, coords):
+        spec = spec_of("pareto_radial", d=8, alpha=alpha)
+        n = MultiIndex(coords)
+        batch = sample_batch(spec, n, seed=5, reps=20)
+        assert np.array_equal(batch[..., 0], norm_batch(spec, n, seed=5, reps=20))
 
 
 class TestL1Experiment:

@@ -322,17 +322,3 @@ class TestCuiReport:
     def test_default_grid_is_disclosed(self):
         report = build_cui_report(NormSample(CONSTANT, MultiIndex((64,))), 1.0)
         assert report.a_grid == tuple(float(a) for a in DEFAULT_A_GRID)
-
-    def test_threaded_report_matches_serial(self):
-        spec = spec_of("iid_gaussian", mode="empirical")
-        serial = build_cui_report(
-            NormSample(spec, MultiIndex((64,)), seed=9, reps=50), 1.0, a_grid=(1.0, 2.0)
-        )
-        threaded = build_cui_report(
-            NormSample(spec, MultiIndex((64,)), seed=9, reps=50),
-            1.0,
-            a_grid=(1.0, 2.0),
-            threads=2,
-        )
-        assert serial.tail_sup == threaded.tail_sup
-        assert serial.stderr == threaded.stderr

@@ -185,7 +185,7 @@ def tail_queries(monkeypatch):
 
 
 def test_report_queries_each_level_and_the_mean(tail_queries):
-    build_cui_report(sample_of(PARETO_EMPIRICAL), 0.5, GRID, threads=2)
+    build_cui_report(sample_of(PARETO_EMPIRICAL), 0.5, GRID)
     assert sorted(tail_queries) == sorted([*GRID, 0.0])
     assert len(tail_queries) == len(GRID) + 1
 
@@ -303,36 +303,37 @@ def test_equivalence_report_equals_fresh_draw_path(draws, spec):
         assert len(draws) - shared_draws > 1  # the reference really redrew
 
 
-# --- one draw under threads -------------------------------------------------
+# --- one draw under the caller's threads -----------------------------------
 
 
 def test_threaded_report_draws_once(monkeypatch, draws):
     real = dist.norm_batch
 
     def slow_norm_batch(*args, **kwargs):
-        time.sleep(0.05)  # hold the draw open while the other workers arrive
+        time.sleep(0.05)  # hold the draw open while the other threads arrive
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dist, "norm_batch", slow_norm_batch)
     box = MultiIndex((32, 32))
     grid = tuple(float(a) for a in range(1, 9))
+    sample = NormSample(PARETO_EMPIRICAL, box, SEED, REPS)
     results = {}
 
-    def run(threads):
-        results[threads] = build_cui_report(
-            NormSample(PARETO_EMPIRICAL, box, SEED, REPS), 0.5, grid, threads=threads
-        )
+    def query(a):
+        results[a] = cesaro_tail_sup(sample, 0.5, a)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        worker = threading.Thread(target=run, args=(4,), daemon=True)
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive(), "threaded report did not finish"
+        workers = [threading.Thread(target=query, args=(a,), daemon=True) for a in grid]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(w.is_alive() for w in workers), "a tail query did not finish"
     finally:
         sys.setswitchinterval(old)
     assert len(draws) == 1
-    run(1)
+    fresh = NormSample(PARETO_EMPIRICAL, box, SEED, REPS)
+    assert {a: cesaro_tail_sup(fresh, 0.5, a) for a in grid} == results
     assert len(draws) == 2
-    assert results[4] == results[1]
