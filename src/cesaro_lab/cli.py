@@ -32,9 +32,9 @@ from .lattice import (
     LatticeSample,
     MultiIndex,
     dyadic_square_schedule,
-    max_partial_norm,
-    prefix_sums,
     prefix_sums_bruteforce,
+    prefix_table,
+    running_max_norms,
 )
 
 FAULT_ENV = "CESARO_LAB_INJECT_FAULT"
@@ -342,7 +342,7 @@ def _rand_int(key: np.uint64, idx: int, lo: int, hi: int) -> int:
 
 
 def _prefix_case(trial: int, seed: int, inject_fault: bool) -> Optional[dict]:
-    """Compare sweep prefix sums and the running max against brute force."""
+    """Compare sweep prefix sums and the running max M_k against brute force."""
     key = np.uint64(rng.derive_seed(seed, trial))
     d = _rand_int(key, 1, 1, 3)
     sides = tuple(_rand_int(key, 10 + ax, 1, 4) for ax in range(d))
@@ -353,36 +353,24 @@ def _prefix_case(trial: int, seed: int, inject_fault: bool) -> Optional[dict]:
     )
     cells = rng.cell_keys(int(key), grids)
     values = rng.normals(cells, D)
-    sample = LatticeSample(box, values)
-    fast = prefix_sums(sample)
+    fast = prefix_table(values, range(d))
     if inject_fault and trial == 0:
-        fast = fast.copy()
         fast.flat[0] += 1.0
-    brute = prefix_sums_bruteforce(sample)
-    scale = max(1.0, float(np.abs(brute).max()))
-    err = float(np.abs(fast - brute).max()) / scale
-    if err > 1e-9:
-        return {
-            "kind": "prefix",
-            "trial": trial,
-            "d": d,
-            "box": str(box),
-            "D": D,
-            "relative_error": err,
-        }
-    m_fast = max_partial_norm(sample)
+    brute = prefix_sums_bruteforce(LatticeSample(box, values))
+    # M_k = max_{j <= k} ||S_j|| at every k, as the block max of brute norms
     norms = np.sqrt((brute * brute).sum(axis=-1))
-    m_brute = float(norms.max())
-    m_err = abs(m_fast - m_brute) / max(1.0, m_brute)
-    if m_err > 1e-9:
-        return {
-            "kind": "max_partial_norm",
-            "trial": trial,
-            "d": d,
-            "box": str(box),
-            "D": D,
-            "relative_error": m_err,
-        }
+    m_brute = np.empty_like(norms)
+    for idx in np.ndindex(*sides):
+        m_brute[idx] = norms[tuple(slice(0, c + 1) for c in idx)].max()
+    errors = {
+        "prefix": float(np.abs(fast - brute).max()) / max(1.0, float(np.abs(brute).max())),
+        "running_max": float(np.abs(running_max_norms(fast, d) - m_brute).max())
+        / max(1.0, float(m_brute.max())),
+    }
+    for kind, err in errors.items():
+        if err > 1e-9:
+            return {"kind": kind, "trial": trial, "d": d, "box": str(box), "D": D,
+                    "relative_error": err}
     return None
 
 
@@ -487,12 +475,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = manifest.get("config")
     if not isinstance(config, dict):
         raise ValueError("manifest has no config object")
-    if command == "oracle-check":
-        return run_oracle_check(config, _ensure_out(args.out))
-    runner = _RUNNERS.get(command)
+    runner = run_oracle_check if command == "oracle-check" else _RUNNERS.get(command)
     if runner is None:
         raise ValueError(f"manifest command {command!r} is not replayable")
-    return runner(config, _ensure_out(args.out))
+    try:
+        return runner(config, _ensure_out(args.out))
+    except KeyError as exc:
+        raise ValueError(
+            f"manifest {args.manifest}: config has no key {exc.args[0]!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

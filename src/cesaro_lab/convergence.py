@@ -19,9 +19,12 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistributionSpec, Tail
-from .lattice import MultiIndex, prefix_table
+from .lattice import MultiIndex, leq, prefix_table, running_max_norms
 
 MIN_TREND_POINTS = 4
+# Cells drawn per chunk of replications: a series holds one chunk at a time,
+# so its peak memory does not grow with reps.
+CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,41 @@ def bound_eq27(a: float, C: float, n: MultiIndex) -> float:
     return 2.0 * a * C * logs / math.sqrt(n.size)
 
 
-def _max_partial_norms(batch: np.ndarray, d: int) -> np.ndarray:
-    """max_k ||S_k|| per replication for a batch shaped (reps, *box, D)."""
-    S = prefix_table(batch, range(1, 1 + d))
-    norms = np.sqrt((S * S).sum(axis=-1))
-    return norms.max(axis=tuple(range(1, 1 + d)))
+def _chunks(spec: DistributionSpec, top: MultiIndex, seed: int, reps: int):
+    """The reps of `top` as (first rep, batch) pairs, CHUNK_CELLS cells (>= 1 rep) each."""
+    chunk = max(1, CHUNK_CELLS // top.size)
+    for first in range(0, reps, chunk):
+        yield first, dist.sample_batch(spec, top, seed, min(chunk, reps - first), first_rep=first)
+
+
+def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
+    """M_n = max_{k <= n} ||S_k|| per rep at every schedule box, shape (len(schedule), reps).
+
+    Cells are keyed by (seed, i), so a box's batch is that of any box that
+    dominates it, restricted to it. Each maximal box is drawn once, in chunks
+    of reps, and each box it dominates is read at its corner from its running
+    max. `centering` is None, "analytic" (the family's per-cell means) or
+    "plugin" (the per-cell mean over all reps, from a first pass in rep order).
+    """
+    M = np.empty((len(schedule), reps))
+    tops = [t for t in dict.fromkeys(schedule)
+            if not any(n != t and n.d == t.d and leq(t, n) for n in schedule)]
+    for top in tops:
+        corners = {
+            j: (slice(None),) + tuple(c - 1 for c in n.coords)
+            for j, n in enumerate(schedule)
+            if next(t for t in tops if t.d == n.d and leq(n, t)) == top
+        }
+        means = dist.mean(spec, top) if centering == "analytic" else None
+        if centering == "plugin":
+            means = sum(row for _, rows in _chunks(spec, top, seed, reps) for row in rows) / reps
+        for first, batch in _chunks(spec, top, seed, reps):
+            if means is not None:
+                batch -= means
+            R = running_max_norms(prefix_table(batch, range(1, 1 + top.d)), top.d)
+            for j, corner in corners.items():
+                M[j, first:first + len(batch)] = R[corner]
+    return M
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
@@ -154,36 +187,42 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     return m, se
 
 
+def _series(cfg, mode, centering, values, bound, pairwise_warning=False) -> ConvergenceSeries:
+    """Per schedule box n, the mean and stderr over reps of values(M_n, n),
+    and the envelope bound(bound_params, n) with its verdict when cfg has one."""
+    points = []
+    M = _maxima(cfg.spec, cfg.n_schedule, cfg.seed, cfg.reps, centering)
+    for n, m in zip(cfg.n_schedule, M):
+        moment, se = _mean_se(values(m, n))
+        envelope = ok = None
+        if cfg.bound_params is not None:
+            envelope = bound(cfg.bound_params, n)
+            ok = moment <= envelope + 3.0 * se
+        points.append(SeriesPoint(n, n.size, moment, se, envelope, ok))
+    return ConvergenceSeries(
+        mode=mode,
+        p=cfg.p if mode == "lp" else 1.0,
+        reps=cfg.reps,
+        seed=cfg.seed,
+        center=mode == "l1",
+        centering=centering,
+        pairwise_warning=pairwise_warning,
+        low_reps=cfg.reps < dist.LOW_REPS_FLOOR,
+        spec_json=cfg.spec.to_json(),
+        points=tuple(points),
+    )
+
+
 def run_lp_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     """Moments E[(M_n / |n|^(1/p))^p] along the schedule, 0 < p < 1, uncentered."""
     if not (0 < cfg.p < 1):
         raise ValueError("lp mode needs 0 < p < 1")
     if cfg.center:
         raise ValueError("lp mode is uncentered; use run_l1_experiment to center")
-
-    def point(n: MultiIndex) -> SeriesPoint:
-        batch = dist.sample_batch(cfg.spec, n, cfg.seed, cfg.reps)
-        M = _max_partial_norms(batch, n.d)
-        vals = (M / n.size ** (1.0 / cfg.p)) ** cfg.p
-        moment, se = _mean_se(vals)
-        bound = bound_pass = None
-        if cfg.bound_params is not None:
-            bound = bound_eq23(cfg.bound_params.eps, cfg.bound_params.a, cfg.p, n)
-            bound_pass = moment <= bound + 3.0 * se
-        return SeriesPoint(n, n.size, moment, se, bound, bound_pass)
-
-    points = [point(n) for n in cfg.n_schedule]
-    return ConvergenceSeries(
-        mode="lp",
-        p=cfg.p,
-        reps=cfg.reps,
-        seed=cfg.seed,
-        center=False,
-        centering=None,
-        pairwise_warning=False,
-        low_reps=cfg.reps < dist.LOW_REPS_FLOOR,
-        spec_json=cfg.spec.to_json(),
-        points=tuple(points),
+    return _series(
+        cfg, "lp", None,
+        values=lambda M, n: (M / n.size ** (1.0 / cfg.p)) ** cfg.p,
+        bound=lambda bp, n: bound_eq23(bp.eps, bp.a, cfg.p, n),
     )
 
 
@@ -198,41 +237,14 @@ def run_l1_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
         raise ValueError("l1 mode fixes p = 1")
     if not cfg.center:
         raise ValueError("l1 mode centers; set center=True")
-    pairwise_warning = not dist.pairwise_independent(cfg.spec)
-    centering_used: list[str] = []
-
-    def point(n: MultiIndex) -> SeriesPoint:
-        batch = dist.sample_batch(cfg.spec, n, cfg.seed, cfg.reps)
-        means = dist.mean(cfg.spec, n)
-        if means is not None:
-            batch -= means
-            centering_used.append("analytic")
-        else:
-            batch -= batch.mean(axis=0, keepdims=True)
-            centering_used.append("plugin")
-        M = _max_partial_norms(batch, n.d)
-        vals = M / n.size
-        moment, se = _mean_se(vals)
-        bound = bound_pass = None
-        if cfg.bound_params is not None:
-            if cfg.bound_params.C is None:
-                raise ValueError("l1 bound needs C in bound_params")
-            bound = bound_eq27(cfg.bound_params.a, cfg.bound_params.C, n)
-            bound_pass = moment <= bound + 3.0 * se
-        return SeriesPoint(n, n.size, moment, se, bound, bound_pass)
-
-    points = [point(n) for n in cfg.n_schedule]
-    return ConvergenceSeries(
-        mode="l1",
-        p=1.0,
-        reps=cfg.reps,
-        seed=cfg.seed,
-        center=True,
-        centering=centering_used[0] if centering_used else None,
-        pairwise_warning=pairwise_warning,
-        low_reps=cfg.reps < dist.LOW_REPS_FLOOR,
-        spec_json=cfg.spec.to_json(),
-        points=tuple(points),
+    if cfg.bound_params is not None and cfg.bound_params.C is None:
+        raise ValueError("l1 bound needs C in bound_params")
+    centering = "plugin" if dist.mean(cfg.spec, cfg.n_schedule[-1]) is None else "analytic"
+    return _series(
+        cfg, "l1", centering,
+        values=lambda M, n: M / n.size,
+        bound=lambda bp, n: bound_eq27(bp.a, bp.C, n),
+        pairwise_warning=not dist.pairwise_independent(cfg.spec),
     )
 
 
@@ -263,24 +275,23 @@ def moricz_ratio(
     sched = list(n_schedule)
     if not sched:
         raise ValueError("n_schedule must be nonempty")
-
-    def point(n: MultiIndex) -> MoriczPoint:
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    dens = []
+    for n in sched:
         sm = dist.expect(spec, Tail(2.0, 0.0), n)
         if sm is None:
             raise ValueError("moricz_ratio needs closed-form second moments")
         total = float(sm.sum())
         if not math.isfinite(total) or total <= 0:
             raise ValueError("second moments must be finite and not all zero")
-        batch = dist.sample_batch(spec, n, seed, reps)
-        M = _max_partial_norms(batch, n.d)
-        num, se = _mean_se(M * M)
         logs = 1.0
         for c in n.coords:
             logs *= math.log(2.0 * c) ** 2
-        den = logs * total
-        return MoriczPoint(n, num, se, den, num / den)
-
-    return [point(n) for n in sched]
+        dens.append(logs * total)
+    stats = [_mean_se(M * M) for M in _maxima(spec, sched, seed, reps)]
+    return [MoriczPoint(n, num, se, den, num / den)
+            for n, (num, se), den in zip(sched, stats, dens)]
 
 
 @dataclass(frozen=True)

@@ -427,11 +427,9 @@ def get_family(name: str) -> Family:
         ) from None
 
 
-def _rep_starts(seed: int, reps: int, d: int) -> np.ndarray:
-    starts = np.array(
-        [rng.as_seed(rng.derive_seed(seed, r)) for r in range(reps)], dtype=np.uint64
-    )
-    return starts.reshape((reps,) + (1,) * d)
+def _rep_starts(seed: int, reps: range, d: int) -> np.ndarray:
+    starts = np.array([rng.as_seed(rng.derive_seed(seed, r)) for r in reps], dtype=np.uint64)
+    return starts.reshape((len(reps),) + (1,) * d)
 
 
 def _checked_family(spec: DistributionSpec, box: MultiIndex) -> Family:
@@ -448,23 +446,27 @@ def sample_array(spec: DistributionSpec, n: MultiIndex, seed: int = 0) -> Lattic
     return LatticeSample(n, vals)
 
 
-def sample_batch(spec: DistributionSpec, n: MultiIndex, seed: int, reps: int) -> np.ndarray:
+def sample_batch(
+    spec: DistributionSpec, n: MultiIndex, seed: int, reps: int, first_rep: int = 0
+) -> np.ndarray:
     """`reps` independent arrays, shape (reps,) + n.coords + (1,), or
     (reps,) + n.coords + (dim_D,) for iid_gaussian.
 
-    Replication r uses the derived seed derive_seed(seed, r), so row r equals
-    sample_array(spec, n, derive_seed(seed, r)).values.
+    Row r is replication first_rep + r, drawn from derive_seed(seed,
+    first_rep + r): it equals sample_array(spec, n, that seed).values, so
+    batches drawn in chunks of reps stack into the batch drawn at once.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return _checked_family(spec, n).vectors(spec, n, _rep_starts(seed, reps, n.d))
+    starts = _rep_starts(seed, range(first_rep, first_rep + reps), n.d)
+    return _checked_family(spec, n).vectors(spec, n, starts)
 
 
 def norm_batch(spec: DistributionSpec, n: MultiIndex, seed: int, reps: int) -> np.ndarray:
     """Realized cell norms, shape (reps,) + n.coords."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return _checked_family(spec, n).norm_values(spec, n, _rep_starts(seed, reps, n.d))
+    return _checked_family(spec, n).norm_values(spec, n, _rep_starts(seed, range(reps), n.d))
 
 
 def fixed_norms(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:

@@ -88,15 +88,6 @@ def prefix_table(field: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return out
 
 
-def prefix_sums(sample: LatticeSample) -> np.ndarray:
-    """All partial sums S_k = sum_{i <= k} X_i as an array of shape box + (D,).
-
-    Computed by d successive one-axis cumulative sweeps, each accumulating in
-    increasing coordinate order.
-    """
-    return prefix_table(sample.values, range(sample.box.d))
-
-
 def prefix_sums_bruteforce(sample: LatticeSample) -> np.ndarray:
     """Reference oracle: direct summation over {i : i <= k} for each k independently."""
     if sample.box.size > BRUTE_FORCE_CELL_CAP:
@@ -111,11 +102,17 @@ def prefix_sums_bruteforce(sample: LatticeSample) -> np.ndarray:
     return out
 
 
-def max_partial_norm(sample: LatticeSample) -> float:
-    """M_n = max over 1 <= k <= n of ||S_k||, via prefix_sums."""
-    S = prefix_sums(sample)
+def running_max_norms(S: np.ndarray, d: int) -> np.ndarray:
+    """max_{j <= k} ||S_j|| at every k: shape lead + box for a prefix table S
+    of shape lead + box + (D,), with d box axes after any leading axes (reps).
+
+    Takes norms over the last axis, then a running max along each box axis in
+    place, so the value at the corner of [1, n] is M_n. NaN spreads as in np.max.
+    """
     norms = np.sqrt((S * S).sum(axis=-1))
-    return float(norms.max())
+    for ax in range(norms.ndim - d, norms.ndim):
+        np.maximum.accumulate(norms, axis=ax, out=norms)
+    return norms
 
 
 def schedule_averages(field: np.ndarray, schedule: Sequence[MultiIndex]) -> np.ndarray:

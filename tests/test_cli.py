@@ -329,6 +329,23 @@ class TestReplay:
         for name in ["series.csv", "series.json"]:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_missing_config_key_names_key_and_manifest(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "pareto_radial", alpha=3.0)
+        first = tmp_path / "first"
+        code = cli.main(
+            ["converge", "--mode", "lp", "--spec", spec, "--p", "0.5",
+             "--schedule", "2;4", "--reps", "5", "--out", str(first)]
+        )
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        del manifest["config"]["reps"]
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert self.replay(old, tmp_path / "second") == 2
+        err = capsys.readouterr().err
+        assert "'reps'" in err and str(old) in err
+
     def test_check_cui_replay(self, tmp_path):
         spec = write_spec(tmp_path, "iid_gaussian", sigma=1.0, dim_D=2)
         first = tmp_path / "first"

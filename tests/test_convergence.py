@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cesaro_lab
+from cesaro_lab import convergence
+from cesaro_lab import distributions as dist
 from cesaro_lab.convergence import (
     BoundParams,
-    _max_partial_norms,
     ConvergenceSeries,
     ExperimentConfig,
     SeriesPoint,
@@ -18,7 +24,7 @@ from cesaro_lab.convergence import (
     trend_test,
 )
 from cesaro_lab.distributions import DistributionSpec, norm_batch, sample_batch
-from cesaro_lab.lattice import MultiIndex, dyadic_square_schedule
+from cesaro_lab.lattice import MultiIndex, dyadic_square_schedule, prefix_table, running_max_norms
 
 
 def spec_of(family, d=1, **params):
@@ -166,10 +172,11 @@ class TestRadialOneColumn:
         assert batch.shape == (20,) + coords + (1,)
         padded = np.zeros(batch.shape[:-1] + (8,))
         padded[..., :1] = batch
+        axes = range(1, 1 + n.d)
         with np.errstate(over="ignore"):
-            got = _max_partial_norms(batch, n.d)
-            assert np.array_equal(got, _max_partial_norms(padded, n.d))
-        assert np.all(np.isinf(got)) == overflows
+            got = running_max_norms(prefix_table(batch, axes), n.d)
+            assert np.array_equal(got, running_max_norms(prefix_table(padded, axes), n.d))
+        assert np.all(np.isinf(got[(Ellipsis,) + (-1,) * n.d])) == overflows
 
     @pytest.mark.parametrize("alpha,coords", [(3.0, (8, 8)), (0.02, (64, 64))])
     def test_pareto_column_is_the_norm(self, alpha, coords):
@@ -177,6 +184,187 @@ class TestRadialOneColumn:
         n = MultiIndex(coords)
         batch = sample_batch(spec, n, seed=5, reps=20)
         assert np.array_equal(batch[..., 0], norm_batch(spec, n, seed=5, reps=20))
+
+
+def count_draws(monkeypatch) -> list:
+    """Record (box, reps, first_rep) of every sample_batch call."""
+    calls = []
+    real = dist.sample_batch
+
+    def counting(*args, **kwargs):
+        calls.append((str(args[1]), args[3], kwargs.get("first_rep", 0)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dist, "sample_batch", counting)
+    return calls
+
+
+def per_box_maxima(spec, schedule, seed, reps, center=False):
+    """Reference path: every box drawn, centered and swept on its own, with
+    the analytic per-cell means or else the plug-in mean batch.mean(axis=0);
+    M_n is the max of the box's partial norms. Shape (len(schedule), reps)."""
+    out = []
+    for n in schedule:
+        batch = sample_batch(spec, n, seed, reps)
+        if center:
+            means = dist.mean(spec, n)
+            batch -= batch.mean(axis=0, keepdims=True) if means is None else means
+        S = prefix_table(batch, range(1, 1 + n.d))
+        norms = np.sqrt((S * S).sum(axis=-1))
+        out.append(norms.max(axis=tuple(range(1, 1 + n.d))))
+    return np.array(out)
+
+
+def boxes(text):
+    return tuple(MultiIndex(tuple(int(c) for c in b.split("x"))) for b in text.split(";"))
+
+
+DYADIC_1D = tuple(dyadic_square_schedule(1, 64))
+DYADIC_3D = tuple(dyadic_square_schedule(3, 512))
+# not a chain under <=: the maximal boxes are 16x4 and 4x32
+NON_CHAIN = boxes("2x8;8x4;16x4;4x32")
+
+ORACLE_CASES = [
+    pytest.param(spec_of("constant", d=3, c=2.0), NON_CHAIN, id="constant"),
+    pytest.param(spec_of("spiked_cui", gap_base=2), DYADIC_1D, id="spiked_cui"),
+    pytest.param(spec_of("growing_non_cui", exponent=0.5), DYADIC_1D, id="growing_non_cui"),
+    pytest.param(spec_of("pairwise_rademacher", m=3), DYADIC_1D, id="pairwise_rademacher"),
+    pytest.param(spec_of("iid_rademacher"), NON_CHAIN, id="iid_rademacher"),
+    pytest.param(spec_of("pareto_radial", alpha=3.0), DYADIC_3D, id="pareto_radial"),
+    pytest.param(spec_of("iid_gaussian", d=3), DYADIC_3D, id="iid_gaussian"),
+    pytest.param(spec_of("iid_gaussian", d=8), NON_CHAIN, id="iid_gaussian-D8"),
+    # no closed-form mean: l1 centers with the plug-in mean
+    pytest.param(spec_of("pareto_radial", alpha=0.8), NON_CHAIN, id="pareto-plugin"),
+    # |s| > 1e154 is drawn here, so S*S overflows; plug-in centering makes NaN
+    pytest.param(spec_of("pareto_radial", alpha=0.02), NON_CHAIN, id="pareto-overflow"),
+]
+MORICZ_CASES = [
+    pytest.param(spec_of("pairwise_rademacher", m=3), DYADIC_1D, id="pairwise_rademacher"),
+    pytest.param(spec_of("iid_rademacher"), NON_CHAIN, id="iid_rademacher"),
+    pytest.param(spec_of("iid_gaussian", d=3), DYADIC_3D, id="iid_gaussian"),
+]
+# (reps, reps per chunk of the largest box); 0 keeps CHUNK_CELLS as it is
+CHUNKINGS = [(1, 4), (8, 4), (11, 4), (11, 0)]
+
+
+def with_chunk(monkeypatch, schedule, per_chunk):
+    if per_chunk:
+        monkeypatch.setattr(convergence, "CHUNK_CELLS", per_chunk * schedule[-1].size)
+
+
+class TestMaximaOracle:
+    """One chunked draw per maximal box gives, bit for bit, the maxima and
+    the series of the reference path that draws and sweeps every box."""
+
+    @pytest.mark.parametrize("reps,per_chunk", CHUNKINGS)
+    @pytest.mark.parametrize("spec,schedule", ORACLE_CASES)
+    @pytest.mark.parametrize("mode", ["lp", "l1"])
+    def test_series_equal_per_box_path(self, monkeypatch, spec, schedule, reps, per_chunk, mode):
+        with_chunk(monkeypatch, schedule, per_chunk)
+        center = mode == "l1"
+        cfg = ExperimentConfig(spec, 1.0 if center else 0.5, schedule, reps=reps, seed=3, center=center)
+        run = run_l1_experiment if center else run_lp_experiment
+        with np.errstate(over="ignore", invalid="ignore"):
+            centering = None if not center else (
+                "plugin" if dist.mean(spec, schedule[-1]) is None else "analytic")
+            got = convergence._maxima(spec, schedule, 3, reps, centering)
+            want = per_box_maxima(spec, schedule, 3, reps, center)
+            assert np.array_equal(got, want, equal_nan=True)
+            series = run(cfg)
+            monkeypatch.setattr(
+                convergence, "_maxima",
+                lambda spec, sched, seed, reps, centering=None: per_box_maxima(
+                    spec, sched, seed, reps, centering is not None),
+            )
+            want_series = run(cfg)
+        assert np.array_equal(
+            [(p.moment, p.stderr) for p in series.points],
+            [(p.moment, p.stderr) for p in want_series.points],
+            equal_nan=True,
+        )
+        assert series.centering == centering
+
+    @pytest.mark.parametrize("reps,per_chunk", CHUNKINGS)
+    @pytest.mark.parametrize("spec,schedule", MORICZ_CASES)
+    def test_moricz_equal_per_box_path(self, monkeypatch, spec, schedule, reps, per_chunk):
+        with_chunk(monkeypatch, schedule, per_chunk)
+        got = moricz_ratio(spec, schedule, reps=reps, seed=3)
+        monkeypatch.setattr(
+            convergence, "_maxima",
+            lambda spec, sched, seed, reps: per_box_maxima(spec, sched, seed, reps),
+        )
+        want = moricz_ratio(spec, schedule, reps=reps, seed=3)
+        assert [(p.numerator, p.num_stderr, p.ratio) for p in got] == [
+            (p.numerator, p.num_stderr, p.ratio) for p in want
+        ]
+
+    def test_plugin_mean_is_summed_in_rep_order(self):
+        # The plug-in mean of a cell is the same whichever box reads it:
+        # rows added in rep order, then divided by reps, which is what
+        # batch.mean(axis=0) does on any batch of more than one cell. On a
+        # one-cell batch numpy sums the reps pairwise instead, so there the
+        # reference path differs in the last bits.
+        spec = spec_of("pareto_radial", alpha=0.8)
+        schedule = boxes("1;2;4")
+        got = convergence._maxima(spec, schedule, 3, 60, "plugin")
+        want = per_box_maxima(spec, schedule, 3, 60, center=True)
+        assert np.array_equal(got[1:], want[1:])
+        assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+        batch = sample_batch(spec, schedule[-1], 3, 60)
+        assert np.array_equal(sum(batch) / 60, batch.mean(axis=0))
+        rows = batch[:, :1]
+        assert np.array_equal(np.abs(rows - sum(rows) / 60)[:, 0, 0], got[0])
+
+
+class TestDraws:
+    def test_one_draw_per_maximal_box_and_chunk(self, monkeypatch):
+        monkeypatch.setattr(convergence, "CHUNK_CELLS", 4 * 128)  # 4 reps of 4x32
+        draws = count_draws(monkeypatch)
+        run_lp_experiment(ExperimentConfig(SIGNS, 0.5, NON_CHAIN, reps=11, seed=0))
+        assert draws == [
+            ("16x4", 8, 0), ("16x4", 3, 8),
+            ("4x32", 4, 0), ("4x32", 4, 4), ("4x32", 3, 8),
+        ]
+
+    def test_plugin_centering_draws_twice(self, monkeypatch):
+        monkeypatch.setattr(convergence, "CHUNK_CELLS", 4 * 64)
+        draws = count_draws(monkeypatch)
+        heavy = spec_of("pareto_radial", alpha=0.8)
+        cfg = ExperimentConfig(heavy, 1.0, DYADIC_1D, reps=9, seed=0, center=True)
+        assert run_l1_experiment(cfg).centering == "plugin"
+        assert draws == [("64", 4, 0), ("64", 4, 4), ("64", 1, 8)] * 2
+
+    def test_dyadic_series_draws_largest_box_once(self, monkeypatch):
+        draws = count_draws(monkeypatch)
+        run_lp_experiment(ExperimentConfig(PARETO, 0.5, DYADIC_3D, reps=30, seed=0))
+        assert draws == [("8x8x8", 30, 0)]
+
+
+RSS_SCRIPT = """
+import resource, sys
+from cesaro_lab.convergence import ExperimentConfig, run_lp_experiment
+from cesaro_lab.distributions import DistributionSpec
+from cesaro_lab.lattice import dyadic_square_schedule
+spec = DistributionSpec("pareto_radial", {"alpha": 3.0}, dim_D=1)
+schedule = tuple(dyadic_square_schedule(1, 1 << 15))
+run_lp_experiment(ExperimentConfig(spec, 0.5, schedule, reps=int(sys.argv[1]), seed=0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_peak_memory_does_not_grow_with_reps():
+    # 100 reps of the 32768-cell box already fill many chunks, so 400 reps
+    # hold no more at once; drawing all reps at once needs 4x the arrays.
+    src = str(Path(cesaro_lab.__file__).resolve().parents[1])
+    peaks = []
+    for reps in (100, 400):
+        out = subprocess.run(
+            [sys.executable, "-c", RSS_SCRIPT, str(reps)],
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        peaks.append(int(out.stdout.strip()))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestL1Experiment:
@@ -205,10 +393,12 @@ class TestL1Experiment:
         assert series.centering == "plugin"
         assert not series.pairwise_warning
 
-    def test_l1_bound_requires_constant(self):
+    def test_l1_bound_requires_constant(self, monkeypatch):
         cfg = self.l1_config(SIGNS, (2, 4), bound=BoundParams(eps=0.0, a=1.0))
+        draws = count_draws(monkeypatch)
         with pytest.raises(ValueError):
             run_l1_experiment(cfg)
+        assert draws == []  # rejected before anything is drawn
 
     def test_eq27_bound_attached(self):
         bound = BoundParams(eps=0.0, a=1.0, C=2.2)
@@ -237,7 +427,17 @@ class TestMoricz:
         pts = moricz_ratio(SIGNS, dyadic_square_schedule(1, 256), reps=200, seed=2)
         assert max(p.ratio for p in pts) <= 10.0
 
+    def test_second_moments_checked_before_any_draw(self, monkeypatch):
+        # the second box is outside the family's d = 1 domain
+        draws = count_draws(monkeypatch)
+        pairwise = spec_of("pairwise_rademacher", m=3)
+        with pytest.raises(ValueError):
+            moricz_ratio(pairwise, [MultiIndex((2,)), MultiIndex((2, 2))], reps=5)
+        assert draws == []
+
     def test_gates(self):
+        with pytest.raises(ValueError):
+            moricz_ratio(SIGNS, [MultiIndex((2,))], reps=0)
         with pytest.raises(ValueError):
             moricz_ratio(CONSTANT, [MultiIndex((2,))])  # not zero mean
         with pytest.raises(ValueError):

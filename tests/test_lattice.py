@@ -11,10 +11,9 @@ from cesaro_lab.lattice import (
     dyadic_boxes,
     dyadic_square_schedule,
     leq,
-    max_partial_norm,
-    prefix_sums,
     prefix_sums_bruteforce,
     prefix_table,
+    running_max_norms,
     schedule_averages,
 )
 
@@ -34,6 +33,10 @@ def random_sample(trial: int, seed: int = 0) -> LatticeSample:
     )
     cells = rng.cell_keys(int(key), grids)
     return LatticeSample(MultiIndex(sides), rng.normals(cells, D))
+
+
+def sweep(sample: LatticeSample) -> np.ndarray:
+    return prefix_table(sample.values, range(sample.box.d))
 
 
 class TestMultiIndex:
@@ -81,21 +84,25 @@ def test_prefix_2x2_worked_example():
     sample = LatticeSample(
         MultiIndex((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]])[..., None]
     )
-    table = prefix_sums(sample)
+    table = sweep(sample)
     assert table.shape == (2, 2, 1)
     assert np.array_equal(table[..., 0], np.array([[1.0, 3.0], [4.0, 10.0]]))
-    assert max_partial_norm(sample) == 10.0
+    # M_k at every k: the running max of |S| over the block [1, k]
+    assert np.array_equal(running_max_norms(table, 2), np.array([[1.0, 3.0], [4.0, 10.0]]))
 
 
 def test_prefix_matches_bruteforce_on_random_cases():
     for trial in range(60):
         sample = random_sample(trial)
-        fast = prefix_sums(sample)
+        fast = sweep(sample)
         brute = prefix_sums_bruteforce(sample)
         scale = max(1.0, np.abs(brute).max())
         assert np.abs(fast - brute).max() / scale <= 1e-9
         norms = np.sqrt((brute * brute).sum(axis=-1))
-        assert max_partial_norm(sample) == pytest.approx(norms.max(), rel=1e-9)
+        running = running_max_norms(fast, sample.box.d)
+        for idx in np.ndindex(*sample.box.coords):
+            block = norms[tuple(slice(0, c + 1) for c in idx)]
+            assert running[idx] == pytest.approx(block.max(), rel=1e-9)
 
 
 def test_bruteforce_cell_cap():
@@ -107,18 +114,35 @@ def test_bruteforce_cell_cap():
 
 def test_prefix_is_deterministic_bitwise():
     sample = random_sample(7)
-    t1 = prefix_sums(sample)
-    t2 = prefix_sums(sample)
+    t1 = sweep(sample)
+    t2 = sweep(sample)
     assert np.array_equal(t1, t2)
-    assert max_partial_norm(sample) == max_partial_norm(sample)
+    d = sample.box.d
+    assert np.array_equal(running_max_norms(t1, d), running_max_norms(t2, d))
 
 
 def test_prefix_linearity():
     s1 = random_sample(3)
     scaled = LatticeSample(s1.box, 2.0 * s1.values)
-    assert np.allclose(prefix_sums(scaled), 2.0 * prefix_sums(s1))
+    assert np.allclose(sweep(scaled), 2.0 * sweep(s1))
     # the maximum of partial norms is absolutely homogeneous
-    assert max_partial_norm(scaled) == pytest.approx(2.0 * max_partial_norm(s1))
+    d = s1.box.d
+    assert running_max_norms(sweep(scaled), d) == pytest.approx(
+        2.0 * running_max_norms(sweep(s1), d)
+    )
+
+
+def test_running_max_carries_leading_axes_and_nan():
+    gen = np.random.default_rng(4)
+    S = gen.standard_normal((3, 4, 5, 2))
+    S[1, 2, 1, 0] = np.nan
+    got = running_max_norms(S, 2)
+    norms = np.sqrt((S * S).sum(axis=-1))
+    assert got.shape == (3, 4, 5)
+    for idx in np.ndindex(4, 5):
+        block = norms[(slice(None),) + tuple(slice(0, c + 1) for c in idx)]
+        assert np.array_equal(got[(slice(None),) + idx], block.max(axis=(1, 2)), equal_nan=True)
+    assert np.isnan(got[1, 2:, 1:]).all() and not np.isnan(got[1, :2]).any()
 
 
 def test_shape_validation():
