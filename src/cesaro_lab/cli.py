@@ -462,6 +462,7 @@ _RUNNERS = {
     "check-cui": run_check_cui,
     "poussin": run_poussin,
     "converge": run_converge,
+    "oracle-check": run_oracle_check,
 }
 
 
@@ -475,7 +476,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = manifest.get("config")
     if not isinstance(config, dict):
         raise ValueError("manifest has no config object")
-    runner = run_oracle_check if command == "oracle-check" else _RUNNERS.get(command)
+    runner = _RUNNERS.get(command)
     if runner is None:
         raise ValueError(f"manifest command {command!r} is not replayable")
     try:

@@ -41,6 +41,8 @@ def _resolve_schedule(horizon: MultiIndex, schedule) -> list[MultiIndex]:
 
 def _levels(a_grid: Sequence[float]) -> list[float]:
     grid = [float(a) for a in a_grid]
+    if not all(math.isfinite(a) for a in grid):
+        raise ValueError("a_grid levels must be finite")
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("a_grid must be nonempty and strictly increasing")
     if grid[0] < 0:
@@ -62,16 +64,27 @@ class TailEstimate:
         return self.value + 2.0 * self.stderr
 
 
-def _aggregate_sup(per_rep_avgs: np.ndarray, schedule) -> tuple[float, float, MultiIndex]:
-    """Replication-level estimate of max_n E(avg): mean/stderr at the argmax box."""
-    reps = per_rep_avgs.shape[0]
-    means = per_rep_avgs.mean(axis=0)
+def _schedule_sup(fld: np.ndarray, exact: bool, schedule) -> TailEstimate:
+    """sup over the schedule of Cesaro averages of a per-cell field.
+
+    An exact field (shape box) gives the argmax average. A realized field
+    (shape (reps,) + box) gives the replication mean at the box maximizing
+    it, with the stderr of that mean from the replication spread.
+    """
+    avgs = schedule_averages(fld, schedule)
+    if exact:
+        j = int(np.argmax(avgs))
+        return TailEstimate(float(avgs[j]), 0.0, "analytic", schedule[j])
+    reps = avgs.shape[0]
+    means = avgs.mean(axis=0)
     if reps > 1:
-        ses = per_rep_avgs.std(axis=0, ddof=1) / math.sqrt(reps)
+        ses = avgs.std(axis=0, ddof=1) / math.sqrt(reps)
     else:
         ses = np.zeros_like(means)
     j = int(np.argmax(means))
-    return float(means[j]), float(ses[j]), schedule[j]
+    return TailEstimate(
+        float(means[j]), float(ses[j]), "empirical", schedule[j], low_reps=reps < LOW_REPS_FLOOR
+    )
 
 
 def cesaro_tail_sup(
@@ -92,16 +105,10 @@ def cesaro_tail_sup(
     """
     if not (0 < p <= 1):
         raise ValueError("p must lie in (0, 1]")
-    if a < 0:
+    if not (a >= 0):
         raise ValueError("a must be >= 0")
     sched = _resolve_schedule(sample.box, schedule)
-    fld, exact = sample.expectations(Tail(p, a, ge))
-    avgs = schedule_averages(fld, sched)
-    if exact:
-        j = int(np.argmax(avgs))
-        return TailEstimate(float(avgs[j]), 0.0, "analytic", sched[j])
-    value, se, box = _aggregate_sup(avgs, sched)
-    return TailEstimate(value, se, "empirical", box, low_reps=sample.reps < LOW_REPS_FLOOR)
+    return _schedule_sup(*sample.expectations(Tail(p, a, ge)), sched)
 
 
 def cui_certificate(
@@ -117,7 +124,7 @@ def cui_certificate(
     Empirical estimates certify at point + 2*stderr; the grid and horizon are
     part of the verdict's meaning and must be disclosed with it.
     """
-    if eps <= 0:
+    if not (eps > 0):
         raise ValueError("eps must be > 0")
     grid = _levels(a_grid)
     sched = _resolve_schedule(sample.box, schedule)
@@ -136,9 +143,9 @@ def check_criterion_i(
 
 def derive_delta(eps: float, a0: float) -> float:
     """delta = eps / (2 a0), where a0 certifies the tail sup below eps/2."""
-    if eps <= 0:
+    if not (eps > 0):
         raise ValueError("eps must be > 0")
-    if a0 <= 0:
+    if not (a0 > 0):
         raise ValueError("a0 must be > 0")
     return eps / (2.0 * a0)
 
@@ -166,7 +173,7 @@ class EventArray:
             arr = np.asarray(self.probs, dtype=np.float64)
             if arr.shape != self.box.coords:
                 raise ValueError(f"probs shape {arr.shape} != box {self.box.coords}")
-            if arr.min() < 0 or arr.max() > 1:
+            if not np.all((0 <= arr) & (arr <= 1)):
                 raise ValueError("event probabilities must lie in [0, 1]")
             object.__setattr__(self, "probs", arr)
         if self.indicators is not None:
@@ -180,9 +187,9 @@ def markov_event_array(sample: NormSample, K: float, delta: float) -> EventArray
     """The events A_i = {||X_i|| >= K/delta} over the sample's box, used to
     recover CUI from the bounded-mean criterion; analytic probabilities when
     available, else the sample's realized indicators."""
-    if K <= 0:
+    if not (K > 0):
         raise ValueError("K must be > 0")
-    if delta <= 0:
+    if not (delta > 0):
         raise ValueError("delta must be > 0")
     t = K / delta
     fld, exact = sample.expectations(Tail(0.0, t, ge=True))
@@ -198,38 +205,28 @@ def markov_event_array(sample: NormSample, K: float, delta: float) -> EventArray
     )
 
 
-def _event_prob_sup(events: EventArray, schedule) -> tuple[float, float]:
+def _event_prob_sup(events: EventArray, schedule) -> TailEstimate:
     if events.probs is not None:
-        avgs = schedule_averages(events.probs, schedule)
-        return float(avgs.max()), 0.0
-    per_rep = schedule_averages(events.indicators.astype(np.float64), schedule)
-    value, se, _ = _aggregate_sup(per_rep, schedule)
-    return value, se
+        return _schedule_sup(events.probs, True, schedule)
+    return _schedule_sup(events.indicators.astype(np.float64), False, schedule)
 
 
-def _event_moment_sup(sample: NormSample, events: EventArray, schedule) -> tuple[float, float]:
+def _event_moment_sup(sample: NormSample, events: EventArray, schedule) -> TailEstimate:
     """Schedule sup of Cesaro-averaged E(||X_i|| 1(A_i)); `sample` is the
     caller's, over events.box."""
     if events.probs is not None and events.threshold is None:
         # events independent of the array (the adversarial construction uses
         # 0/1 probabilities, where independence is vacuous)
         fld, exact = sample.expectations(Tail(1.0, 0.0))
-        avgs = schedule_averages(events.probs * fld, schedule)
-        if exact:
-            return float(avgs.max()), 0.0
-        value, se, _ = _aggregate_sup(avgs, schedule)
-        return value, se
+        return _schedule_sup(events.probs * fld, exact, schedule)
     # threshold or realized events couple to the draw they were defined on
     seed = events.source_seed if events.source_seed is not None else sample.seed
     reps = events.source_reps or sample.reps
     if (seed, reps) != (sample.seed, sample.reps):
         sample = NormSample(sample.spec, events.box, seed, reps)
     if events.threshold is not None:
-        est = cesaro_tail_sup(sample, 1.0, events.threshold, schedule, events.ge)
-        return est.value, est.stderr
-    per_rep = schedule_averages(sample.norms() * events.indicators, schedule)
-    value, se, _ = _aggregate_sup(per_rep, schedule)
-    return value, se
+        return cesaro_tail_sup(sample, 1.0, events.threshold, schedule, events.ge)
+    return _schedule_sup(sample.norms() * events.indicators, False, schedule)
 
 
 @dataclass(frozen=True)
@@ -258,22 +255,22 @@ def check_event_criterion(
     arrays that miss the delta premise pass vacuously, since nothing is then
     asserted about their moments.
     """
-    if delta <= 0 or eps <= 0:
+    if not (delta > 0 and eps > 0):
         raise ValueError("delta and eps must be > 0")
     if sample.box != events.box:
         raise ValueError(f"sample box {sample.box} != event box {events.box}")
     sched = _resolve_schedule(events.box, schedule)
-    prob_sup, prob_se = _event_prob_sup(events, sched)
-    mom_sup, mom_se = _event_moment_sup(sample, events, sched)
-    premise = prob_sup + 2.0 * prob_se < delta
-    conclusion = mom_sup + 2.0 * mom_se < eps
+    prob = _event_prob_sup(events, sched)
+    mom = _event_moment_sup(sample, events, sched)
+    premise = prob.upper() < delta
+    conclusion = mom.upper() < eps
     return EventCriterionReport(
         delta=delta,
         eps=eps,
-        prob_sup=prob_sup,
-        prob_stderr=prob_se,
-        moment_sup=mom_sup,
-        moment_stderr=mom_se,
+        prob_sup=prob.value,
+        prob_stderr=prob.stderr,
+        moment_sup=mom.value,
+        moment_stderr=mom.stderr,
         premise_holds=premise,
         conclusion_holds=conclusion,
         verdict=(not premise) or conclusion,
@@ -286,7 +283,7 @@ def adversarial_event_array(
     """Greedy worst case for the small-event criterion over the sample's box:
     make the cells with the largest expected norms certain, as long as every
     schedule box keeps its event average strictly below delta."""
-    if delta <= 0:
+    if not (delta > 0):
         raise ValueError("delta must be > 0")
     horizon = sample.box
     sched = _resolve_schedule(horizon, schedule)
@@ -402,7 +399,7 @@ def verify_criterion_equivalence(
         )
 
     for eps in eps_list:
-        if eps <= 0:
+        if not (eps > 0):
             raise ValueError("eps must be > 0")
         a0 = cui_certificate(sample, 1.0, eps / 2.0, a_grid, sched)
         if a0 is None:

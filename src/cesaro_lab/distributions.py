@@ -222,9 +222,6 @@ class SpikedCuiFamily(_DeterministicFamily):
             s *= g
         return vals
 
-    def zero_mean(self, spec):
-        return False
-
     def is_cui(self, spec, p):
         # spike p-norms grow like g**(kp/2) against box size g**k, so the
         # Cesaro tail sup vanishes for every p < 2.

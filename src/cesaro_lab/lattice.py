@@ -75,10 +75,6 @@ class LatticeSample:
             raise ValueError("vector dimension D must be >= 1")
         object.__setattr__(self, "values", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
-
 
 def prefix_table(field: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Cumulative sums along each listed axis in turn (one sweep per axis)."""

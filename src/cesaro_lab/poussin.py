@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .cui import _aggregate_sup, _resolve_schedule, cesaro_tail_sup
+from .cui import TailEstimate, _resolve_schedule, _schedule_sup, cesaro_tail_sup
 from .distributions import NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
-from .lattice import MultiIndex, schedule_averages
+from .lattice import MultiIndex
 
 DEFAULT_SEARCH_CAP = 64
 
@@ -93,7 +93,7 @@ def phi_eval(phi: PhiFunction, t: float) -> float:
 
 def phi_eval_many(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
-    if ts.size and (ts.min() < 0.0 or ts.max() > phi.n_max):
+    if ts.size and not (ts.min() >= 0.0 and ts.max() <= phi.n_max):
         raise PhiDomainError(
             f"values outside domain [0, {phi.n_max}] (max seen: {ts.max()!r}); enlarge n_max"
         )
@@ -231,17 +231,9 @@ def build_phi_from_cui(
     )
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
-    value: float
-    stderr: float
-    mode: str
-    argmax_box: MultiIndex
-
-
 def poussin_moment_check(
     sample: NormSample, phi: PhiFunction, schedule: Optional[Sequence[MultiIndex]] = None
-) -> MomentEstimate:
+) -> TailEstimate:
     """Schedule sup of Cesaro-averaged E(phi(||X_i||)).
 
     Exact for families with fixed norms in analytic mode; Monte Carlo
@@ -249,13 +241,7 @@ def poussin_moment_check(
     n_max).
     """
     sched = _resolve_schedule(sample.box, schedule)
-    fld, exact = sample.expectations(lambda t: phi_eval_many(phi, t))
-    avgs = schedule_averages(fld, sched)
-    if exact:
-        j = int(np.argmax(avgs))
-        return MomentEstimate(float(avgs[j]), 0.0, "analytic", sched[j])
-    value, se, box = _aggregate_sup(avgs, sched)
-    return MomentEstimate(value, se, "empirical", box)
+    return _schedule_sup(*sample.expectations(lambda t: phi_eval_many(phi, t)), sched)
 
 
 @dataclass(frozen=True)
@@ -280,13 +266,12 @@ def poussin_forward_check(
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
     sched = _resolve_schedule(sample.box, schedule)
-    mom = poussin_moment_check(sample, phi, sched)
-    K = mom.value + 2.0 * mom.stderr
+    K = poussin_moment_check(sample, phi, sched).upper()
     levels = np.arange(1, phi.n_max + 1, dtype=np.float64)
     ratios = phi.prefix[1:] / levels
     out = []
     for eps in eps_list:
-        if eps <= 0:
+        if not (eps > 0):
             raise ValueError("eps must be > 0")
         target = (K + 1.0) / eps
         hits = np.nonzero(ratios >= target)[0]

@@ -116,6 +116,12 @@ class TestCheckCui:
         assert float(strict_rows[0][1]) == 0.0
         assert float(ge_rows[0][1]) == 1.0
 
+    @pytest.mark.parametrize("grid", ["nan", "1,nan", "inf"])
+    def test_non_finite_a_grid_is_a_usage_error(self, tmp_path, grid):
+        spec = write_spec(tmp_path, "constant", c=1.0)
+        code, _ = self.run(tmp_path, spec, a_grid=grid, horizon="8", reps="2")
+        assert code == 2
+
     def test_growing_tail_rises_with_horizon(self, tmp_path):
         spec = write_spec(tmp_path, "growing_non_cui", exponent=0.5)
         sups = []
@@ -359,6 +365,16 @@ class TestReplay:
         self.assert_identical_modulo_duration(
             first, second, ["cui_report.csv", "cui_report.json"]
         )
+
+    def test_oracle_check_replay(self, tmp_path):
+        first = tmp_path / "first"
+        code = cli.main(
+            ["oracle-check", "--trials", "5", "--seed", "3", "--out", str(first)]
+        )
+        assert code == 0
+        second = tmp_path / "second"
+        assert self.replay(first / "manifest.json", second) == 0
+        self.assert_identical_modulo_duration(first, second, ["oracle_report.json"])
 
     def test_bad_manifest_json(self, tmp_path):
         bad = tmp_path / "manifest.json"

@@ -20,6 +20,7 @@ from cesaro_lab.cui import (
 )
 from cesaro_lab.distributions import DistributionSpec, NormSample, norm_batch
 from cesaro_lab.lattice import MultiIndex
+from cesaro_lab.poussin import PhiFunction, phi_eval_many, poussin_forward_check
 
 
 def spec_of(family, d=1, mode="analytic", **params):
@@ -322,3 +323,107 @@ class TestCuiReport:
     def test_default_grid_is_disclosed(self):
         report = build_cui_report(NormSample(CONSTANT, MultiIndex((64,))), 1.0)
         assert report.a_grid == tuple(float(a) for a in DEFAULT_A_GRID)
+
+
+NAN = math.nan
+SMALL = NormSample(CONSTANT, MultiIndex((8,)))
+HEAVY = NormSample(
+    spec_of("pareto_radial", alpha=0.5, mode="empirical"), MultiIndex((64,)), seed=1, reps=20
+)
+NO_EVENTS = EventArray(MultiIndex((8,)), probs=np.zeros(8))
+GROWING_64 = NormSample(GROWING, MultiIndex((64,)))
+PHI = PhiFunction([1, 2, 3])
+
+
+# Every check is written so that NaN fails it: `x <= 0` would let NaN through.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: cesaro_tail_sup(SMALL, 1.0, NAN), "a must be", id="tail_sup_a"),
+        pytest.param(
+            lambda: cui_certificate(SMALL, 1.0, NAN), "eps must be", id="certificate_eps"
+        ),
+        pytest.param(
+            lambda: cui_certificate(GROWING_64, 1.0, 0.5, [NAN]),
+            "finite",
+            id="certificate_grid_growing",
+        ),
+        pytest.param(
+            lambda: cui_certificate(HEAVY, 1.0, 0.5, [NAN]),
+            "finite",
+            id="certificate_grid_pareto_empirical",
+        ),
+        pytest.param(
+            lambda: cui_certificate(GROWING_64, 1.0, 0.5, [math.inf]),
+            "finite",
+            id="certificate_grid_inf",
+        ),
+        pytest.param(
+            lambda: build_cui_report(SMALL, 1.0, a_grid=[1.0, NAN]), "finite", id="report_grid"
+        ),
+        pytest.param(lambda: derive_delta(NAN, 1.0), "eps must be", id="delta_eps"),
+        pytest.param(lambda: derive_delta(0.5, NAN), "a0 must be", id="delta_a0"),
+        pytest.param(lambda: markov_event_array(SMALL, NAN, 0.5), "K must be", id="markov_K"),
+        pytest.param(
+            lambda: markov_event_array(SMALL, 1.0, NAN), "delta must be", id="markov_delta"
+        ),
+        pytest.param(
+            lambda: check_event_criterion(SMALL, NO_EVENTS, NAN, 0.5),
+            "delta and eps",
+            id="event_criterion_delta",
+        ),
+        pytest.param(
+            lambda: check_event_criterion(SMALL, NO_EVENTS, 0.5, NAN),
+            "delta and eps",
+            id="event_criterion_eps",
+        ),
+        pytest.param(
+            lambda: adversarial_event_array(SMALL, NAN), "delta must be", id="adversarial_delta"
+        ),
+        pytest.param(
+            lambda: EventArray(MultiIndex((2,)), probs=[NAN, 0.5]), r"\[0, 1\]", id="event_probs"
+        ),
+        pytest.param(
+            lambda: verify_criterion_equivalence(SMALL, [NAN]), "eps must be", id="equivalence_eps"
+        ),
+        pytest.param(
+            lambda: poussin_forward_check(SMALL, PHI, [NAN]),
+            "eps must be",
+            id="poussin_forward_eps",
+        ),
+        pytest.param(lambda: phi_eval_many(PHI, [1.0, NAN]), "outside domain", id="phi_norms"),
+    ],
+)
+def test_nan_fails_range_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_infinite_tail_level_stays_legal():
+    # the reverse direction queries a = K/delta, which is inf when K is
+    assert cesaro_tail_sup(SMALL, 1.0, math.inf).value == 0.0
+
+
+class TestOneEstimator:
+    def test_event_criterion_reads_upper(self, monkeypatch):
+        full = EventArray(MultiIndex((8,)), probs=np.ones(8))
+        # premise and conclusion both fail on their own: prob 1 >= 0.5, moment 1 >= 1e-9
+        rep = check_event_criterion(SMALL, full, delta=0.5, eps=1e-9)
+        assert not rep.premise_holds and not rep.conclusion_holds
+        monkeypatch.setattr(cui.TailEstimate, "upper", lambda self: -math.inf)
+        rep = check_event_criterion(SMALL, full, delta=0.5, eps=1e-9)
+        assert rep.premise_holds and rep.conclusion_holds
+        assert (rep.prob_sup, rep.moment_sup) == (1.0, 1.0)
+
+    def test_realized_events_report_the_argmax_stderr(self):
+        spec = spec_of("pareto_radial", alpha=3.0, mode="empirical")
+        box = MultiIndex((64,))
+        sample = NormSample(spec, box, seed=2, reps=40)
+        indicators = sample.norms() >= 1.5
+        ev = EventArray(box, indicators=indicators, source_seed=2, source_reps=40)
+        rep = check_event_criterion(sample, ev, delta=0.9, eps=5.0)
+        sched = cui._resolve_schedule(box, None)
+        avgs = np.stack([indicators[:, : b.coords[0]].mean(axis=1) for b in sched], axis=1)
+        j = int(np.argmax(avgs.mean(axis=0)))
+        assert rep.prob_sup == pytest.approx(avgs[:, j].mean(), rel=1e-12)
+        assert rep.prob_stderr == pytest.approx(avgs[:, j].std(ddof=1) / math.sqrt(40), rel=1e-12)

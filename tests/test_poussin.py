@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cesaro_lab.cui as cui
 from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.errors import HorizonTooSmallError, PhiDomainError
 from cesaro_lab.lattice import MultiIndex
@@ -268,3 +269,23 @@ class TestConstruction:
             poussin_forward_check(sample, built.phi, [])
         with pytest.raises(ValueError):
             poussin_forward_check(sample, built.phi, [-0.5])
+
+
+class TestOneEstimator:
+    def test_empirical_moment_check_flags_low_reps(self):
+        phi = PhiFunction(u_from_thresholds([1, 2, 4], 64))
+        gauss = spec_of("iid_gaussian", sigma=1.0)
+        few = poussin_moment_check(NormSample(gauss, MultiIndex((64,)), seed=0, reps=5), phi)
+        assert isinstance(few, cui.TailEstimate)
+        assert few.mode == "empirical" and few.low_reps
+        assert not poussin_moment_check(
+            NormSample(gauss, MultiIndex((64,)), seed=0, reps=50), phi
+        ).low_reps
+
+    def test_forward_check_K_reads_upper(self, monkeypatch):
+        sample = NormSample(CONSTANT, MultiIndex((64,)))
+        built = build_phi_from_cui(sample, j_max=8)
+        monkeypatch.setattr(cui.TailEstimate, "upper", lambda self: self.value + 0.5)
+        checks = poussin_forward_check(sample, built.phi, [0.5, 0.25])
+        K = poussin_moment_check(sample, built.phi).value + 0.5
+        assert [c.K for c in checks] == [K, K]
