@@ -29,7 +29,6 @@ from . import convergence, cui, poussin, rng
 from .distributions import DistributionSpec, NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 from .lattice import (
-    LatticeSample,
     MultiIndex,
     dyadic_square_schedule,
     prefix_sums_bruteforce,
@@ -278,7 +277,6 @@ def run_converge(config: dict, out_dir: Path) -> int:
         n_schedule=schedule,
         reps=config["reps"],
         seed=config["seed"],
-        center=(mode == "l1"),
         bound_params=bound_params,
     )
     if mode == "lp":
@@ -356,7 +354,7 @@ def _prefix_case(trial: int, seed: int, inject_fault: bool) -> Optional[dict]:
     fast = prefix_table(values, range(d))
     if inject_fault and trial == 0:
         fast.flat[0] += 1.0
-    brute = prefix_sums_bruteforce(LatticeSample(box, values))
+    brute = prefix_sums_bruteforce(values)
     # M_k = max_{j <= k} ||S_j|| at every k, as the block max of brute norms
     norms = np.sqrt((brute * brute).sum(axis=-1))
     m_brute = np.empty_like(norms)
@@ -506,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--horizon", default="4096", help="box, e.g. 4096 or 64x64")
     pc.add_argument("--reps", type=int, default=200)
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--ge", action="store_true", help="use ||X|| >= a indicators")
+    pc.add_argument("--ge", action="store_true", help="use the indicator 1(||X|| >= a)")
     pc.add_argument("--out", required=True, help="output directory")
     pc.set_defaults(func=cmd_check_cui)
 

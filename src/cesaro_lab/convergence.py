@@ -41,7 +41,6 @@ class ExperimentConfig:
     n_schedule: tuple[MultiIndex, ...]
     reps: int
     seed: int
-    center: bool = False
     bound_params: Optional[BoundParams] = None
 
     def __post_init__(self):
@@ -77,9 +76,7 @@ class ConvergenceSeries:
     p: float
     reps: int
     seed: int
-    center: bool
     centering: Optional[str]  # None | "analytic" | "plugin"
-    pairwise_warning: bool
     low_reps: bool
     spec_json: dict
     points: tuple[SeriesPoint, ...]
@@ -100,9 +97,10 @@ class ConvergenceSeries:
             "p": self.p,
             "reps": self.reps,
             "seed": self.seed,
-            "center": self.center,
+            "center": self.mode == "l1",
             "centering": self.centering,
-            "pairwise_warning": self.pairwise_warning,
+            # every family is pairwise independent; the key keeps the file's shape
+            "pairwise_warning": False,
             "low_reps": self.low_reps,
             "spec": self.spec_json,
             "points": [
@@ -187,7 +185,7 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     return m, se
 
 
-def _series(cfg, mode, centering, values, bound, pairwise_warning=False) -> ConvergenceSeries:
+def _series(cfg, mode, centering, values, bound) -> ConvergenceSeries:
     """Per schedule box n, the mean and stderr over reps of values(M_n, n),
     and the envelope bound(bound_params, n) with its verdict when cfg has one."""
     points = []
@@ -204,9 +202,7 @@ def _series(cfg, mode, centering, values, bound, pairwise_warning=False) -> Conv
         p=cfg.p if mode == "lp" else 1.0,
         reps=cfg.reps,
         seed=cfg.seed,
-        center=mode == "l1",
         centering=centering,
-        pairwise_warning=pairwise_warning,
         low_reps=cfg.reps < dist.LOW_REPS_FLOOR,
         spec_json=cfg.spec.to_json(),
         points=tuple(points),
@@ -217,8 +213,6 @@ def run_lp_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     """Moments E[(M_n / |n|^(1/p))^p] along the schedule, 0 < p < 1, uncentered."""
     if not (0 < cfg.p < 1):
         raise ValueError("lp mode needs 0 < p < 1")
-    if cfg.center:
-        raise ValueError("lp mode is uncentered; use run_l1_experiment to center")
     return _series(
         cfg, "lp", None,
         values=lambda M, n: (M / n.size ** (1.0 / cfg.p)) ** cfg.p,
@@ -230,13 +224,10 @@ def run_l1_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     """Centered moments E[max_k ||S_k - E S_k||] / |n| along the schedule.
 
     Centers with the family's analytic means when available, otherwise with
-    the plug-in per-cell grand mean across replications; a family without the
-    pairwise independence flag yields a warning in the series, not an error.
+    the plug-in per-cell grand mean across replications.
     """
     if cfg.p != 1.0:
         raise ValueError("l1 mode fixes p = 1")
-    if not cfg.center:
-        raise ValueError("l1 mode centers; set center=True")
     if cfg.bound_params is not None and cfg.bound_params.C is None:
         raise ValueError("l1 bound needs C in bound_params")
     centering = "plugin" if dist.mean(cfg.spec, cfg.n_schedule[-1]) is None else "analytic"
@@ -244,7 +235,6 @@ def run_l1_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
         cfg, "l1", centering,
         values=lambda M, n: M / n.size,
         bound=lambda bp, n: bound_eq27(bp.a, bp.C, n),
-        pairwise_warning=not dist.pairwise_independent(cfg.spec),
     )
 
 
@@ -265,13 +255,12 @@ def moricz_ratio(
 ) -> list[MoriczPoint]:
     """Observed E[max_k ||S_k||^2] against log^2(2 n_1)...log^2(2 n_d) sum E||X_i||^2.
 
-    Requires a zero-mean, pairwise independent family with closed-form finite
-    second moments; the maximal constant is whatever the data shows.
+    Requires a zero-mean family with closed-form finite second moments (every
+    family is pairwise independent); the maximal constant is whatever the data
+    shows.
     """
     if not dist.zero_mean(spec):
         raise ValueError("moricz_ratio needs a zero-mean family")
-    if not dist.pairwise_independent(spec):
-        raise ValueError("moricz_ratio needs a pairwise independent family")
     sched = list(n_schedule)
     if not sched:
         raise ValueError("n_schedule must be nonempty")

@@ -14,7 +14,7 @@ horizon and schedule it was computed on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,7 +117,6 @@ def cui_certificate(
     eps: float,
     a_grid: Sequence[float] = DEFAULT_A_GRID,
     schedule: Optional[Sequence[MultiIndex]] = None,
-    ge: bool = False,
 ) -> Optional[float]:
     """Smallest grid level whose tail sup is certified below eps, else None.
 
@@ -129,7 +128,7 @@ def cui_certificate(
     grid = _levels(a_grid)
     sched = _resolve_schedule(sample.box, schedule)
     for a in grid:
-        if cesaro_tail_sup(sample, p, a, sched, ge).upper() < eps:
+        if cesaro_tail_sup(sample, p, a, sched).upper() < eps:
             return a
     return None
 
@@ -152,81 +151,58 @@ def derive_delta(eps: float, a0: float) -> float:
 
 @dataclass(frozen=True)
 class EventArray:
-    """Per-cell events over a box: probabilities, or realized indicators.
-
-    threshold records events of the form {||X_i|| >= t} (ge=False for the
-    strict variant); moment evaluations then couple to the same family draw.
+    """Per-cell events over a box: probabilities independent of the array, or
+    the threshold events {||X_i|| >= threshold} (ge=False for the strict
+    variant), which are read off the sample the criterion is checked on.
+    Exactly one of probs and threshold is set.
     """
 
     box: MultiIndex
     probs: Optional[np.ndarray] = None  # shape box.coords, values in [0,1]
-    indicators: Optional[np.ndarray] = None  # shape (reps,) + box.coords, bool
     threshold: Optional[float] = None
     ge: bool = True
-    source_seed: Optional[int] = None
-    source_reps: Optional[int] = None
 
     def __post_init__(self):
-        if self.probs is None and self.indicators is None:
-            raise ValueError("an event array needs probs or realized indicators")
-        if self.probs is not None:
-            arr = np.asarray(self.probs, dtype=np.float64)
-            if arr.shape != self.box.coords:
-                raise ValueError(f"probs shape {arr.shape} != box {self.box.coords}")
-            if not np.all((0 <= arr) & (arr <= 1)):
-                raise ValueError("event probabilities must lie in [0, 1]")
-            object.__setattr__(self, "probs", arr)
-        if self.indicators is not None:
-            arr = np.asarray(self.indicators, dtype=bool)
-            if arr.ndim != self.box.d + 1 or arr.shape[1:] != self.box.coords:
-                raise ValueError("indicators must have shape (reps,) + box")
-            object.__setattr__(self, "indicators", arr)
+        if (self.probs is None) == (self.threshold is None):
+            raise ValueError("an event array needs exactly one of probs or threshold")
+        if self.threshold is not None:
+            if not (self.threshold >= 0):
+                raise ValueError("event threshold must be >= 0")
+            return
+        arr = np.asarray(self.probs, dtype=np.float64)
+        if arr.shape != self.box.coords:
+            raise ValueError(f"probs shape {arr.shape} != box {self.box.coords}")
+        if not np.all((0 <= arr) & (arr <= 1)):
+            raise ValueError("event probabilities must lie in [0, 1]")
+        object.__setattr__(self, "probs", arr)
 
 
 def markov_event_array(sample: NormSample, K: float, delta: float) -> EventArray:
     """The events A_i = {||X_i|| >= K/delta} over the sample's box, used to
-    recover CUI from the bounded-mean criterion; analytic probabilities when
-    available, else the sample's realized indicators."""
+    recover CUI from the bounded-mean criterion."""
     if not (K > 0):
         raise ValueError("K must be > 0")
     if not (delta > 0):
         raise ValueError("delta must be > 0")
-    t = K / delta
-    fld, exact = sample.expectations(Tail(0.0, t, ge=True))
-    if exact:
-        return EventArray(sample.box, probs=fld, threshold=t, ge=True)
-    return EventArray(
-        sample.box,
-        indicators=fld,
-        threshold=t,
-        ge=True,
-        source_seed=sample.seed,
-        source_reps=sample.reps,
-    )
+    return EventArray(sample.box, threshold=K / delta)
 
 
-def _event_prob_sup(events: EventArray, schedule) -> TailEstimate:
-    if events.probs is not None:
-        return _schedule_sup(events.probs, True, schedule)
-    return _schedule_sup(events.indicators.astype(np.float64), False, schedule)
-
-
-def _event_moment_sup(sample: NormSample, events: EventArray, schedule) -> TailEstimate:
-    """Schedule sup of Cesaro-averaged E(||X_i|| 1(A_i)); `sample` is the
-    caller's, over events.box."""
-    if events.probs is not None and events.threshold is None:
-        # events independent of the array (the adversarial construction uses
-        # 0/1 probabilities, where independence is vacuous)
-        fld, exact = sample.expectations(Tail(1.0, 0.0))
-        return _schedule_sup(events.probs * fld, exact, schedule)
-    # threshold or realized events couple to the draw they were defined on
-    seed = events.source_seed if events.source_seed is not None else sample.seed
-    reps = events.source_reps or sample.reps
-    if (seed, reps) != (sample.seed, sample.reps):
-        sample = NormSample(sample.spec, events.box, seed, reps)
+def _event_sups(
+    sample: NormSample, events: EventArray, schedule
+) -> tuple[TailEstimate, TailEstimate]:
+    """Schedule sups of Cesaro-averaged P(A_i) and E(||X_i|| 1(A_i)), both
+    from the caller's sample over events.box."""
     if events.threshold is not None:
-        return cesaro_tail_sup(sample, 1.0, events.threshold, schedule, events.ge)
-    return _schedule_sup(sample.norms() * events.indicators, False, schedule)
+        t, ge = events.threshold, events.ge
+        prob = _schedule_sup(*sample.expectations(Tail(0.0, t, ge)), schedule)
+        return prob, cesaro_tail_sup(sample, 1.0, t, schedule, ge)
+    # events independent of the array (the adversarial construction uses 0/1
+    # probabilities, where independence is vacuous); a cell of probability 0
+    # contributes 0 even where E||X_i|| is infinite
+    fld, exact = sample.expectations(Tail(1.0, 0.0))
+    moments = np.zeros(np.broadcast(events.probs, fld).shape)
+    np.multiply(events.probs, fld, out=moments, where=events.probs > 0)
+    return _schedule_sup(events.probs, True, schedule), _schedule_sup(moments, exact, schedule)
 
 
 @dataclass(frozen=True)
@@ -260,8 +236,7 @@ def check_event_criterion(
     if sample.box != events.box:
         raise ValueError(f"sample box {sample.box} != event box {events.box}")
     sched = _resolve_schedule(events.box, schedule)
-    prob = _event_prob_sup(events, sched)
-    mom = _event_moment_sup(sample, events, sched)
+    prob, mom = _event_sups(sample, events, sched)
     premise = prob.upper() < delta
     conclusion = mom.upper() < eps
     return EventCriterionReport(
@@ -518,16 +493,12 @@ class CuiReport:
 
 
 def build_cui_report(
-    sample: NormSample,
-    p: float,
-    a_grid: Sequence[float] = DEFAULT_A_GRID,
-    schedule: Optional[Sequence[MultiIndex]] = None,
-    ge: bool = False,
+    sample: NormSample, p: float, a_grid: Sequence[float] = DEFAULT_A_GRID, ge: bool = False
 ) -> CuiReport:
     """Tail sups at every grid level and the first-moment sup, all over the
-    sample's box."""
+    dyadic boxes of the sample's box."""
     grid = _levels(a_grid)
-    sched = _resolve_schedule(sample.box, schedule)
+    sched = dyadic_boxes(sample.box)
     ests = [cesaro_tail_sup(sample, p, a, sched, ge) for a in grid]
     mean_est = check_criterion_i(sample, sched)
     return CuiReport(

@@ -1,22 +1,21 @@
 """Named generative families of lattice vector arrays.
 
-Each family documents its dependence structure and whether the p-th power
-norms are Cesaro uniformly integrable. Every closed form sits behind one
-per-family norm law: `fixed_norms` gives the cell norms when they are not
-random, and `expect` gives E g(||X_i||) for a norm functional g where the
-family admits it. `NormSample.expectations` is the one place that chooses
-between that closed form and Monte Carlo; a `NormSample` draws its norms at
-most once and answers every query from that one draw. Samplers are pure
-functions of (spec, box, seed): cell i draws from a counter-based stream
-keyed by (seed, i), so enlarging a box never changes previously generated
-cells. Every family but iid_gaussian takes its values on one line, s_i e1,
-and samples them as one column: the norms in R^dim_D are the same, so
-dim_D shapes only iid_gaussian.
+Each family's docstring states its dependence structure and whether its
+p-th power norms are Cesaro uniformly integrable. Every closed form sits
+behind one per-family norm law: `fixed_norms` gives the cell norms when
+they are not random, and `expect` gives E g(||X_i||) for a norm functional
+g where the family admits it. `NormSample.expectations` is the one place
+that chooses between that closed form and Monte Carlo; a `NormSample` draws
+its norms at most once and answers every query from that one draw. Samplers
+are pure functions of (spec, box, seed): cell i draws from a counter-based
+stream keyed by (seed, i), so enlarging a box never changes previously
+generated cells. Every family but iid_gaussian takes its values on one
+line, s_i e1, and samples them as one column: the norms in R^dim_D are the
+same, so dim_D shapes only iid_gaussian.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import rng
-from .lattice import LatticeSample, MultiIndex
+from .lattice import MultiIndex
 
 MOMENT_MODES = ("analytic", "empirical")
 LOW_REPS_FLOOR = 30  # Monte Carlo answers from fewer replications are flagged
@@ -76,10 +75,6 @@ class DistributionSpec:
             moment_mode=obj.get("moment_mode", "analytic"),
         )
 
-    @classmethod
-    def from_json_str(cls, text: str) -> "DistributionSpec":
-        return cls.from_json(json.loads(text))
-
 
 def _coord_grids(box: MultiIndex) -> list[np.ndarray]:
     """Sparse coordinate grids with a leading replication axis slot."""
@@ -117,7 +112,6 @@ class Family:
 
     name: str = ""
     max_d: int | None = None
-    pairwise_independent: bool = True
     defaults: dict[str, float] = {}
 
     def validate(self, spec: DistributionSpec) -> None:
@@ -131,9 +125,6 @@ class Family:
 
     def zero_mean(self, spec: DistributionSpec) -> bool:
         return False
-
-    def is_cui(self, spec: DistributionSpec, p: float) -> bool:
-        raise NotImplementedError
 
     # --- norm law -------------------------------------------------------
     def fixed_norms(self, spec, box: MultiIndex) -> np.ndarray | None:
@@ -182,6 +173,8 @@ class _DeterministicFamily(Family):
 
 
 class ConstantFamily(_DeterministicFamily):
+    """Every cell is c e1: bounded norms, so Cesaro-UI for every p."""
+
     name = "constant"
     defaults = {"c": 1.0}
 
@@ -191,13 +184,12 @@ class ConstantFamily(_DeterministicFamily):
     def zero_mean(self, spec):
         return float(spec.param("c")) == 0.0
 
-    def is_cui(self, spec, p):
-        return True
-
 
 class SpikedCuiFamily(_DeterministicFamily):
     """d=1 array that is Cesaro-UI but not plain-UI: cells vanish except at
-    indices gap_base**k, where the norm is sqrt(index)."""
+    indices gap_base**k, where the norm is sqrt(index). Spike p-norms grow like
+    g**(kp/2) against box size g**k, so the Cesaro tail sup vanishes for every
+    p < 2."""
 
     name = "spiked_cui"
     max_d = 1
@@ -222,14 +214,10 @@ class SpikedCuiFamily(_DeterministicFamily):
             s *= g
         return vals
 
-    def is_cui(self, spec, p):
-        # spike p-norms grow like g**(kp/2) against box size g**k, so the
-        # Cesaro tail sup vanishes for every p < 2.
-        return 0 < p < 2
-
 
 class GrowingNonCuiFamily(_DeterministicFamily):
-    """d=1 deterministic norms i**exponent; Cesaro tail averages diverge."""
+    """d=1 deterministic norms i**exponent; Cesaro tail averages diverge, so
+    the array is not Cesaro-UI for any p."""
 
     name = "growing_non_cui"
     max_d = 1
@@ -245,12 +233,10 @@ class GrowingNonCuiFamily(_DeterministicFamily):
         n = box.coords[0]
         return np.arange(1, n + 1, dtype=np.float64) ** float(spec.param("exponent"))
 
-    def is_cui(self, spec, p):
-        return False
-
 
 class ParetoRadialFamily(Family):
-    """iid cells: norm ~ Pareto(alpha) on [1, inf), direction = first basis vector."""
+    """iid cells: norm ~ Pareto(alpha) on [1, inf), direction = first basis
+    vector. Cesaro-UI for the p-th power exactly when alpha > p."""
 
     name = "pareto_radial"
     defaults = {"alpha": 3.0}
@@ -259,9 +245,6 @@ class ParetoRadialFamily(Family):
         super().validate(spec)
         if spec.param("alpha") <= 0:
             raise ValueError("alpha must be > 0")
-
-    def is_cui(self, spec, p):
-        return spec.param("alpha") > p
 
     def norm_values(self, spec, box, starts):
         keys = rng.cell_keys(starts, _coord_grids(box))
@@ -290,7 +273,9 @@ class ParetoRadialFamily(Family):
 
 
 class IidGaussianFamily(Family):
-    """iid cells with D independent N(0, sigma^2) coefficients."""
+    """iid cells with D independent N(0, sigma^2) coefficients: identically
+    distributed with finite moments, hence uniformly integrable, hence
+    Cesaro-UI."""
 
     name = "iid_gaussian"
     defaults = {"sigma": 1.0}
@@ -301,11 +286,6 @@ class IidGaussianFamily(Family):
             raise ValueError("sigma must be > 0")
 
     def zero_mean(self, spec):
-        return True
-
-    def is_cui(self, spec, p):
-        # identically distributed with finite moments, hence uniformly
-        # integrable, hence Cesaro-UI.
         return True
 
     def vectors(self, spec, box, starts):
@@ -321,15 +301,13 @@ class IidGaussianFamily(Family):
 
 
 class IidRademacherFamily(Family):
-    """iid signs: cells are +-1 times the first basis vector."""
+    """iid signs: cells are +-1 times the first basis vector; unit norms, so
+    Cesaro-UI."""
 
     name = "iid_rademacher"
     defaults: dict[str, float] = {}
 
     def zero_mean(self, spec):
-        return True
-
-    def is_cui(self, spec, p):
         return True
 
     def fixed_norms(self, spec, box):
@@ -361,7 +339,8 @@ class PairwiseRademacherFamily(Family):
 
     Each block of 2^m - 1 consecutive cells carries the subset products of m
     fresh independent signs; blocks are mutually independent, so the whole
-    array stays pairwise independent with zero mean and unit norms.
+    array stays pairwise independent with zero mean and unit norms, and
+    bounded norms make it Cesaro-UI.
     """
 
     name = "pairwise_rademacher"
@@ -375,9 +354,6 @@ class PairwiseRademacherFamily(Family):
             raise ValueError("m must be an integer in [2, 20]")
 
     def zero_mean(self, spec):
-        return True
-
-    def is_cui(self, spec, p):
         return True
 
     def fixed_norms(self, spec, box):
@@ -435,23 +411,15 @@ def _checked_family(spec: DistributionSpec, box: MultiIndex) -> Family:
     return fam
 
 
-def sample_array(spec: DistributionSpec, n: MultiIndex, seed: int = 0) -> LatticeSample:
-    """One realized array over the box [1, n], cells keyed by (seed, i)."""
-    fam = _checked_family(spec, n)
-    starts = np.array([rng.as_seed(seed)], dtype=np.uint64).reshape((1,) + (1,) * n.d)
-    vals = fam.vectors(spec, n, starts)[0]
-    return LatticeSample(n, vals)
-
-
 def sample_batch(
     spec: DistributionSpec, n: MultiIndex, seed: int, reps: int, first_rep: int = 0
 ) -> np.ndarray:
     """`reps` independent arrays, shape (reps,) + n.coords + (1,), or
     (reps,) + n.coords + (dim_D,) for iid_gaussian.
 
-    Row r is replication first_rep + r, drawn from derive_seed(seed,
-    first_rep + r): it equals sample_array(spec, n, that seed).values, so
-    batches drawn in chunks of reps stack into the batch drawn at once.
+    Row r is replication first_rep + r, its cells keyed by (derive_seed(seed,
+    first_rep + r), i), so batches drawn in chunks of reps stack into the
+    batch drawn at once.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -522,14 +490,6 @@ class NormSample:
             if fld is not None:
                 return fld, True
         return g(self.norms()), False
-
-
-def is_cui(spec, p: float) -> bool:
-    return get_family(spec.family).is_cui(spec, p)
-
-
-def pairwise_independent(spec) -> bool:
-    return get_family(spec.family).pairwise_independent
 
 
 def zero_mean(spec) -> bool:

@@ -57,25 +57,6 @@ def leq(m: MultiIndex, n: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(m.coords, n.coords))
 
 
-@dataclass(frozen=True)
-class LatticeSample:
-    """A dense array of D-dimensional vectors over the box [1, box]."""
-
-    box: MultiIndex
-    values: np.ndarray  # shape box.coords + (D,), float64, C order
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        expected = self.box.coords
-        if arr.ndim != self.box.d + 1 or arr.shape[: self.box.d] != expected:
-            raise ValueError(
-                f"values shape {arr.shape} does not match box {expected} + (D,)"
-            )
-        if arr.shape[-1] < 1:
-            raise ValueError("vector dimension D must be >= 1")
-        object.__setattr__(self, "values", arr)
-
-
 def prefix_table(field: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Cumulative sums along each listed axis in turn (one sweep per axis)."""
     out = np.array(field, dtype=np.float64, copy=True)
@@ -84,17 +65,17 @@ def prefix_table(field: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return out
 
 
-def prefix_sums_bruteforce(sample: LatticeSample) -> np.ndarray:
-    """Reference oracle: direct summation over {i : i <= k} for each k independently."""
-    if sample.box.size > BRUTE_FORCE_CELL_CAP:
-        raise ValueError(
-            f"brute-force oracle capped at {BRUTE_FORCE_CELL_CAP} cells, got {sample.box.size}"
-        )
-    d = sample.box.d
-    out = np.empty_like(sample.values)
-    for idx in np.ndindex(*sample.box.coords):
-        block = sample.values[tuple(slice(0, c + 1) for c in idx)]
-        out[idx] = block.sum(axis=tuple(range(d)))
+def prefix_sums_bruteforce(values: np.ndarray) -> np.ndarray:
+    """Reference oracle: direct summation over {i : i <= k} for each k
+    independently, for an array of D-vectors of shape box + (D,)."""
+    box = values.shape[:-1]
+    cells = math.prod(box)
+    if cells > BRUTE_FORCE_CELL_CAP:
+        raise ValueError(f"brute-force oracle capped at {BRUTE_FORCE_CELL_CAP} cells, got {cells}")
+    out = np.empty_like(values, dtype=np.float64)
+    for idx in np.ndindex(*box):
+        block = values[tuple(slice(0, c + 1) for c in idx)]
+        out[idx] = block.sum(axis=tuple(range(len(box))))
     return out
 
 
@@ -145,12 +126,12 @@ def dyadic_boxes(horizon: MultiIndex) -> list[MultiIndex]:
     return boxes
 
 
-def dyadic_square_schedule(d: int, max_total: int = 4096, min_side: int = 2) -> list[MultiIndex]:
-    """Experiment schedule: cubes (s, ..., s) with dyadic side, |n| <= max_total."""
+def dyadic_square_schedule(d: int, max_total: int = 4096) -> list[MultiIndex]:
+    """Experiment schedule: cubes (s, ..., s) with dyadic side s >= 2, |n| <= max_total."""
     if d < 1:
         raise ValueError("d must be >= 1")
     out = []
-    s = min_side
+    s = 2
     while s**d <= max_total:
         out.append(MultiIndex((s,) * d))
         s *= 2

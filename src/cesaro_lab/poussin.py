@@ -17,12 +17,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .cui import TailEstimate, _resolve_schedule, _schedule_sup, cesaro_tail_sup
+from .cui import TailEstimate, _schedule_sup, cesaro_tail_sup
 from .distributions import NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
-from .lattice import MultiIndex
+from .lattice import dyadic_boxes
 
 DEFAULT_SEARCH_CAP = 64
+# phi(t)/t -> infinity, checked on a finite domain: the end ratio must reach this
+GROWTH_FLOOR = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,12 +58,6 @@ class PhiFunction:
 
     def to_json(self) -> dict:
         return {"u": [int(v) for v in self.u]}
-
-    @classmethod
-    def from_json(cls, obj) -> "PhiFunction":
-        if "u" not in obj:
-            raise ValueError("phi serialization must contain 'u'")
-        return cls(obj["u"])
 
 
 def u_from_thresholds(thresholds: Sequence[int], n_max: int) -> np.ndarray:
@@ -120,41 +116,33 @@ class PhiPropertyReport:
         )
 
 
-def verify_phi_properties(
-    phi: PhiFunction,
-    grid: Optional[np.ndarray] = None,
-    growth_floor: float = 0.1,
-) -> PhiPropertyReport:
+def verify_phi_properties(phi: PhiFunction) -> PhiPropertyReport:
     """Check phi(0)=0, convexity via nondecreasing slopes, monotone phi(t)/t
-    along the grid, and that the end ratio clears a configured growth floor
-    (a finite-domain stand-in for phi(t)/t -> infinity)."""
-    if grid is None:
-        grid = np.arange(1, phi.n_max + 1, dtype=np.float64)
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ValueError("grid must be nonempty and positive")
+    at the integers 1..n_max, and that the end ratio clears GROWTH_FLOOR (a
+    finite-domain stand-in for phi(t)/t -> infinity)."""
+    grid = np.arange(1, phi.n_max + 1, dtype=np.float64)
     ratios = phi_eval_many(phi, grid) / grid
     slack = 1e-12 * np.maximum(1.0, np.abs(ratios[:-1]))
     return PhiPropertyReport(
         zero_at_zero=phi_eval(phi, 0.0) == 0.0,
         slopes_nondecreasing=bool(np.all(np.diff(phi.u) >= 0)),
         ratio_nondecreasing=bool(np.all(np.diff(ratios) >= -slack)),
-        growth_attained=bool(ratios[-1] >= growth_floor),
+        growth_attained=bool(ratios[-1] >= GROWTH_FLOOR),
         end_ratio=float(ratios[-1]),
-        growth_floor=growth_floor,
+        growth_floor=GROWTH_FLOOR,
     )
 
 
 def thresholds_from_cui(
-    sample: NormSample,
-    p: float = 1.0,
-    schedule: Optional[Sequence[MultiIndex]] = None,
-    j_max: int = 8,
-    search_cap: int = DEFAULT_SEARCH_CAP,
+    sample: NormSample, j_max: int = 8, search_cap: int = DEFAULT_SEARCH_CAP
 ) -> tuple[int, ...]:
-    """Minimal strictly increasing integer levels N_j with tail sup
-    (indicator ||X|| >= N_j) at or below 2^-j, searched up to `search_cap`.
-    Every bisection probe is a tail query on the one sample.
+    """Strictly increasing integer levels N_j whose first-moment tail sup
+    (indicator ||X|| >= N_j) over the dyadic boxes of the sample's box is at
+    or below 2^-j, searched up to `search_cap`. N_j is the level a bisection
+    on upper() settles on between N_{j-1} + 1 and the cap. upper() need not
+    fall as the level rises (an empirical stderr can grow), so N_j need not
+    be the minimal such level. Every bisection probe is a tail query on the
+    one sample.
 
     The cap is part of the verdict: a family whose tails do not decay on this
     horizon runs past it and raises HorizonTooSmallError.
@@ -163,10 +151,10 @@ def thresholds_from_cui(
         raise ValueError("j_max must be >= 1")
     if search_cap < 1:
         raise ValueError("search_cap must be >= 1")
-    sched = _resolve_schedule(sample.box, schedule)
+    sched = dyadic_boxes(sample.box)
 
     def sup_at(level: int) -> float:
-        return cesaro_tail_sup(sample, p, float(level), sched, ge=True).upper()
+        return cesaro_tail_sup(sample, 1.0, float(level), sched, ge=True).upper()
 
     out: list[int] = []
     prev = 0
@@ -199,8 +187,6 @@ class PoussinConstruction:
 
 def build_phi_from_cui(
     sample: NormSample,
-    p: float = 1.0,
-    schedule: Optional[Sequence[MultiIndex]] = None,
     j_max: int = 8,
     search_cap: int = DEFAULT_SEARCH_CAP,
     n_max: Optional[int] = None,
@@ -211,7 +197,7 @@ def build_phi_from_cui(
     both the family's norms and the useful slope range stay inside the domain.
     The search and the calibration share the sample's draw.
     """
-    thresholds = thresholds_from_cui(sample, p, schedule, j_max, search_cap)
+    thresholds = thresholds_from_cui(sample, j_max, search_cap)
     norms = dist.fixed_norms(sample.spec, sample.box)
     if norms is None:
         if sample.reps < 1:
@@ -231,16 +217,15 @@ def build_phi_from_cui(
     )
 
 
-def poussin_moment_check(
-    sample: NormSample, phi: PhiFunction, schedule: Optional[Sequence[MultiIndex]] = None
-) -> TailEstimate:
-    """Schedule sup of Cesaro-averaged E(phi(||X_i||)).
+def poussin_moment_check(sample: NormSample, phi: PhiFunction) -> TailEstimate:
+    """Sup over the dyadic boxes of the sample's box of Cesaro-averaged
+    E(phi(||X_i||)).
 
     Exact for families with fixed norms in analytic mode; Monte Carlo
     otherwise. Any norm beyond phi's domain raises PhiDomainError (enlarge
     n_max).
     """
-    sched = _resolve_schedule(sample.box, schedule)
+    sched = dyadic_boxes(sample.box)
     return _schedule_sup(*sample.expectations(lambda t: phi_eval_many(phi, t)), sched)
 
 
@@ -256,17 +241,14 @@ class ForwardCheck:
 
 
 def poussin_forward_check(
-    sample: NormSample,
-    phi: PhiFunction,
-    eps_list: Sequence[float],
-    schedule: Optional[Sequence[MultiIndex]] = None,
+    sample: NormSample, phi: PhiFunction, eps_list: Sequence[float]
 ) -> list[ForwardCheck]:
     """Forward direction: with K the phi-moment sup, the first integer level a
     where phi(a)/a >= (K+1)/eps must push the tail sup at a below eps."""
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
-    sched = _resolve_schedule(sample.box, schedule)
-    K = poussin_moment_check(sample, phi, sched).upper()
+    sched = dyadic_boxes(sample.box)
+    K = poussin_moment_check(sample, phi).upper()
     levels = np.arange(1, phi.n_max + 1, dtype=np.float64)
     ratios = phi.prefix[1:] / levels
     out = []

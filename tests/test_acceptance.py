@@ -30,7 +30,6 @@ from cesaro_lab.cui import (
 )
 from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.lattice import (
-    LatticeSample,
     MultiIndex,
     dyadic_boxes,
     dyadic_square_schedule,
@@ -69,11 +68,9 @@ def test_1_prefix_sum_oracle_equivalence(capsys):
         d = int(gen.integers(1, 4))
         sides = tuple(int(gen.integers(1, 5)) for _ in range(d))
         D = 1 if gen.integers(0, 2) == 0 else 4
-        sample = LatticeSample(
-            MultiIndex(sides), gen.standard_normal(sides + (D,))
-        )
-        fast = prefix_table(sample.values, range(d))
-        brute = prefix_sums_bruteforce(sample)
+        values = gen.standard_normal(sides + (D,))
+        fast = prefix_table(values, range(d))
+        brute = prefix_sums_bruteforce(values)
         scale = max(1.0, float(np.abs(brute).max()))
         worst = max(worst, float(np.abs(fast - brute).max()) / scale)
         m_brute = float(np.sqrt((brute * brute).sum(axis=-1)).max())
@@ -97,7 +94,7 @@ def test_2_heavy_tail_lp_convergence_with_certificate_bound(capsys):
         for d in (1, 2):
             cfg = ExperimentConfig(
                 PARETO, 0.5, dyadic_square_schedule(d, 4096),
-                reps=200, seed=2, center=False, bound_params=bound,
+                reps=200, seed=2, bound_params=bound,
             )
             series = run_lp_experiment(cfg)
             trend = trend_test(series)
@@ -115,7 +112,7 @@ def test_3_pairwise_centered_l1_decay_under_log_envelope(capsys):
     sched = dyadic_square_schedule(1, 4096)
     ratios = moricz_ratio(PAIRWISE, sched, reps=200, seed=3)
     C = max(pt.ratio for pt in ratios)
-    cfg = ExperimentConfig(PAIRWISE, 1.0, sched, reps=200, seed=3, center=True)
+    cfg = ExperimentConfig(PAIRWISE, 1.0, sched, reps=200, seed=3)
     series = run_l1_experiment(cfg)
     trend = trend_test(series)
     last = series.points[-1]

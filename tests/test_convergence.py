@@ -41,7 +41,7 @@ GROWING_LINEAR = spec_of("growing_non_cui", exponent=1.0)
 def lp_config(spec, p=0.5, boxes=(2, 4, 8, 16), reps=50, seed=0, bound=None):
     sched = tuple(MultiIndex((k,)) for k in boxes)
     return ExperimentConfig(
-        spec, p, sched, reps=reps, seed=seed, center=False, bound_params=bound
+        spec, p, sched, reps=reps, seed=seed, bound_params=bound
     )
 
 
@@ -53,8 +53,8 @@ def series_from_moments(moments, stderr=0.0, bounds=None):
         ok = None if b is None else (m <= b + 3 * stderr)
         pts.append(SeriesPoint(MultiIndex((size,)), size, m, stderr, b, ok))
     return ConvergenceSeries(
-        mode="lp", p=0.5, reps=10, seed=0, center=False, centering=None,
-        pairwise_warning=False, low_reps=True, spec_json=CONSTANT.to_json(),
+        mode="lp", p=0.5, reps=10, seed=0, centering=None,
+        low_reps=True, spec_json=CONSTANT.to_json(),
         points=tuple(pts),
     )
 
@@ -108,11 +108,10 @@ class TestExperimentConfig:
             ExperimentConfig(CONSTANT, 1.5, sched, reps=10, seed=0)
 
     def test_mode_gates(self):
-        cfg = lp_config(CONSTANT, p=1.0)
         with pytest.raises(ValueError):
-            run_lp_experiment(cfg)  # p = 1 belongs to the centered mode
+            run_lp_experiment(lp_config(CONSTANT, p=1.0))  # p = 1 belongs to the centered mode
         with pytest.raises(ValueError):
-            run_l1_experiment(cfg)  # centering flag not set
+            run_l1_experiment(lp_config(CONSTANT, p=0.5))  # the centered mode fixes p = 1
 
 
 class TestLpExperiment:
@@ -262,7 +261,7 @@ class TestMaximaOracle:
     def test_series_equal_per_box_path(self, monkeypatch, spec, schedule, reps, per_chunk, mode):
         with_chunk(monkeypatch, schedule, per_chunk)
         center = mode == "l1"
-        cfg = ExperimentConfig(spec, 1.0 if center else 0.5, schedule, reps=reps, seed=3, center=center)
+        cfg = ExperimentConfig(spec, 1.0 if center else 0.5, schedule, reps=reps, seed=3)
         run = run_l1_experiment if center else run_lp_experiment
         with np.errstate(over="ignore", invalid="ignore"):
             centering = None if not center else (
@@ -330,7 +329,7 @@ class TestDraws:
         monkeypatch.setattr(convergence, "CHUNK_CELLS", 4 * 64)
         draws = count_draws(monkeypatch)
         heavy = spec_of("pareto_radial", alpha=0.8)
-        cfg = ExperimentConfig(heavy, 1.0, DYADIC_1D, reps=9, seed=0, center=True)
+        cfg = ExperimentConfig(heavy, 1.0, DYADIC_1D, reps=9, seed=0)
         assert run_l1_experiment(cfg).centering == "plugin"
         assert draws == [("64", 4, 0), ("64", 4, 4), ("64", 1, 8)] * 2
 
@@ -371,7 +370,7 @@ class TestL1Experiment:
     def l1_config(self, spec, boxes, reps=50, seed=0, bound=None):
         sched = tuple(MultiIndex((k,)) for k in boxes)
         return ExperimentConfig(
-            spec, 1.0, sched, reps=reps, seed=seed, center=True, bound_params=bound
+            spec, 1.0, sched, reps=reps, seed=seed, bound_params=bound
         )
 
     def test_signs_two_cell_anchor(self):
@@ -391,7 +390,7 @@ class TestL1Experiment:
         heavy = spec_of("pareto_radial", alpha=0.9)
         series = run_l1_experiment(self.l1_config(heavy, (2, 4), reps=20))
         assert series.centering == "plugin"
-        assert not series.pairwise_warning
+        assert series.to_json()["pairwise_warning"] is False
 
     def test_l1_bound_requires_constant(self, monkeypatch):
         cfg = self.l1_config(SIGNS, (2, 4), bound=BoundParams(eps=0.0, a=1.0))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from cesaro_lab.cui import (
     markov_event_array,
     verify_criterion_equivalence,
 )
-from cesaro_lab.distributions import DistributionSpec, NormSample, norm_batch
+import cesaro_lab.distributions as dist
+from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.lattice import MultiIndex
 from cesaro_lab.poussin import PhiFunction, phi_eval_many, poussin_forward_check
 
@@ -151,30 +153,32 @@ class TestEventArrays:
             EventArray(MultiIndex((2,)), probs=np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
             EventArray(MultiIndex((2,)), probs=np.zeros(3))
-        with pytest.raises(ValueError):
-            EventArray(MultiIndex((2,)), indicators=np.zeros(2, dtype=bool))
+        with pytest.raises(ValueError, match="exactly one"):
+            EventArray(MultiIndex((2,)), probs=np.zeros(2), threshold=1.0)
+        with pytest.raises(ValueError, match="threshold"):
+            EventArray(MultiIndex((2,)), threshold=-1.0)
+        assert EventArray(MultiIndex((2,)), threshold=math.inf).threshold == math.inf
 
     def test_markov_constant_low_threshold_fills_everything(self):
-        ev = markov_event_array(NormSample(CONSTANT, MultiIndex((8,))), K=1.0, delta=2.0)
-        assert ev.threshold == 0.5
-        assert np.all(ev.probs == 1.0)
+        sample = NormSample(CONSTANT, MultiIndex((8,)))
+        ev = markov_event_array(sample, K=1.0, delta=2.0)
+        assert (ev.threshold, ev.ge, ev.probs) == (0.5, True, None)
+        assert check_event_criterion(sample, ev, delta=2.0, eps=2.0).prob_sup == 1.0
 
     def test_markov_constant_high_threshold_is_empty(self):
-        ev = markov_event_array(NormSample(CONSTANT, MultiIndex((8,))), K=1.0, delta=0.25)
+        sample = NormSample(CONSTANT, MultiIndex((8,)))
+        ev = markov_event_array(sample, K=1.0, delta=0.25)
         assert ev.threshold == 4.0
-        assert np.all(ev.probs == 0.0)
+        rep = check_event_criterion(sample, ev, delta=0.25, eps=0.5)
+        assert (rep.prob_sup, rep.moment_sup) == (0.0, 0.0)
 
     def test_markov_pareto_uses_analytic_probabilities(self):
-        ev = markov_event_array(NormSample(PARETO, MultiIndex((4,))), K=1.5, delta=0.75)
-        assert ev.probs is not None
-        assert np.allclose(ev.probs, 2.0**-3)
-
-    def test_markov_gaussian_falls_back_to_indicators(self):
-        spec = spec_of("iid_gaussian")
-        ev = markov_event_array(NormSample(spec, MultiIndex((8,)), reps=40), K=1.0, delta=0.5)
-        assert ev.probs is None
-        assert ev.indicators.shape == (40, 8)
-        assert ev.source_seed == 0 and ev.source_reps == 40
+        sample = NormSample(PARETO, MultiIndex((4,)))
+        ev = markov_event_array(sample, K=1.5, delta=0.75)
+        rep = check_event_criterion(sample, ev, delta=0.75, eps=1.0)
+        assert rep.prob_sup == pytest.approx(2.0**-3) and rep.prob_stderr == 0.0
+        # E(X 1(X >= 2)) = 3/2 * 2^-2 for Pareto(3)
+        assert rep.moment_sup == pytest.approx(0.375) and rep.moment_stderr == 0.0
 
     def test_markov_validation(self):
         sample = NormSample(CONSTANT, MultiIndex((2,)))
@@ -206,21 +210,19 @@ class TestEventCriterion:
         assert not rep.premise_holds
         assert rep.verdict  # implication with a false premise
 
-    @pytest.mark.parametrize("source_seed", [0, 7])
-    def test_indicator_moments_couple_to_the_source_seed(self, source_seed):
-        # seed 0 is a real source seed, not "unset": the moments must come
-        # from the same draw as the indicators, whatever seed the check gets
-        spec = spec_of("pareto_radial", alpha=3.0, mode="empirical")
-        box = MultiIndex((256,))
-        norms = norm_batch(spec, box, seed=source_seed, reps=50)
-        ev = EventArray(box, indicators=norms >= 2.0,
-                        source_seed=source_seed, source_reps=50)
-        rep = check_event_criterion(NormSample(spec, box, seed=5), ev, delta=0.5, eps=0.5)
-        coupled = cesaro_tail_sup(
-            NormSample(spec, box, seed=source_seed, reps=50), 1.0, 2.0, ge=True
-        )
-        assert rep.moment_sup == coupled.value
-        assert rep.moment_stderr == coupled.stderr
+    def test_infinite_first_moments_stay_off_empty_cells(self):
+        # Pareto(0.8) has E||X|| = inf in every cell: a cell of probability 0
+        # must add 0 to the event moment, not 0 * inf = nan
+        sample = NormSample(spec_of("pareto_radial", alpha=0.8), MultiIndex((256,)))
+        empty = EventArray(sample.box, probs=np.zeros(sample.box.coords))
+        greedy = adversarial_event_array(sample, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep_empty = check_event_criterion(sample, empty, delta=0.25, eps=0.5)
+            rep_greedy = check_event_criterion(sample, greedy, delta=0.25, eps=0.5)
+        assert rep_empty.moment_sup == 0.0 and rep_empty.verdict
+        assert rep_greedy.premise_holds
+        assert rep_greedy.moment_sup == math.inf and not rep_greedy.conclusion_holds
 
     def test_validation(self):
         ev = EventArray(MultiIndex((4,)), probs=np.zeros(4))
@@ -384,6 +386,9 @@ PHI = PhiFunction([1, 2, 3])
             lambda: EventArray(MultiIndex((2,)), probs=[NAN, 0.5]), r"\[0, 1\]", id="event_probs"
         ),
         pytest.param(
+            lambda: EventArray(MultiIndex((2,)), threshold=NAN), "threshold", id="event_threshold"
+        ),
+        pytest.param(
             lambda: verify_criterion_equivalence(SMALL, [NAN]), "eps must be", id="equivalence_eps"
         ),
         pytest.param(
@@ -419,11 +424,38 @@ class TestOneEstimator:
         spec = spec_of("pareto_radial", alpha=3.0, mode="empirical")
         box = MultiIndex((64,))
         sample = NormSample(spec, box, seed=2, reps=40)
-        indicators = sample.norms() >= 1.5
-        ev = EventArray(box, indicators=indicators, source_seed=2, source_reps=40)
+        ev = EventArray(box, threshold=1.5, ge=True)
         rep = check_event_criterion(sample, ev, delta=0.9, eps=5.0)
+        norms = sample.norms()
         sched = cui._resolve_schedule(box, None)
-        avgs = np.stack([indicators[:, : b.coords[0]].mean(axis=1) for b in sched], axis=1)
-        j = int(np.argmax(avgs.mean(axis=0)))
-        assert rep.prob_sup == pytest.approx(avgs[:, j].mean(), rel=1e-12)
-        assert rep.prob_stderr == pytest.approx(avgs[:, j].std(ddof=1) / math.sqrt(40), rel=1e-12)
+        for fld, value, stderr in [
+            (norms >= 1.5, rep.prob_sup, rep.prob_stderr),
+            (np.where(norms >= 1.5, norms, 0.0), rep.moment_sup, rep.moment_stderr),
+        ]:
+            avgs = np.stack([fld[:, : b.coords[0]].mean(axis=1) for b in sched], axis=1)
+            j = int(np.argmax(avgs.mean(axis=0)))
+            assert value == pytest.approx(avgs[:, j].mean(), rel=1e-12)
+            assert stderr == pytest.approx(avgs[:, j].std(ddof=1) / math.sqrt(40), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, draws",
+        [
+            (spec_of("pareto_radial", alpha=3.0, mode="empirical"), 1),
+            (spec_of("pareto_radial", alpha=3.0), 0),
+        ],
+        ids=["empirical", "analytic"],
+    )
+    def test_markov_events_draw_at_most_once(self, monkeypatch, spec, draws):
+        calls = []
+        real = dist.norm_batch
+
+        def counting_norm_batch(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "norm_batch", counting_norm_batch)
+        sample = NormSample(spec, MultiIndex((64,)), seed=2, reps=40)
+        ev = markov_event_array(sample, K=1.5, delta=0.75)
+        rep = check_event_criterion(sample, ev, delta=0.75, eps=1.0)
+        assert len(calls) == draws
+        assert (rep.prob_stderr > 0.0) == (draws == 1)

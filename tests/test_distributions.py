@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 import cesaro_lab.distributions as dist
-from cesaro_lab import rng
 from cesaro_lab.distributions import (
     DistributionSpec,
     NormSample,
     Tail,
     get_family,
     norm_batch,
-    sample_array,
     sample_batch,
     subset_products,
 )
@@ -23,13 +21,17 @@ def spec_of(family, d=1, **params):
     return DistributionSpec(family, params, dim_D=d)
 
 
+def one_array(spec, n, seed=0):
+    """One realized array over the box n: replication 0 of the batch."""
+    return sample_batch(spec, n, seed, 1)[0]
+
+
 class TestSpecSerialization:
     def test_round_trip(self):
         spec = spec_of("pareto_radial", d=4, alpha=2.5)
         again = DistributionSpec.from_json(spec.to_json())
         assert again == spec
-        text = json.dumps(spec.to_json())
-        assert DistributionSpec.from_json_str(text) == spec
+        assert DistributionSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
 
     def test_defaults_applied(self):
         spec = spec_of("pareto_radial")
@@ -61,17 +63,17 @@ class TestSpecSerialization:
     def test_dimension_cap_enforced(self):
         spiked = spec_of("spiked_cui")
         with pytest.raises(ValueError):
-            sample_array(spiked, MultiIndex((2, 2)))
+            one_array(spiked, MultiIndex((2, 2)))
         with pytest.raises(ValueError):
-            sample_array(spec_of("growing_non_cui"), MultiIndex((2, 2)))
+            one_array(spec_of("growing_non_cui"), MultiIndex((2, 2)))
 
 
 class TestConstant:
     def test_values_and_bound(self):
         spec = spec_of("constant", d=3, c=2.0)
-        s = sample_array(spec, MultiIndex((2, 2)))
-        assert s.values.shape == (2, 2, 1)  # one column whatever dim_D
-        assert np.all(s.values == 2.0)
+        s = one_array(spec, MultiIndex((2, 2)))
+        assert s.shape == (2, 2, 1)  # one column whatever dim_D
+        assert np.all(s == 2.0)
         assert dist.fixed_norms(spec, MultiIndex((2, 2))).max() == 2.0
 
     def test_tail_mean_strict_vs_ge(self):
@@ -86,8 +88,8 @@ class TestConstant:
 class TestSpiked:
     def test_spike_positions(self):
         spec = spec_of("spiked_cui", gap_base=2)
-        s = sample_array(spec, MultiIndex((10,)))
-        norms = np.abs(s.values[:, 0])
+        s = one_array(spec, MultiIndex((10,)))
+        norms = np.abs(s[:, 0])
         nonzero = {i + 1 for i in np.nonzero(norms)[0]}
         assert nonzero == {1, 2, 4, 8}
         assert norms[0] == 1.0
@@ -97,8 +99,8 @@ class TestSpiked:
 
     def test_gap_base_three(self):
         spec = spec_of("spiked_cui", gap_base=3)
-        s = sample_array(spec, MultiIndex((30,)))
-        nonzero = {i + 1 for i in np.nonzero(np.abs(s.values[:, 0]))[0]}
+        s = one_array(spec, MultiIndex((30,)))
+        nonzero = {i + 1 for i in np.nonzero(np.abs(s[:, 0]))[0]}
         assert nonzero == {1, 3, 9, 27}
 
     def test_tail_field_matches_direct_enumeration(self):
@@ -119,8 +121,8 @@ class TestSpiked:
 class TestGrowing:
     def test_deterministic_profile(self):
         spec = spec_of("growing_non_cui", exponent=0.5)
-        s = sample_array(spec, MultiIndex((9,)))
-        assert np.allclose(s.values[:, 0], np.sqrt(np.arange(1.0, 10.0)))
+        s = one_array(spec, MultiIndex((9,)))
+        assert np.allclose(s[:, 0], np.sqrt(np.arange(1.0, 10.0)))
 
     def test_tail_average_by_direct_summation(self):
         # at truncation 5 the Cesaro mean over 1..10000 of sqrt(i) 1(sqrt(i) > 5)
@@ -131,11 +133,6 @@ class TestGrowing:
         direct = np.where(np.sqrt(i) > 5.0, np.sqrt(i), 0.0)
         assert np.allclose(fld, direct)
         assert direct.mean() > 10.0
-
-    def test_not_cui(self):
-        assert not dist.is_cui(spec_of("growing_non_cui"), 1.0)
-        assert dist.is_cui(spec_of("spiked_cui"), 1.0)
-        assert dist.is_cui(spec_of("constant"), 0.5)
 
 
 class TestParetoRadial:
@@ -172,8 +169,6 @@ class TestParetoRadial:
     def test_infinite_moment_when_alpha_at_or_below_p(self):
         spec = spec_of("pareto_radial", alpha=0.8)
         assert dist.expect(spec, Tail(1.0, 2.0), MultiIndex((1,)))[0] == math.inf
-        assert not dist.is_cui(spec, 1.0)
-        assert dist.is_cui(spec_of("pareto_radial", alpha=3.0), 0.5)
 
     def test_event_probability(self):
         spec = spec_of("pareto_radial", alpha=3.0)
@@ -188,8 +183,8 @@ class TestParetoRadial:
         # E X = 1.5, sd of the mean over 50k draws ~ sqrt(0.75/50000) ~ 0.004
         assert norms.mean() == pytest.approx(1.5, abs=0.02)
         # direction is radial: every vector has the same norm as its first axis image
-        s = sample_array(spec, MultiIndex((500,)), seed=9)
-        lens = np.sqrt((s.values**2).sum(axis=-1))
+        s = one_array(spec, MultiIndex((500,)), seed=9)
+        lens = np.sqrt((s**2).sum(axis=-1))
         assert np.all(lens >= 1.0 - 1e-12)
 
     def test_mean_and_second_moment_laws(self):
@@ -228,9 +223,9 @@ class TestGaussian:
 class TestRademacher:
     def test_unit_norms_and_signs(self):
         spec = spec_of("iid_rademacher", d=2)
-        s = sample_array(spec, MultiIndex((100,)), seed=3)
-        assert s.values.shape == (100, 1)
-        assert set(np.unique(s.values)) == {-1.0, 1.0}
+        s = one_array(spec, MultiIndex((100,)), seed=3)
+        assert s.shape == (100, 1)
+        assert set(np.unique(s)) == {-1.0, 1.0}
         assert np.all(dist.fixed_norms(spec, MultiIndex((100,))) == 1.0)
         assert dist.zero_mean(spec)
 
@@ -256,7 +251,7 @@ class TestPairwiseRademacher:
         spec = spec_of("pairwise_rademacher", m=2)
         seen = set()
         for seed in range(64):
-            v = sample_array(spec, MultiIndex((3,)), seed).values[:, 0]
+            v = one_array(spec, MultiIndex((3,)), seed)[:, 0]
             assert v.shape == (3,)
             assert set(np.unique(v)) <= {-1.0, 1.0}
             assert v[2] == v[0] * v[1]
@@ -266,14 +261,14 @@ class TestPairwiseRademacher:
     def test_triple_product_is_constant(self):
         spec = spec_of("pairwise_rademacher", m=2)
         prods = [
-            np.prod(sample_array(spec, MultiIndex((3,)), s).values) for s in range(32)
+            np.prod(one_array(spec, MultiIndex((3,)), s)) for s in range(32)
         ]
         assert set(prods) == {1.0}
 
     def test_block_tiling_reuses_subset_structure(self):
         spec = spec_of("pairwise_rademacher", m=2)
-        s = sample_array(spec, MultiIndex((9,)), seed=5)
-        v = s.values[:, 0]
+        s = one_array(spec, MultiIndex((9,)), seed=5)
+        v = s[:, 0]
         for block in range(3):
             b = v[3 * block : 3 * block + 3]
             assert b[2] == b[0] * b[1]
@@ -293,8 +288,8 @@ class TestPairwiseRademacher:
 
     def test_partial_block_and_validation(self):
         spec = spec_of("pairwise_rademacher", m=3)
-        s = sample_array(spec, MultiIndex((5,)), seed=0)
-        assert set(np.unique(s.values[:, 0])) <= {-1.0, 1.0}
+        s = one_array(spec, MultiIndex((5,)), seed=0)
+        assert set(np.unique(s[:, 0])) <= {-1.0, 1.0}
         with pytest.raises(ValueError):
             spec_of("pairwise_rademacher", m=1)
         with pytest.raises(ValueError):
@@ -312,23 +307,24 @@ class TestSamplingContracts:
 
     @pytest.mark.parametrize("spec", families, ids=lambda s: s.family)
     def test_cells_stable_under_box_growth(self, spec):
-        small = sample_array(spec, MultiIndex((6,)), seed=13)
-        large = sample_array(spec, MultiIndex((17,)), seed=13)
-        assert np.array_equal(small.values, large.values[:6])
+        small = one_array(spec, MultiIndex((6,)), seed=13)
+        large = one_array(spec, MultiIndex((17,)), seed=13)
+        assert np.array_equal(small, large[:6])
 
     def test_cells_stable_under_growth_2d(self):
         spec = spec_of("iid_gaussian", d=3)
-        small = sample_array(spec, MultiIndex((2, 3)), seed=4)
-        large = sample_array(spec, MultiIndex((5, 5)), seed=4)
-        assert np.array_equal(small.values, large.values[:2, :3])
+        small = one_array(spec, MultiIndex((2, 3)), seed=4)
+        large = one_array(spec, MultiIndex((5, 5)), seed=4)
+        assert np.array_equal(small, large[:2, :3])
 
     @pytest.mark.parametrize("spec", families, ids=lambda s: s.family)
     def test_batch_rows_equal_derived_seed_samples(self, spec):
         n = MultiIndex((7,))
         batch = sample_batch(spec, n, seed=21, reps=3)
         for r in range(3):
-            row = sample_array(spec, n, seed=rng.derive_seed(21, r))
-            assert np.array_equal(batch[r], row.values)
+            # row r is replication r, drawn from derive_seed(21, r) alone
+            row = sample_batch(spec, n, seed=21, reps=1, first_rep=r)[0]
+            assert np.array_equal(batch[r], row)
 
     def test_batch_is_deterministic(self):
         spec = spec_of("iid_gaussian", d=2)

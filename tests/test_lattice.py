@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cesaro_lab import rng
 from cesaro_lab.lattice import (
     BRUTE_FORCE_CELL_CAP,
-    LatticeSample,
     MultiIndex,
     dyadic_boxes,
     dyadic_square_schedule,
@@ -18,7 +17,8 @@ from cesaro_lab.lattice import (
 )
 
 
-def random_sample(trial: int, seed: int = 0) -> LatticeSample:
+def random_sample(trial: int, seed: int = 0) -> np.ndarray:
+    """Standard normal D-vectors over a random box of d <= 3, sides <= 4."""
     key = np.uint64(rng.derive_seed(seed, trial))
 
     def pick(idx, lo, hi):
@@ -32,11 +32,11 @@ def random_sample(trial: int, seed: int = 0) -> LatticeSample:
         *(np.arange(1, c + 1, dtype=np.uint64) for c in sides), indexing="ij"
     )
     cells = rng.cell_keys(int(key), grids)
-    return LatticeSample(MultiIndex(sides), rng.normals(cells, D))
+    return rng.normals(cells, D)
 
 
-def sweep(sample: LatticeSample) -> np.ndarray:
-    return prefix_table(sample.values, range(sample.box.d))
+def sweep(values: np.ndarray) -> np.ndarray:
+    return prefix_table(values, range(values.ndim - 1))
 
 
 class TestMultiIndex:
@@ -81,10 +81,7 @@ class TestMultiIndex:
 
 
 def test_prefix_2x2_worked_example():
-    sample = LatticeSample(
-        MultiIndex((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]])[..., None]
-    )
-    table = sweep(sample)
+    table = sweep(np.array([[1.0, 2.0], [3.0, 4.0]])[..., None])
     assert table.shape == (2, 2, 1)
     assert np.array_equal(table[..., 0], np.array([[1.0, 3.0], [4.0, 10.0]]))
     # M_k at every k: the running max of |S| over the block [1, k]
@@ -99,17 +96,15 @@ def test_prefix_matches_bruteforce_on_random_cases():
         scale = max(1.0, np.abs(brute).max())
         assert np.abs(fast - brute).max() / scale <= 1e-9
         norms = np.sqrt((brute * brute).sum(axis=-1))
-        running = running_max_norms(fast, sample.box.d)
-        for idx in np.ndindex(*sample.box.coords):
+        running = running_max_norms(fast, sample.ndim - 1)
+        for idx in np.ndindex(*sample.shape[:-1]):
             block = norms[tuple(slice(0, c + 1) for c in idx)]
             assert running[idx] == pytest.approx(block.max(), rel=1e-9)
 
 
 def test_bruteforce_cell_cap():
-    big = MultiIndex((BRUTE_FORCE_CELL_CAP + 1,))
-    sample = LatticeSample(big, np.zeros(big.size)[..., None])
     with pytest.raises(ValueError):
-        prefix_sums_bruteforce(sample)
+        prefix_sums_bruteforce(np.zeros((BRUTE_FORCE_CELL_CAP + 1, 1)))
 
 
 def test_prefix_is_deterministic_bitwise():
@@ -117,16 +112,16 @@ def test_prefix_is_deterministic_bitwise():
     t1 = sweep(sample)
     t2 = sweep(sample)
     assert np.array_equal(t1, t2)
-    d = sample.box.d
+    d = sample.ndim - 1
     assert np.array_equal(running_max_norms(t1, d), running_max_norms(t2, d))
 
 
 def test_prefix_linearity():
     s1 = random_sample(3)
-    scaled = LatticeSample(s1.box, 2.0 * s1.values)
+    scaled = 2.0 * s1
     assert np.allclose(sweep(scaled), 2.0 * sweep(s1))
     # the maximum of partial norms is absolutely homogeneous
-    d = s1.box.d
+    d = s1.ndim - 1
     assert running_max_norms(sweep(scaled), d) == pytest.approx(
         2.0 * running_max_norms(sweep(s1), d)
     )
@@ -143,13 +138,6 @@ def test_running_max_carries_leading_axes_and_nan():
         block = norms[(slice(None),) + tuple(slice(0, c + 1) for c in idx)]
         assert np.array_equal(got[(slice(None),) + idx], block.max(axis=(1, 2)), equal_nan=True)
     assert np.isnan(got[1, 2:, 1:]).all() and not np.isnan(got[1, :2]).any()
-
-
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        LatticeSample(MultiIndex((2, 2)), np.zeros((2, 3, 1)))
-    with pytest.raises(ValueError):
-        LatticeSample(MultiIndex((4,)), np.zeros(5)[..., None])
 
 
 def test_schedule_averages_match_direct_means():

@@ -90,9 +90,13 @@ def test_no_closed_form_means_none(name, g):
     assert dist.expect(SPECS[name], g, BOX) is None
 
 
+def markov_events(sample):
+    return check_event_criterion(sample, markov_event_array(sample, 1.0, 0.5), 0.5, 0.5)
+
+
 ESTIMATORS = {
     "tail": lambda spec: cesaro_tail_sup(NormSample(spec, BOX, reps=20), 1.0, 1.5),
-    "markov": lambda spec: markov_event_array(NormSample(spec, BOX, reps=20), 1.0, 0.5),
+    "markov": lambda spec: markov_events(NormSample(spec, BOX, reps=20)),
     "event_moment": lambda spec: check_event_criterion(
         NormSample(spec, BOX, reps=20), EventArray(BOX, probs=np.zeros(BOX.coords)), 0.5, 0.5
     ),
@@ -123,6 +127,4 @@ def test_moment_mode_decides_every_estimator(monkeypatch, name, mode):
             wrong[est_name] = f"drew {len(calls)} batches"
         if hasattr(result, "mode") and result.mode != ("empirical" if sampled else "analytic"):
             wrong[est_name] = f"mode {result.mode}"
-        if est_name == "markov" and (result.probs is None) != sampled:
-            wrong[est_name] = "probs vs indicators"
     assert wrong == {}
