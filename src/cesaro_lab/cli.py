@@ -3,10 +3,10 @@
 Four commands: check-cui (tail-sup report over a truncation grid), poussin
 (threshold search, convex gauge construction, moment and forward checks),
 converge (mean-convergence series with trend and envelope verdicts), and
-oracle-check (prefix-sum and gauge evaluation cross-checks against brute
-force). Every command writes a manifest next to its outputs; `replay` re-runs
-a manifest's command into a fresh directory. Data files are byte-identical
-across replays; only the manifest's duration field varies.
+oracle-check (prefix-sum, schedule-average and gauge evaluation cross-checks
+against brute force). Every command writes a manifest next to its outputs;
+`replay` re-runs a manifest's command into a fresh directory. Data files are
+byte-identical across replays; only the manifest's duration field varies.
 
 Exit codes: 0 the run completed (scientific verdicts live in the output
 files), 1 verification failure, 2 usage error, 3 domain or horizon error.
@@ -30,10 +30,12 @@ from .distributions import DistributionSpec, NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 from .lattice import (
     MultiIndex,
+    dyadic_boxes,
     dyadic_square_schedule,
     prefix_sums_bruteforce,
     prefix_table,
     running_max_norms,
+    schedule_averages,
 )
 
 FAULT_ENV = "CESARO_LAB_INJECT_FAULT"
@@ -372,6 +374,33 @@ def _prefix_case(trial: int, seed: int, inject_fault: bool) -> Optional[dict]:
     return None
 
 
+def _schedule_case(trial: int, seed: int) -> Optional[dict]:
+    """Compare the corner-only schedule averages, over the dyadic boxes of a
+    random box and with a leading rep axis, against brute-force block means."""
+    key = np.uint64(rng.derive_seed(seed, 2_000_000 + trial))
+    d = _rand_int(key, 1, 1, 3)
+    sides = tuple(_rand_int(key, 10 + ax, 1, 5) for ax in range(d))
+    reps = _rand_int(key, 2, 1, 3)
+    box = MultiIndex(sides)
+    grids = np.meshgrid(
+        *(np.arange(1, c + 1, dtype=np.uint64) for c in sides), indexing="ij"
+    )
+    field = np.moveaxis(rng.normals(rng.cell_keys(int(key), grids), reps), -1, 0)
+    sched = dyadic_boxes(box)
+    fast = schedule_averages(field, sched)
+
+    def block_means(n: MultiIndex) -> np.ndarray:
+        block = field[(slice(None),) + tuple(slice(0, c) for c in n.coords)]
+        return block.reshape(reps, -1).mean(axis=1)
+
+    brute = np.stack([block_means(n) for n in sched], axis=-1)
+    err = float(np.abs(fast - brute).max()) / max(1.0, float(np.abs(brute).max()))
+    if err > 1e-9:
+        return {"kind": "schedule_average", "trial": trial, "d": d, "box": str(box),
+                "reps": reps, "relative_error": err}
+    return None
+
+
 def _phi_case(trial: int, seed: int) -> Optional[dict]:
     """Compare gauge evaluation against direct slope summation and chords."""
     key = np.uint64(rng.derive_seed(seed, 1_000_000 + trial))
@@ -425,7 +454,11 @@ def run_oracle_check(config: dict, out_dir: Optional[Path]) -> int:
     inject = bool(os.environ.get(FAULT_ENV, "").strip())
     counterexample = None
     for trial in range(trials):
-        counterexample = _prefix_case(trial, seed, inject) or _phi_case(trial, seed)
+        counterexample = (
+            _prefix_case(trial, seed, inject)
+            or _schedule_case(trial, seed)
+            or _phi_case(trial, seed)
+        )
         if counterexample is not None:
             break
     report = {

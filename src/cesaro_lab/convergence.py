@@ -18,13 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .distributions import DistributionSpec, Tail
+from .distributions import CHUNK_CELLS, DistributionSpec, Tail
 from .lattice import MultiIndex, leq, prefix_table, running_max_norms
 
 MIN_TREND_POINTS = 4
-# Cells drawn per chunk of replications: a series holds one chunk at a time,
-# so its peak memory does not grow with reps.
-CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -64,14 +64,15 @@ class TailEstimate:
         return self.value + 2.0 * self.stderr
 
 
-def _schedule_sup(fld: np.ndarray, exact: bool, schedule) -> TailEstimate:
-    """sup over the schedule of Cesaro averages of a per-cell field.
+def _schedule_sup(fld: np.ndarray, exact: bool, g, schedule) -> TailEstimate:
+    """sup over the schedule of Cesaro averages of a per-cell field, or of g
+    of it cell by cell when g is given.
 
     An exact field (shape box) gives the argmax average. A realized field
     (shape (reps,) + box) gives the replication mean at the box maximizing
     it, with the stderr of that mean from the replication spread.
     """
-    avgs = schedule_averages(fld, schedule)
+    avgs = schedule_averages(fld, schedule, g)
     if exact:
         j = int(np.argmax(avgs))
         return TailEstimate(float(avgs[j]), 0.0, "analytic", schedule[j])
@@ -199,10 +200,15 @@ def _event_sups(
     # events independent of the array (the adversarial construction uses 0/1
     # probabilities, where independence is vacuous); a cell of probability 0
     # contributes 0 even where E||X_i|| is infinite
-    fld, exact = sample.expectations(Tail(1.0, 0.0))
+    fld, exact, g = sample.expectations(Tail(1.0, 0.0))
+    if not exact:
+        fld = g(fld)
     moments = np.zeros(np.broadcast(events.probs, fld).shape)
     np.multiply(events.probs, fld, out=moments, where=events.probs > 0)
-    return _schedule_sup(events.probs, True, schedule), _schedule_sup(moments, exact, schedule)
+    return (
+        _schedule_sup(events.probs, True, None, schedule),
+        _schedule_sup(moments, exact, None, schedule),
+    )
 
 
 @dataclass(frozen=True)
@@ -262,9 +268,9 @@ def adversarial_event_array(
         raise ValueError("delta must be > 0")
     horizon = sample.box
     sched = _resolve_schedule(horizon, schedule)
-    fld, exact = sample.expectations(Tail(1.0, 0.0))
+    fld, exact, g = sample.expectations(Tail(1.0, 0.0))
     if not exact:
-        fld = fld.mean(axis=0)
+        fld = g(fld).mean(axis=0)
     flat = fld.ravel(order="C")
     order = np.argsort(-flat, kind="stable")
     coords = np.unravel_index(np.arange(flat.size), horizon.coords)

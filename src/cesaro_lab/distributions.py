@@ -28,6 +28,9 @@ from .lattice import MultiIndex
 
 MOMENT_MODES = ("analytic", "empirical")
 LOW_REPS_FLOOR = 30  # Monte Carlo answers from fewer replications are flagged
+# Cells per chunk of replications, in norm_batch and in convergence series:
+# each holds one chunk's temporaries at a time, so they do not grow with reps.
+CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -256,9 +259,13 @@ class ParetoRadialFamily(Family):
 
     def expect(self, spec, g, box):
         # E(X^p 1(X > a)) = alpha/(alpha-p) * max(a,1)^(p-alpha); continuous,
-        # so the >= variant coincides. p = 0 gives the event probability.
+        # so the >= variant coincides. p = 0 gives the event probability. At
+        # a = inf the event is empty, so 0 even where alpha <= p makes every
+        # finite level infinite.
         if not isinstance(g, Tail):
             return None
+        if g.a == math.inf:
+            return np.broadcast_to(0.0, box.coords)
         alpha = float(spec.param("alpha"))
         if alpha <= g.p:
             return np.broadcast_to(np.inf, box.coords)
@@ -428,10 +435,21 @@ def sample_batch(
 
 
 def norm_batch(spec: DistributionSpec, n: MultiIndex, seed: int, reps: int) -> np.ndarray:
-    """Realized cell norms, shape (reps,) + n.coords."""
+    """Realized cell norms, shape (reps,) + n.coords.
+
+    Drawn in chunks of CHUNK_CELLS cells (at least one rep each) into one
+    output array; rows are keyed by derive_seed(seed, r), so the chunks stack
+    into the draw made at once.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    return _checked_family(spec, n).norm_values(spec, n, _rep_starts(seed, range(reps), n.d))
+    fam = _checked_family(spec, n)
+    out = np.empty((reps,) + n.coords, dtype=np.float64)
+    chunk = max(1, CHUNK_CELLS // n.size)
+    for first in range(0, reps, chunk):
+        last = min(reps, first + chunk)
+        out[first:last] = fam.norm_values(spec, n, _rep_starts(seed, range(first, last), n.d))
+    return out
 
 
 def fixed_norms(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:
@@ -478,18 +496,23 @@ class NormSample:
                 self._norms = norms
         return self._norms
 
-    def expectations(self, g: NormFunctional) -> tuple[np.ndarray, bool]:
-        """E g(||X_i||) per cell, and whether it is exact.
+    def expectations(
+        self, g: NormFunctional
+    ) -> tuple[np.ndarray, bool, NormFunctional | None]:
+        """E g(||X_i||) per cell as (field, exact, g still to apply).
 
-        Exact (shape box.coords) iff the spec's moment_mode is "analytic" and
-        the family has a closed form for g; otherwise g of the realized norms,
-        shape (reps,) + box.coords, for the caller to average.
+        Exact iff the spec's moment_mode is "analytic" and the family has a
+        closed form for g: then (E g, shape box.coords, True, None).
+        Otherwise (the realized norms, shape (reps,) + box.coords, False, g):
+        the caller applies g cell by cell and averages over reps, so a
+        reduction can apply g slab by slab and never hold g of the whole
+        sample.
         """
         if self.spec.moment_mode == "analytic":
             fld = expect(self.spec, g, self.box)
             if fld is not None:
-                return fld, True
-        return g(self.norms()), False
+                return fld, True, None
+        return self.norms(), False, g
 
 
 def zero_mean(spec) -> bool:

@@ -3,6 +3,13 @@
 Cells of a box [1, n] are enumerated in row-major order (last coordinate
 fastest); every floating reduction in this module follows that fixed order,
 so identical input bits always produce identical output bits.
+
+A tail query reads corners only: schedule_averages sweeps the box axes in
+prefix_table's order but keeps, on each axis, only the schedule's
+coordinates, so it never builds the full prefix table, and it applies a norm
+functional slab by slab inside its first sweep. The norms it reduces are
+drawn in chunks of distributions.CHUNK_CELLS cells. prefix_table itself
+serves the convergence series, which need M_k at every k.
 """
 
 from __future__ import annotations
@@ -10,11 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 BRUTE_FORCE_CELL_CAP = 100_000
+# Cells per block of rows in a corner-only sweep: blocks stay cache-sized,
+# and boxes with many small rows take few Python steps.
+SWEEP_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,19 +102,77 @@ def running_max_norms(S: np.ndarray, d: int) -> np.ndarray:
     return norms
 
 
-def schedule_averages(field: np.ndarray, schedule: Sequence[MultiIndex]) -> np.ndarray:
+def _running_rows(
+    arr: np.ndarray, ax: int, rows: Sequence[int], g: Callable[[np.ndarray], np.ndarray] | None
+) -> np.ndarray:
+    """Cumulative sums along axis ax, kept only at the sorted indices `rows`,
+    with g applied to the cells first when given.
+
+    Rows are summed in blocks of about SWEEP_BLOCK_CELLS cells: the first row
+    of a block is added to the running sum through the previous block, then
+    np.cumsum runs down the block. Every row is still one add onto the row
+    before it, in axis order, so the kept rows equal prefix_table's bit for
+    bit. A block of many small rows keeps the Python loop short; a row too
+    large to share a block is added on its own, without the cumsum, whose
+    inner loop runs along the swept axis.
+    """
+    pre = (slice(None),) * ax
+    step = max(1, SWEEP_BLOCK_CELLS // math.prod(arr.shape[:ax] + arr.shape[ax + 1 :]))
+    end = rows[-1] + 1
+    out = np.empty(arr.shape[:ax] + (len(rows),) + arr.shape[ax + 1 :], dtype=np.float64)
+    acc = None
+    j = 0
+    for start in range(0, end, step):
+        block = arr[pre + (slice(start, min(end, start + step)),)]
+        if g is not None:
+            block = g(block)
+        block = np.array(block, dtype=np.float64)
+        if acc is not None:
+            first = block[pre + (0,)]
+            np.add(acc, first, out=first)
+        if step > 1:
+            np.cumsum(block, axis=ax, out=block)
+        while j < len(rows) and rows[j] < start + step:
+            out[pre + (j,)] = block[pre + (rows[j] - start,)]
+            j += 1
+        acc = block[pre + (-1,)]
+    return out
+
+
+def schedule_averages(
+    field: np.ndarray,
+    schedule: Sequence[MultiIndex],
+    g: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
     """Cesaro averages of a per-cell scalar field over each schedule box.
 
     `field` has the box axes last (any leading axes, e.g. replications, are
-    carried through); returns shape field.shape[:-d] + (len(schedule),).
+    carried through); returns shape field.shape[:-d] + (len(schedule),). An
+    elementwise g is applied to the field cell by cell inside the first sweep,
+    so for d >= 2 g(field) is never held whole.
+
+    Only the schedule's corners are computed: the box axes are swept in
+    prefix_table's order, and each sweep keeps only the schedule's
+    coordinates on its axis, so later sweeps run on a smaller array and the
+    corners equal prefix_table's bit for bit.
     """
     d = schedule[0].d
-    table = prefix_table(field, range(field.ndim - d, field.ndim))
-    lead = field.shape[: field.ndim - d]
-    out = np.empty(lead + (len(schedule),), dtype=np.float64)
-    for j, n in enumerate(schedule):
-        corner = tuple(c - 1 for c in n.coords)
-        out[..., j] = table[(Ellipsis,) + corner] / n.size
+    lead = field.ndim - d
+    table = field
+    corners = [[] for _ in schedule]
+    for k in range(d - 1):
+        rows = sorted({n.coords[k] - 1 for n in schedule})
+        position = {r: j for j, r in enumerate(rows)}
+        for corner, n in zip(corners, schedule):
+            corner.append(position[n.coords[k] - 1])
+        table = _running_rows(table, lead + k, rows, g if k == 0 else None)
+    table = table[..., : max(n.coords[-1] for n in schedule)]
+    if g is not None and d == 1:
+        table = g(table)
+    table = np.cumsum(table, axis=-1, dtype=np.float64)
+    out = np.empty(field.shape[:lead] + (len(schedule),), dtype=np.float64)
+    for j, (corner, n) in enumerate(zip(corners, schedule)):
+        out[..., j] = table[(Ellipsis, *corner, n.coords[-1] - 1)] / n.size
     return out
 
 

@@ -87,12 +87,16 @@ def phi_eval(phi: PhiFunction, t: float) -> float:
     return float(phi.prefix[k] + (t - k) * phi.u[k])
 
 
-def phi_eval_many(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
-    ts = np.asarray(ts, dtype=np.float64)
+def _check_domain(phi: PhiFunction, ts: np.ndarray) -> None:
     if ts.size and not (ts.min() >= 0.0 and ts.max() <= phi.n_max):
         raise PhiDomainError(
             f"values outside domain [0, {phi.n_max}] (max seen: {ts.max()!r}); enlarge n_max"
         )
+
+
+def phi_eval_many(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
+    ts = np.asarray(ts, dtype=np.float64)
+    _check_domain(phi, ts)
     k = np.minimum(np.floor(ts).astype(np.int64), phi.n_max - 1)
     return phi.prefix[k] + (ts - k) * phi.u[k]
 
@@ -226,7 +230,12 @@ def poussin_moment_check(sample: NormSample, phi: PhiFunction) -> TailEstimate:
     n_max).
     """
     sched = dyadic_boxes(sample.box)
-    return _schedule_sup(*sample.expectations(lambda t: phi_eval_many(phi, t)), sched)
+    fld, exact, g = sample.expectations(lambda t: phi_eval_many(phi, t))
+    if not exact:
+        # phi is evaluated slab by slab inside the reduction; check the whole
+        # sample first, so an error names its max and not one slab's
+        _check_domain(phi, fld)
+    return _schedule_sup(fld, exact, g, sched)
 
 
 @dataclass(frozen=True)

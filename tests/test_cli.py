@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cesaro_lab
 from cesaro_lab import cli
 from cesaro_lab.convergence import BoundParams
 from cesaro_lab.lattice import MultiIndex, dyadic_square_schedule
@@ -149,6 +154,36 @@ class TestCheckCui:
         assert manifest["version"] == __version__
 
 
+CHECK_CUI_RSS = """
+import resource, sys
+from cesaro_lab import cli
+reps, spec, out = sys.argv[1:]
+argv = ["check-cui", "--spec", spec, "--p", "0.5", "--horizon", "128x128", "--reps", reps,
+        "--out", out]
+assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_check_cui_memory_grows_with_the_norms_only(tmp_path):
+    # the norms themselves grow by 300 reps x 128 x 128 x 8 B; drawing them
+    # at once and building each tail query's full table cost about 4x that
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "pareto_radial", "params": {"alpha": 3.0},
+                                "dim_D": 1, "moment_mode": "empirical"}))
+    src = str(Path(cesaro_lab.__file__).resolve().parents[1])
+    peaks_kb = []
+    for reps in (100, 400):
+        out = subprocess.run(
+            [sys.executable, "-c", CHECK_CUI_RSS, str(reps), str(spec), str(tmp_path / f"r{reps}")],
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        peaks_kb.append(int(out.stdout.strip()))
+    norms_growth_kb = 300 * 128 * 128 * 8 / 1024
+    assert peaks_kb[1] - peaks_kb[0] <= 1.5 * norms_growth_kb, peaks_kb
+
+
 class TestConverge:
     def test_constant_lp_moments(self, tmp_path):
         spec = write_spec(tmp_path, "constant", c=1.0)
@@ -280,6 +315,14 @@ class TestOracleCheck:
         err = capsys.readouterr().err.strip()
         counterexample = json.loads(err)
         assert counterexample["kind"] == "prefix"
+        assert counterexample["trial"] == 0
+
+    def test_broken_schedule_averages_are_caught(self, capsys, monkeypatch):
+        real = cli.schedule_averages
+        monkeypatch.setattr(cli, "schedule_averages", lambda f, s: real(f, s) * (1 + 1e-6))
+        assert cli.main(["oracle-check", "--trials", "3"]) == 1
+        counterexample = json.loads(capsys.readouterr().err.strip())
+        assert counterexample["kind"] == "schedule_average"
         assert counterexample["trial"] == 0
 
     def test_zero_trials_rejected(self):

@@ -224,6 +224,16 @@ class TestEventCriterion:
         assert rep_greedy.premise_holds
         assert rep_greedy.moment_sup == math.inf and not rep_greedy.conclusion_holds
 
+    def test_pareto_markov_event_at_infinite_threshold_is_empty(self):
+        # Pareto(0.8) has E||X|| = inf, but no mass lies at or above inf: the
+        # empty Markov event has zero moments and keeps its conclusion
+        sample = NormSample(spec_of("pareto_radial", alpha=0.8), MultiIndex((256,)))
+        assert cesaro_tail_sup(sample, 1.0, math.inf).value == 0.0
+        ev = EventArray(sample.box, threshold=math.inf)
+        rep = check_event_criterion(sample, ev, delta=0.25, eps=0.5)
+        assert rep.prob_sup == 0.0 and rep.moment_sup == 0.0
+        assert rep.conclusion_holds and rep.verdict
+
     def test_validation(self):
         ev = EventArray(MultiIndex((4,)), probs=np.zeros(4))
         with pytest.raises(ValueError):

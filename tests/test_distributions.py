@@ -170,6 +170,16 @@ class TestParetoRadial:
         spec = spec_of("pareto_radial", alpha=0.8)
         assert dist.expect(spec, Tail(1.0, 2.0), MultiIndex((1,)))[0] == math.inf
 
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 3.0])
+    @pytest.mark.parametrize("g", [Tail(1.0, math.inf), Tail(1.0, math.inf, ge=True),
+                                   Tail(0.0, math.inf, ge=True)])
+    def test_no_mass_at_an_infinite_level(self, alpha, g):
+        # E(X^p 1(X >= inf)) = 0 whatever alpha, as the realized norms agree
+        spec = spec_of("pareto_radial", alpha=alpha)
+        assert np.array_equal(dist.expect(spec, g, MultiIndex((3,))), np.zeros(3))
+        norms = norm_batch(spec, MultiIndex((3,)), seed=0, reps=2)
+        assert np.array_equal(g(norms), np.zeros((2, 3)))
+
     def test_event_probability(self):
         spec = spec_of("pareto_radial", alpha=3.0)
         probs = dist.expect(spec, Tail(0.0, 2.0, ge=True), MultiIndex((3,)))
@@ -211,9 +221,9 @@ class TestGaussian:
     def test_no_closed_form_tail(self):
         spec = spec_of("iid_gaussian")
         assert dist.expect(spec, Tail(1.0, 1.0), MultiIndex((2,))) is None
-        fld, exact = NormSample(spec, MultiIndex((2,)), 0, 3).expectations(Tail(1.0, 1.0))
+        fld, exact, g = NormSample(spec, MultiIndex((2,)), 0, 3).expectations(Tail(1.0, 1.0))
         assert not exact
-        assert fld.shape == (3, 2)
+        assert g(fld).shape == (3, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -317,6 +327,8 @@ class TestSamplingContracts:
         large = one_array(spec, MultiIndex((5, 5)), seed=4)
         assert np.array_equal(small, large[:2, :3])
 
+    all_families = families + [spec_of("growing_non_cui"), spec_of("constant", c=-2.0)]
+
     @pytest.mark.parametrize("spec", families, ids=lambda s: s.family)
     def test_batch_rows_equal_derived_seed_samples(self, spec):
         n = MultiIndex((7,))
@@ -332,6 +344,20 @@ class TestSamplingContracts:
         b = sample_batch(spec, MultiIndex((3, 3)), seed=5, reps=4)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("spec", all_families, ids=lambda s: s.family)
+    @pytest.mark.parametrize("chunk_cells", [1, 3, 10, 17])
+    def test_chunked_norm_batch_equals_one_shot(self, monkeypatch, spec, chunk_cells):
+        # 7 reps of 5 cells: chunks of 1, 1, 2 and 3 reps, none dividing 7
+        n, reps = MultiIndex((5,)), 7
+        one_shot = norm_batch(spec, n, seed=3, reps=reps)
+        assert 5 * reps <= dist.CHUNK_CELLS
+        monkeypatch.setattr(dist, "CHUNK_CELLS", chunk_cells)
+        chunked = norm_batch(spec, n, seed=3, reps=reps)
+        assert chunked.shape == (reps, 5)
+        assert np.array_equal(chunked, one_shot)
+        starts = dist._rep_starts(3, range(reps), 1)
+        assert np.array_equal(chunked, get_family(spec.family).norm_values(spec, n, starts))
+
     def test_norm_batch_matches_sample_batch(self):
         spec = spec_of("pareto_radial", d=3, alpha=3.0)
         n = MultiIndex((4, 4))
@@ -343,8 +369,8 @@ class TestSamplingContracts:
         spec = DistributionSpec(
             "constant", {"c": 1.0}, dim_D=1, moment_mode="empirical"
         )
-        fld, exact = NormSample(spec, MultiIndex((2,)), 0, 3).expectations(Tail(1.0, 0.5))
+        fld, exact, g = NormSample(spec, MultiIndex((2,)), 0, 3).expectations(Tail(1.0, 0.5))
         assert not exact
-        assert np.array_equal(fld, np.ones((3, 2)))
+        assert np.array_equal(g(fld), np.ones((3, 2)))
         # the law itself still has the closed form; only the choice is empirical
         assert np.array_equal(dist.expect(spec, Tail(1.0, 0.5), MultiIndex((2,))), [1.0, 1.0])

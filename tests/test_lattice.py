@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesaro_lab import rng
+from cesaro_lab import lattice, rng
+from cesaro_lab.distributions import Tail
 from cesaro_lab.lattice import (
     BRUTE_FORCE_CELL_CAP,
     MultiIndex,
@@ -155,6 +156,117 @@ def test_schedule_averages_carries_leading_axes():
     assert got.shape == (2, 2)
     assert np.allclose(got[0], [1.0, 1.0])
     assert np.allclose(got[1], [2.0, 2.0])
+
+
+def full_table_averages(field: np.ndarray, schedule) -> np.ndarray:
+    """The full-table path: prefix_table over every box axis, then each
+    schedule corner divided by its box size."""
+    d = schedule[0].d
+    table = prefix_table(field, range(field.ndim - d, field.ndim))
+    out = np.empty(field.shape[: field.ndim - d] + (len(schedule),))
+    for j, n in enumerate(schedule):
+        out[..., j] = table[(Ellipsis,) + tuple(c - 1 for c in n.coords)] / n.size
+    return out
+
+
+SCHEDULE_KINDS = ("dyadic", "explicit", "non_nested", "one_cell")
+
+
+def schedule_of(kind: str, box: MultiIndex, gen) -> list[MultiIndex]:
+    if kind == "dyadic":
+        return dyadic_boxes(box)
+    if kind == "one_cell":
+        return [MultiIndex((1,) * box.d)]
+    picks = [
+        MultiIndex(tuple(int(gen.integers(1, c + 1)) for c in box.coords))
+        for _ in range(int(gen.integers(1, 7)))
+    ]
+    if kind == "explicit":
+        return sorted(set(picks), key=lambda b: (b.size, b.coords))
+    # non-nested: unsorted with repeats, plus one box per axis that is full
+    # on that axis and 1 elsewhere (pairwise incomparable when d >= 2)
+    axis_boxes = [
+        MultiIndex(tuple(c if k == ax else 1 for k, c in enumerate(box.coords)))
+        for ax in range(box.d)
+    ]
+    return picks + axis_boxes + picks[:1]
+
+
+def random_field(gen, lead: tuple, box: MultiIndex) -> np.ndarray:
+    """Heavy-tailed cells with an inf, a NaN and exact ties sprinkled in."""
+    field = 1.0 + gen.pareto(1.5, size=lead + box.coords)
+    flat = field.reshape(-1)
+    for value in (np.inf, np.nan, 2.0, 0.0):
+        if gen.random() < 0.5:
+            flat[gen.integers(flat.size)] = value
+    return field
+
+
+# sweep blocks of one row each, of a few rows that split the kept rows
+# unevenly, and the default (one block for these small fields)
+BLOCK_CELLS = [1, 10, lattice.SWEEP_BLOCK_CELLS]
+
+
+class TestScheduleAveragesOracle:
+    """The corner-only reduction against the full-table path, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("block_cells", BLOCK_CELLS)
+    def test_equals_full_table(self, monkeypatch, d, kind, lead, block_cells):
+        monkeypatch.setattr(lattice, "SWEEP_BLOCK_CELLS", block_cells)
+        gen = np.random.default_rng([d, SCHEDULE_KINDS.index(kind), len(lead)])
+        for _ in range(15):
+            box = MultiIndex(tuple(int(v) for v in gen.integers(1, 8, size=d)))
+            field = random_field(gen, lead, box)
+            schedule = schedule_of(kind, box, gen)
+            got = schedule_averages(field, schedule)
+            assert got.shape == lead + (len(schedule),)
+            # C order too: a mean over reps sums in an order set by the layout
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, full_table_averages(field, schedule), equal_nan=True)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("block_cells", BLOCK_CELLS)
+    def test_read_only_broadcast_field(self, monkeypatch, d, block_cells):
+        monkeypatch.setattr(lattice, "SWEEP_BLOCK_CELLS", block_cells)
+        gen = np.random.default_rng(d)
+        box = MultiIndex((5,) * d)
+        field = np.broadcast_to(random_field(gen, (), box), (4,) + box.coords)
+        assert not field.flags.writeable
+        schedule = dyadic_boxes(box)
+        got = schedule_averages(field, schedule)
+        assert np.array_equal(got, full_table_averages(field, schedule), equal_nan=True)
+        exact = np.broadcast_to(2.5, box.coords)
+        assert np.array_equal(
+            schedule_averages(exact, schedule), full_table_averages(exact, schedule)
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("g", [Tail(0.5, 2.0), Tail(0.0, 2.0, ge=True), Tail(1.0, 0.0)])
+    @pytest.mark.parametrize("block_cells", BLOCK_CELLS)
+    def test_fused_g_equals_g_up_front(self, monkeypatch, d, g, block_cells):
+        monkeypatch.setattr(lattice, "SWEEP_BLOCK_CELLS", block_cells)
+        gen = np.random.default_rng([d, 7])
+        for lead in [(), (3,)]:
+            box = MultiIndex(tuple(int(v) for v in gen.integers(1, 8, size=d)))
+            field = random_field(gen, lead, box)
+            field.flags.writeable = False
+            schedule = schedule_of("non_nested", box, gen) + dyadic_boxes(box)
+            fused = schedule_averages(field, schedule, g)
+            assert np.array_equal(fused, schedule_averages(g(field), schedule), equal_nan=True)
+            assert np.array_equal(fused, full_table_averages(g(field), schedule), equal_nan=True)
+
+    def test_full_table_path_matches_bruteforce(self):
+        # the oracle of the oracle: block sums by direct summation
+        for trial in range(30):
+            sample = random_sample(trial)[..., 0]
+            box = MultiIndex(sample.shape)
+            schedule = dyadic_boxes(box)
+            sums = prefix_sums_bruteforce(sample[..., None])[..., 0]
+            brute = [sums[tuple(c - 1 for c in n.coords)] / n.size for n in schedule]
+            assert full_table_averages(sample, schedule) == pytest.approx(brute, rel=1e-12)
 
 
 def test_prefix_table_axis_selection():

@@ -94,10 +94,10 @@ class TestNormSample:
         assert np.array_equal(first, dist.norm_batch(PARETO_EMPIRICAL, BOX, SEED, REPS))
 
     def test_closed_form_draws_nothing(self, draws):
-        fld, exact = NormSample(SPECS["pareto_radial"], BOX, SEED, REPS).expectations(
+        fld, exact, g = NormSample(SPECS["pareto_radial"], BOX, SEED, REPS).expectations(
             Tail(1.0, 2.0)
         )
-        assert exact and fld.shape == BOX.coords
+        assert exact and g is None and fld.shape == BOX.coords
         assert draws == []
 
     def test_validation_happens_at_the_draw(self):
