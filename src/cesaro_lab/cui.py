@@ -1,14 +1,14 @@
 """Cesaro uniform integrability: tail estimators, certificates, and the
 equivalence with the classical bounded-mean + small-event criterion.
 
-The defining quantity is the schedule supremum of Cesaro averages of
-truncated moments,
+The defining quantity is the supremum of Cesaro averages of truncated
+moments over the boxes n below a horizon,
 
-    sup_n (1/|n|) sum_{i <= n} E(||X_i||^p 1(||X_i|| > a)),
+    sup_n (1/|n|) sum_{i <= n} E(||X_i||^p 1(||X_i|| > a)).
 
-evaluated over a disclosed finite schedule of boxes below a horizon. The
-supremum over all boxes is not computable; every report therefore carries the
-horizon and schedule it was computed on.
+The supremum over all boxes is not computable; every query is asked of one
+NormSample and evaluated over the dyadic boxes of the sample's box (its
+schedule), and a report carries the horizon and schedule it was computed on.
 """
 
 from __future__ import annotations
@@ -20,23 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import LOW_REPS_FLOOR, NormSample, Tail
-from .lattice import MultiIndex, dyadic_boxes, leq, schedule_averages
+from .lattice import MultiIndex, dyadic_boxes, schedule_averages
 
 DEFAULT_A_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-
-def _resolve_schedule(horizon: MultiIndex, schedule) -> list[MultiIndex]:
-    if schedule is None:
-        return dyadic_boxes(horizon)
-    boxes = list(schedule)
-    if not boxes:
-        raise ValueError("schedule must contain at least one box")
-    for b in boxes:
-        if b.d != horizon.d:
-            raise ValueError(f"schedule box {b} has d={b.d}, horizon has d={horizon.d}")
-        if not leq(b, horizon):
-            raise ValueError(f"schedule box {b} exceeds horizon {horizon}")
-    return boxes
 
 
 def _levels(a_grid: Sequence[float]) -> list[float]:
@@ -64,14 +50,15 @@ class TailEstimate:
         return self.value + 2.0 * self.stderr
 
 
-def _schedule_sup(fld: np.ndarray, exact: bool, g, schedule) -> TailEstimate:
-    """sup over the schedule of Cesaro averages of a per-cell field, or of g
-    of it cell by cell when g is given.
+def _schedule_sup(fld: np.ndarray, exact: bool, g, box: MultiIndex) -> TailEstimate:
+    """sup over the dyadic boxes of `box` of Cesaro averages of a per-cell
+    field, or of g of it cell by cell when g is given.
 
     An exact field (shape box) gives the argmax average. A realized field
     (shape (reps,) + box) gives the replication mean at the box maximizing
     it, with the stderr of that mean from the replication spread.
     """
+    schedule = dyadic_boxes(box)
     avgs = schedule_averages(fld, schedule, g)
     if exact:
         j = int(np.argmax(avgs))
@@ -92,13 +79,12 @@ def cesaro_tail_sup(
     sample: NormSample,
     p: float,
     a: float,
-    schedule: Optional[Sequence[MultiIndex]] = None,
     ge: bool = False,
 ) -> TailEstimate:
-    """Schedule sup of Cesaro-averaged truncated p-th moments at level a.
+    """Sup of Cesaro-averaged truncated p-th moments at level a over the
+    dyadic boxes of the sample's box.
 
-    The schedule defaults to the dyadic boxes of the sample's box. The
-    indicator is strict (||X|| > a) by default; ge=True switches to
+    The indicator is strict (||X|| > a) by default; ge=True switches to
     ||X|| >= a (the variant used when hunting integer tail levels).
     Expectations are closed-form when the family and moment mode admit them,
     otherwise plain Monte Carlo means over the sample's replications with a
@@ -108,8 +94,7 @@ def cesaro_tail_sup(
         raise ValueError("p must lie in (0, 1]")
     if not (a >= 0):
         raise ValueError("a must be >= 0")
-    sched = _resolve_schedule(sample.box, schedule)
-    return _schedule_sup(*sample.expectations(Tail(p, a, ge)), sched)
+    return _schedule_sup(*sample.expectations(Tail(p, a, ge)), sample.box)
 
 
 def cui_certificate(
@@ -117,7 +102,6 @@ def cui_certificate(
     p: float,
     eps: float,
     a_grid: Sequence[float] = DEFAULT_A_GRID,
-    schedule: Optional[Sequence[MultiIndex]] = None,
 ) -> Optional[float]:
     """Smallest grid level whose tail sup is certified below eps, else None.
 
@@ -126,19 +110,16 @@ def cui_certificate(
     """
     if not (eps > 0):
         raise ValueError("eps must be > 0")
-    grid = _levels(a_grid)
-    sched = _resolve_schedule(sample.box, schedule)
-    for a in grid:
-        if cesaro_tail_sup(sample, p, a, sched).upper() < eps:
+    for a in _levels(a_grid):
+        if cesaro_tail_sup(sample, p, a).upper() < eps:
             return a
     return None
 
 
-def check_criterion_i(
-    sample: NormSample, schedule: Optional[Sequence[MultiIndex]] = None
-) -> TailEstimate:
-    """K = sup over the schedule of Cesaro-averaged first moments E||X_i||."""
-    return cesaro_tail_sup(sample, 1.0, 0.0, schedule)
+def check_criterion_i(sample: NormSample) -> TailEstimate:
+    """K = sup over the dyadic boxes of the sample's box of Cesaro-averaged
+    first moments E||X_i||."""
+    return cesaro_tail_sup(sample, 1.0, 0.0)
 
 
 def derive_delta(eps: float, a0: float) -> float:
@@ -188,15 +169,14 @@ def markov_event_array(sample: NormSample, K: float, delta: float) -> EventArray
     return EventArray(sample.box, threshold=K / delta)
 
 
-def _event_sups(
-    sample: NormSample, events: EventArray, schedule
-) -> tuple[TailEstimate, TailEstimate]:
-    """Schedule sups of Cesaro-averaged P(A_i) and E(||X_i|| 1(A_i)), both
-    from the caller's sample over events.box."""
+def _event_sups(sample: NormSample, events: EventArray) -> tuple[TailEstimate, TailEstimate]:
+    """Sups of Cesaro-averaged P(A_i) and E(||X_i|| 1(A_i)), both from the
+    caller's sample over its box."""
+    box = sample.box
     if events.threshold is not None:
         t, ge = events.threshold, events.ge
-        prob = _schedule_sup(*sample.expectations(Tail(0.0, t, ge)), schedule)
-        return prob, cesaro_tail_sup(sample, 1.0, t, schedule, ge)
+        prob = _schedule_sup(*sample.expectations(Tail(0.0, t, ge)), box)
+        return prob, cesaro_tail_sup(sample, 1.0, t, ge)
     # events independent of the array (the adversarial construction uses 0/1
     # probabilities, where independence is vacuous); a cell of probability 0
     # contributes 0 even where E||X_i|| is infinite
@@ -206,8 +186,8 @@ def _event_sups(
     moments = np.zeros(np.broadcast(events.probs, fld).shape)
     np.multiply(events.probs, fld, out=moments, where=events.probs > 0)
     return (
-        _schedule_sup(events.probs, True, None, schedule),
-        _schedule_sup(moments, exact, None, schedule),
+        _schedule_sup(events.probs, True, None, box),
+        _schedule_sup(moments, exact, None, box),
     )
 
 
@@ -229,7 +209,6 @@ def check_event_criterion(
     events: EventArray,
     delta: float,
     eps: float,
-    schedule: Optional[Sequence[MultiIndex]] = None,
 ) -> EventCriterionReport:
     """Does 'event averages below delta' force 'truncated moments below eps'?
 
@@ -241,8 +220,7 @@ def check_event_criterion(
         raise ValueError("delta and eps must be > 0")
     if sample.box != events.box:
         raise ValueError(f"sample box {sample.box} != event box {events.box}")
-    sched = _resolve_schedule(events.box, schedule)
-    prob, mom = _event_sups(sample, events, sched)
+    prob, mom = _event_sups(sample, events)
     premise = prob.upper() < delta
     conclusion = mom.upper() < eps
     return EventCriterionReport(
@@ -258,16 +236,14 @@ def check_event_criterion(
     )
 
 
-def adversarial_event_array(
-    sample: NormSample, delta: float, schedule: Optional[Sequence[MultiIndex]] = None
-) -> EventArray:
+def adversarial_event_array(sample: NormSample, delta: float) -> EventArray:
     """Greedy worst case for the small-event criterion over the sample's box:
     make the cells with the largest expected norms certain, as long as every
-    schedule box keeps its event average strictly below delta."""
+    dyadic box of it keeps its event average strictly below delta."""
     if not (delta > 0):
         raise ValueError("delta must be > 0")
     horizon = sample.box
-    sched = _resolve_schedule(horizon, schedule)
+    sched = dyadic_boxes(horizon)
     fld, exact, g = sample.expectations(Tail(1.0, 0.0))
     if not exact:
         fld = g(fld).mean(axis=0)
@@ -332,7 +308,6 @@ class EquivalenceReport:
 def verify_criterion_equivalence(
     sample: NormSample,
     eps_list: Sequence[float],
-    schedule: Optional[Sequence[MultiIndex]] = None,
     a_grid: Sequence[float] = DEFAULT_A_GRID,
 ) -> EquivalenceReport:
     """Exercise both directions of the equivalence between CUI and the pair
@@ -350,13 +325,12 @@ def verify_criterion_equivalence(
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
     horizon = sample.box
-    sched = _resolve_schedule(horizon, schedule)
     checks: list[CheckRecord] = []
 
-    k_est = check_criterion_i(sample, sched)
+    k_est = check_criterion_i(sample)
     K = k_est.value
 
-    a0_bound = cui_certificate(sample, 1.0, 1.0, a_grid, sched)
+    a0_bound = cui_certificate(sample, 1.0, 1.0, a_grid)
     certified = a0_bound is not None
     if certified:
         checks.append(
@@ -382,7 +356,7 @@ def verify_criterion_equivalence(
     for eps in eps_list:
         if not (eps > 0):
             raise ValueError("eps must be > 0")
-        a0 = cui_certificate(sample, 1.0, eps / 2.0, a_grid, sched)
+        a0 = cui_certificate(sample, 1.0, eps / 2.0, a_grid)
         if a0 is None:
             checks.append(
                 CheckRecord(
@@ -407,11 +381,11 @@ def verify_criterion_equivalence(
 
         tested = [
             ("empty", EventArray(horizon, probs=np.zeros(horizon.coords))),
-            ("adversarial", adversarial_event_array(sample, delta, sched)),
+            ("adversarial", adversarial_event_array(sample, delta)),
             ("markov", markov_event_array(sample, K, delta)),
         ]
         reports = {
-            name: check_event_criterion(sample, ev, delta, eps, sched) for name, ev in tested
+            name: check_event_criterion(sample, ev, delta, eps) for name, ev in tested
         }
         for name, rep in reports.items():
             checks.append(
@@ -442,7 +416,7 @@ def verify_criterion_equivalence(
                 passed=markov.conclusion_holds,
             )
         )
-        tail = cesaro_tail_sup(sample, 1.0, K / delta, sched)
+        tail = cesaro_tail_sup(sample, 1.0, K / delta)
         checks.append(
             CheckRecord(
                 f"eps={eps}:cui_tail_recovered",
@@ -504,9 +478,8 @@ def build_cui_report(
     """Tail sups at every grid level and the first-moment sup, all over the
     dyadic boxes of the sample's box."""
     grid = _levels(a_grid)
-    sched = dyadic_boxes(sample.box)
-    ests = [cesaro_tail_sup(sample, p, a, sched, ge) for a in grid]
-    mean_est = check_criterion_i(sample, sched)
+    ests = [cesaro_tail_sup(sample, p, a, ge) for a in grid]
+    mean_est = check_criterion_i(sample)
     return CuiReport(
         p=p,
         a_grid=tuple(grid),
@@ -515,7 +488,7 @@ def build_cui_report(
         mean_sup=mean_est.value,
         mean_stderr=mean_est.stderr,
         horizon=sample.box,
-        schedule=tuple(sched),
+        schedule=tuple(dyadic_boxes(sample.box)),
         mode=ests[0].mode,
         low_reps=any(e.low_reps for e in ests),
     )

@@ -3,9 +3,10 @@
 Each family's docstring states its dependence structure and whether its
 p-th power norms are Cesaro uniformly integrable. Every closed form sits
 behind one per-family norm law: `fixed_norms` gives the cell norms when
-they are not random, and `expect` gives E g(||X_i||) for a norm functional
-g where the family admits it. `NormSample.expectations` is the one place
-that chooses between that closed form and Monte Carlo; a `NormSample` draws
+they are not random, `expect` gives E g(||X_i||) for a norm functional g
+where the family admits it, and `mean` gives the per-cell mean vectors
+(zeros for the zero-mean families). `NormSample.expectations` is the one
+place that chooses between that closed form and Monte Carlo; a `NormSample` draws
 its norms at most once and answers every query from that one draw. Samplers
 are pure functions of (spec, box, seed): cell i draws from a counter-based
 stream keyed by (seed, i), so enlarging a box never changes previously
@@ -17,6 +18,7 @@ same, so dim_D shapes only iid_gaussian.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -43,9 +45,19 @@ class DistributionSpec:
     moment_mode: str = "analytic"
 
     def __post_init__(self):
+        if not isinstance(self.family, str):
+            raise ValueError(f"family must be a string, got {self.family!r}")
         fam = get_family(self.family)
+        if not isinstance(self.params, Mapping):
+            raise ValueError(f"params must map names to numbers, got {self.params!r}")
+        for name, value in self.params.items():
+            # checked, not coerced: to_json writes the params back as given
+            if not (_is_number(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"param {name!r} must be a finite number, got {value!r}")
         object.__setattr__(self, "params", dict(self.params))
-        if int(self.dim_D) < 1:
+        if not _is_number(self.dim_D, numbers.Integral):
+            raise ValueError(f"dim_D must be an integer, got {self.dim_D!r}")
+        if self.dim_D < 1:
             raise ValueError("dim_D must be >= 1")
         object.__setattr__(self, "dim_D", int(self.dim_D))
         if self.moment_mode not in MOMENT_MODES:
@@ -66,6 +78,8 @@ class DistributionSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "DistributionSpec":
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"a spec must be a JSON object, got {obj!r}")
         extra = set(obj) - {"family", "params", "dim_D", "moment_mode"}
         if extra:
             raise ValueError(f"unknown spec fields: {sorted(extra)}")
@@ -77,6 +91,11 @@ class DistributionSpec:
             dim_D=obj.get("dim_D", 8),
             moment_mode=obj.get("moment_mode", "analytic"),
         )
+
+
+def _is_number(value, kind) -> bool:
+    """value is an instance of the numbers ABC `kind`, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _coord_grids(box: MultiIndex) -> list[np.ndarray]:
@@ -126,9 +145,6 @@ class Family:
         if self.max_d is not None and box.d > self.max_d:
             raise ValueError(f"family {self.name} is defined for d <= {self.max_d}")
 
-    def zero_mean(self, spec: DistributionSpec) -> bool:
-        return False
-
     # --- norm law -------------------------------------------------------
     def fixed_norms(self, spec, box: MultiIndex) -> np.ndarray | None:
         """Per-cell norms over the box when they are not random, else None."""
@@ -142,8 +158,6 @@ class Family:
     def mean(self, spec, box: MultiIndex) -> np.ndarray | None:
         """Per-cell mean vectors, broadcastable to the batch, or None without
         a closed form."""
-        if self.zero_mean(spec):
-            return np.broadcast_to(0.0, box.coords + (1,))
         return None
 
     # --- sampling -------------------------------------------------------
@@ -183,9 +197,6 @@ class ConstantFamily(_DeterministicFamily):
 
     def cell_values(self, spec, box):
         return np.broadcast_to(float(spec.param("c")), box.coords)
-
-    def zero_mean(self, spec):
-        return float(spec.param("c")) == 0.0
 
 
 class SpikedCuiFamily(_DeterministicFamily):
@@ -292,8 +303,8 @@ class IidGaussianFamily(Family):
         if spec.param("sigma") <= 0:
             raise ValueError("sigma must be > 0")
 
-    def zero_mean(self, spec):
-        return True
+    def mean(self, spec, box):
+        return np.broadcast_to(0.0, box.coords + (1,))
 
     def vectors(self, spec, box, starts):
         keys = rng.cell_keys(starts, _coord_grids(box))
@@ -314,8 +325,8 @@ class IidRademacherFamily(Family):
     name = "iid_rademacher"
     defaults: dict[str, float] = {}
 
-    def zero_mean(self, spec):
-        return True
+    def mean(self, spec, box):
+        return np.broadcast_to(0.0, box.coords + (1,))
 
     def fixed_norms(self, spec, box):
         return np.broadcast_to(1.0, box.coords)
@@ -360,8 +371,8 @@ class PairwiseRademacherFamily(Family):
         if m != int(m) or not (2 <= int(m) <= 20):
             raise ValueError("m must be an integer in [2, 20]")
 
-    def zero_mean(self, spec):
-        return True
+    def mean(self, spec, box):
+        return np.broadcast_to(0.0, box.coords + (1,))
 
     def fixed_norms(self, spec, box):
         return np.broadcast_to(1.0, box.coords)
@@ -514,6 +525,3 @@ class NormSample:
                 return fld, True, None
         return self.norms(), False, g
 
-
-def zero_mean(spec) -> bool:
-    return get_family(spec.family).zero_mean(spec)

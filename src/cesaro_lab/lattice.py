@@ -4,12 +4,13 @@ Cells of a box [1, n] are enumerated in row-major order (last coordinate
 fastest); every floating reduction in this module follows that fixed order,
 so identical input bits always produce identical output bits.
 
-A tail query reads corners only: schedule_averages sweeps the box axes in
+A tail query reads corners only: schedule_averages sweeps every box axis in
 prefix_table's order but keeps, on each axis, only the schedule's
 coordinates, so it never builds the full prefix table, and it applies a norm
-functional slab by slab inside its first sweep. The norms it reduces are
-drawn in chunks of distributions.CHUNK_CELLS cells. prefix_table itself
-serves the convergence series, which need M_k at every k.
+functional block by block inside its first sweep, so g of the whole field is
+never held either, whatever d. The norms it reduces are drawn in chunks of
+distributions.CHUNK_CELLS cells. prefix_table itself serves the convergence
+series, which need M_k at every k.
 """
 
 from __future__ import annotations
@@ -128,14 +129,15 @@ def _running_rows(
             block = g(block)
         block = np.array(block, dtype=np.float64)
         if acc is not None:
-            first = block[pre + (0,)]
+            # slices keep the swept axis, so a 1-D block's row stays an array
+            first = block[pre + (slice(0, 1),)]
             np.add(acc, first, out=first)
         if step > 1:
             np.cumsum(block, axis=ax, out=block)
         while j < len(rows) and rows[j] < start + step:
             out[pre + (j,)] = block[pre + (rows[j] - start,)]
             j += 1
-        acc = block[pre + (-1,)]
+        acc = block[pre + (slice(-1, None),)]
     return out
 
 
@@ -148,10 +150,10 @@ def schedule_averages(
 
     `field` has the box axes last (any leading axes, e.g. replications, are
     carried through); returns shape field.shape[:-d] + (len(schedule),). An
-    elementwise g is applied to the field cell by cell inside the first sweep,
-    so for d >= 2 g(field) is never held whole.
+    elementwise g is applied to the field block by block inside the first
+    sweep, so g(field) is never held whole.
 
-    Only the schedule's corners are computed: the box axes are swept in
+    Only the schedule's corners are computed: every box axis is swept in
     prefix_table's order, and each sweep keeps only the schedule's
     coordinates on its axis, so later sweeps run on a smaller array and the
     corners equal prefix_table's bit for bit.
@@ -160,19 +162,15 @@ def schedule_averages(
     lead = field.ndim - d
     table = field
     corners = [[] for _ in schedule]
-    for k in range(d - 1):
+    for k in range(d):
         rows = sorted({n.coords[k] - 1 for n in schedule})
         position = {r: j for j, r in enumerate(rows)}
         for corner, n in zip(corners, schedule):
             corner.append(position[n.coords[k] - 1])
         table = _running_rows(table, lead + k, rows, g if k == 0 else None)
-    table = table[..., : max(n.coords[-1] for n in schedule)]
-    if g is not None and d == 1:
-        table = g(table)
-    table = np.cumsum(table, axis=-1, dtype=np.float64)
     out = np.empty(field.shape[:lead] + (len(schedule),), dtype=np.float64)
     for j, (corner, n) in enumerate(zip(corners, schedule)):
-        out[..., j] = table[(Ellipsis, *corner, n.coords[-1] - 1)] / n.size
+        out[..., j] = table[(Ellipsis, *corner)] / n.size
     return out
 
 

@@ -20,7 +20,6 @@ from . import distributions as dist
 from .cui import TailEstimate, _schedule_sup, cesaro_tail_sup
 from .distributions import NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
-from .lattice import dyadic_boxes
 
 DEFAULT_SEARCH_CAP = 64
 # phi(t)/t -> infinity, checked on a finite domain: the end ratio must reach this
@@ -155,10 +154,8 @@ def thresholds_from_cui(
         raise ValueError("j_max must be >= 1")
     if search_cap < 1:
         raise ValueError("search_cap must be >= 1")
-    sched = dyadic_boxes(sample.box)
-
     def sup_at(level: int) -> float:
-        return cesaro_tail_sup(sample, 1.0, float(level), sched, ge=True).upper()
+        return cesaro_tail_sup(sample, 1.0, float(level), ge=True).upper()
 
     out: list[int] = []
     prev = 0
@@ -229,13 +226,12 @@ def poussin_moment_check(sample: NormSample, phi: PhiFunction) -> TailEstimate:
     otherwise. Any norm beyond phi's domain raises PhiDomainError (enlarge
     n_max).
     """
-    sched = dyadic_boxes(sample.box)
     fld, exact, g = sample.expectations(lambda t: phi_eval_many(phi, t))
     if not exact:
         # phi is evaluated slab by slab inside the reduction; check the whole
         # sample first, so an error names its max and not one slab's
         _check_domain(phi, fld)
-    return _schedule_sup(fld, exact, g, sched)
+    return _schedule_sup(fld, exact, g, sample.box)
 
 
 @dataclass(frozen=True)
@@ -256,7 +252,6 @@ def poussin_forward_check(
     where phi(a)/a >= (K+1)/eps must push the tail sup at a below eps."""
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
-    sched = dyadic_boxes(sample.box)
     K = poussin_moment_check(sample, phi).upper()
     levels = np.arange(1, phi.n_max + 1, dtype=np.float64)
     ratios = phi.prefix[1:] / levels
@@ -272,7 +267,7 @@ def poussin_forward_check(
                 "enlarge n_max or deepen the threshold list"
             )
         a = int(hits[0] + 1)
-        tail = cesaro_tail_sup(sample, 1.0, float(a), sched)
+        tail = cesaro_tail_sup(sample, 1.0, float(a))
         out.append(
             ForwardCheck(
                 eps=float(eps),

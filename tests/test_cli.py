@@ -87,6 +87,22 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"family": "pareto_radial", "params": {"alpha": "3"}, "dim_D": 1}',
+         '{"family": "pareto_radial", "params": {"alpha": 3.0}, "dim_D": null}',
+         '{"family": "pareto_radial", "params": {"alpha": 3.0}, "dim_D": 2.5}',
+         "5"],
+        ids=["string_param", "null_dim", "fractional_dim", "not_an_object"],
+    )
+    def test_spec_file_with_bad_values_is_a_usage_error(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code = cli.main(["check-cui", "--spec", str(bad), "--horizon", "8", "--reps", "2",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_family(self, tmp_path):
         spec = write_spec(tmp_path, "cauchy_surprise")
         assert cli.main(["check-cui", "--spec", spec, "--out",
@@ -157,17 +173,19 @@ class TestCheckCui:
 CHECK_CUI_RSS = """
 import resource, sys
 from cesaro_lab import cli
-reps, spec, out = sys.argv[1:]
-argv = ["check-cui", "--spec", spec, "--p", "0.5", "--horizon", "128x128", "--reps", reps,
+reps, spec, horizon, out = sys.argv[1:]
+argv = ["check-cui", "--spec", spec, "--p", "0.5", "--horizon", horizon, "--reps", reps,
         "--out", out]
 assert cli.main(argv) == 0
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_check_cui_memory_grows_with_the_norms_only(tmp_path):
-    # the norms themselves grow by 300 reps x 128 x 128 x 8 B; drawing them
-    # at once and building each tail query's full table cost about 4x that
+@pytest.mark.parametrize("horizon", ["128x128", "16384"])
+def test_check_cui_memory_grows_with_the_norms_only(tmp_path, horizon):
+    # the norms themselves grow by 300 reps x 16384 cells x 8 B; drawing them
+    # at once and building each tail query's full table cost about 4x that in
+    # d = 2, and holding g of the norms and its cumsum about 3x that in d = 1
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"family": "pareto_radial", "params": {"alpha": 3.0},
                                 "dim_D": 1, "moment_mode": "empirical"}))
@@ -175,7 +193,8 @@ def test_check_cui_memory_grows_with_the_norms_only(tmp_path):
     peaks_kb = []
     for reps in (100, 400):
         out = subprocess.run(
-            [sys.executable, "-c", CHECK_CUI_RSS, str(reps), str(spec), str(tmp_path / f"r{reps}")],
+            [sys.executable, "-c", CHECK_CUI_RSS, str(reps), str(spec), horizon,
+             str(tmp_path / f"r{reps}")],
             capture_output=True, text=True, check=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )

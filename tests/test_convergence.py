@@ -437,8 +437,13 @@ class TestMoricz:
     def test_gates(self):
         with pytest.raises(ValueError):
             moricz_ratio(SIGNS, [MultiIndex((2,))], reps=0)
-        with pytest.raises(ValueError):
-            moricz_ratio(CONSTANT, [MultiIndex((2,))])  # not zero mean
+        # the mean law must be zero: not a nonzero constant, not pareto with a
+        # nonzero mean (alpha 3) or none in closed form (alpha 0.8), and not
+        # spiked cells, which are zero only off the spikes
+        heavy = spec_of("pareto_radial", alpha=0.8)
+        for spec in (CONSTANT, PARETO, heavy, spec_of("spiked_cui")):
+            with pytest.raises(ValueError, match="zero-mean"):
+                moricz_ratio(spec, [MultiIndex((4,))])
         with pytest.raises(ValueError):
             moricz_ratio(ZERO, [MultiIndex((2,))])  # second moments all zero
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from cesaro_lab.cui import (
 )
 import cesaro_lab.distributions as dist
 from cesaro_lab.distributions import DistributionSpec, NormSample
-from cesaro_lab.lattice import MultiIndex
+from cesaro_lab.lattice import MultiIndex, dyadic_boxes
 from cesaro_lab.poussin import PhiFunction, phi_eval_many, poussin_forward_check
 
 
@@ -50,16 +50,11 @@ class TestTailSup:
 
     def test_growing_first_moment_anchor(self):
         # (1 + sqrt 2 + sqrt 3 + 2) / 4, frozen from direct evaluation
-        est = cesaro_tail_sup(
-            NormSample(GROWING, MultiIndex((4,))), 1.0, 0.0, schedule=[MultiIndex((4,))]
-        )
+        est = cesaro_tail_sup(NormSample(GROWING, MultiIndex((4,))), 1.0, 0.0)
         assert est.value == 1.5365660924854931
 
     def test_growing_criterion_i_attained_at_largest_box(self):
-        est = check_criterion_i(
-            NormSample(GROWING, MultiIndex((4,))),
-            schedule=[MultiIndex((1,)), MultiIndex((2,)), MultiIndex((4,))],
-        )
+        est = check_criterion_i(NormSample(GROWING, MultiIndex((4,))))
         assert est.value == 1.5365660924854931
         assert est.argmax_box == MultiIndex((4,))
 
@@ -105,8 +100,6 @@ class TestTailSup:
             cesaro_tail_sup(sample, 1.2, 1.0)
         with pytest.raises(ValueError):
             cesaro_tail_sup(sample, 1.0, -1.0)
-        with pytest.raises(ValueError):
-            cesaro_tail_sup(sample, 1.0, 1.0, schedule=[MultiIndex((8,))])
 
 
 class TestCertificate:
@@ -437,7 +430,7 @@ class TestOneEstimator:
         ev = EventArray(box, threshold=1.5, ge=True)
         rep = check_event_criterion(sample, ev, delta=0.9, eps=5.0)
         norms = sample.norms()
-        sched = cui._resolve_schedule(box, None)
+        sched = dyadic_boxes(box)
         for fld, value, stderr in [
             (norms >= 1.5, rep.prob_sup, rep.prob_stderr),
             (np.where(norms >= 1.5, norms, 0.0), rep.moment_sup, rep.moment_stderr),

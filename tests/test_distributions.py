@@ -32,6 +32,9 @@ class TestSpecSerialization:
         again = DistributionSpec.from_json(spec.to_json())
         assert again == spec
         assert DistributionSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+        # params are written back as given: an int stays an int
+        as_int = DistributionSpec.from_json({"family": "pareto_radial", "params": {"alpha": 3}})
+        assert type(as_int.to_json()["params"]["alpha"]) is int
 
     def test_defaults_applied(self):
         spec = spec_of("pareto_radial")
@@ -59,6 +62,24 @@ class TestSpecSerialization:
             spec_of("constant", d=0)
         with pytest.raises(ValueError):
             DistributionSpec("constant", {}, 1, moment_mode="exactish")
+        # non-numbers, bools and non-finite values are rejected, not coerced
+        for payload in [
+            {"family": "pareto_radial", "params": {"alpha": "3"}, "dim_D": 1},
+            {"family": "pareto_radial", "params": {"alpha": None}, "dim_D": 1},
+            {"family": "iid_gaussian", "params": {"sigma": True}, "dim_D": 1},
+            {"family": "pareto_radial", "params": {"alpha": math.nan}, "dim_D": 1},
+            {"family": "spiked_cui", "params": {"gap_base": math.inf}, "dim_D": 1},
+            {"family": "pareto_radial", "params": [1], "dim_D": 1},
+            {"family": "pareto_radial", "params": {}, "dim_D": None},
+            {"family": "pareto_radial", "params": {}, "dim_D": 2.5},
+            {"family": "pareto_radial", "params": {}, "dim_D": True},
+            {"family": ["pareto_radial"], "params": {}, "dim_D": 1},
+            5,
+            None,
+            ["pareto_radial"],
+        ]:
+            with pytest.raises(ValueError):
+                DistributionSpec.from_json(payload)
 
     def test_dimension_cap_enforced(self):
         spiked = spec_of("spiked_cui")
@@ -237,7 +258,7 @@ class TestRademacher:
         assert s.shape == (100, 1)
         assert set(np.unique(s)) == {-1.0, 1.0}
         assert np.all(dist.fixed_norms(spec, MultiIndex((100,))) == 1.0)
-        assert dist.zero_mean(spec)
+        assert np.array_equal(dist.mean(spec, MultiIndex((100,))), np.zeros((100, 1)))
 
 
 class TestSubsetProducts:
