@@ -375,29 +375,36 @@ def _prefix_case(trial: int, seed: int, inject_fault: bool) -> Optional[dict]:
 
 
 def _schedule_case(trial: int, seed: int) -> Optional[dict]:
-    """Compare the corner-only schedule averages, over the dyadic boxes of a
-    random box and with a leading rep axis, against brute-force block means."""
+    """Compare the dyadic tail profile of a random box, with a leading rep
+    axis, a weight and two truncation levels (strict or not), against
+    brute-force block means."""
     key = np.uint64(rng.derive_seed(seed, 2_000_000 + trial))
     d = _rand_int(key, 1, 1, 3)
     sides = tuple(_rand_int(key, 10 + ax, 1, 5) for ax in range(d))
     reps = _rand_int(key, 2, 1, 3)
+    ge = _rand_int(key, 3, 0, 1) == 1
+    levels = (-0.5, 0.5)
     box = MultiIndex(sides)
     grids = np.meshgrid(
         *(np.arange(1, c + 1, dtype=np.uint64) for c in sides), indexing="ij"
     )
-    field = np.moveaxis(rng.normals(rng.cell_keys(int(key), grids), reps), -1, 0)
-    sched = dyadic_boxes(box)
-    fast = schedule_averages(field, sched)
+    # half-integer cells, so some sit exactly on a level and ge matters
+    normals = rng.normals(rng.cell_keys(int(key), grids), reps)
+    field = np.moveaxis(np.round(2.0 * normals) / 2.0, -1, 0)
+    fast = schedule_averages(field, box, np.abs, levels, ge)
 
-    def block_means(n: MultiIndex) -> np.ndarray:
+    def block_means(n: MultiIndex, a: float) -> np.ndarray:
         block = field[(slice(None),) + tuple(slice(0, c) for c in n.coords)]
-        return block.reshape(reps, -1).mean(axis=1)
+        kept = np.where(block >= a if ge else block > a, np.abs(block), 0.0)
+        return kept.reshape(reps, -1).mean(axis=1)
 
-    brute = np.stack([block_means(n) for n in sched], axis=-1)
+    brute = np.stack(
+        [np.stack([block_means(n, a) for n in dyadic_boxes(box)], axis=-1) for a in levels]
+    )
     err = float(np.abs(fast - brute).max()) / max(1.0, float(np.abs(brute).max()))
     if err > 1e-9:
         return {"kind": "schedule_average", "trial": trial, "d": d, "box": str(box),
-                "reps": reps, "relative_error": err}
+                "reps": reps, "ge": ge, "relative_error": err}
     return None
 
 

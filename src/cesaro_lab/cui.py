@@ -50,16 +50,13 @@ class TailEstimate:
         return self.value + 2.0 * self.stderr
 
 
-def _schedule_sup(fld: np.ndarray, exact: bool, g, box: MultiIndex) -> TailEstimate:
-    """sup over the dyadic boxes of `box` of Cesaro averages of a per-cell
-    field, or of g of it cell by cell when g is given.
+def _estimate(avgs: np.ndarray, exact: bool, schedule: Sequence[MultiIndex]) -> TailEstimate:
+    """The sup over the schedule of one level of a profile.
 
-    An exact field (shape box) gives the argmax average. A realized field
-    (shape (reps,) + box) gives the replication mean at the box maximizing
-    it, with the stderr of that mean from the replication spread.
+    Exact averages (shape (boxes,)) give their argmax. Realized averages
+    (shape (reps, boxes)) give the replication mean at the box maximizing it,
+    with the stderr of that mean from the replication spread.
     """
-    schedule = dyadic_boxes(box)
-    avgs = schedule_averages(fld, schedule, g)
     if exact:
         j = int(np.argmax(avgs))
         return TailEstimate(float(avgs[j]), 0.0, "analytic", schedule[j])
@@ -75,6 +72,35 @@ def _schedule_sup(fld: np.ndarray, exact: bool, g, box: MultiIndex) -> TailEstim
     )
 
 
+def _schedule_sup(fld: np.ndarray, exact: bool, weight, box: MultiIndex) -> TailEstimate:
+    """sup over the dyadic boxes of `box` of Cesaro averages of a per-cell
+    field (shape box when exact, (reps,) + box when realized), or of
+    weight of it cell by cell when weight is given."""
+    return _estimate(schedule_averages(fld, box, weight), exact, dyadic_boxes(box))
+
+
+def _tail_sups(
+    sample: NormSample, p: float, levels: Sequence[float], ge: bool = False
+) -> list[TailEstimate]:
+    """Tail sups at each of the increasing `levels`: a closed form per level
+    where the family and moment mode admit one, and one tail profile of the
+    realized norms for all the other levels."""
+    if not (0 < p <= 1):
+        raise ValueError("p must lie in (0, 1]")
+    box = sample.box
+    ests = {}
+    for a in levels:
+        fld, exact, _ = sample.expectations(Tail(p, a, ge))
+        if exact:
+            ests[a] = _schedule_sup(fld, True, None, box)
+    realized = [a for a in levels if a not in ests]
+    if realized:
+        profile = schedule_averages(sample.norms(), box, Tail(p, 0.0).power, realized, ge)
+        schedule = dyadic_boxes(box)
+        ests.update((a, _estimate(avgs, False, schedule)) for a, avgs in zip(realized, profile))
+    return [ests[a] for a in levels]
+
+
 def cesaro_tail_sup(
     sample: NormSample,
     p: float,
@@ -88,13 +114,18 @@ def cesaro_tail_sup(
     ||X|| >= a (the variant used when hunting integer tail levels).
     Expectations are closed-form when the family and moment mode admit them,
     otherwise plain Monte Carlo means over the sample's replications with a
-    standard error propagated from the replication spread.
+    standard error propagated from the replication spread. This is the
+    one-level case of the tail profile, bit for bit.
     """
-    if not (0 < p <= 1):
-        raise ValueError("p must lie in (0, 1]")
     if not (a >= 0):
         raise ValueError("a must be >= 0")
-    return _schedule_sup(*sample.expectations(Tail(p, a, ge)), sample.box)
+    return _tail_sups(sample, p, [a], ge)[0]
+
+
+def _first_certified(
+    grid: Sequence[float], ests: Sequence[TailEstimate], eps: float
+) -> Optional[float]:
+    return next((a for a, e in zip(grid, ests) if e.upper() < eps), None)
 
 
 def cui_certificate(
@@ -110,10 +141,8 @@ def cui_certificate(
     """
     if not (eps > 0):
         raise ValueError("eps must be > 0")
-    for a in _levels(a_grid):
-        if cesaro_tail_sup(sample, p, a).upper() < eps:
-            return a
-    return None
+    grid = _levels(a_grid)
+    return _first_certified(grid, _tail_sups(sample, p, grid), eps)
 
 
 def check_criterion_i(sample: NormSample) -> TailEstimate:
@@ -180,14 +209,16 @@ def _event_sups(sample: NormSample, events: EventArray) -> tuple[TailEstimate, T
     # events independent of the array (the adversarial construction uses 0/1
     # probabilities, where independence is vacuous); a cell of probability 0
     # contributes 0 even where E||X_i|| is infinite
+    probs = events.probs
     fld, exact, g = sample.expectations(Tail(1.0, 0.0))
-    if not exact:
-        fld = g(fld)
-    moments = np.zeros(np.broadcast(events.probs, fld).shape)
-    np.multiply(events.probs, fld, out=moments, where=events.probs > 0)
+
+    def moments(t: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.broadcast(probs, t).shape)
+        return np.multiply(probs, t if exact else g(t), out=out, where=probs > 0)
+
     return (
-        _schedule_sup(events.probs, True, None, box),
-        _schedule_sup(moments, exact, None, box),
+        _schedule_sup(probs, True, None, box),
+        _schedule_sup(fld, exact, moments, box),
     )
 
 
@@ -246,7 +277,12 @@ def adversarial_event_array(sample: NormSample, delta: float) -> EventArray:
     sched = dyadic_boxes(horizon)
     fld, exact, g = sample.expectations(Tail(1.0, 0.0))
     if not exact:
-        fld = g(fld).mean(axis=0)
+        # the mean over reps, summed rep by rep in order as np.mean does,
+        # without holding g of the whole sample
+        total = np.zeros(horizon.coords)
+        for row in fld:
+            total += g(row)
+        fld = total / len(fld)
     flat = fld.ravel(order="C")
     order = np.argsort(-flat, kind="stable")
     coords = np.unravel_index(np.arange(flat.size), horizon.coords)
@@ -329,8 +365,10 @@ def verify_criterion_equivalence(
 
     k_est = check_criterion_i(sample)
     K = k_est.value
+    grid = _levels(a_grid)
+    grid_ests = _tail_sups(sample, 1.0, grid)
 
-    a0_bound = cui_certificate(sample, 1.0, 1.0, a_grid)
+    a0_bound = _first_certified(grid, grid_ests, 1.0)
     certified = a0_bound is not None
     if certified:
         checks.append(
@@ -356,7 +394,7 @@ def verify_criterion_equivalence(
     for eps in eps_list:
         if not (eps > 0):
             raise ValueError("eps must be > 0")
-        a0 = cui_certificate(sample, 1.0, eps / 2.0, a_grid)
+        a0 = _first_certified(grid, grid_ests, eps / 2.0)
         if a0 is None:
             checks.append(
                 CheckRecord(
@@ -478,7 +516,7 @@ def build_cui_report(
     """Tail sups at every grid level and the first-moment sup, all over the
     dyadic boxes of the sample's box."""
     grid = _levels(a_grid)
-    ests = [cesaro_tail_sup(sample, p, a, ge) for a in grid]
+    ests = _tail_sups(sample, p, grid, ge)
     mean_est = check_criterion_i(sample)
     return CuiReport(
         p=p,

@@ -26,13 +26,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import rng
-from .lattice import MultiIndex
+from .lattice import CHUNK_CELLS, MultiIndex
 
 MOMENT_MODES = ("analytic", "empirical")
 LOW_REPS_FLOOR = 30  # Monte Carlo answers from fewer replications are flagged
-# Cells per chunk of replications, in norm_batch and in convergence series:
-# each holds one chunk's temporaries at a time, so they do not grow with reps.
-CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,11 @@ class Tail:
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         mask = (t >= self.a) if self.ge else (t > self.a)
-        return np.where(mask, t**self.p if self.p != 1 else t, 0.0)
+        return np.where(mask, self.power(t), 0.0)
+
+    def power(self, t: np.ndarray) -> np.ndarray:
+        """t^p, the weight of a cell above the level."""
+        return t**self.p if self.p != 1 else t
 
 
 NormFunctional = Callable[[np.ndarray], np.ndarray]

@@ -4,13 +4,14 @@ Cells of a box [1, n] are enumerated in row-major order (last coordinate
 fastest); every floating reduction in this module follows that fixed order,
 so identical input bits always produce identical output bits.
 
-A tail query reads corners only: schedule_averages sweeps every box axis in
-prefix_table's order but keeps, on each axis, only the schedule's
-coordinates, so it never builds the full prefix table, and it applies a norm
-functional block by block inside its first sweep, so g of the whole field is
-never held either, whatever d. The norms it reduces are drawn in chunks of
-distributions.CHUNK_CELLS cells. prefix_table itself serves the convergence
-series, which need M_k at every k.
+A tail query reads one dyadic tail profile: schedule_averages bins every
+cell of a sample by its dyadic shell (and, for a grid of truncation levels,
+by the levels it exceeds), sums the weights per shell with np.bincount in
+chunks of whole replications of about CHUNK_CELLS cells, and turns shell
+sums into sums over every dyadic box with one cumsum per axis. So every
+truncation level and every box comes from one pass over the sample, and a
+norm functional is applied chunk by chunk, never to the whole sample.
+prefix_table serves the convergence series, which need M_k at every k.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 BRUTE_FORCE_CELL_CAP = 100_000
-# Cells per block of rows in a corner-only sweep: blocks stay cache-sized,
-# and boxes with many small rows take few Python steps.
-SWEEP_BLOCK_CELLS = 1 << 16
+# Cells per chunk of replications, in norm_batch, in convergence series and in
+# schedule_averages: each holds one chunk's temporaries at a time, so they do
+# not grow with reps.
+CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,80 +105,8 @@ def running_max_norms(S: np.ndarray, d: int) -> np.ndarray:
     return norms
 
 
-def _running_rows(
-    arr: np.ndarray, ax: int, rows: Sequence[int], g: Callable[[np.ndarray], np.ndarray] | None
-) -> np.ndarray:
-    """Cumulative sums along axis ax, kept only at the sorted indices `rows`,
-    with g applied to the cells first when given.
-
-    Rows are summed in blocks of about SWEEP_BLOCK_CELLS cells: the first row
-    of a block is added to the running sum through the previous block, then
-    np.cumsum runs down the block. Every row is still one add onto the row
-    before it, in axis order, so the kept rows equal prefix_table's bit for
-    bit. A block of many small rows keeps the Python loop short; a row too
-    large to share a block is added on its own, without the cumsum, whose
-    inner loop runs along the swept axis.
-    """
-    pre = (slice(None),) * ax
-    step = max(1, SWEEP_BLOCK_CELLS // math.prod(arr.shape[:ax] + arr.shape[ax + 1 :]))
-    end = rows[-1] + 1
-    out = np.empty(arr.shape[:ax] + (len(rows),) + arr.shape[ax + 1 :], dtype=np.float64)
-    acc = None
-    j = 0
-    for start in range(0, end, step):
-        block = arr[pre + (slice(start, min(end, start + step)),)]
-        if g is not None:
-            block = g(block)
-        block = np.array(block, dtype=np.float64)
-        if acc is not None:
-            # slices keep the swept axis, so a 1-D block's row stays an array
-            first = block[pre + (slice(0, 1),)]
-            np.add(acc, first, out=first)
-        if step > 1:
-            np.cumsum(block, axis=ax, out=block)
-        while j < len(rows) and rows[j] < start + step:
-            out[pre + (j,)] = block[pre + (rows[j] - start,)]
-            j += 1
-        acc = block[pre + (slice(-1, None),)]
-    return out
-
-
-def schedule_averages(
-    field: np.ndarray,
-    schedule: Sequence[MultiIndex],
-    g: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Cesaro averages of a per-cell scalar field over each schedule box.
-
-    `field` has the box axes last (any leading axes, e.g. replications, are
-    carried through); returns shape field.shape[:-d] + (len(schedule),). An
-    elementwise g is applied to the field block by block inside the first
-    sweep, so g(field) is never held whole.
-
-    Only the schedule's corners are computed: every box axis is swept in
-    prefix_table's order, and each sweep keeps only the schedule's
-    coordinates on its axis, so later sweeps run on a smaller array and the
-    corners equal prefix_table's bit for bit.
-    """
-    d = schedule[0].d
-    lead = field.ndim - d
-    table = field
-    corners = [[] for _ in schedule]
-    for k in range(d):
-        rows = sorted({n.coords[k] - 1 for n in schedule})
-        position = {r: j for j, r in enumerate(rows)}
-        for corner, n in zip(corners, schedule):
-            corner.append(position[n.coords[k] - 1])
-        table = _running_rows(table, lead + k, rows, g if k == 0 else None)
-    out = np.empty(field.shape[:lead] + (len(schedule),), dtype=np.float64)
-    for j, (corner, n) in enumerate(zip(corners, schedule)):
-        out[..., j] = table[(Ellipsis, *corner)] / n.size
-    return out
-
-
-def dyadic_boxes(horizon: MultiIndex) -> list[MultiIndex]:
-    """Default tail-sup schedule: every box whose coordinates are powers of two
-    up to the horizon, plus the horizon box itself."""
+def _dyadic_levels(horizon: MultiIndex) -> list[list[int]]:
+    """Per axis, the powers of two up to the horizon's side, plus the side."""
     per_axis = []
     for h in horizon.coords:
         levels = []
@@ -187,7 +117,103 @@ def dyadic_boxes(horizon: MultiIndex) -> list[MultiIndex]:
         if levels[-1] != h:
             levels.append(h)
         per_axis.append(levels)
-    boxes = [MultiIndex(t) for t in itertools.product(*per_axis)]
+    return per_axis
+
+
+def schedule_averages(
+    field: np.ndarray,
+    box: MultiIndex,
+    weight: Callable[[np.ndarray], np.ndarray] | None = None,
+    levels: Sequence[float] | None = None,
+    ge: bool = False,
+) -> np.ndarray:
+    """Cesaro averages of weight(field) over every box of dyadic_boxes(box),
+    in that order: shape field.shape[:-d] + (len(dyadic_boxes(box)),).
+
+    `field` has the box axes last; any leading axes (replications) are carried
+    through. weight is applied elementwise to chunks of whole leading rows,
+    shaped (rows,) + box.coords, so a box-shaped factor broadcasts against it.
+
+    With `levels` (increasing), the cells also get a level axis: the average
+    at level k keeps only the cells with field > levels[k] (>= when ge), and
+    the result has shape (len(levels),) + field.shape[:-d] + (boxes,). NaN
+    cells then drop out at every level and inf cells add inf, as with Tail.
+
+    One pass: each cell belongs to one dyadic shell, the index on each axis of
+    the smallest dyadic level at or above its coordinate. The weights go into
+    one np.bincount over (row, shell) per level, run on chunks of whole rows
+    of about CHUNK_CELLS cells, and one cumsum per shell axis turns shell sums
+    into box sums. A level's bincount sees only the cells it keeps, in cell
+    order, so its sums are bit-equal to those of a one-level call at that
+    level, whatever the other levels are.
+    """
+    d = box.d
+    lead = field.shape[: field.ndim - d]
+    if field.shape[field.ndim - d :] != box.coords:
+        raise ValueError(f"field shape {field.shape} does not end in box {box.coords}")
+    per_axis = _dyadic_levels(box)
+    shells = tuple(len(v) for v in per_axis)
+    S = math.prod(shells)
+    cell_shell = np.zeros((1,) * d, dtype=np.int64)
+    for k, (side, lv) in enumerate(zip(box.coords, per_axis)):
+        axis = np.searchsorted(lv, np.arange(1, side + 1)).reshape(
+            (1,) * k + (side,) + (1,) * (d - 1 - k)
+        )
+        cell_shell = cell_shell * shells[k] + axis
+    rows = math.prod(lead)
+    flat = field.reshape((rows,) + box.coords)
+    grid = [None] if levels is None else list(levels)
+    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+        raise ValueError("levels must be strictly increasing")
+    sums = np.zeros((len(grid), rows, S), dtype=np.float64)
+    per = max(1, CHUNK_CELLS // box.size)
+    index = (np.arange(min(per, rows), dtype=np.int64)[:, None] * S + cell_shell.ravel()).ravel()
+    for first in range(0, rows, per):
+        last = min(rows, first + per)
+        _bin_chunk(sums[:, first:last], flat[first:last], index, weight, grid, ge)
+    table = sums.reshape((len(grid), rows) + shells)
+    for ax in range(2, 2 + d):
+        np.cumsum(table, axis=ax, out=table)
+    corners = list(itertools.product(*per_axis))
+    table /= np.array([math.prod(c) for c in corners], dtype=np.float64).reshape(shells)
+    order = sorted(range(S), key=lambda j: (math.prod(corners[j]), corners[j]))
+    for level in sums:
+        level[...] = level[:, order]  # one level's copy at a time
+    out = sums.reshape((len(grid),) + lead + (S,))
+    return out[0] if levels is None else out
+
+
+def _bin_chunk(
+    out: np.ndarray,
+    chunk: np.ndarray,
+    index: np.ndarray,
+    weight: Callable[[np.ndarray], np.ndarray] | None,
+    grid: Sequence[float | None],
+    ge: bool,
+) -> None:
+    """Shell sums of one chunk of whole rows into out, shape (levels, rows,
+    shells); index holds the (row, shell) bin of each cell of the rows. A
+    level keeps the cells the level before it kept that exceed it, so each
+    level's bincount runs over only its own cells, in cell order."""
+    bins = out.shape[1] * out.shape[2]
+    idx = index[: chunk.size]
+    w = np.ravel(np.asarray(chunk if weight is None else weight(chunk), dtype=np.float64))
+    t = np.ravel(chunk) if grid[0] is not None else None
+    for k, a in enumerate(grid):
+        if a is not None:
+            keep = t >= a if ge else t > a
+            if np.count_nonzero(keep) < t.size:
+                keep = np.flatnonzero(keep)
+                t, idx, w = t[keep], idx[keep], w[keep]
+            if t.size == 0:
+                return
+        out[k] = np.bincount(idx, w, bins).reshape(out.shape[1:])
+
+
+def dyadic_boxes(horizon: MultiIndex) -> list[MultiIndex]:
+    """Default tail-sup schedule: every box whose coordinates are powers of two
+    up to the horizon, plus the horizon box itself, by size then coordinates."""
+    boxes = [MultiIndex(t) for t in itertools.product(*_dyadic_levels(horizon))]
     boxes.sort(key=lambda b: (b.size, b.coords))
     return boxes
 

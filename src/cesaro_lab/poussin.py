@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import distributions as dist
-from .cui import TailEstimate, _schedule_sup, cesaro_tail_sup
+from .cui import TailEstimate, _schedule_sup, _tail_sups, cesaro_tail_sup
 from .distributions import NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 
@@ -96,8 +96,13 @@ def _check_domain(phi: PhiFunction, ts: np.ndarray) -> None:
 def phi_eval_many(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
     _check_domain(phi, ts)
-    k = np.minimum(np.floor(ts).astype(np.int64), phi.n_max - 1)
-    return phi.prefix[k] + (ts - k) * phi.u[k]
+    # prefix[k] + (t - k) u[k], built in one output buffer
+    k = np.minimum(np.floor(ts), phi.n_max - 1)
+    out = ts - k
+    k = k.astype(np.int64)
+    out *= phi.u[k]
+    out += phi.prefix[k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,13 @@ def thresholds_from_cui(
     or below 2^-j, searched up to `search_cap`. N_j is the level a bisection
     on upper() settles on between N_{j-1} + 1 and the cap. upper() need not
     fall as the level rises (an empirical stderr can grow), so N_j need not
-    be the minimal such level. Every bisection probe is a tail query on the
-    one sample.
+    be the minimal such level.
+
+    A closed form answers each probe on its own. A realized sample answers
+    every probe from one tail profile whose levels are the distinct values of
+    min(floor(||X||), search_cap) in the sample: ||X|| >= N iff the floor is,
+    so a probe at N reads the profile at the least such value >= N, bit-equal
+    to a tail query at N.
 
     The cap is part of the verdict: a family whose tails do not decay on this
     horizon runs past it and raises HorizonTooSmallError.
@@ -154,8 +164,7 @@ def thresholds_from_cui(
         raise ValueError("j_max must be >= 1")
     if search_cap < 1:
         raise ValueError("search_cap must be >= 1")
-    def sup_at(level: int) -> float:
-        return cesaro_tail_sup(sample, 1.0, float(level), ge=True).upper()
+    sup_at = _probes(sample, search_cap)
 
     out: list[int] = []
     prev = 0
@@ -176,6 +185,31 @@ def thresholds_from_cui(
         out.append(lo)
         prev = lo
     return tuple(out)
+
+
+def _probes(sample: NormSample, search_cap: int) -> Callable[[int], float]:
+    """upper() of the tail sup with indicator ||X|| >= level, for integer
+    levels in [1, search_cap]."""
+    # a family's closed form covers a functional at every level or at none
+    fld, exact, _ = sample.expectations(dist.Tail(1.0, 1.0, ge=True))
+    if exact:
+        return lambda level: cesaro_tail_sup(sample, 1.0, float(level), ge=True).upper()
+    present = np.zeros(search_cap + 1, dtype=bool)
+    flat = fld.reshape(-1)
+    for start in range(0, flat.size, dist.CHUNK_CELLS):
+        # fmin sends a NaN norm to the cap, where it only adds a level (the
+        # profile drops NaN cells); no probe reads a level below 1
+        part = np.fmin(np.floor(flat[start : start + dist.CHUNK_CELLS]), search_cap)
+        present[part.astype(np.int64)] = True
+    levels = np.flatnonzero(present[1:]) + 1
+    uppers = [e.upper() for e in _tail_sups(sample, 1.0, levels.astype(np.float64), ge=True)]
+
+    def sup_at(level: int) -> float:
+        # no cell reaches a level above every value: the sup is 0 +- 0
+        i = int(np.searchsorted(levels, level))
+        return uppers[i] if i < len(uppers) else 0.0
+
+    return sup_at
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,17 @@ def normals(keys, count: int):
     keys = np.asarray(keys, dtype=np.uint64)
     pairs = (count + 1) // 2
     out = np.empty(keys.shape + (2 * pairs,), dtype=np.float64)
+    trig = np.empty(keys.shape, dtype=np.float64)
     for j in range(pairs):
-        u1 = uniform_open01(substream(keys, 2 * j))
-        u2 = uniform01(substream(keys, 2 * j + 1))
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        out[..., 2 * j] = r * np.cos(theta)
-        out[..., 2 * j + 1] = r * np.sin(theta)
+        # r = sqrt(-2 log u1) and theta = 2 pi u2, each in its own buffer
+        r = np.asarray(uniform_open01(substream(keys, 2 * j)))
+        np.log(r, out=r)
+        np.multiply(r, -2.0, out=r)
+        np.sqrt(r, out=r)
+        theta = np.asarray(uniform01(substream(keys, 2 * j + 1)))
+        np.multiply(theta, 2.0 * np.pi, out=theta)
+        np.cos(theta, out=trig)
+        np.multiply(r, trig, out=out[..., 2 * j])
+        np.sin(theta, out=trig)
+        np.multiply(r, trig, out=out[..., 2 * j + 1])
     return out[..., :count]

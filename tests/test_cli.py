@@ -338,7 +338,9 @@ class TestOracleCheck:
 
     def test_broken_schedule_averages_are_caught(self, capsys, monkeypatch):
         real = cli.schedule_averages
-        monkeypatch.setattr(cli, "schedule_averages", lambda f, s: real(f, s) * (1 + 1e-6))
+        monkeypatch.setattr(
+            cli, "schedule_averages", lambda *args, **kwargs: real(*args, **kwargs) * (1 + 1e-6)
+        )
         assert cli.main(["oracle-check", "--trials", "3"]) == 1
         counterexample = json.loads(capsys.readouterr().err.strip())
         assert counterexample["kind"] == "schedule_average"

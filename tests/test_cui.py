@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +259,54 @@ class TestAdversarialEvents:
     def test_validation(self):
         with pytest.raises(ValueError):
             adversarial_event_array(NormSample(GROWING, MultiIndex((8,))), 0.0)
+
+    @pytest.mark.parametrize("box", [(64,), (8, 8), (4, 2, 4)])
+    def test_streamed_mean_picks_the_cells_of_the_whole_sample_mean(self, box):
+        # the per-cell mean over reps is accumulated rep by rep; the greedy it
+        # feeds picks the cells it picks from g of the whole sample
+        sample = NormSample(spec_of("pareto_radial", mode="empirical", alpha=1.5),
+                            MultiIndex(box), 4, 37)
+        whole = dist.Tail(1.0, 0.0)(sample.norms()).mean(axis=0)
+
+        class WholeMean(NormSample):
+            def expectations(self, g):
+                return whole, True, None
+
+        oracle = WholeMean(sample.spec, sample.box, sample.seed, sample.reps)
+        for delta in (0.05, 0.2, 0.5):
+            assert np.array_equal(
+                adversarial_event_array(sample, delta).probs,
+                adversarial_event_array(oracle, delta).probs,
+            )
+
+
+EQUIVALENCE_RSS = """
+import resource, sys
+from cesaro_lab.cui import verify_criterion_equivalence
+from cesaro_lab.distributions import DistributionSpec, NormSample
+from cesaro_lab.lattice import MultiIndex
+spec = DistributionSpec("pareto_radial", {"alpha": 3.0}, dim_D=1, moment_mode="empirical")
+sample = NormSample(spec, MultiIndex((128, 128)), 0, int(sys.argv[1]))
+verify_criterion_equivalence(sample, [0.5, 0.1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_equivalence_memory_grows_with_the_norms_only():
+    # the norms grow by 300 reps x 16384 cells x 8 B; probability events and
+    # the adversarial mean once held g of the norms and its product with the
+    # event probabilities, about twice the norms again
+    src = str(Path(cui.__file__).resolve().parents[1])
+    peaks_kb = []
+    for reps in (100, 400):
+        out = subprocess.run(
+            [sys.executable, "-c", EQUIVALENCE_RSS, str(reps)],
+            capture_output=True, text=True, check=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        peaks_kb.append(int(out.stdout.strip()))
+    norms_growth_kb = 300 * 128 * 128 * 8 / 1024
+    assert peaks_kb[1] - peaks_kb[0] <= 1.5 * norms_growth_kb, peaks_kb
 
 
 class TestEquivalence:

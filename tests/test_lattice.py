@@ -143,53 +143,68 @@ def test_running_max_carries_leading_axes_and_nan():
 
 def test_schedule_averages_match_direct_means():
     field = np.arange(1.0, 25.0).reshape(4, 6)
-    schedule = [MultiIndex((2, 3)), MultiIndex((4, 6)), MultiIndex((1, 1))]
-    got = schedule_averages(field, schedule)
-    for value, box in zip(got, schedule):
-        sub = field[: box.coords[0], : box.coords[1]]
+    box = MultiIndex((4, 6))
+    got = schedule_averages(field, box)
+    schedule = dyadic_boxes(box)
+    assert got.shape == (len(schedule),)
+    for value, n in zip(got, schedule):
+        sub = field[: n.coords[0], : n.coords[1]]
         assert value == pytest.approx(sub.mean(), rel=1e-12)
 
 
 def test_schedule_averages_carries_leading_axes():
     field = np.stack([np.ones((3, 3)), 2.0 * np.ones((3, 3))])
-    got = schedule_averages(field, [MultiIndex((2, 2)), MultiIndex((3, 3))])
-    assert got.shape == (2, 2)
-    assert np.allclose(got[0], [1.0, 1.0])
-    assert np.allclose(got[1], [2.0, 2.0])
+    box = MultiIndex((3, 3))
+    got = schedule_averages(field, box)
+    assert got.shape == (2, len(dyadic_boxes(box)))
+    assert np.array_equal(got[0], np.ones(got.shape[1]))
+    assert np.array_equal(got[1], np.full(got.shape[1], 2.0))
+    leveled = schedule_averages(field, box, levels=[0.0, 1.0, 1.5, 2.0], ge=True)
+    assert leveled.shape == (4,) + got.shape
+    assert np.array_equal(leveled[0], got) and np.array_equal(leveled[1], got)
+    assert np.array_equal(leveled[2], leveled[3])
+    assert np.array_equal(leveled[3], np.stack([np.zeros(got.shape[1]), got[1]]))
 
 
-def full_table_averages(field: np.ndarray, schedule) -> np.ndarray:
-    """The full-table path: prefix_table over every box axis, then each
-    schedule corner divided by its box size."""
-    d = schedule[0].d
-    table = prefix_table(field, range(field.ndim - d, field.ndim))
-    out = np.empty(field.shape[: field.ndim - d] + (len(schedule),))
-    for j, n in enumerate(schedule):
-        out[..., j] = table[(Ellipsis,) + tuple(c - 1 for c in n.coords)] / n.size
-    return out
+def test_schedule_averages_reject_a_field_off_the_box_and_unsorted_levels():
+    with pytest.raises(ValueError):
+        schedule_averages(np.ones((2, 3)), MultiIndex((3, 2)))
+    with pytest.raises(ValueError):
+        schedule_averages(np.ones((2, 3)), MultiIndex((2, 3)), levels=[1.0, 1.0])
 
 
-SCHEDULE_KINDS = ("dyadic", "explicit", "non_nested", "one_cell")
+def brute_averages(field, box: MultiIndex, weight=None, levels=None, ge=False) -> np.ndarray:
+    """The profile by direct summation: per leading row and level, the
+    weights kept at that level summed by prefix_sums_bruteforce and read at
+    the corner of every dyadic box, divided by its size."""
+    schedule = dyadic_boxes(box)
+    lead = field.shape[: field.ndim - box.d]
+    t = np.asarray(field, dtype=np.float64).reshape((-1,) + box.coords)
+    w = t if weight is None else weight(t)
+    grid = [None] if levels is None else list(levels)
+    out = np.empty((len(grid), t.shape[0], len(schedule)))
+    for k, a in enumerate(grid):
+        kept = w if a is None else np.where(t >= a if ge else t > a, w, 0.0)
+        for r in range(t.shape[0]):
+            sums = prefix_sums_bruteforce(kept[r][..., None])[..., 0]
+            out[k, r] = [sums[tuple(c - 1 for c in n.coords)] / n.size for n in schedule]
+    out = out.reshape((len(grid),) + lead + (len(schedule),))
+    return out[0] if levels is None else out
 
 
-def schedule_of(kind: str, box: MultiIndex, gen) -> list[MultiIndex]:
+# box shapes: every side a power of two (the horizon closes a full dyadic
+# shell), random sides (it closes a partial one), every side >= 2 (for d >= 2
+# the dyadic boxes include incomparable pairs), and the one-cell box
+BOX_KINDS = ("dyadic", "explicit", "non_nested", "one_cell")
+
+
+def box_of(kind: str, d: int, gen) -> MultiIndex:
     if kind == "dyadic":
-        return dyadic_boxes(box)
+        return MultiIndex(tuple(int(2 ** gen.integers(0, 4)) for _ in range(d)))
     if kind == "one_cell":
-        return [MultiIndex((1,) * box.d)]
-    picks = [
-        MultiIndex(tuple(int(gen.integers(1, c + 1)) for c in box.coords))
-        for _ in range(int(gen.integers(1, 7)))
-    ]
-    if kind == "explicit":
-        return sorted(set(picks), key=lambda b: (b.size, b.coords))
-    # non-nested: unsorted with repeats, plus one box per axis that is full
-    # on that axis and 1 elsewhere (pairwise incomparable when d >= 2)
-    axis_boxes = [
-        MultiIndex(tuple(c if k == ax else 1 for k, c in enumerate(box.coords)))
-        for ax in range(box.d)
-    ]
-    return picks + axis_boxes + picks[:1]
+        return MultiIndex((1,) * d)
+    low = 1 if kind == "explicit" else 2
+    return MultiIndex(tuple(int(v) for v in gen.integers(low, 8, size=d)))
 
 
 def random_field(gen, lead: tuple, box: MultiIndex) -> np.ndarray:
@@ -202,71 +217,98 @@ def random_field(gen, lead: tuple, box: MultiIndex) -> np.ndarray:
     return field
 
 
-# sweep blocks of one row each, of a few rows that split the kept rows
-# unevenly, and the default (one block for these small fields)
-BLOCK_CELLS = [1, 10, lattice.SWEEP_BLOCK_CELLS]
+# levels with ties against the 2.0 and 0.0 cells and the integer fields
+LEVELS = (0.0, 1.0, 2.0, 3.5)
+# chunks of one rep each (1 and 10 cells hold at most one rep of most boxes,
+# several reps of the smallest) and the default (every rep of these fields)
+CHUNK_SIZES = [1, 10, lattice.CHUNK_CELLS]
 
 
 class TestScheduleAveragesOracle:
-    """The corner-only reduction against the full-table path, bit for bit."""
+    """The dyadic tail profile against brute-force block means: bit for bit
+    on integer-valued fields, whose sums are exact, and to 1e-12 on random
+    heavy-tailed ones."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("kind", BOX_KINDS)
     @pytest.mark.parametrize("lead", [(), (3,)])
-    @pytest.mark.parametrize("block_cells", BLOCK_CELLS)
-    def test_equals_full_table(self, monkeypatch, d, kind, lead, block_cells):
-        monkeypatch.setattr(lattice, "SWEEP_BLOCK_CELLS", block_cells)
-        gen = np.random.default_rng([d, SCHEDULE_KINDS.index(kind), len(lead)])
-        for _ in range(15):
-            box = MultiIndex(tuple(int(v) for v in gen.integers(1, 8, size=d)))
-            field = random_field(gen, lead, box)
-            schedule = schedule_of(kind, box, gen)
-            got = schedule_averages(field, schedule)
-            assert got.shape == lead + (len(schedule),)
+    @pytest.mark.parametrize("chunk_cells", CHUNK_SIZES)
+    def test_equals_full_table(self, monkeypatch, d, kind, lead, chunk_cells):
+        monkeypatch.setattr(lattice, "CHUNK_CELLS", chunk_cells)
+        gen = np.random.default_rng([d, BOX_KINDS.index(kind), len(lead)])
+        for trial in range(15):
+            box = box_of(kind, d, gen)
+            ge = bool(trial % 2)
+            nboxes = len(dyadic_boxes(box))
+            exact = gen.integers(0, 6, size=lead + box.coords).astype(np.float64)
+            got = schedule_averages(exact, box)
+            assert got.shape == lead + (nboxes,)
             # C order too: a mean over reps sums in an order set by the layout
             assert got.flags.c_contiguous
-            assert np.array_equal(got, full_table_averages(field, schedule), equal_nan=True)
+            assert np.array_equal(got, brute_averages(exact, box))
+            got = schedule_averages(exact, box, np.square, LEVELS, ge)
+            assert got.shape == (len(LEVELS),) + lead + (nboxes,)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, brute_averages(exact, box, np.square, LEVELS, ge))
+
+            field = random_field(gen, lead, box)
+            assert np.allclose(
+                schedule_averages(field, box), brute_averages(field, box),
+                rtol=1e-12, atol=0.0, equal_nan=True,
+            )
+            got = schedule_averages(field, box, np.sqrt, LEVELS, ge)
+            assert not np.isnan(got).any()  # a NaN cell adds 0; inf stays inf
+            assert np.allclose(
+                got, brute_averages(field, box, np.sqrt, LEVELS, ge),
+                rtol=1e-12, atol=0.0,
+            )
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("block_cells", BLOCK_CELLS)
-    def test_read_only_broadcast_field(self, monkeypatch, d, block_cells):
-        monkeypatch.setattr(lattice, "SWEEP_BLOCK_CELLS", block_cells)
+    @pytest.mark.parametrize("chunk_cells", CHUNK_SIZES)
+    def test_read_only_broadcast_field(self, monkeypatch, d, chunk_cells):
+        monkeypatch.setattr(lattice, "CHUNK_CELLS", chunk_cells)
         gen = np.random.default_rng(d)
         box = MultiIndex((5,) * d)
         field = np.broadcast_to(random_field(gen, (), box), (4,) + box.coords)
         assert not field.flags.writeable
-        schedule = dyadic_boxes(box)
-        got = schedule_averages(field, schedule)
-        assert np.array_equal(got, full_table_averages(field, schedule), equal_nan=True)
+        got = schedule_averages(field, box, None, LEVELS)
+        assert np.allclose(got, brute_averages(field, box, None, LEVELS), rtol=1e-12, atol=0.0)
+        assert np.array_equal(got[:, 0], got[:, 3])
         exact = np.broadcast_to(2.5, box.coords)
         assert np.array_equal(
-            schedule_averages(exact, schedule), full_table_averages(exact, schedule)
+            schedule_averages(exact, box), np.full(len(dyadic_boxes(box)), 2.5)
         )
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("g", [Tail(0.5, 2.0), Tail(0.0, 2.0, ge=True), Tail(1.0, 0.0)])
-    @pytest.mark.parametrize("block_cells", BLOCK_CELLS)
-    def test_fused_g_equals_g_up_front(self, monkeypatch, d, g, block_cells):
-        monkeypatch.setattr(lattice, "SWEEP_BLOCK_CELLS", block_cells)
+    @pytest.mark.parametrize("chunk_cells", CHUNK_SIZES)
+    def test_fused_g_equals_g_up_front(self, monkeypatch, d, g, chunk_cells):
+        """A weight applied chunk by chunk, and a level read off a grid, give
+        the bits of g applied to the whole field first: the kept cells of a
+        level are summed in cell order, whatever the other levels are."""
+        monkeypatch.setattr(lattice, "CHUNK_CELLS", chunk_cells)
         gen = np.random.default_rng([d, 7])
         for lead in [(), (3,)]:
-            box = MultiIndex(tuple(int(v) for v in gen.integers(1, 8, size=d)))
+            box = box_of("explicit", d, gen)
             field = random_field(gen, lead, box)
             field.flags.writeable = False
-            schedule = schedule_of("non_nested", box, gen) + dyadic_boxes(box)
-            fused = schedule_averages(field, schedule, g)
-            assert np.array_equal(fused, schedule_averages(g(field), schedule), equal_nan=True)
-            assert np.array_equal(fused, full_table_averages(g(field), schedule), equal_nan=True)
+            up_front = schedule_averages(g(field), box)
+            assert np.array_equal(schedule_averages(field, box, g), up_front)
+            one = schedule_averages(field, box, g.power, [g.a], g.ge)
+            assert np.array_equal(one[0], up_front)
+            grid = sorted({0.0, 1.0, 1.5, g.a, 2.5, 3.0})
+            profile = schedule_averages(field, box, g.power, grid, g.ge)
+            assert np.array_equal(profile[grid.index(g.a)], up_front)
+            assert np.allclose(up_front, brute_averages(g(field), box), rtol=1e-12, atol=0.0)
 
     def test_full_table_path_matches_bruteforce(self):
-        # the oracle of the oracle: block sums by direct summation
+        # the oracle of the oracle: brute-force block means against np.mean
+        # of each block
         for trial in range(30):
             sample = random_sample(trial)[..., 0]
             box = MultiIndex(sample.shape)
-            schedule = dyadic_boxes(box)
-            sums = prefix_sums_bruteforce(sample[..., None])[..., 0]
-            brute = [sums[tuple(c - 1 for c in n.coords)] / n.size for n in schedule]
-            assert full_table_averages(sample, schedule) == pytest.approx(brute, rel=1e-12)
+            direct = [sample[tuple(slice(0, c) for c in n.coords)].mean() for n in dyadic_boxes(box)]
+            assert brute_averages(sample, box) == pytest.approx(direct, rel=1e-12)
 
 
 def test_prefix_table_axis_selection():

@@ -1,7 +1,7 @@
 """Queries take the caller's NormSample: a call, or a CLI command, draws its
-norms at most once, every tail query goes through the public
-`cesaro_tail_sup` binding, and every answer from a shared draw is bit-equal
-to the single-query path, which draws afresh for each query."""
+norms at most once, a grid of levels or a threshold search reads one tail
+profile, and every answer from a shared draw or a profile is bit-equal to
+the single-query path, which asks one level of a fresh draw per query."""
 
 import dataclasses
 import json
@@ -106,8 +106,8 @@ class TestNormSample:
             sample.norms()
 
 
-def sample_of(spec, cls=NormSample):
-    return cls(spec, BOX, SEED, REPS)
+def sample_of(spec, cls=NormSample, seed=SEED):
+    return cls(spec, BOX, seed, REPS)
 
 
 PUBLIC_CALLS = {
@@ -184,18 +184,33 @@ def tail_queries(monkeypatch):
     return levels
 
 
+SWEEP_SEEDS = range(10)
+
+
 def test_report_queries_each_level_and_the_mean(tail_queries):
-    build_cui_report(sample_of(PARETO_EMPIRICAL), 0.5, GRID)
-    assert sorted(tail_queries) == sorted([*GRID, 0.0])
-    assert len(tail_queries) == len(GRID) + 1
+    """One profile answers the whole grid, bit-equal to a one-level query at
+    each level and to the first-moment query, over every family, both moment
+    modes and ten seeds."""
+    for param in ALL_SPECS:
+        (spec,) = param.values
+        for seed in SWEEP_SEEDS:
+            report = build_cui_report(sample_of(spec, seed=seed), 0.5, GRID)
+            ests = [tail(spec, 0.5, a, seed=seed) for a in GRID]
+            assert report.tail_sup == tuple(e.value for e in ests), (param.id, seed)
+            assert report.stderr == tuple(e.stderr for e in ests), (param.id, seed)
+            mean = check_criterion_i(sample_of(spec, seed=seed))
+            assert (report.mean_sup, report.mean_stderr) == (mean.value, mean.stderr)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_search_and_forward_check_query_per_probe_and_eps(tail_queries, spec):
-    probes = []
-    want = reference_thresholds(spec, probes=probes)
-    assert PUBLIC_CALLS["thresholds_from_cui"](sample_of(spec)) == want
-    assert tail_queries == [float(level) for level in probes]
+    """The search reads every probe off one profile and settles on the
+    thresholds of the per-probe bisection, over ten seeds; the forward check
+    still asks one tail query per eps."""
+    for seed in SWEEP_SEEDS:
+        want = reference_thresholds(spec, seed=seed)
+        got = outcome(lambda: thresholds_from_cui(sample_of(spec, seed=seed), 4, 64))
+        assert got == want, seed
 
     del tail_queries[:]
     forward = PUBLIC_CALLS["poussin_forward_check"](sample_of(spec))
@@ -207,18 +222,16 @@ def test_search_and_forward_check_query_per_probe_and_eps(tail_queries, spec):
 # --- bit-equality with the single-query path -------------------------------
 
 
-def tail(spec, p, a, ge=False):
-    return cesaro_tail_sup(sample_of(spec), p, a, ge=ge)
+def tail(spec, p, a, ge=False, seed=SEED):
+    return cesaro_tail_sup(sample_of(spec, seed=seed), p, a, ge=ge)
 
 
-def reference_thresholds(spec, j_max=4, search_cap=64, probes=None):
-    """The bisection of thresholds_from_cui, one fresh draw per probe; each
-    probed level is appended to `probes` when it is given."""
+def reference_thresholds(spec, j_max=4, search_cap=64, seed=SEED):
+    """The bisection of thresholds_from_cui, one tail query on a fresh draw
+    per probe."""
 
     def sup_at(level):
-        if probes is not None:
-            probes.append(level)
-        return tail(spec, 1.0, float(level), ge=True).upper()
+        return tail(spec, 1.0, float(level), ge=True, seed=seed).upper()
 
     out, prev = [], 0
     for j in range(1, j_max + 1):

@@ -74,3 +74,28 @@ def test_substreams_are_decorrelated():
     b = rng.uniform01(rng.mix64(rng.substream(keys, 1)))
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
+
+
+def normals_by_expression(keys, count):
+    """Box-Muller as plain expressions, one temporary per step: the oracle
+    for the buffered version in rng.normals."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    pairs = (count + 1) // 2
+    out = np.empty(keys.shape + (2 * pairs,), dtype=np.float64)
+    for j in range(pairs):
+        u1 = rng.uniform_open01(rng.substream(keys, 2 * j))
+        u2 = rng.uniform01(rng.substream(keys, 2 * j + 1))
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = (2.0 * np.pi) * u2
+        out[..., 2 * j] = r * np.cos(theta)
+        out[..., 2 * j + 1] = r * np.sin(theta)
+    return out[..., :count]
+
+
+def test_normals_equal_the_expression_bit_for_bit():
+    for shape in [(), (7,), (3, 5), (2, 4, 3)]:
+        keys = rng.mix64(np.arange(int(np.prod(shape)), dtype=np.uint64) + 11).reshape(shape)
+        for count in (1, 2, 5, 8):
+            got = rng.normals(keys, count)
+            assert got.shape == shape + (count,)
+            assert np.array_equal(got, normals_by_expression(keys, count))
