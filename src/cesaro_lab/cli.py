@@ -459,13 +459,22 @@ def run_oracle_check(config: dict, out_dir: Optional[Path]) -> int:
     if trials <= 0:
         raise ValueError("trials must be >= 1")
     inject = bool(os.environ.get(FAULT_ENV, "").strip())
+    cases = [
+        ("prefix", lambda trial: _prefix_case(trial, seed, inject)),
+        ("schedule_average", lambda trial: _schedule_case(trial, seed)),
+        ("phi", lambda trial: _phi_case(trial, seed)),
+    ]
     counterexample = None
     for trial in range(trials):
-        counterexample = (
-            _prefix_case(trial, seed, inject)
-            or _schedule_case(trial, seed)
-            or _phi_case(trial, seed)
-        )
+        for kind, case in cases:
+            # a fast path that raises fails the check like one that is wrong;
+            # it is not a usage error
+            try:
+                counterexample = case(trial)
+            except Exception as exc:
+                counterexample = {"kind": kind, "trial": trial, "error": repr(exc)}
+            if counterexample is not None:
+                break
         if counterexample is not None:
             break
     report = {

@@ -166,6 +166,8 @@ def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
         means = dist.mean(spec, top) if centering == "analytic" else None
         if centering == "plugin":
             means = sum(row for _, rows in _chunks(spec, top, seed, reps) for row in rows) / reps
+        if means is not None and not np.any(means):
+            means = None  # subtracting zeros leaves every M_n as it is
         for first, batch in _chunks(spec, top, seed, reps):
             if means is not None:
                 batch -= means

@@ -309,7 +309,9 @@ class IidGaussianFamily(Family):
 
     def vectors(self, spec, box, starts):
         keys = rng.cell_keys(starts, _coord_grids(box))
-        return float(spec.param("sigma")) * rng.normals(keys, spec.dim_D)
+        out = rng.normals(keys, spec.dim_D)
+        out *= float(spec.param("sigma"))
+        return out
 
     def expect(self, spec, g, box):
         # only the second moment E||X||^2 = D sigma^2 has a closed form here

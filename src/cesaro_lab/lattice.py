@@ -12,6 +12,13 @@ sums into sums over every dyadic box with one cumsum per axis. So every
 truncation level and every box comes from one pass over the sample, and a
 norm functional is applied chunk by chunk, never to the whole sample.
 prefix_table serves the convergence series, which need M_k at every k.
+
+Its sums and the running maxima of running_max_norms sweep one axis at a
+time, each by the faster of two bit-equal methods for the array's shape:
+ufunc.accumulate, which runs one inner loop per position behind the axis,
+or one slab update a[i] = ufunc(a[i - 1], a[i]) per position along it,
+chosen when the run of cells behind the axis is at least SLAB_RUN times
+the axis length (the first box axes of a d = 3 chunk with D columns).
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ BRUTE_FORCE_CELL_CAP = 100_000
 # schedule_averages: each holds one chunk's temporaries at a time, so they do
 # not grow with reps.
 CHUNK_CELLS = 1 << 16
+# A sweep updates slabs when the cells behind its axis number at least this
+# many times the axis length, and calls ufunc.accumulate otherwise.
+SLAB_RUN = 8
 
 
 @dataclass(frozen=True)
@@ -74,8 +84,20 @@ def prefix_table(field: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """Cumulative sums along each listed axis in turn (one sweep per axis)."""
     out = np.array(field, dtype=np.float64, copy=True)
     for ax in axes:
-        np.cumsum(out, axis=ax, out=out)
+        _sweep(np.add, out, ax)
     return out
+
+
+def _sweep(ufunc: np.ufunc, a: np.ndarray, ax: int) -> None:
+    """ufunc.accumulate(a, axis=ax, out=a), by slab updates along the axis when
+    the run of cells behind it is long. Either way cell i gets ufunc(cell
+    i - 1, cell i) in order of i, so the two methods are bit-equal."""
+    if math.prod(a.shape[ax + 1:]) < SLAB_RUN * a.shape[ax]:
+        ufunc.accumulate(a, axis=ax, out=a)
+        return
+    slabs = np.moveaxis(a, ax, 0)
+    for i in range(1, slabs.shape[0]):
+        ufunc(slabs[i - 1], slabs[i], out=slabs[i])
 
 
 def prefix_sums_bruteforce(values: np.ndarray) -> np.ndarray:
@@ -101,7 +123,7 @@ def running_max_norms(S: np.ndarray, d: int) -> np.ndarray:
     """
     norms = np.sqrt((S * S).sum(axis=-1))
     for ax in range(norms.ndim - d, norms.ndim):
-        np.maximum.accumulate(norms, axis=ax, out=norms)
+        _sweep(np.maximum, norms, ax)
     return norms
 
 

@@ -346,6 +346,18 @@ class TestOracleCheck:
         assert counterexample["kind"] == "schedule_average"
         assert counterexample["trial"] == 0
 
+    def test_raising_schedule_averages_fail_the_check(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("cannot reshape array")
+
+        monkeypatch.setattr(cli, "schedule_averages", broken)
+        assert cli.main(["oracle-check", "--trials", "3"]) == 1
+        counterexample = json.loads(capsys.readouterr().err.strip())
+        assert counterexample == {
+            "kind": "schedule_average", "trial": 0,
+            "error": "ValueError('cannot reshape array')",
+        }
+
     def test_zero_trials_rejected(self):
         assert cli.main(["oracle-check", "--trials", "0"]) == 2
 

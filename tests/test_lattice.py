@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,53 @@ def test_running_max_carries_leading_axes_and_nan():
         block = norms[(slice(None),) + tuple(slice(0, c + 1) for c in idx)]
         assert np.array_equal(got[(slice(None),) + idx], block.max(axis=(1, 2)), equal_nan=True)
     assert np.isnan(got[1, 2:, 1:]).all() and not np.isnan(got[1, :2]).any()
+
+
+# lead + box + D shapes for d = 1..3; each holds an axis on each side of the
+# sweep rule (cells behind the axis >= SLAB_RUN x its length)
+SWEEP_SHAPES = [
+    (3, 64, 8), (3, 4, 64),
+    (2, 32, 16, 8), (2, 4, 128, 2),
+    (2, 16, 8, 8, 8), (2, 8, 8, 8, 5), (1, 32, 32, 32, 1),
+]
+
+
+def sweep_axes(shape):
+    return range(1, len(shape) - 1)
+
+
+def test_sweep_shapes_land_on_both_sides_of_the_rule():
+    for d in (1, 2, 3):
+        sides = {
+            math.prod(shape[ax + 1:]) >= lattice.SLAB_RUN * shape[ax]
+            for shape in SWEEP_SHAPES if len(shape) == d + 2
+            for ax in sweep_axes(shape)
+        }
+        assert sides == {True, False}
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+@pytest.mark.parametrize("shape", SWEEP_SHAPES)
+@pytest.mark.parametrize("slab_run", [None, 0, math.inf])
+def test_sweep_equals_accumulate(monkeypatch, ufunc, shape, slab_run):
+    # slab_run 0 forces slab updates on every axis and inf forces accumulate;
+    # None keeps the rule
+    if slab_run is not None:
+        monkeypatch.setattr(lattice, "SLAB_RUN", slab_run)
+    gen = np.random.default_rng(len(shape) * 100 + shape[1])
+    a = gen.standard_normal(shape)
+    if ufunc is np.maximum:
+        flat = a.reshape(-1)
+        cells = gen.choice(flat.size, size=12, replace=False)
+        flat[cells[:4]] = np.nan
+        flat[cells[4:8]] = np.inf
+        flat[cells[8:]] = -np.inf
+    for ax in sweep_axes(shape):
+        want = ufunc.accumulate(a, axis=ax)
+        got = a.copy()
+        lattice._sweep(ufunc, got, ax)
+        assert np.array_equal(got, want, equal_nan=True)
+        a = want
 
 
 def test_schedule_averages_match_direct_means():
