@@ -15,11 +15,10 @@ files), 1 verification failure, 2 usage error, 3 domain or horizon error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,8 +36,6 @@ from .lattice import (
     running_max_norms,
     schedule_averages,
 )
-
-FAULT_ENV = "CESARO_LAB_INJECT_FAULT"
 
 try:
     from . import __version__ as _pkg_version
@@ -113,13 +110,16 @@ def load_spec(path: str) -> DistributionSpec:
 
 
 def _py(obj):
-    """Recursively coerce numpy scalars/arrays and boxes into plain JSON types."""
+    """Recursively coerce numpy scalars/arrays, boxes and dataclasses (by their
+    fields) into plain JSON types."""
     if isinstance(obj, dict):
         return {k: _py(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_py(v) for v in obj]
     if isinstance(obj, MultiIndex):
         return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _py(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return [_py(v) for v in obj.tolist()]
     if isinstance(obj, np.bool_):
@@ -140,7 +140,7 @@ def write_manifest(
 ) -> None:
     manifest = {
         "command": command,
-        "config": _py(config),
+        "config": config,
         "seed": seed,
         "version": _pkg_version,
         "outputs": outputs,
@@ -156,53 +156,26 @@ def _ensure_out(out: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# check-cui
+# data commands: each maps its manifest config to its named data files, in
+# manifest order; text is written as is, anything else through write_json.
+# Library functions are looked up through their modules at call time, so a
+# rebinding of a module attribute (as the benchmark tracer makes) is seen.
 
 
-def run_check_cui(config: dict, out_dir: Path) -> int:
-    t0 = time.perf_counter()
+def _sample(config: dict) -> NormSample:
     spec = DistributionSpec.from_json(config["spec"])
-    sample = NormSample(spec, parse_horizon(config["horizon"]), config["seed"], config["reps"])
+    return NormSample(spec, parse_horizon(config["horizon"]), config["seed"], config["reps"])
+
+
+def _check_cui_files(config: dict) -> dict:
     report = cui.build_cui_report(
-        sample,
-        p=config["p"],
-        a_grid=config["a_grid"],
-        ge=config["ge"],
+        _sample(config), p=config["p"], a_grid=config["a_grid"], ge=config["ge"]
     )
-    (out_dir / "cui_report.csv").write_text(report.to_csv_text())
-    write_json(out_dir / "cui_report.json", report.to_json())
-    write_manifest(
-        out_dir,
-        "check-cui",
-        config,
-        config["seed"],
-        ["cui_report.csv", "cui_report.json"],
-        t0,
-    )
-    return 0
+    return {"cui_report.csv": report.to_csv_text(), "cui_report.json": report}
 
 
-def cmd_check_cui(args: argparse.Namespace) -> int:
-    config = {
-        "spec": load_spec(args.spec).to_json(),
-        "p": args.p,
-        "a_grid": list(parse_a_grid(args.a_grid)),
-        "horizon": args.horizon,
-        "reps": args.reps,
-        "seed": args.seed,
-        "ge": bool(args.ge),
-    }
-    return run_check_cui(config, _ensure_out(args.out))
-
-
-# ---------------------------------------------------------------------------
-# poussin
-
-
-def run_poussin(config: dict, out_dir: Path) -> int:
-    t0 = time.perf_counter()
-    spec = DistributionSpec.from_json(config["spec"])
-    sample = NormSample(spec, parse_horizon(config["horizon"]), config["seed"], config["reps"])
+def _poussin_files(config: dict) -> dict:
+    sample = _sample(config)
     built = poussin.build_phi_from_cui(
         sample,
         j_max=config["j_max"],
@@ -213,35 +186,95 @@ def run_poussin(config: dict, out_dir: Path) -> int:
     moment = poussin.poussin_moment_check(sample, built.phi)
     forward = poussin.poussin_forward_check(sample, built.phi, config["eps"])
     report = {
-        "thresholds": [int(v) for v in built.thresholds],
+        "thresholds": built.thresholds,
         "n_max": built.n_max,
         "calibration_max_norm": built.calibration_max_norm,
-        "phi_properties": {**asdict(props), "all_pass": props.all_pass},
+        "phi_properties": props,
+        # not the whole TailEstimate: the file has no low_reps key
         "moment_check": {
             "value": moment.value,
             "stderr": moment.stderr,
             "mode": moment.mode,
-            "argmax_box": str(moment.argmax_box),
+            "argmax_box": moment.argmax_box,
         },
-        "forward_checks": [asdict(fc) for fc in forward],
+        "forward_checks": forward,
     }
-    write_json(out_dir / "poussin_report.json", report)
-    write_json(out_dir / "phi.json", built.phi.to_json())
     lines = ["t,phi,ratio"]
     for t in range(built.phi.n_max + 1):
         value = int(built.phi.prefix[t])
         ratio = "" if t == 0 else repr(value / t)
         lines.append(f"{t},{value},{ratio}")
-    (out_dir / "phi.csv").write_text("\n".join(lines) + "\n")
-    write_manifest(
-        out_dir,
-        "poussin",
-        config,
-        config["seed"],
-        ["poussin_report.json", "phi.json", "phi.csv"],
-        t0,
+    return {
+        "poussin_report.json": report,
+        "phi.json": built.phi.to_json(),
+        "phi.csv": "\n".join(lines) + "\n",
+    }
+
+
+def _converge_files(config: dict) -> dict:
+    bound = config["bound"]
+    cfg = convergence.ExperimentConfig(
+        spec=DistributionSpec.from_json(config["spec"]),
+        p=config["p"],
+        n_schedule=tuple(parse_horizon(s) for s in config["schedule"]),
+        reps=config["reps"],
+        seed=config["seed"],
+        bound_params=None
+        if bound is None
+        else convergence.BoundParams(bound["eps"], bound["a"], bound["C"]),
     )
+    mode = config["mode"]
+    if mode == "lp":
+        series = convergence.run_lp_experiment(cfg)
+    elif mode == "l1":
+        series = convergence.run_l1_experiment(cfg)
+    else:
+        raise ValueError(f"unknown mode {mode!r}: expected lp or l1")
+    if len(series.points) >= convergence.MIN_TREND_POINTS:
+        trend = convergence.trend_test(series)
+    else:
+        trend = None
+    dom = convergence.bound_domination_check(series) if bound is not None else None
+    return {
+        "series.csv": series.to_csv_text(),
+        "series.json": {"series": series.to_json(), "trend": trend, "bound_domination": dom},
+    }
+
+
+DATA_COMMANDS = {
+    "check-cui": _check_cui_files,
+    "poussin": _poussin_files,
+    "converge": _converge_files,
+}
+
+
+def run_command(command: str, config: dict, out_dir: Path) -> int:
+    """Run a data command from its manifest config: write its data files,
+    then the manifest naming them. The config is first coerced to its JSON
+    form, so a run and its replay compute from the same input."""
+    t0 = time.perf_counter()
+    config = _py(config)
+    files = DATA_COMMANDS[command](config)
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out_dir / name).write_text(content)
+        else:
+            write_json(out_dir / name, content)
+    write_manifest(out_dir, command, config, config["seed"], list(files), t0)
     return 0
+
+
+def cmd_check_cui(args: argparse.Namespace) -> int:
+    config = {
+        "spec": load_spec(args.spec).to_json(),
+        "p": args.p,
+        "a_grid": parse_a_grid(args.a_grid),
+        "horizon": args.horizon,
+        "reps": args.reps,
+        "seed": args.seed,
+        "ge": bool(args.ge),
+    }
+    return run_command("check-cui", config, _ensure_out(args.out))
 
 
 def cmd_poussin(args: argparse.Namespace) -> int:
@@ -255,79 +288,22 @@ def cmd_poussin(args: argparse.Namespace) -> int:
         "reps": args.reps,
         "seed": args.seed,
     }
-    return run_poussin(config, _ensure_out(args.out))
-
-
-# ---------------------------------------------------------------------------
-# converge
-
-
-def run_converge(config: dict, out_dir: Path) -> int:
-    t0 = time.perf_counter()
-    spec = DistributionSpec.from_json(config["spec"])
-    schedule = tuple(parse_horizon(s) for s in config["schedule"])
-    bound = config["bound"]
-    bound_params = (
-        convergence.BoundParams(bound["eps"], bound["a"], bound["C"])
-        if bound is not None
-        else None
-    )
-    mode = config["mode"]
-    cfg = convergence.ExperimentConfig(
-        spec=spec,
-        p=config["p"],
-        n_schedule=schedule,
-        reps=config["reps"],
-        seed=config["seed"],
-        bound_params=bound_params,
-    )
-    if mode == "lp":
-        series = convergence.run_lp_experiment(cfg)
-    elif mode == "l1":
-        series = convergence.run_l1_experiment(cfg)
-    else:
-        raise ValueError(f"unknown mode {mode!r}: expected lp or l1")
-    if len(series.points) >= convergence.MIN_TREND_POINTS:
-        trend = convergence.trend_test(series).to_json()
-    else:
-        trend = None
-    dom = (
-        convergence.bound_domination_check(series).to_json()
-        if bound_params is not None
-        else None
-    )
-    (out_dir / "series.csv").write_text(series.to_csv_text())
-    write_json(
-        out_dir / "series.json",
-        {"series": series.to_json(), "trend": trend, "bound_domination": dom},
-    )
-    write_manifest(
-        out_dir,
-        "converge",
-        config,
-        config["seed"],
-        ["series.csv", "series.json"],
-        t0,
-    )
-    return 0
+    return run_command("poussin", config, _ensure_out(args.out))
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
     if args.mode == "l1" and args.p != 1.0:
         raise ValueError("l1 mode fixes p = 1; drop --p or pass --p 1")
-    bound = None if args.bound is None else parse_bound(args.bound)
     config = {
         "spec": load_spec(args.spec).to_json(),
         "mode": args.mode,
         "p": args.p,
-        "schedule": [str(b) for b in parse_schedule(args.schedule)],
+        "schedule": parse_schedule(args.schedule),
         "reps": args.reps,
         "seed": args.seed,
-        "bound": None
-        if bound is None
-        else {"eps": bound.eps, "a": bound.a, "C": bound.C},
+        "bound": None if args.bound is None else parse_bound(args.bound),
     }
-    return run_converge(config, _ensure_out(args.out))
+    return run_command("converge", config, _ensure_out(args.out))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +317,7 @@ def _rand_int(key: np.uint64, idx: int, lo: int, hi: int) -> int:
     return lo + int(u * (hi - lo + 1))
 
 
-def _prefix_case(trial: int, seed: int, inject_fault: bool) -> Optional[dict]:
+def _prefix_case(trial: int, seed: int) -> Optional[dict]:
     """Compare sweep prefix sums and the running max M_k against brute force."""
     key = np.uint64(rng.derive_seed(seed, trial))
     d = _rand_int(key, 1, 1, 3)
@@ -354,8 +330,6 @@ def _prefix_case(trial: int, seed: int, inject_fault: bool) -> Optional[dict]:
     cells = rng.cell_keys(int(key), grids)
     values = rng.normals(cells, D)
     fast = prefix_table(values, range(d))
-    if inject_fault and trial == 0:
-        fast.flat[0] += 1.0
     brute = prefix_sums_bruteforce(values)
     # M_k = max_{j <= k} ||S_j|| at every k, as the block max of brute norms
     norms = np.sqrt((brute * brute).sum(axis=-1))
@@ -458,9 +432,8 @@ def run_oracle_check(config: dict, out_dir: Optional[Path]) -> int:
     seed = config["seed"]
     if trials <= 0:
         raise ValueError("trials must be >= 1")
-    inject = bool(os.environ.get(FAULT_ENV, "").strip())
     cases = [
-        ("prefix", lambda trial: _prefix_case(trial, seed, inject)),
+        ("prefix", lambda trial: _prefix_case(trial, seed)),
         ("schedule_average", lambda trial: _schedule_case(trial, seed)),
         ("phi", lambda trial: _phi_case(trial, seed)),
     ]
@@ -505,14 +478,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 # replay
 
 
-_RUNNERS = {
-    "check-cui": run_check_cui,
-    "poussin": run_poussin,
-    "converge": run_converge,
-    "oracle-check": run_oracle_check,
-}
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     raw = Path(args.manifest).read_text()
     try:
@@ -523,11 +488,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = manifest.get("config")
     if not isinstance(config, dict):
         raise ValueError("manifest has no config object")
-    runner = _RUNNERS.get(command)
-    if runner is None:
+    if command != "oracle-check" and command not in DATA_COMMANDS:
         raise ValueError(f"manifest command {command!r} is not replayable")
+    out_dir = _ensure_out(args.out)
     try:
-        return runner(config, _ensure_out(args.out))
+        if command == "oracle-check":
+            return run_oracle_check(config, out_dir)
+        return run_command(command, config, out_dir)
     except KeyError as exc:
         raise ValueError(
             f"manifest {args.manifest}: config has no key {exc.args[0]!r}"
@@ -549,7 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check-cui", help="tail-sup report over a truncation grid")
     pc.add_argument("--spec", required=True, help="distribution spec JSON path")
     pc.add_argument("--p", type=float, default=1.0, help="moment order in (0, 1]")
-    pc.add_argument("--a-grid", default="1,2,4,8,16,32,64", help="comma list of levels")
+    pc.add_argument(
+        "--a-grid",
+        default=",".join(f"{a:g}" for a in cui.DEFAULT_A_GRID),
+        help="comma list of levels",
+    )
     pc.add_argument("--horizon", default="4096", help="box, e.g. 4096 or 64x64")
     pc.add_argument("--reps", type=int, default=200)
     pc.add_argument("--seed", type=int, default=0)
@@ -560,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("poussin", help="threshold search and convex gauge checks")
     pp.add_argument("--spec", required=True)
     pp.add_argument("--horizon", default="4096")
-    pp.add_argument("--j-max", type=int, default=8)
+    pp.add_argument("--j-max", type=int, default=poussin.DEFAULT_J_MAX)
     pp.add_argument("--search-cap", type=int, default=poussin.DEFAULT_SEARCH_CAP)
     pp.add_argument("--n-max", type=int, default=None)
     pp.add_argument("--eps", default="0.5,0.1", help="comma list for forward checks")

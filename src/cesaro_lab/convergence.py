@@ -292,16 +292,6 @@ class TrendVerdict:
     first_moment: float
     last_moment: float
 
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "halving_ok": self.halving_ok,
-            "slope_ok": self.slope_ok,
-            "slope": self.slope,
-            "first_moment": self.first_moment,
-            "last_moment": self.last_moment,
-        }
-
 
 def trend_test(series: ConvergenceSeries) -> TrendVerdict:
     """Decreasing-trend gate: the last moment (plus noise) must fall below half
@@ -333,9 +323,6 @@ def trend_test(series: ConvergenceSeries) -> TrendVerdict:
 class BoundReport:
     all_pass: bool
     margins: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {"all_pass": self.all_pass, "margins": list(self.margins)}
 
 
 def bound_domination_check(series: ConvergenceSeries) -> BoundReport:

@@ -322,24 +322,6 @@ class EquivalenceReport:
     checks: tuple[CheckRecord, ...]
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "eps_list": list(self.eps_list),
-            "K": self.K,
-            "cui_certified": self.cui_certified,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "bound": c.bound,
-                    "passed": c.passed,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def verify_criterion_equivalence(
     sample: NormSample,
@@ -494,20 +476,6 @@ class CuiReport:
         for a, v, s in zip(self.a_grid, self.tail_sup, self.stderr):
             lines.append(f"{a!r},{v!r},{s!r}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "a_grid": list(self.a_grid),
-            "tail_sup": list(self.tail_sup),
-            "stderr": list(self.stderr),
-            "mean_sup": self.mean_sup,
-            "mean_stderr": self.mean_stderr,
-            "horizon": str(self.horizon),
-            "schedule": [str(b) for b in self.schedule],
-            "mode": self.mode,
-            "low_reps": self.low_reps,
-        }
 
 
 def build_cui_report(

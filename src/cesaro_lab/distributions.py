@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -77,17 +76,12 @@ class DistributionSpec:
     def from_json(cls, obj: Mapping) -> "DistributionSpec":
         if not isinstance(obj, Mapping):
             raise ValueError(f"a spec must be a JSON object, got {obj!r}")
-        extra = set(obj) - {"family", "params", "dim_D", "moment_mode"}
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown spec fields: {sorted(extra)}")
         if "family" not in obj:
             raise ValueError("spec is missing 'family'")
-        return cls(
-            family=obj["family"],
-            params=obj.get("params", {}),
-            dim_D=obj.get("dim_D", 8),
-            moment_mode=obj.get("moment_mode", "analytic"),
-        )
+        return cls(**obj)
 
 
 def _is_number(value, kind) -> bool:
@@ -488,9 +482,8 @@ class NormSample:
 
     Callers that ask several questions of the same (spec, box, seed, reps)
     share one NormSample. The draw is lazy, so queries answered in closed form
-    draw nothing; it is taken under a lock, so callers who share a sample
-    across their own threads still draw once, and the drawn array is
-    read-only.
+    draw nothing, and the drawn array is read-only. A sample is not shared
+    across threads: every run is single-threaded.
     """
 
     def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int = 0, reps: int = 200):
@@ -499,15 +492,13 @@ class NormSample:
         self.seed = seed
         self.reps = reps
         self._norms: np.ndarray | None = None
-        self._lock = threading.Lock()
 
     def norms(self) -> np.ndarray:
         """The realized cell norms, shape (reps,) + box.coords."""
-        with self._lock:
-            if self._norms is None:
-                norms = norm_batch(self.spec, self.box, self.seed, self.reps)
-                norms.flags.writeable = False
-                self._norms = norms
+        if self._norms is None:
+            norms = norm_batch(self.spec, self.box, self.seed, self.reps)
+            norms.flags.writeable = False
+            self._norms = norms
         return self._norms
 
     def expectations(

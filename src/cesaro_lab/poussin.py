@@ -11,7 +11,7 @@ with phi(a)/a >= (K+1)/eps pushes the tail sup at a below eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from .cui import TailEstimate, _schedule_sup, _tail_sups, cesaro_tail_sup
 from .distributions import NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 
+DEFAULT_J_MAX = 8
 DEFAULT_SEARCH_CAP = 64
 # phi(t)/t -> infinity, checked on a finite domain: the end ratio must reach this
 GROWTH_FLOOR = 0.1
@@ -113,14 +114,16 @@ class PhiPropertyReport:
     growth_attained: bool
     end_ratio: float
     growth_floor: float
+    all_pass: bool = field(init=False)  # derived; a field, so reports serialize it
 
-    @property
-    def all_pass(self) -> bool:
-        return (
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "all_pass",
             self.zero_at_zero
             and self.slopes_nondecreasing
             and self.ratio_nondecreasing
-            and self.growth_attained
+            and self.growth_attained,
         )
 
 
@@ -142,7 +145,7 @@ def verify_phi_properties(phi: PhiFunction) -> PhiPropertyReport:
 
 
 def thresholds_from_cui(
-    sample: NormSample, j_max: int = 8, search_cap: int = DEFAULT_SEARCH_CAP
+    sample: NormSample, j_max: int = DEFAULT_J_MAX, search_cap: int = DEFAULT_SEARCH_CAP
 ) -> tuple[int, ...]:
     """Strictly increasing integer levels N_j whose first-moment tail sup
     (indicator ||X|| >= N_j) over the dyadic boxes of the sample's box is at
@@ -222,7 +225,7 @@ class PoussinConstruction:
 
 def build_phi_from_cui(
     sample: NormSample,
-    j_max: int = 8,
+    j_max: int = DEFAULT_J_MAX,
     search_cap: int = DEFAULT_SEARCH_CAP,
     n_max: Optional[int] = None,
 ) -> PoussinConstruction:

@@ -329,7 +329,14 @@ class TestOracleCheck:
         assert (out / "manifest.json").exists()
 
     def test_injected_fault_is_caught(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.FAULT_ENV, "1")
+        real = cli.prefix_table
+
+        def faulty(*args, **kwargs):
+            table = real(*args, **kwargs)
+            table.flat[0] += 1.0
+            return table
+
+        monkeypatch.setattr(cli, "prefix_table", faulty)
         assert cli.main(["oracle-check", "--trials", "3"]) == 1
         err = capsys.readouterr().err.strip()
         counterexample = json.loads(err)
@@ -466,3 +473,98 @@ class TestReplay:
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps({"command": "replay", "config": {}}))
         assert self.replay(bad, tmp_path / "o") == 2
+
+
+# --- every replayable command: named files, byte-identical replay, file shape
+
+
+def key_paths(payload, prefix=""):
+    """Every key of a JSON payload as a dotted path; list items add "[]"."""
+    if isinstance(payload, dict):
+        paths = set()
+        for key, value in payload.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths |= {path} | key_paths(value, path)
+        return paths
+    if isinstance(payload, list):
+        return set().union(*(key_paths(v, prefix + "[]") for v in payload))
+    return set()
+
+
+SERIES_KEYS = {"series", "trend", "bound_domination"} | {
+    f"series.{k}"
+    for k in ("mode", "p", "reps", "seed", "center", "centering", "pairwise_warning",
+              "low_reps", "spec", "spec.family", "spec.params", "spec.params.alpha",
+              "spec.dim_D", "spec.moment_mode", "points")
+} | {f"series.points[].{k}" for k in ("n", "size", "moment", "stderr", "bound", "bound_pass")} | {
+    f"trend.{k}"
+    for k in ("passed", "halving_ok", "slope_ok", "slope", "first_moment", "last_moment")
+} | {"bound_domination.all_pass", "bound_domination.margins"}
+SERIES_FILES = {"series.csv": "d,n_coords,size,moment,stderr,bound,pass", "series.json": SERIES_KEYS}
+
+# argv (SPEC stands for an empirical pareto spec file) -> {data file: CSV header or JSON
+# key paths}, in manifest order
+REPLAYABLE = {
+    "check-cui": (
+        ["check-cui", "--spec", "SPEC", "--p", "0.5", "--horizon", "16x16", "--reps", "20"],
+        {
+            "cui_report.csv": "a,tail_sup,stderr",
+            "cui_report.json": {"p", "a_grid", "tail_sup", "stderr", "mean_sup", "mean_stderr",
+                                "horizon", "schedule", "mode", "low_reps"},
+        },
+    ),
+    "poussin": (
+        ["poussin", "--spec", "SPEC", "--horizon", "256", "--j-max", "4",
+         "--search-cap", "64", "--reps", "20", "--eps", "1.0,0.5"],
+        {
+            "poussin_report.json": {"thresholds", "n_max", "calibration_max_norm",
+                                    "phi_properties", "moment_check", "forward_checks"}
+            | {f"phi_properties.{k}"
+               for k in ("zero_at_zero", "slopes_nondecreasing", "ratio_nondecreasing",
+                         "growth_attained", "end_ratio", "growth_floor", "all_pass")}
+            # exactly these four: no low_reps
+            | {f"moment_check.{k}" for k in ("value", "stderr", "mode", "argmax_box")}
+            | {f"forward_checks[].{k}"
+               for k in ("eps", "K", "level", "ratio", "tail_sup", "tail_stderr", "passed")},
+            "phi.json": {"u"},
+            "phi.csv": "t,phi,ratio",
+        },
+    ),
+    "converge-lp": (
+        ["converge", "--mode", "lp", "--spec", "SPEC", "--p", "0.5",
+         "--schedule", "dyadic:2,256", "--reps", "10", "--bound", "0.5,2"],
+        SERIES_FILES,
+    ),
+    "converge-l1": (
+        ["converge", "--mode", "l1", "--spec", "SPEC", "--schedule", "2;4;8;16",
+         "--reps", "10", "--bound", "0.5,2,1"],
+        SERIES_FILES,
+    ),
+    "oracle-check": (
+        ["oracle-check", "--trials", "3", "--seed", "2"],
+        {"oracle_report.json": {"trials", "seed", "passed", "counterexample"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, files", REPLAYABLE.values(), ids=REPLAYABLE.keys())
+def test_every_command_replays_its_named_files(tmp_path, argv, files):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"family": "pareto_radial", "params": {"alpha": 3.0}, "moment_mode": "empirical"}
+    ))
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    assert cli.main([*argv, "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["outputs"] == list(files)
+    assert sorted(p.name for p in first.iterdir()) == sorted([*files, "manifest.json"])
+    code = cli.main(["replay", "--manifest", str(first / "manifest.json"), "--out", str(second)])
+    assert code == 0
+    for name, shape in files.items():
+        data = (first / name).read_text()
+        assert (second / name).read_text() == data
+        if isinstance(shape, str):
+            assert data.split("\n")[0] == shape
+        else:
+            assert key_paths(json.loads(data)) == shape

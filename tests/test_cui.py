@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cesaro_lab.cui as cui
+from cesaro_lab import cli
 from cesaro_lab.cui import (
     DEFAULT_A_GRID,
     EventArray,
@@ -347,7 +348,7 @@ class TestEquivalence:
         report = verify_criterion_equivalence(
             NormSample(CONSTANT, MultiIndex((64,)), seed=3, reps=50), [0.5]
         )
-        payload = json.loads(json.dumps(report.to_json()))
+        payload = json.loads(json.dumps(cli._py(report)))
         assert payload["passed"] is True
         assert payload["eps_list"] == [0.5]
         assert all("name" in c and "passed" in c for c in payload["checks"])
@@ -372,7 +373,7 @@ class TestCuiReport:
         first = lines[1].split(",")
         assert float(first[0]) == 1.0
         assert float(first[1]) == pytest.approx(1.5, rel=1e-9)
-        payload = json.loads(json.dumps(report.to_json()))
+        payload = json.loads(json.dumps(cli._py(report)))
         assert payload["mode"] == "analytic"
         assert payload["horizon"] == "256"
         assert len(payload["a_grid"]) == 3

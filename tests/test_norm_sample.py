@@ -5,9 +5,6 @@ the single-query path, which asks one level of a fresh draw per query."""
 
 import dataclasses
 import json
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -307,46 +304,10 @@ class FreshSample(NormSample):
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_equivalence_report_equals_fresh_draw_path(draws, spec):
-    shared = PUBLIC_CALLS["verify_criterion_equivalence"](sample_of(spec)).to_json()
+    shared = PUBLIC_CALLS["verify_criterion_equivalence"](sample_of(spec))
     shared_draws = len(draws)
-    fresh = PUBLIC_CALLS["verify_criterion_equivalence"](sample_of(spec, FreshSample)).to_json()
+    fresh = PUBLIC_CALLS["verify_criterion_equivalence"](sample_of(spec, FreshSample))
     assert repr(shared) == repr(fresh)
     assert shared_draws <= 1
     if shared_draws:
         assert len(draws) - shared_draws > 1  # the reference really redrew
-
-
-# --- one draw under the caller's threads -----------------------------------
-
-
-def test_threaded_report_draws_once(monkeypatch, draws):
-    real = dist.norm_batch
-
-    def slow_norm_batch(*args, **kwargs):
-        time.sleep(0.05)  # hold the draw open while the other threads arrive
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dist, "norm_batch", slow_norm_batch)
-    box = MultiIndex((32, 32))
-    grid = tuple(float(a) for a in range(1, 9))
-    sample = NormSample(PARETO_EMPIRICAL, box, SEED, REPS)
-    results = {}
-
-    def query(a):
-        results[a] = cesaro_tail_sup(sample, 0.5, a)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=query, args=(a,), daemon=True) for a in grid]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-        assert not any(w.is_alive() for w in workers), "a tail query did not finish"
-    finally:
-        sys.setswitchinterval(old)
-    assert len(draws) == 1
-    fresh = NormSample(PARETO_EMPIRICAL, box, SEED, REPS)
-    assert {a: cesaro_tail_sup(fresh, 0.5, a) for a in grid} == results
-    assert len(draws) == 2
