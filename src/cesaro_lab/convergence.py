@@ -139,10 +139,18 @@ def bound_eq27(a: float, C: float, n: MultiIndex) -> float:
 
 
 def _chunks(spec: DistributionSpec, top: MultiIndex, seed: int, reps: int):
-    """The reps of `top` as (first rep, batch) pairs, CHUNK_CELLS cells (>= 1 rep) each."""
+    """The reps of `top` as (first rep, batch) pairs, CHUNK_CELLS cells (>= 1 rep) each.
+
+    Every chunk is drawn into the same two buffers, allocated once per draw,
+    so a batch holds until the next one is drawn and its caller may overwrite it.
+    """
     chunk = max(1, CHUNK_CELLS // top.size)
+    batch, scratch = dist.draw_buffers(spec, top, min(chunk, reps))
     for first in range(0, reps, chunk):
-        yield first, dist.sample_batch(spec, top, seed, min(chunk, reps - first), first_rep=first)
+        k = min(chunk, reps - first)
+        yield first, dist.sample_batch(
+            spec, top, seed, k, first_rep=first, out=batch[:k], scratch=scratch[:, :k]
+        )
 
 
 def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
@@ -168,10 +176,15 @@ def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
             means = sum(row for _, rows in _chunks(spec, top, seed, reps) for row in rows) / reps
         if means is not None and not np.any(means):
             means = None  # subtracting zeros leaves every M_n as it is
+        norms = None
         for first, batch in _chunks(spec, top, seed, reps):
             if means is not None:
                 batch -= means
-            R = running_max_norms(prefix_table(batch, range(1, 1 + top.d)), top.d)
+            if norms is None:  # the first chunk is the largest
+                norms = np.empty(batch.shape[:-1])
+            # the batch becomes its prefix table, then the squares of it
+            S = prefix_table(batch, range(1, 1 + top.d), out=batch)
+            R = running_max_norms(S, top.d, out=norms[: len(batch)])
             for j, corner in corners.items():
                 M[j, first:first + len(batch)] = R[corner]
     return M

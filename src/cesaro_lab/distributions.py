@@ -156,15 +156,30 @@ class Family:
         return None
 
     # --- sampling -------------------------------------------------------
-    def vectors(self, spec, box: MultiIndex, starts: np.ndarray) -> np.ndarray:
+    # A draw writes into buffers its caller owns: `out` receives the values of
+    # the reps of `starts`, and `scratch`, a uint64 array of shape
+    # (scratch_planes,) + (reps,) + box.coords, is the family's to overwrite.
+    def columns(self, spec) -> int:
+        """Columns of a sampled vector: 1, its values lie on one line."""
+        return 1
+
+    def scratch_planes(self, spec) -> int:
+        """Cell-shaped uint64 planes of scratch a draw needs."""
+        return 1
+
+    def vectors(self, spec, box: MultiIndex, starts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Cell vectors into out, shape (reps,) + box.coords + (columns,)."""
         raise NotImplementedError
 
-    def norm_values(self, spec, box: MultiIndex, starts: np.ndarray) -> np.ndarray:
+    def norm_values(self, spec, box: MultiIndex, starts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Cell norms into out, shape (reps,) + box.coords."""
         fixed = self.fixed_norms(spec, box)
         if fixed is not None:
-            return np.broadcast_to(fixed, (starts.shape[0],) + fixed.shape).copy()
-        v = self.vectors(spec, box, starts)
-        return np.sqrt((v * v).sum(axis=-1))
+            out[...] = fixed
+            return
+        v = np.empty(out.shape + (self.columns(spec),))
+        self.vectors(spec, box, starts, v, scratch)
+        np.sqrt(np.sum(np.square(v, out=v), axis=-1, out=out), out=out)
 
 
 class _DeterministicFamily(Family):
@@ -173,9 +188,8 @@ class _DeterministicFamily(Family):
     def cell_values(self, spec, box: MultiIndex) -> np.ndarray:
         raise NotImplementedError
 
-    def vectors(self, spec, box, starts):
-        vals = self.cell_values(spec, box)[..., None]
-        return np.broadcast_to(vals, (starts.shape[0],) + vals.shape).copy()
+    def vectors(self, spec, box, starts, out, scratch):
+        out[...] = self.cell_values(spec, box)[..., None]
 
     def fixed_norms(self, spec, box):
         return np.abs(self.cell_values(spec, box))
@@ -255,13 +269,16 @@ class ParetoRadialFamily(Family):
         if spec.param("alpha") <= 0:
             raise ValueError("alpha must be > 0")
 
-    def norm_values(self, spec, box, starts):
-        keys = rng.cell_keys(starts, _coord_grids(box))
-        u = rng.uniform_open01(rng.substream(keys, 0))
-        return u ** (-1.0 / float(spec.param("alpha")))
+    def norm_values(self, spec, box, starts, out, scratch):
+        # the keys live in out's memory until the uniforms replace them
+        keys, mixing = out.view(np.uint64), scratch[0]
+        rng.cell_keys(starts, _coord_grids(box), out=keys, scratch=mixing)
+        rng.substream(keys, 0, out=keys, scratch=mixing)
+        rng.uniform_open01(keys, out=out, scratch=mixing)
+        out **= -1.0 / float(spec.param("alpha"))  # in place, as u ** (-1 / alpha)
 
-    def vectors(self, spec, box, starts):
-        return self.norm_values(spec, box, starts)[..., None]
+    def vectors(self, spec, box, starts, out, scratch):
+        self.norm_values(spec, box, starts, out[..., 0], scratch)
 
     def expect(self, spec, g, box):
         # E(X^p 1(X > a)) = alpha/(alpha-p) * max(a,1)^(p-alpha); continuous,
@@ -301,11 +318,17 @@ class IidGaussianFamily(Family):
     def mean(self, spec, box):
         return np.broadcast_to(0.0, box.coords + (1,))
 
-    def vectors(self, spec, box, starts):
-        keys = rng.cell_keys(starts, _coord_grids(box))
-        out = rng.normals(keys, spec.dim_D)
+    def columns(self, spec):
+        return spec.dim_D
+
+    def scratch_planes(self, spec):
+        return 1 + rng.normals_work_planes(spec.dim_D)
+
+    def vectors(self, spec, box, starts, out, scratch):
+        keys, work = scratch[0], scratch[1:].view(np.float64)
+        rng.cell_keys(starts, _coord_grids(box), out=keys, scratch=scratch[1])
+        rng.normals(keys, spec.dim_D, out=out, work=work)
         out *= float(spec.param("sigma"))
-        return out
 
     def expect(self, spec, g, box):
         # only the second moment E||X||^2 = D sigma^2 has a closed form here
@@ -328,9 +351,9 @@ class IidRademacherFamily(Family):
     def fixed_norms(self, spec, box):
         return np.broadcast_to(1.0, box.coords)
 
-    def vectors(self, spec, box, starts):
+    def vectors(self, spec, box, starts, out, scratch):
         keys = rng.cell_keys(starts, _coord_grids(box))
-        return rng.signs(rng.substream(keys, 0))[..., None]
+        out[..., 0] = rng.signs(rng.substream(keys, 0))
 
 
 def subset_products(bits: np.ndarray) -> np.ndarray:
@@ -390,8 +413,8 @@ class PairwiseRademacherFamily(Family):
         table = subset_products(bits)  # (R, n_blocks, L)
         return table[:, block.astype(np.int64), mask_idx]
 
-    def vectors(self, spec, box, starts):
-        return self._signs(spec, box, starts)[..., None]
+    def vectors(self, spec, box, starts, out, scratch):
+        out[..., 0] = self._signs(spec, box, starts)
 
 
 _FAMILY_LIST = [
@@ -427,36 +450,62 @@ def _checked_family(spec: DistributionSpec, box: MultiIndex) -> Family:
 
 
 def sample_batch(
-    spec: DistributionSpec, n: MultiIndex, seed: int, reps: int, first_rep: int = 0
+    spec: DistributionSpec,
+    n: MultiIndex,
+    seed: int,
+    reps: int,
+    first_rep: int = 0,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """`reps` independent arrays, shape (reps,) + n.coords + (1,), or
     (reps,) + n.coords + (dim_D,) for iid_gaussian.
 
     Row r is replication first_rep + r, its cells keyed by (derive_seed(seed,
     first_rep + r), i), so batches drawn in chunks of reps stack into the
-    batch drawn at once.
+    batch drawn at once. The batch is written into `out` and returned. A
+    chunk loop takes `out` and `scratch` from draw_buffers once and passes
+    both, cut to the chunk's reps, for every chunk, so it allocates nothing
+    chunk-sized per chunk; without `out`, both are new.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    starts = _rep_starts(seed, range(first_rep, first_rep + reps), n.d)
-    return _checked_family(spec, n).vectors(spec, n, starts)
+    fam = _checked_family(spec, n)
+    if out is None:
+        out, scratch = draw_buffers(spec, n, reps)
+    fam.vectors(spec, n, _rep_starts(seed, range(first_rep, first_rep + reps), n.d), out, scratch)
+    return out
+
+
+def draw_buffers(spec: DistributionSpec, n: MultiIndex, reps: int) -> tuple[np.ndarray, np.ndarray]:
+    """An `out` of shape (reps,) + n.coords + (columns,) for sample_batch, and
+    the family's uint64 `scratch` of shape (planes, reps) + n.coords. A chunk
+    of k reps uses out[:k] and scratch[:, :k]."""
+    fam = get_family(spec.family)
+    cells = (reps,) + n.coords
+    out = np.empty(cells + (fam.columns(spec),))
+    return out, np.empty((fam.scratch_planes(spec),) + cells, dtype=np.uint64)
 
 
 def norm_batch(spec: DistributionSpec, n: MultiIndex, seed: int, reps: int) -> np.ndarray:
     """Realized cell norms, shape (reps,) + n.coords.
 
-    Drawn in chunks of CHUNK_CELLS cells (at least one rep each) into one
-    output array; rows are keyed by derive_seed(seed, r), so the chunks stack
-    into the draw made at once.
+    Drawn in chunks of CHUNK_CELLS cells (at least one rep each) straight
+    into the output array, with one scratch buffer of a chunk's size that
+    every chunk reuses; rows are keyed by derive_seed(seed, r), so the chunks
+    stack into the draw made at once.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     fam = _checked_family(spec, n)
     out = np.empty((reps,) + n.coords, dtype=np.float64)
     chunk = max(1, CHUNK_CELLS // n.size)
+    cells = (min(chunk, reps),) + n.coords
+    scratch = np.empty((fam.scratch_planes(spec),) + cells, dtype=np.uint64)
     for first in range(0, reps, chunk):
         last = min(reps, first + chunk)
-        out[first:last] = fam.norm_values(spec, n, _rep_starts(seed, range(first, last), n.d))
+        starts = _rep_starts(seed, range(first, last), n.d)
+        fam.norm_values(spec, n, starts, out[first:last], scratch[:, : last - first])
     return out
 
 

@@ -19,6 +19,12 @@ ufunc.accumulate, which runs one inner loop per position behind the axis,
 or one slab update a[i] = ufunc(a[i - 1], a[i]) per position along it,
 chosen when the run of cells behind the axis is at least SLAB_RUN times
 the axis length (the first box axes of a d = 3 chunk with D columns).
+
+A chunk loop owns its buffers: prefix_table sweeps the array given as `out`
+(the chunk's own batch, in a convergence series) and running_max_norms
+squares its table in place and sums the norms into the given `out`, so a
+series allocates its chunk-sized arrays once per draw, not once per chunk.
+Without `out`, neither function touches its input.
 """
 
 from __future__ import annotations
@@ -80,9 +86,14 @@ def leq(m: MultiIndex, n: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(m.coords, n.coords))
 
 
-def prefix_table(field: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Cumulative sums along each listed axis in turn (one sweep per axis)."""
-    out = np.array(field, dtype=np.float64, copy=True)
+def prefix_table(field: np.ndarray, axes: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative sums along each listed axis in turn (one sweep per axis),
+    into `out` (float64, field's shape; it may be field itself) when given,
+    else into a new array."""
+    if out is None:
+        out = np.array(field, dtype=np.float64, copy=True)
+    elif out is not field:
+        np.copyto(out, field)
     for ax in axes:
         _sweep(np.add, out, ax)
     return out
@@ -114,14 +125,17 @@ def prefix_sums_bruteforce(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def running_max_norms(S: np.ndarray, d: int) -> np.ndarray:
+def running_max_norms(S: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
     """max_{j <= k} ||S_j|| at every k: shape lead + box for a prefix table S
     of shape lead + box + (D,), with d box axes after any leading axes (reps).
 
     Takes norms over the last axis, then a running max along each box axis in
     place, so the value at the corner of [1, n] is M_n. NaN spreads as in np.max.
+    With `out` (float64, shape lead + box) the norms go there and S is
+    overwritten by its squares; without it S is left as it is.
     """
-    norms = np.sqrt((S * S).sum(axis=-1))
+    squares = np.square(S) if out is None else np.square(S, out=S)
+    norms = np.sqrt(np.sum(squares, axis=-1, out=out), out=out)
     for ax in range(norms.ndim - d, norms.ndim):
         _sweep(np.maximum, norms, ax)
     return norms

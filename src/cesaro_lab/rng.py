@@ -22,19 +22,30 @@ def as_seed(seed: int) -> np.uint64:
     return _U64(int(seed) & _MASK)
 
 
-def mix64(x):
-    """SplitMix64 finalizer; avalanches uint64 scalars or arrays."""
+def mix64(x, out=None, scratch=None):
+    """SplitMix64 finalizer; avalanches uint64 scalars or arrays.
+
+    With `out`, a uint64 array of the result's shape, every step writes there
+    (x may be out itself) and `scratch`, one more such array, takes the
+    shifted words; a loop that hashes chunk after chunk into the same two
+    buffers then allocates nothing. Each one left None is a new array per
+    step, as in the plain expression; the bits are the same either way.
+    """
     with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64) + _GOLDEN
-        z = (z ^ (z >> _U64(30))) * _M1
-        z = (z ^ (z >> _U64(27))) * _M2
-        return z ^ (z >> _U64(31))
+        z = np.add(np.asarray(x, dtype=np.uint64), _GOLDEN, out=out)
+        for shift, factor in ((30, _M1), (27, _M2), (31, None)):
+            z = np.bitwise_xor(z, np.right_shift(z, _U64(shift), out=scratch), out=out)
+            if factor is not None:
+                z = np.multiply(z, factor, out=out)
+        return z
 
 
-def combine(key, value):
-    """Fold one more value into a key chain."""
-    with np.errstate(over="ignore"):
-        return mix64(np.asarray(key, dtype=np.uint64) ^ mix64(np.asarray(value, dtype=np.uint64)))
+def combine(key, value, out=None, scratch=None):
+    """Fold one more value into a key chain; `out` and `scratch` as in mix64,
+    shaped as key and value broadcast (key may be out itself)."""
+    mixed = mix64(np.asarray(value, dtype=np.uint64))
+    z = np.bitwise_xor(np.asarray(key, dtype=np.uint64), mixed, out=out)
+    return mix64(z, out=out, scratch=scratch)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -42,33 +53,47 @@ def derive_seed(seed: int, index: int) -> int:
     return int(combine(combine(as_seed(seed), _INIT), as_seed(index)))
 
 
-def cell_keys(start, coord_arrays):
+def cell_keys(start, coord_arrays, out=None, scratch=None):
     """One key per lattice cell from its coordinate tuple.
 
     `start` is an integer seed or a uint64 array of chain starts (e.g. one
-    per replication, shaped to broadcast against the coordinate grids).
+    per replication, shaped to broadcast against the coordinate grids). The
+    chain folds in one coordinate axis at a time, so every fold but the last
+    is as small as the grids it has seen; only the last, the size of the
+    cells, goes into `out` (with `scratch`, as in mix64) when given.
     """
     if isinstance(start, np.ndarray):
         h = combine(start, _INIT)
     else:
         h = combine(as_seed(start), _INIT)
-    for c in coord_arrays:
-        h = combine(h, np.asarray(c, dtype=np.uint64))
-    return h
+    *inner, last = coord_arrays
+    for c in inner:
+        h = combine(h, c)
+    return combine(h, last, out=out, scratch=scratch)
 
 
-def substream(keys, idx: int):
-    return combine(keys, as_seed(idx))
+def substream(keys, idx: int, out=None, scratch=None):
+    """Key of stream `idx` of every key; `out` (may be keys itself) and
+    `scratch` as in mix64."""
+    return combine(keys, as_seed(idx), out=out, scratch=scratch)
 
 
-def uniform01(bits):
-    """[0, 1) from uint64 bits, 53-bit resolution."""
-    return (bits >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+def uniform01(bits, out=None, scratch=None):
+    """[0, 1) from uint64 bits, 53-bit resolution; `out` and `scratch` as in
+    uniform_open01."""
+    return np.multiply(np.right_shift(bits, _U64(11), out=scratch), 2.0 ** -53, out=out)
 
 
-def uniform_open01(bits):
-    """(0, 1], never zero: safe under log and negative powers."""
-    return ((bits >> _U64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+def uniform_open01(bits, out=None, scratch=None):
+    """(0, 1], never zero: safe under log and negative powers.
+
+    The shifted words go to `scratch` (uint64, bits' shape) and the uniforms
+    to `out` (float64), each new when None; the conversion to float is fused
+    into the ufunc that follows it. Either one, not both, may share bits'
+    memory: out may be bits' float view, or scratch bits itself.
+    """
+    u = np.add(np.right_shift(bits, _U64(11), out=scratch), 1.0, out=out)
+    return np.multiply(u, 2.0 ** -53, out=out)
 
 
 def signs(bits):
@@ -76,8 +101,18 @@ def signs(bits):
     return 1.0 - 2.0 * (bits >> _U64(63)).astype(np.float64)
 
 
-def normals(keys, count: int):
-    """`count` standard normals per key; shape keys.shape + (count,).
+def normals_work_planes(count: int) -> int:
+    """Key-shaped float64 planes normals needs for `count` normals per key:
+    four for its intermediates and one per normal, count rounded up to whole
+    Box-Muller pairs."""
+    return 4 + 2 * ((count + 1) // 2)
+
+
+def normals(keys, count: int, out=None, work=None):
+    """`count` standard normals per key; shape keys.shape + (count,), written
+    into `out` when given. `work`, a float64 array of shape
+    (normals_work_planes(count),) + keys.shape, holds every intermediate
+    when given, so a chunk loop that owns it allocates nothing per chunk.
 
     Box-Muller on the uniforms of substreams 2j and 2j+1 (Box & Muller 1958):
     r = sqrt(-2 log u1) and angle 2 pi u2, with cos and sin of the angle in
@@ -92,19 +127,24 @@ def normals(keys, count: int):
     """
     keys = np.asarray(keys, dtype=np.uint64)
     pairs = (count + 1) // 2
+    if work is None:
+        work = np.empty((normals_work_planes(count),) + keys.shape, dtype=np.float64)
     # one contiguous plane per normal, moved behind the key axes at the end:
     # in a convergence series this beat writing each normal with a stride of
-    # `count` (1.6 against 2.0 s on converge-l1-gauss-3d)
-    planes = np.empty((2 * pairs,) + keys.shape, dtype=np.float64)
-    sq = np.empty(keys.shape, dtype=np.float64)
-    den = np.empty(keys.shape, dtype=np.float64)
+    # `count` (1.6 against 2.0 s on converge-l1-gauss-3d). A substream's bits
+    # and its hashing scratch are done with before sq and den take their planes.
+    sq, den, r, t = (work[i, ...] for i in range(4))  # views, for 0-d keys too
+    bits, mixing = sq.view(np.uint64), den.view(np.uint64)
+    planes = work[4:]
     for j in range(pairs):
         # r = sqrt(-2 log u1) and t = tan(pi u2), each in its own buffer
-        r = np.asarray(uniform_open01(substream(keys, 2 * j)))
+        substream(keys, 2 * j, out=bits, scratch=mixing)
+        uniform_open01(bits, out=r, scratch=bits)
         np.log(r, out=r)
         np.multiply(r, -2.0, out=r)
         np.sqrt(r, out=r)
-        t = np.asarray(uniform01(substream(keys, 2 * j + 1)))
+        substream(keys, 2 * j + 1, out=bits, scratch=mixing)
+        uniform01(bits, out=t, scratch=bits)
         np.multiply(t, np.pi, out=t)
         np.tan(t, out=t)
         # r / (1 + t^2) times 1 - t^2 and times 2t
@@ -115,4 +155,8 @@ def normals(keys, count: int):
         np.multiply(r, sq, out=planes[2 * j, ...])
         np.add(t, t, out=t)
         np.multiply(r, t, out=planes[2 * j + 1, ...])
-    return np.moveaxis(planes[:count], 0, -1).copy()
+    values = np.moveaxis(planes[:count], 0, -1)
+    if out is None:
+        return values.copy()
+    np.copyto(out, values)
+    return out

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cesaro_lab
 import cesaro_lab.distributions as dist
+from cesaro_lab import rng
 from cesaro_lab.distributions import (
     DistributionSpec,
     NormSample,
@@ -377,7 +383,9 @@ class TestSamplingContracts:
         assert chunked.shape == (reps, 5)
         assert np.array_equal(chunked, one_shot)
         starts = dist._rep_starts(3, range(reps), 1)
-        assert np.array_equal(chunked, get_family(spec.family).norm_values(spec, n, starts))
+        direct = np.full((reps, 5), np.nan)
+        get_family(spec.family).norm_values(spec, n, starts, direct, dist.draw_buffers(spec, n, reps)[1])
+        assert np.array_equal(chunked, direct)
 
     def test_norm_batch_matches_sample_batch(self):
         spec = spec_of("pareto_radial", d=3, alpha=3.0)
@@ -395,3 +403,106 @@ class TestSamplingContracts:
         assert np.array_equal(g(fld), np.ones((3, 2)))
         # the law itself still has the closed form; only the choice is empirical
         assert np.array_equal(dist.expect(spec, Tail(1.0, 0.5), MultiIndex((2,))), [1.0, 1.0])
+
+
+def allocating_vectors(spec, box, starts):
+    """Each family's vectors for the reps of `starts` as plain allocating
+    expressions: the oracle of the draws into caller-owned buffers."""
+    fam = get_family(spec.family)
+    grids = dist._coord_grids(box)
+    if spec.family == "pareto_radial":
+        u = rng.uniform_open01(rng.substream(rng.cell_keys(starts, grids), 0))
+        return (u ** (-1.0 / spec.param("alpha")))[..., None]
+    if spec.family == "iid_gaussian":
+        return rng.normals(rng.cell_keys(starts, grids), spec.dim_D) * spec.param("sigma")
+    if spec.family == "iid_rademacher":
+        return rng.signs(rng.substream(rng.cell_keys(starts, grids), 0))[..., None]
+    if spec.family == "pairwise_rademacher":
+        return fam._signs(spec, box, starts)[..., None]
+    vals = fam.cell_values(spec, box)[..., None]
+    return np.broadcast_to(vals, starts.shape[:1] + vals.shape)
+
+
+def allocating_norms(spec, box, starts):
+    fixed = get_family(spec.family).fixed_norms(spec, box)
+    if fixed is not None:
+        return np.broadcast_to(fixed, starts.shape[:1] + fixed.shape)
+    v = allocating_vectors(spec, box, starts)
+    return v[..., 0] if spec.family == "pareto_radial" else np.sqrt((v * v).sum(axis=-1))
+
+
+DRAW_FAMILIES = [
+    spec_of("iid_gaussian", d=3, sigma=1.5),
+    spec_of("iid_gaussian", d=8),
+    # alpha 1, 2 and 0.5 give the exponents -1, -0.5 and -2, which numpy's
+    # power may treat apart from a general exponent
+    *[spec_of("pareto_radial", d=2, alpha=a) for a in (3.0, 1.0, 2.0, 0.5)],
+    spec_of("iid_rademacher"),
+    spec_of("pairwise_rademacher", m=3),
+    spec_of("spiked_cui"),
+    spec_of("growing_non_cui"),
+    spec_of("constant", c=-2.0),
+]
+# 7 reps in chunks of 3, 3 and 1: the last chunk reuses the front of buffers
+# a longer chunk filled
+RAGGED = [(0, 3), (3, 3), (6, 1)]
+
+
+@pytest.mark.parametrize("method", ["vectors", "norm_values"])
+@pytest.mark.parametrize(
+    "spec", DRAW_FAMILIES, ids=lambda s: "-".join([s.family, f"D{s.dim_D}", *map(str, s.params.values())])
+)
+def test_draws_into_reused_buffers_equal_the_allocating_expressions(spec, method):
+    fam = get_family(spec.family)
+    n = MultiIndex((11,)) if fam.max_d == 1 else MultiIndex((3, 4))
+    batch, scratch = dist.draw_buffers(spec, n, 3)
+    out = batch if method == "vectors" else np.empty((3,) + n.coords)
+    out.fill(np.nan)
+    scratch.fill(0x5555_5555_5555_5555)
+    oracle = allocating_vectors if method == "vectors" else allocating_norms
+    want = oracle(spec, n, dist._rep_starts(4, range(7), n.d))
+    for first, k in RAGGED:
+        starts = dist._rep_starts(4, range(first, first + k), n.d)
+        getattr(fam, method)(spec, n, starts, out[:k], scratch[:, :k])
+        assert np.array_equal(out[:k], want[first:first + k])
+
+
+def test_sample_batch_into_buffers_returns_them():
+    spec = spec_of("pareto_radial", d=2, alpha=3.0)
+    n = MultiIndex((3, 4))
+    batch, scratch = dist.draw_buffers(spec, n, 5)
+    got = sample_batch(spec, n, 9, 2, first_rep=3, out=batch[:2], scratch=scratch[:, :2])
+    assert np.shares_memory(got, batch)
+    assert np.array_equal(got, sample_batch(spec, n, 9, 5)[3:])
+
+
+FAULT_SCRIPT = """
+import resource, sys
+from cesaro_lab.distributions import DistributionSpec, norm_batch
+from cesaro_lab.lattice import MultiIndex
+spec = DistributionSpec("pareto_radial", {"alpha": 3.0}, dim_D=1)
+norm_batch(spec, MultiIndex((16, 16)), 0, 2)  # imports and first-call set-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+norm_batch(spec, MultiIndex((256, 256)), 0, int(sys.argv[1]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_draw_faults_grow_only_with_the_output():
+    # Each 256x256 rep is one chunk. A chunk-sized temporary freed at the end
+    # of a chunk lets the allocator return its pages to the kernel, and the
+    # next chunk faults them in again (about 480 faults per rep before the
+    # draw owned its buffers); the output's own pages are all that may grow.
+    src = str(Path(cesaro_lab.__file__).resolve().parents[1])
+    faults = []
+    for reps in (40, 160):
+        out = subprocess.run(
+            [sys.executable, "-c", FAULT_SCRIPT, str(reps)],
+            capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        faults.append(int(out.stdout.strip()))
+    if faults == [0, 0]:
+        pytest.skip("ru_minflt reads 0 on this platform")
+    added_pages = 120 * 256 * 256 * 8 // 4096
+    assert faults[1] - faults[0] <= 1.25 * added_pages, faults

@@ -166,6 +166,47 @@ def test_sweep_shapes_land_on_both_sides_of_the_rule():
         assert sides == {True, False}
 
 
+def field_with_extremes(shape, seed):
+    """Normals with a NaN, an inf and a cell whose square overflows."""
+    a = np.random.default_rng(seed).standard_normal(shape)
+    flat = a.reshape(-1)
+    flat[[1, flat.size // 2, flat.size - 2]] = [np.nan, np.inf, 1e200]
+    return a
+
+
+@pytest.mark.parametrize("shape", SWEEP_SHAPES)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and the overflowing square
+def test_prefix_and_running_max_into_buffers_equal_the_allocating_calls(shape):
+    a = field_with_extremes(shape, shape[1])
+    axes, d = sweep_axes(shape), len(shape) - 2
+    want_S = prefix_table(a, axes)
+    want_M = running_max_norms(want_S, d)
+    other = np.full(shape, np.nan)
+    assert prefix_table(a, axes, out=other) is other
+    assert np.array_equal(other, want_S, equal_nan=True)
+    # a chunk loop sweeps its own batch, then squares it into the norms
+    batch = a.copy()
+    assert prefix_table(batch, axes, out=batch) is batch
+    assert np.array_equal(batch, want_S, equal_nan=True)
+    norms = np.full(shape[:-1], -1.0)
+    assert running_max_norms(batch, d, out=norms) is norms
+    assert np.array_equal(norms, want_M, equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", SWEEP_SHAPES)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_prefix_and_running_max_leave_their_input_alone(shape):
+    # without out neither writes to its argument: callers read the field and
+    # the table again after the call
+    a = field_with_extremes(shape, shape[1] + 1)
+    before = a.copy()
+    S = prefix_table(a, sweep_axes(shape))
+    assert np.array_equal(a, before, equal_nan=True)
+    table = S.copy()
+    running_max_norms(S, len(shape) - 2)
+    assert np.array_equal(S, table, equal_nan=True)
+
+
 @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
 @pytest.mark.parametrize("shape", SWEEP_SHAPES)
 @pytest.mark.parametrize("slab_run", [None, 0, math.inf])

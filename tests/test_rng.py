@@ -176,3 +176,107 @@ def test_normals_are_finite_at_the_tangent_pole():
     ref, r = normals_by_cos_sin(key, 2)
     assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(r))
     assert got[0] == pytest.approx(-r[0], rel=1e-15) and abs(got[1]) < 1e-15 * r[0]
+
+
+U64 = np.uint64
+
+
+def mix64_by_expression(x):
+    """SplitMix64's finalizer as plain expressions, one new array per step."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(x, dtype=U64) + U64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> U64(30))) * U64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> U64(27))) * U64(0x94D049BB133111EB)
+        return z ^ (z >> U64(31))
+
+
+def combine_by_expression(key, value):
+    return mix64_by_expression(np.asarray(key, dtype=U64) ^ mix64_by_expression(value))
+
+
+UNIFORMS_BY_EXPRESSION = {
+    rng.uniform01: lambda bits: (bits >> U64(11)).astype(np.float64) * (2.0 ** -53),
+    rng.uniform_open01: lambda bits: ((bits >> U64(11)).astype(np.float64) + 1.0) * (2.0 ** -53),
+}
+
+
+def into_buffers(fn, *args, shape):
+    """fn(*args, out=, scratch=) into uint64 buffers pre-filled with junk;
+    the result must be the out buffer itself."""
+    out = np.full(shape, 0xDEAD_BEEF, dtype=np.uint64)
+    got = fn(*args, out=out, scratch=np.full(shape, 0xFFFF, dtype=np.uint64))
+    assert got is out
+    return out
+
+
+KEYS = {
+    "scalar": np.uint64(0x0123_4567_89AB_CDEF),
+    "1-d": rng.mix64(np.arange(4099, dtype=np.uint64)),
+    "2-d": rng.mix64(np.arange(12, dtype=np.uint64) + 3).reshape(3, 4),
+}
+
+
+@pytest.mark.parametrize("name", KEYS)
+def test_hashing_out_paths_equal_the_allocating_expressions(name):
+    keys = KEYS[name]
+    shape = np.shape(keys)
+    mixed, sub = mix64_by_expression(keys), combine_by_expression(keys, U64(5))
+    assert np.array_equal(rng.mix64(keys), mixed)
+    assert np.array_equal(rng.substream(keys, 5), sub)
+    assert np.array_equal(into_buffers(rng.mix64, keys, shape=shape), mixed)
+    assert np.array_equal(into_buffers(rng.substream, keys, 5, shape=shape), sub)
+    assert np.array_equal(into_buffers(rng.combine, keys, 5, shape=shape), sub)
+    # in place: the keys themselves are the output, scratch left to the function
+    own = np.array(keys, dtype=np.uint64)
+    assert rng.substream(own, 5, out=own) is own
+    assert np.array_equal(own, rng.substream(keys, 5))
+    own = np.array(keys, dtype=np.uint64)
+    assert np.array_equal(rng.mix64(own, out=own), rng.mix64(keys))
+
+
+def test_hashing_out_paths_broadcast_keys_against_values():
+    key = rng.mix64(np.arange(3, dtype=np.uint64)).reshape(3, 1)
+    value = np.arange(4, dtype=np.uint64).reshape(1, 4)
+    want = combine_by_expression(key, value)
+    assert np.array_equal(rng.combine(key, value), want)
+    assert np.array_equal(into_buffers(rng.combine, key, value, shape=(3, 4)), want)
+    # chain starts per rep against sparse coordinate grids, as a batch draws them
+    starts = rng.mix64(np.arange(2, dtype=np.uint64)).reshape(2, 1, 1)
+    grids = [np.arange(1, 4, dtype=np.uint64).reshape(1, 3, 1), np.arange(1, 6, dtype=np.uint64).reshape(1, 1, 5)]
+    want = rng.cell_keys(starts, grids)
+    assert want.shape == (2, 3, 5)
+    assert np.array_equal(into_buffers(rng.cell_keys, starts, grids, shape=(2, 3, 5)), want)
+    line = [np.arange(1, 100, dtype=np.uint64)]
+    assert np.array_equal(into_buffers(rng.cell_keys, 7, line, shape=(99,)), rng.cell_keys(7, line))
+    point = [np.uint64(12)]
+    assert np.array_equal(into_buffers(rng.cell_keys, 7, point, shape=()), rng.cell_keys(7, point))
+
+
+@pytest.mark.parametrize("uniform", [rng.uniform01, rng.uniform_open01])
+@pytest.mark.parametrize("name", KEYS)
+def test_uniform_out_paths_equal_the_allocating_expressions(uniform, name):
+    bits = np.array(KEYS[name], dtype=np.uint64)
+    if bits.ndim:
+        bits.reshape(-1)[:2] = [0, 2**64 - 1]  # the ends of both ranges
+    want = UNIFORMS_BY_EXPRESSION[uniform](bits)
+    assert np.array_equal(uniform(bits), want)
+    out = np.full(bits.shape, np.nan)
+    assert uniform(bits, out=out, scratch=np.empty_like(bits)) is out
+    assert np.array_equal(out, want)
+    # the shifted words may overwrite the bits ...
+    consumed = bits.copy()
+    assert np.array_equal(uniform(consumed, out=np.full(bits.shape, np.nan), scratch=consumed), want)
+    # ... or the uniforms may replace them in their own memory
+    shared = bits.copy()
+    uniform(shared, out=shared.view(np.float64), scratch=np.empty_like(bits))
+    assert np.array_equal(shared.view(np.float64), want)
+
+
+def test_normals_into_out_and_work_equal_the_allocating_call():
+    for shape in [(), (7,), (3, 5)]:
+        keys = rng.mix64(np.arange(int(np.prod(shape)), dtype=np.uint64) + 23).reshape(shape)
+        for count in (1, 2, 5, 8):
+            out = np.full(shape + (count,), np.nan)
+            work = np.full((rng.normals_work_planes(count),) + shape, np.nan)
+            assert rng.normals(keys, count, out=out, work=work) is out
+            assert np.array_equal(out, rng.normals(keys, count))
