@@ -35,6 +35,7 @@ from .lattice import (
     prefix_table,
     running_max_norms,
     schedule_averages,
+    schedule_profiles,
 )
 
 try:
@@ -351,7 +352,9 @@ def _prefix_case(trial: int, seed: int) -> Optional[dict]:
 def _schedule_case(trial: int, seed: int) -> Optional[dict]:
     """Compare the dyadic tail profile of a random box, with a leading rep
     axis, a weight and two truncation levels (strict or not), against
-    brute-force block means."""
+    brute-force block means; and two such queries, with other weights,
+    levels and strictness, answered in one pass over chunks of one rep,
+    against their one-query calls and against brute force."""
     key = np.uint64(rng.derive_seed(seed, 2_000_000 + trial))
     d = _rand_int(key, 1, 1, 3)
     sides = tuple(_rand_int(key, 10 + ax, 1, 5) for ax in range(d))
@@ -365,20 +368,30 @@ def _schedule_case(trial: int, seed: int) -> Optional[dict]:
     # half-integer cells, so some sit exactly on a level and ge matters
     normals = rng.normals(rng.cell_keys(int(key), grids), reps)
     field = np.moveaxis(np.round(2.0 * normals) / 2.0, -1, 0)
-    fast = schedule_averages(field, box, np.abs, levels, ge)
+    queries = [(np.abs, levels, ge), (np.square, (0.0, 1.0), not ge)]
 
-    def block_means(n: MultiIndex, a: float) -> np.ndarray:
-        block = field[(slice(None),) + tuple(slice(0, c) for c in n.coords)]
-        kept = np.where(block >= a if ge else block > a, np.abs(block), 0.0)
-        return kept.reshape(reps, -1).mean(axis=1)
+    def brute(weight, grid, ge) -> np.ndarray:
+        def block_means(n: MultiIndex, a: float) -> np.ndarray:
+            block = field[(slice(None),) + tuple(slice(0, c) for c in n.coords)]
+            kept = np.where(block >= a if ge else block > a, weight(block), 0.0)
+            return kept.reshape(reps, -1).mean(axis=1)
 
-    brute = np.stack(
-        [np.stack([block_means(n, a) for n in dyadic_boxes(box)], axis=-1) for a in levels]
-    )
-    err = float(np.abs(fast - brute).max()) / max(1.0, float(np.abs(brute).max()))
+        return np.stack(
+            [np.stack([block_means(n, a) for n in dyadic_boxes(box)], axis=-1) for a in grid]
+        )
+
+    def relative_error(fast: np.ndarray, want: np.ndarray) -> float:
+        return float(np.abs(fast - want).max()) / max(1.0, float(np.abs(want).max()))
+
+    case = {"trial": trial, "d": d, "box": str(box), "reps": reps, "ge": ge}
+    err = relative_error(schedule_averages(field, box, *queries[0]), brute(*queries[0]))
     if err > 1e-9:
-        return {"kind": "schedule_average", "trial": trial, "d": d, "box": str(box),
-                "reps": reps, "ge": ge, "relative_error": err}
+        return {"kind": "schedule_average", **case, "relative_error": err}
+    one_pass = schedule_profiles(((r, field[r : r + 1]) for r in range(reps)), reps, box, queries)
+    for q, (got, query) in enumerate(zip(one_pass, queries)):
+        err = relative_error(got, brute(*query))
+        if not np.array_equal(got, schedule_averages(field, box, *query)) or err > 1e-9:
+            return {"kind": "schedule_multi_query", **case, "query": q, "relative_error": err}
     return None
 
 

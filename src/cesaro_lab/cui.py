@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import LOW_REPS_FLOOR, NormSample, Tail
-from .lattice import MultiIndex, dyadic_boxes, schedule_averages
+from .lattice import MultiIndex, dyadic_boxes, schedule_averages, schedule_profiles
 
 DEFAULT_A_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -80,25 +80,42 @@ def _schedule_sup(fld: np.ndarray, exact: bool, weight, box: MultiIndex) -> Tail
 
 
 def _tail_sups(
-    sample: NormSample, p: float, levels: Sequence[float], ge: bool = False
-) -> list[TailEstimate]:
-    """Tail sups at each of the increasing `levels`: a closed form per level
-    where the family and moment mode admit one, and one tail profile of the
-    realized norms for all the other levels."""
-    if not (0 < p <= 1):
-        raise ValueError("p must lie in (0, 1]")
+    sample: NormSample,
+    requests: Sequence[tuple[float, Sequence[float], bool]],
+    hold: bool = False,
+) -> list[list[TailEstimate]]:
+    """Tail sups at each of the increasing levels of every (p, levels, ge)
+    request: a closed form per level where the family and moment mode admit
+    one, and for all the other levels of all the requests one pass of
+    schedule_profiles over the realized norms. That pass streams the sample's
+    chunks, so it draws each rep once and holds no more than a chunk, unless
+    `hold` (the caller has later questions for the same draw) or an earlier
+    question made the sample hold its norms."""
+    for p, _, _ in requests:
+        if not (0 < p <= 1):
+            raise ValueError("p must lie in (0, 1]")
     box = sample.box
-    ests = {}
-    for a in levels:
-        fld, exact, _ = sample.expectations(Tail(p, a, ge))
-        if exact:
-            ests[a] = _schedule_sup(fld, True, None, box)
-    realized = [a for a in levels if a not in ests]
-    if realized:
-        profile = schedule_averages(sample.norms(), box, Tail(p, 0.0).power, realized, ge)
-        schedule = dyadic_boxes(box)
-        ests.update((a, _estimate(avgs, False, schedule)) for a, avgs in zip(realized, profile))
-    return [ests[a] for a in levels]
+    schedule = dyadic_boxes(box)
+    answers: list[dict] = []
+    queries, realized = [], []
+    for p, levels, ge in requests:
+        ests = {}
+        for a in levels:
+            fld = sample.closed_form(Tail(p, a, ge))
+            if fld is not None:
+                ests[a] = _estimate(schedule_averages(fld, box), True, schedule)
+        rest = [a for a in levels if a not in ests]
+        if rest:
+            queries.append((Tail(p, 0.0).power, rest, ge))
+            realized.append((ests, rest))
+        answers.append(ests)
+    if queries:
+        if hold:
+            sample.norms()
+        profiles = schedule_profiles(sample.chunks(), sample.reps, box, queries)
+        for (ests, rest), profile in zip(realized, profiles):
+            ests.update((a, _estimate(avgs, False, schedule)) for a, avgs in zip(rest, profile))
+    return [[ests[a] for a in levels] for (_, levels, _), ests in zip(requests, answers)]
 
 
 def cesaro_tail_sup(
@@ -119,7 +136,7 @@ def cesaro_tail_sup(
     """
     if not (a >= 0):
         raise ValueError("a must be >= 0")
-    return _tail_sups(sample, p, [a], ge)[0]
+    return _tail_sups(sample, [(p, [a], ge)])[0][0]
 
 
 def _first_certified(
@@ -142,7 +159,7 @@ def cui_certificate(
     if not (eps > 0):
         raise ValueError("eps must be > 0")
     grid = _levels(a_grid)
-    return _first_certified(grid, _tail_sups(sample, p, grid), eps)
+    return _first_certified(grid, _tail_sups(sample, [(p, grid, False)])[0], eps)
 
 
 def check_criterion_i(sample: NormSample) -> TailEstimate:
@@ -345,10 +362,11 @@ def verify_criterion_equivalence(
     horizon = sample.box
     checks: list[CheckRecord] = []
 
-    k_est = check_criterion_i(sample)
-    K = k_est.value
     grid = _levels(a_grid)
-    grid_ests = _tail_sups(sample, 1.0, grid)
+    # K (check_criterion_i's query) and the grid in one pass over a draw
+    # that the event checks below read again
+    (k_est,), grid_ests = _tail_sups(sample, [(1.0, [0.0], False), (1.0, grid, False)], hold=True)
+    K = k_est.value
 
     a0_bound = _first_certified(grid, grid_ests, 1.0)
     certified = a0_bound is not None
@@ -481,11 +499,11 @@ class CuiReport:
 def build_cui_report(
     sample: NormSample, p: float, a_grid: Sequence[float] = DEFAULT_A_GRID, ge: bool = False
 ) -> CuiReport:
-    """Tail sups at every grid level and the first-moment sup, all over the
-    dyadic boxes of the sample's box."""
+    """Tail sups at every grid level and the first-moment sup
+    (check_criterion_i's query), all over the dyadic boxes of the sample's
+    box, from one streamed pass over the sample."""
     grid = _levels(a_grid)
-    ests = _tail_sups(sample, p, grid, ge)
-    mean_est = check_criterion_i(sample)
+    ests, (mean_est,) = _tail_sups(sample, [(p, grid, ge), (1.0, [0.0], False)])
     return CuiReport(
         p=p,
         a_grid=tuple(grid),

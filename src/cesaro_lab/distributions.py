@@ -5,9 +5,13 @@ p-th power norms are Cesaro uniformly integrable. Every closed form sits
 behind one per-family norm law: `fixed_norms` gives the cell norms when
 they are not random, `expect` gives E g(||X_i||) for a norm functional g
 where the family admits it, and `mean` gives the per-cell mean vectors
-(zeros for the zero-mean families). `NormSample.expectations` is the one
-place that chooses between that closed form and Monte Carlo; a `NormSample` draws
-its norms at most once and answers every query from that one draw. Samplers
+(zeros for the zero-mean families). `NormSample.closed_form` is the one
+place that chooses between that closed form and Monte Carlo. A `NormSample`
+gives its realized norms two ways: `norms()` draws them once and holds
+them, for callers whose later questions depend on earlier answers, and
+`chunks()` streams them chunk by chunk through one reused buffer, so a pass
+that knows all its questions up front never holds the sample (once held,
+`chunks()` slices the held norms instead of drawing again). Samplers
 are pure functions of (spec, box, seed): cell i draws from a counter-based
 stream keyed by (seed, i), so enlarging a box never changes previously
 generated cells. Every family but iid_gaussian takes its values on one
@@ -20,12 +24,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from . import rng
-from .lattice import CHUNK_CELLS, MultiIndex
+from .lattice import CHUNK_CELLS, MultiIndex, row_chunks
 
 MOMENT_MODES = ("analytic", "empirical")
 LOW_REPS_FLOOR = 30  # Monte Carlo answers from fewer replications are flagged
@@ -167,18 +171,27 @@ class Family:
         """Cell-shaped uint64 planes of scratch a draw needs."""
         return 1
 
+    def norm_planes(self, spec) -> int:
+        """Planes of scratch a norm draw needs: the vector draw's, and behind
+        them one float64 plane per column for the vectors themselves."""
+        return self.scratch_planes(spec) + self.columns(spec)
+
     def vectors(self, spec, box: MultiIndex, starts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """Cell vectors into out, shape (reps,) + box.coords + (columns,)."""
         raise NotImplementedError
 
     def norm_values(self, spec, box: MultiIndex, starts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """Cell norms into out, shape (reps,) + box.coords."""
+        """Cell norms into out, shape (reps,) + box.coords; scratch has
+        norm_planes(spec) planes."""
         fixed = self.fixed_norms(spec, box)
         if fixed is not None:
             out[...] = fixed
             return
-        v = np.empty(out.shape + (self.columns(spec),))
-        self.vectors(spec, box, starts, v, scratch)
+        # the vectors, shaped as sample_batch's, fill the planes behind the
+        # vector draw's scratch (a view when the scratch is contiguous)
+        planes, cols = self.scratch_planes(spec), self.columns(spec)
+        v = scratch[planes : planes + cols].view(np.float64).reshape(out.shape + (cols,))
+        self.vectors(spec, box, starts, v, scratch[:planes])
         np.sqrt(np.sum(np.square(v, out=v), axis=-1, out=out), out=out)
 
 
@@ -276,6 +289,9 @@ class ParetoRadialFamily(Family):
         rng.substream(keys, 0, out=keys, scratch=mixing)
         rng.uniform_open01(keys, out=out, scratch=mixing)
         out **= -1.0 / float(spec.param("alpha"))  # in place, as u ** (-1 / alpha)
+
+    def norm_planes(self, spec):
+        return self.scratch_planes(spec)
 
     def vectors(self, spec, box, starts, out, scratch):
         self.norm_values(spec, box, starts, out[..., 0], scratch)
@@ -487,26 +503,54 @@ def draw_buffers(spec: DistributionSpec, n: MultiIndex, reps: int) -> tuple[np.n
     return out, np.empty((fam.scratch_planes(spec),) + cells, dtype=np.uint64)
 
 
-def norm_batch(spec: DistributionSpec, n: MultiIndex, seed: int, reps: int) -> np.ndarray:
-    """Realized cell norms, shape (reps,) + n.coords.
+def norm_batch(
+    spec: DistributionSpec,
+    n: MultiIndex,
+    seed: int,
+    reps: int,
+    first_rep: int = 0,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Realized cell norms of `reps` arrays, shape (reps,) + n.coords, written
+    into `out` and returned.
 
-    Drawn in chunks of CHUNK_CELLS cells (at least one rep each) straight
-    into the output array, with one scratch buffer of a chunk's size that
-    every chunk reuses; rows are keyed by derive_seed(seed, r), so the chunks
-    stack into the draw made at once.
+    Row r is replication first_rep + r, keyed by derive_seed(seed, first_rep
+    + r), so norms drawn in chunks of reps stack into the norms drawn at
+    once. The draw runs in chunks of CHUNK_CELLS cells (at least one rep
+    each) straight into `out`, every chunk on the front of one `scratch` from
+    norm_scratch that holds at least a chunk's reps. A loop that draws chunk
+    by chunk allocates both once and passes, for every chunk, `out` cut to
+    the chunk's reps and the whole `scratch`; without them, both are new.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     fam = _checked_family(spec, n)
-    out = np.empty((reps,) + n.coords, dtype=np.float64)
     chunk = max(1, CHUNK_CELLS // n.size)
-    cells = (min(chunk, reps),) + n.coords
-    scratch = np.empty((fam.scratch_planes(spec),) + cells, dtype=np.uint64)
+    if out is None:
+        out = np.empty((reps,) + n.coords, dtype=np.float64)
+    if scratch is None:
+        scratch = norm_scratch(spec, n, min(chunk, reps))
     for first in range(0, reps, chunk):
         last = min(reps, first + chunk)
-        starts = _rep_starts(seed, range(first, last), n.d)
-        fam.norm_values(spec, n, starts, out[first:last], scratch[:, : last - first])
+        starts = _rep_starts(seed, range(first_rep + first, first_rep + last), n.d)
+        fam.norm_values(spec, n, starts, out[first:last], _front(scratch, last - first))
     return out
+
+
+def norm_scratch(spec: DistributionSpec, n: MultiIndex, reps: int) -> np.ndarray:
+    """The uint64 scratch of a norm draw of up to `reps` reps per chunk:
+    shape (norm_planes, reps) + n.coords."""
+    planes = get_family(spec.family).norm_planes(spec)
+    return np.empty((planes, reps) + n.coords, dtype=np.uint64)
+
+
+def _front(scratch: np.ndarray, k: int) -> np.ndarray:
+    """The scratch of a chunk of k reps, (planes, k) + box, laid over the
+    front of `scratch` (contiguous), so any run of its planes is one block."""
+    box = scratch.shape[2:]
+    size = len(scratch) * k * math.prod(box)
+    return scratch.reshape(-1)[:size].reshape((len(scratch), k) + box)
 
 
 def fixed_norms(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:
@@ -527,12 +571,16 @@ def mean(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:
 
 
 class NormSample:
-    """The realized norms of `reps` arrays over one box, drawn at most once.
+    """The realized norms of `reps` arrays over one box.
 
     Callers that ask several questions of the same (spec, box, seed, reps)
-    share one NormSample. The draw is lazy, so queries answered in closed form
-    draw nothing, and the drawn array is read-only. A sample is not shared
-    across threads: every run is single-threaded.
+    share one NormSample. Nothing is drawn until a question needs the norms,
+    so questions answered in closed form draw nothing. A pass that knows all
+    its questions reads chunks(), which draws each rep once and holds no
+    more than a chunk; callers whose later questions depend on earlier
+    answers hold the draw with norms(), read-only, and every later question
+    reads it. A sample is not shared across threads: every run is
+    single-threaded.
     """
 
     def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int = 0, reps: int = 200):
@@ -543,28 +591,51 @@ class NormSample:
         self._norms: np.ndarray | None = None
 
     def norms(self) -> np.ndarray:
-        """The realized cell norms, shape (reps,) + box.coords."""
+        """The realized cell norms, shape (reps,) + box.coords, drawn once and
+        held."""
         if self._norms is None:
             norms = norm_batch(self.spec, self.box, self.seed, self.reps)
             norms.flags.writeable = False
             self._norms = norms
         return self._norms
 
+    def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The realized norms as (first rep, norms of a run of reps) pairs, in
+        rep order: row_chunks of the held norms once norms() has drawn them.
+        Otherwise each chunk of CHUNK_CELLS cells (at least one rep) is drawn
+        into one buffer that the next chunk overwrites, and nothing is held:
+        a chunk is valid until the next is asked for."""
+        if self._norms is not None:
+            yield from row_chunks(self._norms, self.box)
+            return
+        if self.reps < 1:
+            raise ValueError("reps must be >= 1")
+        k = min(max(1, CHUNK_CELLS // self.box.size), self.reps)
+        out, scratch = np.empty((k,) + self.box.coords), norm_scratch(self.spec, self.box, k)
+        for first in range(0, self.reps, k):
+            m = min(k, self.reps - first)
+            yield first, norm_batch(self.spec, self.box, self.seed, m, first, out[:m], scratch)
+
+    def closed_form(self, g: NormFunctional) -> np.ndarray | None:
+        """E g(||X_i||) per cell, shape box.coords, when the spec's
+        moment_mode is "analytic" and the family has a closed form for g;
+        else None. Draws nothing."""
+        if self.spec.moment_mode != "analytic":
+            return None
+        return expect(self.spec, g, self.box)
+
     def expectations(
         self, g: NormFunctional
     ) -> tuple[np.ndarray, bool, NormFunctional | None]:
         """E g(||X_i||) per cell as (field, exact, g still to apply).
 
-        Exact iff the spec's moment_mode is "analytic" and the family has a
-        closed form for g: then (E g, shape box.coords, True, None).
-        Otherwise (the realized norms, shape (reps,) + box.coords, False, g):
-        the caller applies g cell by cell and averages over reps, so a
+        The closed form when there is one: (E g, shape box.coords, True,
+        None). Otherwise the held norms (shape (reps,) + box.coords, False,
+        g): the caller applies g cell by cell and averages over reps, so a
         reduction can apply g slab by slab and never hold g of the whole
         sample.
         """
-        if self.spec.moment_mode == "analytic":
-            fld = expect(self.spec, g, self.box)
-            if fld is not None:
-                return fld, True, None
+        fld = self.closed_form(g)
+        if fld is not None:
+            return fld, True, None
         return self.norms(), False, g
-

@@ -4,11 +4,15 @@ Cells of a box [1, n] are enumerated in row-major order (last coordinate
 fastest); every floating reduction in this module follows that fixed order,
 so identical input bits always produce identical output bits.
 
-A tail query reads one dyadic tail profile: schedule_averages bins every
+A tail query reads one dyadic tail profile: schedule_profiles bins every
 cell of a sample by its dyadic shell (and, for a grid of truncation levels,
 by the levels it exceeds), sums the weights per shell with np.bincount in
-chunks of whole replications of about CHUNK_CELLS cells, and turns shell
-sums into sums over every dyadic box with one cumsum per axis. So every
+chunks of whole replications, and turns shell sums into sums over every
+dyadic box with one cumsum per axis. It answers several (weight, levels,
+ge) queries from one pass, and takes its rows as (first row, chunk) pairs:
+slices of a held field (row_chunks, as schedule_averages does for one
+query) or chunks drawn one at a time into a reused buffer, so a sample
+that is never held is binned chunk by chunk while it is in cache. So every
 truncation level and every box comes from one pass over the sample, and a
 norm functional is applied chunk by chunk, never to the whole sample.
 prefix_table serves the convergence series, which need M_k at every k.
@@ -32,14 +36,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 BRUTE_FORCE_CELL_CAP = 100_000
-# Cells per chunk of replications, in norm_batch, in convergence series and in
-# schedule_averages: each holds one chunk's temporaries at a time, so they do
-# not grow with reps.
+# Cells per chunk of replications, in norm_batch and a NormSample's chunks, in
+# convergence series and in row_chunks: each holds one chunk's temporaries at
+# a time, so they do not grow with reps.
 CHUNK_CELLS = 1 << 16
 # A sweep updates slabs when the cells behind its axis number at least this
 # many times the axis length, and calls ufunc.accumulate otherwise.
@@ -175,18 +179,55 @@ def schedule_averages(
     the result has shape (len(levels),) + field.shape[:-d] + (boxes,). NaN
     cells then drop out at every level and inf cells add inf, as with Tail.
 
-    One pass: each cell belongs to one dyadic shell, the index on each axis of
-    the smallest dyadic level at or above its coordinate. The weights go into
-    one np.bincount over (row, shell) per level, run on chunks of whole rows
-    of about CHUNK_CELLS cells, and one cumsum per shell axis turns shell sums
-    into box sums. A level's bincount sees only the cells it keeps, in cell
-    order, so its sums are bit-equal to those of a one-level call at that
-    level, whatever the other levels are.
+    This is the one-query case of schedule_profiles, over row_chunks of the
+    field.
     """
     d = box.d
     lead = field.shape[: field.ndim - d]
     if field.shape[field.ndim - d :] != box.coords:
         raise ValueError(f"field shape {field.shape} does not end in box {box.coords}")
+    rows = math.prod(lead)
+    flat = field.reshape((rows,) + box.coords)
+    (sums,) = schedule_profiles(row_chunks(flat, box), rows, box, [(weight, levels, ge)])
+    out = sums.reshape((len(sums),) + lead + (sums.shape[-1],))
+    return out[0] if levels is None else out
+
+
+def row_chunks(field: np.ndarray, box: MultiIndex) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, field[first:last]) over a field of shape (rows,) +
+    box.coords, in chunks of whole rows of about CHUNK_CELLS cells."""
+    per = max(1, CHUNK_CELLS // box.size)
+    for first in range(0, len(field), per):
+        yield first, field[first : first + per]
+
+
+def schedule_profiles(
+    chunks: Iterable[tuple[int, np.ndarray]],
+    rows: int,
+    box: MultiIndex,
+    queries: Sequence[
+        tuple[Callable[[np.ndarray], np.ndarray] | None, Sequence[float] | None, bool]
+    ],
+) -> list[np.ndarray]:
+    """Answer every (weight, levels, ge) query of schedule_averages from one
+    pass over `rows` rows of cells that arrive as (first row, chunk) pairs,
+    each chunk of shape (k,) + box.coords; together the chunks cover every
+    row once. Query q's answer has shape (len(levels) or 1, rows, boxes).
+
+    A chunk is binned into every query before the next is read, so a chunk
+    may live in a buffer that the next one overwrites, and no more than one
+    chunk of cells need exist at a time.
+
+    Each cell belongs to one dyadic shell, the index on each axis of the
+    smallest dyadic level at or above its coordinate. A query's weights go
+    into one np.bincount over (row, shell) per level, chunk by chunk, and one
+    cumsum per shell axis turns shell sums into box sums. A level's bincount
+    sees only the cells it keeps, in cell order, and a row's cells all sit in
+    one chunk, so every answer is bit-equal to that of a one-level, one-query
+    call at that level, however the rows are chunked and whatever else is
+    asked.
+    """
+    d = box.d
     per_axis = _dyadic_levels(box)
     shells = tuple(len(v) for v in per_axis)
     S = math.prod(shells)
@@ -196,27 +237,30 @@ def schedule_averages(
             (1,) * k + (side,) + (1,) * (d - 1 - k)
         )
         cell_shell = cell_shell * shells[k] + axis
-    rows = math.prod(lead)
-    flat = field.reshape((rows,) + box.coords)
-    grid = [None] if levels is None else list(levels)
-    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-        raise ValueError("levels must be strictly increasing")
-    sums = np.zeros((len(grid), rows, S), dtype=np.float64)
-    per = max(1, CHUNK_CELLS // box.size)
-    index = (np.arange(min(per, rows), dtype=np.int64)[:, None] * S + cell_shell.ravel()).ravel()
-    for first in range(0, rows, per):
-        last = min(rows, first + per)
-        _bin_chunk(sums[:, first:last], flat[first:last], index, weight, grid, ge)
-    table = sums.reshape((len(grid), rows) + shells)
-    for ax in range(2, 2 + d):
-        np.cumsum(table, axis=ax, out=table)
+    grids = []
+    for _, levels, _ in queries:
+        grid = [None] if levels is None else list(levels)
+        if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+            raise ValueError("levels must be strictly increasing")
+        grids.append(grid)
+    answers = [np.zeros((len(grid), rows, S), dtype=np.float64) for grid in grids]
+    index = np.empty(0, dtype=np.int64)
+    for first, chunk in chunks:
+        if chunk.size > index.size:
+            index = (np.arange(len(chunk), dtype=np.int64)[:, None] * S + cell_shell.ravel()).ravel()
+        for (weight, _, ge), grid, sums in zip(queries, grids, answers):
+            _bin_chunk(sums[:, first : first + len(chunk)], chunk, index, weight, grid, ge)
     corners = list(itertools.product(*per_axis))
-    table /= np.array([math.prod(c) for c in corners], dtype=np.float64).reshape(shells)
+    sizes = np.array([math.prod(c) for c in corners], dtype=np.float64).reshape(shells)
     order = sorted(range(S), key=lambda j: (math.prod(corners[j]), corners[j]))
-    for level in sums:
-        level[...] = level[:, order]  # one level's copy at a time
-    out = sums.reshape((len(grid),) + lead + (S,))
-    return out[0] if levels is None else out
+    for sums in answers:
+        table = sums.reshape((len(sums), rows) + shells)
+        for ax in range(2, 2 + d):
+            np.cumsum(table, axis=ax, out=table)
+        table /= sizes
+        for level in sums:
+            level[...] = level[:, order]  # one level's copy at a time
+    return answers
 
 
 def _bin_chunk(

@@ -205,7 +205,8 @@ def _probes(sample: NormSample, search_cap: int) -> Callable[[int], float]:
         part = np.fmin(np.floor(flat[start : start + dist.CHUNK_CELLS]), search_cap)
         present[part.astype(np.int64)] = True
     levels = np.flatnonzero(present[1:]) + 1
-    uppers = [e.upper() for e in _tail_sups(sample, 1.0, levels.astype(np.float64), ge=True)]
+    (ests,) = _tail_sups(sample, [(1.0, levels.astype(np.float64), True)])
+    uppers = [e.upper() for e in ests]
 
     def sup_at(level: int) -> float:
         # no cell reaches a level above every value: the sup is 0 +- 0
@@ -299,6 +300,15 @@ def poussin_forward_check(
         target = (K + 1.0) / eps
         hits = np.nonzero(ratios >= target)[0]
         if hits.size == 0:
+            # phi(t)/t climbs toward phi's largest slope (at most j_max) and
+            # never passes it, so no n_max reaches a target at or above it
+            slope = int(phi.u[-1])
+            if target >= slope:
+                raise PhiDomainError(
+                    f"phi(t)/t never reaches {target!r}: it never passes phi's largest "
+                    f"slope {slope} on any domain, so no n_max helps; raise j_max "
+                    "(more thresholds, steeper slopes) or eps"
+                )
             raise PhiDomainError(
                 f"phi(t)/t never reaches {target!r} within [1, {phi.n_max}]; "
                 "enlarge n_max or deepen the threshold list"

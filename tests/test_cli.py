@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cesaro_lab
@@ -310,6 +311,25 @@ class TestPoussin:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("j_max, n_max", [("4", None), ("4", "100000"), ("8", None)])
+    def test_forward_check_names_the_slope_it_cannot_pass(self, tmp_path, capsys, j_max, n_max):
+        # analytic pareto alpha 3: at eps 0.5, (K+1)/eps is about 5.07, and
+        # with 4 thresholds phi(t)/t stays below phi's largest slope, 4, on
+        # any domain; 8 thresholds reach it
+        spec = write_spec(tmp_path, "pareto_radial", alpha=3.0)
+        out = tmp_path / "o"
+        argv = ["poussin", "--spec", spec, "--horizon", "256", "--j-max", j_max,
+                "--search-cap", "64", "--reps", "20", "--eps", "1.0,0.5", "--out", str(out)]
+        code = cli.main(argv + ([] if n_max is None else ["--n-max", n_max]))
+        err = capsys.readouterr().err
+        if j_max == "8":
+            assert code == 0
+            return
+        assert code == 3
+        assert "largest slope 4" in err and "raise j_max" in err
+        assert "enlarge n_max" not in err
+        assert not (out / "poussin_report.json").exists()
+
 
 class TestOracleCheck:
     def test_passes_by_default(self, capsys):
@@ -364,6 +384,23 @@ class TestOracleCheck:
             "kind": "schedule_average", "trial": 0,
             "error": "ValueError('cannot reshape array')",
         }
+
+    def test_multi_query_pass_off_by_one_ulp_is_caught(self, capsys, monkeypatch):
+        # one ulp is far below the brute-force tolerance: only the comparison
+        # with the one-query call sees it
+        real = cli.schedule_profiles
+
+        def faulty(*args, **kwargs):
+            answers = real(*args, **kwargs)
+            answers[-1] = np.nextafter(answers[-1], np.inf)
+            return answers
+
+        monkeypatch.setattr(cli, "schedule_profiles", faulty)
+        assert cli.main(["oracle-check", "--trials", "3"]) == 1
+        counterexample = json.loads(capsys.readouterr().err.strip())
+        assert counterexample["kind"] == "schedule_multi_query"
+        assert (counterexample["trial"], counterexample["query"]) == (0, 1)
+        assert counterexample["relative_error"] < 1e-9
 
     def test_zero_trials_rejected(self):
         assert cli.main(["oracle-check", "--trials", "0"]) == 2

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -308,6 +309,23 @@ def test_equivalence_memory_grows_with_the_norms_only():
         peaks_kb.append(int(out.stdout.strip()))
     norms_growth_kb = 300 * 128 * 128 * 8 / 1024
     assert peaks_kb[1] - peaks_kb[0] <= 1.5 * norms_growth_kb, peaks_kb
+
+
+def test_report_memory_does_not_grow_with_reps():
+    # the report streams its sample: each chunk (one 256x256 rep) is drawn
+    # into one reused buffer and binned before the next, so only the shell
+    # sums, 8 levels x 81 shells x 8 B per rep, grow; holding the norms grew
+    # the traced peak by 120 reps x 65536 cells x 8 B (60 MiB)
+    spec = spec_of("pareto_radial", alpha=3.0, mode="empirical")
+    peaks = []
+    for reps in (40, 160):
+        tracemalloc.start()
+        try:
+            build_cui_report(NormSample(spec, MultiIndex((256, 256)), 0, reps), 0.5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
 class TestEquivalence:

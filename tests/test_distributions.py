@@ -382,9 +382,18 @@ class TestSamplingContracts:
         chunked = norm_batch(spec, n, seed=3, reps=reps)
         assert chunked.shape == (reps, 5)
         assert np.array_equal(chunked, one_shot)
+        # a few reps at a time into buffers of junk that the caller owns: the
+        # default norm path draws its vectors into the scratch's last planes
+        out, scratch = np.full((reps, 5), np.nan), dist.norm_scratch(spec, n, reps)
+        scratch.fill(0x5555_5555_5555_5555)
+        for first, k in RAGGED:
+            got = norm_batch(spec, n, 3, k, first_rep=first, out=out[first : first + k], scratch=scratch)
+            assert np.shares_memory(got, out)
+        assert np.array_equal(out, one_shot)
         starts = dist._rep_starts(3, range(reps), 1)
         direct = np.full((reps, 5), np.nan)
-        get_family(spec.family).norm_values(spec, n, starts, direct, dist.draw_buffers(spec, n, reps)[1])
+        scratch.fill(0x5555_5555_5555_5555)
+        get_family(spec.family).norm_values(spec, n, starts, direct, scratch)
         assert np.array_equal(chunked, direct)
 
     def test_norm_batch_matches_sample_batch(self):
@@ -455,8 +464,10 @@ RAGGED = [(0, 3), (3, 3), (6, 1)]
 def test_draws_into_reused_buffers_equal_the_allocating_expressions(spec, method):
     fam = get_family(spec.family)
     n = MultiIndex((11,)) if fam.max_d == 1 else MultiIndex((3, 4))
-    batch, scratch = dist.draw_buffers(spec, n, 3)
-    out = batch if method == "vectors" else np.empty((3,) + n.coords)
+    if method == "vectors":
+        out, scratch = dist.draw_buffers(spec, n, 3)
+    else:
+        out, scratch = np.empty((3,) + n.coords), dist.norm_scratch(spec, n, 3)
     out.fill(np.nan)
     scratch.fill(0x5555_5555_5555_5555)
     oracle = allocating_vectors if method == "vectors" else allocating_norms

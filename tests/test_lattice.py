@@ -15,8 +15,10 @@ from cesaro_lab.lattice import (
     leq,
     prefix_sums_bruteforce,
     prefix_table,
+    row_chunks,
     running_max_norms,
     schedule_averages,
+    schedule_profiles,
 )
 
 
@@ -399,6 +401,47 @@ class TestScheduleAveragesOracle:
             box = MultiIndex(sample.shape)
             direct = [sample[tuple(slice(0, c) for c in n.coords)].mean() for n in dyadic_boxes(box)]
             assert brute_averages(sample, box) == pytest.approx(direct, rel=1e-12)
+
+
+class TestScheduleProfilesOracle:
+    """Several queries answered in one pass over chunks of rows: each answer
+    is bit-equal to its one-query call and matches brute-force block means,
+    however the rows are chunked."""
+
+    QUERIES = [(None, None, False), (np.sqrt, LEVELS, True), (np.square, (0.5, 2.0), False)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_cells", [1, 3, 10, 17])
+    def test_one_pass_equals_one_query_calls(self, monkeypatch, d, chunk_cells):
+        monkeypatch.setattr(lattice, "CHUNK_CELLS", chunk_cells)
+        gen = np.random.default_rng([d, chunk_cells])
+        for trial in range(8):
+            box = box_of(BOX_KINDS[trial % len(BOX_KINDS)], d, gen)
+            reps = int(gen.integers(1, 7))
+            field = random_field(gen, (reps,), box)
+            cells = field.reshape(-1)
+            cells[gen.integers(cells.size)] = np.inf
+            cells[gen.integers(cells.size)] = np.nan
+            field.flags.writeable = False
+            # the rows as row_chunks cuts them, and in random runs (some
+            # longer than a CHUNK_CELLS chunk) copied into one reused buffer
+            cuts = np.flatnonzero(gen.random(reps - 1) < 0.5) + 1
+            runs = list(zip([0, *cuts], np.split(np.arange(reps), cuts)))
+            buffer = np.empty_like(field)
+
+            def reused(runs=runs, buffer=buffer, field=field):
+                for first, rows in runs:
+                    chunk = buffer[: len(rows)]
+                    chunk[...] = field[rows]
+                    yield first, chunk
+
+            for chunks in (row_chunks(field, box), reused()):
+                answers = schedule_profiles(chunks, reps, box, self.QUERIES)
+                for (weight, levels, ge), got in zip(self.QUERIES, answers):
+                    one = schedule_averages(field, box, weight, levels, ge)
+                    assert np.array_equal(got if levels else got[0], one, equal_nan=True)
+                    brute = brute_averages(field, box, weight, levels, ge)
+                    assert np.allclose(one, brute, rtol=1e-12, atol=0.0, equal_nan=True)
 
 
 def test_prefix_table_axis_selection():

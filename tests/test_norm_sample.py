@@ -57,16 +57,25 @@ PARETO_EMPIRICAL = dataclasses.replace(SPECS["pareto_radial"], moment_mode="empi
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The arguments of every norm_batch call made while the test runs."""
+    """(spec, box, seed, first_rep, reps) of every norm_batch call made while
+    the test runs."""
     calls = []
     real = dist.norm_batch
 
-    def counting_norm_batch(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting_norm_batch(spec, n, seed, reps, first_rep=0, *args, **kwargs):
+        calls.append((spec, n, seed, first_rep, reps))
+        return real(spec, n, seed, reps, first_rep, *args, **kwargs)
 
     monkeypatch.setattr(dist, "norm_batch", counting_norm_batch)
     return calls
+
+
+def assert_each_rep_drawn_once(draws, box=BOX, seed=SEED):
+    """The draws are of one (spec, box, seed), and their (first_rep, reps)
+    runs cover range(REPS) exactly once, in order: a held draw is one call,
+    a streamed one a call per chunk."""
+    assert all(call[:3] == (PARETO_EMPIRICAL, box, seed) for call in draws)
+    assert [r for *_, first, k in draws for r in range(first, first + k)] == list(range(REPS))
 
 
 def outcome(fn):
@@ -126,10 +135,11 @@ PUBLIC_CALLS = {
 
 
 @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
-def test_one_draw_per_public_call(draws, call):
+def test_one_draw_per_public_call(monkeypatch, draws, call):
+    # chunks of 3 reps, so a streamed pass draws in 7 calls
+    monkeypatch.setattr(dist, "CHUNK_CELLS", 3 * BOX.size)
     PUBLIC_CALLS[call](sample_of(PARETO_EMPIRICAL))
-    assert len(draws) == 1
-    assert draws[0] == (PARETO_EMPIRICAL, BOX, SEED, REPS)
+    assert_each_rep_drawn_once(draws)
 
 
 @pytest.mark.parametrize("call", ["build_cui_report", "cui_certificate", "thresholds_from_cui"])
@@ -154,12 +164,14 @@ def test_constant_gauge_and_forward_check_draw_nothing(draws):
     ],
     ids=lambda argv: argv[0],
 )
-def test_cli_command_draws_once(tmp_path, draws, argv):
+def test_cli_command_draws_once(monkeypatch, tmp_path, draws, argv):
+    box = cli.parse_horizon(argv[argv.index("--horizon") + 1])
+    monkeypatch.setattr(dist, "CHUNK_CELLS", 3 * box.size)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(PARETO_EMPIRICAL.to_json()))
     code = cli.main([*argv, "--spec", str(spec_path), "--out", str(tmp_path / "out")])
     assert code == 0
-    assert len(draws) == 1
+    assert_each_rep_drawn_once(draws, box, seed=0)
 
 
 # --- every tail query through the public binding ---------------------------

@@ -262,6 +262,16 @@ class TestConstruction:
         with pytest.raises(PhiDomainError):
             poussin_forward_check(sample, built.phi, [0.01])
 
+    def test_forward_check_error_names_what_can_help(self):
+        # slopes up to 8 on [0, 10]: phi(t)/t ends at 4.4 there and passes 5
+        # on a longer domain, but never reaches 8, the largest slope; K = 0
+        sample = NormSample(CONSTANT, MultiIndex((64,)))
+        phi = PhiFunction(u_from_thresholds(range(1, 9), 10))
+        with pytest.raises(PhiDomainError, match="enlarge n_max"):
+            poussin_forward_check(sample, phi, [0.2])
+        with pytest.raises(PhiDomainError, match="largest slope 8"):
+            poussin_forward_check(sample, phi, [0.125])
+
     def test_forward_check_validation(self):
         sample = NormSample(CONSTANT, MultiIndex((64,)))
         built = build_phi_from_cui(sample, j_max=4)
