@@ -177,6 +177,7 @@ def _check_cui_files(config: dict) -> dict:
 
 def _poussin_files(config: dict) -> dict:
     sample = _sample(config)
+    sample.hold()  # the search, the calibration and both checks read one draw
     built = poussin.build_phi_from_cui(
         sample,
         j_max=config["j_max"],
@@ -185,7 +186,7 @@ def _poussin_files(config: dict) -> dict:
     )
     props = poussin.verify_phi_properties(built.phi)
     moment = poussin.poussin_moment_check(sample, built.phi)
-    forward = poussin.poussin_forward_check(sample, built.phi, config["eps"])
+    forward = poussin.poussin_forward_check(sample, built.phi, config["eps"], moment)
     report = {
         "thresholds": built.thresholds,
         "n_max": built.n_max,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .distributions import CHUNK_CELLS, DistributionSpec, Tail
+from .distributions import DistributionSpec, Tail, draw_chunks
 from .lattice import MultiIndex, leq, prefix_table, running_max_norms
 
 MIN_TREND_POINTS = 4
@@ -138,21 +138,6 @@ def bound_eq27(a: float, C: float, n: MultiIndex) -> float:
     return 2.0 * a * C * logs / math.sqrt(n.size)
 
 
-def _chunks(spec: DistributionSpec, top: MultiIndex, seed: int, reps: int):
-    """The reps of `top` as (first rep, batch) pairs, CHUNK_CELLS cells (>= 1 rep) each.
-
-    Every chunk is drawn into the same two buffers, allocated once per draw,
-    so a batch holds until the next one is drawn and its caller may overwrite it.
-    """
-    chunk = max(1, CHUNK_CELLS // top.size)
-    batch, scratch = dist.draw_buffers(spec, top, min(chunk, reps))
-    for first in range(0, reps, chunk):
-        k = min(chunk, reps - first)
-        yield first, dist.sample_batch(
-            spec, top, seed, k, first_rep=first, out=batch[:k], scratch=scratch[:, :k]
-        )
-
-
 def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
     """M_n = max_{k <= n} ||S_k|| per rep at every schedule box, shape (len(schedule), reps).
 
@@ -173,11 +158,11 @@ def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
         }
         means = dist.mean(spec, top) if centering == "analytic" else None
         if centering == "plugin":
-            means = sum(row for _, rows in _chunks(spec, top, seed, reps) for row in rows) / reps
+            means = sum(row for _, rows in draw_chunks(spec, top, seed, reps) for row in rows) / reps
         if means is not None and not np.any(means):
             means = None  # subtracting zeros leaves every M_n as it is
         norms = None
-        for first, batch in _chunks(spec, top, seed, reps):
+        for first, batch in draw_chunks(spec, top, seed, reps):
             if means is not None:
                 batch -= means
             if norms is None:  # the first chunk is the largest

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import LOW_REPS_FLOOR, NormSample, Tail
+from .distributions import LOW_REPS_FLOOR, NormFunctional, NormSample, Tail
 from .lattice import MultiIndex, dyadic_boxes, schedule_averages, schedule_profiles
 
 DEFAULT_A_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -72,28 +72,20 @@ def _estimate(avgs: np.ndarray, exact: bool, schedule: Sequence[MultiIndex]) -> 
     )
 
 
-def _schedule_sup(fld: np.ndarray, exact: bool, weight, box: MultiIndex) -> TailEstimate:
-    """sup over the dyadic boxes of `box` of Cesaro averages of a per-cell
-    field (shape box when exact, (reps,) + box when realized), or of
-    weight of it cell by cell when weight is given."""
-    return _estimate(schedule_averages(fld, box, weight), exact, dyadic_boxes(box))
+def _check_p(p: float) -> None:
+    if not (0 < p <= 1):
+        raise ValueError("p must lie in (0, 1]")
 
 
 def _tail_sups(
-    sample: NormSample,
-    requests: Sequence[tuple[float, Sequence[float], bool]],
-    hold: bool = False,
+    sample: NormSample, requests: Sequence[tuple[float, Sequence[float], bool]]
 ) -> list[list[TailEstimate]]:
     """Tail sups at each of the increasing levels of every (p, levels, ge)
-    request: a closed form per level where the family and moment mode admit
-    one, and for all the other levels of all the requests one pass of
-    schedule_profiles over the realized norms. That pass streams the sample's
-    chunks, so it draws each rep once and holds no more than a chunk, unless
-    `hold` (the caller has later questions for the same draw) or an earlier
-    question made the sample hold its norms."""
-    for p, _, _ in requests:
-        if not (0 < p <= 1):
-            raise ValueError("p must lie in (0, 1]")
+    request, p in [0, 1] (p = 0 asks the probability of the event): a closed
+    form per level where the family and moment mode admit one, and for all
+    the other levels of all the requests one pass of schedule_profiles over
+    the sample's chunks, so the pass draws each rep at most once and holds no
+    more than a chunk unless the sample holds its draw."""
     box = sample.box
     schedule = dyadic_boxes(box)
     answers: list[dict] = []
@@ -110,12 +102,25 @@ def _tail_sups(
             realized.append((ests, rest))
         answers.append(ests)
     if queries:
-        if hold:
-            sample.norms()
         profiles = schedule_profiles(sample.chunks(), sample.reps, box, queries)
         for (ests, rest), profile in zip(realized, profiles):
             ests.update((a, _estimate(avgs, False, schedule)) for a, avgs in zip(rest, profile))
     return [[ests[a] for a in levels] for (_, levels, _), ests in zip(requests, answers)]
+
+
+def _functional_sup(sample: NormSample, g: NormFunctional, then=None) -> TailEstimate:
+    """sup over the dyadic boxes of the sample's box of Cesaro averages of
+    E g(||X_i||), or of then(E g(||X_i||)) for a cellwise map `then`: the
+    closed form when there is one, else one pass over the sample's chunks
+    that applies g, then `then`, chunk by chunk."""
+    box = sample.box
+    schedule = dyadic_boxes(box)
+    fld = sample.closed_form(g)
+    if fld is not None:
+        return _estimate(schedule_averages(fld if then is None else then(fld), box), True, schedule)
+    weight = g if then is None else (lambda t: then(g(t)))
+    ((avgs,),) = schedule_profiles(sample.chunks(), sample.reps, box, [(weight, None, False)])
+    return _estimate(avgs, False, schedule)
 
 
 def cesaro_tail_sup(
@@ -134,6 +139,7 @@ def cesaro_tail_sup(
     standard error propagated from the replication spread. This is the
     one-level case of the tail profile, bit for bit.
     """
+    _check_p(p)
     if not (a >= 0):
         raise ValueError("a must be >= 0")
     return _tail_sups(sample, [(p, [a], ge)])[0][0]
@@ -156,6 +162,7 @@ def cui_certificate(
     Empirical estimates certify at point + 2*stderr; the grid and horizon are
     part of the verdict's meaning and must be disclosed with it.
     """
+    _check_p(p)
     if not (eps > 0):
         raise ValueError("eps must be > 0")
     grid = _levels(a_grid)
@@ -221,22 +228,19 @@ def _event_sups(sample: NormSample, events: EventArray) -> tuple[TailEstimate, T
     box = sample.box
     if events.threshold is not None:
         t, ge = events.threshold, events.ge
-        prob = _schedule_sup(*sample.expectations(Tail(0.0, t, ge)), box)
-        return prob, cesaro_tail_sup(sample, 1.0, t, ge)
+        (prob,), (mom,) = _tail_sups(sample, [(0.0, [t], ge), (1.0, [t], ge)])
+        return prob, mom
     # events independent of the array (the adversarial construction uses 0/1
     # probabilities, where independence is vacuous); a cell of probability 0
     # contributes 0 even where E||X_i|| is infinite
     probs = events.probs
-    fld, exact, g = sample.expectations(Tail(1.0, 0.0))
 
-    def moments(t: np.ndarray) -> np.ndarray:
+    def weighted(t: np.ndarray) -> np.ndarray:
         out = np.zeros(np.broadcast(probs, t).shape)
-        return np.multiply(probs, t if exact else g(t), out=out, where=probs > 0)
+        return np.multiply(probs, t, out=out, where=probs > 0)
 
-    return (
-        _schedule_sup(probs, True, None, box),
-        _schedule_sup(fld, exact, moments, box),
-    )
+    prob = _estimate(schedule_averages(probs, box), True, dyadic_boxes(box))
+    return prob, _functional_sup(sample, Tail(1.0, 0.0), weighted)
 
 
 @dataclass(frozen=True)
@@ -292,14 +296,15 @@ def adversarial_event_array(sample: NormSample, delta: float) -> EventArray:
         raise ValueError("delta must be > 0")
     horizon = sample.box
     sched = dyadic_boxes(horizon)
-    fld, exact, g = sample.expectations(Tail(1.0, 0.0))
-    if not exact:
+    fld = sample.closed_form(Tail(1.0, 0.0))
+    if fld is None:
         # the mean over reps, summed rep by rep in order as np.mean does,
-        # without holding g of the whole sample
+        # chunk by chunk
         total = np.zeros(horizon.coords)
-        for row in fld:
-            total += g(row)
-        fld = total / len(fld)
+        for _, norms in sample.chunks():
+            for row in Tail(1.0, 0.0)(norms):
+                total += row
+        fld = total / sample.reps
     flat = fld.ravel(order="C")
     order = np.argsort(-flat, kind="stable")
     coords = np.unravel_index(np.arange(flat.size), horizon.coords)
@@ -365,7 +370,8 @@ def verify_criterion_equivalence(
     grid = _levels(a_grid)
     # K (check_criterion_i's query) and the grid in one pass over a draw
     # that the event checks below read again
-    (k_est,), grid_ests = _tail_sups(sample, [(1.0, [0.0], False), (1.0, grid, False)], hold=True)
+    sample.hold()
+    (k_est,), grid_ests = _tail_sups(sample, [(1.0, [0.0], False), (1.0, grid, False)])
     K = k_est.value
 
     a0_bound = _first_certified(grid, grid_ests, 1.0)
@@ -502,6 +508,7 @@ def build_cui_report(
     """Tail sups at every grid level and the first-moment sup
     (check_criterion_i's query), all over the dyadic boxes of the sample's
     box, from one streamed pass over the sample."""
+    _check_p(p)
     grid = _levels(a_grid)
     ests, (mean_est,) = _tail_sups(sample, [(p, grid, ge), (1.0, [0.0], False)])
     return CuiReport(

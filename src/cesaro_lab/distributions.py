@@ -7,11 +7,11 @@ they are not random, `expect` gives E g(||X_i||) for a norm functional g
 where the family admits it, and `mean` gives the per-cell mean vectors
 (zeros for the zero-mean families). `NormSample.closed_form` is the one
 place that chooses between that closed form and Monte Carlo. A `NormSample`
-gives its realized norms two ways: `norms()` draws them once and holds
-them, for callers whose later questions depend on earlier answers, and
-`chunks()` streams them chunk by chunk through one reused buffer, so a pass
-that knows all its questions up front never holds the sample (once held,
-`chunks()` slices the held norms instead of drawing again). Samplers
+gives its realized norms one way: `chunks()` streams them in chunks of
+reps, drawn by draw_chunks, the one loop that draws every sample. So a pass
+that knows all its questions up front never holds the sample, and a caller
+whose later questions depend on earlier answers calls `hold()` first: the
+sample keeps its next draw, and later passes slice it. Samplers
 are pure functions of (spec, box, seed): cell i draws from a counter-based
 stream keyed by (seed, i), so enlarging a box never changes previously
 generated cells. Every family but iid_gaussian takes its values on one
@@ -455,7 +455,9 @@ def get_family(name: str) -> Family:
 
 
 def _rep_starts(seed: int, reps: range, d: int) -> np.ndarray:
-    starts = np.array([rng.as_seed(rng.derive_seed(seed, r)) for r in reps], dtype=np.uint64)
+    """derive_seed(seed, r) for every rep r, in one vectorised key chain."""
+    root = rng.combine(rng.as_seed(seed), rng._INIT)
+    starts = rng.combine(root, np.arange(reps.start, reps.stop, dtype=np.uint64))
     return starts.reshape((len(reps),) + (1,) * d)
 
 
@@ -479,26 +481,30 @@ def sample_batch(
 
     Row r is replication first_rep + r, its cells keyed by (derive_seed(seed,
     first_rep + r), i), so batches drawn in chunks of reps stack into the
-    batch drawn at once. The batch is written into `out` and returned. A
-    chunk loop takes `out` and `scratch` from draw_buffers once and passes
-    both, cut to the chunk's reps, for every chunk, so it allocates nothing
-    chunk-sized per chunk; without `out`, both are new.
+    batch drawn at once. The batch is written into `out` and returned, with
+    the front of `scratch` (both from draw_buffers, as draw_chunks passes
+    them) as the family's scratch; without `out`, both are new.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     fam = _checked_family(spec, n)
     if out is None:
         out, scratch = draw_buffers(spec, n, reps)
-    fam.vectors(spec, n, _rep_starts(seed, range(first_rep, first_rep + reps), n.d), out, scratch)
+    starts = _rep_starts(seed, range(first_rep, first_rep + reps), n.d)
+    fam.vectors(spec, n, starts, out, _front(scratch, reps))
     return out
 
 
-def draw_buffers(spec: DistributionSpec, n: MultiIndex, reps: int) -> tuple[np.ndarray, np.ndarray]:
-    """An `out` of shape (reps,) + n.coords + (columns,) for sample_batch, and
-    the family's uint64 `scratch` of shape (planes, reps) + n.coords. A chunk
-    of k reps uses out[:k] and scratch[:, :k]."""
+def draw_buffers(
+    spec: DistributionSpec, n: MultiIndex, reps: int, norms: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """An `out` of shape (reps,) + n.coords + (columns,) for sample_batch, or
+    with `norms` of shape (reps,) + n.coords for norm_batch, and the draw's
+    uint64 `scratch` of shape (planes, reps) + n.coords."""
     fam = get_family(spec.family)
     cells = (reps,) + n.coords
+    if norms:
+        return np.empty(cells), np.empty((fam.norm_planes(spec),) + cells, dtype=np.uint64)
     out = np.empty(cells + (fam.columns(spec),))
     return out, np.empty((fam.scratch_planes(spec),) + cells, dtype=np.uint64)
 
@@ -512,45 +518,53 @@ def norm_batch(
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Realized cell norms of `reps` arrays, shape (reps,) + n.coords, written
-    into `out` and returned.
-
-    Row r is replication first_rep + r, keyed by derive_seed(seed, first_rep
-    + r), so norms drawn in chunks of reps stack into the norms drawn at
-    once. The draw runs in chunks of CHUNK_CELLS cells (at least one rep
-    each) straight into `out`, every chunk on the front of one `scratch` from
-    norm_scratch that holds at least a chunk's reps. A loop that draws chunk
-    by chunk allocates both once and passes, for every chunk, `out` cut to
-    the chunk's reps and the whole `scratch`; without them, both are new.
-    """
+    """Realized cell norms of `reps` arrays, shape (reps,) + n.coords: the
+    norms of sample_batch's vectors, with its rows and keys, and `out` and
+    `scratch` from draw_buffers(..., norms=True)."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     fam = _checked_family(spec, n)
-    chunk = max(1, CHUNK_CELLS // n.size)
     if out is None:
-        out = np.empty((reps,) + n.coords, dtype=np.float64)
-    if scratch is None:
-        scratch = norm_scratch(spec, n, min(chunk, reps))
-    for first in range(0, reps, chunk):
-        last = min(reps, first + chunk)
-        starts = _rep_starts(seed, range(first_rep + first, first_rep + last), n.d)
-        fam.norm_values(spec, n, starts, out[first:last], _front(scratch, last - first))
+        out, scratch = draw_buffers(spec, n, reps, norms=True)
+    starts = _rep_starts(seed, range(first_rep, first_rep + reps), n.d)
+    fam.norm_values(spec, n, starts, out, _front(scratch, reps))
     return out
 
 
-def norm_scratch(spec: DistributionSpec, n: MultiIndex, reps: int) -> np.ndarray:
-    """The uint64 scratch of a norm draw of up to `reps` reps per chunk:
-    shape (norm_planes, reps) + n.coords."""
-    planes = get_family(spec.family).norm_planes(spec)
-    return np.empty((planes, reps) + n.coords, dtype=np.uint64)
-
-
 def _front(scratch: np.ndarray, k: int) -> np.ndarray:
-    """The scratch of a chunk of k reps, (planes, k) + box, laid over the
+    """The scratch of a draw of k reps, (planes, k) + box, laid over the
     front of `scratch` (contiguous), so any run of its planes is one block."""
     box = scratch.shape[2:]
     size = len(scratch) * k * math.prod(box)
     return scratch.reshape(-1)[:size].reshape((len(scratch), k) + box)
+
+
+def draw_chunks(
+    spec: DistributionSpec,
+    box: MultiIndex,
+    seed: int,
+    reps: int,
+    norms: bool = False,
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The `reps` arrays over `box` as (first rep, chunk) pairs in rep order,
+    CHUNK_CELLS cells (at least one rep) per chunk: the vectors of
+    sample_batch, or with `norms` the norms of norm_batch.
+
+    Every chunk is drawn with one scratch, and into one chunk buffer, both
+    allocated once per draw, so a chunk holds until the next is drawn and
+    its reader may overwrite it. With `out` (the shape of the whole draw),
+    each chunk is drawn into its own rows of out instead.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    k = min(max(1, CHUNK_CELLS // box.size), reps)
+    draw = norm_batch if norms else sample_batch
+    chunk, scratch = draw_buffers(spec, box, k, norms)
+    for first in range(0, reps, k):
+        m = min(k, reps - first)
+        rows = chunk[:m] if out is None else out[first : first + m]
+        yield first, draw(spec, box, seed, m, first_rep=first, out=rows, scratch=scratch)
 
 
 def fixed_norms(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:
@@ -574,13 +588,12 @@ class NormSample:
     """The realized norms of `reps` arrays over one box.
 
     Callers that ask several questions of the same (spec, box, seed, reps)
-    share one NormSample. Nothing is drawn until a question needs the norms,
+    share one NormSample. Nothing is drawn until a question reads chunks(),
     so questions answered in closed form draw nothing. A pass that knows all
-    its questions reads chunks(), which draws each rep once and holds no
-    more than a chunk; callers whose later questions depend on earlier
-    answers hold the draw with norms(), read-only, and every later question
-    reads it. A sample is not shared across threads: every run is
-    single-threaded.
+    its questions reads chunks() once, which draws each rep once and holds
+    no more than a chunk; a caller that reads chunks() more than once calls
+    hold() first, so the sample keeps its draw and every later pass slices
+    it. A sample is not shared across threads: every run is single-threaded.
     """
 
     def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int = 0, reps: int = 200):
@@ -588,33 +601,29 @@ class NormSample:
         self.box = box
         self.seed = seed
         self.reps = reps
+        self._hold = False
         self._norms: np.ndarray | None = None
 
-    def norms(self) -> np.ndarray:
-        """The realized cell norms, shape (reps,) + box.coords, drawn once and
-        held."""
-        if self._norms is None:
-            norms = norm_batch(self.spec, self.box, self.seed, self.reps)
-            norms.flags.writeable = False
-            self._norms = norms
-        return self._norms
+    def hold(self) -> None:
+        """Keep the next draw, read-only, for every later chunks() pass to
+        slice. Draws nothing."""
+        self._hold = True
 
     def chunks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """The realized norms as (first rep, norms of a run of reps) pairs, in
-        rep order: row_chunks of the held norms once norms() has drawn them.
-        Otherwise each chunk of CHUNK_CELLS cells (at least one rep) is drawn
-        into one buffer that the next chunk overwrites, and nothing is held:
-        a chunk is valid until the next is asked for."""
+        """The realized norms as read-only (first rep, norms of a run of reps)
+        pairs in rep order: row_chunks of the held draw once there is one,
+        else a new draw by draw_chunks, held when hold() asked for it. A
+        chunk that is not held is valid until the next is asked for."""
         if self._norms is not None:
             yield from row_chunks(self._norms, self.box)
             return
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        k = min(max(1, CHUNK_CELLS // self.box.size), self.reps)
-        out, scratch = np.empty((k,) + self.box.coords), norm_scratch(self.spec, self.box, k)
-        for first in range(0, self.reps, k):
-            m = min(k, self.reps - first)
-            yield first, norm_batch(self.spec, self.box, self.seed, m, first, out[:m], scratch)
+        held = np.empty((self.reps,) + self.box.coords) if self._hold else None
+        for first, norms in draw_chunks(self.spec, self.box, self.seed, self.reps, True, held):
+            norms.flags.writeable = False
+            yield first, norms
+        if held is not None:
+            held.flags.writeable = False
+            self._norms = held
 
     def closed_form(self, g: NormFunctional) -> np.ndarray | None:
         """E g(||X_i||) per cell, shape box.coords, when the spec's
@@ -623,19 +632,3 @@ class NormSample:
         if self.spec.moment_mode != "analytic":
             return None
         return expect(self.spec, g, self.box)
-
-    def expectations(
-        self, g: NormFunctional
-    ) -> tuple[np.ndarray, bool, NormFunctional | None]:
-        """E g(||X_i||) per cell as (field, exact, g still to apply).
-
-        The closed form when there is one: (E g, shape box.coords, True,
-        None). Otherwise the held norms (shape (reps,) + box.coords, False,
-        g): the caller applies g cell by cell and averages over reps, so a
-        reduction can apply g slab by slab and never hold g of the whole
-        sample.
-        """
-        fld = self.closed_form(g)
-        if fld is not None:
-            return fld, True, None
-        return self.norms(), False, g

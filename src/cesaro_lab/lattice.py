@@ -10,11 +10,12 @@ by the levels it exceeds), sums the weights per shell with np.bincount in
 chunks of whole replications, and turns shell sums into sums over every
 dyadic box with one cumsum per axis. It answers several (weight, levels,
 ge) queries from one pass, and takes its rows as (first row, chunk) pairs:
-slices of a held field (row_chunks, as schedule_averages does for one
-query) or chunks drawn one at a time into a reused buffer, so a sample
-that is never held is binned chunk by chunk while it is in cache. So every
-truncation level and every box comes from one pass over the sample, and a
-norm functional is applied chunk by chunk, never to the whole sample.
+slices of a held field (row_chunks: schedule_averages for one query, or a
+NormSample that holds its draw) or chunks drawn one at a time into a reused
+buffer (a NormSample's chunks()), so a sample that is not held is binned
+chunk by chunk while it is in cache. So every truncation level and every
+box comes from one pass over the sample, and a norm functional is applied
+chunk by chunk, never to the whole sample.
 prefix_table serves the convergence series, which need M_k at every k.
 
 Its sums and the running maxima of running_max_norms sweep one axis at a
@@ -41,9 +42,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 BRUTE_FORCE_CELL_CAP = 100_000
-# Cells per chunk of replications, in norm_batch and a NormSample's chunks, in
-# convergence series and in row_chunks: each holds one chunk's temporaries at
-# a time, so they do not grow with reps.
+# Cells per chunk of replications, in draw_chunks (every draw of a sample) and
+# in row_chunks: each holds one chunk's temporaries at a time, so they do not
+# grow with reps.
 CHUNK_CELLS = 1 << 16
 # A sweep updates slabs when the cells behind its axis number at least this
 # many times the axis length, and calls ufunc.accumulate otherwise.

@@ -10,6 +10,7 @@ with phi(a)/a >= (K+1)/eps pushes the tail sup at a below eps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -17,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .cui import TailEstimate, _schedule_sup, _tail_sups, cesaro_tail_sup
+from .cui import TailEstimate, _functional_sup, _tail_sups, cesaro_tail_sup
 from .distributions import NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 
@@ -87,16 +88,26 @@ def phi_eval(phi: PhiFunction, t: float) -> float:
     return float(phi.prefix[k] + (t - k) * phi.u[k])
 
 
-def _check_domain(phi: PhiFunction, ts: np.ndarray) -> None:
-    if ts.size and not (ts.min() >= 0.0 and ts.max() <= phi.n_max):
+def _check_domain(phi: PhiFunction, lo, hi) -> None:
+    if not (lo >= 0.0 and hi <= phi.n_max):
         raise PhiDomainError(
-            f"values outside domain [0, {phi.n_max}] (max seen: {ts.max()!r}); enlarge n_max"
+            f"values outside domain [0, {phi.n_max}] (max seen: {hi!r}); enlarge n_max"
         )
+
+
+def _norm_range(sample: NormSample):
+    """The least and the largest realized norm of the sample (NaN if any is),
+    from one pass over its chunks."""
+    lo, hi = np.inf, -np.inf
+    for _, norms in sample.chunks():
+        lo, hi = np.minimum(lo, norms.min()), np.maximum(hi, norms.max())
+    return lo, hi
 
 
 def phi_eval_many(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
-    _check_domain(phi, ts)
+    if ts.size:
+        _check_domain(phi, ts.min(), ts.max())
     # prefix[k] + (t - k) u[k], built in one output buffer
     k = np.minimum(np.floor(ts), phi.n_max - 1)
     out = ts - k
@@ -194,16 +205,14 @@ def _probes(sample: NormSample, search_cap: int) -> Callable[[int], float]:
     """upper() of the tail sup with indicator ||X|| >= level, for integer
     levels in [1, search_cap]."""
     # a family's closed form covers a functional at every level or at none
-    fld, exact, _ = sample.expectations(dist.Tail(1.0, 1.0, ge=True))
-    if exact:
+    if sample.closed_form(dist.Tail(1.0, 1.0, ge=True)) is not None:
         return lambda level: cesaro_tail_sup(sample, 1.0, float(level), ge=True).upper()
+    sample.hold()  # the scan and the profile read the same draw
     present = np.zeros(search_cap + 1, dtype=bool)
-    flat = fld.reshape(-1)
-    for start in range(0, flat.size, dist.CHUNK_CELLS):
+    for _, norms in sample.chunks():
         # fmin sends a NaN norm to the cap, where it only adds a level (the
         # profile drops NaN cells); no probe reads a level below 1
-        part = np.fmin(np.floor(flat[start : start + dist.CHUNK_CELLS]), search_cap)
-        present[part.astype(np.int64)] = True
+        present[np.fmin(np.floor(norms), search_cap).astype(np.int64)] = True
     levels = np.flatnonzero(present[1:]) + 1
     (ests,) = _tail_sups(sample, [(1.0, levels.astype(np.float64), True)])
     uppers = [e.upper() for e in ests]
@@ -238,11 +247,9 @@ def build_phi_from_cui(
     """
     thresholds = thresholds_from_cui(sample, j_max, search_cap)
     norms = dist.fixed_norms(sample.spec, sample.box)
-    if norms is None:
-        if sample.reps < 1:
-            sample = NormSample(sample.spec, sample.box, sample.seed, 1)
-        norms = sample.norms()
-    calib = float(norms.max())
+    if norms is None and sample.reps < 1:
+        sample = NormSample(sample.spec, sample.box, sample.seed, 1)
+    calib = float(_norm_range(sample)[1] if norms is None else norms.max())
     if n_max is None:
         n_max = max(math.ceil(4 * calib), 2 * max(thresholds), 64)
     if n_max < max(thresholds):
@@ -264,12 +271,13 @@ def poussin_moment_check(sample: NormSample, phi: PhiFunction) -> TailEstimate:
     otherwise. Any norm beyond phi's domain raises PhiDomainError (enlarge
     n_max).
     """
-    fld, exact, g = sample.expectations(lambda t: phi_eval_many(phi, t))
-    if not exact:
-        # phi is evaluated slab by slab inside the reduction; check the whole
-        # sample first, so an error names its max and not one slab's
-        _check_domain(phi, fld)
-    return _schedule_sup(fld, exact, g, sample.box)
+    g = functools.partial(phi_eval_many, phi)
+    if sample.closed_form(g) is None:
+        # phi is evaluated chunk by chunk inside the reduction; check the
+        # whole sample first, so an error names its max and not one chunk's
+        sample.hold()
+        _check_domain(phi, *_norm_range(sample))
+    return _functional_sup(sample, g)
 
 
 @dataclass(frozen=True)
@@ -284,16 +292,18 @@ class ForwardCheck:
 
 
 def poussin_forward_check(
-    sample: NormSample, phi: PhiFunction, eps_list: Sequence[float]
+    sample: NormSample, phi: PhiFunction, eps_list: Sequence[float], moment: TailEstimate
 ) -> list[ForwardCheck]:
-    """Forward direction: with K the phi-moment sup, the first integer level a
-    where phi(a)/a >= (K+1)/eps must push the tail sup at a below eps."""
+    """Forward direction: with K = moment.upper(), moment being the
+    poussin_moment_check of the same sample and phi, the first integer level
+    a where phi(a)/a >= (K+1)/eps must push the tail sup at a below eps. One
+    tail request answers the levels of every eps."""
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
-    K = poussin_moment_check(sample, phi).upper()
+    K = moment.upper()
     levels = np.arange(1, phi.n_max + 1, dtype=np.float64)
     ratios = phi.prefix[1:] / levels
-    out = []
+    chosen = []
     for eps in eps_list:
         if not (eps > 0):
             raise ValueError("eps must be > 0")
@@ -313,17 +323,19 @@ def poussin_forward_check(
                 f"phi(t)/t never reaches {target!r} within [1, {phi.n_max}]; "
                 "enlarge n_max or deepen the threshold list"
             )
-        a = int(hits[0] + 1)
-        tail = cesaro_tail_sup(sample, 1.0, float(a))
-        out.append(
-            ForwardCheck(
-                eps=float(eps),
-                K=K,
-                level=a,
-                ratio=float(ratios[a - 1]),
-                tail_sup=tail.value,
-                tail_stderr=tail.stderr,
-                passed=tail.upper() < eps,
-            )
+        chosen.append(int(hits[0] + 1))
+    distinct = sorted(set(chosen))
+    (ests,) = _tail_sups(sample, [(1.0, [float(a) for a in distinct], False)])
+    tails = dict(zip(distinct, ests))
+    return [
+        ForwardCheck(
+            eps=float(eps),
+            K=K,
+            level=a,
+            ratio=float(ratios[a - 1]),
+            tail_sup=tails[a].value,
+            tail_stderr=tails[a].stderr,
+            passed=tails[a].upper() < eps,
         )
-    return out
+        for eps, a in zip(eps_list, chosen)
+    ]

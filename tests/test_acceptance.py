@@ -198,7 +198,7 @@ def test_6_convex_gauge_round_trip(capsys):
         props = verify_phi_properties(built.phi)
         mom = poussin_moment_check(sample, built.phi)
         slack = 0.0 if mom.mode == "analytic" else 2.0 * mom.stderr
-        forward = poussin_forward_check(sample, built.phi, [0.5, 0.1])
+        forward = poussin_forward_check(sample, built.phi, [0.5, 0.1], mom)
         case_ok = (
             props.all_pass
             and mom.value <= 1.0 + slack

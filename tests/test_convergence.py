@@ -248,7 +248,7 @@ CHUNKINGS = [(1, 4), (8, 4), (11, 4), (11, 0)]
 
 def with_chunk(monkeypatch, schedule, per_chunk):
     if per_chunk:
-        monkeypatch.setattr(convergence, "CHUNK_CELLS", per_chunk * schedule[-1].size)
+        monkeypatch.setattr(dist, "CHUNK_CELLS", per_chunk * schedule[-1].size)
 
 
 class TestMaximaOracle:
@@ -317,7 +317,7 @@ class TestMaximaOracle:
 
 class TestDraws:
     def test_one_draw_per_maximal_box_and_chunk(self, monkeypatch):
-        monkeypatch.setattr(convergence, "CHUNK_CELLS", 4 * 128)  # 4 reps of 4x32
+        monkeypatch.setattr(dist, "CHUNK_CELLS", 4 * 128)  # 4 reps of 4x32
         draws = count_draws(monkeypatch)
         run_lp_experiment(ExperimentConfig(SIGNS, 0.5, NON_CHAIN, reps=11, seed=0))
         assert draws == [
@@ -326,7 +326,7 @@ class TestDraws:
         ]
 
     def test_plugin_centering_draws_twice(self, monkeypatch):
-        monkeypatch.setattr(convergence, "CHUNK_CELLS", 4 * 64)
+        monkeypatch.setattr(dist, "CHUNK_CELLS", 4 * 64)
         draws = count_draws(monkeypatch)
         heavy = spec_of("pareto_radial", alpha=0.8)
         cfg = ExperimentConfig(heavy, 1.0, DYADIC_1D, reps=9, seed=0)

@@ -28,7 +28,12 @@ from cesaro_lab.cui import (
 import cesaro_lab.distributions as dist
 from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.lattice import MultiIndex, dyadic_boxes
-from cesaro_lab.poussin import PhiFunction, phi_eval_many, poussin_forward_check
+from cesaro_lab.poussin import (
+    PhiFunction,
+    phi_eval_many,
+    poussin_forward_check,
+    poussin_moment_check,
+)
 
 
 def spec_of(family, d=1, mode="analytic", **params):
@@ -268,11 +273,12 @@ class TestAdversarialEvents:
         # feeds picks the cells it picks from g of the whole sample
         sample = NormSample(spec_of("pareto_radial", mode="empirical", alpha=1.5),
                             MultiIndex(box), 4, 37)
-        whole = dist.Tail(1.0, 0.0)(sample.norms()).mean(axis=0)
+        norms = dist.norm_batch(sample.spec, sample.box, sample.seed, sample.reps)
+        whole = dist.Tail(1.0, 0.0)(norms).mean(axis=0)
 
         class WholeMean(NormSample):
-            def expectations(self, g):
-                return whole, True, None
+            def closed_form(self, g):
+                return whole
 
         oracle = WholeMean(sample.spec, sample.box, sample.seed, sample.reps)
         for delta in (0.05, 0.2, 0.5):
@@ -466,7 +472,7 @@ PHI = PhiFunction([1, 2, 3])
             lambda: verify_criterion_equivalence(SMALL, [NAN]), "eps must be", id="equivalence_eps"
         ),
         pytest.param(
-            lambda: poussin_forward_check(SMALL, PHI, [NAN]),
+            lambda: poussin_forward_check(SMALL, PHI, [NAN], poussin_moment_check(SMALL, PHI)),
             "eps must be",
             id="poussin_forward_eps",
         ),
@@ -500,7 +506,7 @@ class TestOneEstimator:
         sample = NormSample(spec, box, seed=2, reps=40)
         ev = EventArray(box, threshold=1.5, ge=True)
         rep = check_event_criterion(sample, ev, delta=0.9, eps=5.0)
-        norms = sample.norms()
+        norms = dist.norm_batch(spec, box, 2, 40)
         sched = dyadic_boxes(box)
         for fld, value, stderr in [
             (norms >= 1.5, rep.prob_sup, rep.prob_stderr),

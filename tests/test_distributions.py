@@ -248,9 +248,10 @@ class TestGaussian:
     def test_no_closed_form_tail(self):
         spec = spec_of("iid_gaussian")
         assert dist.expect(spec, Tail(1.0, 1.0), MultiIndex((2,))) is None
-        fld, exact, g = NormSample(spec, MultiIndex((2,)), 0, 3).expectations(Tail(1.0, 1.0))
-        assert not exact
-        assert g(fld).shape == (3, 2)
+        sample = NormSample(spec, MultiIndex((2,)), 0, 3)
+        assert sample.closed_form(Tail(1.0, 1.0)) is None
+        ((first, norms),) = list(sample.chunks())
+        assert first == 0 and Tail(1.0, 1.0)(norms).shape == (3, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -377,14 +378,19 @@ class TestSamplingContracts:
         # 7 reps of 5 cells: chunks of 1, 1, 2 and 3 reps, none dividing 7
         n, reps = MultiIndex((5,)), 7
         one_shot = norm_batch(spec, n, seed=3, reps=reps)
-        assert 5 * reps <= dist.CHUNK_CELLS
+        assert one_shot.shape == (reps, 5)
         monkeypatch.setattr(dist, "CHUNK_CELLS", chunk_cells)
-        chunked = norm_batch(spec, n, seed=3, reps=reps)
-        assert chunked.shape == (reps, 5)
-        assert np.array_equal(chunked, one_shot)
+        for hold in (False, True):
+            sample = NormSample(spec, n, 3, reps)
+            if hold:
+                sample.hold()
+            chunks = [(first, norms.copy()) for first, norms in sample.chunks()]
+            assert [first for first, _ in chunks] == list(range(0, reps, max(1, chunk_cells // 5)))
+            assert np.array_equal(np.concatenate([norms for _, norms in chunks]), one_shot)
         # a few reps at a time into buffers of junk that the caller owns: the
         # default norm path draws its vectors into the scratch's last planes
-        out, scratch = np.full((reps, 5), np.nan), dist.norm_scratch(spec, n, reps)
+        out, scratch = dist.draw_buffers(spec, n, reps, norms=True)
+        out.fill(np.nan)
         scratch.fill(0x5555_5555_5555_5555)
         for first, k in RAGGED:
             got = norm_batch(spec, n, 3, k, first_rep=first, out=out[first : first + k], scratch=scratch)
@@ -394,7 +400,29 @@ class TestSamplingContracts:
         direct = np.full((reps, 5), np.nan)
         scratch.fill(0x5555_5555_5555_5555)
         get_family(spec.family).norm_values(spec, n, starts, direct, scratch)
-        assert np.array_equal(chunked, direct)
+        assert np.array_equal(one_shot, direct)
+
+    @pytest.mark.parametrize("seed", [0, 2, 2**63 + 5, -1, 37])
+    def test_rep_starts_equal_one_derived_seed_per_rep(self, seed):
+        reps = range(3, 203)
+        want = np.array([rng.as_seed(rng.derive_seed(seed, r)) for r in reps], dtype=np.uint64)
+        assert np.array_equal(dist._rep_starts(seed, reps, 2), want.reshape(-1, 1, 1))
+
+    def test_key_hashing_calls_do_not_grow_with_reps(self, monkeypatch):
+        calls = []
+        real = rng.mix64
+
+        def counting_mix64(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rng, "mix64", counting_mix64)
+        counts = []
+        for reps in (10, 1000):
+            del calls[:]
+            sample_batch(spec_of("pareto_radial", alpha=3.0), MultiIndex((3,)), 5, reps)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_norm_batch_matches_sample_batch(self):
         spec = spec_of("pareto_radial", d=3, alpha=3.0)
@@ -407,9 +435,10 @@ class TestSamplingContracts:
         spec = DistributionSpec(
             "constant", {"c": 1.0}, dim_D=1, moment_mode="empirical"
         )
-        fld, exact, g = NormSample(spec, MultiIndex((2,)), 0, 3).expectations(Tail(1.0, 0.5))
-        assert not exact
-        assert np.array_equal(g(fld), np.ones((3, 2)))
+        sample = NormSample(spec, MultiIndex((2,)), 0, 3)
+        assert sample.closed_form(Tail(1.0, 0.5)) is None
+        ((_, norms),) = list(sample.chunks())
+        assert np.array_equal(Tail(1.0, 0.5)(norms), np.ones((3, 2)))
         # the law itself still has the closed form; only the choice is empirical
         assert np.array_equal(dist.expect(spec, Tail(1.0, 0.5), MultiIndex((2,))), [1.0, 1.0])
 
@@ -464,17 +493,14 @@ RAGGED = [(0, 3), (3, 3), (6, 1)]
 def test_draws_into_reused_buffers_equal_the_allocating_expressions(spec, method):
     fam = get_family(spec.family)
     n = MultiIndex((11,)) if fam.max_d == 1 else MultiIndex((3, 4))
-    if method == "vectors":
-        out, scratch = dist.draw_buffers(spec, n, 3)
-    else:
-        out, scratch = np.empty((3,) + n.coords), dist.norm_scratch(spec, n, 3)
+    out, scratch = dist.draw_buffers(spec, n, 3, norms=method == "norm_values")
     out.fill(np.nan)
     scratch.fill(0x5555_5555_5555_5555)
     oracle = allocating_vectors if method == "vectors" else allocating_norms
     want = oracle(spec, n, dist._rep_starts(4, range(7), n.d))
     for first, k in RAGGED:
         starts = dist._rep_starts(4, range(first, first + k), n.d)
-        getattr(fam, method)(spec, n, starts, out[:k], scratch[:, :k])
+        getattr(fam, method)(spec, n, starts, out[:k], dist._front(scratch, k))
         assert np.array_equal(out[:k], want[first:first + k])
 
 
@@ -482,28 +508,36 @@ def test_sample_batch_into_buffers_returns_them():
     spec = spec_of("pareto_radial", d=2, alpha=3.0)
     n = MultiIndex((3, 4))
     batch, scratch = dist.draw_buffers(spec, n, 5)
-    got = sample_batch(spec, n, 9, 2, first_rep=3, out=batch[:2], scratch=scratch[:, :2])
+    got = sample_batch(spec, n, 9, 2, first_rep=3, out=batch[:2], scratch=scratch)
     assert np.shares_memory(got, batch)
     assert np.array_equal(got, sample_batch(spec, n, 9, 5)[3:])
 
 
 FAULT_SCRIPT = """
 import resource, sys
-from cesaro_lab.distributions import DistributionSpec, norm_batch
+from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.lattice import MultiIndex
 spec = DistributionSpec("pareto_radial", {"alpha": 3.0}, dim_D=1)
-norm_batch(spec, MultiIndex((16, 16)), 0, 2)  # imports and first-call set-up
+
+def held_draw(box, reps):
+    sample = NormSample(spec, MultiIndex(box), 0, reps)
+    sample.hold()
+    for _ in sample.chunks():
+        pass
+
+held_draw((16, 16), 2)  # imports and first-call set-up
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-norm_batch(spec, MultiIndex((256, 256)), 0, int(sys.argv[1]))
+held_draw((256, 256), int(sys.argv[1]))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
 def test_draw_faults_grow_only_with_the_output():
-    # Each 256x256 rep is one chunk. A chunk-sized temporary freed at the end
-    # of a chunk lets the allocator return its pages to the kernel, and the
-    # next chunk faults them in again (about 480 faults per rep before the
-    # draw owned its buffers); the output's own pages are all that may grow.
+    # Each 256x256 rep is one chunk of the held draw. A chunk-sized temporary
+    # freed at the end of a chunk lets the allocator return its pages to the
+    # kernel, and the next chunk faults them in again (about 480 faults per
+    # rep before the draw owned its buffers); the held norms' own pages are
+    # all that may grow.
     src = str(Path(cesaro_lab.__file__).resolve().parents[1])
     faults = []
     for reps in (40, 160):

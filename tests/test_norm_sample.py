@@ -70,11 +70,11 @@ def draws(monkeypatch):
     return calls
 
 
-def assert_each_rep_drawn_once(draws, box=BOX, seed=SEED):
+def assert_each_rep_drawn_once(draws, box=BOX, seed=SEED, spec=PARETO_EMPIRICAL):
     """The draws are of one (spec, box, seed), and their (first_rep, reps)
-    runs cover range(REPS) exactly once, in order: a held draw is one call,
-    a streamed one a call per chunk."""
-    assert all(call[:3] == (PARETO_EMPIRICAL, box, seed) for call in draws)
+    runs cover range(REPS) exactly once, in order: a call per chunk, held or
+    streamed."""
+    assert all(call[:3] == (spec, box, seed) for call in draws)
     assert [r for *_, first, k in draws for r in range(first, first + k)] == list(range(REPS))
 
 
@@ -87,29 +87,44 @@ def outcome(fn):
 
 
 class TestNormSample:
-    def test_draws_lazily_once_and_read_only(self, draws):
+    def test_draws_lazily_once_and_read_only(self, monkeypatch, draws):
+        # chunks of 3 reps, so the held draw is 7 calls of the chunk loop
+        monkeypatch.setattr(dist, "CHUNK_CELLS", 3 * BOX.size)
         sample = NormSample(PARETO_EMPIRICAL, BOX, SEED, REPS)
+        sample.hold()
         assert draws == []
-        first = sample.norms()
-        assert sample.norms() is first
-        assert sample.expectations(Tail(1.0, 2.0))[1] is False
-        assert len(draws) == 1
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0, 0] = 0.0
-        assert np.array_equal(first, dist.norm_batch(PARETO_EMPIRICAL, BOX, SEED, REPS))
+        first = [norms for _, norms in sample.chunks()]
+        assert_each_rep_drawn_once(draws)
+        drawn = len(draws)
+        second = [norms for _, norms in sample.chunks()]
+        assert len(draws) == drawn
+        one_shot = dist.norm_batch(PARETO_EMPIRICAL, BOX, SEED, REPS)
+        for chunks in (first, second):
+            assert np.array_equal(np.concatenate(chunks), one_shot)
+            for norms in chunks:
+                assert not norms.flags.writeable
+                with pytest.raises(ValueError):
+                    norms[0, 0] = 0.0
+
+    def test_streamed_chunks_redraw_and_are_read_only(self, draws):
+        sample = NormSample(PARETO_EMPIRICAL, BOX, SEED, REPS)
+        for _ in range(2):
+            ((first, norms),) = list(sample.chunks())
+            assert first == 0 and not norms.flags.writeable
+        assert len(draws) == 2
 
     def test_closed_form_draws_nothing(self, draws):
-        fld, exact, g = NormSample(SPECS["pareto_radial"], BOX, SEED, REPS).expectations(
-            Tail(1.0, 2.0)
-        )
-        assert exact and g is None and fld.shape == BOX.coords
+        sample = NormSample(SPECS["pareto_radial"], BOX, SEED, REPS)
+        sample.hold()
+        fld = sample.closed_form(Tail(1.0, 2.0))
+        assert fld.shape == BOX.coords
         assert draws == []
 
     def test_validation_happens_at_the_draw(self):
         sample = NormSample(PARETO_EMPIRICAL, BOX, SEED, 0)
+        sample.hold()
         with pytest.raises(ValueError):
-            sample.norms()
+            list(sample.chunks())
 
 
 def sample_of(spec, cls=NormSample, seed=SEED):
@@ -125,8 +140,11 @@ PUBLIC_CALLS = {
     "build_phi_from_cui": lambda sample: outcome(
         lambda: build_phi_from_cui(sample, j_max=4, search_cap=64)
     ),
+    "poussin_moment_check": lambda sample: outcome(lambda: poussin_moment_check(sample, PHI)),
     "poussin_forward_check": lambda sample: outcome(
-        lambda: poussin_forward_check(sample, PHI, [1.0, 0.5])
+        lambda: poussin_forward_check(
+            sample, PHI, [1.0, 0.5], poussin_moment_check(sample, PHI)
+        )
     ),
     "verify_criterion_equivalence": lambda sample: verify_criterion_equivalence(
         sample, [0.5, 0.25], a_grid=GRID
@@ -155,23 +173,30 @@ def test_constant_gauge_and_forward_check_draw_nothing(draws):
     assert draws == []
 
 
+POUSSIN_ARGV = ["poussin", "--horizon", "256", "--j-max", "4", "--search-cap", "64",
+                "--reps", "20", "--eps", "1.0,0.5"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, spec",
     [
-        ["check-cui", "--p", "0.5", "--horizon", "16x16", "--reps", "20"],
-        ["poussin", "--horizon", "256", "--j-max", "4", "--search-cap", "64",
-         "--reps", "20", "--eps", "1.0,0.5"],
+        (["check-cui", "--p", "0.5", "--horizon", "16x16", "--reps", "20"], PARETO_EMPIRICAL),
+        (POUSSIN_ARGV, PARETO_EMPIRICAL),
+        # the search and the forward check are closed form, the calibration
+        # and the moment check realized: they share one draw (K is about 1.5
+        # here, so eps 0.5 would ask phi(t)/t for more than its largest slope)
+        (POUSSIN_ARGV[:-1] + ["2.0,1.0"], SPECS["pareto_radial"]),
     ],
-    ids=lambda argv: argv[0],
+    ids=["check-cui", "poussin", "poussin-analytic"],
 )
-def test_cli_command_draws_once(monkeypatch, tmp_path, draws, argv):
+def test_cli_command_draws_once(monkeypatch, tmp_path, draws, argv, spec):
     box = cli.parse_horizon(argv[argv.index("--horizon") + 1])
     monkeypatch.setattr(dist, "CHUNK_CELLS", 3 * box.size)
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(PARETO_EMPIRICAL.to_json()))
+    spec_path.write_text(json.dumps(spec.to_json()))
     code = cli.main([*argv, "--spec", str(spec_path), "--out", str(tmp_path / "out")])
     assert code == 0
-    assert_each_rep_drawn_once(draws, box, seed=0)
+    assert_each_rep_drawn_once(draws, box, seed=0, spec=spec)
 
 
 # --- every tail query through the public binding ---------------------------
@@ -215,7 +240,8 @@ def test_report_queries_each_level_and_the_mean(tail_queries):
 def test_search_and_forward_check_query_per_probe_and_eps(tail_queries, spec):
     """The search reads every probe off one profile and settles on the
     thresholds of the per-probe bisection, over ten seeds; the forward check
-    still asks one tail query per eps."""
+    answers every eps from one request, and each of its checks equals the
+    one-level tail query at its level."""
     for seed in SWEEP_SEEDS:
         want = reference_thresholds(spec, seed=seed)
         got = outcome(lambda: thresholds_from_cui(sample_of(spec, seed=seed), 4, 64))
@@ -224,8 +250,30 @@ def test_search_and_forward_check_query_per_probe_and_eps(tail_queries, spec):
     del tail_queries[:]
     forward = PUBLIC_CALLS["poussin_forward_check"](sample_of(spec))
     if forward is not PhiDomainError:
-        assert tail_queries == [float(fc.level) for fc in forward]
-        assert len(tail_queries) == 2
+        assert tail_queries == []
+        assert len(forward) == 2
+        for fc in forward:
+            t = tail(spec, 1.0, float(fc.level))
+            assert (fc.tail_sup, fc.tail_stderr) == (t.value, t.stderr)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_forward_check_maps_sorted_levels_back_to_each_eps(spec):
+    """eps out of order with one repeated: one request of sorted distinct
+    levels, each answer mapped back to its eps in the caller's order."""
+    sample = sample_of(spec)
+    mom = outcome(lambda: poussin_moment_check(sample, PHI))
+    if mom is PhiDomainError:
+        return
+    eps_list = [0.5, 1.0, 0.5]
+    forward = outcome(lambda: poussin_forward_check(sample, PHI, eps_list, mom))
+    if forward is PhiDomainError:
+        return
+    assert [fc.eps for fc in forward] == eps_list
+    assert forward[0] == forward[2]
+    for fc in forward:
+        (one,) = poussin_forward_check(sample_of(spec), PHI, [fc.eps], mom)
+        assert fc == one
 
 
 # --- bit-equality with the single-query path -------------------------------
@@ -306,20 +354,21 @@ def test_poussin_answers_equal_single_queries(spec):
 
 
 class FreshSample(NormSample):
-    """The single-query reference: a new draw for every question."""
+    """The single-query reference: holds nothing, so every read redraws."""
 
-    def norms(self):
-        norms = dist.norm_batch(self.spec, self.box, self.seed, self.reps)
-        norms.flags.writeable = False
-        return norms
+    def hold(self):
+        pass
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
-def test_equivalence_report_equals_fresh_draw_path(draws, spec):
+def test_equivalence_report_equals_fresh_draw_path(monkeypatch, draws, spec):
+    monkeypatch.setattr(dist, "CHUNK_CELLS", 3 * BOX.size)
     shared = PUBLIC_CALLS["verify_criterion_equivalence"](sample_of(spec))
     shared_draws = len(draws)
     fresh = PUBLIC_CALLS["verify_criterion_equivalence"](sample_of(spec, FreshSample))
     assert repr(shared) == repr(fresh)
-    assert shared_draws <= 1
-    if shared_draws:
-        assert len(draws) - shared_draws > 1  # the reference really redrew
+    drawn = [r for *_, first, k in draws[:shared_draws] for r in range(first, first + k)]
+    assert drawn in ([], list(range(REPS)))
+    if drawn:
+        # the reference drew the whole sample for each of its passes
+        assert len(draws) - shared_draws >= shared_draws

@@ -33,6 +33,11 @@ PARETO = spec_of("pareto_radial", alpha=3.0)
 SPIKED = spec_of("spiked_cui", gap_base=2)
 GROWING = spec_of("growing_non_cui", exponent=0.5)
 
+
+def forward_check(sample, phi, eps_list):
+    """The forward check, K from the moment check of the same sample and phi."""
+    return poussin_forward_check(sample, phi, eps_list, poussin_moment_check(sample, phi))
+
 slope_lists = st.lists(st.integers(0, 3), min_size=1, max_size=12).map(
     lambda steps: np.cumsum(np.asarray(steps, dtype=np.int64))
 )
@@ -248,7 +253,7 @@ class TestConstruction:
     def test_forward_checks_constant(self):
         sample = NormSample(CONSTANT, MultiIndex((4096,)))
         built = build_phi_from_cui(sample, j_max=16)
-        checks = poussin_forward_check(sample, built.phi, [0.5, 0.1])
+        checks = forward_check(sample, built.phi, [0.5, 0.1])
         assert [c.eps for c in checks] == [0.5, 0.1]
         for c in checks:
             assert c.ratio >= (c.K + 1.0) / c.eps
@@ -260,7 +265,7 @@ class TestConstruction:
         sample = NormSample(CONSTANT, MultiIndex((4096,)))
         built = build_phi_from_cui(sample, j_max=2)
         with pytest.raises(PhiDomainError):
-            poussin_forward_check(sample, built.phi, [0.01])
+            forward_check(sample, built.phi, [0.01])
 
     def test_forward_check_error_names_what_can_help(self):
         # slopes up to 8 on [0, 10]: phi(t)/t ends at 4.4 there and passes 5
@@ -268,17 +273,17 @@ class TestConstruction:
         sample = NormSample(CONSTANT, MultiIndex((64,)))
         phi = PhiFunction(u_from_thresholds(range(1, 9), 10))
         with pytest.raises(PhiDomainError, match="enlarge n_max"):
-            poussin_forward_check(sample, phi, [0.2])
+            forward_check(sample, phi, [0.2])
         with pytest.raises(PhiDomainError, match="largest slope 8"):
-            poussin_forward_check(sample, phi, [0.125])
+            forward_check(sample, phi, [0.125])
 
     def test_forward_check_validation(self):
         sample = NormSample(CONSTANT, MultiIndex((64,)))
         built = build_phi_from_cui(sample, j_max=4)
         with pytest.raises(ValueError):
-            poussin_forward_check(sample, built.phi, [])
+            forward_check(sample, built.phi, [])
         with pytest.raises(ValueError):
-            poussin_forward_check(sample, built.phi, [-0.5])
+            forward_check(sample, built.phi, [-0.5])
 
 
 class TestOneEstimator:
@@ -296,6 +301,6 @@ class TestOneEstimator:
         sample = NormSample(CONSTANT, MultiIndex((64,)))
         built = build_phi_from_cui(sample, j_max=8)
         monkeypatch.setattr(cui.TailEstimate, "upper", lambda self: self.value + 0.5)
-        checks = poussin_forward_check(sample, built.phi, [0.5, 0.25])
+        checks = forward_check(sample, built.phi, [0.5, 0.25])
         K = poussin_moment_check(sample, built.phi).value + 0.5
         assert [c.K for c in checks] == [K, K]
