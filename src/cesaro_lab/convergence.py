@@ -19,7 +19,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistributionSpec, Tail, draw_chunks
-from .lattice import MultiIndex, leq, prefix_table, running_max_norms
+from .lattice import MultiIndex, box_maxima, leq, prefix_table
 
 MIN_TREND_POINTS = 4
 
@@ -143,36 +143,61 @@ def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
 
     Cells are keyed by (seed, i), so a box's batch is that of any box that
     dominates it, restricted to it. Each maximal box is drawn once, in chunks
-    of reps, and each box it dominates is read at its corner from its running
-    max. `centering` is None, "analytic" (the family's per-cell means) or
+    of reps; each chunk becomes its prefix table and then the squared norms
+    of its cells, and every box the maximal box dominates takes the max of
+    those over its own cells (box_maxima), with one sqrt per box and rep. A
+    correctly rounded sqrt is monotone, so that is the max of the norms.
+    `centering` is None, "analytic" (the family's per-cell means) or
     "plugin" (the per-cell mean over all reps, from a first pass in rep order).
     """
     M = np.empty((len(schedule), reps))
-    tops = [t for t in dict.fromkeys(schedule)
-            if not any(n != t and n.d == t.d and leq(t, n) for n in schedule)]
+    # a box that another dominates is smaller than it, so by size, largest
+    # first, a box is maximal unless a maximal box found before it dominates it
+    tops = []
+    for n in sorted(set(schedule), key=lambda b: b.size, reverse=True):
+        if not any(t.d == n.d and leq(n, t) for t in tops):
+            tops.append(n)
+    tops.sort(key=schedule.index)  # each drawn in schedule order
+    owners = [next(t for t in tops if t.d == n.d and leq(n, t)) for n in schedule]
     for top in tops:
-        corners = {
-            j: (slice(None),) + tuple(c - 1 for c in n.coords)
-            for j, n in enumerate(schedule)
-            if next(t for t in tops if t.d == n.d and leq(n, t)) == top
-        }
+        rows = [j for j, t in enumerate(owners) if t == top]
+        boxes = [schedule[j] for j in rows]
         means = dist.mean(spec, top) if centering == "analytic" else None
         if centering == "plugin":
-            means = sum(row for _, rows in draw_chunks(spec, top, seed, reps) for row in rows) / reps
+            means = _rep_sum(spec, top, seed, reps) / reps
         if means is not None and not np.any(means):
             means = None  # subtracting zeros leaves every M_n as it is
-        norms = None
-        for first, batch in draw_chunks(spec, top, seed, reps):
-            if means is not None:
-                batch -= means
-            if norms is None:  # the first chunk is the largest
-                norms = np.empty(batch.shape[:-1])
-            # the batch becomes its prefix table, then the squares of it
-            S = prefix_table(batch, range(1, 1 + top.d), out=batch)
-            R = running_max_norms(S, top.d, out=norms[: len(batch)])
-            for j, corner in corners.items():
-                M[j, first:first + len(batch)] = R[corner]
+        squares = _square_norms(spec, top, seed, reps, means)
+        M[rows] = np.sqrt(box_maxima(squares, reps, boxes))
     return M
+
+
+def _square_norms(spec, top, seed, reps, means):
+    """(first rep, ||S_k||^2 at every cell k) per chunk of the draw of top:
+    each chunk, less the means when given, becomes its prefix table in place
+    and then its squares, summed over columns into one buffer for all chunks."""
+    squares = None
+    for first, batch in draw_chunks(spec, top, seed, reps):
+        if means is not None:
+            batch -= means
+        if squares is None:  # the first chunk is the largest
+            squares = np.empty(batch.shape[:-1])
+        S = prefix_table(batch, range(1, 1 + top.d), out=batch)
+        yield first, np.sum(np.square(S, out=S), axis=-1, out=squares[: len(batch)])
+
+
+def _rep_sum(spec, top, seed, reps) -> np.ndarray:
+    """The per-cell sum of the batches of every rep, added in rep order,
+    ((0 + r_0) + r_1) + ..., as one running sum along each chunk's rep axis
+    whose first row takes the sum so far."""
+    total = None
+    for _, batch in draw_chunks(spec, top, seed, reps):
+        if total is None:
+            total = np.zeros(batch.shape[1:])
+        batch[0] += total
+        np.add.accumulate(batch, axis=0, out=batch)
+        total[...] = batch[-1]
+    return total
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:

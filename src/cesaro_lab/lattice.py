@@ -16,24 +16,30 @@ buffer (a NormSample's chunks()), so a sample that is not held is binned
 chunk by chunk while it is in cache. So every truncation level and every
 box comes from one pass over the sample, and a norm functional is applied
 chunk by chunk, never to the whole sample.
-prefix_table serves the convergence series, which need M_k at every k.
+prefix_table serves the convergence series, and box_maxima reads M_n of
+each schedule box from the squared norms of that table.
 
-Its sums and the running maxima of running_max_norms sweep one axis at a
-time, each by the faster of two bit-equal methods for the array's shape:
-ufunc.accumulate, which runs one inner loop per position behind the axis,
-or one slab update a[i] = ufunc(a[i - 1], a[i]) per position along it,
-chosen when the run of cells behind the axis is at least SLAB_RUN times
-the axis length (the first box axes of a d = 3 chunk with D columns).
+prefix_table sweeps one axis at a time, each by the faster of two bit-equal
+methods for the array's shape: np.add.accumulate, which runs one inner loop
+per position behind the axis, or one slab update a[i] = a[i - 1] + a[i] per
+position along it, chosen when the run of cells behind the axis is at least
+SLAB_RUN times the axis length (the first box axes of a d = 3 chunk with D
+columns).
+
+box_maxima takes its rows as (first row, chunk) pairs too, and reduces each
+box from the largest box before it that it dominates: only the cells outside
+that box, as at most d disjoint slabs, planned once per call. So a chain of
+boxes reads each cell of its largest box once, however many boxes it has.
 
 A chunk loop owns its buffers: prefix_table sweeps the array given as `out`
-(the chunk's own batch, in a convergence series) and running_max_norms
-squares its table in place and sums the norms into the given `out`, so a
-series allocates its chunk-sized arrays once per draw, not once per chunk.
-Without `out`, neither function touches its input.
+(the chunk's own batch, in a convergence series), so a series allocates its
+chunk-sized arrays once per draw, not once per chunk. Without `out`,
+prefix_table does not touch its input.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,7 +53,7 @@ BRUTE_FORCE_CELL_CAP = 100_000
 # grow with reps.
 CHUNK_CELLS = 1 << 16
 # A sweep updates slabs when the cells behind its axis number at least this
-# many times the axis length, and calls ufunc.accumulate otherwise.
+# many times the axis length, and calls np.add.accumulate otherwise.
 SLAB_RUN = 8
 
 
@@ -100,20 +106,20 @@ def prefix_table(field: np.ndarray, axes: Sequence[int], out: np.ndarray | None 
     elif out is not field:
         np.copyto(out, field)
     for ax in axes:
-        _sweep(np.add, out, ax)
+        _sweep(out, ax)
     return out
 
 
-def _sweep(ufunc: np.ufunc, a: np.ndarray, ax: int) -> None:
-    """ufunc.accumulate(a, axis=ax, out=a), by slab updates along the axis when
-    the run of cells behind it is long. Either way cell i gets ufunc(cell
-    i - 1, cell i) in order of i, so the two methods are bit-equal."""
+def _sweep(a: np.ndarray, ax: int) -> None:
+    """np.add.accumulate(a, axis=ax, out=a), by slab updates along the axis
+    when the run of cells behind it is long. Either way cell i gets cell
+    i - 1 + cell i in order of i, so the two methods are bit-equal."""
     if math.prod(a.shape[ax + 1:]) < SLAB_RUN * a.shape[ax]:
-        ufunc.accumulate(a, axis=ax, out=a)
+        np.add.accumulate(a, axis=ax, out=a)
         return
     slabs = np.moveaxis(a, ax, 0)
     for i in range(1, slabs.shape[0]):
-        ufunc(slabs[i - 1], slabs[i], out=slabs[i])
+        np.add(slabs[i - 1], slabs[i], out=slabs[i])
 
 
 def prefix_sums_bruteforce(values: np.ndarray) -> np.ndarray:
@@ -130,20 +136,64 @@ def prefix_sums_bruteforce(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def running_max_norms(S: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
-    """max_{j <= k} ||S_j|| at every k: shape lead + box for a prefix table S
-    of shape lead + box + (D,), with d box axes after any leading axes (reps).
+def box_maxima(
+    chunks: Iterable[tuple[int, np.ndarray]], rows: int, boxes: Sequence[MultiIndex]
+) -> np.ndarray:
+    """The max over the cells [1, n] of every box n, in order, per row: shape
+    (len(boxes), rows), from `rows` rows of cells that arrive as (first row,
+    chunk) pairs, as in schedule_profiles, each chunk of shape (k,) + a box
+    that holds every n (in a convergence series, the squared norms of a
+    chunk's prefix table). Each chunk is read before the next is asked for,
+    and none is written to.
 
-    Takes norms over the last axis, then a running max along each box axis in
-    place, so the value at the corner of [1, n] is M_n. NaN spreads as in np.max.
-    With `out` (float64, shape lead + box) the norms go there and S is
-    overwritten by its squares; without it S is left as it is.
+    The boxes are planned once per call (_box_slabs): box n starts from the
+    max of the largest box before it that it dominates and reduces only the
+    slabs of its cells outside that box. Max is exact and order-free, so each
+    answer is chunk[r, :n_1, ..., :n_d].max(), NaN spreading as in np.max.
     """
-    squares = np.square(S) if out is None else np.square(S, out=S)
-    norms = np.sqrt(np.sum(squares, axis=-1, out=out), out=out)
-    for ax in range(norms.ndim - d, norms.ndim):
-        _sweep(np.maximum, norms, ax)
-    return norms
+    if not boxes:
+        raise ValueError("box_maxima needs at least one box")
+    d = boxes[0].d
+    if any(n.d != d for n in boxes):
+        raise ValueError("all boxes must share one dimension d")
+    hull = tuple(max(c) for c in zip(*(n.coords for n in boxes)))
+    plan = list(_box_slabs(boxes))
+    axes = tuple(range(1, 1 + d))
+    out = np.empty((len(boxes), rows))
+    for first, q in chunks:
+        if q.ndim != 1 + d or any(c > s for c, s in zip(hull, q.shape[1:])):
+            raise ValueError(f"chunk shape {q.shape} does not hold the box {MultiIndex(hull)}")
+        part = out[:, first : first + len(q)]
+        for j, (base, slabs) in enumerate(plan):
+            acc = part[j]
+            prior = -np.inf if base is None else part[base]
+            if not slabs:
+                acc[...] = prior
+            for slab in slabs:
+                np.maximum(prior, np.maximum.reduce(q[(slice(None),) + slab], axis=axes), out=acc)
+                prior = acc
+    return out
+
+
+def _box_slabs(boxes: Sequence[MultiIndex]) -> Iterator[tuple[int | None, list[tuple[slice, ...]]]]:
+    """Per box n, in order, (base, slabs): base indexes the largest box m
+    before n with m <= n (None if there is none, when m is taken as empty),
+    and slabs are the nonempty regions that cover the cells of [1, n] outside
+    [1, m], disjointly. Slab i takes [0, m_k) on the axes k before i,
+    [m_i, n_i) on axis i and [0, n_k) on the axes after it."""
+    by_size: list[tuple[int, int]] = []  # (size, index) of the boxes so far
+    for j, n in enumerate(boxes):
+        base = next((i for _, i in reversed(by_size) if leq(boxes[i], n)), None)
+        m = (0,) * n.d if base is None else boxes[base].coords
+        slabs = [
+            tuple(slice(0, c) for c in m[:i])
+            + (slice(m[i], n.coords[i]),)
+            + tuple(slice(0, c) for c in n.coords[i + 1:])
+            for i in range(n.d)
+            if m[i] < n.coords[i] and all(m[:i])
+        ]
+        yield base, slabs
+        bisect.insort(by_size, (n.size, j))
 
 
 def _dyadic_levels(horizon: MultiIndex) -> list[list[int]]:

@@ -24,7 +24,8 @@ from cesaro_lab.convergence import (
     trend_test,
 )
 from cesaro_lab.distributions import DistributionSpec, norm_batch, sample_batch
-from cesaro_lab.lattice import MultiIndex, dyadic_square_schedule, prefix_table, running_max_norms
+from cesaro_lab.lattice import MultiIndex, dyadic_square_schedule, prefix_table
+from oracles import running_max_norms
 
 
 def spec_of(family, d=1, **params):
@@ -337,6 +338,24 @@ class TestDraws:
         draws = count_draws(monkeypatch)
         run_lp_experiment(ExperimentConfig(PARETO, 0.5, DYADIC_3D, reps=30, seed=0))
         assert draws == [("8x8x8", 30, 0)]
+
+
+def test_maximal_boxes_are_found_without_comparing_every_pair(monkeypatch):
+    # a dense chain of 512 boxes has one maximal box; a search that compares
+    # each box with every other makes about 512^2 / 2 comparisons, which took
+    # most of the run time of a 4096-box chain
+    calls = []
+    real = convergence.leq
+
+    def counting(m, n):
+        calls.append(None)
+        return real(m, n)
+
+    monkeypatch.setattr(convergence, "leq", counting)
+    chain = tuple(MultiIndex((k,)) for k in range(1, 513))
+    got = convergence._maxima(SIGNS, chain, 3, 2)
+    assert len(calls) <= 2 * len(chain)
+    assert np.array_equal(got[63::64], per_box_maxima(SIGNS, chain[63::64], 3, 2))
 
 
 RSS_SCRIPT = """

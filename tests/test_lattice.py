@@ -10,16 +10,17 @@ from cesaro_lab.distributions import Tail
 from cesaro_lab.lattice import (
     BRUTE_FORCE_CELL_CAP,
     MultiIndex,
+    box_maxima,
     dyadic_boxes,
     dyadic_square_schedule,
     leq,
     prefix_sums_bruteforce,
     prefix_table,
     row_chunks,
-    running_max_norms,
     schedule_averages,
     schedule_profiles,
 )
+from oracles import running_max_norms
 
 
 def random_sample(trial: int, seed: int = 0) -> np.ndarray:
@@ -105,6 +106,10 @@ def test_prefix_matches_bruteforce_on_random_cases():
         for idx in np.ndindex(*sample.shape[:-1]):
             block = norms[tuple(slice(0, c + 1) for c in idx)]
             assert running[idx] == pytest.approx(block.max(), rel=1e-9)
+        every = [MultiIndex(tuple(c + 1 for c in idx)) for idx in np.ndindex(*sample.shape[:-1])]
+        q = np.sum(np.square(fast), axis=-1)
+        got = np.sqrt(box_maxima([(0, q[None])], 1, every))
+        assert np.array_equal(got[:, 0], running.reshape(-1))
 
 
 def test_bruteforce_cell_cap():
@@ -176,6 +181,11 @@ def field_with_extremes(shape, seed):
     return a
 
 
+def dyadic_within(shape):
+    """The dyadic boxes of the box axes of a lead + box + D shape."""
+    return dyadic_boxes(MultiIndex(shape[1:-1]))
+
+
 @pytest.mark.parametrize("shape", SWEEP_SHAPES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and the overflowing square
 def test_prefix_and_running_max_into_buffers_equal_the_allocating_calls(shape):
@@ -186,51 +196,136 @@ def test_prefix_and_running_max_into_buffers_equal_the_allocating_calls(shape):
     other = np.full(shape, np.nan)
     assert prefix_table(a, axes, out=other) is other
     assert np.array_equal(other, want_S, equal_nan=True)
-    # a chunk loop sweeps its own batch, then squares it into the norms
+    # a chunk loop sweeps its own batch, then squares it into a buffer, and
+    # reads each box's M_n from it
     batch = a.copy()
     assert prefix_table(batch, axes, out=batch) is batch
     assert np.array_equal(batch, want_S, equal_nan=True)
-    norms = np.full(shape[:-1], -1.0)
-    assert running_max_norms(batch, d, out=norms) is norms
-    assert np.array_equal(norms, want_M, equal_nan=True)
+    squares = np.full(shape[:-1], -1.0)
+    q = np.sum(np.square(batch, out=batch), axis=-1, out=squares)
+    boxes = dyadic_within(shape)
+    got = np.sqrt(box_maxima([(0, q)], len(q), boxes))
+    want = [want_M[(slice(None),) + tuple(c - 1 for c in n.coords)] for n in boxes]
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("shape", SWEEP_SHAPES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_prefix_and_running_max_leave_their_input_alone(shape):
-    # without out neither writes to its argument: callers read the field and
-    # the table again after the call
+    # without out prefix_table does not write to its argument, nor does
+    # box_maxima: callers read the field and the squares again after the call
     a = field_with_extremes(shape, shape[1] + 1)
     before = a.copy()
     S = prefix_table(a, sweep_axes(shape))
     assert np.array_equal(a, before, equal_nan=True)
-    table = S.copy()
-    running_max_norms(S, len(shape) - 2)
-    assert np.array_equal(S, table, equal_nan=True)
+    q = np.sum(np.square(S), axis=-1)
+    squares = q.copy()
+    box_maxima([(0, q)], len(q), dyadic_within(shape))
+    assert np.array_equal(q, squares, equal_nan=True)
 
 
-@pytest.mark.parametrize("ufunc", [np.add, np.maximum])
 @pytest.mark.parametrize("shape", SWEEP_SHAPES)
 @pytest.mark.parametrize("slab_run", [None, 0, math.inf])
-def test_sweep_equals_accumulate(monkeypatch, ufunc, shape, slab_run):
+def test_sweep_equals_accumulate(monkeypatch, shape, slab_run):
     # slab_run 0 forces slab updates on every axis and inf forces accumulate;
     # None keeps the rule
     if slab_run is not None:
         monkeypatch.setattr(lattice, "SLAB_RUN", slab_run)
     gen = np.random.default_rng(len(shape) * 100 + shape[1])
     a = gen.standard_normal(shape)
-    if ufunc is np.maximum:
-        flat = a.reshape(-1)
-        cells = gen.choice(flat.size, size=12, replace=False)
-        flat[cells[:4]] = np.nan
-        flat[cells[4:8]] = np.inf
-        flat[cells[8:]] = -np.inf
     for ax in sweep_axes(shape):
-        want = ufunc.accumulate(a, axis=ax)
+        want = np.add.accumulate(a, axis=ax)
         got = a.copy()
-        lattice._sweep(ufunc, got, ax)
-        assert np.array_equal(got, want, equal_nan=True)
+        lattice._sweep(got, ax)
+        assert np.array_equal(got, want)
         a = want
+
+
+CHAINS = [
+    pytest.param([MultiIndex((k,)) for k in range(1, 513)], id="dense-1d"),
+    pytest.param(dyadic_square_schedule(2, 65536), id="dyadic-2d"),
+    pytest.param(dyadic_square_schedule(3, 32768), id="dyadic-3d"),
+]
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_chain_slabs_partition_each_box_once(chain):
+    # a chain starts each box from the one before it, so the slabs of the
+    # boxes up to n cover [1, n] exactly once: box_maxima reads each cell of
+    # the largest box once, however many boxes the chain has
+    reads = np.zeros(chain[-1].coords, dtype=np.int64)
+    for j, (base, slabs) in enumerate(lattice._box_slabs(chain)):
+        assert base == (None if j == 0 else j - 1)
+        for slab in slabs:
+            reads[slab] += 1
+        inside = np.zeros(reads.shape, dtype=bool)
+        inside[tuple(slice(0, c) for c in chain[j].coords)] = True
+        assert np.array_equal(reads, inside.astype(np.int64))
+
+
+def random_boxes(gen, top, count):
+    """count boxes inside top, each some earlier box (or top) with a few
+    coordinates changed, so that boxes repeat, share sides and do not compare."""
+    out = [top]
+    for _ in range(count):
+        coords = list(out[int(gen.integers(len(out)))].coords)
+        for ax in gen.choice(len(coords), size=int(gen.integers(0, len(coords) + 1)), replace=False):
+            coords[ax] = int(gen.integers(1, top.coords[ax] + 1))
+        out.append(MultiIndex(tuple(coords)))
+    gen.shuffle(out)
+    return out
+
+
+def test_box_maxima_equal_per_box_max():
+    # random schedules inside random boxes, over a rep axis chunked as
+    # row_chunks cuts it and in random runs copied into one reused buffer,
+    # with NaN and inf cells; they reach every branch of _box_slabs: no base,
+    # a base with fewer than d slabs, and a box that compares with no box
+    # before it
+    empty = incomparable = 0
+    for trial in range(60):
+        gen = np.random.default_rng(trial)
+        d = 1 + trial % 3
+        top = MultiIndex(tuple(int(s) for s in gen.integers(1, 7, size=d)))
+        reps = int(gen.integers(1, 6))
+        q = gen.standard_normal((reps,) + top.coords)
+        flat = q.reshape(-1)
+        marks = gen.choice(flat.size, size=min(flat.size, 3), replace=False)
+        flat[marks] = [np.nan, np.inf, -np.inf][: len(marks)]
+        q.flags.writeable = False
+        boxes = random_boxes(gen, top, 8)
+        axes = tuple(range(1, 1 + d))
+        want = [q[(slice(None),) + tuple(slice(0, c) for c in n.coords)].max(axis=axes) for n in boxes]
+        cuts = np.flatnonzero(gen.random(reps - 1) < 0.5) + 1
+        runs = list(zip([0, *cuts], np.split(np.arange(reps), cuts)))
+        buffer = np.empty_like(q)
+
+        def reused(runs=runs, buffer=buffer, q=q):
+            for first, rows in runs:
+                chunk = buffer[: len(rows)]
+                chunk[...] = q[rows]
+                yield first, chunk
+                buffer.fill(np.nan)
+
+        for chunks in (row_chunks(q, top), reused()):
+            got = box_maxima(chunks, reps, boxes)
+            assert np.array_equal(got, want, equal_nan=True)
+        for j, (base, slabs) in enumerate(lattice._box_slabs(boxes)):
+            empty += base is not None and len(slabs) < d
+            incomparable += base is None and j > 0
+    assert empty > 0 and incomparable > 0
+
+
+def test_box_maxima_rejects_boxes_that_do_not_fit():
+    q = np.zeros((2, 4, 5))
+    with pytest.raises(ValueError):
+        box_maxima([(0, q)], 2, [MultiIndex((4, 6))])
+    with pytest.raises(ValueError):
+        box_maxima([(0, q)], 2, [MultiIndex((4,)), MultiIndex((2, 2))])
+    with pytest.raises(ValueError):
+        box_maxima([(0, q)], 2, [MultiIndex((4, 5, 1))])
+    with pytest.raises(ValueError):
+        box_maxima([(0, q)], 2, [])
 
 
 def test_schedule_averages_match_direct_means():
