@@ -224,20 +224,29 @@ def test_prefix_and_running_max_leave_their_input_alone(shape):
     assert np.array_equal(q, squares, equal_nan=True)
 
 
+@pytest.mark.parametrize("extremes", [False, True], ids=["add", "add-extremes"])
 @pytest.mark.parametrize("shape", SWEEP_SHAPES)
 @pytest.mark.parametrize("slab_run", [None, 0, math.inf])
-def test_sweep_equals_accumulate(monkeypatch, shape, slab_run):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf + -inf
+def test_sweep_equals_accumulate(monkeypatch, shape, slab_run, extremes):
     # slab_run 0 forces slab updates on every axis and inf forces accumulate;
-    # None keeps the rule
+    # None keeps the rule. With extremes, NaN and +-inf cells (and the NaN of
+    # inf + -inf) must spread the same way under both methods
     if slab_run is not None:
         monkeypatch.setattr(lattice, "SLAB_RUN", slab_run)
     gen = np.random.default_rng(len(shape) * 100 + shape[1])
     a = gen.standard_normal(shape)
+    if extremes:
+        flat = a.reshape(-1)
+        cells = gen.choice(flat.size, size=12, replace=False)
+        flat[cells[:4]] = np.nan
+        flat[cells[4:8]] = np.inf
+        flat[cells[8:]] = -np.inf
     for ax in sweep_axes(shape):
         want = np.add.accumulate(a, axis=ax)
         got = a.copy()
         lattice._sweep(got, ax)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)
         a = want
 
 
