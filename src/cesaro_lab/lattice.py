@@ -27,9 +27,7 @@ SLAB_RUN times the axis length (the first box axes of a d = 3 chunk with D
 columns).
 
 box_maxima takes its rows as (first row, chunk) pairs too, and reduces each
-box from the largest box before it that it dominates: only the cells outside
-that box, as at most d disjoint slabs, planned once per call. So a chain of
-boxes reads each cell of its largest box once, however many boxes it has.
+box over its own cells.
 
 A chunk loop owns its buffers: prefix_table sweeps the array given as `out`
 (the chunk's own batch, in a convergence series), so a series allocates its
@@ -39,7 +37,6 @@ prefix_table does not touch its input.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -146,10 +143,11 @@ def box_maxima(
     chunk's prefix table). Each chunk is read before the next is asked for,
     and none is written to.
 
-    The boxes are planned once per call (_box_slabs): box n starts from the
-    max of the largest box before it that it dominates and reduces only the
-    slabs of its cells outside that box. Max is exact and order-free, so each
-    answer is chunk[r, :n_1, ..., :n_d].max(), NaN spreading as in np.max.
+    Each box takes one np.max over its own cells, so a row costs the sum of
+    the boxes' sizes: at most 2, 4/3 or 8/7 times the largest box on a dyadic
+    chain in d = 1, 2, 3, but about n^2 / 2 cells on the dense chain 1, ..., n.
+    Max is exact and order-free, so each answer is bit-equal to
+    chunk[r, :n_1, ..., :n_d].max(), NaN spreading as in np.max.
     """
     if not boxes:
         raise ValueError("box_maxima needs at least one box")
@@ -157,43 +155,15 @@ def box_maxima(
     if any(n.d != d for n in boxes):
         raise ValueError("all boxes must share one dimension d")
     hull = tuple(max(c) for c in zip(*(n.coords for n in boxes)))
-    plan = list(_box_slabs(boxes))
+    regions = [(slice(None),) + tuple(slice(0, c) for c in n.coords) for n in boxes]
     axes = tuple(range(1, 1 + d))
     out = np.empty((len(boxes), rows))
     for first, q in chunks:
         if q.ndim != 1 + d or any(c > s for c, s in zip(hull, q.shape[1:])):
             raise ValueError(f"chunk shape {q.shape} does not hold the box {MultiIndex(hull)}")
-        part = out[:, first : first + len(q)]
-        for j, (base, slabs) in enumerate(plan):
-            acc = part[j]
-            prior = -np.inf if base is None else part[base]
-            if not slabs:
-                acc[...] = prior
-            for slab in slabs:
-                np.maximum(prior, np.maximum.reduce(q[(slice(None),) + slab], axis=axes), out=acc)
-                prior = acc
+        for region, acc in zip(regions, out[:, first : first + len(q)]):
+            np.max(q[region], axis=axes, out=acc)
     return out
-
-
-def _box_slabs(boxes: Sequence[MultiIndex]) -> Iterator[tuple[int | None, list[tuple[slice, ...]]]]:
-    """Per box n, in order, (base, slabs): base indexes the largest box m
-    before n with m <= n (None if there is none, when m is taken as empty),
-    and slabs are the nonempty regions that cover the cells of [1, n] outside
-    [1, m], disjointly. Slab i takes [0, m_k) on the axes k before i,
-    [m_i, n_i) on axis i and [0, n_k) on the axes after it."""
-    by_size: list[tuple[int, int]] = []  # (size, index) of the boxes so far
-    for j, n in enumerate(boxes):
-        base = next((i for _, i in reversed(by_size) if leq(boxes[i], n)), None)
-        m = (0,) * n.d if base is None else boxes[base].coords
-        slabs = [
-            tuple(slice(0, c) for c in m[:i])
-            + (slice(m[i], n.coords[i]),)
-            + tuple(slice(0, c) for c in n.coords[i + 1:])
-            for i in range(n.d)
-            if m[i] < n.coords[i] and all(m[:i])
-        ]
-        yield base, slabs
-        bisect.insort(by_size, (n.size, j))
 
 
 def _dyadic_levels(horizon: MultiIndex) -> list[list[int]]:

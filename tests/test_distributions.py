@@ -513,31 +513,51 @@ def test_sample_batch_into_buffers_returns_them():
     assert np.array_equal(got, sample_batch(spec, n, 9, 5)[3:])
 
 
-HELD_RSS = """
+FAULT_SCRIPT = """
 import resource, sys
 from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.lattice import MultiIndex
 spec = DistributionSpec("pareto_radial", {"alpha": 3.0}, dim_D=1)
-sample = NormSample(spec, MultiIndex((256, 256)), 0, int(sys.argv[1]))
-sample.hold()
-for _ in sample.chunks():
-    pass
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+def held_draw(box, reps):
+    sample = NormSample(spec, MultiIndex(box), 0, reps)
+    sample.hold()
+    for _ in sample.chunks():
+        pass
+
+held_draw((16, 16), 2)  # imports and first-call set-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+held_draw((256, 256), int(sys.argv[1]))
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(usage.ru_minflt - before, usage.ru_maxrss)
 """
 
 
-def test_held_draw_memory_grows_only_with_the_output():
+def test_draw_faults_grow_only_with_the_output():
     # Each 256x256 rep is one chunk of the held draw, so the held norms are
-    # all that grows with reps: 120 reps x 65536 cells x 8 B from 40 to 160
-    # reps. A draw whose scratch took all reps at once grows by as much again.
+    # all that may grow with reps: 120 reps x 65536 cells x 8 B from 40 to
+    # 160 reps. Two ways to grow more, one check each:
+    # - a chunk-sized temporary freed at the end of a chunk lets the
+    #   allocator return its pages, and the next chunk faults them in again
+    #   (about 480 faults per rep before the draw owned its buffers); such
+    #   temporaries are too small for huge pages, so 4 KiB faults count them;
+    # - a scratch that takes all reps at once raises the peak by as much
+    #   again, but with transparent huge pages its faults are 2 MiB ones,
+    #   which only the peak resident size sees.
     src = str(Path(cesaro_lab.__file__).resolve().parents[1])
-    peaks_kb = []
+    faults, peaks_kb = [], []
     for reps in (40, 160):
         out = subprocess.run(
-            [sys.executable, "-c", HELD_RSS, str(reps)],
+            [sys.executable, "-c", FAULT_SCRIPT, str(reps)],
             capture_output=True, text=True, check=True, timeout=120,
             env={**os.environ, "PYTHONPATH": src},
         )
-        peaks_kb.append(int(out.stdout.strip()))
+        fault, peak = map(int, out.stdout.split())
+        faults.append(fault)
+        peaks_kb.append(peak)
     output_growth_kb = 120 * 256 * 256 * 8 / 1024
     assert peaks_kb[1] - peaks_kb[0] <= 1.25 * output_growth_kb, peaks_kb
+    if faults == [0, 0]:
+        pytest.skip("ru_minflt reads 0 on this platform")
+    added_pages = 120 * 256 * 256 * 8 // 4096
+    assert faults[1] - faults[0] <= 1.25 * added_pages, faults
