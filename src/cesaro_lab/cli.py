@@ -239,7 +239,7 @@ def _converge_files(config: dict) -> dict:
     dom = convergence.bound_domination_check(series) if bound is not None else None
     return {
         "series.csv": series.to_csv_text(),
-        "series.json": {"series": series.to_json(), "trend": trend, "bound_domination": dom},
+        "series.json": {"series": series, "trend": trend, "bound_domination": dom},
     }
 
 
@@ -408,7 +408,7 @@ def _phi_case(trial: int, seed: int) -> Optional[dict]:
     phi = poussin.PhiFunction(u)
     for k in range(n_max + 1):
         direct = float(u[:k].sum())
-        got = poussin.phi_eval(phi, float(k))
+        got = poussin.phi_eval_many(phi, float(k))
         if got != direct:
             return {
                 "kind": "phi_integer_points",
@@ -422,7 +422,7 @@ def _phi_case(trial: int, seed: int) -> Optional[dict]:
     ts = np.sort(rng.uniform01(rng.mix64(bits + np.arange(3, dtype=np.uint64))) * n_max)
     t1, t2, t3 = (float(v) for v in ts)
     if t1 < t2 < t3:
-        f1, f2, f3 = (poussin.phi_eval(phi, t) for t in (t1, t2, t3))
+        f1, f2, f3 = (poussin.phi_eval_many(phi, t) for t in (t1, t2, t3))
         chord = f1 + (f3 - f1) * (t2 - t1) / (t3 - t1)
         if f2 > chord + 1e-12:
             return {
@@ -495,18 +495,47 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 # replay
 
 
+def _check_config(manifest: str, config: dict) -> None:
+    """Raise ValueError, naming the manifest and the key, when a config value
+    is not of the JSON type that the commands write there (a number may be an
+    integer, a boolean is neither). Keys that no command writes, such as an
+    old manifest's "threads", are left alone."""
+    num, null = (int, float), type(None)
+    kinds = dict.fromkeys(("reps", "seed", "j_max", "search_cap", "trials"), int)
+    kinds.update(spec=dict, horizon=str, mode=str, ge=bool, p=num, a_grid=[num], eps=[num],
+                 schedule=[str], n_max=(int, null), bound=(dict, null))
+    kinds.update({"bound.eps": num, "bound.a": num, "bound.C": (*num, null)})
+
+    def fits(value, kind) -> bool:
+        if isinstance(kind, list):
+            return isinstance(value, list) and all(fits(v, kind[0]) for v in value)
+        return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+    bound = config.get("bound")
+    members = [(f"bound.{k}", v) for k, v in bound.items()] if isinstance(bound, dict) else []
+    for key, value in [*config.items(), *members]:
+        if key in kinds and not fits(value, kinds[key]):
+            raise ValueError(
+                f"manifest {manifest}: config key {key!r} has the wrong type: {value!r}"
+            )
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     raw = Path(args.manifest).read_text()
     try:
         manifest = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"manifest {args.manifest} is not valid JSON: {exc}")
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {args.manifest} is not a JSON object")
     command = manifest.get("command")
     config = manifest.get("config")
     if not isinstance(config, dict):
-        raise ValueError("manifest has no config object")
-    if command != "oracle-check" and command not in DATA_COMMANDS:
-        raise ValueError(f"manifest command {command!r} is not replayable")
+        raise ValueError(f"manifest {args.manifest} has no config object")
+    # a tuple compares with ==, so a command that is a list is no TypeError
+    if command not in ("oracle-check", *DATA_COMMANDS):
+        raise ValueError(f"manifest {args.manifest}: command {command!r} is not replayable")
+    _check_config(args.manifest, config)
     out_dir = _ensure_out(args.out)
     try:
         if command == "oracle-check":

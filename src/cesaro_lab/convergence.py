@@ -12,14 +12,14 @@ number here: only the observed ratio is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import distributions as dist
 from .distributions import DistributionSpec, Tail, draw_chunks
-from .lattice import MultiIndex, box_maxima, leq, prefix_table
+from .lattice import MultiIndex, box_maxima, leq, prefix_table, rep_sum
 
 MIN_TREND_POINTS = 4
 
@@ -75,8 +75,14 @@ class ConvergenceSeries:
     seed: int
     centering: Optional[str]  # None | "analytic" | "plugin"
     low_reps: bool
-    spec_json: dict
+    spec: DistributionSpec
     points: tuple[SeriesPoint, ...]
+    center: bool = field(init=False)  # derived from mode
+    # every family is pairwise independent; the key keeps the file's shape
+    pairwise_warning: bool = field(default=False, init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", self.mode == "l1")
 
     def to_csv_text(self) -> str:
         lines = ["d,n_coords,size,moment,stderr,bound,pass"]
@@ -87,31 +93,6 @@ class ConvergenceSeries:
                 f"{pt.n.d},{pt.n},{pt.size},{pt.moment!r},{pt.stderr!r},{bound},{ok}"
             )
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "p": self.p,
-            "reps": self.reps,
-            "seed": self.seed,
-            "center": self.mode == "l1",
-            "centering": self.centering,
-            # every family is pairwise independent; the key keeps the file's shape
-            "pairwise_warning": False,
-            "low_reps": self.low_reps,
-            "spec": self.spec_json,
-            "points": [
-                {
-                    "n": str(pt.n),
-                    "size": pt.size,
-                    "moment": pt.moment,
-                    "stderr": pt.stderr,
-                    "bound": pt.bound,
-                    "bound_pass": pt.bound_pass,
-                }
-                for pt in self.points
-            ],
-        }
 
 
 def bound_eq23(eps: float, a: float, p: float, n: MultiIndex) -> float:
@@ -164,7 +145,7 @@ def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
         boxes = [schedule[j] for j in rows]
         means = dist.mean(spec, top) if centering == "analytic" else None
         if centering == "plugin":
-            means = _rep_sum(spec, top, seed, reps) / reps
+            means = rep_sum(draw_chunks(spec, top, seed, reps)) / reps
         if means is not None and not np.any(means):
             means = None  # subtracting zeros leaves every M_n as it is
         squares = _square_norms(spec, top, seed, reps, means)
@@ -184,20 +165,6 @@ def _square_norms(spec, top, seed, reps, means):
             squares = np.empty(batch.shape[:-1])
         S = prefix_table(batch, range(1, 1 + top.d), out=batch)
         yield first, np.sum(np.square(S, out=S), axis=-1, out=squares[: len(batch)])
-
-
-def _rep_sum(spec, top, seed, reps) -> np.ndarray:
-    """The per-cell sum of the batches of every rep, added in rep order,
-    ((0 + r_0) + r_1) + ..., as one running sum along each chunk's rep axis
-    whose first row takes the sum so far."""
-    total = None
-    for _, batch in draw_chunks(spec, top, seed, reps):
-        if total is None:
-            total = np.zeros(batch.shape[1:])
-        batch[0] += total
-        np.add.accumulate(batch, axis=0, out=batch)
-        total[...] = batch[-1]
-    return total
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
@@ -226,7 +193,7 @@ def _series(cfg, mode, centering, values, bound) -> ConvergenceSeries:
         seed=cfg.seed,
         centering=centering,
         low_reps=cfg.reps < dist.LOW_REPS_FLOOR,
-        spec_json=cfg.spec.to_json(),
+        spec=cfg.spec,
         points=tuple(points),
     )
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import LOW_REPS_FLOOR, NormFunctional, NormSample, Tail
-from .lattice import MultiIndex, dyadic_boxes, schedule_averages, schedule_profiles
+from .lattice import MultiIndex, dyadic_boxes, rep_sum, schedule_averages, schedule_profiles
 
 DEFAULT_A_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -169,12 +169,6 @@ def cui_certificate(
     return _first_certified(grid, _tail_sups(sample, [(p, grid, False)])[0], eps)
 
 
-def check_criterion_i(sample: NormSample) -> TailEstimate:
-    """K = sup over the dyadic boxes of the sample's box of Cesaro-averaged
-    first moments E||X_i||."""
-    return cesaro_tail_sup(sample, 1.0, 0.0)
-
-
 def derive_delta(eps: float, a0: float) -> float:
     """delta = eps / (2 a0), where a0 certifies the tail sup below eps/2."""
     if not (eps > 0):
@@ -298,13 +292,8 @@ def adversarial_event_array(sample: NormSample, delta: float) -> EventArray:
     sched = dyadic_boxes(horizon)
     fld = sample.closed_form(Tail(1.0, 0.0))
     if fld is None:
-        # the mean over reps, summed rep by rep in order as np.mean does,
-        # chunk by chunk
-        total = np.zeros(horizon.coords)
-        for _, norms in sample.chunks():
-            for row in Tail(1.0, 0.0)(norms):
-                total += row
-        fld = total / sample.reps
+        # the mean over reps, summed rep by rep in order as np.mean does
+        fld = rep_sum((f, Tail(1.0, 0.0)(q)) for f, q in sample.chunks()) / sample.reps
     flat = fld.ravel(order="C")
     order = np.argsort(-flat, kind="stable")
     coords = np.unravel_index(np.arange(flat.size), horizon.coords)
@@ -368,7 +357,7 @@ def verify_criterion_equivalence(
     checks: list[CheckRecord] = []
 
     grid = _levels(a_grid)
-    # K (check_criterion_i's query) and the grid in one pass over a draw
+    # K, the first moment (criterion (i)), and the grid in one pass over a draw
     # that the event checks below read again
     sample.hold()
     (k_est,), grid_ests = _tail_sups(sample, [(1.0, [0.0], False), (1.0, grid, False)])
@@ -505,9 +494,9 @@ class CuiReport:
 def build_cui_report(
     sample: NormSample, p: float, a_grid: Sequence[float] = DEFAULT_A_GRID, ge: bool = False
 ) -> CuiReport:
-    """Tail sups at every grid level and the first-moment sup
-    (check_criterion_i's query), all over the dyadic boxes of the sample's
-    box, from one streamed pass over the sample."""
+    """Tail sups at every grid level and the sup of the first moment
+    (criterion (i)), all over the dyadic boxes of the sample's box, from one
+    streamed pass over the sample."""
     _check_p(p)
     grid = _levels(a_grid)
     ests, (mean_est,) = _tail_sups(sample, [(p, grid, ge), (1.0, [0.0], False)])

@@ -27,7 +27,8 @@ SLAB_RUN times the axis length (the first box axes of a d = 3 chunk with D
 columns).
 
 box_maxima takes its rows as (first row, chunk) pairs too, and reduces each
-box over its own cells.
+box over its own cells; rep_sum adds them up cell by cell in row order (a
+plug-in mean over replications).
 
 A chunk loop owns its buffers: prefix_table sweeps the array given as `out`
 (the chunk's own batch, in a convergence series), so a series allocates its
@@ -164,6 +165,21 @@ def box_maxima(
         for region, acc in zip(regions, out[:, first : first + len(q)]):
             np.max(q[region], axis=axes, out=acc)
     return out
+
+
+def rep_sum(chunks: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The per-cell sum of every row, from rows that arrive in order as (first
+    row, chunk) pairs, added in row order ((0 + r_0) + r_1) + ..., as one
+    running sum along each chunk's row axis whose first row takes the sum so
+    far. Overwrites its chunks."""
+    total = None
+    for _, chunk in chunks:
+        if total is None:
+            total = np.zeros(chunk.shape[1:])
+        chunk[0] += total
+        np.add.accumulate(chunk, axis=0, out=chunk)
+        total[...] = chunk[-1]
+    return total
 
 
 def _dyadic_levels(horizon: MultiIndex) -> list[list[int]]:

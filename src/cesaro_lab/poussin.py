@@ -76,18 +76,6 @@ def u_from_thresholds(thresholds: Sequence[int], n_max: int) -> np.ndarray:
     return np.searchsorted(N, n, side="left").astype(np.int64)
 
 
-def phi_eval(phi: PhiFunction, t: float) -> float:
-    """phi(t) for t in [0, n_max]: on [n-1, n) this is
-    sum_{i<n} u_i + (t - n + 1) u_n, continuous across pieces."""
-    t = float(t)
-    if not (0.0 <= t <= phi.n_max):
-        raise PhiDomainError(f"t={t} outside domain [0, {phi.n_max}]")
-    if t == phi.n_max:
-        return float(phi.prefix[-1])
-    k = int(math.floor(t))
-    return float(phi.prefix[k] + (t - k) * phi.u[k])
-
-
 def _check_domain(phi: PhiFunction, lo, hi) -> None:
     if not (lo >= 0.0 and hi <= phi.n_max):
         raise PhiDomainError(
@@ -105,6 +93,10 @@ def _norm_range(sample: NormSample):
 
 
 def phi_eval_many(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
+    """phi(t) at every t of ts, an array or a scalar: on [k, k+1) this is
+    phi(k) + (t - k) u[k], continuous across pieces, and at t = n_max the
+    last piece gives phi(n_max) exactly (every term is an integer below
+    2^53). A t outside [0, n_max], or NaN, raises PhiDomainError."""
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size:
         _check_domain(phi, ts.min(), ts.max())
@@ -146,7 +138,7 @@ def verify_phi_properties(phi: PhiFunction) -> PhiPropertyReport:
     ratios = phi_eval_many(phi, grid) / grid
     slack = 1e-12 * np.maximum(1.0, np.abs(ratios[:-1]))
     return PhiPropertyReport(
-        zero_at_zero=phi_eval(phi, 0.0) == 0.0,
+        zero_at_zero=bool(phi_eval_many(phi, 0.0) == 0.0),
         slopes_nondecreasing=bool(np.all(np.diff(phi.u) >= 0)),
         ratio_nondecreasing=bool(np.all(np.diff(ratios) >= -slack)),
         growth_attained=bool(ratios[-1] >= GROWTH_FLOOR),

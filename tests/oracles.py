@@ -1,6 +1,10 @@
 """Reference implementations that the fast paths of src/ are compared to."""
 
+import math
+
 import numpy as np
+
+from cesaro_lab.errors import PhiDomainError
 
 
 def running_max_norms(S: np.ndarray, d: int) -> np.ndarray:
@@ -16,3 +20,31 @@ def running_max_norms(S: np.ndarray, d: int) -> np.ndarray:
     for ax in range(norms.ndim - d, norms.ndim):
         np.maximum.accumulate(norms, axis=ax, out=norms)
     return norms
+
+
+def phi_eval(phi, t: float) -> float:
+    """phi(t) for t in [0, n_max], one scalar at a time: on [n-1, n) this is
+    sum_{i<n} u_i + (t - n + 1) u_n, continuous across pieces, and phi(n_max)
+    is read off the prefix sums. This is how gauges were evaluated one value
+    at a time before phi_eval_many served scalars too."""
+    t = float(t)
+    if not (0.0 <= t <= phi.n_max):
+        raise PhiDomainError(f"t={t} outside domain [0, {phi.n_max}]")
+    if t == phi.n_max:
+        return float(phi.prefix[-1])
+    k = int(math.floor(t))
+    return float(phi.prefix[k] + (t - k) * phi.u[k])
+
+
+def rep_sum_by_rows(chunks) -> np.ndarray:
+    """The per-cell sum of the rows of (first row, chunk) pairs, one Python
+    add per row into a zero array, ((0 + r_0) + r_1) + ...: how the
+    adversarial event array summed its per-cell mean before lattice.rep_sum,
+    which must equal it bit for bit. Leaves its chunks alone."""
+    total = None
+    for _, chunk in chunks:
+        if total is None:
+            total = np.zeros(chunk.shape[1:])
+        for row in chunk:
+            total += row
+    return total

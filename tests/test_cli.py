@@ -511,6 +511,60 @@ class TestReplay:
         bad.write_text(json.dumps({"command": "replay", "config": {}}))
         assert self.replay(bad, tmp_path / "o") == 2
 
+    def test_command_that_is_not_a_string(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({"command": ["check-cui"], "config": {}}))
+        assert self.replay(bad, tmp_path / "o") == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_manifest_that_is_not_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps([{"command": "check-cui", "config": {}}]))
+        assert self.replay(bad, tmp_path / "o") == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def check_cui_manifest(self, tmp_path, **changes):
+        """A check-cui manifest of an empirical spec with config keys changed."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": "pareto_radial", "params": {"alpha": 3.0},
+                                    "dim_D": 1, "moment_mode": "empirical"}))
+        first = tmp_path / "first"
+        code = cli.main(["check-cui", "--spec", str(spec), "--horizon", "16", "--reps", "5",
+                         "--out", str(first)])
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"].update(changes)
+        path = tmp_path / "changed_manifest.json"
+        path.write_text(json.dumps(manifest))
+        return path
+
+    @pytest.mark.parametrize(
+        "key, value", [("horizon", 256), ("reps", "5"), ("seed", "0"), ("ge", 1), ("a_grid", "1,2")]
+    )
+    def test_config_value_of_the_wrong_type_names_key_and_manifest(self, tmp_path, capsys, key,
+                                                                   value):
+        path = self.check_cui_manifest(tmp_path, **{key: value})
+        capsys.readouterr()
+        assert self.replay(path, tmp_path / "second") == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and str(path) in err
+
+    def test_bound_member_of_the_wrong_type(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "pareto_radial", alpha=3.0)
+        first = tmp_path / "first"
+        code = cli.main(["converge", "--mode", "lp", "--spec", spec, "--p", "0.5",
+                         "--schedule", "2;4", "--reps", "5", "--bound", "0.1,4",
+                         "--out", str(first)])
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"]["bound"]["a"] = "4"
+        path = tmp_path / "changed_manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert self.replay(path, tmp_path / "second") == 2
+        err = capsys.readouterr().err
+        assert "'bound.a'" in err and str(path) in err
+
 
 # --- every replayable command: named files, byte-identical replay, file shape
 

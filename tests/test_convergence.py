@@ -10,6 +10,7 @@ import pytest
 import cesaro_lab
 from cesaro_lab import convergence
 from cesaro_lab import distributions as dist
+from cesaro_lab.cli import _py
 from cesaro_lab.convergence import (
     BoundParams,
     ConvergenceSeries,
@@ -55,7 +56,7 @@ def series_from_moments(moments, stderr=0.0, bounds=None):
         pts.append(SeriesPoint(MultiIndex((size,)), size, m, stderr, b, ok))
     return ConvergenceSeries(
         mode="lp", p=0.5, reps=10, seed=0, centering=None,
-        low_reps=True, spec_json=CONSTANT.to_json(),
+        low_reps=True, spec=CONSTANT,
         points=tuple(pts),
     )
 
@@ -409,7 +410,7 @@ class TestL1Experiment:
         heavy = spec_of("pareto_radial", alpha=0.9)
         series = run_l1_experiment(self.l1_config(heavy, (2, 4), reps=20))
         assert series.centering == "plugin"
-        assert series.to_json()["pairwise_warning"] is False
+        assert series.pairwise_warning is False
 
     def test_l1_bound_requires_constant(self, monkeypatch):
         cfg = self.l1_config(SIGNS, (2, 4), bound=BoundParams(eps=0.0, a=1.0))
@@ -556,7 +557,27 @@ class TestSeriesSerialization:
 
     def test_json_payload(self):
         series = run_lp_experiment(lp_config(CONSTANT, reps=2))
-        payload = series.to_json()
+        payload = _py(series)
         assert payload["mode"] == "lp"
         assert payload["points"][0]["n"] == "2"
         assert payload["spec"]["family"] == "constant"
+
+    @pytest.mark.parametrize("mode", ["lp", "l1"])
+    def test_json_keys_are_the_file_shape(self, mode):
+        # series.json is the series' own fields, so a new field would add a
+        # key to every file: pin the keys and the derived values
+        if mode == "lp":
+            series = run_lp_experiment(lp_config(PARETO, reps=5, bound=BoundParams(0.1, 4.0)))
+        else:
+            heavy = spec_of("pareto_radial", alpha=0.8)  # no mean: plug-in centering
+            series = run_l1_experiment(ExperimentConfig(heavy, 1.0, boxes("2;4"), reps=5, seed=0))
+            assert series.centering == "plugin"
+        payload = _py(series)
+        assert set(payload) == {"mode", "p", "reps", "seed", "center", "centering",
+                                "pairwise_warning", "low_reps", "spec", "points"}
+        for point in payload["points"]:
+            assert set(point) == {"n", "size", "moment", "stderr", "bound", "bound_pass"}
+        assert payload["center"] is (mode == "l1")
+        assert payload["pairwise_warning"] is False
+        assert payload["spec"] == series.spec.to_json()
+        assert (payload["points"][0]["bound"] is None) is (mode == "l1")

@@ -18,7 +18,6 @@ from cesaro_lab.cui import (
     adversarial_event_array,
     build_cui_report,
     cesaro_tail_sup,
-    check_criterion_i,
     check_event_criterion,
     cui_certificate,
     derive_delta,
@@ -65,7 +64,7 @@ class TestTailSup:
         assert est.value == 1.5365660924854931
 
     def test_growing_criterion_i_attained_at_largest_box(self):
-        est = check_criterion_i(NormSample(GROWING, MultiIndex((4,))))
+        est = cesaro_tail_sup(NormSample(GROWING, MultiIndex((4,))), 1.0, 0.0)
         assert est.value == 1.5365660924854931
         assert est.argmax_box == MultiIndex((4,))
 

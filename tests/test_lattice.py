@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cesaro_lab import distributions as dist
 from cesaro_lab import lattice, rng
-from cesaro_lab.distributions import Tail
+from cesaro_lab.distributions import DistributionSpec, NormSample, Tail
 from cesaro_lab.lattice import (
     BRUTE_FORCE_CELL_CAP,
     MultiIndex,
@@ -16,11 +17,12 @@ from cesaro_lab.lattice import (
     leq,
     prefix_sums_bruteforce,
     prefix_table,
+    rep_sum,
     row_chunks,
     schedule_averages,
     schedule_profiles,
 )
-from oracles import running_max_norms
+from oracles import rep_sum_by_rows, running_max_norms
 
 
 def random_sample(trial: int, seed: int = 0) -> np.ndarray:
@@ -331,6 +333,47 @@ def test_box_maxima_equal_per_box_max():
             assert np.array_equal(got, want, equal_nan=True)
         incomparable += any(not leq(m, n) and not leq(n, m) for m in boxes for n in boxes)
     assert incomparable > 0
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 3, 17])
+def test_rep_sum_adds_rows_in_order(monkeypatch, chunk_cells):
+    # the running sum along each chunk's rows equals one add per row, bit for
+    # bit: over row_chunks (ragged when the cap does not divide the rows), over
+    # random runs copied into one reused buffer, and over the chunks of drawn
+    # samples, with NaN and inf cells
+    monkeypatch.setattr(lattice, "CHUNK_CELLS", chunk_cells)
+    monkeypatch.setattr(dist, "CHUNK_CELLS", chunk_cells)
+    for trial in range(40):
+        gen = np.random.default_rng(trial)
+        d = 1 + trial % 3
+        top = MultiIndex(tuple(int(s) for s in gen.integers(1, 5, size=d)))
+        reps = int(gen.integers(1, 14))
+        q = gen.standard_normal((reps,) + top.coords) * 10.0 ** gen.integers(-3, 4, size=top.coords)
+        flat = q.reshape(-1)
+        marks = gen.choice(flat.size, size=min(flat.size, 3), replace=False)
+        flat[marks] = [np.nan, np.inf, -np.inf][: len(marks)]
+        q.flags.writeable = False
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            want = rep_sum_by_rows(row_chunks(q, top))
+            assert np.array_equal(rep_sum(row_chunks(q.copy(), top)), want, equal_nan=True)
+            cuts = np.flatnonzero(gen.random(reps - 1) < 0.5) + 1
+            buffer = np.empty_like(q)
+
+            def reused(cuts=cuts, buffer=buffer, q=q):
+                for first, rows in zip([0, *cuts], np.split(np.arange(reps), cuts)):
+                    chunk = buffer[: len(rows)]
+                    chunk[...] = q[rows]
+                    yield first, chunk
+                    buffer.fill(np.nan)
+
+            assert np.array_equal(rep_sum(reused()), want, equal_nan=True)
+    for family, params in [("pareto_radial", {"alpha": 0.8}), ("pareto_radial", {"alpha": 0.05}),
+                           ("iid_gaussian", {"sigma": 1.0})]:
+        spec = DistributionSpec(family, params, dim_D=2, moment_mode="empirical")
+        sample = NormSample(spec, MultiIndex((5, 3)), 4, 13)
+        want = rep_sum_by_rows((f, Tail(1.0, 0.0)(x)) for f, x in sample.chunks())
+        got = rep_sum((f, Tail(1.0, 0.0)(x)) for f, x in sample.chunks())
+        assert np.array_equal(got, want)
 
 
 def test_box_maxima_rejects_boxes_that_do_not_fit():

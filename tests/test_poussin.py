@@ -13,7 +13,6 @@ from cesaro_lab.lattice import MultiIndex
 from cesaro_lab.poussin import (
     PhiFunction,
     build_phi_from_cui,
-    phi_eval,
     phi_eval_many,
     poussin_forward_check,
     poussin_moment_check,
@@ -21,6 +20,7 @@ from cesaro_lab.poussin import (
     u_from_thresholds,
     verify_phi_properties,
 )
+from oracles import phi_eval
 
 
 def spec_of(family, **params):
@@ -79,32 +79,37 @@ class TestPhiEvaluation:
 
     def test_hand_anchors(self):
         phi = self.phi_2j()
-        assert phi_eval(phi, 0.0) == 0.0
-        assert phi_eval(phi, 3.0) == 1.0
-        assert phi_eval(phi, 4.5) == 3.0
-        assert phi_eval(phi, 9.0) == 13.0
+        assert phi_eval_many(phi, 0.0) == 0.0
+        assert phi_eval_many(phi, 3.0) == 1.0
+        assert phi_eval_many(phi, 4.5) == 3.0
+        assert phi_eval_many(phi, 9.0) == 13.0
 
     def test_integer_points_equal_slope_sums(self):
         phi = self.phi_2j()
         u = phi.u
         for k in range(phi.n_max + 1):
-            assert phi_eval(phi, float(k)) == float(u[:k].sum())
+            assert phi_eval_many(phi, float(k)) == float(u[:k].sum())
 
     def test_domain_errors(self):
         phi = self.phi_2j()
         with pytest.raises(PhiDomainError):
-            phi_eval(phi, -0.1)
+            phi_eval_many(phi, -0.1)
         with pytest.raises(PhiDomainError):
-            phi_eval(phi, 9.0 + 1e-9)
+            phi_eval_many(phi, 9.0 + 1e-9)
+        with pytest.raises(PhiDomainError):
+            phi_eval_many(phi, math.nan)
         with pytest.raises(PhiDomainError):
             phi_eval_many(phi, np.array([1.0, 10.0]))
 
     def test_vectorized_matches_scalar(self):
+        # on an array, on each scalar alone, and by the old one-scalar oracle
         phi = self.phi_2j()
         ts = np.linspace(0.0, 9.0, 97)
         many = phi_eval_many(phi, ts)
-        each = np.array([phi_eval(phi, float(t)) for t in ts])
+        each = np.array([phi_eval_many(phi, float(t)) for t in ts])
+        oracle = np.array([phi_eval(phi, float(t)) for t in ts])
         assert np.array_equal(many, each)
+        assert np.array_equal(many, oracle)
 
     @settings(max_examples=60, deadline=None)
     @given(slope_lists, st.data())
@@ -117,7 +122,7 @@ class TestPhiEvaluation:
         if t3 <= t1:
             return
         t2 = data.draw(st.floats(t1, t3))
-        f1, f2, f3 = (phi_eval(phi, t) for t in (t1, t2, t3))
+        f1, f2, f3 = (phi_eval_many(phi, t) for t in (t1, t2, t3))
         chord = f1 + (f3 - f1) * (t2 - t1) / (t3 - t1)
         assert f2 <= chord + 1e-12 * max(1.0, abs(chord))
 
