@@ -9,6 +9,11 @@ moments over the boxes n below a horizon,
 The supremum over all boxes is not computable; every query is asked of one
 NormSample and evaluated over the dyadic boxes of the sample's box (its
 schedule), and a report carries the horizon and schedule it was computed on.
+
+Every Cesaro sup here and in poussin (tails, event probabilities and moments
+on events, the phi-moment) is one _sups call over a flat list of norm
+functionals: a closed form where the sample has one, and one
+schedule_profiles pass for the rest.
 """
 
 from __future__ import annotations
@@ -77,50 +82,57 @@ def _check_p(p: float) -> None:
         raise ValueError("p must lie in (0, 1]")
 
 
-def _tail_sups(
-    sample: NormSample, requests: Sequence[tuple[float, Sequence[float], bool]]
-) -> list[list[TailEstimate]]:
-    """Tail sups at each of the increasing levels of every (p, levels, ge)
-    request, p in [0, 1] (p = 0 asks the probability of the event): a closed
-    form per level where the family and moment mode admit one, and for all
-    the other levels of all the requests one pass of schedule_profiles over
-    the sample's chunks, so the pass draws each rep at most once and holds no
-    more than a chunk unless the sample holds its draw."""
-    box = sample.box
-    schedule = dyadic_boxes(box)
-    answers: list[dict] = []
-    queries, realized = [], []
-    for p, levels, ge in requests:
-        ests = {}
-        for a in levels:
-            fld = sample.closed_form(Tail(p, a, ge))
-            if fld is not None:
-                ests[a] = _estimate(schedule_averages(fld, box), True, schedule)
-        rest = [a for a in levels if a not in ests]
-        if rest:
-            queries.append((Tail(p, 0.0).power, rest, ge))
-            realized.append((ests, rest))
-        answers.append(ests)
-    if queries:
-        profiles = schedule_profiles(sample.chunks(), sample.reps, box, queries)
-        for (ests, rest), profile in zip(realized, profiles):
-            ests.update((a, _estimate(avgs, False, schedule)) for a, avgs in zip(rest, profile))
-    return [[ests[a] for a in levels] for (_, levels, _), ests in zip(requests, answers)]
-
-
-def _functional_sup(sample: NormSample, g: NormFunctional, then=None) -> TailEstimate:
+def _sups(
+    sample: NormSample, asks: Sequence[NormFunctional], cells: Optional[np.ndarray] = None
+) -> list[TailEstimate]:
     """sup over the dyadic boxes of the sample's box of Cesaro averages of
-    E g(||X_i||), or of then(E g(||X_i||)) for a cellwise map `then`: the
-    closed form when there is one, else one pass over the sample's chunks
-    that applies g, then `then`, chunk by chunk."""
+    E g(||X_i||), for every norm functional g of `asks`, in order, or of
+    cells_i E g(||X_i||) for a box-shaped factor field `cells` (the
+    probabilities of an event; a cell where it is 0 contributes 0 even where
+    E g(||X_i||) is infinite).
+
+    An ask takes the sample's closed form when there is one. The others share
+    one pass of schedule_profiles over the sample's chunks, so the pass draws
+    each rep at most once and holds no more than a chunk unless the sample
+    holds its draw: the Tails of one (p, ge) are one query over their
+    distinct levels, and any other functional is a query of its own. A
+    repeated ask gets the same estimate."""
     box = sample.box
     schedule = dyadic_boxes(box)
-    fld = sample.closed_form(g)
-    if fld is not None:
-        return _estimate(schedule_averages(fld if then is None else then(fld), box), True, schedule)
-    weight = g if then is None else (lambda t: then(g(t)))
-    ((avgs,),) = schedule_profiles(sample.chunks(), sample.reps, box, [(weight, None, False)])
-    return _estimate(avgs, False, schedule)
+
+    def scale(v: np.ndarray) -> np.ndarray:
+        if cells is None:
+            return v
+        out = np.zeros(np.broadcast(cells, v).shape)
+        return np.multiply(cells, v, out=out, where=cells > 0)
+
+    def weight(g: NormFunctional) -> NormFunctional:
+        return g if cells is None else (lambda t: scale(g(t)))
+
+    found: dict = {}
+    levels: dict[tuple[float, bool], set] = {}  # (p, ge) -> the levels of its Tails
+    others = []
+    for g in asks:
+        if g in found:
+            continue
+        fld = sample.closed_form(g)
+        if fld is not None:
+            found[g] = _estimate(schedule_averages(scale(fld), box), True, schedule)
+        elif isinstance(g, Tail):
+            levels.setdefault((g.p, g.ge), set()).add(g.a)
+        elif g not in others:
+            others.append(g)
+    if levels or others:
+        grids = {key: sorted(grid) for key, grid in levels.items()}
+        queries = [(weight(Tail(p, 0.0).power), grid, ge) for (p, ge), grid in grids.items()]
+        queries += [(weight(g), None, False) for g in others]
+        profiles = schedule_profiles(sample.chunks(), sample.reps, box, queries)
+        for ((p, ge), grid), profile in zip(grids.items(), profiles):
+            for a, avgs in zip(grid, profile):
+                found[Tail(p, a, ge)] = _estimate(avgs, False, schedule)
+        for g, (avgs,) in zip(others, profiles[len(grids):]):
+            found[g] = _estimate(avgs, False, schedule)
+    return [found[g] for g in asks]
 
 
 def cesaro_tail_sup(
@@ -142,7 +154,7 @@ def cesaro_tail_sup(
     _check_p(p)
     if not (a >= 0):
         raise ValueError("a must be >= 0")
-    return _tail_sups(sample, [(p, [a], ge)])[0][0]
+    return _sups(sample, [Tail(p, a, ge)])[0]
 
 
 def _first_certified(
@@ -166,7 +178,7 @@ def cui_certificate(
     if not (eps > 0):
         raise ValueError("eps must be > 0")
     grid = _levels(a_grid)
-    return _first_certified(grid, _tail_sups(sample, [(p, grid, False)])[0], eps)
+    return _first_certified(grid, _sups(sample, [Tail(p, a) for a in grid]), eps)
 
 
 def derive_delta(eps: float, a0: float) -> float:
@@ -216,27 +228,6 @@ def markov_event_array(sample: NormSample, K: float, delta: float) -> EventArray
     return EventArray(sample.box, threshold=K / delta)
 
 
-def _event_sups(sample: NormSample, events: EventArray) -> tuple[TailEstimate, TailEstimate]:
-    """Sups of Cesaro-averaged P(A_i) and E(||X_i|| 1(A_i)), both from the
-    caller's sample over its box."""
-    box = sample.box
-    if events.threshold is not None:
-        t, ge = events.threshold, events.ge
-        (prob,), (mom,) = _tail_sups(sample, [(0.0, [t], ge), (1.0, [t], ge)])
-        return prob, mom
-    # events independent of the array (the adversarial construction uses 0/1
-    # probabilities, where independence is vacuous); a cell of probability 0
-    # contributes 0 even where E||X_i|| is infinite
-    probs = events.probs
-
-    def weighted(t: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.broadcast(probs, t).shape)
-        return np.multiply(probs, t, out=out, where=probs > 0)
-
-    prob = _estimate(schedule_averages(probs, box), True, dyadic_boxes(box))
-    return prob, _functional_sup(sample, Tail(1.0, 0.0), weighted)
-
-
 @dataclass(frozen=True)
 class EventCriterionReport:
     delta: float
@@ -266,7 +257,15 @@ def check_event_criterion(
         raise ValueError("delta and eps must be > 0")
     if sample.box != events.box:
         raise ValueError(f"sample box {sample.box} != event box {events.box}")
-    prob, mom = _event_sups(sample, events)
+    if events.threshold is not None:
+        t, ge = events.threshold, events.ge
+        prob, mom = _sups(sample, [Tail(0.0, t, ge), Tail(1.0, t, ge)])
+    else:
+        # events independent of the array (the adversarial construction uses
+        # 0/1 probabilities, where independence is vacuous)
+        box = sample.box
+        prob = _estimate(schedule_averages(events.probs, box), True, dyadic_boxes(box))
+        (mom,) = _sups(sample, [Tail(1.0, 0.0)], cells=events.probs)
     premise = prob.upper() < delta
     conclusion = mom.upper() < eps
     return EventCriterionReport(
@@ -353,6 +352,8 @@ def verify_criterion_equivalence(
     """
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
+    if not all(eps > 0 for eps in eps_list):
+        raise ValueError("eps must be > 0")
     horizon = sample.box
     checks: list[CheckRecord] = []
 
@@ -360,7 +361,7 @@ def verify_criterion_equivalence(
     # K, the first moment (criterion (i)), and the grid in one pass over a draw
     # that the event checks below read again
     sample.hold()
-    (k_est,), grid_ests = _tail_sups(sample, [(1.0, [0.0], False), (1.0, grid, False)])
+    k_est, *grid_ests = _sups(sample, [Tail(1.0, a) for a in [0.0] + grid])
     K = k_est.value
 
     a0_bound = _first_certified(grid, grid_ests, 1.0)
@@ -387,8 +388,6 @@ def verify_criterion_equivalence(
         )
 
     for eps in eps_list:
-        if not (eps > 0):
-            raise ValueError("eps must be > 0")
         a0 = _first_certified(grid, grid_ests, eps / 2.0)
         if a0 is None:
             checks.append(
@@ -499,7 +498,7 @@ def build_cui_report(
     streamed pass over the sample."""
     _check_p(p)
     grid = _levels(a_grid)
-    ests, (mean_est,) = _tail_sups(sample, [(p, grid, ge), (1.0, [0.0], False)])
+    *ests, mean_est = _sups(sample, [Tail(p, a, ge) for a in grid] + [Tail(1.0, 0.0)])
     return CuiReport(
         p=p,
         a_grid=tuple(grid),

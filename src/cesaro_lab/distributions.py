@@ -597,6 +597,8 @@ class NormSample:
     """
 
     def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int = 0, reps: int = 200):
+        if not (_is_number(reps, numbers.Integral) and reps >= 1):
+            raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
         self.spec = spec
         self.box = box
         self.seed = seed

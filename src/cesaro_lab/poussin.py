@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .cui import TailEstimate, _functional_sup, _tail_sups, cesaro_tail_sup
+from .cui import TailEstimate, _sups, cesaro_tail_sup
 from .distributions import NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 
@@ -206,8 +206,7 @@ def _probes(sample: NormSample, search_cap: int) -> Callable[[int], float]:
         # profile drops NaN cells); no probe reads a level below 1
         present[np.fmin(np.floor(norms), search_cap).astype(np.int64)] = True
     levels = np.flatnonzero(present[1:]) + 1
-    (ests,) = _tail_sups(sample, [(1.0, levels.astype(np.float64), True)])
-    uppers = [e.upper() for e in ests]
+    uppers = [e.upper() for e in _sups(sample, [dist.Tail(1.0, float(a), True) for a in levels])]
 
     def sup_at(level: int) -> float:
         # no cell reaches a level above every value: the sup is 0 +- 0
@@ -239,8 +238,6 @@ def build_phi_from_cui(
     """
     thresholds = thresholds_from_cui(sample, j_max, search_cap)
     norms = dist.fixed_norms(sample.spec, sample.box)
-    if norms is None and sample.reps < 1:
-        sample = NormSample(sample.spec, sample.box, sample.seed, 1)
     calib = float(_norm_range(sample)[1] if norms is None else norms.max())
     if n_max is None:
         n_max = max(math.ceil(4 * calib), 2 * max(thresholds), 64)
@@ -269,7 +266,7 @@ def poussin_moment_check(sample: NormSample, phi: PhiFunction) -> TailEstimate:
         # whole sample first, so an error names its max and not one chunk's
         sample.hold()
         _check_domain(phi, *_norm_range(sample))
-    return _functional_sup(sample, g)
+    return _sups(sample, [g])[0]
 
 
 @dataclass(frozen=True)
@@ -288,8 +285,8 @@ def poussin_forward_check(
 ) -> list[ForwardCheck]:
     """Forward direction: with K = moment.upper(), moment being the
     poussin_moment_check of the same sample and phi, the first integer level
-    a where phi(a)/a >= (K+1)/eps must push the tail sup at a below eps. One
-    tail request answers the levels of every eps."""
+    a where phi(a)/a >= (K+1)/eps must push the tail sup at a below eps. The
+    levels of every eps are one list of asks, so one pass answers them."""
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
     K = moment.upper()
@@ -316,18 +313,16 @@ def poussin_forward_check(
                 "enlarge n_max or deepen the threshold list"
             )
         chosen.append(int(hits[0] + 1))
-    distinct = sorted(set(chosen))
-    (ests,) = _tail_sups(sample, [(1.0, [float(a) for a in distinct], False)])
-    tails = dict(zip(distinct, ests))
+    tails = _sups(sample, [dist.Tail(1.0, float(a)) for a in chosen])
     return [
         ForwardCheck(
             eps=float(eps),
             K=K,
             level=a,
             ratio=float(ratios[a - 1]),
-            tail_sup=tails[a].value,
-            tail_stderr=tails[a].stderr,
-            passed=tails[a].upper() < eps,
+            tail_sup=tail.value,
+            tail_stderr=tail.stderr,
+            passed=tail.upper() < eps,
         )
-        for eps, a in zip(eps_list, chosen)
+        for eps, a, tail in zip(eps_list, chosen, tails)
     ]

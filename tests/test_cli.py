@@ -144,6 +144,19 @@ class TestCheckCui:
         code, _ = self.run(tmp_path, spec, a_grid=grid, horizon="8", reps="2")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["check-cui", "poussin"])
+    @pytest.mark.parametrize("reps", ["0", "-5"])
+    def test_closed_form_run_rejects_reps_below_one(self, tmp_path, capsys, command, reps):
+        # pareto_radial in analytic mode answers every tail query in closed
+        # form, so nothing is drawn that would catch the count
+        spec = write_spec(tmp_path, "pareto_radial", alpha=3.0)
+        out = tmp_path / "o"
+        code = cli.main([command, "--spec", spec, "--horizon", "64", "--reps", reps,
+                         "--out", str(out)])
+        assert code == 2
+        assert "reps" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_growing_tail_rises_with_horizon(self, tmp_path):
         spec = write_spec(tmp_path, "growing_non_cui", exponent=0.5)
         sups = []

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from cesaro_lab.cui import (
     verify_criterion_equivalence,
 )
 import cesaro_lab.distributions as dist
-from cesaro_lab.distributions import DistributionSpec, NormSample
+from cesaro_lab.distributions import DistributionSpec, NormSample, Tail
 from cesaro_lab.lattice import MultiIndex, dyadic_boxes
 from cesaro_lab.poussin import (
     PhiFunction,
@@ -383,6 +384,22 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             verify_criterion_equivalence(sample, [-0.5])
 
+    @pytest.mark.parametrize("eps_list", [[0.5, -1.0], [0.5, math.nan], [0.0, 0.5]])
+    def test_every_eps_is_checked_before_the_first_draw(self, monkeypatch, eps_list):
+        calls = []
+        real = dist.norm_batch
+
+        def counting_norm_batch(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "norm_batch", counting_norm_batch)
+        sample = NormSample(spec_of("pareto_radial", alpha=3.0, mode="empirical"),
+                            MultiIndex((64,)), seed=3, reps=40)
+        with pytest.raises(ValueError, match="eps"):
+            verify_criterion_equivalence(sample, eps_list)
+        assert calls == []
+
 
 class TestCuiReport:
     def test_csv_and_json_shape(self):
@@ -538,3 +555,75 @@ class TestOneEstimator:
         rep = check_event_criterion(sample, ev, delta=0.75, eps=1.0)
         assert len(calls) == draws
         assert (rep.prob_stderr > 0.0) == (draws == 1)
+
+
+ENGINE_BOX = MultiIndex((16, 8))
+ENGINE_REPS = 20
+# phi's domain covers every norm the engine's samples draw
+ENGINE_PHI = functools.partial(phi_eval_many, PhiFunction(np.repeat(np.arange(1, 9), 128)))
+# several (p, ge) groups, repeated and unsorted levels, level 0 beside a grid,
+# and a functional that is not a Tail
+ENGINE_ASKS = [
+    Tail(0.5, 2.0),
+    Tail(1.0, 4.0),
+    Tail(0.5, 1.0),
+    Tail(1.0, 0.0),
+    ENGINE_PHI,
+    Tail(1.0, 1.0),
+    Tail(0.0, 1.5, ge=True),
+    Tail(0.5, 2.0),
+    Tail(1.0, 1.0, ge=True),
+    ENGINE_PHI,
+    Tail(1.0, 0.0),
+]
+# the queries of one pass over a sample with no closed form, as (levels, ge)
+ENGINE_QUERIES = [
+    ([1.0, 2.0], False),
+    ([0.0, 1.0, 4.0], False),
+    ([1.5], True),
+    ([1.0], True),
+    (None, False),
+]
+# a box-shaped factor field: probabilities of an event, 0 on the first row
+ENGINE_CELLS = np.linspace(0.0, 1.0, ENGINE_BOX.size).reshape(ENGINE_BOX.coords)
+ENGINE_CELLS[0] = 0.0
+
+
+class TestSups:
+    """cui._sups answers a mixed list of norm functionals from one pass, each
+    answer equal to the answer of its one-ask call."""
+
+    @pytest.mark.parametrize("cells", [None, ENGINE_CELLS], ids=["plain", "cells"])
+    @pytest.mark.parametrize(
+        "spec, queries",
+        [
+            (spec_of("pareto_radial", alpha=3.0, mode="empirical"), ENGINE_QUERIES),
+            # every Tail is closed form: only phi is asked of the draw
+            (spec_of("pareto_radial", alpha=3.0), ENGINE_QUERIES[-1:]),
+            (spec_of("iid_gaussian", d=2, mode="empirical", sigma=1.0), ENGINE_QUERIES),
+        ],
+        ids=["pareto-empirical", "pareto-analytic", "gaussian-empirical"],
+    )
+    def test_mixed_asks_share_one_pass(self, monkeypatch, spec, queries, cells):
+        def fresh():
+            return NormSample(spec, ENGINE_BOX, seed=5, reps=ENGINE_REPS)
+
+        singles = [cui._sups(fresh(), [g], cells) for g in ENGINE_ASKS]
+        passes, draws = [], []
+        real_profiles, real_batch = cui.schedule_profiles, dist.norm_batch
+
+        def recording_profiles(chunks, rows, box, qs):
+            passes.append([(levels, ge) for _, levels, ge in qs])
+            return real_profiles(chunks, rows, box, qs)
+
+        def counting_norm_batch(spec, n, seed, reps, first_rep=0, *args, **kwargs):
+            draws.extend(range(first_rep, first_rep + reps))
+            return real_batch(spec, n, seed, reps, first_rep, *args, **kwargs)
+
+        monkeypatch.setattr(cui, "schedule_profiles", recording_profiles)
+        monkeypatch.setattr(dist, "norm_batch", counting_norm_batch)
+        ests = cui._sups(fresh(), ENGINE_ASKS, cells)
+        assert passes == [queries]
+        assert draws == list(range(ENGINE_REPS))
+        assert ests == [single for (single,) in singles]
+        assert ests[0] is ests[7] and ests[4] is ests[9]

@@ -119,11 +119,16 @@ class TestNormSample:
         assert fld.shape == BOX.coords
         assert draws == []
 
-    def test_validation_happens_at_the_draw(self):
-        sample = NormSample(PARETO_EMPIRICAL, BOX, SEED, 0)
-        sample.hold()
-        with pytest.raises(ValueError):
-            list(sample.chunks())
+    @pytest.mark.parametrize(
+        "spec", [PARETO_EMPIRICAL, SPECS["pareto_radial"]], ids=["empirical", "analytic"]
+    )
+    @pytest.mark.parametrize("reps", [0, -5, 2.0, True, "20"])
+    def test_validation_happens_at_construction(self, spec, reps, draws):
+        # a closed-form sample never draws, so the constructor is the one
+        # place that sees every reps
+        with pytest.raises(ValueError, match="reps"):
+            NormSample(spec, BOX, SEED, reps)
+        assert draws == []
 
 
 def sample_of(spec, cls=NormSample, seed=SEED):
