@@ -19,7 +19,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistributionSpec, Tail, draw_chunks
-from .lattice import MultiIndex, box_maxima, leq, prefix_table, rep_sum
+from .lattice import MultiIndex, box_maxima, leq, plane_sum, prefix_table, rep_sum
 
 MIN_TREND_POINTS = 4
 
@@ -50,8 +50,7 @@ class ExperimentConfig:
         sizes = [n.size for n in sched]
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("schedule |n| must be strictly increasing")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        dist.check_reps(self.reps)
         if not (0 < self.p <= 1):
             raise ValueError("p must lie in (0, 1]")
         object.__setattr__(self, "n_schedule", sched)
@@ -156,15 +155,13 @@ def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
 def _square_norms(spec, top, seed, reps, means):
     """(first rep, ||S_k||^2 at every cell k) per chunk of the draw of top:
     each chunk, less the means when given, becomes its prefix table in place
-    and then its squares, summed over columns into one buffer for all chunks."""
-    squares = None
+    and then its squares, whose columns plane_sum adds up into column 0 (a
+    plane of the plane-major chunk), in np.sum's order."""
     for first, batch in draw_chunks(spec, top, seed, reps):
         if means is not None:
             batch -= means
-        if squares is None:  # the first chunk is the largest
-            squares = np.empty(batch.shape[:-1])
         S = prefix_table(batch, range(1, 1 + top.d), out=batch)
-        yield first, np.sum(np.square(S, out=S), axis=-1, out=squares[: len(batch)])
+        yield first, plane_sum(np.square(S, out=S), out=S[..., 0])
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
@@ -251,8 +248,7 @@ def moricz_ratio(
     sched = list(n_schedule)
     if not sched:
         raise ValueError("n_schedule must be nonempty")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    dist.check_reps(reps)
     dens = []
     for n in sched:
         mu = dist.mean(spec, n)

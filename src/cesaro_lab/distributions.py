@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from . import rng
-from .lattice import CHUNK_CELLS, MultiIndex, row_chunks
+from .lattice import CHUNK_CELLS, MultiIndex, plane_sum, row_chunks
 
 MOMENT_MODES = ("analytic", "empirical")
 LOW_REPS_FLOOR = 30  # Monte Carlo answers from fewer replications are flagged
@@ -91,6 +91,13 @@ class DistributionSpec:
 def _is_number(value, kind) -> bool:
     """value is an instance of the numbers ABC `kind`, and not a bool."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_reps(reps) -> None:
+    """Reject a replication count that is not an integer >= 1 (a bool is not
+    one), before anything is drawn with it."""
+    if not (_is_number(reps, numbers.Integral) and reps >= 1):
+        raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
 
 
 def _coord_grids(box: MultiIndex) -> list[np.ndarray]:
@@ -161,8 +168,10 @@ class Family:
 
     # --- sampling -------------------------------------------------------
     # A draw writes into buffers its caller owns: `out` receives the values of
-    # the reps of `starts`, and `scratch`, a uint64 array of shape
-    # (scratch_planes,) + (reps,) + box.coords, is the family's to overwrite.
+    # the reps of `starts` (a vector `out` from draw_buffers is plane-major:
+    # each column is one contiguous plane), and `scratch`, a uint64 array of
+    # shape (scratch_planes,) + (reps,) + box.coords, is the family's to
+    # overwrite.
     def columns(self, spec) -> int:
         """Columns of a sampled vector: 1, its values lie on one line."""
         return 1
@@ -187,12 +196,12 @@ class Family:
         if fixed is not None:
             out[...] = fixed
             return
-        # the vectors, shaped as sample_batch's, fill the planes behind the
-        # vector draw's scratch (a view when the scratch is contiguous)
+        # the vectors, plane-major as sample_batch's, fill the planes behind
+        # the vector draw's scratch
         planes, cols = self.scratch_planes(spec), self.columns(spec)
-        v = scratch[planes : planes + cols].view(np.float64).reshape(out.shape + (cols,))
+        v = np.moveaxis(scratch[planes : planes + cols].view(np.float64), 0, -1)
         self.vectors(spec, box, starts, v, scratch[:planes])
-        np.sqrt(np.sum(np.square(v, out=v), axis=-1, out=out), out=out)
+        np.sqrt(plane_sum(np.square(v, out=v), out), out=out)
 
 
 class _DeterministicFamily(Family):
@@ -483,10 +492,10 @@ def sample_batch(
     first_rep + r), i), so batches drawn in chunks of reps stack into the
     batch drawn at once. The batch is written into `out` and returned, with
     the front of `scratch` (both from draw_buffers, as draw_chunks passes
-    them) as the family's scratch; without `out`, both are new.
+    them) as the family's scratch; without `out`, both are new, so the batch
+    is plane-major: each column is contiguous, not each cell's vector.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    check_reps(reps)
     fam = _checked_family(spec, n)
     if out is None:
         out, scratch = draw_buffers(spec, n, reps)
@@ -498,14 +507,15 @@ def sample_batch(
 def draw_buffers(
     spec: DistributionSpec, n: MultiIndex, reps: int, norms: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """An `out` of shape (reps,) + n.coords + (columns,) for sample_batch, or
-    with `norms` of shape (reps,) + n.coords for norm_batch, and the draw's
-    uint64 `scratch` of shape (planes, reps) + n.coords."""
+    """An `out` of shape (reps,) + n.coords + (columns,) for sample_batch,
+    plane-major (the view moveaxis(planes, 0, -1) of (columns, reps) +
+    n.coords), or with `norms` of shape (reps,) + n.coords for norm_batch,
+    and the draw's uint64 `scratch` of shape (planes, reps) + n.coords."""
     fam = get_family(spec.family)
     cells = (reps,) + n.coords
     if norms:
         return np.empty(cells), np.empty((fam.norm_planes(spec),) + cells, dtype=np.uint64)
-    out = np.empty(cells + (fam.columns(spec),))
+    out = np.moveaxis(np.empty((fam.columns(spec),) + cells), 0, -1)
     return out, np.empty((fam.scratch_planes(spec),) + cells, dtype=np.uint64)
 
 
@@ -521,8 +531,7 @@ def norm_batch(
     """Realized cell norms of `reps` arrays, shape (reps,) + n.coords: the
     norms of sample_batch's vectors, with its rows and keys, and `out` and
     `scratch` from draw_buffers(..., norms=True)."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    check_reps(reps)
     fam = _checked_family(spec, n)
     if out is None:
         out, scratch = draw_buffers(spec, n, reps, norms=True)
@@ -548,17 +557,18 @@ def draw_chunks(
     out: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The `reps` arrays over `box` as (first rep, chunk) pairs in rep order,
-    CHUNK_CELLS cells (at least one rep) per chunk: the vectors of
-    sample_batch, or with `norms` the norms of norm_batch.
+    CHUNK_CELLS values (at least one rep) per chunk: the vectors of
+    sample_batch, `columns` values per cell, or with `norms` the norms of
+    norm_batch, one per cell.
 
     Every chunk is drawn with one scratch, and into one chunk buffer, both
     allocated once per draw, so a chunk holds until the next is drawn and
     its reader may overwrite it. With `out` (the shape of the whole draw),
     each chunk is drawn into its own rows of out instead.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    k = min(max(1, CHUNK_CELLS // box.size), reps)
+    check_reps(reps)
+    values = box.size if norms else box.size * get_family(spec.family).columns(spec)
+    k = min(max(1, CHUNK_CELLS // values), reps)
     draw = norm_batch if norms else sample_batch
     chunk, scratch = draw_buffers(spec, box, k, norms)
     for first in range(0, reps, k):
@@ -597,8 +607,7 @@ class NormSample:
     """
 
     def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int = 0, reps: int = 200):
-        if not (_is_number(reps, numbers.Integral) and reps >= 1):
-            raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
+        check_reps(reps)
         self.spec = spec
         self.box = box
         self.seed = seed

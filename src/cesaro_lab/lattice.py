@@ -16,8 +16,9 @@ buffer (a NormSample's chunks()), so a sample that is not held is binned
 chunk by chunk while it is in cache. So every truncation level and every
 box comes from one pass over the sample, and a norm functional is applied
 chunk by chunk, never to the whole sample.
-prefix_table serves the convergence series, and box_maxima reads M_n of
-each schedule box from the squared norms of that table.
+prefix_table serves the convergence series, plane_sum adds up the squared
+columns of its plane-major table in np.sum's order, and box_maxima reads M_n
+of each schedule box from those squared norms.
 
 prefix_table sweeps one axis at a time, each by the faster of two bit-equal
 methods for the array's shape: np.add.accumulate, which runs one inner loop
@@ -46,8 +47,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 BRUTE_FORCE_CELL_CAP = 100_000
-# Cells per chunk of replications, in draw_chunks (every draw of a sample) and
-# in row_chunks: each holds one chunk's temporaries at a time, so they do not
+# Values per chunk of replications, in draw_chunks (every draw of a sample:
+# the values of a vector chunk, or one norm per cell) and cells per chunk in
+# row_chunks: each holds one chunk's temporaries at a time, so they do not
 # grow with reps.
 CHUNK_CELLS = 1 << 16
 # A sweep updates slabs when the cells behind its axis number at least this
@@ -118,6 +120,50 @@ def _sweep(a: np.ndarray, ax: int) -> None:
     slabs = np.moveaxis(a, ax, 0)
     for i in range(1, slabs.shape[0]):
         np.add(slabs[i - 1], slabs[i], out=slabs[i])
+
+
+def plane_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum over x's last axis into out (x.shape[:-1]; it may be x[..., 0]),
+    one whole plane x[..., j] per step, overwriting x.
+
+    The steps are those np.sum(np.ascontiguousarray(x), axis=-1) takes in each
+    cell (numpy's pairwise sum, Higham 1993), so the two are bit-equal: fewer
+    than 8 columns add up in order; up to 128 add up in 8 lanes, which meet as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)) before the remainder is added in
+    order; more are cut in halves at a multiple of 8. The reduction starts
+    from 0.0, which turns a sum of -0.0 into 0.0. On a plane-major x, whose
+    columns are contiguous, np.sum would add in another order.
+    """
+    p = np.moveaxis(x, -1, 0)
+    _pairwise_planes(p, out)
+    if len(p) >= 8:
+        np.add(out, 0.0, out=out)
+    return out
+
+
+def _pairwise_planes(p: np.ndarray, out: np.ndarray) -> None:
+    """numpy's pairwise sum of the planes p[0], p[1], ... into out. Fewer than
+    8 planes start from 0.0, as numpy's loop does; for more, the caller adds
+    the reduction's 0.0."""
+    n = len(p)
+    if n < 8:
+        np.add(p[0], 0.0, out=out)
+        for q in p[1:]:
+            np.add(out, q, out=out)
+    elif n <= 128:
+        rest = n - n % 8
+        for i in range(8, rest, 8):
+            np.add(p[:8], p[i : i + 8], out=p[:8])
+        np.add(p[0:8:2], p[1:8:2], out=p[0:8:2])
+        np.add(p[0:8:4], p[2:8:4], out=p[0:8:4])
+        np.add(p[0], p[4], out=out)
+        for q in p[rest:]:
+            np.add(out, q, out=out)
+    else:
+        half = n // 2 - n // 2 % 8
+        _pairwise_planes(p[:half], out)
+        _pairwise_planes(p[half:], p[half])
+        np.add(out, p[half], out=out)
 
 
 def prefix_sums_bruteforce(values: np.ndarray) -> np.ndarray:

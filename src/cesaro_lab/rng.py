@@ -103,16 +103,16 @@ def signs(bits):
 
 def normals_work_planes(count: int) -> int:
     """Key-shaped float64 planes normals needs for `count` normals per key:
-    four for its intermediates and one per normal, count rounded up to whole
-    Box-Muller pairs."""
-    return 4 + 2 * ((count + 1) // 2)
+    two for its intermediates, and one for the tangent of a last half pair."""
+    return 2 + count % 2
 
 
 def normals(keys, count: int, out=None, work=None):
     """`count` standard normals per key; shape keys.shape + (count,), written
-    into `out` when given. `work`, a float64 array of shape
-    (normals_work_planes(count),) + keys.shape, holds every intermediate
-    when given, so a chunk loop that owns it allocates nothing per chunk.
+    into `out` when given (any layout; a new C-contiguous array when None).
+    `work`, a float64 array of shape (normals_work_planes(count),) +
+    keys.shape, holds every intermediate when given, so a chunk loop that
+    owns it allocates nothing per chunk.
 
     Box-Muller on the uniforms of substreams 2j and 2j+1 (Box & Muller 1958):
     r = sqrt(-2 log u1) and angle 2 pi u2, with cos and sin of the angle in
@@ -126,37 +126,38 @@ def normals(keys, count: int, out=None, work=None):
     machines whose numpy picks other vector kernels.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    pairs = (count + 1) // 2
+    if out is None:
+        out = np.empty(keys.shape + (count,))
     if work is None:
         work = np.empty((normals_work_planes(count),) + keys.shape, dtype=np.float64)
-    # one contiguous plane per normal, moved behind the key axes at the end:
-    # in a convergence series this beat writing each normal with a stride of
-    # `count` (1.6 against 2.0 s on converge-l1-gauss-3d). A substream's bits
-    # and its hashing scratch are done with before sq and den take their planes.
-    sq, den, r, t = (work[i, ...] for i in range(4))  # views, for 0-d keys too
-    bits, mixing = sq.view(np.uint64), den.view(np.uint64)
-    planes = work[4:]
-    for j in range(pairs):
-        # r = sqrt(-2 log u1) and t = tan(pi u2), each in its own buffer
-        substream(keys, 2 * j, out=bits, scratch=mixing)
-        uniform_open01(bits, out=r, scratch=bits)
-        np.log(r, out=r)
-        np.multiply(r, -2.0, out=r)
-        np.sqrt(r, out=r)
-        substream(keys, 2 * j + 1, out=bits, scratch=mixing)
-        uniform01(bits, out=t, scratch=bits)
-        np.multiply(t, np.pi, out=t)
-        np.tan(t, out=t)
-        # r / (1 + t^2) times 1 - t^2 and times 2t
-        np.multiply(t, t, out=sq)
-        np.add(sq, 1.0, out=den)
-        np.divide(r, den, out=r)
-        np.subtract(1.0, sq, out=sq)
-        np.multiply(r, sq, out=planes[2 * j, ...])
-        np.add(t, t, out=t)
-        np.multiply(r, t, out=planes[2 * j + 1, ...])
-    values = np.moveaxis(planes[:count], 0, -1)
-    if out is None:
-        return values.copy()
-    np.copyto(out, values)
+    # Each pair is computed in its own two columns of out (one contiguous
+    # plane each when out is plane-major, as draw_buffers makes it), with the
+    # tangent of a last half pair in work[2]. log and tan, whose vector
+    # kernels numpy may pick by stride, run in the contiguous work planes;
+    # out takes only correctly rounded steps, so its layout changes no bit.
+    u, v = work[0, ...], work[1, ...]  # views, for 0-d keys too
+    bits, mixing = u.view(np.uint64), v.view(np.uint64)
+    columns = [out[..., i] for i in range(count)]
+    if count % 2:
+        columns.append(work[2, ...])
+    for j in range(0, count, 2):
+        r, t = columns[j], columns[j + 1]
+        # r = sqrt(-2 log u1) in r's column, tan(pi u2) in u
+        substream(keys, j, out=bits, scratch=mixing)
+        uniform_open01(bits, out=u, scratch=mixing)
+        np.log(u, out=u)
+        np.multiply(u, -2.0, out=u)
+        np.sqrt(u, out=r)
+        substream(keys, j + 1, out=bits, scratch=mixing)
+        uniform01(bits, out=u, scratch=mixing)
+        np.multiply(u, np.pi, out=u)
+        np.tan(u, out=u)
+        # r / (1 + t^2), with 1 + t^2 in t's column, times 2t and then 1 - t^2
+        np.multiply(u, u, out=v)
+        np.add(v, 1.0, out=t)
+        np.divide(r, t, out=r)
+        np.subtract(1.0, v, out=v)
+        np.add(u, u, out=u)
+        np.multiply(r, u, out=t)
+        np.multiply(r, v, out=r)
     return out

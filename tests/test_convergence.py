@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(CONSTANT, 1.5, sched, reps=10, seed=0)
 
+    @pytest.mark.parametrize("reps", [2.5, 2.0, True, "20"])
+    def test_reps_must_be_an_integer(self, reps):
+        # checked where the config is built, not when the draw fails on it
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            lp_config(CONSTANT, reps=reps)
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            moricz_ratio(SIGNS, [MultiIndex((2,))], reps=reps)
+
     def test_mode_gates(self):
         with pytest.raises(ValueError):
             run_lp_experiment(lp_config(CONSTANT, p=1.0))  # p = 1 belongs to the centered mode
@@ -203,10 +212,13 @@ def count_draws(monkeypatch) -> list:
 def per_box_maxima(spec, schedule, seed, reps, center=False):
     """Reference path: every box drawn, centered and swept on its own, with
     the analytic per-cell means or else the plug-in mean batch.mean(axis=0);
-    M_n is the max of the box's partial norms. Shape (len(schedule), reps)."""
+    M_n is the max of the box's partial norms. Shape (len(schedule), reps).
+    The batch is copied cell-major first: np.sum over a contiguous last axis
+    adds in the order the library's plane_sum reproduces, and over the
+    plane-major batch sample_batch returns it would add in another."""
     out = []
     for n in schedule:
-        batch = sample_batch(spec, n, seed, reps)
+        batch = np.ascontiguousarray(sample_batch(spec, n, seed, reps))
         if center:
             means = dist.mean(spec, n)
             batch -= batch.mean(axis=0, keepdims=True) if means is None else means
@@ -384,6 +396,22 @@ def test_peak_memory_does_not_grow_with_reps():
         )
         peaks.append(int(out.stdout.strip()))
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("D", [8, 9])
+def test_vector_series_holds_one_rep_of_values_and_scratch(D):
+    # a 32^3 box of D-vectors is more values than a chunk, so the series
+    # holds one rep at a time: its D columns, the keys plane and the normals'
+    # two work planes (three for an odd D), and no copy of any of them
+    spec = spec_of("iid_gaussian", d=D)
+    cfg = ExperimentConfig(spec, 1.0, tuple(dyadic_square_schedule(3, 32768)), reps=4, seed=0)
+    tracemalloc.start()
+    try:
+        run_l1_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 32768 * (D + 3 + D % 2) * 8, peak
 
 
 class TestL1Experiment:

@@ -15,6 +15,7 @@ from cesaro_lab.lattice import (
     dyadic_boxes,
     dyadic_square_schedule,
     leq,
+    plane_sum,
     prefix_sums_bruteforce,
     prefix_table,
     rep_sum,
@@ -183,6 +184,15 @@ def field_with_extremes(shape, seed):
     return a
 
 
+def plane_major(x):
+    """A copy of x whose columns x[..., j] are contiguous planes, laid out as
+    draw_buffers lays out a vector chunk."""
+    planes = np.empty((x.shape[-1],) + x.shape[:-1])
+    out = np.moveaxis(planes, 0, -1)
+    out[...] = x
+    return out
+
+
 def dyadic_within(shape):
     """The dyadic boxes of the box axes of a lead + box + D shape."""
     return dyadic_boxes(MultiIndex(shape[1:-1]))
@@ -198,13 +208,13 @@ def test_prefix_and_running_max_into_buffers_equal_the_allocating_calls(shape):
     other = np.full(shape, np.nan)
     assert prefix_table(a, axes, out=other) is other
     assert np.array_equal(other, want_S, equal_nan=True)
-    # a chunk loop sweeps its own batch, then squares it into a buffer, and
-    # reads each box's M_n from it
-    batch = a.copy()
+    # a chunk loop sweeps its own plane-major batch, squares it, adds its
+    # columns up into column 0, and reads each box's M_n from that
+    batch = plane_major(a)
     assert prefix_table(batch, axes, out=batch) is batch
     assert np.array_equal(batch, want_S, equal_nan=True)
-    squares = np.full(shape[:-1], -1.0)
-    q = np.sum(np.square(batch, out=batch), axis=-1, out=squares)
+    q = plane_sum(np.square(batch, out=batch), out=batch[..., 0])
+    assert np.shares_memory(q, batch)
     boxes = dyadic_within(shape)
     got = np.sqrt(box_maxima([(0, q)], len(q), boxes))
     want = [want_M[(slice(None),) + tuple(c - 1 for c in n.coords)] for n in boxes]
@@ -224,6 +234,37 @@ def test_prefix_and_running_max_leave_their_input_alone(shape):
     squares = q.copy()
     box_maxima([(0, q)], len(q), dyadic_within(shape))
     assert np.array_equal(q, squares, equal_nan=True)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, NaN at the same cells, and the same sign of zero."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+        np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b)
+    )
+
+
+# every branch of numpy's pairwise sum: in order below 8 columns, 8 lanes up
+# to 128 with and without a remainder, and halves cut at a multiple of 8 above
+PLANE_SUM_COLUMNS = [*range(1, 41), 63, 64, 65, 127, 128, 129, 255, 256, 257, 513]
+
+
+@pytest.mark.parametrize("D", PLANE_SUM_COLUMNS)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing square, inf - inf
+def test_plane_sum_equals_np_sum_over_contiguous_columns(D):
+    # the series and the Gaussian norms sum plane-major columns with
+    # plane_sum, and their numbers are those np.sum gives over a contiguous
+    # last axis; if a numpy release changes that order, this fails
+    raw = field_with_extremes((3, 5, D), D)
+    raw.reshape(-1)[[0, 4]] = [-0.0, -np.inf]
+    raw[2, 4] = -0.0  # a cell whose columns are all -0.0: np.sum gives 0.0
+    for x in (raw, np.square(raw)):
+        want = np.sum(np.ascontiguousarray(x), axis=-1)
+        apart = np.full(x.shape[:-1], np.nan)
+        assert plane_sum(plane_major(x), out=apart) is apart
+        assert same_bits(apart, want)
+        first = plane_major(x)
+        got = plane_sum(first, out=first[..., 0])
+        assert np.shares_memory(got, first) and same_bits(got, want)
 
 
 @pytest.mark.parametrize("extremes", [False, True], ids=["add", "add-extremes"])
