@@ -19,7 +19,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistributionSpec, Tail, draw_chunks
-from .lattice import MultiIndex, box_maxima, leq, plane_sum, prefix_table, rep_sum
+from .lattice import MultiIndex, box_maxima, leq, plane_sum, prefix_table
 
 MIN_TREND_POINTS = 4
 
@@ -72,16 +72,11 @@ class ConvergenceSeries:
     p: float
     reps: int
     seed: int
-    centering: Optional[str]  # None | "analytic" | "plugin"
     low_reps: bool
     spec: DistributionSpec
     points: tuple[SeriesPoint, ...]
-    center: bool = field(init=False)  # derived from mode
     # every family is pairwise independent; the key keeps the file's shape
     pairwise_warning: bool = field(default=False, init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", self.mode == "l1")
 
     def to_csv_text(self) -> str:
         lines = ["d,n_coords,size,moment,stderr,bound,pass"]
@@ -94,12 +89,15 @@ class ConvergenceSeries:
         return "\n".join(lines) + "\n"
 
 
+def _check_envelope(**params) -> None:
+    for name, x in params.items():
+        if not (0 < x < math.inf):
+            raise ValueError(f"bound {name} must be finite and > 0, got {x!r}")
+
+
 def bound_eq23(eps: float, a: float, p: float, n: MultiIndex) -> float:
     """Envelope for the lp moment: eps + a^p / |n|^(1-p)."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if a <= 0:
-        raise ValueError("a must be > 0")
+    _check_envelope(eps=eps, a=a)
     if not (0 < p < 1):
         raise ValueError("p must lie in (0, 1)")
     return eps + a**p / n.size ** (1.0 - p)
@@ -108,17 +106,12 @@ def bound_eq23(eps: float, a: float, p: float, n: MultiIndex) -> float:
 def bound_eq27(a: float, C: float, n: MultiIndex) -> float:
     """Envelope for the centered l1 moment:
     2 a C log(2 n_1) ... log(2 n_d) / |n|^(1/2), natural logs."""
-    if a <= 0:
-        raise ValueError("a must be > 0")
-    if C <= 0:
-        raise ValueError("C must be > 0")
-    logs = 1.0
-    for c in n.coords:
-        logs *= math.log(2.0 * c)
+    _check_envelope(a=a, C=C)
+    logs = math.prod(math.log(2.0 * c) for c in n.coords)
     return 2.0 * a * C * logs / math.sqrt(n.size)
 
 
-def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
+def _maxima(spec, schedule, seed, reps, center=False) -> np.ndarray:
     """M_n = max_{k <= n} ||S_k|| per rep at every schedule box, shape (len(schedule), reps).
 
     Cells are keyed by (seed, i), so a box's batch is that of any box that
@@ -127,8 +120,8 @@ def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
     of its cells, and every box the maximal box dominates takes the max of
     those over its own cells (box_maxima), with one sqrt per box and rep. A
     correctly rounded sqrt is monotone, so that is the max of the norms.
-    `centering` is None, "analytic" (the family's per-cell means) or
-    "plugin" (the per-cell mean over all reps, from a first pass in rep order).
+    A centered series subtracts the family's per-cell means, which its caller
+    has checked are finite.
     """
     M = np.empty((len(schedule), reps))
     # a box that another dominates is smaller than it, so by size, largest
@@ -142,9 +135,7 @@ def _maxima(spec, schedule, seed, reps, centering=None) -> np.ndarray:
     for top in tops:
         rows = [j for j, t in enumerate(owners) if t == top]
         boxes = [schedule[j] for j in rows]
-        means = dist.mean(spec, top) if centering == "analytic" else None
-        if centering == "plugin":
-            means = rep_sum(draw_chunks(spec, top, seed, reps)) / reps
+        means = dist.mean(spec, top) if center else None
         if means is not None and not np.any(means):
             means = None  # subtracting zeros leaves every M_n as it is
         squares = _square_norms(spec, top, seed, reps, means)
@@ -156,26 +147,30 @@ def _square_norms(spec, top, seed, reps, means):
     """(first rep, ||S_k||^2 at every cell k) per chunk of the draw of top:
     each chunk, less the means when given, becomes its prefix table in place
     and then its squares, whose columns plane_sum adds up into column 0 (a
-    plane of the plane-major chunk), in np.sum's order."""
+    plane of the plane-major chunk), in np.sum's order. A sum past 1e154
+    squares to inf, the documented maximum of a family that draws one."""
     for first, batch in draw_chunks(spec, top, seed, reps):
         if means is not None:
             batch -= means
         S = prefix_table(batch, range(1, 1 + top.d), out=batch)
-        yield first, plane_sum(np.square(S, out=S), out=S[..., 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = plane_sum(np.square(S, out=S), out=S[..., 0])
+        yield first, squares
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     reps = vals.shape[0]
-    m = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(vals.mean())
+        se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return m, se
 
 
-def _series(cfg, mode, centering, values, bound) -> ConvergenceSeries:
+def _series(cfg, mode, values, bound) -> ConvergenceSeries:
     """Per schedule box n, the mean and stderr over reps of values(M_n, n),
     and the envelope bound(bound_params, n) with its verdict when cfg has one."""
     points = []
-    M = _maxima(cfg.spec, cfg.n_schedule, cfg.seed, cfg.reps, centering)
+    M = _maxima(cfg.spec, cfg.n_schedule, cfg.seed, cfg.reps, mode == "l1")
     for n, m in zip(cfg.n_schedule, M):
         moment, se = _mean_se(values(m, n))
         envelope = ok = None
@@ -188,7 +183,6 @@ def _series(cfg, mode, centering, values, bound) -> ConvergenceSeries:
         p=cfg.p if mode == "lp" else 1.0,
         reps=cfg.reps,
         seed=cfg.seed,
-        centering=centering,
         low_reps=cfg.reps < dist.LOW_REPS_FLOOR,
         spec=cfg.spec,
         points=tuple(points),
@@ -199,8 +193,10 @@ def run_lp_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     """Moments E[(M_n / |n|^(1/p))^p] along the schedule, 0 < p < 1, uncentered."""
     if not (0 < cfg.p < 1):
         raise ValueError("lp mode needs 0 < p < 1")
+    if cfg.bound_params is not None:
+        _check_envelope(eps=cfg.bound_params.eps, a=cfg.bound_params.a)
     return _series(
-        cfg, "lp", None,
+        cfg, "lp",
         values=lambda M, n: (M / n.size ** (1.0 / cfg.p)) ** cfg.p,
         bound=lambda bp, n: bound_eq23(bp.eps, bp.a, cfg.p, n),
     )
@@ -209,16 +205,20 @@ def run_lp_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
 def run_l1_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     """Centered moments E[max_k ||S_k - E S_k||] / |n| along the schedule.
 
-    Centers with the family's analytic means when available, otherwise with
-    the plug-in per-cell grand mean across replications.
+    Centers with the family's per-cell means. The paper's p = 1 result needs
+    bounded means, so a family without a finite mean is rejected undrawn.
     """
     if cfg.p != 1.0:
         raise ValueError("l1 mode fixes p = 1")
-    if cfg.bound_params is not None and cfg.bound_params.C is None:
-        raise ValueError("l1 bound needs C in bound_params")
-    centering = "plugin" if dist.mean(cfg.spec, cfg.n_schedule[-1]) is None else "analytic"
+    if cfg.bound_params is not None:
+        if cfg.bound_params.C is None:
+            raise ValueError("l1 bound needs C in bound_params")
+        _check_envelope(a=cfg.bound_params.a, C=cfg.bound_params.C)
+    if dist.mean(cfg.spec, cfg.n_schedule[-1]) is None:
+        raise ValueError(f"l1 mode centers with the family's mean, and {cfg.spec.family} "
+                         f"{cfg.spec.params} has no finite mean; use --mode lp")
     return _series(
-        cfg, "l1", centering,
+        cfg, "l1",
         values=lambda M, n: M / n.size,
         bound=lambda bp, n: bound_eq27(bp.a, bp.C, n),
     )
@@ -260,9 +260,7 @@ def moricz_ratio(
         total = float(sm.sum())
         if not math.isfinite(total) or total <= 0:
             raise ValueError("second moments must be finite and not all zero")
-        logs = 1.0
-        for c in n.coords:
-            logs *= math.log(2.0 * c) ** 2
+        logs = math.prod(math.log(2.0 * c) ** 2 for c in n.coords)
         dens.append(logs * total)
     stats = [_mean_se(M * M) for M in _maxima(spec, sched, seed, reps)]
     return [MoriczPoint(n, num, se, den, num / den)

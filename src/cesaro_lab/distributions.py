@@ -162,8 +162,8 @@ class Family:
         return None if norms is None else g(norms)
 
     def mean(self, spec, box: MultiIndex) -> np.ndarray | None:
-        """Per-cell mean vectors, broadcastable to the batch, or None without
-        a closed form."""
+        """Per-cell mean vectors, broadcastable to the batch, or None when the
+        mean is not finite."""
         return None
 
     # --- sampling -------------------------------------------------------
@@ -589,8 +589,8 @@ def expect(spec: DistributionSpec, g: NormFunctional, box: MultiIndex) -> np.nda
 
 
 def mean(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:
-    """Per-cell mean vectors, broadcastable to the batch, or None without a
-    closed form."""
+    """Per-cell mean vectors, broadcastable to the batch, or None when the
+    family has no finite mean, which a centered series rejects."""
     return _checked_family(spec, box).mean(spec, box)
 
 

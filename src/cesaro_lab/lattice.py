@@ -28,8 +28,8 @@ SLAB_RUN times the axis length (the first box axes of a d = 3 chunk with D
 columns).
 
 box_maxima takes its rows as (first row, chunk) pairs too, and reduces each
-box over its own cells; rep_sum adds them up cell by cell in row order (a
-plug-in mean over replications).
+box over its own cells; rep_sum adds them up cell by cell in row order (the
+per-cell mean over replications of the adversarial event array).
 
 A chunk loop owns its buffers: prefix_table sweeps the array given as `out`
 (the chunk's own batch, in a convergence series), so a series allocates its
@@ -217,7 +217,8 @@ def rep_sum(chunks: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
     """The per-cell sum of every row, from rows that arrive in order as (first
     row, chunk) pairs, added in row order ((0 + r_0) + r_1) + ..., as one
     running sum along each chunk's row axis whose first row takes the sum so
-    far. Overwrites its chunks."""
+    far. Divided by the rows, it is the adversarial event array's per-cell
+    mean over reps. Overwrites its chunks."""
     total = None
     for _, chunk in chunks:
         if total is None:

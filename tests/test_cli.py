@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import cesaro_lab
 from cesaro_lab import cli
+from cesaro_lab import distributions as dist
 from cesaro_lab.convergence import BoundParams
 from cesaro_lab.lattice import MultiIndex, dyadic_square_schedule
 
@@ -271,6 +273,46 @@ class TestConverge:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--mode", "l1", "--spec", "HEAVY"], "no finite mean; use --mode lp"),
+         (["--mode", "lp", "--p", "0.5", "--spec", "PARETO", "--bound", "nan,4"],
+          "bound eps must be finite and > 0")],
+        ids=["l1-infinite-mean", "lp-nan-bound"],
+    )
+    def test_rejected_before_drawing(self, tmp_path, capsys, monkeypatch, argv, message):
+        # pareto alpha 0.8 has an infinite mean, so there is nothing to center
+        # with; a NaN eps would fail every verdict. Neither draws or writes.
+        specs = {"HEAVY": write_spec(tmp_path, "pareto_radial", "heavy.json", alpha=0.8),
+                 "PARETO": write_spec(tmp_path, "pareto_radial", alpha=3.0)}
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sample_batch was called")
+
+        monkeypatch.setattr(dist, "sample_batch", no_draw)
+        out = tmp_path / "out"
+        argv = ["converge", *(specs.get(a, a) for a in argv), "--schedule", "2;4;8;16",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_inf_maximum_prints_no_warning(self, tmp_path):
+        # pareto alpha 0.02 draws |s| > 1e154, whose square overflows to inf:
+        # the documented maximum, written as before, with nothing on stderr
+        spec = write_spec(tmp_path, "pareto_radial", alpha=0.02)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["converge", "--mode", "lp", "--p", "0.5", "--spec", spec,
+                             "--schedule", "8x8;64x64", "--reps", "20", "--out", str(out)])
+        assert code == 0
+        assert (out / "series.csv").read_text() == (
+            "d,n_coords,size,moment,stderr,bound,pass\n"
+            "2,8x8,64,3.954390604035828e+73,3.9524612655038486e+73,,\n"
+            "2,64x64,4096,inf,nan,,\n"
+        )
+
 
 class TestPoussin:
     def test_constant_round_trip(self, tmp_path):
@@ -485,6 +527,25 @@ class TestReplay:
         err = capsys.readouterr().err
         assert "'reps'" in err and str(old) in err
 
+    def test_plugin_centered_manifest_is_rejected_on_replay(self, tmp_path, capsys):
+        # l1 on pareto alpha 0.8 once ran, centered by the per-cell mean over
+        # reps; a manifest written then replays to the usage error, not a crash
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "converge",
+            "config": {"bound": None, "mode": "l1", "p": 1.0, "reps": 200,
+                       "schedule": ["2", "4", "8", "16"], "seed": 0,
+                       "spec": {"dim_D": 1, "family": "pareto_radial",
+                                "moment_mode": "analytic", "params": {"alpha": 0.8}}},
+            "duration_seconds": 0.04, "outputs": ["series.csv", "series.json"],
+            "seed": 0, "version": "0.1.0",
+        }))
+        out = tmp_path / "second"
+        assert self.replay(manifest, out) == 2
+        err = capsys.readouterr().err
+        assert "no finite mean; use --mode lp" in err and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_check_cui_replay(self, tmp_path):
         spec = write_spec(tmp_path, "iid_gaussian", sigma=1.0, dim_D=2)
         first = tmp_path / "first"
@@ -597,7 +658,7 @@ def key_paths(payload, prefix=""):
 
 SERIES_KEYS = {"series", "trend", "bound_domination"} | {
     f"series.{k}"
-    for k in ("mode", "p", "reps", "seed", "center", "centering", "pairwise_warning",
+    for k in ("mode", "p", "reps", "seed", "pairwise_warning",
               "low_reps", "spec", "spec.family", "spec.params", "spec.params.alpha",
               "spec.dim_D", "spec.moment_mode", "points")
 } | {f"series.points[].{k}" for k in ("n", "size", "moment", "stderr", "bound", "bound_pass")} | {

@@ -56,8 +56,7 @@ def series_from_moments(moments, stderr=0.0, bounds=None):
         ok = None if b is None else (m <= b + 3 * stderr)
         pts.append(SeriesPoint(MultiIndex((size,)), size, m, stderr, b, ok))
     return ConvergenceSeries(
-        mode="lp", p=0.5, reps=10, seed=0, centering=None,
-        low_reps=True, spec=CONSTANT,
+        mode="lp", p=0.5, reps=10, seed=0, low_reps=True, spec=CONSTANT,
         points=tuple(pts),
     )
 
@@ -74,7 +73,7 @@ class TestBounds:
 
     def test_eq23_validation(self):
         n = MultiIndex((4,))
-        for bad in [(0.0, 1.0, 0.5), (0.1, 0.0, 0.5), (0.1, 1.0, 1.0)]:
+        for bad in [(0.0, 1.0, 0.5), (0.1, 0.0, 0.5), (0.1, 1.0, 1.0), (math.nan, 1.0, 0.5)]:
             with pytest.raises(ValueError):
                 bound_eq23(*bad, n)
 
@@ -90,6 +89,21 @@ class TestBounds:
             bound_eq27(0.0, 1.0, MultiIndex((2,)))
         with pytest.raises(ValueError):
             bound_eq27(1.0, 0.0, MultiIndex((2,)))
+        with pytest.raises(ValueError):
+            bound_eq27(1.0, math.nan, MultiIndex((2,)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("mode,name", [("lp", "eps"), ("lp", "a"), ("l1", "a"), ("l1", "C")])
+    def test_envelope_params_checked_before_any_draw(self, monkeypatch, mode, name, bad):
+        # each value the mode's envelope uses must be finite and > 0 (a NaN
+        # envelope fails every verdict), and is checked before the draw: the
+        # envelope itself is evaluated only after the whole series is drawn
+        bound = BoundParams(**{"eps": 0.1, "a": 4.0, "C": 1.0, name: bad})
+        p, run = (0.5, run_lp_experiment) if mode == "lp" else (1.0, run_l1_experiment)
+        draws = count_draws(monkeypatch)
+        with pytest.raises(ValueError, match=f"bound {name} must be finite and > 0"):
+            run(lp_config(PARETO, p=p, bound=bound))
+        assert draws == []
 
 
 class TestExperimentConfig:
@@ -210,9 +224,9 @@ def count_draws(monkeypatch) -> list:
 
 
 def per_box_maxima(spec, schedule, seed, reps, center=False):
-    """Reference path: every box drawn, centered and swept on its own, with
-    the analytic per-cell means or else the plug-in mean batch.mean(axis=0);
-    M_n is the max of the box's partial norms. Shape (len(schedule), reps).
+    """Reference path: every box drawn, centered with the family's per-cell
+    means when asked and swept on its own; M_n is the max of the box's
+    partial norms. Shape (len(schedule), reps).
     The batch is copied cell-major first: np.sum over a contiguous last axis
     adds in the order the library's plane_sum reproduces, and over the
     plane-major batch sample_batch returns it would add in another."""
@@ -220,8 +234,7 @@ def per_box_maxima(spec, schedule, seed, reps, center=False):
     for n in schedule:
         batch = np.ascontiguousarray(sample_batch(spec, n, seed, reps))
         if center:
-            means = dist.mean(spec, n)
-            batch -= batch.mean(axis=0, keepdims=True) if means is None else means
+            batch -= dist.mean(spec, n)
         S = prefix_table(batch, range(1, 1 + n.d))
         norms = np.sqrt((S * S).sum(axis=-1))
         out.append(norms.max(axis=tuple(range(1, 1 + n.d))))
@@ -246,9 +259,10 @@ ORACLE_CASES = [
     pytest.param(spec_of("pareto_radial", alpha=3.0), DYADIC_3D, id="pareto_radial"),
     pytest.param(spec_of("iid_gaussian", d=3), DYADIC_3D, id="iid_gaussian"),
     pytest.param(spec_of("iid_gaussian", d=8), NON_CHAIN, id="iid_gaussian-D8"),
-    # no closed-form mean: l1 centers with the plug-in mean
+    # alpha <= 1 has no finite mean, so l1 rejects both; it once centered
+    # them with the per-cell mean over reps (the "plugin" centering)
     pytest.param(spec_of("pareto_radial", alpha=0.8), NON_CHAIN, id="pareto-plugin"),
-    # |s| > 1e154 is drawn here, so S*S overflows; plug-in centering makes NaN
+    # |s| > 1e154 is drawn here, so S*S overflows to inf
     pytest.param(spec_of("pareto_radial", alpha=0.02), NON_CHAIN, id="pareto-overflow"),
 ]
 MORICZ_CASES = [
@@ -277,25 +291,25 @@ class TestMaximaOracle:
         center = mode == "l1"
         cfg = ExperimentConfig(spec, 1.0 if center else 0.5, schedule, reps=reps, seed=3)
         run = run_l1_experiment if center else run_lp_experiment
-        with np.errstate(over="ignore", invalid="ignore"):
-            centering = None if not center else (
-                "plugin" if dist.mean(spec, schedule[-1]) is None else "analytic")
-            got = convergence._maxima(spec, schedule, 3, reps, centering)
+        if center and dist.mean(spec, schedule[-1]) is None:
+            draws = count_draws(monkeypatch)
+            with pytest.raises(ValueError, match="no finite mean"):
+                run(cfg)
+            assert draws == []
+            return
+        got = convergence._maxima(spec, schedule, 3, reps, center)
+        with np.errstate(over="ignore", invalid="ignore"):  # the reference path overflows too
             want = per_box_maxima(spec, schedule, 3, reps, center)
-            assert np.array_equal(got, want, equal_nan=True)
-            series = run(cfg)
-            monkeypatch.setattr(
-                convergence, "_maxima",
-                lambda spec, sched, seed, reps, centering=None: per_box_maxima(
-                    spec, sched, seed, reps, centering is not None),
-            )
+        assert np.array_equal(got, want, equal_nan=True)
+        series = run(cfg)
+        monkeypatch.setattr(convergence, "_maxima", per_box_maxima)
+        with np.errstate(over="ignore", invalid="ignore"):
             want_series = run(cfg)
         assert np.array_equal(
             [(p.moment, p.stderr) for p in series.points],
             [(p.moment, p.stderr) for p in want_series.points],
             equal_nan=True,
         )
-        assert series.centering == centering
 
     @pytest.mark.parametrize("reps,per_chunk", CHUNKINGS)
     @pytest.mark.parametrize("spec,schedule", MORICZ_CASES)
@@ -311,23 +325,6 @@ class TestMaximaOracle:
             (p.numerator, p.num_stderr, p.ratio) for p in want
         ]
 
-    def test_plugin_mean_is_summed_in_rep_order(self):
-        # The plug-in mean of a cell is the same whichever box reads it:
-        # rows added in rep order, then divided by reps, which is what
-        # batch.mean(axis=0) does on any batch of more than one cell. On a
-        # one-cell batch numpy sums the reps pairwise instead, so there the
-        # reference path differs in the last bits.
-        spec = spec_of("pareto_radial", alpha=0.8)
-        schedule = boxes("1;2;4")
-        got = convergence._maxima(spec, schedule, 3, 60, "plugin")
-        want = per_box_maxima(spec, schedule, 3, 60, center=True)
-        assert np.array_equal(got[1:], want[1:])
-        assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
-        batch = sample_batch(spec, schedule[-1], 3, 60)
-        assert np.array_equal(sum(batch) / 60, batch.mean(axis=0))
-        rows = batch[:, :1]
-        assert np.array_equal(np.abs(rows - sum(rows) / 60)[:, 0, 0], got[0])
-
 
 class TestDraws:
     def test_one_draw_per_maximal_box_and_chunk(self, monkeypatch):
@@ -339,13 +336,21 @@ class TestDraws:
             ("4x32", 4, 0), ("4x32", 4, 4), ("4x32", 3, 8),
         ]
 
-    def test_plugin_centering_draws_twice(self, monkeypatch):
-        monkeypatch.setattr(dist, "CHUNK_CELLS", 4 * 64)
-        draws = count_draws(monkeypatch)
-        heavy = spec_of("pareto_radial", alpha=0.8)
-        cfg = ExperimentConfig(heavy, 1.0, DYADIC_1D, reps=9, seed=0)
-        assert run_l1_experiment(cfg).centering == "plugin"
-        assert draws == [("64", 4, 0), ("64", 4, 4), ("64", 1, 8)] * 2
+    def test_both_modes_draw_each_maximal_box_once(self, monkeypatch):
+        # a centered series subtracts the closed-form mean (1.5 here) from
+        # the chunks it draws, so it makes no more draws than an uncentered one
+        tops = []
+        real = convergence.draw_chunks
+
+        def counting(spec, top, *args):
+            tops.append(str(top))
+            return real(spec, top, *args)
+
+        monkeypatch.setattr(convergence, "draw_chunks", counting)
+        for p, run in ((0.5, run_lp_experiment), (1.0, run_l1_experiment)):
+            tops.clear()
+            run(ExperimentConfig(PARETO, p, NON_CHAIN, reps=11, seed=0))
+            assert tops == ["16x4", "4x32"]
 
     def test_dyadic_series_draws_largest_box_once(self, monkeypatch):
         draws = count_draws(monkeypatch)
@@ -427,18 +432,19 @@ class TestL1Experiment:
         series = run_l1_experiment(cfg)
         pt = series.points[0]
         assert pt.moment == pytest.approx(0.75, abs=4.0 * pt.stderr + 1e-12)
-        assert series.centering == "analytic"
 
     def test_deterministic_family_centers_to_zero(self):
         cfg = self.l1_config(spec_of("constant", c=2.5), (2, 4, 8), reps=5)
         series = run_l1_experiment(cfg)
         assert all(pt.moment == 0.0 for pt in series.points)
 
-    def test_plugin_centering_when_no_closed_form_mean(self):
+    def test_family_without_finite_mean_is_rejected_before_drawing(self, monkeypatch):
+        # alpha <= 1: the mean is infinite, and the p = 1 result needs it bounded
         heavy = spec_of("pareto_radial", alpha=0.9)
-        series = run_l1_experiment(self.l1_config(heavy, (2, 4), reps=20))
-        assert series.centering == "plugin"
-        assert series.pairwise_warning is False
+        draws = count_draws(monkeypatch)
+        with pytest.raises(ValueError, match="no finite mean; use --mode lp"):
+            run_l1_experiment(self.l1_config(heavy, (2, 4), reps=20))
+        assert draws == []
 
     def test_l1_bound_requires_constant(self, monkeypatch):
         cfg = self.l1_config(SIGNS, (2, 4), bound=BoundParams(eps=0.0, a=1.0))
@@ -597,15 +603,12 @@ class TestSeriesSerialization:
         if mode == "lp":
             series = run_lp_experiment(lp_config(PARETO, reps=5, bound=BoundParams(0.1, 4.0)))
         else:
-            heavy = spec_of("pareto_radial", alpha=0.8)  # no mean: plug-in centering
-            series = run_l1_experiment(ExperimentConfig(heavy, 1.0, boxes("2;4"), reps=5, seed=0))
-            assert series.centering == "plugin"
+            series = run_l1_experiment(ExperimentConfig(PARETO, 1.0, boxes("2;4"), reps=5, seed=0))
         payload = _py(series)
-        assert set(payload) == {"mode", "p", "reps", "seed", "center", "centering",
-                                "pairwise_warning", "low_reps", "spec", "points"}
+        assert set(payload) == {"mode", "p", "reps", "seed", "pairwise_warning", "low_reps",
+                                "spec", "points"}
         for point in payload["points"]:
             assert set(point) == {"n", "size", "moment", "stderr", "bound", "bound_pass"}
-        assert payload["center"] is (mode == "l1")
         assert payload["pairwise_warning"] is False
         assert payload["spec"] == series.spec.to_json()
         assert (payload["points"][0]["bound"] is None) is (mode == "l1")
