@@ -4,9 +4,11 @@ Four commands: check-cui (tail-sup report over a truncation grid), poussin
 (threshold search, convex gauge construction, moment and forward checks),
 converge (mean-convergence series with trend and envelope verdicts), and
 oracle-check (prefix-sum, schedule-average and gauge evaluation cross-checks
-against brute force). Every command writes a manifest next to its outputs;
-`replay` re-runs a manifest's command into a fresh directory. Data files are
-byte-identical across replays; only the manifest's duration field varies.
+against brute force). Every command and every replay runs through
+`run_command`, which writes a manifest next to the outputs; `replay` re-runs
+a manifest's command into a fresh directory. Data files are byte-identical
+across replays; only the manifest's duration field varies. A run that fails
+(exit 2 or 3) writes nothing, not even its output directory.
 
 Exit codes: 0 the run completed (scientific verdicts live in the output
 files), 1 verification failure, 2 usage error, 3 domain or horizon error.
@@ -150,15 +152,10 @@ def write_manifest(
     write_json(out_dir / "manifest.json", manifest)
 
 
-def _ensure_out(out: str) -> Path:
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 # ---------------------------------------------------------------------------
-# data commands: each maps its manifest config to its named data files, in
-# manifest order; text is written as is, anything else through write_json.
+# commands: each maps its manifest config to its named data files, in
+# manifest order, and its exit code; text is written as is, anything else
+# through write_json.
 # Library functions are looked up through their modules at call time, so a
 # rebinding of a module attribute (as the benchmark tracer makes) is seen.
 
@@ -168,14 +165,15 @@ def _sample(config: dict) -> NormSample:
     return NormSample(spec, parse_horizon(config["horizon"]), config["seed"], config["reps"])
 
 
-def _check_cui_files(config: dict) -> dict:
+def _check_cui_files(config: dict) -> tuple[dict, int]:
     report = cui.build_cui_report(
         _sample(config), p=config["p"], a_grid=config["a_grid"], ge=config["ge"]
     )
-    return {"cui_report.csv": report.to_csv_text(), "cui_report.json": report}
+    return {"cui_report.csv": report.to_csv_text(), "cui_report.json": report}, 0
 
 
-def _poussin_files(config: dict) -> dict:
+def _poussin_files(config: dict) -> tuple[dict, int]:
+    cui.check_eps(config["eps"])  # before the search draws
     sample = _sample(config)
     sample.hold()  # the search, the calibration and both checks read one draw
     built = poussin.build_phi_from_cui(
@@ -210,10 +208,10 @@ def _poussin_files(config: dict) -> dict:
         "poussin_report.json": report,
         "phi.json": built.phi.to_json(),
         "phi.csv": "\n".join(lines) + "\n",
-    }
+    }, 0
 
 
-def _converge_files(config: dict) -> dict:
+def _converge_files(config: dict) -> tuple[dict, int]:
     bound = config["bound"]
     cfg = convergence.ExperimentConfig(
         spec=DistributionSpec.from_json(config["spec"]),
@@ -240,72 +238,7 @@ def _converge_files(config: dict) -> dict:
     return {
         "series.csv": series.to_csv_text(),
         "series.json": {"series": series, "trend": trend, "bound_domination": dom},
-    }
-
-
-DATA_COMMANDS = {
-    "check-cui": _check_cui_files,
-    "poussin": _poussin_files,
-    "converge": _converge_files,
-}
-
-
-def run_command(command: str, config: dict, out_dir: Path) -> int:
-    """Run a data command from its manifest config: write its data files,
-    then the manifest naming them. The config is first coerced to its JSON
-    form, so a run and its replay compute from the same input."""
-    t0 = time.perf_counter()
-    config = _py(config)
-    files = DATA_COMMANDS[command](config)
-    for name, content in files.items():
-        if isinstance(content, str):
-            (out_dir / name).write_text(content)
-        else:
-            write_json(out_dir / name, content)
-    write_manifest(out_dir, command, config, config["seed"], list(files), t0)
-    return 0
-
-
-def cmd_check_cui(args: argparse.Namespace) -> int:
-    config = {
-        "spec": load_spec(args.spec).to_json(),
-        "p": args.p,
-        "a_grid": parse_a_grid(args.a_grid),
-        "horizon": args.horizon,
-        "reps": args.reps,
-        "seed": args.seed,
-        "ge": bool(args.ge),
-    }
-    return run_command("check-cui", config, _ensure_out(args.out))
-
-
-def cmd_poussin(args: argparse.Namespace) -> int:
-    config = {
-        "spec": load_spec(args.spec).to_json(),
-        "horizon": args.horizon,
-        "j_max": args.j_max,
-        "search_cap": args.search_cap,
-        "n_max": args.n_max,
-        "eps": parse_eps_list(args.eps),
-        "reps": args.reps,
-        "seed": args.seed,
-    }
-    return run_command("poussin", config, _ensure_out(args.out))
-
-
-def cmd_converge(args: argparse.Namespace) -> int:
-    if args.mode == "l1" and args.p != 1.0:
-        raise ValueError("l1 mode fixes p = 1; drop --p or pass --p 1")
-    config = {
-        "spec": load_spec(args.spec).to_json(),
-        "mode": args.mode,
-        "p": args.p,
-        "schedule": parse_schedule(args.schedule),
-        "reps": args.reps,
-        "seed": args.seed,
-        "bound": None if args.bound is None else parse_bound(args.bound),
-    }
-    return run_command("converge", config, _ensure_out(args.out))
+    }, 0
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +341,7 @@ def _phi_case(trial: int, seed: int) -> Optional[dict]:
     phi = poussin.PhiFunction(u)
     for k in range(n_max + 1):
         direct = float(u[:k].sum())
-        got = poussin.phi_eval_many(phi, float(k))
+        got = phi(float(k))
         if got != direct:
             return {
                 "kind": "phi_integer_points",
@@ -422,7 +355,7 @@ def _phi_case(trial: int, seed: int) -> Optional[dict]:
     ts = np.sort(rng.uniform01(rng.mix64(bits + np.arange(3, dtype=np.uint64))) * n_max)
     t1, t2, t3 = (float(v) for v in ts)
     if t1 < t2 < t3:
-        f1, f2, f3 = (poussin.phi_eval_many(phi, t) for t in (t1, t2, t3))
+        f1, f2, f3 = (phi(t) for t in (t1, t2, t3))
         chord = f1 + (f3 - f1) * (t2 - t1) / (t3 - t1)
         if f2 > chord + 1e-12:
             return {
@@ -433,7 +366,7 @@ def _phi_case(trial: int, seed: int) -> Optional[dict]:
                 "value": f2,
                 "chord": chord,
             }
-    many = poussin.phi_eval_many(phi, np.arange(0, n_max + 1, dtype=np.float64))
+    many = phi(np.arange(0, n_max + 1, dtype=np.float64))
     if not np.array_equal(many, phi.prefix.astype(np.float64)):
         return {
             "kind": "phi_vectorized",
@@ -443,8 +376,7 @@ def _phi_case(trial: int, seed: int) -> Optional[dict]:
     return None
 
 
-def run_oracle_check(config: dict, out_dir: Optional[Path]) -> int:
-    t0 = time.perf_counter()
+def _oracle_check_files(config: dict) -> tuple[dict, int]:
     trials = config["trials"]
     seed = config["seed"]
     if trials <= 0:
@@ -473,22 +405,64 @@ def run_oracle_check(config: dict, out_dir: Optional[Path]) -> int:
         "passed": counterexample is None,
         "counterexample": counterexample,
     }
-    if out_dir is not None:
-        write_json(out_dir / "oracle_report.json", report)
-        write_manifest(
-            out_dir, "oracle-check", config, seed, ["oracle_report.json"], t0
-        )
     if counterexample is not None:
         print(json.dumps(_py(counterexample), sort_keys=True), file=sys.stderr)
-        return 1
+        return {"oracle_report.json": report}, 1
     print(f"oracle-check: {trials} trials passed")
-    return 0
+    return {"oracle_report.json": report}, 0
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    config = {"trials": args.trials, "seed": args.seed}
-    out_dir = _ensure_out(args.out) if args.out else None
-    return run_oracle_check(config, out_dir)
+# ---------------------------------------------------------------------------
+# the one command path
+
+
+COMMANDS = {
+    "check-cui": _check_cui_files,
+    "poussin": _poussin_files,
+    "converge": _converge_files,
+    "oracle-check": _oracle_check_files,
+}
+
+# the arguments a manifest holds in another form, each with its parser; a
+# None (an optional flag left out) stays None
+JSON_FORM = {
+    "spec": lambda path: load_spec(path).to_json(),
+    "a_grid": parse_a_grid,
+    "eps": parse_eps_list,
+    "schedule": parse_schedule,
+    "bound": parse_bound,
+}
+
+
+def run_command(command: str, config: dict, out: Optional[str]) -> int:
+    """Run a command from its manifest config and return its exit code. Only
+    once the command has computed its files is `out` created and are they
+    written, then the manifest naming them, so a run that raises writes
+    nothing; with no `out` nothing is written. The config is first coerced to
+    its JSON form, so a run and its replay compute from the same input."""
+    t0 = time.perf_counter()
+    config = _py(config)
+    files, code = COMMANDS[command](config)
+    if out is not None:
+        out_dir = Path(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if isinstance(content, str):
+                (out_dir / name).write_text(content)
+            else:
+                write_json(out_dir / name, content)
+        write_manifest(out_dir, command, config, config["seed"], list(files), t0)
+    return code
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """A command's config is its parsed arguments, in their JSON form."""
+    config = {
+        key: value if value is None or key not in JSON_FORM else JSON_FORM[key](value)
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "out")
+    }
+    return run_command(args.command, config, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +507,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if not isinstance(config, dict):
         raise ValueError(f"manifest {args.manifest} has no config object")
     # a tuple compares with ==, so a command that is a list is no TypeError
-    if command not in ("oracle-check", *DATA_COMMANDS):
+    if command not in tuple(COMMANDS):
         raise ValueError(f"manifest {args.manifest}: command {command!r} is not replayable")
     _check_config(args.manifest, config)
-    out_dir = _ensure_out(args.out)
     try:
-        if command == "oracle-check":
-            return run_oracle_check(config, out_dir)
-        return run_command(command, config, out_dir)
+        return run_command(command, config, args.out)
     except KeyError as exc:
         raise ValueError(
             f"manifest {args.manifest}: config has no key {exc.args[0]!r}"
@@ -572,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--ge", action="store_true", help="use the indicator 1(||X|| >= a)")
     pc.add_argument("--out", required=True, help="output directory")
-    pc.set_defaults(func=cmd_check_cui)
+    pc.set_defaults(func=cmd_run)
 
     pp = sub.add_parser("poussin", help="threshold search and convex gauge checks")
     pp.add_argument("--spec", required=True)
@@ -584,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--reps", type=int, default=200)
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--out", required=True)
-    pp.set_defaults(func=cmd_poussin)
+    pp.set_defaults(func=cmd_run)
 
     pv = sub.add_parser("converge", help="mean-convergence series along a schedule")
     pv.add_argument("--mode", choices=("lp", "l1"), required=True)
@@ -599,13 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--bound", default=None, help="eps,a for lp or eps,a,C for l1")
     pv.add_argument("--out", required=True)
-    pv.set_defaults(func=cmd_converge)
+    pv.set_defaults(func=cmd_run)
 
     po = sub.add_parser("oracle-check", help="cross-check fast paths vs brute force")
     po.add_argument("--trials", type=int, default=50)
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--out", default=None, help="optional report directory")
-    po.set_defaults(func=cmd_oracle_check)
+    po.set_defaults(func=cmd_run)
 
     pr = sub.add_parser("replay", help="re-run a manifest into a fresh directory")
     pr.add_argument("--manifest", required=True)

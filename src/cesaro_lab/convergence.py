@@ -209,7 +209,7 @@ def run_l1_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     bounded means, so a family without a finite mean is rejected undrawn.
     """
     if cfg.p != 1.0:
-        raise ValueError("l1 mode fixes p = 1")
+        raise ValueError("l1 mode fixes p = 1; drop --p or pass --p 1")
     if cfg.bound_params is not None:
         if cfg.bound_params.C is None:
             raise ValueError("l1 bound needs C in bound_params")

@@ -82,6 +82,15 @@ def _check_p(p: float) -> None:
         raise ValueError("p must lie in (0, 1]")
 
 
+def check_eps(eps_list: Sequence[float]) -> None:
+    """The rule for a list of eps, checked before anything is drawn: at
+    least one, each > 0 (so NaN fails)."""
+    if not eps_list:
+        raise ValueError("eps_list must be nonempty")
+    if not all(eps > 0 for eps in eps_list):
+        raise ValueError("eps must be > 0")
+
+
 def _sups(
     sample: NormSample, asks: Sequence[NormFunctional], cells: Optional[np.ndarray] = None
 ) -> list[TailEstimate]:
@@ -350,10 +359,7 @@ def verify_criterion_equivalence(
     is then itself below eps, recovering CUI. Every question is asked of the
     one sample, over its box.
     """
-    if not eps_list:
-        raise ValueError("eps_list must be nonempty")
-    if not all(eps > 0 for eps in eps_list):
-        raise ValueError("eps must be > 0")
+    check_eps(eps_list)
     horizon = sample.box
     checks: list[CheckRecord] = []
 

@@ -10,7 +10,6 @@ with phi(a)/a >= (K+1)/eps pushes the tail sup at a below eps.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -18,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import distributions as dist
-from .cui import TailEstimate, _sups, cesaro_tail_sup
+from .cui import TailEstimate, _sups, cesaro_tail_sup, check_eps
 from .distributions import NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 
@@ -59,6 +58,10 @@ class PhiFunction:
 
     def to_json(self) -> dict:
         return {"u": [int(v) for v in self.u]}
+
+    def __call__(self, t):
+        """phi is its own norm functional: phi_eval_many(self, t)."""
+        return phi_eval_many(self, t)
 
 
 def u_from_thresholds(thresholds: Sequence[int], n_max: int) -> np.ndarray:
@@ -135,10 +138,10 @@ def verify_phi_properties(phi: PhiFunction) -> PhiPropertyReport:
     at the integers 1..n_max, and that the end ratio clears GROWTH_FLOOR (a
     finite-domain stand-in for phi(t)/t -> infinity)."""
     grid = np.arange(1, phi.n_max + 1, dtype=np.float64)
-    ratios = phi_eval_many(phi, grid) / grid
+    ratios = phi(grid) / grid
     slack = 1e-12 * np.maximum(1.0, np.abs(ratios[:-1]))
     return PhiPropertyReport(
-        zero_at_zero=bool(phi_eval_many(phi, 0.0) == 0.0),
+        zero_at_zero=bool(phi(0.0) == 0.0),
         slopes_nondecreasing=bool(np.all(np.diff(phi.u) >= 0)),
         ratio_nondecreasing=bool(np.all(np.diff(ratios) >= -slack)),
         growth_attained=bool(ratios[-1] >= GROWTH_FLOOR),
@@ -236,6 +239,8 @@ def build_phi_from_cui(
     both the family's norms and the useful slope range stay inside the domain.
     The search and the calibration share the sample's draw.
     """
+    if n_max is not None and n_max < 1:
+        raise ValueError("n_max must be >= 1")
     thresholds = thresholds_from_cui(sample, j_max, search_cap)
     norms = dist.fixed_norms(sample.spec, sample.box)
     calib = float(_norm_range(sample)[1] if norms is None else norms.max())
@@ -260,13 +265,12 @@ def poussin_moment_check(sample: NormSample, phi: PhiFunction) -> TailEstimate:
     otherwise. Any norm beyond phi's domain raises PhiDomainError (enlarge
     n_max).
     """
-    g = functools.partial(phi_eval_many, phi)
-    if sample.closed_form(g) is None:
+    if sample.closed_form(phi) is None:
         # phi is evaluated chunk by chunk inside the reduction; check the
         # whole sample first, so an error names its max and not one chunk's
         sample.hold()
         _check_domain(phi, *_norm_range(sample))
-    return _sups(sample, [g])[0]
+    return _sups(sample, [phi])[0]
 
 
 @dataclass(frozen=True)
@@ -287,15 +291,12 @@ def poussin_forward_check(
     poussin_moment_check of the same sample and phi, the first integer level
     a where phi(a)/a >= (K+1)/eps must push the tail sup at a below eps. The
     levels of every eps are one list of asks, so one pass answers them."""
-    if not eps_list:
-        raise ValueError("eps_list must be nonempty")
+    check_eps(eps_list)
     K = moment.upper()
     levels = np.arange(1, phi.n_max + 1, dtype=np.float64)
     ratios = phi.prefix[1:] / levels
     chosen = []
     for eps in eps_list:
-        if not (eps > 0):
-            raise ValueError("eps must be > 0")
         target = (K + 1.0) / eps
         hits = np.nonzero(ratios >= target)[0]
         if hits.size == 0:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import cesaro_lab
-from cesaro_lab import cli
+from cesaro_lab import cli, convergence, cui
 from cesaro_lab import distributions as dist
 from cesaro_lab.convergence import BoundParams
+from cesaro_lab.errors import HorizonTooSmallError
 from cesaro_lab.lattice import MultiIndex, dyadic_square_schedule
 
 
@@ -157,7 +158,7 @@ class TestCheckCui:
                          "--out", str(out)])
         assert code == 2
         assert "reps" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_growing_tail_rises_with_horizon(self, tmp_path):
         spec = write_spec(tmp_path, "growing_non_cui", exponent=0.5)
@@ -257,13 +258,14 @@ class TestConverge:
         assert payload["trend"]["passed"] is True
         assert payload["bound_domination"]["all_pass"] is True
 
-    def test_l1_rejects_other_p(self, tmp_path):
+    def test_l1_rejects_other_p(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "iid_rademacher")
         code = cli.main(
             ["converge", "--mode", "l1", "--spec", spec, "--p", "0.5",
              "--schedule", "2;4", "--out", str(tmp_path / "o")]
         )
         assert code == 2
+        assert "l1 mode fixes p = 1; drop --p or pass --p 1" in capsys.readouterr().err
 
     def test_lp_rejects_p_above_one(self, tmp_path):
         spec = write_spec(tmp_path, "constant", c=1.0)
@@ -295,7 +297,7 @@ class TestConverge:
                 "--out", str(out)]
         assert cli.main(argv) == 2
         assert message in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_inf_maximum_prints_no_warning(self, tmp_path):
         # pareto alpha 0.02 draws |s| > 1e154, whose square overflows to inf:
@@ -383,7 +385,44 @@ class TestPoussin:
         assert code == 3
         assert "largest slope 4" in err and "raise j_max" in err
         assert "enlarge n_max" not in err
-        assert not (out / "poussin_report.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--eps", "0.5,-1"], "eps must be > 0"), (["--eps", "0.5,nan"], "eps must be > 0"),
+         (["--eps", "0"], "eps must be > 0"), (["--n-max", "0"], "n_max must be >= 1"),
+         (["--n-max", "-3"], "n_max must be >= 1")],
+        ids=["negative-eps", "nan-eps", "zero-eps", "zero-n-max", "negative-n-max"],
+    )
+    def test_bad_eps_or_n_max_is_rejected_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                          flags, message):
+        # an empirical spec, so the threshold search would draw
+        spec = {"family": "pareto_radial", "params": {"alpha": 3.0}, "dim_D": 1,
+                "moment_mode": "empirical"}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        flag, value = flags
+        config = {"spec": spec, "horizon": "256", "j_max": 8, "search_cap": 64, "reps": 20,
+                  "seed": 0, "n_max": int(value) if flag == "--n-max" else None,
+                  "eps": [float(v) for v in value.split(",")] if flag == "--eps" else [0.5]}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "poussin", "config": config}))
+        calls = []
+        real = dist.norm_batch
+
+        def counting_norm_batch(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "norm_batch", counting_norm_batch)
+        run = ["poussin", "--spec", str(spec_path), "--horizon", "256", "--reps", "20", *flags,
+               "--out", str(tmp_path / "run")]
+        replay = ["replay", "--manifest", str(manifest), "--out", str(tmp_path / "replay")]
+        for argv, out in ((run, "run"), (replay, "replay")):
+            assert cli.main(argv) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / out).exists()
+        assert calls == []
 
 
 class TestOracleCheck:
@@ -417,6 +456,27 @@ class TestOracleCheck:
         counterexample = json.loads(err)
         assert counterexample["kind"] == "prefix"
         assert counterexample["trial"] == 0
+
+    def test_injected_fault_with_out_writes_report_and_manifest(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        real = cli.prefix_table
+
+        def faulty(*args, **kwargs):
+            table = real(*args, **kwargs)
+            table.flat[0] += 1.0
+            return table
+
+        monkeypatch.setattr(cli, "prefix_table", faulty)
+        out = tmp_path / "out"
+        assert cli.main(["oracle-check", "--trials", "3", "--out", str(out)]) == 1
+        counterexample = json.loads(capsys.readouterr().err.strip())
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report == {"trials": 3, "seed": 0, "passed": False,
+                          "counterexample": counterexample}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "oracle-check"
+        assert manifest["outputs"] == ["oracle_report.json"]
+        assert manifest["config"] == {"trials": 3, "seed": 0}
 
     def test_broken_schedule_averages_are_caught(self, capsys, monkeypatch):
         real = cli.schedule_averages
@@ -544,7 +604,7 @@ class TestReplay:
         assert self.replay(manifest, out) == 2
         err = capsys.readouterr().err
         assert "no finite mean; use --mode lp" in err and "Traceback" not in err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_check_cui_replay(self, tmp_path):
         spec = write_spec(tmp_path, "iid_gaussian", sigma=1.0, dim_D=2)
@@ -733,3 +793,132 @@ def test_every_command_replays_its_named_files(tmp_path, argv, files):
             assert data.split("\n")[0] == shape
         else:
             assert key_paths(json.loads(data)) == shape
+
+
+# --- the one command path: the config is the parsed arguments, and a rejected
+# run writes nothing
+
+EMPIRICAL = {"family": "pareto_radial", "params": {"alpha": 3.0}, "dim_D": 1,
+             "moment_mode": "empirical"}
+ANALYTIC = {**EMPIRICAL, "moment_mode": "analytic"}
+SPECS = {"SPEC": EMPIRICAL, "ANALYTIC": ANALYTIC,
+         "GROWING": {"family": "growing_non_cui", "params": {"exponent": 0.5}, "dim_D": 1},
+         "SPIKED": {"family": "spiked_cui", "params": {}, "dim_D": 1}}
+
+
+def spec_argv(tmp_path, argv):
+    """argv with each SPECS name replaced by the path of a file holding it."""
+    out = []
+    for arg in argv:
+        if arg in SPECS:
+            path = tmp_path / f"{arg.lower()}.json"
+            path.write_text(json.dumps(SPECS[arg]))
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+# argv -> the manifest config that the per-command config builders wrote
+# before every command ran through run_command
+MANIFEST_CONFIGS = {
+    "check-cui": (
+        ["check-cui", "--spec", "SPEC", "--p", "0.5", "--horizon", "64x64", "--reps", "20"],
+        {"a_grid": [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0], "ge": False, "horizon": "64x64",
+         "p": 0.5, "reps": 20, "seed": 0, "spec": EMPIRICAL},
+    ),
+    "check-cui-ge": (
+        ["check-cui", "--spec", "SPEC", "--ge", "--a-grid", "1,2", "--horizon", "256",
+         "--reps", "5", "--seed", "3"],
+        {"a_grid": [1.0, 2.0], "ge": True, "horizon": "256", "p": 1.0, "reps": 5, "seed": 3,
+         "spec": EMPIRICAL},
+    ),
+    "poussin": (
+        ["poussin", "--spec", "SPEC", "--horizon", "256", "--j-max", "4", "--search-cap", "64",
+         "--reps", "20", "--eps", "1.0,0.5", "--n-max", "200"],
+        {"eps": [1.0, 0.5], "horizon": "256", "j_max": 4, "n_max": 200, "reps": 20,
+         "search_cap": 64, "seed": 0, "spec": EMPIRICAL},
+    ),
+    "converge-lp": (
+        ["converge", "--mode", "lp", "--p", "0.5", "--schedule", "dyadic:2,64", "--spec",
+         "ANALYTIC", "--reps", "5"],
+        {"bound": None, "mode": "lp", "p": 0.5, "reps": 5, "schedule": ["2x2", "4x4", "8x8"],
+         "seed": 0, "spec": ANALYTIC},
+    ),
+    "converge-lp-bound": (
+        ["converge", "--mode", "lp", "--p", "0.5", "--schedule", "2;4;8", "--spec", "ANALYTIC",
+         "--reps", "20", "--bound", "0.1,4"],
+        {"bound": {"C": None, "a": 4.0, "eps": 0.1}, "mode": "lp", "p": 0.5, "reps": 20,
+         "schedule": ["2", "4", "8"], "seed": 0, "spec": ANALYTIC},
+    ),
+    "converge-l1-bound": (
+        ["converge", "--mode", "l1", "--schedule", "2;4;8;16", "--spec", "ANALYTIC",
+         "--reps", "20", "--bound", "0.5,2,1"],
+        {"bound": {"C": 1.0, "a": 2.0, "eps": 0.5}, "mode": "l1", "p": 1.0, "reps": 20,
+         "schedule": ["2", "4", "8", "16"], "seed": 0, "spec": ANALYTIC},
+    ),
+    "oracle-check": (["oracle-check", "--trials", "5"], {"seed": 0, "trials": 5}),
+}
+
+
+@pytest.mark.parametrize("argv, config", MANIFEST_CONFIGS.values(), ids=MANIFEST_CONFIGS.keys())
+def test_manifest_config_is_the_parsed_arguments(tmp_path, argv, config):
+    out = tmp_path / "out"
+    assert cli.main([*spec_argv(tmp_path, argv), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"] == config
+
+
+def raise_horizon_error(*args, **kwargs):
+    raise HorizonTooSmallError("injected")
+
+
+# argv, exit code, the library function an injected domain error replaces
+REJECTED_RUNS = {
+    "check-cui-a-grid": (["check-cui", "--spec", "SPEC", "--a-grid", "1,inf", "--horizon", "64",
+                          "--reps", "5"], 2, None),
+    "check-cui-spiked-2d": (["check-cui", "--spec", "SPIKED", "--horizon", "8x8", "--reps", "5"],
+                            2, None),
+    "check-cui-domain": (["check-cui", "--spec", "SPEC", "--horizon", "64", "--reps", "5"], 3,
+                         (cui, "build_cui_report")),
+    "poussin-eps": (["poussin", "--spec", "SPEC", "--horizon", "256", "--reps", "5",
+                     "--eps", "0.5,-1"], 2, None),
+    "poussin-n-max": (["poussin", "--spec", "SPEC", "--horizon", "256", "--j-max", "4",
+                       "--search-cap", "64", "--reps", "20", "--n-max", "3"], 2, None),
+    "poussin-search-cap": (["poussin", "--spec", "GROWING", "--horizon", "4096",
+                            "--search-cap", "8", "--reps", "5"], 3, None),
+    "converge-duplicate-box": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
+                                "--schedule", "2;2;4", "--reps", "5"], 2, None),
+    "converge-bound": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
+                        "--schedule", "2;4", "--reps", "5", "--bound", "inf,1"], 2, None),
+    "converge-lp-at-p-1": (["converge", "--mode", "lp", "--p", "1", "--spec", "ANALYTIC",
+                            "--schedule", "2;4", "--reps", "5"], 2, None),
+    "converge-domain": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
+                         "--schedule", "2;4", "--reps", "5"], 3,
+                        (convergence, "run_lp_experiment")),
+    "oracle-check-trials": (["oracle-check", "--trials", "0"], 2, None),
+}
+
+
+@pytest.mark.parametrize("argv, code, injected", REJECTED_RUNS.values(),
+                         ids=REJECTED_RUNS.keys())
+def test_rejected_run_writes_nothing(tmp_path, capsys, monkeypatch, argv, code, injected):
+    # check-cui and converge raise no domain error of their own, so exit 3 is
+    # injected into the library function each command calls
+    if injected is not None:
+        monkeypatch.setattr(*injected, raise_horizon_error)
+    out = tmp_path / "out"
+    assert cli.main([*spec_argv(tmp_path, argv), "--out", str(out)]) == code
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rejected_replay_writes_nothing(tmp_path, capsys):
+    # exit 3: tails that do not decay within the search cap; the exit-2
+    # replays are TestReplay's no-finite-mean manifest and TestPoussin's bad eps
+    config = {"eps": [0.5], "horizon": "4096", "j_max": 8, "n_max": None, "reps": 5,
+              "search_cap": 8, "seed": 0, "spec": SPECS["GROWING"]}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "poussin", "config": config}))
+    out = tmp_path / "out"
+    assert cli.main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 3
+    assert "do not decay within the disclosed cap" in capsys.readouterr().err
+    assert not out.exists()

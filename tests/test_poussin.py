@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cesaro_lab.cui as cui
+import cesaro_lab.distributions as dist
+import cesaro_lab.poussin as poussin
 from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.errors import HorizonTooSmallError, PhiDomainError
 from cesaro_lab.lattice import MultiIndex
@@ -110,6 +112,14 @@ class TestPhiEvaluation:
         oracle = np.array([phi_eval(phi, float(t)) for t in ts])
         assert np.array_equal(many, each)
         assert np.array_equal(many, oracle)
+
+    def test_phi_is_its_own_functional(self):
+        phi = self.phi_2j()
+        ts = np.linspace(0.0, 9.0, 97)
+        assert np.array_equal(phi(ts), phi_eval_many(phi, ts))
+        assert phi(4.5) == 3.0
+        with pytest.raises(PhiDomainError):
+            phi(9.5)
 
     @settings(max_examples=60, deadline=None)
     @given(slope_lists, st.data())
@@ -233,6 +243,21 @@ class TestConstruction:
         built = build_phi_from_cui(NormSample(CONSTANT, MultiIndex((4096,))), j_max=6, n_max=20)
         assert built.phi.n_max == 20
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_n_max_below_one_is_rejected_before_drawing(self, monkeypatch, n_max):
+        calls = []
+        real = dist.norm_batch
+
+        def counting_norm_batch(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "norm_batch", counting_norm_batch)
+        sample = NormSample(DistributionSpec("pareto_radial", {"alpha": 3.0}, dim_D=1, moment_mode="empirical"), MultiIndex((256,)), reps=5)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            build_phi_from_cui(sample, j_max=4, search_cap=64, n_max=n_max)
+        assert calls == []
+
     def test_moment_check_analytic_families(self):
         for spec in (CONSTANT, ZERO, SPIKED):
             sample = NormSample(spec, MultiIndex((10_000,)))
@@ -301,6 +326,21 @@ class TestOneEstimator:
         assert not poussin_moment_check(
             NormSample(gauss, MultiIndex((64,)), seed=0, reps=50), phi
         ).low_reps
+
+    def test_moment_check_asks_phi_itself(self, monkeypatch):
+        # phi, not a wrapper around it, is the ask that reaches the engine
+        asks = []
+        real = poussin._sups
+
+        def recording_sups(sample, gs, *args, **kwargs):
+            asks.append(list(gs))
+            return real(sample, gs, *args, **kwargs)
+
+        monkeypatch.setattr(poussin, "_sups", recording_sups)
+        phi = PhiFunction(u_from_thresholds([1, 2, 4], 64))
+        gauss = spec_of("iid_gaussian", sigma=1.0)
+        poussin_moment_check(NormSample(gauss, MultiIndex((64,)), seed=0, reps=5), phi)
+        assert asks == [[phi]]
 
     def test_forward_check_K_reads_upper(self, monkeypatch):
         sample = NormSample(CONSTANT, MultiIndex((64,)))
