@@ -1,17 +1,17 @@
 """Command-line front end: configure, run, and export diagnostics reproducibly.
 
-Four commands: check-cui (tail-sup report over a truncation grid), poussin
+Three commands: check-cui (tail-sup report over a truncation grid), poussin
 (threshold search, convex gauge construction, moment and forward checks),
-converge (mean-convergence series with trend and envelope verdicts), and
-oracle-check (prefix-sum, schedule-average and gauge evaluation cross-checks
-against brute force). Every command and every replay runs through
-`run_command`, which writes a manifest next to the outputs; `replay` re-runs
-a manifest's command into a fresh directory. Data files are byte-identical
-across replays; only the manifest's duration field varies. A run that fails
-(exit 2 or 3) writes nothing, not even its output directory.
+and converge (mean-convergence series with trend and envelope verdicts).
+Every command and every replay runs through `run_command`, which writes a
+manifest next to the outputs; `replay` re-runs a manifest's command into a
+fresh directory. Data files are byte-identical across replays; only the
+manifest's duration field varies. A run that fails (exit 2 or 3) writes
+nothing, not even its output directory, and an output directory that cannot
+be created is rejected before anything is computed.
 
 Exit codes: 0 the run completed (scientific verdicts live in the output
-files), 1 verification failure, 2 usage error, 3 domain or horizon error.
+files), 2 usage error, 3 domain or horizon error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -26,19 +27,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import convergence, cui, poussin, rng
+from . import convergence, cui, poussin
 from .distributions import DistributionSpec, NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
-from .lattice import (
-    MultiIndex,
-    box_maxima,
-    dyadic_boxes,
-    dyadic_square_schedule,
-    prefix_sums_bruteforce,
-    prefix_table,
-    schedule_averages,
-    schedule_profiles,
-)
+from .lattice import MultiIndex, dyadic_square_schedule
 
 try:
     from . import __version__ as _pkg_version
@@ -154,8 +146,7 @@ def write_manifest(
 
 # ---------------------------------------------------------------------------
 # commands: each maps its manifest config to its named data files, in
-# manifest order, and its exit code; text is written as is, anything else
-# through write_json.
+# manifest order; text is written as is, anything else through write_json.
 # Library functions are looked up through their modules at call time, so a
 # rebinding of a module attribute (as the benchmark tracer makes) is seen.
 
@@ -165,14 +156,14 @@ def _sample(config: dict) -> NormSample:
     return NormSample(spec, parse_horizon(config["horizon"]), config["seed"], config["reps"])
 
 
-def _check_cui_files(config: dict) -> tuple[dict, int]:
+def _check_cui_files(config: dict) -> dict:
     report = cui.build_cui_report(
         _sample(config), p=config["p"], a_grid=config["a_grid"], ge=config["ge"]
     )
-    return {"cui_report.csv": report.to_csv_text(), "cui_report.json": report}, 0
+    return {"cui_report.csv": report.to_csv_text(), "cui_report.json": report}
 
 
-def _poussin_files(config: dict) -> tuple[dict, int]:
+def _poussin_files(config: dict) -> dict:
     cui.check_eps(config["eps"])  # before the search draws
     sample = _sample(config)
     sample.hold()  # the search, the calibration and both checks read one draw
@@ -208,10 +199,10 @@ def _poussin_files(config: dict) -> tuple[dict, int]:
         "poussin_report.json": report,
         "phi.json": built.phi.to_json(),
         "phi.csv": "\n".join(lines) + "\n",
-    }, 0
+    }
 
 
-def _converge_files(config: dict) -> tuple[dict, int]:
+def _converge_files(config: dict) -> dict:
     bound = config["bound"]
     cfg = convergence.ExperimentConfig(
         spec=DistributionSpec.from_json(config["spec"]),
@@ -238,178 +229,7 @@ def _converge_files(config: dict) -> tuple[dict, int]:
     return {
         "series.csv": series.to_csv_text(),
         "series.json": {"series": series, "trend": trend, "bound_domination": dom},
-    }, 0
-
-
-# ---------------------------------------------------------------------------
-# oracle-check
-
-
-def _rand_int(key: np.uint64, idx: int, lo: int, hi: int) -> int:
-    """Deterministic integer in [lo, hi] from one key substream."""
-    bits = rng.substream(np.asarray([key], dtype=np.uint64), idx)
-    u = rng.uniform01(rng.mix64(bits))[0]
-    return lo + int(u * (hi - lo + 1))
-
-
-def _prefix_case(trial: int, seed: int) -> Optional[dict]:
-    """Compare sweep prefix sums, and M_k of every box [1, k] of the random
-    box (incomparable boxes among them) from box_maxima, against brute force."""
-    key = np.uint64(rng.derive_seed(seed, trial))
-    d = _rand_int(key, 1, 1, 3)
-    sides = tuple(_rand_int(key, 10 + ax, 1, 4) for ax in range(d))
-    D = 1 if _rand_int(key, 2, 0, 1) == 0 else 4
-    box = MultiIndex(sides)
-    grids = np.meshgrid(
-        *(np.arange(1, c + 1, dtype=np.uint64) for c in sides), indexing="ij"
-    )
-    cells = rng.cell_keys(int(key), grids)
-    values = rng.normals(cells, D)
-    fast = prefix_table(values, range(d))
-    brute = prefix_sums_bruteforce(values)
-    # M_k = max_{j <= k} ||S_j|| at every k, as the block max of brute norms
-    norms = np.sqrt((brute * brute).sum(axis=-1))
-    m_brute = np.empty_like(norms)
-    for idx in np.ndindex(*sides):
-        m_brute[idx] = norms[tuple(slice(0, c + 1) for c in idx)].max()
-    boxes = [MultiIndex(tuple(c + 1 for c in idx)) for idx in np.ndindex(*sides)]
-    q = np.sum(np.square(fast), axis=-1)
-    m_fast = np.sqrt(box_maxima([(0, q[None])], 1, boxes)).reshape(sides)
-    errors = {
-        "prefix": float(np.abs(fast - brute).max()) / max(1.0, float(np.abs(brute).max())),
-        "running_max": float(np.abs(m_fast - m_brute).max()) / max(1.0, float(m_brute.max())),
     }
-    for kind, err in errors.items():
-        if err > 1e-9:
-            return {"kind": kind, "trial": trial, "d": d, "box": str(box), "D": D,
-                    "relative_error": err}
-    return None
-
-
-def _schedule_case(trial: int, seed: int) -> Optional[dict]:
-    """Compare the dyadic tail profile of a random box, with a leading rep
-    axis, a weight and two truncation levels (strict or not), against
-    brute-force block means; and two such queries, with other weights,
-    levels and strictness, answered in one pass over chunks of one rep,
-    against their one-query calls and against brute force."""
-    key = np.uint64(rng.derive_seed(seed, 2_000_000 + trial))
-    d = _rand_int(key, 1, 1, 3)
-    sides = tuple(_rand_int(key, 10 + ax, 1, 5) for ax in range(d))
-    reps = _rand_int(key, 2, 1, 3)
-    ge = _rand_int(key, 3, 0, 1) == 1
-    levels = (-0.5, 0.5)
-    box = MultiIndex(sides)
-    grids = np.meshgrid(
-        *(np.arange(1, c + 1, dtype=np.uint64) for c in sides), indexing="ij"
-    )
-    # half-integer cells, so some sit exactly on a level and ge matters
-    normals = rng.normals(rng.cell_keys(int(key), grids), reps)
-    field = np.moveaxis(np.round(2.0 * normals) / 2.0, -1, 0)
-    queries = [(np.abs, levels, ge), (np.square, (0.0, 1.0), not ge)]
-
-    def brute(weight, grid, ge) -> np.ndarray:
-        def block_means(n: MultiIndex, a: float) -> np.ndarray:
-            block = field[(slice(None),) + tuple(slice(0, c) for c in n.coords)]
-            kept = np.where(block >= a if ge else block > a, weight(block), 0.0)
-            return kept.reshape(reps, -1).mean(axis=1)
-
-        return np.stack(
-            [np.stack([block_means(n, a) for n in dyadic_boxes(box)], axis=-1) for a in grid]
-        )
-
-    def relative_error(fast: np.ndarray, want: np.ndarray) -> float:
-        return float(np.abs(fast - want).max()) / max(1.0, float(np.abs(want).max()))
-
-    case = {"trial": trial, "d": d, "box": str(box), "reps": reps, "ge": ge}
-    err = relative_error(schedule_averages(field, box, *queries[0]), brute(*queries[0]))
-    if err > 1e-9:
-        return {"kind": "schedule_average", **case, "relative_error": err}
-    one_pass = schedule_profiles(((r, field[r : r + 1]) for r in range(reps)), reps, box, queries)
-    for q, (got, query) in enumerate(zip(one_pass, queries)):
-        err = relative_error(got, brute(*query))
-        if not np.array_equal(got, schedule_averages(field, box, *query)) or err > 1e-9:
-            return {"kind": "schedule_multi_query", **case, "query": q, "relative_error": err}
-    return None
-
-
-def _phi_case(trial: int, seed: int) -> Optional[dict]:
-    """Compare gauge evaluation against direct slope summation and chords."""
-    key = np.uint64(rng.derive_seed(seed, 1_000_000 + trial))
-    n_max = _rand_int(key, 1, 2, 12)
-    steps = np.array([_rand_int(key, 10 + k, 0, 3) for k in range(n_max)])
-    u = np.cumsum(steps)
-    phi = poussin.PhiFunction(u)
-    for k in range(n_max + 1):
-        direct = float(u[:k].sum())
-        got = phi(float(k))
-        if got != direct:
-            return {
-                "kind": "phi_integer_points",
-                "trial": trial,
-                "u": [int(v) for v in u],
-                "k": k,
-                "expected": direct,
-                "got": got,
-            }
-    bits = rng.substream(np.asarray([key], dtype=np.uint64), 99)
-    ts = np.sort(rng.uniform01(rng.mix64(bits + np.arange(3, dtype=np.uint64))) * n_max)
-    t1, t2, t3 = (float(v) for v in ts)
-    if t1 < t2 < t3:
-        f1, f2, f3 = (phi(t) for t in (t1, t2, t3))
-        chord = f1 + (f3 - f1) * (t2 - t1) / (t3 - t1)
-        if f2 > chord + 1e-12:
-            return {
-                "kind": "phi_convexity",
-                "trial": trial,
-                "u": [int(v) for v in u],
-                "triple": [t1, t2, t3],
-                "value": f2,
-                "chord": chord,
-            }
-    many = phi(np.arange(0, n_max + 1, dtype=np.float64))
-    if not np.array_equal(many, phi.prefix.astype(np.float64)):
-        return {
-            "kind": "phi_vectorized",
-            "trial": trial,
-            "u": [int(v) for v in u],
-        }
-    return None
-
-
-def _oracle_check_files(config: dict) -> tuple[dict, int]:
-    trials = config["trials"]
-    seed = config["seed"]
-    if trials <= 0:
-        raise ValueError("trials must be >= 1")
-    cases = [
-        ("prefix", lambda trial: _prefix_case(trial, seed)),
-        ("schedule_average", lambda trial: _schedule_case(trial, seed)),
-        ("phi", lambda trial: _phi_case(trial, seed)),
-    ]
-    counterexample = None
-    for trial in range(trials):
-        for kind, case in cases:
-            # a fast path that raises fails the check like one that is wrong;
-            # it is not a usage error
-            try:
-                counterexample = case(trial)
-            except Exception as exc:
-                counterexample = {"kind": kind, "trial": trial, "error": repr(exc)}
-            if counterexample is not None:
-                break
-        if counterexample is not None:
-            break
-    report = {
-        "trials": trials,
-        "seed": seed,
-        "passed": counterexample is None,
-        "counterexample": counterexample,
-    }
-    if counterexample is not None:
-        print(json.dumps(_py(counterexample), sort_keys=True), file=sys.stderr)
-        return {"oracle_report.json": report}, 1
-    print(f"oracle-check: {trials} trials passed")
-    return {"oracle_report.json": report}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +240,6 @@ COMMANDS = {
     "check-cui": _check_cui_files,
     "poussin": _poussin_files,
     "converge": _converge_files,
-    "oracle-check": _oracle_check_files,
 }
 
 # the arguments a manifest holds in another form, each with its parser; a
@@ -434,35 +253,46 @@ JSON_FORM = {
 }
 
 
-def run_command(command: str, config: dict, out: Optional[str]) -> int:
-    """Run a command from its manifest config and return its exit code. Only
+def _check_out(out: str) -> None:
+    """Raise ValueError unless `out` can be a directory to write in: its
+    nearest existing ancestor (`out` itself, if it exists) must be a writable
+    directory. Creates nothing."""
+    path = Path(out).absolute()
+    while not path.exists():
+        path = path.parent
+    if not (path.is_dir() and os.access(path, os.W_OK)):
+        raise ValueError(f"--out {out}: {path} is not a writable directory")
+
+
+def run_command(command: str, config: dict, out: str) -> None:
+    """Run a command from its manifest config into the directory `out`. An
+    `out` that cannot be created is rejected before the command runs; only
     once the command has computed its files is `out` created and are they
     written, then the manifest naming them, so a run that raises writes
-    nothing; with no `out` nothing is written. The config is first coerced to
-    its JSON form, so a run and its replay compute from the same input."""
+    nothing. The config is first coerced to its JSON form, so a run and its
+    replay compute from the same input."""
     t0 = time.perf_counter()
+    _check_out(out)
     config = _py(config)
-    files, code = COMMANDS[command](config)
-    if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, content in files.items():
-            if isinstance(content, str):
-                (out_dir / name).write_text(content)
-            else:
-                write_json(out_dir / name, content)
-        write_manifest(out_dir, command, config, config["seed"], list(files), t0)
-    return code
+    files = COMMANDS[command](config)
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out_dir / name).write_text(content)
+        else:
+            write_json(out_dir / name, content)
+    write_manifest(out_dir, command, config, config["seed"], list(files), t0)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> None:
     """A command's config is its parsed arguments, in their JSON form."""
     config = {
         key: value if value is None or key not in JSON_FORM else JSON_FORM[key](value)
         for key, value in vars(args).items()
         if key not in ("command", "func", "out")
     }
-    return run_command(args.command, config, args.out)
+    run_command(args.command, config, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +305,7 @@ def _check_config(manifest: str, config: dict) -> None:
     integer, a boolean is neither). Keys that no command writes, such as an
     old manifest's "threads", are left alone."""
     num, null = (int, float), type(None)
-    kinds = dict.fromkeys(("reps", "seed", "j_max", "search_cap", "trials"), int)
+    kinds = dict.fromkeys(("reps", "seed", "j_max", "search_cap"), int)
     kinds.update(spec=dict, horizon=str, mode=str, ge=bool, p=num, a_grid=[num], eps=[num],
                  schedule=[str], n_max=(int, null), bound=(dict, null))
     kinds.update({"bound.eps": num, "bound.a": num, "bound.C": (*num, null)})
@@ -494,7 +324,7 @@ def _check_config(manifest: str, config: dict) -> None:
             )
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def cmd_replay(args: argparse.Namespace) -> None:
     raw = Path(args.manifest).read_text()
     try:
         manifest = json.loads(raw)
@@ -511,7 +341,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ValueError(f"manifest {args.manifest}: command {command!r} is not replayable")
     _check_config(args.manifest, config)
     try:
-        return run_command(command, config, args.out)
+        run_command(command, config, args.out)
     except KeyError as exc:
         raise ValueError(
             f"manifest {args.manifest}: config has no key {exc.args[0]!r}"
@@ -572,12 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", required=True)
     pv.set_defaults(func=cmd_run)
 
-    po = sub.add_parser("oracle-check", help="cross-check fast paths vs brute force")
-    po.add_argument("--trials", type=int, default=50)
-    po.add_argument("--seed", type=int, default=0)
-    po.add_argument("--out", default=None, help="optional report directory")
-    po.set_defaults(func=cmd_run)
-
     pr = sub.add_parser("replay", help="re-run a manifest into a fresh directory")
     pr.add_argument("--manifest", required=True)
     pr.add_argument("--out", required=True)
@@ -594,13 +418,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.func(args)
+        args.func(args)
     except (HorizonTooSmallError, PhiDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -84,11 +84,11 @@ def _check_p(p: float) -> None:
 
 def check_eps(eps_list: Sequence[float]) -> None:
     """The rule for a list of eps, checked before anything is drawn: at
-    least one, each > 0 (so NaN fails)."""
+    least one, each finite and > 0 (so NaN fails)."""
     if not eps_list:
         raise ValueError("eps_list must be nonempty")
-    if not all(eps > 0 for eps in eps_list):
-        raise ValueError("eps must be > 0")
+    if not all(0 < eps < math.inf for eps in eps_list):
+        raise ValueError("eps must be > 0 and finite")
 
 
 def _sups(

@@ -46,7 +46,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-BRUTE_FORCE_CELL_CAP = 100_000
 # Values per chunk of replications, in draw_chunks (every draw of a sample:
 # the values of a vector chunk, or one norm per cell) and cells per chunk in
 # row_chunks: each holds one chunk's temporaries at a time, so they do not
@@ -164,20 +163,6 @@ def _pairwise_planes(p: np.ndarray, out: np.ndarray) -> None:
         _pairwise_planes(p[:half], out)
         _pairwise_planes(p[half:], p[half])
         np.add(out, p[half], out=out)
-
-
-def prefix_sums_bruteforce(values: np.ndarray) -> np.ndarray:
-    """Reference oracle: direct summation over {i : i <= k} for each k
-    independently, for an array of D-vectors of shape box + (D,)."""
-    box = values.shape[:-1]
-    cells = math.prod(box)
-    if cells > BRUTE_FORCE_CELL_CAP:
-        raise ValueError(f"brute-force oracle capped at {BRUTE_FORCE_CELL_CAP} cells, got {cells}")
-    out = np.empty_like(values, dtype=np.float64)
-    for idx in np.ndindex(*box):
-        block = values[tuple(slice(0, c + 1) for c in idx)]
-        out[idx] = block.sum(axis=tuple(range(len(box))))
-    return out
 
 
 def box_maxima(

@@ -6,6 +6,23 @@ import numpy as np
 
 from cesaro_lab.errors import PhiDomainError
 
+BRUTE_FORCE_CELL_CAP = 100_000
+
+
+def prefix_sums_bruteforce(values: np.ndarray) -> np.ndarray:
+    """Direct summation over {i : i <= k} for each k independently, for an
+    array of D-vectors of shape box + (D,): the prefix table prefix_table must
+    match. Capped at BRUTE_FORCE_CELL_CAP cells, as its cost is quadratic."""
+    box = values.shape[:-1]
+    cells = math.prod(box)
+    if cells > BRUTE_FORCE_CELL_CAP:
+        raise ValueError(f"brute-force oracle capped at {BRUTE_FORCE_CELL_CAP} cells, got {cells}")
+    out = np.empty_like(values, dtype=np.float64)
+    for idx in np.ndindex(*box):
+        block = values[tuple(slice(0, c + 1) for c in idx)]
+        out[idx] = block.sum(axis=tuple(range(len(box))))
+    return out
+
 
 def running_max_norms(S: np.ndarray, d: int) -> np.ndarray:
     """max_{j <= k} ||S_j|| at every k: shape lead + box for a prefix table S

@@ -34,7 +34,6 @@ from cesaro_lab.lattice import (
     box_maxima,
     dyadic_boxes,
     dyadic_square_schedule,
-    prefix_sums_bruteforce,
     prefix_table,
 )
 from cesaro_lab.poussin import (
@@ -46,6 +45,7 @@ from cesaro_lab.poussin import (
     u_from_thresholds,
     verify_phi_properties,
 )
+from oracles import prefix_sums_bruteforce
 
 CONSTANT = DistributionSpec("constant", {"c": 1.0}, dim_D=1)
 PARETO = DistributionSpec("pareto_radial", {"alpha": 3.0}, dim_D=1)

@@ -425,102 +425,6 @@ class TestPoussin:
         assert calls == []
 
 
-class TestOracleCheck:
-    def test_passes_by_default(self, capsys):
-        assert cli.main(["oracle-check", "--trials", "8", "--seed", "0"]) == 0
-        assert "8 trials passed" in capsys.readouterr().out
-
-    def test_report_written_when_out_given(self, tmp_path):
-        out = tmp_path / "out"
-        code = cli.main(
-            ["oracle-check", "--trials", "5", "--seed", "1", "--out", str(out)]
-        )
-        assert code == 0
-        report = json.loads((out / "oracle_report.json").read_text())
-        assert report == {
-            "trials": 5, "seed": 1, "passed": True, "counterexample": None
-        }
-        assert (out / "manifest.json").exists()
-
-    def test_injected_fault_is_caught(self, capsys, monkeypatch):
-        real = cli.prefix_table
-
-        def faulty(*args, **kwargs):
-            table = real(*args, **kwargs)
-            table.flat[0] += 1.0
-            return table
-
-        monkeypatch.setattr(cli, "prefix_table", faulty)
-        assert cli.main(["oracle-check", "--trials", "3"]) == 1
-        err = capsys.readouterr().err.strip()
-        counterexample = json.loads(err)
-        assert counterexample["kind"] == "prefix"
-        assert counterexample["trial"] == 0
-
-    def test_injected_fault_with_out_writes_report_and_manifest(self, tmp_path, capsys,
-                                                                 monkeypatch):
-        real = cli.prefix_table
-
-        def faulty(*args, **kwargs):
-            table = real(*args, **kwargs)
-            table.flat[0] += 1.0
-            return table
-
-        monkeypatch.setattr(cli, "prefix_table", faulty)
-        out = tmp_path / "out"
-        assert cli.main(["oracle-check", "--trials", "3", "--out", str(out)]) == 1
-        counterexample = json.loads(capsys.readouterr().err.strip())
-        report = json.loads((out / "oracle_report.json").read_text())
-        assert report == {"trials": 3, "seed": 0, "passed": False,
-                          "counterexample": counterexample}
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "oracle-check"
-        assert manifest["outputs"] == ["oracle_report.json"]
-        assert manifest["config"] == {"trials": 3, "seed": 0}
-
-    def test_broken_schedule_averages_are_caught(self, capsys, monkeypatch):
-        real = cli.schedule_averages
-        monkeypatch.setattr(
-            cli, "schedule_averages", lambda *args, **kwargs: real(*args, **kwargs) * (1 + 1e-6)
-        )
-        assert cli.main(["oracle-check", "--trials", "3"]) == 1
-        counterexample = json.loads(capsys.readouterr().err.strip())
-        assert counterexample["kind"] == "schedule_average"
-        assert counterexample["trial"] == 0
-
-    def test_raising_schedule_averages_fail_the_check(self, capsys, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("cannot reshape array")
-
-        monkeypatch.setattr(cli, "schedule_averages", broken)
-        assert cli.main(["oracle-check", "--trials", "3"]) == 1
-        counterexample = json.loads(capsys.readouterr().err.strip())
-        assert counterexample == {
-            "kind": "schedule_average", "trial": 0,
-            "error": "ValueError('cannot reshape array')",
-        }
-
-    def test_multi_query_pass_off_by_one_ulp_is_caught(self, capsys, monkeypatch):
-        # one ulp is far below the brute-force tolerance: only the comparison
-        # with the one-query call sees it
-        real = cli.schedule_profiles
-
-        def faulty(*args, **kwargs):
-            answers = real(*args, **kwargs)
-            answers[-1] = np.nextafter(answers[-1], np.inf)
-            return answers
-
-        monkeypatch.setattr(cli, "schedule_profiles", faulty)
-        assert cli.main(["oracle-check", "--trials", "3"]) == 1
-        counterexample = json.loads(capsys.readouterr().err.strip())
-        assert counterexample["kind"] == "schedule_multi_query"
-        assert (counterexample["trial"], counterexample["query"]) == (0, 1)
-        assert counterexample["relative_error"] < 1e-9
-
-    def test_zero_trials_rejected(self):
-        assert cli.main(["oracle-check", "--trials", "0"]) == 2
-
-
 class TestReplay:
     def replay(self, manifest_path, out):
         return cli.main(["replay", "--manifest", str(manifest_path),
@@ -620,16 +524,6 @@ class TestReplay:
             first, second, ["cui_report.csv", "cui_report.json"]
         )
 
-    def test_oracle_check_replay(self, tmp_path):
-        first = tmp_path / "first"
-        code = cli.main(
-            ["oracle-check", "--trials", "5", "--seed", "3", "--out", str(first)]
-        )
-        assert code == 0
-        second = tmp_path / "second"
-        assert self.replay(first / "manifest.json", second) == 0
-        self.assert_identical_modulo_duration(first, second, ["oracle_report.json"])
-
     def test_bad_manifest_json(self, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text("{broken")
@@ -640,10 +534,14 @@ class TestReplay:
         bad.write_text(json.dumps({"command": "check-cui"}))
         assert self.replay(bad, tmp_path / "o") == 2
 
-    def test_unreplayable_command(self, tmp_path):
-        bad = tmp_path / "manifest.json"
-        bad.write_text(json.dumps({"command": "replay", "config": {}}))
-        assert self.replay(bad, tmp_path / "o") == 2
+    def test_unreplayable_command(self, tmp_path, capsys):
+        # replay itself, and oracle-check, a command of older versions
+        for command, config in (("replay", {}), ("oracle-check", {"seed": 0, "trials": 5})):
+            bad = tmp_path / "manifest.json"
+            bad.write_text(json.dumps({"command": command, "config": config}))
+            assert self.replay(bad, tmp_path / "o") == 2
+            assert "not replayable" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_command_that_is_not_a_string(self, tmp_path, capsys):
         bad = tmp_path / "manifest.json"
@@ -765,10 +663,6 @@ REPLAYABLE = {
          "--reps", "10", "--bound", "0.5,2,1"],
         SERIES_FILES,
     ),
-    "oracle-check": (
-        ["oracle-check", "--trials", "3", "--seed", "2"],
-        {"oracle_report.json": {"trials", "seed", "passed", "counterexample"}},
-    ),
 }
 
 
@@ -856,7 +750,6 @@ MANIFEST_CONFIGS = {
         {"bound": {"C": 1.0, "a": 2.0, "eps": 0.5}, "mode": "l1", "p": 1.0, "reps": 20,
          "schedule": ["2", "4", "8", "16"], "seed": 0, "spec": ANALYTIC},
     ),
-    "oracle-check": (["oracle-check", "--trials", "5"], {"seed": 0, "trials": 5}),
 }
 
 
@@ -871,7 +764,9 @@ def raise_horizon_error(*args, **kwargs):
     raise HorizonTooSmallError("injected")
 
 
-# argv, exit code, the library function an injected domain error replaces
+# argv, exit code, the library function an injected domain error replaces. A
+# run writes into a fresh "out" unless its argv names --out; AFILE is a regular
+# file and MANIFEST a check-cui manifest of the empirical spec.
 REJECTED_RUNS = {
     "check-cui-a-grid": (["check-cui", "--spec", "SPEC", "--a-grid", "1,inf", "--horizon", "64",
                           "--reps", "5"], 2, None),
@@ -894,7 +789,15 @@ REJECTED_RUNS = {
     "converge-domain": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
                          "--schedule", "2;4", "--reps", "5"], 3,
                         (convergence, "run_lp_experiment")),
-    "oracle-check-trials": (["oracle-check", "--trials", "0"], 2, None),
+    "poussin-eps-inf": (["poussin", "--spec", "SPEC", "--horizon", "256", "--reps", "5",
+                         "--eps", "0.5,inf"], 2, None),
+    # an --out that cannot be created, on a run and on a replay
+    "out-under-a-file": (["check-cui", "--spec", "SPEC", "--horizon", "64", "--reps", "5",
+                          "--out", "AFILE/x"], 2, None),
+    "out-is-a-file": (["check-cui", "--spec", "SPEC", "--horizon", "64", "--reps", "5",
+                       "--out", "AFILE"], 2, None),
+    "replay-out-under-a-file": (["replay", "--manifest", "MANIFEST", "--out", "AFILE/x"], 2,
+                                None),
 }
 
 
@@ -905,15 +808,38 @@ def test_rejected_run_writes_nothing(tmp_path, capsys, monkeypatch, argv, code, 
     # injected into the library function each command calls
     if injected is not None:
         monkeypatch.setattr(*injected, raise_horizon_error)
-    out = tmp_path / "out"
-    assert cli.main([*spec_argv(tmp_path, argv), "--out", str(out)]) == code
+    calls = []
+    real = dist.norm_batch
+
+    def counting_norm_batch(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dist, "norm_batch", counting_norm_batch)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    manifest = tmp_path / "manifest.json"
+    config = {"a_grid": [1.0, 2.0], "ge": False, "horizon": "64", "p": 1.0, "reps": 5,
+              "seed": 0, "spec": EMPIRICAL}
+    manifest.write_text(json.dumps({"command": "check-cui", "config": config}))
+    args = [str(manifest) if arg == "MANIFEST" else arg.replace("AFILE", str(afile))
+            for arg in spec_argv(tmp_path, argv)]
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(args) == code
     assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    assert sorted(tmp_path.rglob("*")) == before
+    assert afile.read_text() == ""
+    if "--out" in argv:
+        # an --out that cannot be created is rejected before the first draw
+        assert calls == []
 
 
 def test_rejected_replay_writes_nothing(tmp_path, capsys):
     # exit 3: tails that do not decay within the search cap; the exit-2
-    # replays are TestReplay's no-finite-mean manifest and TestPoussin's bad eps
+    # replays are TestReplay's no-finite-mean manifest, TestPoussin's bad eps
+    # and REJECTED_RUNS's --out under a file
     config = {"eps": [0.5], "horizon": "4096", "j_max": 8, "n_max": None, "reps": 5,
               "search_cap": 8, "seed": 0, "spec": SPECS["GROWING"]}
     manifest = tmp_path / "manifest.json"

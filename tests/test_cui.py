@@ -384,7 +384,8 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             verify_criterion_equivalence(sample, [-0.5])
 
-    @pytest.mark.parametrize("eps_list", [[0.5, -1.0], [0.5, math.nan], [0.0, 0.5]])
+    @pytest.mark.parametrize("eps_list", [[0.5, -1.0], [0.5, math.nan], [0.0, 0.5],
+                                          [0.5, math.inf]])
     def test_every_eps_is_checked_before_the_first_draw(self, monkeypatch, eps_list):
         calls = []
         real = dist.norm_batch

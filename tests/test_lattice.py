@@ -9,21 +9,24 @@ from cesaro_lab import distributions as dist
 from cesaro_lab import lattice, rng
 from cesaro_lab.distributions import DistributionSpec, NormSample, Tail
 from cesaro_lab.lattice import (
-    BRUTE_FORCE_CELL_CAP,
     MultiIndex,
     box_maxima,
     dyadic_boxes,
     dyadic_square_schedule,
     leq,
     plane_sum,
-    prefix_sums_bruteforce,
     prefix_table,
     rep_sum,
     row_chunks,
     schedule_averages,
     schedule_profiles,
 )
-from oracles import rep_sum_by_rows, running_max_norms
+from oracles import (
+    BRUTE_FORCE_CELL_CAP,
+    prefix_sums_bruteforce,
+    rep_sum_by_rows,
+    running_max_norms,
+)
 
 
 def random_sample(trial: int, seed: int = 0) -> np.ndarray:

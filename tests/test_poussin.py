@@ -86,11 +86,13 @@ class TestPhiEvaluation:
         assert phi_eval_many(phi, 4.5) == 3.0
         assert phi_eval_many(phi, 9.0) == 13.0
 
-    def test_integer_points_equal_slope_sums(self):
-        phi = self.phi_2j()
-        u = phi.u
+    @settings(max_examples=60, deadline=None)
+    @given(slope_lists)
+    def test_integer_points_equal_slope_sums(self, u):
+        phi = PhiFunction(u)
         for k in range(phi.n_max + 1):
-            assert phi_eval_many(phi, float(k)) == float(u[:k].sum())
+            assert phi(float(k)) == float(u[:k].sum())
+        assert np.array_equal(phi(np.arange(phi.n_max + 1)), phi.prefix)
 
     def test_domain_errors(self):
         phi = self.phi_2j()
