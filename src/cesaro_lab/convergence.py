@@ -7,6 +7,13 @@ pairwise independent centered fields with finite second moments the centered
 maximum obeys E[max ||S_k||] / |n| <= 2 a C log(2 n_1)...log(2 n_d) / |n|^(1/2)
 with C the fourth-moment-free maximal constant, which is never pinned to a
 number here: only the observed ratio is reported.
+
+M_n is read from one draw of each maximal schedule box. On a chunk of one
+column with no negative value that is not centered (pareto_radial, constant
+with c >= 0, spiked_cui, growing_non_cui) no partial sum exceeds the one at
+a box's corner, because correctly rounded addition is monotone, so M_n is
+||S_n|| there; every other chunk takes the max of its squared partial norms
+over each box. Both give the same bits.
 """
 
 from __future__ import annotations
@@ -116,12 +123,11 @@ def _maxima(spec, schedule, seed, reps, center=False) -> np.ndarray:
 
     Cells are keyed by (seed, i), so a box's batch is that of any box that
     dominates it, restricted to it. Each maximal box is drawn once, in chunks
-    of reps; each chunk becomes its prefix table and then the squared norms
-    of its cells, and every box the maximal box dominates takes the max of
-    those over its own cells (box_maxima), with one sqrt per box and rep. A
-    correctly rounded sqrt is monotone, so that is the max of the norms.
-    A centered series subtracts the family's per-cell means, which its caller
-    has checked are finite.
+    of reps, and each chunk gives ||S_n||^2 of every box n the maximal box
+    dominates, by one of two bit-equal paths (_square_maxima), and then one
+    sqrt per box and rep. A correctly rounded sqrt is monotone, so that is
+    the max of the norms. A centered series subtracts the family's per-cell
+    means, which its caller has checked are finite.
     """
     M = np.empty((len(schedule), reps))
     # a box that another dominates is smaller than it, so by size, largest
@@ -138,24 +144,50 @@ def _maxima(spec, schedule, seed, reps, center=False) -> np.ndarray:
         means = dist.mean(spec, top) if center else None
         if means is not None and not np.any(means):
             means = None  # subtracting zeros leaves every M_n as it is
-        squares = _square_norms(spec, top, seed, reps, means)
-        M[rows] = np.sqrt(box_maxima(squares, reps, boxes))
+        M[rows] = np.sqrt(_square_maxima(spec, top, seed, reps, means, boxes))
     return M
 
 
-def _square_norms(spec, top, seed, reps, means):
-    """(first rep, ||S_k||^2 at every cell k) per chunk of the draw of top:
-    each chunk, less the means when given, becomes its prefix table in place
-    and then its squares, whose columns plane_sum adds up into column 0 (a
-    plane of the plane-major chunk), in np.sum's order. A sum past 1e154
-    squares to inf, the documented maximum of a family that draws one."""
-    for first, batch in draw_chunks(spec, top, seed, reps):
-        if means is not None:
-            batch -= means
-        S = prefix_table(batch, range(1, 1 + top.d), out=batch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            squares = plane_sum(np.square(S, out=S), out=S[..., 0])
-        yield first, squares
+def _square_maxima(spec, top, seed, reps, means, boxes) -> np.ndarray:
+    """max_{k <= n} ||S_k||^2 for every box n, per rep, from the draw of top
+    (less the means when given), shape (len(boxes), reps).
+
+    A chunk of one column with no negative value (so no NaN) that is not
+    centered takes the corner path: correctly rounded addition is monotone,
+    so every prefix sweep of values >= 0 leaves each line nondecreasing, and
+    the max of fl(S_k^2) over [1, n] is fl(S_n^2) at the corner. The chunk
+    is swept along box axis 1 in place, and each later axis only at the
+    coordinates some corner uses (gathered with np.take), which are the
+    values the full sweep gives there. Any other chunk takes the full path:
+    its prefix table in place, then its squares, whose columns plane_sum
+    adds up into column 0 (a plane of the plane-major chunk) in np.sum's
+    order, and box_maxima over them. plane_sum's sum starts from 0.0, which
+    changes no square. A sum past 1e154 squares to inf, the documented
+    maximum of a family that draws one.
+    """
+    out = np.empty((len(boxes), reps))
+    # per box axis, the coordinates that some corner uses, and each box's
+    # position among them
+    used = [sorted({n.coords[k] - 1 for n in boxes}) for k in range(top.d)]
+    corner = tuple(np.searchsorted(u, [n.coords[k] - 1 for n in boxes]) for k, u in enumerate(used))
+
+    def full_path_squares():
+        for first, batch in draw_chunks(spec, top, seed, reps):
+            if means is None and batch.shape[-1] == 1 and batch.min() >= 0:
+                S = batch
+                for ax, u in enumerate(used, start=1):
+                    S = np.take(prefix_table(S, (ax,), out=S), u, axis=ax)
+                with np.errstate(over="ignore"):
+                    np.square(S[(slice(None),) + corner + (0,)].T, out=out[:, first : first + len(batch)])
+                continue
+            if means is not None:
+                batch -= means
+            S = prefix_table(batch, range(1, 1 + top.d), out=batch)
+            with np.errstate(over="ignore", invalid="ignore"):
+                squares = plane_sum(np.square(S, out=S), out=S[..., 0])
+            yield first, squares
+
+    return box_maxima(full_path_squares(), reps, boxes, out=out)
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:

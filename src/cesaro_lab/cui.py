@@ -184,16 +184,14 @@ def cui_certificate(
     part of the verdict's meaning and must be disclosed with it.
     """
     _check_p(p)
-    if not (eps > 0):
-        raise ValueError("eps must be > 0")
+    check_eps([eps])
     grid = _levels(a_grid)
     return _first_certified(grid, _sups(sample, [Tail(p, a) for a in grid]), eps)
 
 
 def derive_delta(eps: float, a0: float) -> float:
     """delta = eps / (2 a0), where a0 certifies the tail sup below eps/2."""
-    if not (eps > 0):
-        raise ValueError("eps must be > 0")
+    check_eps([eps])
     if not (a0 > 0):
         raise ValueError("a0 must be > 0")
     return eps / (2.0 * a0)
@@ -262,8 +260,8 @@ def check_event_criterion(
     arrays that miss the delta premise pass vacuously, since nothing is then
     asserted about their moments.
     """
-    if not (delta > 0 and eps > 0):
-        raise ValueError("delta and eps must be > 0")
+    if not (0 < delta < math.inf and 0 < eps < math.inf):
+        raise ValueError("delta and eps must be > 0 and finite")
     if sample.box != events.box:
         raise ValueError(f"sample box {sample.box} != event box {events.box}")
     if events.threshold is not None:

@@ -168,10 +168,11 @@ class Family:
 
     # --- sampling -------------------------------------------------------
     # A draw writes into buffers its caller owns: `out` receives the values of
-    # the reps of `starts` (a vector `out` from draw_buffers is plane-major:
-    # each column is one contiguous plane), and `scratch`, a uint64 array of
-    # shape (scratch_planes,) + (reps,) + box.coords, is the family's to
-    # overwrite.
+    # the reps whose key chains start at `starts` (a vector `out` from
+    # draw_buffers is plane-major: each column is one contiguous plane), and
+    # `scratch`, a uint64 array of shape (scratch_planes,) + (reps,) +
+    # box.coords, is the family's to overwrite. `grids` are the box's
+    # coordinate grids for rng.cell_keys, mixed once per draw (_DrawKeys).
     def columns(self, spec) -> int:
         """Columns of a sampled vector: 1, its values lie on one line."""
         return 1
@@ -185,11 +186,11 @@ class Family:
         them one float64 plane per column for the vectors themselves."""
         return self.scratch_planes(spec) + self.columns(spec)
 
-    def vectors(self, spec, box: MultiIndex, starts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    def vectors(self, spec, box: MultiIndex, starts: np.ndarray, grids, out: np.ndarray, scratch: np.ndarray) -> None:
         """Cell vectors into out, shape (reps,) + box.coords + (columns,)."""
         raise NotImplementedError
 
-    def norm_values(self, spec, box: MultiIndex, starts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    def norm_values(self, spec, box: MultiIndex, starts: np.ndarray, grids, out: np.ndarray, scratch: np.ndarray) -> None:
         """Cell norms into out, shape (reps,) + box.coords; scratch has
         norm_planes(spec) planes."""
         fixed = self.fixed_norms(spec, box)
@@ -200,7 +201,7 @@ class Family:
         # the vector draw's scratch
         planes, cols = self.scratch_planes(spec), self.columns(spec)
         v = np.moveaxis(scratch[planes : planes + cols].view(np.float64), 0, -1)
-        self.vectors(spec, box, starts, v, scratch[:planes])
+        self.vectors(spec, box, starts, grids, v, scratch[:planes])
         np.sqrt(plane_sum(np.square(v, out=v), out), out=out)
 
 
@@ -210,7 +211,7 @@ class _DeterministicFamily(Family):
     def cell_values(self, spec, box: MultiIndex) -> np.ndarray:
         raise NotImplementedError
 
-    def vectors(self, spec, box, starts, out, scratch):
+    def vectors(self, spec, box, starts, grids, out, scratch):
         out[...] = self.cell_values(spec, box)[..., None]
 
     def fixed_norms(self, spec, box):
@@ -291,10 +292,10 @@ class ParetoRadialFamily(Family):
         if spec.param("alpha") <= 0:
             raise ValueError("alpha must be > 0")
 
-    def norm_values(self, spec, box, starts, out, scratch):
+    def norm_values(self, spec, box, starts, grids, out, scratch):
         # the keys live in out's memory until the uniforms replace them
         keys, mixing = out.view(np.uint64), scratch[0]
-        rng.cell_keys(starts, _coord_grids(box), out=keys, scratch=mixing)
+        rng.cell_keys(starts, grids, out=keys, scratch=mixing)
         rng.substream(keys, 0, out=keys, scratch=mixing)
         rng.uniform_open01(keys, out=out, scratch=mixing)
         out **= -1.0 / float(spec.param("alpha"))  # in place, as u ** (-1 / alpha)
@@ -302,8 +303,8 @@ class ParetoRadialFamily(Family):
     def norm_planes(self, spec):
         return self.scratch_planes(spec)
 
-    def vectors(self, spec, box, starts, out, scratch):
-        self.norm_values(spec, box, starts, out[..., 0], scratch)
+    def vectors(self, spec, box, starts, grids, out, scratch):
+        self.norm_values(spec, box, starts, grids, out[..., 0], scratch)
 
     def expect(self, spec, g, box):
         # E(X^p 1(X > a)) = alpha/(alpha-p) * max(a,1)^(p-alpha); continuous,
@@ -349,9 +350,9 @@ class IidGaussianFamily(Family):
     def scratch_planes(self, spec):
         return 1 + rng.normals_work_planes(spec.dim_D)
 
-    def vectors(self, spec, box, starts, out, scratch):
+    def vectors(self, spec, box, starts, grids, out, scratch):
         keys, work = scratch[0], scratch[1:].view(np.float64)
-        rng.cell_keys(starts, _coord_grids(box), out=keys, scratch=scratch[1])
+        rng.cell_keys(starts, grids, out=keys, scratch=scratch[1])
         rng.normals(keys, spec.dim_D, out=out, work=work)
         out *= float(spec.param("sigma"))
 
@@ -376,8 +377,8 @@ class IidRademacherFamily(Family):
     def fixed_norms(self, spec, box):
         return np.broadcast_to(1.0, box.coords)
 
-    def vectors(self, spec, box, starts, out, scratch):
-        keys = rng.cell_keys(starts, _coord_grids(box))
+    def vectors(self, spec, box, starts, grids, out, scratch):
+        keys = rng.cell_keys(starts, grids)
         out[..., 0] = rng.signs(rng.substream(keys, 0))
 
 
@@ -438,7 +439,7 @@ class PairwiseRademacherFamily(Family):
         table = subset_products(bits)  # (R, n_blocks, L)
         return table[:, block.astype(np.int64), mask_idx]
 
-    def vectors(self, spec, box, starts, out, scratch):
+    def vectors(self, spec, box, starts, grids, out, scratch):
         out[..., 0] = self._signs(spec, box, starts)
 
 
@@ -463,11 +464,21 @@ def get_family(name: str) -> Family:
         ) from None
 
 
-def _rep_starts(seed: int, reps: range, d: int) -> np.ndarray:
-    """derive_seed(seed, r) for every rep r, in one vectorised key chain."""
-    root = rng.combine(rng.as_seed(seed), rng._INIT)
-    starts = rng.combine(root, np.arange(reps.start, reps.stop, dtype=np.uint64))
-    return starts.reshape((len(reps),) + (1,) * d)
+class _DrawKeys:
+    """What every key chain of a draw of (seed, box) shares, derived once per
+    draw: the seed's root, into which each rep's start folds its index, and
+    the box's coordinate grids, mixed. A chunk then mixes only its own rep
+    starts and cells, and nothing here grows with reps."""
+
+    def __init__(self, seed: int, box: MultiIndex):
+        self.root = rng.seed_root(seed)
+        self.grids = [rng.premix(g) for g in _coord_grids(box)]
+
+    def starts(self, reps: range) -> np.ndarray:
+        """derive_seed(seed, r) for every rep r, in one vectorised key chain,
+        shaped to broadcast against the grids."""
+        starts = rng.combine(self.root, np.arange(reps.start, reps.stop, dtype=np.uint64))
+        return starts.reshape((len(reps),) + (1,) * len(self.grids))
 
 
 def _checked_family(spec: DistributionSpec, box: MultiIndex) -> Family:
@@ -484,6 +495,7 @@ def sample_batch(
     first_rep: int = 0,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    keys: _DrawKeys | None = None,
 ) -> np.ndarray:
     """`reps` independent arrays, shape (reps,) + n.coords + (1,), or
     (reps,) + n.coords + (dim_D,) for iid_gaussian.
@@ -494,13 +506,17 @@ def sample_batch(
     the front of `scratch` (both from draw_buffers, as draw_chunks passes
     them) as the family's scratch; without `out`, both are new, so the batch
     is plane-major: each column is contiguous, not each cell's vector.
+    `keys`, _DrawKeys(seed, n), is derived here when not given; draw_chunks
+    derives it once for all its chunks.
     """
     check_reps(reps)
     fam = _checked_family(spec, n)
     if out is None:
         out, scratch = draw_buffers(spec, n, reps)
-    starts = _rep_starts(seed, range(first_rep, first_rep + reps), n.d)
-    fam.vectors(spec, n, starts, out, _front(scratch, reps))
+    if keys is None:
+        keys = _DrawKeys(seed, n)
+    starts = keys.starts(range(first_rep, first_rep + reps))
+    fam.vectors(spec, n, starts, keys.grids, out, _front(scratch, reps))
     return out
 
 
@@ -527,16 +543,19 @@ def norm_batch(
     first_rep: int = 0,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    keys: _DrawKeys | None = None,
 ) -> np.ndarray:
     """Realized cell norms of `reps` arrays, shape (reps,) + n.coords: the
-    norms of sample_batch's vectors, with its rows and keys, and `out` and
-    `scratch` from draw_buffers(..., norms=True)."""
+    norms of sample_batch's vectors, with its rows and keys, and `out`,
+    `scratch` (from draw_buffers(..., norms=True)) and `keys` as there."""
     check_reps(reps)
     fam = _checked_family(spec, n)
     if out is None:
         out, scratch = draw_buffers(spec, n, reps, norms=True)
-    starts = _rep_starts(seed, range(first_rep, first_rep + reps), n.d)
-    fam.norm_values(spec, n, starts, out, _front(scratch, reps))
+    if keys is None:
+        keys = _DrawKeys(seed, n)
+    starts = keys.starts(range(first_rep, first_rep + reps))
+    fam.norm_values(spec, n, starts, keys.grids, out, _front(scratch, reps))
     return out
 
 
@@ -562,19 +581,21 @@ def draw_chunks(
     norm_batch, one per cell.
 
     Every chunk is drawn with one scratch, and into one chunk buffer, both
-    allocated once per draw, so a chunk holds until the next is drawn and
-    its reader may overwrite it. With `out` (the shape of the whole draw),
-    each chunk is drawn into its own rows of out instead.
+    allocated once per draw, as are the draw's key constants (_DrawKeys), so
+    a chunk holds until the next is drawn and its reader may overwrite it.
+    With `out` (the shape of the whole draw), each chunk is drawn into its
+    own rows of out instead.
     """
     check_reps(reps)
     values = box.size if norms else box.size * get_family(spec.family).columns(spec)
     k = min(max(1, CHUNK_CELLS // values), reps)
     draw = norm_batch if norms else sample_batch
     chunk, scratch = draw_buffers(spec, box, k, norms)
+    keys = _DrawKeys(seed, box)
     for first in range(0, reps, k):
         m = min(k, reps - first)
         rows = chunk[:m] if out is None else out[first : first + m]
-        yield first, draw(spec, box, seed, m, first_rep=first, out=rows, scratch=scratch)
+        yield first, draw(spec, box, seed, m, first_rep=first, out=rows, scratch=scratch, keys=keys)
 
 
 def fixed_norms(spec: DistributionSpec, box: MultiIndex) -> np.ndarray | None:

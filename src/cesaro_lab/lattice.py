@@ -18,7 +18,11 @@ box comes from one pass over the sample, and a norm functional is applied
 chunk by chunk, never to the whole sample.
 prefix_table serves the convergence series, plane_sum adds up the squared
 columns of its plane-major table in np.sum's order, and box_maxima reads M_n
-of each schedule box from those squared norms.
+of each schedule box from those squared norms. A series chunk of one column
+with no negative value skips both: correctly rounded addition is monotone,
+so every sweep of values >= 0 leaves each line nondecreasing, and M_n is
+the norm at the box's corner. Such a chunk is swept along box axis 1 whole,
+and along each later axis only at the coordinates a corner uses.
 
 prefix_table sweeps one axis at a time, each by the faster of two bit-equal
 methods for the array's shape: np.add.accumulate, which runs one inner loop
@@ -166,14 +170,18 @@ def _pairwise_planes(p: np.ndarray, out: np.ndarray) -> None:
 
 
 def box_maxima(
-    chunks: Iterable[tuple[int, np.ndarray]], rows: int, boxes: Sequence[MultiIndex]
+    chunks: Iterable[tuple[int, np.ndarray]],
+    rows: int,
+    boxes: Sequence[MultiIndex],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The max over the cells [1, n] of every box n, in order, per row: shape
     (len(boxes), rows), from `rows` rows of cells that arrive as (first row,
     chunk) pairs, as in schedule_profiles, each chunk of shape (k,) + a box
     that holds every n (in a convergence series, the squared norms of a
     chunk's prefix table). Each chunk is read before the next is asked for,
-    and none is written to.
+    and none is written to. The maxima go into `out` when given, a new array
+    when None; the rows of out that no chunk covers keep what they hold.
 
     Each box takes one np.max over its own cells, so a row costs the sum of
     the boxes' sizes: at most 2, 4/3 or 8/7 times the largest box on a dyadic
@@ -189,7 +197,8 @@ def box_maxima(
     hull = tuple(max(c) for c in zip(*(n.coords for n in boxes)))
     regions = [(slice(None),) + tuple(slice(0, c) for c in n.coords) for n in boxes]
     axes = tuple(range(1, 1 + d))
-    out = np.empty((len(boxes), rows))
+    if out is None:
+        out = np.empty((len(boxes), rows))
     for first, q in chunks:
         if q.ndim != 1 + d or any(c > s for c, s in zip(hull, q.shape[1:])):
             raise ValueError(f"chunk shape {q.shape} does not hold the box {MultiIndex(hull)}")

@@ -40,17 +40,45 @@ def mix64(x, out=None, scratch=None):
         return z
 
 
+class Mixed:
+    """The bits of a value for key chains, already passed through mix64:
+    combine folds them in as they are."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits):
+        self.bits = bits
+
+
+def premix(value) -> Mixed:
+    """value mixed once, for a value that many chains fold in: a draw mixes
+    its coordinate grids once, not once per chunk."""
+    return Mixed(mix64(np.asarray(value, dtype=np.uint64)))
+
+
 def combine(key, value, out=None, scratch=None):
-    """Fold one more value into a key chain; `out` and `scratch` as in mix64,
-    shaped as key and value broadcast (key may be out itself)."""
-    mixed = mix64(np.asarray(value, dtype=np.uint64))
+    """Fold one more value (raw, or a Mixed one) into a key chain; `out` and
+    `scratch` as in mix64, shaped as key and value broadcast (key may be out
+    itself)."""
+    mixed = value.bits if isinstance(value, Mixed) else mix64(np.asarray(value, dtype=np.uint64))
     z = np.bitwise_xor(np.asarray(key, dtype=np.uint64), mixed, out=out)
     return mix64(z, out=out, scratch=scratch)
 
 
+# constants every key chain folds in, mixed once at import: _INIT, which
+# starts each chain, and the first stream indices of substream
+_INIT_MIXED = premix(_INIT)
+_STREAMS = tuple(Mixed(bits) for bits in mix64(np.arange(32, dtype=np.uint64)))
+
+
+def seed_root(seed: int) -> np.uint64:
+    """The key that derive_seed folds a stream index into; one per seed."""
+    return combine(as_seed(seed), _INIT_MIXED)
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for stream `index` (replications, blocks, ...)."""
-    return int(combine(combine(as_seed(seed), _INIT), as_seed(index)))
+    return int(combine(seed_root(seed), as_seed(index)))
 
 
 def cell_keys(start, coord_arrays, out=None, scratch=None):
@@ -75,7 +103,8 @@ def cell_keys(start, coord_arrays, out=None, scratch=None):
 def substream(keys, idx: int, out=None, scratch=None):
     """Key of stream `idx` of every key; `out` (may be keys itself) and
     `scratch` as in mix64."""
-    return combine(keys, as_seed(idx), out=out, scratch=scratch)
+    value = _STREAMS[idx] if 0 <= idx < len(_STREAMS) else as_seed(idx)
+    return combine(keys, value, out=out, scratch=scratch)
 
 
 def uniform01(bits, out=None, scratch=None):

@@ -249,6 +249,7 @@ DYADIC_1D = tuple(dyadic_square_schedule(1, 64))
 DYADIC_3D = tuple(dyadic_square_schedule(3, 512))
 # not a chain under <=: the maximal boxes are 16x4 and 4x32
 NON_CHAIN = boxes("2x8;8x4;16x4;4x32")
+DENSE_1D = tuple(MultiIndex((k,)) for k in range(1, 65))
 
 ORACLE_CASES = [
     pytest.param(spec_of("constant", d=3, c=2.0), NON_CHAIN, id="constant"),
@@ -264,6 +265,12 @@ ORACLE_CASES = [
     pytest.param(spec_of("pareto_radial", alpha=0.8), NON_CHAIN, id="pareto-plugin"),
     # |s| > 1e154 is drawn here, so S*S overflows to inf
     pytest.param(spec_of("pareto_radial", alpha=0.02), NON_CHAIN, id="pareto-overflow"),
+    # the edges of the corner rule: all negative, all zero, one signed column
+    pytest.param(spec_of("constant", c=-2.0), NON_CHAIN, id="constant-negative"),
+    pytest.param(spec_of("constant", c=0.0), NON_CHAIN, id="constant-zero"),
+    pytest.param(spec_of("iid_gaussian", d=1), DYADIC_3D, id="iid_gaussian-D1"),
+    # box_maxima would read about 64^2 / 2 cells a rep here; the corners read 64
+    pytest.param(spec_of("pareto_radial", alpha=3.0), DENSE_1D, id="pareto-dense"),
 ]
 MORICZ_CASES = [
     pytest.param(spec_of("pairwise_rademacher", m=3), DYADIC_1D, id="pairwise_rademacher"),
@@ -324,6 +331,36 @@ class TestMaximaOracle:
         assert [(p.numerator, p.num_stderr, p.ratio) for p in got] == [
             (p.numerator, p.num_stderr, p.ratio) for p in want
         ]
+
+
+@pytest.mark.parametrize("reps,per_chunk", CHUNKINGS)
+@pytest.mark.parametrize("spec,schedule", ORACLE_CASES)
+def test_box_maxima_sees_no_corner_chunk(monkeypatch, spec, schedule, reps, per_chunk):
+    # in lp mode a chunk of one column with no negative value and no NaN reads
+    # M_n at the box corners, and box_maxima sees every other chunk
+    with_chunk(monkeypatch, schedule, per_chunk)
+    corner, seen = [], []
+    real_draw, real_maxima = convergence.draw_chunks, convergence.box_maxima
+
+    def drawing(*args):
+        for first, batch in real_draw(*args):
+            corner.append(batch.shape[-1] == 1 and bool(np.all(batch >= 0)))
+            yield first, batch
+
+    def counting(chunks, *args, **kwargs):
+        def watched():
+            for first, q in chunks:
+                seen.append(len(corner) - 1)  # the chunk drawn last
+                yield first, q
+        return real_maxima(watched(), *args, **kwargs)
+
+    monkeypatch.setattr(convergence, "draw_chunks", drawing)
+    monkeypatch.setattr(convergence, "box_maxima", counting)
+    convergence._maxima(spec, schedule, 3, reps)
+    assert seen == [i for i, c in enumerate(corner) if not c]
+    nonnegative = spec.family in ("pareto_radial", "spiked_cui", "growing_non_cui") or (
+        spec.family == "constant" and spec.param("c") >= 0)
+    assert corner == [nonnegative] * len(corner)
 
 
 class TestDraws:

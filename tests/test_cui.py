@@ -435,12 +435,16 @@ PHI = PhiFunction([1, 2, 3])
 
 
 # Every check is written so that NaN fails it: `x <= 0` would let NaN through.
+# An eps (or delta) must also be finite: at inf every check passes vacuously.
 @pytest.mark.parametrize(
     "call, message",
     [
         pytest.param(lambda: cesaro_tail_sup(SMALL, 1.0, NAN), "a must be", id="tail_sup_a"),
         pytest.param(
             lambda: cui_certificate(SMALL, 1.0, NAN), "eps must be", id="certificate_eps"
+        ),
+        pytest.param(
+            lambda: cui_certificate(SMALL, 1.0, math.inf), "eps must be", id="certificate_eps_inf"
         ),
         pytest.param(
             lambda: cui_certificate(GROWING_64, 1.0, 0.5, [NAN]),
@@ -461,6 +465,7 @@ PHI = PhiFunction([1, 2, 3])
             lambda: build_cui_report(SMALL, 1.0, a_grid=[1.0, NAN]), "finite", id="report_grid"
         ),
         pytest.param(lambda: derive_delta(NAN, 1.0), "eps must be", id="delta_eps"),
+        pytest.param(lambda: derive_delta(math.inf, 1.0), "eps must be", id="delta_eps_inf"),
         pytest.param(lambda: derive_delta(0.5, NAN), "a0 must be", id="delta_a0"),
         pytest.param(lambda: markov_event_array(SMALL, NAN, 0.5), "K must be", id="markov_K"),
         pytest.param(
@@ -475,6 +480,16 @@ PHI = PhiFunction([1, 2, 3])
             lambda: check_event_criterion(SMALL, NO_EVENTS, 0.5, NAN),
             "delta and eps",
             id="event_criterion_eps",
+        ),
+        pytest.param(
+            lambda: check_event_criterion(SMALL, NO_EVENTS, math.inf, 0.5),
+            "delta and eps",
+            id="event_criterion_delta_inf",
+        ),
+        pytest.param(
+            lambda: check_event_criterion(SMALL, NO_EVENTS, 0.5, math.inf),
+            "delta and eps",
+            id="event_criterion_eps_inf",
         ),
         pytest.param(
             lambda: adversarial_event_array(SMALL, NAN), "delta must be", id="adversarial_delta"

@@ -396,17 +396,17 @@ class TestSamplingContracts:
             got = norm_batch(spec, n, 3, k, first_rep=first, out=out[first : first + k], scratch=scratch)
             assert np.shares_memory(got, out)
         assert np.array_equal(out, one_shot)
-        starts = dist._rep_starts(3, range(reps), 1)
+        keys = dist._DrawKeys(3, n)
         direct = np.full((reps, 5), np.nan)
         scratch.fill(0x5555_5555_5555_5555)
-        get_family(spec.family).norm_values(spec, n, starts, direct, scratch)
+        get_family(spec.family).norm_values(spec, n, keys.starts(range(reps)), keys.grids, direct, scratch)
         assert np.array_equal(one_shot, direct)
 
     @pytest.mark.parametrize("seed", [0, 2, 2**63 + 5, -1, 37])
     def test_rep_starts_equal_one_derived_seed_per_rep(self, seed):
         reps = range(3, 203)
         want = np.array([rng.as_seed(rng.derive_seed(seed, r)) for r in reps], dtype=np.uint64)
-        assert np.array_equal(dist._rep_starts(seed, reps, 2), want.reshape(-1, 1, 1))
+        assert np.array_equal(dist._DrawKeys(seed, MultiIndex((4, 5))).starts(reps), want.reshape(-1, 1, 1))
 
     def test_key_hashing_calls_do_not_grow_with_reps(self, monkeypatch):
         calls = []
@@ -497,10 +497,11 @@ def test_draws_into_reused_buffers_equal_the_allocating_expressions(spec, method
     out.fill(np.nan)
     scratch.fill(0x5555_5555_5555_5555)
     oracle = allocating_vectors if method == "vectors" else allocating_norms
-    want = oracle(spec, n, dist._rep_starts(4, range(7), n.d))
+    keys = dist._DrawKeys(4, n)
+    want = oracle(spec, n, keys.starts(range(7)))
     for first, k in RAGGED:
-        starts = dist._rep_starts(4, range(first, first + k), n.d)
-        getattr(fam, method)(spec, n, starts, out[:k], dist._front(scratch, k))
+        starts = keys.starts(range(first, first + k))
+        getattr(fam, method)(spec, n, starts, keys.grids, out[:k], dist._front(scratch, k))
         assert np.array_equal(out[:k], want[first:first + k])
 
 
@@ -511,6 +512,43 @@ def test_sample_batch_into_buffers_returns_them():
     got = sample_batch(spec, n, 9, 2, first_rep=3, out=batch[:2], scratch=scratch)
     assert np.shares_memory(got, batch)
     assert np.array_equal(got, sample_batch(spec, n, 9, 5)[3:])
+
+
+def derived_cell_keys(seed, box, reps):
+    """rng.cell_keys over the box's plain coordinate grids from one
+    derive_seed(seed, r) per rep r: the keys a draw of those reps hashes."""
+    starts = np.array([rng.derive_seed(seed, r) for r in reps], dtype=np.uint64)
+    return rng.cell_keys(starts.reshape((-1,) + (1,) * box.d), dist._coord_grids(box))
+
+
+def test_no_key_constant_leaks_between_draws(monkeypatch):
+    # a draw derives its key constants (the seed's root, the mixed grids) once
+    # and keeps them while it is half read: draws of another seed and of
+    # another box in between neither see them nor change them
+    spec = spec_of("pareto_radial", d=2, alpha=3.0)
+    box, other = MultiIndex((3, 4)), MultiIndex((5, 2))
+    plan = [(4, box, range(0, 3)), (9, box, range(0, 3)), (4, other, range(0, 3)),
+            (9, other, range(5, 7)), (4, box, range(3, 6)), (4, box, range(6, 7))]
+    want = [derived_cell_keys(seed, b, reps) for seed, b, reps in plan]
+    got = []
+    real = rng.cell_keys
+
+    def recording(*args, **kwargs):
+        keys = real(*args, **kwargs)
+        got.append(keys.copy())
+        return keys
+
+    monkeypatch.setattr(rng, "cell_keys", recording)
+    monkeypatch.setattr(dist, "CHUNK_CELLS", 36)  # chunks of 3 reps of either box
+    split = dist.draw_chunks(spec, box, 4, 7)  # split at rep 3 and rep 6
+    next(split)
+    list(dist.draw_chunks(spec, box, 9, 3))
+    list(dist.draw_chunks(spec, other, 4, 3))
+    sample_batch(spec, other, 9, 2, first_rep=5)
+    list(split)
+    assert len(got) == len(want)
+    for keys, oracle in zip(got, want):
+        assert np.array_equal(keys, oracle)
 
 
 FAULT_SCRIPT = """
