@@ -123,11 +123,12 @@ def _maxima(spec, schedule, seed, reps, center=False) -> np.ndarray:
 
     Cells are keyed by (seed, i), so a box's batch is that of any box that
     dominates it, restricted to it. Each maximal box is drawn once, in chunks
-    of reps, and each chunk gives ||S_n||^2 of every box n the maximal box
-    dominates, by one of two bit-equal paths (_square_maxima), and then one
-    sqrt per box and rep. A correctly rounded sqrt is monotone, so that is
-    the max of the norms. A centered series subtracts the family's per-cell
-    means, which its caller has checked are finite.
+    of reps, and each chunk gives the max of ||S_k||^2 over every box n the
+    maximal box dominates, for its own reps, by one of two bit-equal paths
+    (_square_maxima), and then one sqrt per box and rep. A correctly rounded
+    sqrt is monotone, so that is the max of the norms. A centered series
+    subtracts the family's per-cell means, which its caller has checked are
+    finite.
     """
     M = np.empty((len(schedule), reps))
     # a box that another dominates is smaller than it, so by size, largest
@@ -150,7 +151,8 @@ def _maxima(spec, schedule, seed, reps, center=False) -> np.ndarray:
 
 def _square_maxima(spec, top, seed, reps, means, boxes) -> np.ndarray:
     """max_{k <= n} ||S_k||^2 for every box n, per rep, from the draw of top
-    (less the means when given), shape (len(boxes), reps).
+    (less the means when given), shape (len(boxes), reps): each chunk of
+    reps fills its own columns, by one of two paths.
 
     A chunk of one column with no negative value (so no NaN) that is not
     centered takes the corner path: correctly rounded addition is monotone,
@@ -170,24 +172,22 @@ def _square_maxima(spec, top, seed, reps, means, boxes) -> np.ndarray:
     # position among them
     used = [sorted({n.coords[k] - 1 for n in boxes}) for k in range(top.d)]
     corner = tuple(np.searchsorted(u, [n.coords[k] - 1 for n in boxes]) for k, u in enumerate(used))
-
-    def full_path_squares():
-        for first, batch in draw_chunks(spec, top, seed, reps):
-            if means is None and batch.shape[-1] == 1 and batch.min() >= 0:
-                S = batch
-                for ax, u in enumerate(used, start=1):
-                    S = np.take(prefix_table(S, (ax,), out=S), u, axis=ax)
-                with np.errstate(over="ignore"):
-                    np.square(S[(slice(None),) + corner + (0,)].T, out=out[:, first : first + len(batch)])
-                continue
+    for first, batch in draw_chunks(spec, top, seed, reps):
+        rows = out[:, first : first + len(batch)]
+        if means is None and batch.shape[-1] == 1 and batch.min() >= 0:
+            S = batch
+            for ax, u in enumerate(used, start=1):
+                S = np.take(prefix_table(S, (ax,)), u, axis=ax)
+            with np.errstate(over="ignore"):
+                np.square(S[(slice(None),) + corner + (0,)].T, out=rows)
+        else:
             if means is not None:
                 batch -= means
-            S = prefix_table(batch, range(1, 1 + top.d), out=batch)
+            S = prefix_table(batch, range(1, 1 + top.d))
             with np.errstate(over="ignore", invalid="ignore"):
                 squares = plane_sum(np.square(S, out=S), out=S[..., 0])
-            yield first, squares
-
-    return box_maxima(full_path_squares(), reps, boxes, out=out)
+            rows[...] = box_maxima(squares, boxes)
+    return out
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:

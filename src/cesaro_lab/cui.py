@@ -200,15 +200,14 @@ def derive_delta(eps: float, a0: float) -> float:
 @dataclass(frozen=True)
 class EventArray:
     """Per-cell events over a box: probabilities independent of the array, or
-    the threshold events {||X_i|| >= threshold} (ge=False for the strict
-    variant), which are read off the sample the criterion is checked on.
-    Exactly one of probs and threshold is set.
+    the threshold events {||X_i|| >= threshold}, which are read off the
+    sample the criterion is checked on. Exactly one of probs and threshold
+    is set.
     """
 
     box: MultiIndex
     probs: Optional[np.ndarray] = None  # shape box.coords, values in [0,1]
     threshold: Optional[float] = None
-    ge: bool = True
 
     def __post_init__(self):
         if (self.probs is None) == (self.threshold is None):
@@ -265,8 +264,8 @@ def check_event_criterion(
     if sample.box != events.box:
         raise ValueError(f"sample box {sample.box} != event box {events.box}")
     if events.threshold is not None:
-        t, ge = events.threshold, events.ge
-        prob, mom = _sups(sample, [Tail(0.0, t, ge), Tail(1.0, t, ge)])
+        t = events.threshold
+        prob, mom = _sups(sample, [Tail(0.0, t, True), Tail(1.0, t, True)])
     else:
         # events independent of the array (the adversarial construction uses
         # 0/1 probabilities, where independence is vacuous)

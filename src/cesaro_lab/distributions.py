@@ -509,15 +509,7 @@ def sample_batch(
     `keys`, _DrawKeys(seed, n), is derived here when not given; draw_chunks
     derives it once for all its chunks.
     """
-    check_reps(reps)
-    fam = _checked_family(spec, n)
-    if out is None:
-        out, scratch = draw_buffers(spec, n, reps)
-    if keys is None:
-        keys = _DrawKeys(seed, n)
-    starts = keys.starts(range(first_rep, first_rep + reps))
-    fam.vectors(spec, n, starts, keys.grids, out, _front(scratch, reps))
-    return out
+    return _draw(spec, n, seed, reps, first_rep, out, scratch, keys, norms=False)
 
 
 def draw_buffers(
@@ -548,14 +540,21 @@ def norm_batch(
     """Realized cell norms of `reps` arrays, shape (reps,) + n.coords: the
     norms of sample_batch's vectors, with its rows and keys, and `out`,
     `scratch` (from draw_buffers(..., norms=True)) and `keys` as there."""
+    return _draw(spec, n, seed, reps, first_rep, out, scratch, keys, norms=True)
+
+
+def _draw(spec, n, seed, reps, first_rep, out, scratch, keys, norms) -> np.ndarray:
+    """The body of sample_batch, and with `norms` of norm_batch: the family's
+    vectors, or its norm_values, of the rows first_rep, ... into out."""
     check_reps(reps)
     fam = _checked_family(spec, n)
     if out is None:
-        out, scratch = draw_buffers(spec, n, reps, norms=True)
+        out, scratch = draw_buffers(spec, n, reps, norms)
     if keys is None:
         keys = _DrawKeys(seed, n)
     starts = keys.starts(range(first_rep, first_rep + reps))
-    fam.norm_values(spec, n, starts, keys.grids, out, _front(scratch, reps))
+    fill = fam.norm_values if norms else fam.vectors
+    fill(spec, n, starts, keys.grids, out, _front(scratch, reps))
     return out
 
 

@@ -10,7 +10,7 @@ by the levels it exceeds), sums the weights per shell with np.bincount in
 chunks of whole replications, and turns shell sums into sums over every
 dyadic box with one cumsum per axis. It answers several (weight, levels,
 ge) queries from one pass, and takes its rows as (first row, chunk) pairs:
-slices of a held field (row_chunks: schedule_averages for one query, or a
+slices of a held field (row_chunks: the one row of schedule_averages, or a
 NormSample that holds its draw) or chunks drawn one at a time into a reused
 buffer (a NormSample's chunks()), so a sample that is not held is binned
 chunk by chunk while it is in cache. So every truncation level and every
@@ -31,14 +31,14 @@ position along it, chosen when the run of cells behind the axis is at least
 SLAB_RUN times the axis length (the first box axes of a d = 3 chunk with D
 columns).
 
-box_maxima takes its rows as (first row, chunk) pairs too, and reduces each
-box over its own cells; rep_sum adds them up cell by cell in row order (the
-per-cell mean over replications of the adversarial event array).
+box_maxima reads one chunk of rows and reduces each box over its own cells;
+rep_sum takes its rows as (first row, chunk) pairs and adds them up cell by
+cell in row order (the per-cell mean over replications of the adversarial
+event array).
 
-A chunk loop owns its buffers: prefix_table sweeps the array given as `out`
-(the chunk's own batch, in a convergence series), so a series allocates its
-chunk-sized arrays once per draw, not once per chunk. Without `out`,
-prefix_table does not touch its input.
+A chunk loop owns its buffers: prefix_table sweeps the array it is given in
+place (the chunk's own batch, in a convergence series), so a series
+allocates its chunk-sized arrays once per draw, not once per chunk.
 """
 
 from __future__ import annotations
@@ -100,17 +100,12 @@ def leq(m: MultiIndex, n: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(m.coords, n.coords))
 
 
-def prefix_table(field: np.ndarray, axes: Sequence[int], out: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative sums along each listed axis in turn (one sweep per axis),
-    into `out` (float64, field's shape; it may be field itself) when given,
-    else into a new array."""
-    if out is None:
-        out = np.array(field, dtype=np.float64, copy=True)
-    elif out is not field:
-        np.copyto(out, field)
+def prefix_table(field: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Cumulative sums along each listed axis in turn (one sweep per axis), in
+    place in the float64 array `field`, which it returns."""
     for ax in axes:
-        _sweep(out, ax)
-    return out
+        _sweep(field, ax)
+    return field
 
 
 def _sweep(a: np.ndarray, ax: int) -> None:
@@ -169,25 +164,17 @@ def _pairwise_planes(p: np.ndarray, out: np.ndarray) -> None:
         np.add(out, p[half], out=out)
 
 
-def box_maxima(
-    chunks: Iterable[tuple[int, np.ndarray]],
-    rows: int,
-    boxes: Sequence[MultiIndex],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The max over the cells [1, n] of every box n, in order, per row: shape
-    (len(boxes), rows), from `rows` rows of cells that arrive as (first row,
-    chunk) pairs, as in schedule_profiles, each chunk of shape (k,) + a box
-    that holds every n (in a convergence series, the squared norms of a
-    chunk's prefix table). Each chunk is read before the next is asked for,
-    and none is written to. The maxima go into `out` when given, a new array
-    when None; the rows of out that no chunk covers keep what they hold.
+def box_maxima(q: np.ndarray, boxes: Sequence[MultiIndex]) -> np.ndarray:
+    """The max over the cells [1, n] of every box n, in order, per row of q:
+    shape (len(boxes), k) for q of shape (k,) + a box that holds every n (in a
+    convergence series, the squared norms of one chunk's prefix table). q is
+    not written to.
 
     Each box takes one np.max over its own cells, so a row costs the sum of
     the boxes' sizes: at most 2, 4/3 or 8/7 times the largest box on a dyadic
     chain in d = 1, 2, 3, but about n^2 / 2 cells on the dense chain 1, ..., n.
     Max is exact and order-free, so each answer is bit-equal to
-    chunk[r, :n_1, ..., :n_d].max(), NaN spreading as in np.max.
+    q[r, :n_1, ..., :n_d].max(), NaN spreading as in np.max.
     """
     if not boxes:
         raise ValueError("box_maxima needs at least one box")
@@ -195,15 +182,12 @@ def box_maxima(
     if any(n.d != d for n in boxes):
         raise ValueError("all boxes must share one dimension d")
     hull = tuple(max(c) for c in zip(*(n.coords for n in boxes)))
-    regions = [(slice(None),) + tuple(slice(0, c) for c in n.coords) for n in boxes]
+    if q.ndim != 1 + d or any(c > s for c, s in zip(hull, q.shape[1:])):
+        raise ValueError(f"chunk shape {q.shape} does not hold the box {MultiIndex(hull)}")
     axes = tuple(range(1, 1 + d))
-    if out is None:
-        out = np.empty((len(boxes), rows))
-    for first, q in chunks:
-        if q.ndim != 1 + d or any(c > s for c, s in zip(hull, q.shape[1:])):
-            raise ValueError(f"chunk shape {q.shape} does not hold the box {MultiIndex(hull)}")
-        for region, acc in zip(regions, out[:, first : first + len(q)]):
-            np.max(q[region], axis=axes, out=acc)
+    out = np.empty((len(boxes), len(q)))
+    for n, acc in zip(boxes, out):
+        np.max(q[(slice(None),) + tuple(slice(0, c) for c in n.coords)], axis=axes, out=acc)
     return out
 
 
@@ -238,37 +222,14 @@ def _dyadic_levels(horizon: MultiIndex) -> list[list[int]]:
     return per_axis
 
 
-def schedule_averages(
-    field: np.ndarray,
-    box: MultiIndex,
-    weight: Callable[[np.ndarray], np.ndarray] | None = None,
-    levels: Sequence[float] | None = None,
-    ge: bool = False,
-) -> np.ndarray:
-    """Cesaro averages of weight(field) over every box of dyadic_boxes(box),
-    in that order: shape field.shape[:-d] + (len(dyadic_boxes(box)),).
-
-    `field` has the box axes last; any leading axes (replications) are carried
-    through. weight is applied elementwise to chunks of whole leading rows,
-    shaped (rows,) + box.coords, so a box-shaped factor broadcasts against it.
-
-    With `levels` (increasing), the cells also get a level axis: the average
-    at level k keeps only the cells with field > levels[k] (>= when ge), and
-    the result has shape (len(levels),) + field.shape[:-d] + (boxes,). NaN
-    cells then drop out at every level and inf cells add inf, as with Tail.
-
-    This is the one-query case of schedule_profiles, over row_chunks of the
-    field.
-    """
-    d = box.d
-    lead = field.shape[: field.ndim - d]
-    if field.shape[field.ndim - d :] != box.coords:
-        raise ValueError(f"field shape {field.shape} does not end in box {box.coords}")
-    rows = math.prod(lead)
-    flat = field.reshape((rows,) + box.coords)
-    (sums,) = schedule_profiles(row_chunks(flat, box), rows, box, [(weight, levels, ge)])
-    out = sums.reshape((len(sums),) + lead + (sums.shape[-1],))
-    return out[0] if levels is None else out
+def schedule_averages(field: np.ndarray, box: MultiIndex) -> np.ndarray:
+    """Cesaro averages of a field of shape box.coords over every box of
+    dyadic_boxes(box), in that order: shape (len(dyadic_boxes(box)),). This
+    is the one-row, one-query case of schedule_profiles."""
+    if field.shape != box.coords:
+        raise ValueError(f"field shape {field.shape} is not the box {box.coords}")
+    (sums,) = schedule_profiles(row_chunks(field[None], box), 1, box, [(None, None, False)])
+    return sums[0, 0]
 
 
 def row_chunks(field: np.ndarray, box: MultiIndex) -> Iterator[tuple[int, np.ndarray]]:
@@ -287,10 +248,17 @@ def schedule_profiles(
         tuple[Callable[[np.ndarray], np.ndarray] | None, Sequence[float] | None, bool]
     ],
 ) -> list[np.ndarray]:
-    """Answer every (weight, levels, ge) query of schedule_averages from one
-    pass over `rows` rows of cells that arrive as (first row, chunk) pairs,
-    each chunk of shape (k,) + box.coords; together the chunks cover every
-    row once. Query q's answer has shape (len(levels) or 1, rows, boxes).
+    """Cesaro averages over every box of dyadic_boxes(box), in that order, for
+    every (weight, levels, ge) query from one pass over `rows` rows of cells
+    that arrive as (first row, chunk) pairs, each chunk of shape (k,) +
+    box.coords; together the chunks cover every row once. Query q's answer
+    has shape (len(levels) or 1, rows, boxes).
+
+    A query averages weight(cells), or the cells when weight is None; weight
+    is applied elementwise to whole chunks, so a box-shaped factor
+    broadcasts against it. With `levels` (increasing), the average at level k
+    keeps only the cells > levels[k] (>= when ge): NaN cells then drop out at
+    every level and inf cells add inf, as with Tail.
 
     A chunk is binned into every query before the next is read, so a chunk
     may live in a buffer that the next one overwrites, and no more than one

@@ -333,12 +333,10 @@ class TestMaximaOracle:
         ]
 
 
-@pytest.mark.parametrize("reps,per_chunk", CHUNKINGS)
-@pytest.mark.parametrize("spec,schedule", ORACLE_CASES)
-def test_box_maxima_sees_no_corner_chunk(monkeypatch, spec, schedule, reps, per_chunk):
-    # in lp mode a chunk of one column with no negative value and no NaN reads
-    # M_n at the box corners, and box_maxima sees every other chunk
-    with_chunk(monkeypatch, schedule, per_chunk)
+def watch_paths(monkeypatch) -> tuple[list, list]:
+    """Record, per chunk drawn, whether it can take the corner path (one
+    column, no negative value, no NaN), and the index of every chunk that
+    box_maxima reads."""
     corner, seen = [], []
     real_draw, real_maxima = convergence.draw_chunks, convergence.box_maxima
 
@@ -347,20 +345,43 @@ def test_box_maxima_sees_no_corner_chunk(monkeypatch, spec, schedule, reps, per_
             corner.append(batch.shape[-1] == 1 and bool(np.all(batch >= 0)))
             yield first, batch
 
-    def counting(chunks, *args, **kwargs):
-        def watched():
-            for first, q in chunks:
-                seen.append(len(corner) - 1)  # the chunk drawn last
-                yield first, q
-        return real_maxima(watched(), *args, **kwargs)
+    def counting(q, *args):
+        seen.append(len(corner) - 1)  # the chunk drawn last
+        return real_maxima(q, *args)
 
     monkeypatch.setattr(convergence, "draw_chunks", drawing)
     monkeypatch.setattr(convergence, "box_maxima", counting)
+    return corner, seen
+
+
+@pytest.mark.parametrize("reps,per_chunk", CHUNKINGS)
+@pytest.mark.parametrize("spec,schedule", ORACLE_CASES)
+def test_box_maxima_sees_no_corner_chunk(monkeypatch, spec, schedule, reps, per_chunk):
+    # in lp mode a chunk of one column with no negative value and no NaN reads
+    # M_n at the box corners, and box_maxima sees every other chunk
+    with_chunk(monkeypatch, schedule, per_chunk)
+    corner, seen = watch_paths(monkeypatch)
     convergence._maxima(spec, schedule, 3, reps)
     assert seen == [i for i, c in enumerate(corner) if not c]
     nonnegative = spec.family in ("pareto_radial", "spiked_cui", "growing_non_cui") or (
         spec.family == "constant" and spec.param("c") >= 0)
     assert corner == [nonnegative] * len(corner)
+
+
+@pytest.mark.parametrize("schedule", [boxes("1;2"), boxes("1x2;2x1;2x2")], ids=["1d", "2d"])
+def test_one_draw_takes_both_paths(monkeypatch, schedule):
+    # signs in chunks of one rep on a small top box: a chunk of all +1 takes
+    # the corner path and a signed chunk the full path, and each fills the
+    # columns of its own rep
+    with_chunk(monkeypatch, schedule, 1)
+    reps = 24
+    corner, seen = watch_paths(monkeypatch)
+    got = convergence._maxima(SIGNS, schedule, 3, reps)
+    assert len(corner) == reps and 0 < sum(corner) < reps
+    assert seen == [i for i, c in enumerate(corner) if not c]
+    want = per_box_maxima(SIGNS, schedule, 3, reps)
+    for row, want_row in zip(got, want):
+        assert np.array_equal(row, want_row)
 
 
 class TestDraws:

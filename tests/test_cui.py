@@ -166,7 +166,7 @@ class TestEventArrays:
     def test_markov_constant_low_threshold_fills_everything(self):
         sample = NormSample(CONSTANT, MultiIndex((8,)))
         ev = markov_event_array(sample, K=1.0, delta=2.0)
-        assert (ev.threshold, ev.ge, ev.probs) == (0.5, True, None)
+        assert (ev.threshold, ev.probs) == (0.5, None)
         assert check_event_criterion(sample, ev, delta=2.0, eps=2.0).prob_sup == 1.0
 
     def test_markov_constant_high_threshold_is_empty(self):
@@ -536,7 +536,7 @@ class TestOneEstimator:
         spec = spec_of("pareto_radial", alpha=3.0, mode="empirical")
         box = MultiIndex((64,))
         sample = NormSample(spec, box, seed=2, reps=40)
-        ev = EventArray(box, threshold=1.5, ge=True)
+        ev = EventArray(box, threshold=1.5)
         rep = check_event_criterion(sample, ev, delta=0.9, eps=5.0)
         norms = dist.norm_batch(spec, box, 2, 40)
         sched = dyadic_boxes(box)

@@ -48,7 +48,7 @@ def random_sample(trial: int, seed: int = 0) -> np.ndarray:
 
 
 def sweep(values: np.ndarray) -> np.ndarray:
-    return prefix_table(values, range(values.ndim - 1))
+    return prefix_table(values.copy(), range(values.ndim - 1))
 
 
 class TestMultiIndex:
@@ -114,7 +114,7 @@ def test_prefix_matches_bruteforce_on_random_cases():
             assert running[idx] == pytest.approx(block.max(), rel=1e-9)
         every = [MultiIndex(tuple(c + 1 for c in idx)) for idx in np.ndindex(*sample.shape[:-1])]
         q = np.sum(np.square(fast), axis=-1)
-        got = np.sqrt(box_maxima([(0, q[None])], 1, every))
+        got = np.sqrt(box_maxima(q[None], every))
         assert np.array_equal(got[:, 0], running.reshape(-1))
 
 
@@ -206,20 +206,17 @@ def dyadic_within(shape):
 def test_prefix_and_running_max_into_buffers_equal_the_allocating_calls(shape):
     a = field_with_extremes(shape, shape[1])
     axes, d = sweep_axes(shape), len(shape) - 2
-    want_S = prefix_table(a, axes)
+    want_S = prefix_table(a.copy(), axes)
     want_M = running_max_norms(want_S, d)
-    other = np.full(shape, np.nan)
-    assert prefix_table(a, axes, out=other) is other
-    assert np.array_equal(other, want_S, equal_nan=True)
     # a chunk loop sweeps its own plane-major batch, squares it, adds its
     # columns up into column 0, and reads each box's M_n from that
     batch = plane_major(a)
-    assert prefix_table(batch, axes, out=batch) is batch
+    assert prefix_table(batch, axes) is batch
     assert np.array_equal(batch, want_S, equal_nan=True)
     q = plane_sum(np.square(batch, out=batch), out=batch[..., 0])
     assert np.shares_memory(q, batch)
     boxes = dyadic_within(shape)
-    got = np.sqrt(box_maxima([(0, q)], len(q), boxes))
+    got = np.sqrt(box_maxima(q, boxes))
     want = [want_M[(slice(None),) + tuple(c - 1 for c in n.coords)] for n in boxes]
     assert np.array_equal(got, want, equal_nan=True)
 
@@ -227,15 +224,20 @@ def test_prefix_and_running_max_into_buffers_equal_the_allocating_calls(shape):
 @pytest.mark.parametrize("shape", SWEEP_SHAPES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_prefix_and_running_max_leave_their_input_alone(shape):
-    # without out prefix_table does not write to its argument, nor does
-    # box_maxima: callers read the field and the squares again after the call
+    # prefix_table sweeps the rows it is given in place and writes nowhere
+    # else: a short last chunk is the front of a buffer whose other rows it
+    # keeps. box_maxima does not write to its argument: a caller reads the
+    # squares again after the call
     a = field_with_extremes(shape, shape[1] + 1)
-    before = a.copy()
-    S = prefix_table(a, sweep_axes(shape))
-    assert np.array_equal(a, before, equal_nan=True)
+    buffer = np.concatenate([a, np.full((1,) + shape[1:], 7.0)])
+    rows = buffer[: len(a)]
+    S = prefix_table(rows, sweep_axes(shape))
+    assert S is rows
+    assert np.array_equal(S, prefix_table(a.copy(), sweep_axes(shape)), equal_nan=True)
+    assert np.all(buffer[len(a) :] == 7.0)
     q = np.sum(np.square(S), axis=-1)
     squares = q.copy()
-    box_maxima([(0, q)], len(q), dyadic_within(shape))
+    box_maxima(q, dyadic_within(shape))
     assert np.array_equal(q, squares, equal_nan=True)
 
 
@@ -323,7 +325,7 @@ def test_box_maxima_reads_each_box_once(boxes):
     hull = tuple(max(c) for c in zip(*(n.coords for n in boxes)))
     q = np.random.default_rng(0).random((3,) + hull)
     ReadCounter.cells = 0
-    got = box_maxima([(0, q.view(ReadCounter))], 3, boxes)
+    got = box_maxima(q.view(ReadCounter), boxes)
     assert ReadCounter.cells == 3 * sum(n.size for n in boxes)
     want = [q[(slice(None),) + tuple(slice(0, c) for c in n.coords)].max(axis=tuple(range(1, 1 + n.d)))
             for n in boxes]
@@ -345,8 +347,9 @@ def random_boxes(gen, top, count):
 
 def test_box_maxima_equal_per_box_max():
     # random schedules inside random boxes, repeated and incomparable boxes
-    # among them, over a rep axis chunked as row_chunks cuts it and in random
-    # runs copied into one reused buffer, with NaN and inf cells
+    # among them, one chunk at a time over a rep axis chunked as row_chunks
+    # cuts it and in random runs copied into one reused buffer, with NaN and
+    # inf cells: no answer depends on a buffer the next chunk overwrites
     incomparable = 0
     for trial in range(60):
         gen = np.random.default_rng(trial)
@@ -373,7 +376,7 @@ def test_box_maxima_equal_per_box_max():
                 buffer.fill(np.nan)
 
         for chunks in (row_chunks(q, top), reused()):
-            got = box_maxima(chunks, reps, boxes)
+            got = np.concatenate([box_maxima(chunk, boxes) for _, chunk in chunks], axis=1)
             assert np.array_equal(got, want, equal_nan=True)
         incomparable += any(not leq(m, n) and not leq(n, m) for m in boxes for n in boxes)
     assert incomparable > 0
@@ -423,13 +426,13 @@ def test_rep_sum_adds_rows_in_order(monkeypatch, chunk_cells):
 def test_box_maxima_rejects_boxes_that_do_not_fit():
     q = np.zeros((2, 4, 5))
     with pytest.raises(ValueError):
-        box_maxima([(0, q)], 2, [MultiIndex((4, 6))])
+        box_maxima(q, [MultiIndex((4, 6))])
     with pytest.raises(ValueError):
-        box_maxima([(0, q)], 2, [MultiIndex((4,)), MultiIndex((2, 2))])
+        box_maxima(q, [MultiIndex((4,)), MultiIndex((2, 2))])
     with pytest.raises(ValueError):
-        box_maxima([(0, q)], 2, [MultiIndex((4, 5, 1))])
+        box_maxima(q, [MultiIndex((4, 5, 1))])
     with pytest.raises(ValueError):
-        box_maxima([(0, q)], 2, [])
+        box_maxima(q, [])
 
 
 def test_schedule_averages_match_direct_means():
@@ -443,14 +446,26 @@ def test_schedule_averages_match_direct_means():
         assert value == pytest.approx(sub.mean(), rel=1e-12)
 
 
-def test_schedule_averages_carries_leading_axes():
+def profile(field, box: MultiIndex, weight=None, levels=None, ge=False) -> np.ndarray:
+    """One (weight, levels, ge) query of schedule_profiles over the row_chunks
+    of a field with any leading axes: shape lead + (boxes,), or
+    (len(levels),) + lead + (boxes,) with levels."""
+    lead = field.shape[: field.ndim - box.d]
+    rows = math.prod(lead)
+    flat = field.reshape((rows,) + box.coords)
+    (sums,) = schedule_profiles(row_chunks(flat, box), rows, box, [(weight, levels, ge)])
+    out = sums.reshape((len(sums),) + lead + (sums.shape[-1],))
+    return out[0] if levels is None else out
+
+
+def test_schedule_profiles_carry_rows():
     field = np.stack([np.ones((3, 3)), 2.0 * np.ones((3, 3))])
     box = MultiIndex((3, 3))
-    got = schedule_averages(field, box)
+    got = profile(field, box)
     assert got.shape == (2, len(dyadic_boxes(box)))
     assert np.array_equal(got[0], np.ones(got.shape[1]))
     assert np.array_equal(got[1], np.full(got.shape[1], 2.0))
-    leveled = schedule_averages(field, box, levels=[0.0, 1.0, 1.5, 2.0], ge=True)
+    leveled = profile(field, box, levels=[0.0, 1.0, 1.5, 2.0], ge=True)
     assert leveled.shape == (4,) + got.shape
     assert np.array_equal(leveled[0], got) and np.array_equal(leveled[1], got)
     assert np.array_equal(leveled[2], leveled[3])
@@ -458,10 +473,13 @@ def test_schedule_averages_carries_leading_axes():
 
 
 def test_schedule_averages_reject_a_field_off_the_box_and_unsorted_levels():
+    # schedule_averages takes one box-shaped field: no leading axis either
     with pytest.raises(ValueError):
         schedule_averages(np.ones((2, 3)), MultiIndex((3, 2)))
     with pytest.raises(ValueError):
-        schedule_averages(np.ones((2, 3)), MultiIndex((2, 3)), levels=[1.0, 1.0])
+        schedule_averages(np.ones((1, 2, 3)), MultiIndex((2, 3)))
+    with pytest.raises(ValueError):
+        profile(np.ones((2, 3)), MultiIndex((2, 3)), levels=[1.0, 1.0])
 
 
 def brute_averages(field, box: MultiIndex, weight=None, levels=None, ge=False) -> np.ndarray:
@@ -532,22 +550,28 @@ class TestScheduleAveragesOracle:
             ge = bool(trial % 2)
             nboxes = len(dyadic_boxes(box))
             exact = gen.integers(0, 6, size=lead + box.coords).astype(np.float64)
-            got = schedule_averages(exact, box)
+            got = profile(exact, box)
             assert got.shape == lead + (nboxes,)
             # C order too: a mean over reps sums in an order set by the layout
             assert got.flags.c_contiguous
             assert np.array_equal(got, brute_averages(exact, box))
-            got = schedule_averages(exact, box, np.square, LEVELS, ge)
+            if not lead:
+                assert np.array_equal(schedule_averages(exact, box), got)
+            got = profile(exact, box, np.square, LEVELS, ge)
             assert got.shape == (len(LEVELS),) + lead + (nboxes,)
             assert got.flags.c_contiguous
             assert np.array_equal(got, brute_averages(exact, box, np.square, LEVELS, ge))
 
             field = random_field(gen, lead, box)
             assert np.allclose(
-                schedule_averages(field, box), brute_averages(field, box),
+                profile(field, box), brute_averages(field, box),
                 rtol=1e-12, atol=0.0, equal_nan=True,
             )
-            got = schedule_averages(field, box, np.sqrt, LEVELS, ge)
+            if not lead:
+                assert np.array_equal(
+                    schedule_averages(field, box), profile(field, box), equal_nan=True
+                )
+            got = profile(field, box, np.sqrt, LEVELS, ge)
             assert not np.isnan(got).any()  # a NaN cell adds 0; inf stays inf
             assert np.allclose(
                 got, brute_averages(field, box, np.sqrt, LEVELS, ge),
@@ -562,7 +586,7 @@ class TestScheduleAveragesOracle:
         box = MultiIndex((5,) * d)
         field = np.broadcast_to(random_field(gen, (), box), (4,) + box.coords)
         assert not field.flags.writeable
-        got = schedule_averages(field, box, None, LEVELS)
+        got = profile(field, box, None, LEVELS)
         assert np.allclose(got, brute_averages(field, box, None, LEVELS), rtol=1e-12, atol=0.0)
         assert np.array_equal(got[:, 0], got[:, 3])
         exact = np.broadcast_to(2.5, box.coords)
@@ -583,13 +607,15 @@ class TestScheduleAveragesOracle:
             box = box_of("explicit", d, gen)
             field = random_field(gen, lead, box)
             field.flags.writeable = False
-            up_front = schedule_averages(g(field), box)
-            assert np.array_equal(schedule_averages(field, box, g), up_front)
-            one = schedule_averages(field, box, g.power, [g.a], g.ge)
+            up_front = profile(g(field), box)
+            if not lead:
+                assert np.array_equal(schedule_averages(g(field), box), up_front)
+            assert np.array_equal(profile(field, box, g), up_front)
+            one = profile(field, box, g.power, [g.a], g.ge)
             assert np.array_equal(one[0], up_front)
             grid = sorted({0.0, 1.0, 1.5, g.a, 2.5, 3.0})
-            profile = schedule_averages(field, box, g.power, grid, g.ge)
-            assert np.array_equal(profile[grid.index(g.a)], up_front)
+            leveled = profile(field, box, g.power, grid, g.ge)
+            assert np.array_equal(leveled[grid.index(g.a)], up_front)
             assert np.allclose(up_front, brute_averages(g(field), box), rtol=1e-12, atol=0.0)
 
     def test_full_table_path_matches_bruteforce(self):
@@ -637,7 +663,7 @@ class TestScheduleProfilesOracle:
             for chunks in (row_chunks(field, box), reused()):
                 answers = schedule_profiles(chunks, reps, box, self.QUERIES)
                 for (weight, levels, ge), got in zip(self.QUERIES, answers):
-                    one = schedule_averages(field, box, weight, levels, ge)
+                    one = profile(field, box, weight, levels, ge)
                     assert np.array_equal(got if levels else got[0], one, equal_nan=True)
                     brute = brute_averages(field, box, weight, levels, ge)
                     assert np.allclose(one, brute, rtol=1e-12, atol=0.0, equal_nan=True)
@@ -646,6 +672,7 @@ class TestScheduleProfilesOracle:
 def test_prefix_table_axis_selection():
     field = np.ones((2, 3))
     only_rows = prefix_table(field, [0])
+    assert only_rows is field
     assert np.array_equal(only_rows, np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]))
 
 
