@@ -4,14 +4,22 @@ Three commands: check-cui (tail-sup report over a truncation grid), poussin
 (threshold search, convex gauge construction, moment and forward checks),
 and converge (mean-convergence series with trend and envelope verdicts).
 Every command and every replay runs through `run_command`, which writes a
-manifest next to the outputs; `replay` re-runs a manifest's command into a
-fresh directory. Data files are byte-identical across replays; only the
-manifest's duration field varies. A run that fails (exit 2 or 3) writes
-nothing, not even its output directory, and an output directory that cannot
-be created is rejected before anything is computed.
+manifest next to the outputs: the command, its config, a sha256 digest of
+each data file and the platform that computed them (Python, numpy, the
+machine and the CPU features numpy dispatches to). `replay` re-runs a
+manifest's command into a fresh directory and checks its files against those
+digests. Data files are byte-identical across replays on one platform; only
+the manifest's duration field varies. Another platform may round a
+transcendental function's last bit otherwise (numpy picks vector kernels by
+CPU), so there a differing file is reported, not failed. A run that fails
+(exit 2 or 3) writes nothing, not even its output directory, and an output
+directory that cannot be created is rejected before anything is computed.
 
 Exit codes: 0 the run completed (scientific verdicts live in the output
-files), 2 usage error, 3 domain or horizon error.
+files; a replay's files match its manifest, cannot be checked against it, or
+differ on another platform), 1 a replay wrote other data files than its
+manifest records, on the platform that recorded them, 2 usage error, 3 domain
+or horizon error.
 """
 
 from __future__ import annotations
@@ -132,16 +140,50 @@ def write_json(path: Path, payload: dict) -> None:
 
 def write_manifest(
     out_dir: Path, command: str, config: dict, seed: int, outputs: list[str], t0: float
-) -> None:
+) -> dict:
+    """Write and return the manifest of the data files `outputs` in out_dir,
+    with a sha256 digest of each and the platform that computed them. Its
+    imports are made here, after the command has run, so that importing the
+    package costs no more."""
+    import platform
+
+    # CPython's own SHA-256: importing hashlib loads OpenSSL, whose pages
+    # raised a converge run's peak RSS by 3.6 MB (11 %)
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python < 3.12
+        except ImportError:
+            from hashlib import sha256
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    machine = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
+    }
+    if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+        machine["NPY_DISABLE_CPU_FEATURES"] = os.environ["NPY_DISABLE_CPU_FEATURES"]
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "version": _pkg_version,
         "outputs": outputs,
+        "outputs_sha256": {
+            name: sha256((out_dir / name).read_bytes()).hexdigest() for name in outputs
+        },
+        "platform": machine,
         "duration_seconds": time.perf_counter() - t0,
     }
     write_json(out_dir / "manifest.json", manifest)
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +306,9 @@ def _check_out(out: str) -> None:
         raise ValueError(f"--out {out}: {path} is not a writable directory")
 
 
-def run_command(command: str, config: dict, out: str) -> None:
-    """Run a command from its manifest config into the directory `out`. An
+def run_command(command: str, config: dict, out: str) -> dict:
+    """Run a command from its manifest config into the directory `out`, and
+    return the manifest written there. An
     `out` that cannot be created is rejected before the command runs; only
     once the command has computed its files is `out` created and are they
     written, then the manifest naming them, so a run that raises writes
@@ -282,7 +325,7 @@ def run_command(command: str, config: dict, out: str) -> None:
             (out_dir / name).write_text(content)
         else:
             write_json(out_dir / name, content)
-    write_manifest(out_dir, command, config, config["seed"], list(files), t0)
+    return write_manifest(out_dir, command, config, config["seed"], list(files), t0)
 
 
 def cmd_run(args: argparse.Namespace) -> None:
@@ -324,7 +367,31 @@ def _check_config(manifest: str, config: dict) -> None:
             )
 
 
-def cmd_replay(args: argparse.Namespace) -> None:
+def _check_replay(recorded: dict, replayed: dict) -> tuple[int, str]:
+    """The exit code and verdict of a replay: its manifest `replayed` against
+    the manifest `recorded` that it re-ran."""
+    digests = recorded.get("outputs_sha256")
+    if not isinstance(digests, dict):
+        return 0, (
+            "cannot verify: the manifest records no data-file digests (it predates them); "
+            "draws made since then key their streams by another chain, so empirical "
+            "files are not expected to match"
+        )
+    new = replayed["outputs_sha256"]
+    files = [name for name in sorted(set(digests) | set(new)) if digests.get(name) != new.get(name)]
+    if not files:
+        return 0, f"byte-identical: {len(new)} data files match the manifest"
+    old_platform, platform = recorded.get("platform"), replayed["platform"]
+    if not isinstance(old_platform, dict):
+        old_platform = {}
+    keys = [k for k in sorted(set(old_platform) | set(platform)) if old_platform.get(k) != platform.get(k)]
+    differ = "data files differ from the manifest: " + ", ".join(files)
+    if not keys:
+        return 1, differ + " (on the platform that recorded it)"
+    return 0, differ + "; the platform differs in " + ", ".join(keys)
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
     raw = Path(args.manifest).read_text()
     try:
         manifest = json.loads(raw)
@@ -341,11 +408,17 @@ def cmd_replay(args: argparse.Namespace) -> None:
         raise ValueError(f"manifest {args.manifest}: command {command!r} is not replayable")
     _check_config(args.manifest, config)
     try:
-        run_command(command, config, args.out)
+        replayed = run_command(command, config, args.out)
     except KeyError as exc:
         raise ValueError(
             f"manifest {args.manifest}: config has no key {exc.args[0]!r}"
         ) from None
+    code, verdict = _check_replay(manifest, replayed)
+    if code:
+        print(f"error: replay of {args.manifest}: {verdict}", file=sys.stderr)
+    else:
+        print(f"replay of {args.manifest}: {verdict}")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +491,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        args.func(args)
+        return args.func(args) or 0
     except (HorizonTooSmallError, PhiDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

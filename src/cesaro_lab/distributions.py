@@ -168,11 +168,13 @@ class Family:
 
     # --- sampling -------------------------------------------------------
     # A draw writes into buffers its caller owns: `out` receives the values of
-    # the reps whose key chains start at `starts` (a vector `out` from
-    # draw_buffers is plane-major: each column is one contiguous plane), and
-    # `scratch`, a uint64 array of shape (scratch_planes,) + (reps,) +
-    # box.coords, is the family's to overwrite. `grids` are the box's
-    # coordinate grids for rng.cell_keys, mixed once per draw (_DrawKeys).
+    # a chunk of reps (a vector `out` from draw_buffers is plane-major: each
+    # column is one contiguous plane), and `scratch`, a uint64 array of shape
+    # (scratch_planes,) + (reps,) + box.coords, is the family's to overwrite.
+    # `head` holds the chunk's key-chain heads (rng.cell_keys, one per rep
+    # and line along the last axis) and `last` the last coordinate's grid,
+    # mixed once per draw (_DrawKeys): stream j of every cell is
+    # rng.substream(head, last, j), one hashing pass per uniform.
     def columns(self, spec) -> int:
         """Columns of a sampled vector: 1, its values lie on one line."""
         return 1
@@ -186,11 +188,11 @@ class Family:
         them one float64 plane per column for the vectors themselves."""
         return self.scratch_planes(spec) + self.columns(spec)
 
-    def vectors(self, spec, box: MultiIndex, starts: np.ndarray, grids, out: np.ndarray, scratch: np.ndarray) -> None:
+    def vectors(self, spec, box: MultiIndex, head: np.ndarray, last, out: np.ndarray, scratch: np.ndarray) -> None:
         """Cell vectors into out, shape (reps,) + box.coords + (columns,)."""
         raise NotImplementedError
 
-    def norm_values(self, spec, box: MultiIndex, starts: np.ndarray, grids, out: np.ndarray, scratch: np.ndarray) -> None:
+    def norm_values(self, spec, box: MultiIndex, head: np.ndarray, last, out: np.ndarray, scratch: np.ndarray) -> None:
         """Cell norms into out, shape (reps,) + box.coords; scratch has
         norm_planes(spec) planes."""
         fixed = self.fixed_norms(spec, box)
@@ -201,7 +203,7 @@ class Family:
         # the vector draw's scratch
         planes, cols = self.scratch_planes(spec), self.columns(spec)
         v = np.moveaxis(scratch[planes : planes + cols].view(np.float64), 0, -1)
-        self.vectors(spec, box, starts, grids, v, scratch[:planes])
+        self.vectors(spec, box, head, last, v, scratch[:planes])
         np.sqrt(plane_sum(np.square(v, out=v), out), out=out)
 
 
@@ -211,7 +213,7 @@ class _DeterministicFamily(Family):
     def cell_values(self, spec, box: MultiIndex) -> np.ndarray:
         raise NotImplementedError
 
-    def vectors(self, spec, box, starts, grids, out, scratch):
+    def vectors(self, spec, box, head, last, out, scratch):
         out[...] = self.cell_values(spec, box)[..., None]
 
     def fixed_norms(self, spec, box):
@@ -292,19 +294,18 @@ class ParetoRadialFamily(Family):
         if spec.param("alpha") <= 0:
             raise ValueError("alpha must be > 0")
 
-    def norm_values(self, spec, box, starts, grids, out, scratch):
+    def norm_values(self, spec, box, head, last, out, scratch):
         # the keys live in out's memory until the uniforms replace them
         keys, mixing = out.view(np.uint64), scratch[0]
-        rng.cell_keys(starts, grids, out=keys, scratch=mixing)
-        rng.substream(keys, 0, out=keys, scratch=mixing)
+        rng.substream(head, last, 0, out=keys, scratch=mixing)
         rng.uniform_open01(keys, out=out, scratch=mixing)
         out **= -1.0 / float(spec.param("alpha"))  # in place, as u ** (-1 / alpha)
 
     def norm_planes(self, spec):
         return self.scratch_planes(spec)
 
-    def vectors(self, spec, box, starts, grids, out, scratch):
-        self.norm_values(spec, box, starts, grids, out[..., 0], scratch)
+    def vectors(self, spec, box, head, last, out, scratch):
+        self.norm_values(spec, box, head, last, out[..., 0], scratch)
 
     def expect(self, spec, g, box):
         # E(X^p 1(X > a)) = alpha/(alpha-p) * max(a,1)^(p-alpha); continuous,
@@ -348,12 +349,10 @@ class IidGaussianFamily(Family):
         return spec.dim_D
 
     def scratch_planes(self, spec):
-        return 1 + rng.normals_work_planes(spec.dim_D)
+        return rng.normals_work_planes(spec.dim_D)
 
-    def vectors(self, spec, box, starts, grids, out, scratch):
-        keys, work = scratch[0], scratch[1:].view(np.float64)
-        rng.cell_keys(starts, grids, out=keys, scratch=scratch[1])
-        rng.normals(keys, spec.dim_D, out=out, work=work)
+    def vectors(self, spec, box, head, last, out, scratch):
+        rng.normals(head, last, spec.dim_D, out=out, work=scratch.view(np.float64))
         out *= float(spec.param("sigma"))
 
     def expect(self, spec, g, box):
@@ -377,9 +376,8 @@ class IidRademacherFamily(Family):
     def fixed_norms(self, spec, box):
         return np.broadcast_to(1.0, box.coords)
 
-    def vectors(self, spec, box, starts, grids, out, scratch):
-        keys = rng.cell_keys(starts, grids)
-        out[..., 0] = rng.signs(rng.substream(keys, 0))
+    def vectors(self, spec, box, head, last, out, scratch):
+        out[..., 0] = rng.signs(rng.substream(head, last, 0))
 
 
 def subset_products(bits: np.ndarray) -> np.ndarray:
@@ -423,7 +421,9 @@ class PairwiseRademacherFamily(Family):
     def fixed_norms(self, spec, box):
         return np.broadcast_to(1.0, box.coords)
 
-    def _signs(self, spec, box, starts):
+    def _signs(self, spec, box, head):
+        # d = 1, so the chunk's heads are one per rep; the block index is the
+        # last coordinate of each block's chain, and sign t its stream t
         self.check_box(box)
         m = int(spec.param("m"))
         L = 2**m - 1
@@ -432,15 +432,15 @@ class PairwiseRademacherFamily(Family):
         block = (q // L).astype(np.uint64)
         mask_idx = q % L  # 0-based subset mask index
         n_blocks = int(block[-1]) + 1
-        block_keys = rng.cell_keys(starts, [np.arange(n_blocks, dtype=np.uint64).reshape(1, -1)])
+        blocks = rng.premix(np.arange(n_blocks, dtype=np.uint64).reshape(1, -1))
         bits = np.stack(
-            [rng.signs(rng.substream(block_keys, t)) for t in range(m)], axis=-1
+            [rng.signs(rng.substream(head, blocks, t)) for t in range(m)], axis=-1
         )  # (R, n_blocks, m)
         table = subset_products(bits)  # (R, n_blocks, L)
         return table[:, block.astype(np.int64), mask_idx]
 
-    def vectors(self, spec, box, starts, grids, out, scratch):
-        out[..., 0] = self._signs(spec, box, starts)
+    def vectors(self, spec, box, head, last, out, scratch):
+        out[..., 0] = self._signs(spec, box, head)
 
 
 _FAMILY_LIST = [
@@ -468,17 +468,23 @@ class _DrawKeys:
     """What every key chain of a draw of (seed, box) shares, derived once per
     draw: the seed's root, into which each rep's start folds its index, and
     the box's coordinate grids, mixed. A chunk then mixes only its own rep
-    starts and cells, and nothing here grows with reps."""
+    starts and chain heads, and nothing here grows with reps."""
 
     def __init__(self, seed: int, box: MultiIndex):
         self.root = rng.seed_root(seed)
-        self.grids = [rng.premix(g) for g in _coord_grids(box)]
+        *self.inner, self.last = [rng.premix(g) for g in _coord_grids(box)]
 
     def starts(self, reps: range) -> np.ndarray:
         """derive_seed(seed, r) for every rep r, in one vectorised key chain,
         shaped to broadcast against the grids."""
         starts = rng.combine(self.root, np.arange(reps.start, reps.stop, dtype=np.uint64))
-        return starts.reshape((len(reps),) + (1,) * len(self.grids))
+        return starts.reshape((len(reps),) + (1,) * (len(self.inner) + 1))
+
+    def heads(self, reps: range) -> np.ndarray:
+        """The key-chain heads of every rep r and line of cells along the
+        box's last axis, each folded once per chunk: rng.cell_keys of the
+        rep starts and every coordinate grid but the last."""
+        return rng.cell_keys(self.starts(reps), self.inner)
 
 
 def _checked_family(spec: DistributionSpec, box: MultiIndex) -> Family:
@@ -552,9 +558,9 @@ def _draw(spec, n, seed, reps, first_rep, out, scratch, keys, norms) -> np.ndarr
         out, scratch = draw_buffers(spec, n, reps, norms)
     if keys is None:
         keys = _DrawKeys(seed, n)
-    starts = keys.starts(range(first_rep, first_rep + reps))
+    head = keys.heads(range(first_rep, first_rep + reps))
     fill = fam.norm_values if norms else fam.vectors
-    fill(spec, n, starts, keys.grids, out, _front(scratch, reps))
+    fill(spec, n, head, keys.last, out, _front(scratch, reps))
     return out
 
 

@@ -31,7 +31,9 @@ position along it, chosen when the run of cells behind the axis is at least
 SLAB_RUN times the axis length (the first box axes of a d = 3 chunk with D
 columns).
 
-box_maxima reads one chunk of rows and reduces each box over its own cells;
+box_maxima reads one chunk of rows and reduces each box over its own cells,
+or, for boxes that overlap more than d times over, reads each box's corner
+of one running max along every axis;
 rep_sum takes its rows as (first row, chunk) pairs and adds them up cell by
 cell in row order (the per-cell mean over replications of the adversarial
 event array).
@@ -172,9 +174,13 @@ def box_maxima(q: np.ndarray, boxes: Sequence[MultiIndex]) -> np.ndarray:
 
     Each box takes one np.max over its own cells, so a row costs the sum of
     the boxes' sizes: at most 2, 4/3 or 8/7 times the largest box on a dyadic
-    chain in d = 1, 2, 3, but about n^2 / 2 cells on the dense chain 1, ..., n.
-    Max is exact and order-free, so each answer is bit-equal to
-    q[r, :n_1, ..., :n_d].max(), NaN spreading as in np.max.
+    chain in d = 1, 2, 3. When the sizes sum to more than d times the hull of
+    the boxes (about n^2 / 2 cells on the dense chain 1, ..., n), a running
+    max along each hull axis, d passes over the hull, leaves at each cell the
+    max of the box it is the corner of, and each box reads its corner. Max is
+    exact and order-free, so either way each answer is bit-equal to
+    q[r, :n_1, ..., :n_d].max(), NaN spreading as in np.max (np.maximum
+    spreads it too).
     """
     if not boxes:
         raise ValueError("box_maxima needs at least one box")
@@ -185,6 +191,12 @@ def box_maxima(q: np.ndarray, boxes: Sequence[MultiIndex]) -> np.ndarray:
     if q.ndim != 1 + d or any(c > s for c, s in zip(hull, q.shape[1:])):
         raise ValueError(f"chunk shape {q.shape} does not hold the box {MultiIndex(hull)}")
     axes = tuple(range(1, 1 + d))
+    if sum(n.size for n in boxes) > d * math.prod(hull):
+        run = np.maximum.accumulate(q[(slice(None),) + tuple(slice(0, c) for c in hull)], axis=1)
+        for ax in axes[1:]:
+            np.maximum.accumulate(run, axis=ax, out=run)
+        corners = tuple(np.array([n.coords[ax] - 1 for n in boxes]) for ax in range(d))
+        return run[(slice(None),) + corners].T.copy()
     out = np.empty((len(boxes), len(q)))
     for n, acc in zip(boxes, out):
         np.max(q[(slice(None),) + tuple(slice(0, c) for c in n.coords)], axis=axes, out=acc)

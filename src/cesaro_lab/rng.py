@@ -1,9 +1,24 @@
-"""Counter-based randomness keyed by (seed, lattice cell).
+"""Counter-based randomness keyed by (seed, lattice cell, stream).
 
 Every draw is a pure function of a 64-bit key chain built from the user seed
 and the coordinates of the target cell, so enlarging a box never changes
 cells that were already generated, and any evaluation order (including a
-parallel one) produces identical bits.
+parallel one) produces identical bits (counter-based streams: Salmon et al.,
+SC 2011; the SplitMix64 finalizer: Steele, Lea & Flood, OOPSLA 2014).
+
+The chain has one rule. Stream j of the cell (c_1, ..., c_d) of the
+replication whose chain starts at s has the key
+
+    combine(head, mix64(c_d) ^ mix64(j | 2^63)),
+
+where head = cell_keys(s, [c_1, ..., c_{d-1}]) folds the start and every
+coordinate but the last into the chain, one axis at a time. A head is shared
+by the line of cells along the last axis, so a chunk computes its heads once,
+at the size of the grids they have seen, and `substream` folds in the last
+coordinate and the stream index together: each uniform costs one full-size
+combine, the one SplitMix pass that makes its bits. The stream index is
+mixed with its top bit set, a word that no coordinate takes, so stream j of
+cell c is never stream c of cell j.
 """
 
 from __future__ import annotations
@@ -66,9 +81,16 @@ def combine(key, value, out=None, scratch=None):
 
 
 # constants every key chain folds in, mixed once at import: _INIT, which
-# starts each chain, and the first stream indices of substream
+# starts each chain, and the first stream indices of substream. A stream
+# index is mixed with its top bit set, above every coordinate, so its word is
+# never a mixed coordinate's: were both mixed alike, mix64(c) ^ mix64(j)
+# would make stream j of cell c the key of stream c of cell j
 _INIT_MIXED = premix(_INIT)
-_STREAMS = tuple(Mixed(bits) for bits in mix64(np.arange(32, dtype=np.uint64)))
+_STREAM_TAG = _U64(1 << 63)
+_STREAMS = mix64(np.arange(32, dtype=np.uint64) | _STREAM_TAG)
+# the last coordinate of a word that already holds it (head ^ mix64(last)):
+# substream then folds in the stream index alone
+_FOLDED = Mixed(_U64(0))
 
 
 def seed_root(seed: int) -> np.uint64:
@@ -81,30 +103,31 @@ def derive_seed(seed: int, index: int) -> int:
     return int(combine(seed_root(seed), as_seed(index)))
 
 
-def cell_keys(start, coord_arrays, out=None, scratch=None):
-    """One key per lattice cell from its coordinate tuple.
+def cell_keys(start, inner):
+    """The head of the key chain of every line of cells along the last axis.
 
     `start` is an integer seed or a uint64 array of chain starts (e.g. one
-    per replication, shaped to broadcast against the coordinate grids). The
-    chain folds in one coordinate axis at a time, so every fold but the last
-    is as small as the grids it has seen; only the last, the size of the
-    cells, goes into `out` (with `scratch`, as in mix64) when given.
+    per replication, shaped to broadcast against the coordinate grids), and
+    `inner` the coordinate grids (raw, or Mixed) of every axis but the last,
+    folded in one axis at a time, so each fold is as small as the grids it
+    has seen. With no inner grid (d = 1) the head is the start's own link.
+    `substream` finishes the chain of each cell of the line.
     """
-    if isinstance(start, np.ndarray):
-        h = combine(start, _INIT)
-    else:
-        h = combine(as_seed(start), _INIT)
-    *inner, last = coord_arrays
+    h = combine(start if isinstance(start, np.ndarray) else as_seed(start), _INIT_MIXED)
     for c in inner:
         h = combine(h, c)
-    return combine(h, last, out=out, scratch=scratch)
+    return h
 
 
-def substream(keys, idx: int, out=None, scratch=None):
-    """Key of stream `idx` of every key; `out` (may be keys itself) and
-    `scratch` as in mix64."""
-    value = _STREAMS[idx] if 0 <= idx < len(_STREAMS) else as_seed(idx)
-    return combine(keys, value, out=out, scratch=scratch)
+def substream(head, last, idx: int, out=None, scratch=None):
+    """Key of stream `idx` (0 <= idx < 2^63) of every cell: combine(head,
+    mix64(last) ^ mix64(idx | 2^63)), for heads from cell_keys and `last`,
+    the last coordinate's grid (raw, or Mixed). The xor is as small as that
+    grid, so the one full-size step is the combine; `out` (may be head
+    itself) and `scratch` as in mix64, shaped as head and last broadcast."""
+    last = last.bits if isinstance(last, Mixed) else mix64(np.asarray(last, dtype=np.uint64))
+    stream = _STREAMS[idx] if 0 <= idx < len(_STREAMS) else mix64(as_seed(idx) | _STREAM_TAG)
+    return combine(head, Mixed(np.bitwise_xor(last, stream)), out=out, scratch=scratch)
 
 
 def uniform01(bits, out=None, scratch=None):
@@ -131,20 +154,24 @@ def signs(bits):
 
 
 def normals_work_planes(count: int) -> int:
-    """Key-shaped float64 planes normals needs for `count` normals per key:
-    two for its intermediates, and one for the tangent of a last half pair."""
-    return 2 + count % 2
+    """Cell-shaped float64 planes normals needs for `count` normals per cell:
+    two for its intermediates, one for the cells' chain words, and one for
+    the tangent of a last half pair."""
+    return 3 + count % 2
 
 
-def normals(keys, count: int, out=None, work=None):
-    """`count` standard normals per key; shape keys.shape + (count,), written
-    into `out` when given (any layout; a new C-contiguous array when None).
-    `work`, a float64 array of shape (normals_work_planes(count),) +
-    keys.shape, holds every intermediate when given, so a chunk loop that
-    owns it allocates nothing per chunk.
+def normals(head, last, count: int, out=None, work=None):
+    """`count` standard normals per cell of the chain heads `head` and last
+    coordinates `last` (as in substream); shape = the broadcast shape of the
+    two + (count,), written into `out` when given (any layout; a new
+    C-contiguous array when None). `work`, a float64 array of shape
+    (normals_work_planes(count),) + shape, holds every intermediate when
+    given, so a chunk loop that owns it allocates nothing per chunk.
 
-    Box-Muller on the uniforms of substreams 2j and 2j+1 (Box & Muller 1958):
-    r = sqrt(-2 log u1) and angle 2 pi u2, with cos and sin of the angle in
+    Box-Muller on the uniforms of streams 2j and 2j+1 of each cell (Box &
+    Muller 1958), one substream pass each, so a pair costs two full-size
+    combines and a draw of D normals 2 ceil(D/2): r = sqrt(-2 log u1) and
+    angle 2 pi u2, with cos and sin of the angle in
     half-angle form from one tangent t = tan(pi u2): cos = (1 - t^2)/(1 + t^2)
     and sin = 2t/(1 + t^2). One vectorised tan replaces two trig calls: with
     numpy 2.4 on an AVX-512 x86 CPU, tan of 65,536 values took 0.17 ms and
@@ -154,30 +181,37 @@ def normals(keys, count: int, out=None, work=None):
     SIMD np.log, the last bits are identical on one machine, not across
     machines whose numpy picks other vector kernels.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
+    head = np.asarray(head, dtype=np.uint64)
+    if not isinstance(last, Mixed):
+        last = premix(last)
+    shape = np.broadcast_shapes(head.shape, last.bits.shape)
     if out is None:
-        out = np.empty(keys.shape + (count,))
+        out = np.empty(shape + (count,))
     if work is None:
-        work = np.empty((normals_work_planes(count),) + keys.shape, dtype=np.float64)
+        work = np.empty((normals_work_planes(count),) + shape, dtype=np.float64)
     # Each pair is computed in its own two columns of out (one contiguous
     # plane each when out is plane-major, as draw_buffers makes it), with the
-    # tangent of a last half pair in work[2]. log and tan, whose vector
+    # tangent of a last half pair in work[3]. log and tan, whose vector
     # kernels numpy may pick by stride, run in the contiguous work planes;
     # out takes only correctly rounded steps, so its layout changes no bit.
-    u, v = work[0, ...], work[1, ...]  # views, for 0-d keys too
+    u, v = work[0, ...], work[1, ...]  # views, for 0-d cells too
     bits, mixing = u.view(np.uint64), v.view(np.uint64)
     columns = [out[..., i] for i in range(count)]
     if count % 2:
-        columns.append(work[2, ...])
+        columns.append(work[3, ...])
+    # head ^ mix64(last) once, in work[2]: each stream then xors its index
+    # into contiguous words, a quarter of the cost of broadcasting head
+    # against last again (the same bits: substream's xor is associative)
+    cells = np.bitwise_xor(head, last.bits, out=work[2, ...].view(np.uint64))
     for j in range(0, count, 2):
         r, t = columns[j], columns[j + 1]
         # r = sqrt(-2 log u1) in r's column, tan(pi u2) in u
-        substream(keys, j, out=bits, scratch=mixing)
+        substream(cells, _FOLDED, j, out=bits, scratch=mixing)
         uniform_open01(bits, out=u, scratch=mixing)
         np.log(u, out=u)
         np.multiply(u, -2.0, out=u)
         np.sqrt(u, out=r)
-        substream(keys, j + 1, out=bits, scratch=mixing)
+        substream(cells, _FOLDED, j + 1, out=bits, scratch=mixing)
         uniform01(bits, out=u, scratch=mixing)
         np.multiply(u, np.pi, out=u)
         np.tan(u, out=u)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -185,6 +186,14 @@ class TestCheckCui:
         from cesaro_lab import __version__
 
         assert manifest["version"] == __version__
+        # one digest per data file, and the platform that computed them
+        assert sorted(manifest["outputs_sha256"]) == sorted(manifest["outputs"])
+        for name, digest in manifest["outputs_sha256"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        platform = manifest["platform"]
+        assert platform["numpy"] == np.__version__
+        assert {"python", "machine", "cpu_features"} <= set(platform)
+        assert ("NPY_DISABLE_CPU_FEATURES" in platform) == ("NPY_DISABLE_CPU_FEATURES" in os.environ)
 
 
 CHECK_CUI_RSS = """
@@ -311,7 +320,7 @@ class TestConverge:
         assert code == 0
         assert (out / "series.csv").read_text() == (
             "d,n_coords,size,moment,stderr,bound,pass\n"
-            "2,8x8,64,3.954390604035828e+73,3.9524612655038486e+73,,\n"
+            "2,8x8,64,1.8453829674875047e+71,1.8443205339522248e+71,,\n"
             "2,64x64,4096,inf,nan,,\n"
         )
 
@@ -368,15 +377,21 @@ class TestPoussin:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("j_max, n_max", [("4", None), ("4", "100000"), ("8", None)])
-    def test_forward_check_names_the_slope_it_cannot_pass(self, tmp_path, capsys, j_max, n_max):
-        # analytic pareto alpha 3: at eps 0.5, (K+1)/eps is about 5.07, and
-        # with 4 thresholds phi(t)/t stays below phi's largest slope, 4, on
-        # any domain; 8 thresholds reach it
+    @pytest.mark.parametrize(
+        "j_max, n_max, eps",
+        [pytest.param("4", None, "1.0,0.25", id="4-None"),
+         pytest.param("4", "100000", "1.0,0.25", id="4-100000"),
+         pytest.param("8", None, "1.0,0.5", id="8-None")],
+    )
+    def test_forward_check_names_the_slope_it_cannot_pass(self, tmp_path, capsys, j_max, n_max, eps):
+        # analytic pareto alpha 3: at eps 0.25, (K+1)/eps >= 4 whatever the
+        # drawn K >= 0, and with 4 thresholds phi(t)/t stays below phi's
+        # largest slope, 4, on any domain; 8 thresholds reach (K+1)/0.5 (about
+        # 6 on this draw)
         spec = write_spec(tmp_path, "pareto_radial", alpha=3.0)
         out = tmp_path / "o"
         argv = ["poussin", "--spec", spec, "--horizon", "256", "--j-max", j_max,
-                "--search-cap", "64", "--reps", "20", "--eps", "1.0,0.5", "--out", str(out)]
+                "--search-cap", "64", "--reps", "20", "--eps", eps, "--out", str(out)]
         code = cli.main(argv + ([] if n_max is None else ["--n-max", n_max]))
         err = capsys.readouterr().err
         if j_max == "8":
@@ -523,6 +538,75 @@ class TestReplay:
         self.assert_identical_modulo_duration(
             first, second, ["cui_report.csv", "cui_report.json"]
         )
+
+    def recorded_run(self, tmp_path):
+        """A converge run's directory and its manifest, loaded."""
+        spec = write_spec(tmp_path, "pareto_radial", dim_D=8, alpha=3.0)
+        first = tmp_path / "first"
+        code = cli.main(["converge", "--mode", "lp", "--spec", spec, "--p", "0.5",
+                         "--schedule", "4x4;8x8;16x16", "--reps", "20", "--out", str(first)])
+        assert code == 0
+        return first, json.loads((first / "manifest.json").read_text())
+
+    def replay_of(self, tmp_path, manifest):
+        path = tmp_path / "changed_manifest.json"
+        path.write_text(json.dumps(manifest))
+        return self.replay(path, tmp_path / "second")
+
+    def test_replay_says_its_files_are_byte_identical(self, tmp_path, capsys):
+        first, _ = self.recorded_run(tmp_path)
+        capsys.readouterr()
+        assert self.replay(first / "manifest.json", tmp_path / "second") == 0
+        assert "byte-identical: 2 data files" in capsys.readouterr().out
+
+    def test_tampered_digest_exits_one_and_names_the_file(self, tmp_path, capsys):
+        first, manifest = self.recorded_run(tmp_path)
+        manifest["outputs_sha256"]["series.json"] = "0" * 64
+        capsys.readouterr()
+        assert self.replay_of(tmp_path, manifest) == 1
+        err = capsys.readouterr().err
+        assert "series.json" in err and "series.csv" not in err
+        assert "on the platform that recorded it" in err
+
+    @pytest.mark.parametrize("key", ["numpy", "cpu_features", "NPY_DISABLE_CPU_FEATURES"])
+    def test_tampered_platform_turns_the_difference_into_a_report(self, tmp_path, capsys, key):
+        first, manifest = self.recorded_run(tmp_path)
+        manifest["outputs_sha256"]["series.csv"] = "0" * 64
+        manifest["platform"][key] = "another"
+        capsys.readouterr()
+        assert self.replay_of(tmp_path, manifest) == 0
+        out = capsys.readouterr().out
+        assert "differ from the manifest: series.csv;" in out
+        assert out.rstrip().endswith(f"the platform differs in {key}")
+
+    def test_manifest_without_digests_cannot_be_verified(self, tmp_path, capsys):
+        # manifests written before digests were recorded replay, and say why
+        # their files are not checked
+        first, manifest = self.recorded_run(tmp_path)
+        del manifest["outputs_sha256"], manifest["platform"]
+        capsys.readouterr()
+        assert self.replay_of(tmp_path, manifest) == 0
+        assert "cannot verify" in capsys.readouterr().out
+
+    def test_replay_with_other_vector_kernels_is_never_a_silent_change(self, tmp_path):
+        # numpy's AVX-512 kernels switched off for the replay's process only:
+        # its files either match, or the report names the dispatch difference
+        first, _ = self.recorded_run(tmp_path)
+        disabled = "X86_V4 AVX512F AVX512CD AVX512_SKX"
+        if os.environ.get("NPY_DISABLE_CPU_FEATURES") == disabled:
+            disabled += " AVX512_CLX"
+        src = str(Path(cesaro_lab.__file__).resolve().parents[1])
+        script = "import sys; from cesaro_lab import cli; sys.exit(cli.main(sys.argv[1:]))"
+        result = subprocess.run(
+            [sys.executable, "-c", script, "replay", "--manifest", str(first / "manifest.json"),
+             "--out", str(tmp_path / "second")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": disabled},
+        )
+        assert result.returncode == 0, result.stderr
+        assert "byte-identical" in result.stdout or (
+            "the platform differs in" in result.stdout and "NPY_DISABLE_CPU_FEATURES" in result.stdout
+        ), result.stdout
 
     def test_bad_manifest_json(self, tmp_path):
         bad = tmp_path / "manifest.json"

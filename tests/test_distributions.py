@@ -399,7 +399,7 @@ class TestSamplingContracts:
         keys = dist._DrawKeys(3, n)
         direct = np.full((reps, 5), np.nan)
         scratch.fill(0x5555_5555_5555_5555)
-        get_family(spec.family).norm_values(spec, n, keys.starts(range(reps)), keys.grids, direct, scratch)
+        get_family(spec.family).norm_values(spec, n, keys.heads(range(reps)), keys.last, direct, scratch)
         assert np.array_equal(one_shot, direct)
 
     @pytest.mark.parametrize("seed", [0, 2, 2**63 + 5, -1, 37])
@@ -447,16 +447,17 @@ def allocating_vectors(spec, box, starts):
     """Each family's vectors for the reps of `starts` as plain allocating
     expressions: the oracle of the draws into caller-owned buffers."""
     fam = get_family(spec.family)
-    grids = dist._coord_grids(box)
+    *inner, last = dist._coord_grids(box)
+    head = rng.cell_keys(starts, inner)
     if spec.family == "pareto_radial":
-        u = rng.uniform_open01(rng.substream(rng.cell_keys(starts, grids), 0))
+        u = rng.uniform_open01(rng.substream(head, last, 0))
         return (u ** (-1.0 / spec.param("alpha")))[..., None]
     if spec.family == "iid_gaussian":
-        return rng.normals(rng.cell_keys(starts, grids), spec.dim_D) * spec.param("sigma")
+        return rng.normals(head, last, spec.dim_D) * spec.param("sigma")
     if spec.family == "iid_rademacher":
-        return rng.signs(rng.substream(rng.cell_keys(starts, grids), 0))[..., None]
+        return rng.signs(rng.substream(head, last, 0))[..., None]
     if spec.family == "pairwise_rademacher":
-        return fam._signs(spec, box, starts)[..., None]
+        return fam._signs(spec, box, head)[..., None]
     vals = fam.cell_values(spec, box)[..., None]
     return np.broadcast_to(vals, starts.shape[:1] + vals.shape)
 
@@ -500,8 +501,8 @@ def test_draws_into_reused_buffers_equal_the_allocating_expressions(spec, method
     keys = dist._DrawKeys(4, n)
     want = oracle(spec, n, keys.starts(range(7)))
     for first, k in RAGGED:
-        starts = keys.starts(range(first, first + k))
-        getattr(fam, method)(spec, n, starts, keys.grids, out[:k], dist._front(scratch, k))
+        head = keys.heads(range(first, first + k))
+        getattr(fam, method)(spec, n, head, keys.last, out[:k], dist._front(scratch, k))
         assert np.array_equal(out[:k], want[first:first + k])
 
 
@@ -515,10 +516,12 @@ def test_sample_batch_into_buffers_returns_them():
 
 
 def derived_cell_keys(seed, box, reps):
-    """rng.cell_keys over the box's plain coordinate grids from one
-    derive_seed(seed, r) per rep r: the keys a draw of those reps hashes."""
+    """Stream 0 of every cell, over the box's plain coordinate grids from one
+    derive_seed(seed, r) per rep r: the keys a pareto draw of those reps
+    hashes."""
     starts = np.array([rng.derive_seed(seed, r) for r in reps], dtype=np.uint64)
-    return rng.cell_keys(starts.reshape((-1,) + (1,) * box.d), dist._coord_grids(box))
+    *inner, last = dist._coord_grids(box)
+    return rng.substream(rng.cell_keys(starts.reshape((-1,) + (1,) * box.d), inner), last, 0)
 
 
 def test_no_key_constant_leaks_between_draws(monkeypatch):
@@ -531,14 +534,14 @@ def test_no_key_constant_leaks_between_draws(monkeypatch):
             (9, other, range(5, 7)), (4, box, range(3, 6)), (4, box, range(6, 7))]
     want = [derived_cell_keys(seed, b, reps) for seed, b, reps in plan]
     got = []
-    real = rng.cell_keys
+    real = rng.substream
 
     def recording(*args, **kwargs):
         keys = real(*args, **kwargs)
         got.append(keys.copy())
         return keys
 
-    monkeypatch.setattr(rng, "cell_keys", recording)
+    monkeypatch.setattr(rng, "substream", recording)
     monkeypatch.setattr(dist, "CHUNK_CELLS", 36)  # chunks of 3 reps of either box
     split = dist.draw_chunks(spec, box, 4, 7)  # split at rep 3 and rep 6
     next(split)
@@ -549,6 +552,77 @@ def test_no_key_constant_leaks_between_draws(monkeypatch):
     assert len(got) == len(want)
     for keys, oracle in zip(got, want):
         assert np.array_equal(keys, oracle)
+
+
+KEY_CHAIN_SPECS = [spec_of("pareto_radial", d=1, alpha=3.0), spec_of("iid_gaussian", d=3)]
+
+
+@pytest.mark.parametrize("spec", KEY_CHAIN_SPECS, ids=lambda s: s.family)
+def test_first_reps_are_the_same_bits_at_any_reps(spec):
+    # "rerun with more reps" keeps the reps already drawn: a rep's chain
+    # starts from (seed, rep) alone
+    box = MultiIndex((64, 64))
+    for draw in (sample_batch, norm_batch):
+        assert np.array_equal(draw(spec, box, 5, 20), draw(spec, box, 5, 50)[:20])
+    streamed = np.concatenate([norms.copy() for _, norms in NormSample(spec, box, 5, 50).chunks()])
+    assert np.array_equal(streamed[:20], norm_batch(spec, box, 5, 20))
+
+
+@pytest.mark.parametrize("small, large", [((5,), (64,)), ((3, 7), (16, 9)), ((2, 3, 4), (5, 4, 8))])
+@pytest.mark.parametrize("spec", KEY_CHAIN_SPECS, ids=lambda s: s.family)
+def test_a_larger_box_leaves_a_smaller_boxs_cells_unchanged(spec, small, large):
+    got = sample_batch(spec, MultiIndex(small), 2, 4)
+    within = sample_batch(spec, MultiIndex(large), 2, 4)[(slice(None),) + tuple(slice(0, c) for c in small)]
+    assert np.array_equal(got, within)
+
+
+@pytest.mark.parametrize("norms", [False, True])
+@pytest.mark.parametrize("box", [(24,), (4, 6), (2, 3, 4)])
+@pytest.mark.parametrize(
+    "spec, uniforms",
+    [
+        (spec_of("pareto_radial", d=3, alpha=3.0), 1),
+        (spec_of("iid_rademacher"), 1),
+        (spec_of("iid_gaussian", d=8), 8),
+        # a last half Box-Muller pair still takes both uniforms
+        (spec_of("iid_gaussian", d=3), 4),
+    ],
+    ids=["pareto", "rademacher", "gauss8", "gauss3"],
+)
+def test_each_chunk_hashes_one_full_size_pass_per_uniform(monkeypatch, spec, uniforms, box, norms):
+    # no cell is hashed twice: per chunk, the only cell-sized hashing is one
+    # combine (one mix64) per uniform; heads and grids are smaller. Norms
+    # that are not random (rademacher's) hash nothing
+    box = MultiIndex(box)
+    if norms and get_family(spec.family).fixed_norms(spec, box) is not None:
+        uniforms = 0
+    sizes = {"combine": [], "mix64": []}
+    for name in sizes:
+        real = getattr(rng, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            result = _real(*args, **kwargs)
+            sizes[_name].append(np.size(result))
+            return result
+
+        monkeypatch.setattr(rng, name, counting)
+    columns = 1 if norms else get_family(spec.family).columns(spec)
+    monkeypatch.setattr(dist, "CHUNK_CELLS", 3 * box.size * columns)  # chunks of 3, 3 and 1 reps
+    chunks = dist.draw_chunks(spec, box, 6, 7, norms=norms)
+    seen = []
+    while True:
+        for found in sizes.values():
+            found.clear()
+        try:
+            first, chunk = next(chunks)
+        except StopIteration:
+            break
+        cells = len(chunk) * box.size
+        seen.append(len(chunk))
+        for found in sizes.values():
+            assert found.count(cells) == uniforms
+            assert max(found, default=0) <= cells
+    assert seen == [3, 3, 1]
 
 
 FAULT_SCRIPT = """

@@ -34,7 +34,7 @@ def random_sample(trial: int, seed: int = 0) -> np.ndarray:
     key = np.uint64(rng.derive_seed(seed, trial))
 
     def pick(idx, lo, hi):
-        bits = rng.mix64(rng.substream(np.asarray([key]), idx))
+        bits = rng.substream(np.asarray([key]), 0, idx)
         return lo + int(rng.uniform01(bits)[0] * (hi - lo + 1))
 
     d = pick(1, 1, 3)
@@ -43,8 +43,8 @@ def random_sample(trial: int, seed: int = 0) -> np.ndarray:
     grids = np.meshgrid(
         *(np.arange(1, c + 1, dtype=np.uint64) for c in sides), indexing="ij"
     )
-    cells = rng.cell_keys(int(key), grids)
-    return rng.normals(cells, D)
+    *inner, last = grids
+    return rng.normals(rng.cell_keys(int(key), inner), last, D)
 
 
 def sweep(values: np.ndarray) -> np.ndarray:
@@ -321,12 +321,18 @@ class ReadCounter(np.ndarray):
 @pytest.mark.parametrize("boxes", SCHEDULES)
 def test_box_maxima_reads_each_box_once(boxes):
     # each box reduces its own cells once, in whatever order the schedule
-    # lists it, so a row costs the sum of the box sizes
+    # lists it, so a row costs the sum of the box sizes; unless that sum
+    # passes d times the hull (the dense chains), where one running max
+    # along the first axis reads the hull once and the later axes sweep the
+    # running max itself
     hull = tuple(max(c) for c in zip(*(n.coords for n in boxes)))
     q = np.random.default_rng(0).random((3,) + hull)
     ReadCounter.cells = 0
     got = box_maxima(q.view(ReadCounter), boxes)
-    assert ReadCounter.cells == 3 * sum(n.size for n in boxes)
+    sizes = sum(n.size for n in boxes)
+    dense = sizes > len(hull) * math.prod(hull)
+    assert dense == (len(boxes) == 512)
+    assert ReadCounter.cells == 3 * (math.prod(hull) if dense else sizes)
     want = [q[(slice(None),) + tuple(slice(0, c) for c in n.coords)].max(axis=tuple(range(1, 1 + n.d)))
             for n in boxes]
     assert np.array_equal(got, want)
@@ -380,6 +386,49 @@ def test_box_maxima_equal_per_box_max():
             assert np.array_equal(got, want, equal_nan=True)
         incomparable += any(not leq(m, n) and not leq(n, m) for m in boxes for n in boxes)
     assert incomparable > 0
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [pytest.param([MultiIndex((k,)) for k in range(1, 257)], id="dense-1-to-256"),
+     pytest.param([MultiIndex((k,)) for k in range(256, 0, -1)], id="dense-256-to-1"),
+     pytest.param([MultiIndex((k, k)) for k in range(1, 17)] + [MultiIndex((3, 16))], id="dense-2d"),
+     pytest.param([MultiIndex((k, 2, k)) for k in range(1, 9)], id="dense-3d")],
+)
+def test_box_maxima_on_dense_chains_equal_per_box_max(boxes):
+    # boxes that overlap more than d times over take the running-max path
+    d = boxes[0].d
+    hull = tuple(max(c) for c in zip(*(n.coords for n in boxes)))
+    assert sum(n.size for n in boxes) > d * math.prod(hull)
+    gen = np.random.default_rng(len(boxes))
+    for marks in ([], [np.nan], [np.inf], [-np.inf], [np.nan, np.inf, -np.inf]):
+        q = gen.standard_normal((4,) + hull)
+        flat = q.reshape(-1)
+        flat[gen.choice(flat.size, size=len(marks), replace=False)] = marks
+        q.flags.writeable = False
+        want = [q[(slice(None),) + tuple(slice(0, c) for c in n.coords)].max(axis=tuple(range(1, 1 + d)))
+                for n in boxes]
+        assert np.array_equal(box_maxima(q, boxes), want, equal_nan=True)
+
+
+def test_box_maxima_on_random_dense_boxes_equal_per_box_max():
+    # random boxes, many repeated, with NaN and +-inf cells, on both paths
+    paths = set()
+    for trial in range(60):
+        gen = np.random.default_rng(100 + trial)
+        d = 1 + trial % 3
+        top = MultiIndex(tuple(int(s) for s in gen.integers(1, 7, size=d)))
+        q = gen.standard_normal((3,) + top.coords)
+        flat = q.reshape(-1)
+        marks = gen.choice(flat.size, size=min(flat.size, int(gen.integers(0, 4))), replace=False)
+        flat[marks] = [np.nan, np.inf, -np.inf][: len(marks)]
+        q.flags.writeable = False
+        boxes = random_boxes(gen, top, int(gen.integers(1, 40)))
+        paths.add(sum(n.size for n in boxes) > d * top.size)
+        axes = tuple(range(1, 1 + d))
+        want = [q[(slice(None),) + tuple(slice(0, c) for c in n.coords)].max(axis=axes) for n in boxes]
+        assert np.array_equal(box_maxima(q, boxes), want, equal_nan=True)
+    assert paths == {False, True}
 
 
 @pytest.mark.parametrize("chunk_cells", [1, 3, 17])
