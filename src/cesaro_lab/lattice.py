@@ -32,8 +32,8 @@ SLAB_RUN times the axis length (the first box axes of a d = 3 chunk with D
 columns).
 
 box_maxima reads one chunk of rows and reduces each box over its own cells,
-or, for boxes that overlap more than d times over, reads each box's corner
-of one running max along every axis;
+or, for boxes that overlap more than DENSE_OVERLAP times over, reads each
+box's corner of one running max along every axis;
 rep_sum takes its rows as (first row, chunk) pairs and adds them up cell by
 cell in row order (the per-cell mean over replications of the adversarial
 event array).
@@ -60,6 +60,13 @@ CHUNK_CELLS = 1 << 16
 # A sweep updates slabs when the cells behind its axis number at least this
 # many times the axis length, and calls np.add.accumulate otherwise.
 SLAB_RUN = 8
+# box_maxima takes one running max along each hull axis, in place of one
+# np.max per box, when the boxes' sizes add up to more than this many hulls.
+# Timed on chunks of CHUNK_CELLS cells (numpy 2.4, one x86 core with
+# AVX-512), the running max won on every d = 1..3 schedule at 32 hulls and
+# more; where it starts to win lay between 2.5 and 22 hulls, by shape.
+# Dyadic schedules overlap at most 2^d times and keep np.max.
+DENSE_OVERLAP = 32
 
 
 @dataclass(frozen=True)
@@ -174,13 +181,13 @@ def box_maxima(q: np.ndarray, boxes: Sequence[MultiIndex]) -> np.ndarray:
 
     Each box takes one np.max over its own cells, so a row costs the sum of
     the boxes' sizes: at most 2, 4/3 or 8/7 times the largest box on a dyadic
-    chain in d = 1, 2, 3. When the sizes sum to more than d times the hull of
-    the boxes (about n^2 / 2 cells on the dense chain 1, ..., n), a running
-    max along each hull axis, d passes over the hull, leaves at each cell the
-    max of the box it is the corner of, and each box reads its corner. Max is
-    exact and order-free, so either way each answer is bit-equal to
-    q[r, :n_1, ..., :n_d].max(), NaN spreading as in np.max (np.maximum
-    spreads it too).
+    chain in d = 1, 2, 3. When the sizes sum to more than DENSE_OVERLAP times
+    the hull of the boxes (n / 2 hulls on the dense chain 1, ..., n), a
+    running max along each hull axis, d passes over the hull, leaves at each
+    cell the max of the box it is the corner of, and each box reads its
+    corner. Max is exact and order-free, so either way each answer is
+    bit-equal to q[r, :n_1, ..., :n_d].max(), NaN spreading as in np.max
+    (np.maximum spreads it too).
     """
     if not boxes:
         raise ValueError("box_maxima needs at least one box")
@@ -191,12 +198,13 @@ def box_maxima(q: np.ndarray, boxes: Sequence[MultiIndex]) -> np.ndarray:
     if q.ndim != 1 + d or any(c > s for c, s in zip(hull, q.shape[1:])):
         raise ValueError(f"chunk shape {q.shape} does not hold the box {MultiIndex(hull)}")
     axes = tuple(range(1, 1 + d))
-    if sum(n.size for n in boxes) > d * math.prod(hull):
+    if sum(n.size for n in boxes) > DENSE_OVERLAP * math.prod(hull):
         run = np.maximum.accumulate(q[(slice(None),) + tuple(slice(0, c) for c in hull)], axis=1)
         for ax in axes[1:]:
             np.maximum.accumulate(run, axis=ax, out=run)
+        # the rep axis last, so that the corners pick out rows of the answer
         corners = tuple(np.array([n.coords[ax] - 1 for n in boxes]) for ax in range(d))
-        return run[(slice(None),) + corners].T.copy()
+        return np.moveaxis(run, 0, -1)[corners]
     out = np.empty((len(boxes), len(q)))
     for n, acc in zip(boxes, out):
         np.max(q[(slice(None),) + tuple(slice(0, c) for c in n.coords)], axis=axes, out=acc)

@@ -88,9 +88,6 @@ def combine(key, value, out=None, scratch=None):
 _INIT_MIXED = premix(_INIT)
 _STREAM_TAG = _U64(1 << 63)
 _STREAMS = mix64(np.arange(32, dtype=np.uint64) | _STREAM_TAG)
-# the last coordinate of a word that already holds it (head ^ mix64(last)):
-# substream then folds in the stream index alone
-_FOLDED = Mixed(_U64(0))
 
 
 def seed_root(seed: int) -> np.uint64:
@@ -123,11 +120,16 @@ def substream(head, last, idx: int, out=None, scratch=None):
     """Key of stream `idx` (0 <= idx < 2^63) of every cell: combine(head,
     mix64(last) ^ mix64(idx | 2^63)), for heads from cell_keys and `last`,
     the last coordinate's grid (raw, or Mixed). The xor is as small as that
-    grid, so the one full-size step is the combine; `out` (may be head
-    itself) and `scratch` as in mix64, shaped as head and last broadcast."""
-    last = last.bits if isinstance(last, Mixed) else mix64(np.asarray(last, dtype=np.uint64))
-    stream = _STREAMS[idx] if 0 <= idx < len(_STREAMS) else mix64(as_seed(idx) | _STREAM_TAG)
-    return combine(head, Mixed(np.bitwise_xor(last, stream)), out=out, scratch=scratch)
+    grid, so the one full-size step is the combine. With last None, head
+    already holds head ^ mix64(last), folded once for many streams, and
+    only the stream index is folded in; xor is associative, so the key is
+    the same. `out` (may be head itself) and `scratch` as in mix64, shaped
+    as head and last broadcast."""
+    word = _STREAMS[idx] if 0 <= idx < len(_STREAMS) else mix64(as_seed(idx) | _STREAM_TAG)
+    if last is not None:
+        bits = last.bits if isinstance(last, Mixed) else mix64(np.asarray(last, dtype=np.uint64))
+        word = np.bitwise_xor(bits, word)
+    return combine(head, Mixed(word), out=out, scratch=scratch)
 
 
 def uniform01(bits, out=None, scratch=None):
@@ -201,17 +203,17 @@ def normals(head, last, count: int, out=None, work=None):
         columns.append(work[3, ...])
     # head ^ mix64(last) once, in work[2]: each stream then xors its index
     # into contiguous words, a quarter of the cost of broadcasting head
-    # against last again (the same bits: substream's xor is associative)
+    # against last again
     cells = np.bitwise_xor(head, last.bits, out=work[2, ...].view(np.uint64))
     for j in range(0, count, 2):
         r, t = columns[j], columns[j + 1]
         # r = sqrt(-2 log u1) in r's column, tan(pi u2) in u
-        substream(cells, _FOLDED, j, out=bits, scratch=mixing)
+        substream(cells, None, j, out=bits, scratch=mixing)
         uniform_open01(bits, out=u, scratch=mixing)
         np.log(u, out=u)
         np.multiply(u, -2.0, out=u)
         np.sqrt(u, out=r)
-        substream(cells, _FOLDED, j + 1, out=bits, scratch=mixing)
+        substream(cells, None, j + 1, out=bits, scratch=mixing)
         uniform01(bits, out=u, scratch=mixing)
         np.multiply(u, np.pi, out=u)
         np.tan(u, out=u)

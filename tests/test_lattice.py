@@ -301,6 +301,8 @@ def test_sweep_equals_accumulate(monkeypatch, shape, slab_run, extremes):
 SCHEDULES = [
     pytest.param([MultiIndex((k,)) for k in range(1, 513)], id="dense-1d"),
     pytest.param([MultiIndex((k,)) for k in range(512, 0, -1)], id="dense-1d-descending"),
+    pytest.param(dyadic_boxes(MultiIndex((65536,))), id="dyadic-1d"),
+    pytest.param(dyadic_boxes(MultiIndex((256, 256))), id="dyadic-boxes-2d"),
     pytest.param(dyadic_square_schedule(2, 65536), id="dyadic-2d"),
     pytest.param(dyadic_square_schedule(3, 32768), id="dyadic-3d"),
     pytest.param([MultiIndex(c) for c in ((4, 2), (2, 8), (8, 8), (16, 16))], id="incomparable-2d"),
@@ -322,15 +324,15 @@ class ReadCounter(np.ndarray):
 def test_box_maxima_reads_each_box_once(boxes):
     # each box reduces its own cells once, in whatever order the schedule
     # lists it, so a row costs the sum of the box sizes; unless that sum
-    # passes d times the hull (the dense chains), where one running max
+    # passes DENSE_OVERLAP hulls (the dense chains), where one running max
     # along the first axis reads the hull once and the later axes sweep the
-    # running max itself
+    # running max itself. Dyadic schedules, d = 1 among them, keep np.max
     hull = tuple(max(c) for c in zip(*(n.coords for n in boxes)))
     q = np.random.default_rng(0).random((3,) + hull)
     ReadCounter.cells = 0
     got = box_maxima(q.view(ReadCounter), boxes)
     sizes = sum(n.size for n in boxes)
-    dense = sizes > len(hull) * math.prod(hull)
+    dense = sizes > lattice.DENSE_OVERLAP * math.prod(hull)
     assert dense == (len(boxes) == 512)
     assert ReadCounter.cells == 3 * (math.prod(hull) if dense else sizes)
     want = [q[(slice(None),) + tuple(slice(0, c) for c in n.coords)].max(axis=tuple(range(1, 1 + n.d)))
@@ -392,14 +394,16 @@ def test_box_maxima_equal_per_box_max():
     "boxes",
     [pytest.param([MultiIndex((k,)) for k in range(1, 257)], id="dense-1-to-256"),
      pytest.param([MultiIndex((k,)) for k in range(256, 0, -1)], id="dense-256-to-1"),
-     pytest.param([MultiIndex((k, k)) for k in range(1, 17)] + [MultiIndex((3, 16))], id="dense-2d"),
-     pytest.param([MultiIndex((k, 2, k)) for k in range(1, 9)], id="dense-3d")],
+     pytest.param([MultiIndex((a, b)) for a in range(1, 17) for b in range(16, 0, -1)], id="dense-2d"),
+     pytest.param([MultiIndex((a, b, c)) for a in range(1, 7) for b in range(1, 7) for c in range(6, 0, -1)],
+                  id="dense-3d")],
 )
 def test_box_maxima_on_dense_chains_equal_per_box_max(boxes):
-    # boxes that overlap more than d times over take the running-max path
+    # boxes that overlap more than DENSE_OVERLAP times over take the
+    # running-max path
     d = boxes[0].d
     hull = tuple(max(c) for c in zip(*(n.coords for n in boxes)))
-    assert sum(n.size for n in boxes) > d * math.prod(hull)
+    assert sum(n.size for n in boxes) > lattice.DENSE_OVERLAP * math.prod(hull)
     gen = np.random.default_rng(len(boxes))
     for marks in ([], [np.nan], [np.inf], [-np.inf], [np.nan, np.inf, -np.inf]):
         q = gen.standard_normal((4,) + hull)
@@ -423,8 +427,8 @@ def test_box_maxima_on_random_dense_boxes_equal_per_box_max():
         marks = gen.choice(flat.size, size=min(flat.size, int(gen.integers(0, 4))), replace=False)
         flat[marks] = [np.nan, np.inf, -np.inf][: len(marks)]
         q.flags.writeable = False
-        boxes = random_boxes(gen, top, int(gen.integers(1, 40)))
-        paths.add(sum(n.size for n in boxes) > d * top.size)
+        boxes = random_boxes(gen, top, int(gen.integers(1, 400)))
+        paths.add(sum(n.size for n in boxes) > lattice.DENSE_OVERLAP * top.size)
         axes = tuple(range(1, 1 + d))
         want = [q[(slice(None),) + tuple(slice(0, c) for c in n.coords)].max(axis=axes) for n in boxes]
         assert np.array_equal(box_maxima(q, boxes), want, equal_nan=True)

@@ -290,6 +290,10 @@ def test_hashing_out_paths_equal_the_allocating_expressions(name):
         own = np.array(keys, dtype=np.uint64)
         assert rng.substream(own, U64(3), idx, out=own) is own
         assert np.array_equal(own, sub)
+        # words that already hold head ^ mix64(last) take the stream index alone
+        folded = np.asarray(keys, dtype=U64) ^ mix64_by_expression(U64(3))
+        assert np.array_equal(rng.substream(folded, None, idx), sub)
+        assert np.array_equal(into_buffers(rng.substream, folded, None, idx, shape=shape), sub)
     own = np.array(keys, dtype=np.uint64)
     assert np.array_equal(rng.mix64(own, out=own), rng.mix64(keys))
 
