@@ -26,7 +26,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import DistributionSpec, Tail, draw_chunks
-from .lattice import MultiIndex, box_maxima, leq, plane_sum, prefix_table
+from .lattice import MultiIndex, box_maxima, corner_sums, leq, plane_sum, prefix_table
 
 MIN_TREND_POINTS = 4
 
@@ -157,10 +157,12 @@ def _square_maxima(spec, top, seed, reps, means, boxes) -> np.ndarray:
     A chunk of one column with no negative value (so no NaN) that is not
     centered takes the corner path: correctly rounded addition is monotone,
     so every prefix sweep of values >= 0 leaves each line nondecreasing, and
-    the max of fl(S_k^2) over [1, n] is fl(S_n^2) at the corner. The chunk
-    is swept along box axis 1 in place, and each later axis only at the
-    coordinates some corner uses (gathered with np.take), which are the
-    values the full sweep gives there. Any other chunk takes the full path:
+    the max of fl(S_k^2) over [1, n] is fl(S_n^2) at the corner. The chunk's
+    prefix sums are computed at the coordinates some corner uses and no
+    others (lattice.corner_sums: one reduction per used coordinate along an
+    axis with a long run of cells behind it, a sweep and np.take along any
+    other, such as the last), bit-equal to the values the full sweep gives
+    there. Any other chunk takes the full path:
     its prefix table in place, then its squares, whose columns plane_sum
     adds up into column 0 (a plane of the plane-major chunk) in np.sum's
     order, and box_maxima over them. plane_sum's sum starts from 0.0, which
@@ -175,9 +177,7 @@ def _square_maxima(spec, top, seed, reps, means, boxes) -> np.ndarray:
     for first, batch in draw_chunks(spec, top, seed, reps):
         rows = out[:, first : first + len(batch)]
         if means is None and batch.shape[-1] == 1 and batch.min() >= 0:
-            S = batch
-            for ax, u in enumerate(used, start=1):
-                S = np.take(prefix_table(S, (ax,)), u, axis=ax)
+            S = corner_sums(batch, used)
             with np.errstate(over="ignore"):
                 np.square(S[(slice(None),) + corner + (0,)].T, out=rows)
         else:

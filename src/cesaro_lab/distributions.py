@@ -353,7 +353,9 @@ class IidGaussianFamily(Family):
 
     def vectors(self, spec, box, head, last, out, scratch):
         rng.normals(head, last, spec.dim_D, out=out, work=scratch.view(np.float64))
-        out *= float(spec.param("sigma"))
+        sigma = float(spec.param("sigma"))
+        if sigma != 1.0:  # x * 1.0 is x, bit for bit: skip the pass
+            out *= sigma
 
     def expect(self, spec, g, box):
         # only the second moment E||X||^2 = D sigma^2 has a closed form here

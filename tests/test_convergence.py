@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cesaro_lab
-from cesaro_lab import convergence
+from cesaro_lab import convergence, lattice
 from cesaro_lab import distributions as dist
 from cesaro_lab.cli import _py
 from cesaro_lab.convergence import (
@@ -255,6 +255,10 @@ DYADIC_3D = tuple(dyadic_square_schedule(3, 512))
 # not a chain under <=: the maximal boxes are 16x4 and 4x32
 NON_CHAIN = boxes("2x8;8x4;16x4;4x32")
 DENSE_1D = tuple(MultiIndex((k,)) for k in range(1, 65))
+# one top box, 32x64: the corners of SPARSE_2D use 5 coordinates of box axis
+# 1, few enough for chained reductions, and those of DENSE_2D use 32
+SPARSE_2D = boxes("2x4;4x8;8x16;16x32;32x64")
+DENSE_2D = tuple(MultiIndex((k, 2 * k)) for k in range(1, 33))
 
 ORACLE_CASES = [
     pytest.param(spec_of("constant", d=3, c=2.0), NON_CHAIN, id="constant"),
@@ -276,6 +280,11 @@ ORACLE_CASES = [
     pytest.param(spec_of("iid_gaussian", d=1), DYADIC_3D, id="iid_gaussian-D1"),
     # box_maxima would read about 64^2 / 2 cells a rep here; the corners read 64
     pytest.param(spec_of("pareto_radial", alpha=3.0), DENSE_1D, id="pareto-dense"),
+    # corner sums: no run of cells behind box axis 1, so it is swept whole;
+    # too many corners on axis 1 for chained reductions; sums of -0.0 cells
+    pytest.param(spec_of("pareto_radial", alpha=3.0), boxes("2x1;8x1;64x1"), id="pareto-last-side-1"),
+    pytest.param(spec_of("pareto_radial", alpha=3.0), DENSE_2D, id="pareto-dense-2d"),
+    pytest.param(spec_of("constant", c=-0.0), DYADIC_3D, id="constant-negative-zero"),
 ]
 MORICZ_CASES = [
     pytest.param(spec_of("pairwise_rademacher", m=3), DYADIC_1D, id="pairwise_rademacher"),
@@ -371,6 +380,29 @@ def test_box_maxima_sees_no_corner_chunk(monkeypatch, spec, schedule, reps, per_
     nonnegative = spec.family in ("pareto_radial", "spiked_cui", "growing_non_cui") or (
         spec.family == "constant" and spec.param("c") >= 0)
     assert corner == [nonnegative] * len(corner)
+
+
+@pytest.mark.parametrize("schedule,axis_1", [(SPARSE_2D, "chain"), (DENSE_2D, "sweep")], ids=["sparse", "dense"])
+def test_corner_axes_take_reductions_only_for_sparse_corners(monkeypatch, schedule, axis_1):
+    # on full chunks of the 32x64 top, box axis 1 (a run of 64 cells behind
+    # it) takes one reduction per used coordinate when they are few, and a
+    # whole sweep otherwise; the last axis, with no run behind it, is swept
+    taken = []
+    real_chain, real_prefix = lattice._chain_sums, lattice.prefix_table
+
+    def chain(a, ax, used):
+        taken.append((ax, "chain"))
+        return real_chain(a, ax, used)
+
+    def sweep(a, axes):
+        taken.extend((ax, "sweep") for ax in axes)
+        return real_prefix(a, axes)
+
+    monkeypatch.setattr(lattice, "_chain_sums", chain)
+    monkeypatch.setattr(lattice, "prefix_table", sweep)
+    got = convergence._maxima(PARETO, schedule, 3, 64)
+    assert taken == [(1, axis_1), (2, "sweep")] * 2  # two chunks of 32 reps
+    assert np.array_equal(got, per_box_maxima(PARETO, schedule, 3, 64))
 
 
 @pytest.mark.parametrize("schedule", [boxes("1;2"), boxes("1x2;2x1;2x2")], ids=["1d", "2d"])

@@ -257,6 +257,18 @@ class TestGaussian:
         with pytest.raises(ValueError):
             spec_of("iid_gaussian", sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_sigma_scales_the_normals_bit_for_bit(self, sigma):
+        # sigma = 1 skips the multiply (x * 1.0 is x); either way a draw has
+        # the bits of the standard normals of its keys times sigma
+        spec = spec_of("iid_gaussian", d=3, sigma=sigma)
+        n = MultiIndex((3, 4))
+        keys = dist._DrawKeys(6, n)
+        want = rng.normals(keys.heads(range(5)), keys.last, 3) * sigma
+        got = sample_batch(spec, n, 6, 5)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestRademacher:
     def test_unit_norms_and_signs(self):

@@ -298,6 +298,62 @@ def test_sweep_equals_accumulate(monkeypatch, shape, slab_run, extremes):
         a = want
 
 
+def corner_case(gen, kind):
+    """A field >= 0 of shape (k,) + box + (D,), d = 1..3, sides 1..40 (the
+    last 1 or 2 in about a third of the cases), k = 1..4 and D = 1 or 2, with
+    0.0 and -0.0 cells (every cell -0.0 for kind "all-negative-zero", some inf
+    for "inf"), and the increasing used coordinates of each box axis, a few
+    or most of them."""
+    d = int(gen.integers(1, 4))
+    sides = [int(gen.integers(1, 41)) for _ in range(d)]
+    if gen.random() < 0.35:
+        sides[-1] = int(gen.integers(1, 3))
+    x = gen.pareto(1.0, size=(int(gen.integers(1, 5)), *sides, int(gen.integers(1, 3))))
+    mark = gen.random(x.shape)
+    x[mark < 0.1] = 0.0
+    x[(mark >= 0.1) & (mark < 0.2)] = -0.0
+    if kind == "all-negative-zero":
+        x[...] = -0.0
+    elif kind == "inf":
+        x[mark > 0.97] = np.inf
+    used = []
+    for n in sides:
+        count = int(gen.integers(1, min(n, 3) + 1)) if gen.random() < 0.5 else int(gen.integers(n // 2 + 1, n + 1))
+        used.append(sorted(gen.choice(n, size=count, replace=False).tolist()))
+    return x, used
+
+
+@pytest.mark.parametrize("kind", ["zeros", "all-negative-zero", "inf"])
+@pytest.mark.parametrize("rule", ["rule", "chain"])
+def test_corner_sums_equal_the_prefix_table_at_the_corners(monkeypatch, rule, kind):
+    # "chain" reduces every axis with a run of two or more cells behind it
+    # coordinate by coordinate; "rule" keeps CHAIN_RUN and CHAIN_CALL_CELLS.
+    # Either way the sums are those of the full table, sign bits included:
+    # a reduction starts from -0.0, so a sum of -0.0 cells stays -0.0
+    if rule == "chain":
+        monkeypatch.setattr(lattice, "CHAIN_RUN", 2)
+        monkeypatch.setattr(lattice, "CHAIN_CALL_CELLS", 0)
+    chained = []
+    real_chain = lattice._chain_sums
+
+    def chain(a, ax, used):
+        chained.append(math.prod(a.shape[ax + 1:]))
+        return real_chain(a, ax, used)
+
+    monkeypatch.setattr(lattice, "_chain_sums", chain)
+    gen = np.random.default_rng(["zeros", "all-negative-zero", "inf"].index(kind))
+    for _ in range(400):
+        x, used = corner_case(gen, kind)
+        want = prefix_table(x.copy(), range(1, len(used) + 1))
+        for ax, u in enumerate(used, start=1):
+            want = np.take(want, u, axis=ax)
+        got = lattice.corner_sums(x, used)
+        assert same_bits(got, want)
+        if kind == "all-negative-zero":
+            assert np.all(np.signbit(got))
+    assert chained and min(chained) >= (2 if rule == "chain" else lattice.CHAIN_RUN)
+
+
 SCHEDULES = [
     pytest.param([MultiIndex((k,)) for k in range(1, 513)], id="dense-1d"),
     pytest.param([MultiIndex((k,)) for k in range(512, 0, -1)], id="dense-1d-descending"),
