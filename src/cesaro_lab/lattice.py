@@ -6,14 +6,19 @@ so identical input bits always produce identical output bits.
 
 A tail query reads one dyadic tail profile: schedule_profiles bins every
 cell of a sample by its dyadic shell (and, for a grid of truncation levels,
-by the levels it exceeds), sums the weights per shell with np.bincount in
-chunks of whole replications, and turns shell sums into sums over every
-dyadic box with one cumsum per axis. It answers several (weight, levels,
-ge) queries from one pass, and takes its rows as (first row, chunk) pairs:
-slices of a held field (row_chunks: the one row of schedule_averages, or a
-NormSample that holds its draw) or chunks drawn one at a time into a reused
-buffer (a NormSample's chunks()), so a sample that is not held is binned
-chunk by chunk while it is in cache. So every truncation level and every
+by the levels it exceeds), sums the weights per shell in chunks of whole
+replications, and turns shell sums into sums over every dyadic box with one
+cumsum per axis. At each level, a row whose weights are all nonzero and
+whose cells the level all keeps (a dense row) sums each line segment, a run
+of cells along the last axis in one shell, by np.add.reduceat and bincounts
+the segment sums; any other row bincounts its kept cells in cell order.
+The choice is made per row, so a row's bits never depend on the rows
+chunked with it. It answers several (weight, levels, ge) queries from one
+pass, and takes its rows as (first row, chunk) pairs: slices of a held
+field (row_chunks: the one row of schedule_averages, or a NormSample that
+holds its draw) or chunks drawn one at a time into a reused buffer (a
+NormSample's chunks()), so a sample that is not held is binned chunk by
+chunk while it is in cache. So every truncation level and every
 box comes from one pass over the sample, and a norm functional is applied
 chunk by chunk, never to the whole sample.
 prefix_table serves the convergence series, plane_sum adds up the squared
@@ -85,6 +90,16 @@ DENSE_OVERLAP = 32
 # reps, whose reductions run many short inner loops.
 CHAIN_RUN = 32
 CHAIN_CALL_CELLS = 3072
+# _bin_chunk sums a dense row's line segments by np.add.reduceat, in place of
+# one bincount term per cell, when a row has at least this many cells per
+# segment. Timed on every cell of a chunk of CHUNK_CELLS cells (numpy 2.4, one
+# x86 core with AVX-512), reduceat and a bincount of its sums against one
+# bincount of the cells: the segments won from 9 cells a segment up (box 64:
+# 95 against 181 us; 256x256, 28 cells: 35 against 194 us) and lost below
+# about 5 (16x16x16, 3.2 cells: 190 against 125 us; box 8, 2 cells: 460
+# against 94 us), where reduceat's cost per segment outweighs bincount's per
+# cell.
+SEGMENT_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -341,13 +356,20 @@ def schedule_profiles(
     chunk of cells need exist at a time.
 
     Each cell belongs to one dyadic shell, the index on each axis of the
-    smallest dyadic level at or above its coordinate. A query's weights go
-    into one np.bincount over (row, shell) per level, chunk by chunk, and one
-    cumsum per shell axis turns shell sums into box sums. A level's bincount
-    sees only the cells it keeps, in cell order, and a row's cells all sit in
-    one chunk, so every answer is bit-equal to that of a one-level, one-query
-    call at that level, however the rows are chunked and whatever else is
-    asked.
+    smallest dyadic level at or above its coordinate. A query's weights are
+    summed per (row, shell) and level, chunk by chunk, and one cumsum per
+    shell axis turns shell sums into box sums. At a level that keeps every
+    cell of a row whose weights are all nonzero, the row sums each line
+    segment (the cells of one shell in one line along the last axis) with
+    np.add.reduceat and bincounts the segment sums in row order, when its
+    segments hold SEGMENT_CELLS cells or more on average; otherwise a row
+    bincounts the cells the level keeps, in cell order (_bin_chunk). The
+    segment starts are fixed by the box and the rows per chunk, and are set
+    up with the bins. Which way a row goes and the order of its additions
+    depend on its own cells, the box and the level only, and a row's cells
+    all sit in one chunk, so every answer is bit-equal to that of a
+    one-level, one-query call at that level, however the rows are chunked
+    and whatever else is asked.
     """
     d = box.d
     per_axis = _dyadic_levels(box)
@@ -362,16 +384,29 @@ def schedule_profiles(
     grids = []
     for _, levels, _ in queries:
         grid = [None] if levels is None else list(levels)
-        if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-            raise ValueError("levels must be strictly increasing")
+        # a != a holds for NaN only, which no ordering test rejects
+        if any(a != a for a in grid) or any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+            raise ValueError("levels must be strictly increasing and not NaN")
         grids.append(grid)
     answers = [np.zeros((len(grid), rows, S), dtype=np.float64) for grid in grids]
+    # the first cell of each line segment of a row: per line along the last
+    # axis, its first cell and the first cell of each later shell
+    side = box.coords[-1]
+    line_starts = np.array([0] + per_axis[-1][:-1])
+    row_starts = (np.arange(box.size // side, dtype=np.int64)[:, None] * side + line_starts).ravel()
+    if box.size < SEGMENT_CELLS * len(row_starts):
+        row_starts = None
     index = np.empty(0, dtype=np.int64)
+    segments = None
     for first, chunk in chunks:
         if chunk.size > index.size:
             index = (np.arange(len(chunk), dtype=np.int64)[:, None] * S + cell_shell.ravel()).ravel()
+            if row_starts is not None:
+                first_cells = np.arange(len(chunk), dtype=np.int64)[:, None] * box.size
+                starts = (first_cells + row_starts).ravel()
+                segments = (starts, index[starts], len(row_starts))
         for (weight, _, ge), grid, sums in zip(queries, grids, answers):
-            _bin_chunk(sums[:, first : first + len(chunk)], chunk, index, weight, grid, ge)
+            _bin_chunk(sums[:, first : first + len(chunk)], chunk, index, segments, weight, grid, ge)
     corners = list(itertools.product(*per_axis))
     sizes = np.array([math.prod(c) for c in corners], dtype=np.float64).reshape(shells)
     order = sorted(range(S), key=lambda j: (math.prod(corners[j]), corners[j]))
@@ -385,31 +420,120 @@ def schedule_profiles(
     return answers
 
 
+# no rows: the dense rows of a chunk that has none
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+
+
 def _bin_chunk(
     out: np.ndarray,
     chunk: np.ndarray,
     index: np.ndarray,
+    segments: tuple[np.ndarray, np.ndarray, int] | None,
     weight: Callable[[np.ndarray], np.ndarray] | None,
     grid: Sequence[float | None],
     ge: bool,
 ) -> None:
     """Shell sums of one chunk of whole rows into out, shape (levels, rows,
-    shells); index holds the (row, shell) bin of each cell of the rows. A
-    level keeps the cells the level before it kept that exceed it, so each
-    level's bincount runs over only its own cells, in cell order."""
-    bins = out.shape[1] * out.shape[2]
+    shells). index holds the (row, shell) bin of each cell of the rows, and
+    segments the first cell and the bin of each line segment of the rows and
+    the number of segments in a row, or None when a row has fewer than
+    SEGMENT_CELLS cells per segment.
+
+    A level keeps the cells the level before it kept that exceed it. A row
+    is dense at a level when its weights are all nonzero and the level keeps
+    every one of its cells. A dense row sums each line segment by
+    np.add.reduceat (the segment's first cell plus numpy's pairwise sum of
+    the others) and bincounts the segment sums in row order; any other row
+    bincounts the cells it keeps, in cell order. A row's path depends on its
+    own cells only, so its bits do not depend on the other rows of its
+    chunk, and a weight that is 0 where a level drops a cell (a Tail applied
+    up front) takes the row down the path that the level does."""
+    rows, S = out.shape[1:]
+    bins = rows * S
+    cells = chunk.size // rows
     idx = index[: chunk.size]
     w = np.ravel(np.asarray(chunk if weight is None else weight(chunk), dtype=np.float64))
     t = np.ravel(chunk) if grid[0] is not None else None
+    # the rows dense so far and their first cells in t, idx and w, set at the
+    # first level, which still has every cell
+    dense = lo = None
     for k, a in enumerate(grid):
+        n = w.size
         if a is not None:
             keep = t >= a if ge else t > a
-            if np.count_nonzero(keep) < t.size:
-                keep = np.flatnonzero(keep)
-                t, idx, w = t[keep], idx[keep], w[keep]
-            if t.size == 0:
+            n = int(np.count_nonzero(keep))
+        if dense is None:
+            dense = _NO_ROWS
+            if segments and n >= cells:
+                # NaN is nonzero, 0.0 and -0.0 are not; np.count_nonzero(w)
+                # would take four times as long as this compare
+                dense = np.flatnonzero((w.reshape(rows, cells) != 0).all(axis=1))
+            lo = dense * cells if len(dense) else _NO_ROWS
+        if n < w.size:
+            keep = np.flatnonzero(keep)
+            if len(dense) and n >= cells:
+                dense, lo = _whole_rows(keep, dense, lo, cells)
+            elif len(dense):
+                dense = lo = _NO_ROWS
+            t, idx, w = t[keep], idx[keep], w[keep]
+            if n == 0:
                 return
-        out[k] = np.bincount(idx, w, bins).reshape(out.shape[1:])
+        if len(dense) == rows:  # every cell of the chunk: the segments as precomputed
+            starts, seg_bins, per_row = segments
+            m = rows * per_row
+            sums = np.bincount(seg_bins[:m], np.add.reduceat(w, starts[:m]), bins)
+        elif len(dense):
+            sums = _mixed_sums(idx, w, dense, lo, cells, segments, S, bins)
+        else:
+            sums = np.bincount(idx, w, bins)
+        out[k] = sums.reshape(rows, S)
+
+
+def _whole_rows(
+    keep: np.ndarray, dense: np.ndarray, lo: np.ndarray, cells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Of the rows `dense`, whose cells start at lo, those that keep every
+    cell when the cells listed in keep (increasing) are taken, and where
+    their cells then start."""
+    first = np.searchsorted(keep, lo)
+    last = first + (cells - 1)
+    whole = (last < len(keep)) & (keep[np.minimum(last, len(keep) - 1)] == lo + (cells - 1))
+    return dense[whole], first[whole]
+
+
+def _mixed_sums(
+    idx: np.ndarray,
+    w: np.ndarray,
+    dense: np.ndarray,
+    lo: np.ndarray,
+    cells: int,
+    segments: tuple[np.ndarray, np.ndarray, int],
+    S: int,
+    bins: int,
+) -> np.ndarray:
+    """The bin sums of a chunk of which some rows are dense (cells from lo in
+    idx and w) and some are not: the dense rows by their line segments, the
+    others cell by cell. One np.add.reduceat runs over the dense rows, cut at
+    each segment and at the end of each dense row, and the sum from such an
+    end to the next dense row goes to a spare bin. The two bincounts fill
+    disjoint bins, and neither leaves a -0.0, so adding them is exact."""
+    starts, seg_bins, per_row = segments
+    row_starts, row_shells = starts[:per_row], seg_bins[:per_row]
+    cut = (lo[:, None] + np.append(row_starts, cells)).ravel()
+    to = np.empty((len(dense), len(row_starts) + 1), dtype=np.int64)
+    to[:, :-1] = dense[:, None] * S + row_shells
+    to[:, -1] = bins
+    if cut[-1] == len(w):  # the last dense row ends the chunk
+        cut = cut[:-1]
+    sums = np.bincount(to.ravel()[: len(cut)], np.add.reduceat(w, cut), bins + 1)[:bins]
+    # runs of cells that alternate: up to the first dense row, that row, up to
+    # the next dense row, ..., after the last dense row
+    bounds = np.empty(2 * len(dense) + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, len(w)
+    bounds[1:-1:2], bounds[2:-1:2] = lo, lo + cells
+    sparse = np.repeat(np.arange(len(bounds) - 1) % 2 == 0, np.diff(bounds))
+    return sums + np.bincount(idx[sparse], w[sparse], bins)
 
 
 def dyadic_boxes(horizon: MultiIndex) -> list[MultiIndex]:

@@ -1,9 +1,11 @@
 """Reference implementations that the fast paths of src/ are compared to."""
 
+import itertools
 import math
 
 import numpy as np
 
+from cesaro_lab import lattice
 from cesaro_lab.errors import PhiDomainError
 
 BRUTE_FORCE_CELL_CAP = 100_000
@@ -65,3 +67,60 @@ def rep_sum_by_rows(chunks) -> np.ndarray:
         for row in chunk:
             total += row
     return total
+
+
+def profile_by_segments(field, box, weight=None, levels=None, ge=False, segments=True):
+    """The dyadic tail profile of schedule_profiles, shape (len(levels) or 1,
+    rows, boxes), for a field of shape (rows,) + box.coords, its bins summed
+    one Python add at a time.
+
+    A row is dense at a level when its weights are all nonzero (0.0 and -0.0
+    are zero, NaN is not) and the level keeps every one of its cells. A dense
+    row sums each line segment, a run of cells along the last axis that share
+    a shell, by np.add.reduce of the segment's other cells started from its
+    first cell, and adds those sums from 0.0 into their shells in row order.
+    Any other row adds the cells it keeps, from 0.0, in cell order, as does
+    every row when segments is False or a row has fewer than
+    lattice.SEGMENT_CELLS cells per segment. One cumsum per shell axis and
+    the division by each box's size then give the averages, in the order of
+    dyadic_boxes."""
+    box = tuple(box.coords)
+    per_axis = []
+    for side in box:
+        levels_k = [2**j for j in range(side.bit_length())]
+        per_axis.append(levels_k + ([side] if levels_k[-1] != side else []))
+    shells = tuple(len(lv) for lv in per_axis)
+    shell_of = np.zeros((1,) * len(box), dtype=np.int64)
+    for k, (side, lv) in enumerate(zip(box, per_axis)):
+        axis = np.searchsorted(lv, np.arange(1, side + 1))
+        shell_of = shell_of * shells[k] + axis.reshape((-1,) + (1,) * (len(box) - 1 - k))
+    cell_shells = np.broadcast_to(shell_of, box).ravel().tolist()
+    cells = math.prod(box)
+    cuts = [0] + per_axis[-1][:-1] + [box[-1]]
+    segments = segments and cells >= lattice.SEGMENT_CELLS * (cells // box[-1]) * (len(cuts) - 1)
+    t = np.asarray(field, dtype=np.float64).reshape(-1, cells)
+    w = t if weight is None else np.asarray(weight(t), dtype=np.float64)
+    grid = [None] if levels is None else list(levels)
+    sums = np.zeros((len(grid), len(t), math.prod(shells)))
+    for k, a in enumerate(grid):
+        for r in range(len(t)):
+            kept = np.ones(cells, dtype=bool) if a is None else (t[r] >= a if ge else t[r] > a)
+            acc = [0.0] * sums.shape[2]
+            if segments and kept.all() and np.all(w[r] != 0):
+                for line in range(0, cells, box[-1]):
+                    for lo, hi in zip(cuts[:-1], cuts[1:]):
+                        seg = w[r, line + lo : line + hi]
+                        shell = cell_shells[line + lo]
+                        acc[shell] = acc[shell] + float(np.add.reduce(seg[1:], initial=seg[0]))
+            else:
+                for shell, x, keep in zip(cell_shells, w[r].tolist(), kept.tolist()):
+                    if keep:
+                        acc[shell] = acc[shell] + x
+            sums[k, r] = acc
+    table = sums.reshape(sums.shape[:2] + shells)
+    for ax in range(2, table.ndim):
+        np.cumsum(table, axis=ax, out=table)
+    corners = list(itertools.product(*per_axis))
+    table /= np.array([math.prod(c) for c in corners], dtype=np.float64).reshape(shells)
+    order = sorted(range(len(corners)), key=lambda j: (math.prod(corners[j]), corners[j]))
+    return sums[..., order]

@@ -34,6 +34,7 @@ from cesaro_lab.poussin import (
     poussin_forward_check,
     poussin_moment_check,
 )
+from oracles import profile_by_segments
 
 
 def spec_of(family, d=1, mode="analytic", **params):
@@ -422,6 +423,15 @@ class TestCuiReport:
     def test_default_grid_is_disclosed(self):
         report = build_cui_report(NormSample(CONSTANT, MultiIndex((64,))), 1.0)
         assert report.a_grid == tuple(float(a) for a in DEFAULT_A_GRID)
+
+    @pytest.mark.parametrize("box", [MultiIndex((128, 128)), MultiIndex((4096,))], ids=str)
+    def test_mean_sup_of_a_constant_is_no_further_off_than_a_sum_in_cell_order(self, box):
+        """Analytic constant c = 0.7: the closed-form row is dense, so the
+        criterion (i) mean sums its line segments pairwise, and its sup is no
+        further from 0.7 than that of the cells added up in order."""
+        report = build_cui_report(NormSample(spec_of("constant", c=0.7), box), 1.0)
+        in_order = profile_by_segments(np.full(box.coords, 0.7), box, segments=False)
+        assert abs(report.mean_sup - 0.7) <= abs(in_order.max() - 0.7)
 
 
 NAN = math.nan

@@ -24,6 +24,7 @@ from cesaro_lab.lattice import (
 from oracles import (
     BRUTE_FORCE_CELL_CAP,
     prefix_sums_bruteforce,
+    profile_by_segments,
     rep_sum_by_rows,
     running_max_norms,
 )
@@ -591,6 +592,17 @@ def test_schedule_averages_reject_a_field_off_the_box_and_unsorted_levels():
         profile(np.ones((2, 3)), MultiIndex((2, 3)), levels=[1.0, 1.0])
 
 
+def test_schedule_profiles_reject_a_nan_level():
+    # NaN fails no ordering test, so each position is checked: a NaN level
+    # would drop every cell there and at every level after it
+    field = np.arange(1.0, 9.0)
+    box = MultiIndex((8,))
+    for levels in ([1.0, np.nan, 3.0], [np.nan], [np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            profile(field, box, levels=levels)
+    assert np.array_equal(profile(field, box, levels=[3.0])[0], [0.0, 0.0, 1.0, 3.75])
+
+
 def brute_averages(field, box: MultiIndex, weight=None, levels=None, ge=False) -> np.ndarray:
     """The profile by direct summation: per leading row and level, the
     weights kept at that level summed by prefix_sums_bruteforce and read at
@@ -640,6 +652,25 @@ LEVELS = (0.0, 1.0, 2.0, 3.5)
 # chunks of one rep each (1 and 10 cells hold at most one rep of most boxes,
 # several reps of the smallest) and the default (every rep of these fields)
 CHUNK_SIZES = [1, 10, lattice.CHUNK_CELLS]
+
+
+# boxes of 4096 cells with long line segments (a segment holds up to 2048,
+# 32 and 32 cells), on which a dense row sums its segments
+WIDE_BOXES = (MultiIndex((4096,)), MultiIndex((64, 64)), MultiIndex((2, 32, 64)))
+
+
+def wide_field(gen, box: MultiIndex) -> np.ndarray:
+    """Eight rows of cells >= 1, each level up to 0.5 keeping all of a row:
+    rows 0, 5 and 7 are clean, row 1 has a 0.0 and row 2 a -0.0 cell (a 0
+    weight), row 3 an inf and row 4 a NaN cell, and row 6 ties with the
+    levels 2.0 and 3.5 in a tenth of its cells."""
+    field = 1.0 + gen.pareto(1.5, size=(8,) + box.coords)
+    rows = field.reshape(8, -1)
+    for r, value in [(1, 0.0), (2, -0.0), (3, np.inf), (4, np.nan)]:
+        rows[r, gen.integers(rows.shape[1])] = value
+    ties = gen.random(rows.shape[1]) < 0.1
+    rows[6, ties] = np.where(gen.random(np.count_nonzero(ties)) < 0.5, 2.0, 3.5)
+    return field
 
 
 class TestScheduleAveragesOracle:
@@ -708,12 +739,14 @@ class TestScheduleAveragesOracle:
     @pytest.mark.parametrize("chunk_cells", CHUNK_SIZES)
     def test_fused_g_equals_g_up_front(self, monkeypatch, d, g, chunk_cells):
         """A weight applied chunk by chunk, and a level read off a grid, give
-        the bits of g applied to the whole field first: the kept cells of a
-        level are summed in cell order, whatever the other levels are."""
+        the bits of g applied to the whole field first: a 0 weight up front
+        and a cell the level drops both keep a row from summing its line
+        segments, so each row sums in one order whatever the other levels
+        are. The last box is wide enough for dense rows to sum segments."""
         monkeypatch.setattr(lattice, "CHUNK_CELLS", chunk_cells)
         gen = np.random.default_rng([d, 7])
-        for lead in [(), (3,)]:
-            box = box_of("explicit", d, gen)
+        for lead, wide in [((), False), ((3,), False), ((3,), True)]:
+            box = WIDE_BOXES[d - 1] if wide else box_of("explicit", d, gen)
             field = random_field(gen, lead, box)
             field.flags.writeable = False
             up_front = profile(g(field), box)
@@ -735,6 +768,69 @@ class TestScheduleAveragesOracle:
             box = MultiIndex(sample.shape)
             direct = [sample[tuple(slice(0, c) for c in n.coords)].mean() for n in dyadic_boxes(box)]
             assert brute_averages(sample, box) == pytest.approx(direct, rel=1e-12)
+
+
+class TestSegmentSums:
+    """The dense rows of a chunk sum their line segments by reduceat and the
+    others their cells: bit for bit as the segment oracle sums them, however
+    the rows are chunked (one per chunk, ragged chunks of two, all eight in
+    one chunk that mixes dense and sparse rows), for any weight and level."""
+
+    QUERIES = [
+        (None, None, False),
+        (np.sqrt, (0.0, 0.5, 1.0, 2.0, 3.5), True),
+        (np.square, (0.5, 2.0, 3.5), False),
+        (Tail(1.0, 2.0), None, False),
+    ]
+
+    @pytest.mark.parametrize("box", WIDE_BOXES + (MultiIndex((16, 16, 16)),), ids=str)
+    def test_equals_the_segment_oracle(self, monkeypatch, box):
+        gen = np.random.default_rng(box.coords)
+        field = wide_field(gen, box)
+        field.flags.writeable = False
+        wants = [profile_by_segments(field, box, *q) for q in self.QUERIES]
+        # 16x16x16 has 3.2 cells per segment, under SEGMENT_CELLS: every row
+        # sums its cells
+        long = box.coords != (16, 16, 16)
+        cell_order = [profile_by_segments(field, box, *q, segments=False) for q in self.QUERIES]
+        # the oracle's two orders differ in some bits where rows sum segments
+        same = [np.array_equal(a, b, equal_nan=True) for a, b in zip(wants, cell_order)]
+        assert (not all(same)) == long
+        for chunk_cells in (1, 2 * box.size + 1, lattice.CHUNK_CELLS):
+            monkeypatch.setattr(lattice, "CHUNK_CELLS", chunk_cells)
+            answers = schedule_profiles(row_chunks(field, box), 8, box, self.QUERIES)
+            for got, want in zip(answers, wants):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_a_reused_buffer_and_runs_of_rows(self):
+        """Chunks in runs of 3, 1 and 4 rows copied into one buffer that was
+        filled with NaN: each row's path and bits stay its own."""
+        box = MultiIndex((64, 64))
+        field = wide_field(np.random.default_rng(5), box)
+        buffer = np.full_like(field, np.nan)
+
+        def runs():
+            for first, last in [(0, 3), (3, 4), (4, 8)]:
+                chunk = buffer[: last - first]
+                chunk[...] = field[first:last]
+                yield first, chunk
+
+        answers = schedule_profiles(runs(), 8, box, self.QUERIES)
+        for got, q in zip(answers, self.QUERIES):
+            assert np.array_equal(got, profile_by_segments(field, box, *q), equal_nan=True)
+
+    def test_rows_that_stop_being_dense(self):
+        """One chunk of rows that are dense at no level (all -0.0, all 0.0),
+        up to level 0.5 (0.7 everywhere), at every level (5.0), and up to
+        level 1.0 (1.0 to 4.0 ascending: from level 2.0 on, it drops its
+        first cells and keeps its last one, after every row that stays
+        dense), each against the oracle."""
+        box = MultiIndex((4096,))
+        field = np.stack([np.full(4096, -0.0), np.full(4096, 0.7), np.zeros(4096),
+                          np.full(4096, 5.0), np.linspace(1.0, 4.0, 4096)])
+        for q in self.QUERIES:
+            (got,) = schedule_profiles(row_chunks(field, box), 5, box, [q])
+            assert np.array_equal(got, profile_by_segments(field, box, *q), equal_nan=True)
 
 
 class TestScheduleProfilesOracle:
