@@ -60,7 +60,10 @@ def _estimate(avgs: np.ndarray, exact: bool, schedule: Sequence[MultiIndex]) -> 
 
     Exact averages (shape (boxes,)) give their argmax. Realized averages
     (shape (reps, boxes)) give the replication mean at the box maximizing it,
-    with the stderr of that mean from the replication spread.
+    with the stderr of that mean from the replication spread. A box whose
+    replications all read one value (a deterministic family) reads that
+    value with stderr 0: a float64 mean of equal values can be an ulp off
+    them, and their std then not 0.
     """
     if exact:
         j = int(np.argmax(avgs))
@@ -71,6 +74,8 @@ def _estimate(avgs: np.ndarray, exact: bool, schedule: Sequence[MultiIndex]) -> 
         ses = avgs.std(axis=0, ddof=1) / math.sqrt(reps)
     else:
         ses = np.zeros_like(means)
+    same = (avgs == avgs[0]).all(axis=0)
+    means[same], ses[same] = avgs[0, same], 0.0
     j = int(np.argmax(means))
     return TailEstimate(
         float(means[j]), float(ses[j]), "empirical", schedule[j], low_reps=reps < LOW_REPS_FLOOR

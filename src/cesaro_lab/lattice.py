@@ -12,9 +12,10 @@ cumsum per axis. At each level, a row whose weights are all nonzero and
 whose cells the level all keeps (a dense row) sums each line segment, a run
 of cells along the last axis in one shell, by np.add.reduceat and bincounts
 the segment sums; any other row bincounts its kept cells in cell order.
-The choice is made per row, so a row's bits never depend on the rows
-chunked with it. It answers several (weight, levels, ge) queries from one
-pass, and takes its rows as (first row, chunk) pairs: slices of a held
+Where the rows of a chunk part, the rows that are not dense are binned
+from there on as a chunk of their own, so a row's bits never depend on
+the rows chunked with it. It answers several (weight, levels, ge) queries
+from one pass, and takes its rows as (first row, chunk) pairs: slices of a held
 field (row_chunks: the one row of schedule_averages, or a NormSample that
 holds its draw) or chunks drawn one at a time into a reused buffer (a
 NormSample's chunks()), so a sample that is not held is binned chunk by
@@ -363,13 +364,14 @@ def schedule_profiles(
     segment (the cells of one shell in one line along the last axis) with
     np.add.reduceat and bincounts the segment sums in row order, when its
     segments hold SEGMENT_CELLS cells or more on average; otherwise a row
-    bincounts the cells the level keeps, in cell order (_bin_chunk). The
-    segment starts are fixed by the box and the rows per chunk, and are set
-    up with the bins. Which way a row goes and the order of its additions
-    depend on its own cells, the box and the level only, and a row's cells
-    all sit in one chunk, so every answer is bit-equal to that of a
-    one-level, one-query call at that level, however the rows are chunked
-    and whatever else is asked.
+    bincounts the cells the level keeps, in cell order (_bin_chunk). Where
+    the rows of a chunk part, the rows that are not dense are binned from
+    there on as a chunk of their own. The segment starts are fixed by the
+    box and the rows per chunk, and are set up with the bins. Which way a
+    row goes and the order of its additions depend on its own cells, the
+    box and the level only, and a row's cells all sit in one chunk, so
+    every answer is bit-equal to that of a one-level, one-query call at that
+    level, however the rows are chunked and whatever else is asked.
     """
     d = box.d
     per_axis = _dyadic_levels(box)
@@ -420,11 +422,6 @@ def schedule_profiles(
     return answers
 
 
-# no rows: the dense rows of a chunk that has none
-_NO_ROWS = np.empty(0, dtype=np.int64)
-_NO_ROWS.flags.writeable = False
-
-
 def _bin_chunk(
     out: np.ndarray,
     chunk: np.ndarray,
@@ -442,98 +439,69 @@ def _bin_chunk(
 
     A level keeps the cells the level before it kept that exceed it. A row
     is dense at a level when its weights are all nonzero and the level keeps
-    every one of its cells. A dense row sums each line segment by
-    np.add.reduceat (the segment's first cell plus numpy's pairwise sum of
-    the others) and bincounts the segment sums in row order; any other row
-    bincounts the cells it keeps, in cell order. A row's path depends on its
-    own cells only, so its bits do not depend on the other rows of its
-    chunk, and a weight that is 0 where a level drops a cell (a Tail applied
-    up front) takes the row down the path that the level does."""
+    every one of its cells. While every row is dense, no cell has been
+    dropped, and the chunk sums each line segment by np.add.reduceat (the
+    segment's first cell plus numpy's pairwise sum of the others) and
+    bincounts the segment sums in row order. Once no row is dense, the chunk
+    bincounts the cells it keeps, in cell order. Where the rows part, at the
+    nonzero check or at a level, the rows that are not dense are binned from
+    that level on as a chunk of their own, by cells (a part that cannot part
+    again, so the call goes one deep), and the loop goes on with the dense
+    rows. A row's path depends on its own cells only, so its bits do not
+    depend on the other rows of its chunk, and a weight that is 0 where a
+    level drops a cell (a Tail applied up front) takes the row down the path
+    that the level does."""
     rows, S = out.shape[1:]
-    bins = rows * S
     cells = chunk.size // rows
     idx = index[: chunk.size]
     w = np.ravel(np.asarray(chunk if weight is None else weight(chunk), dtype=np.float64))
-    t = np.ravel(chunk) if grid[0] is not None else None
-    # the rows dense so far and their first cells in t, idx and w, set at the
-    # first level, which still has every cell
-    dense = lo = None
+    # the values the levels compare; with no level none are, and the weights
+    # stand in for them where the rows part
+    t = np.ravel(chunk) if grid[0] is not None else w
+    # the rows of out that the rows of w and t are, and whether all are dense
+    at, dense = slice(None), segments is not None
     for k, a in enumerate(grid):
         n = w.size
         if a is not None:
             keep = t >= a if ge else t > a
             n = int(np.count_nonzero(keep))
-        if dense is None:
-            dense = _NO_ROWS
-            if segments and n >= cells:
-                # NaN is nonzero, 0.0 and -0.0 are not; np.count_nonzero(w)
-                # would take four times as long as this compare
-                dense = np.flatnonzero((w.reshape(rows, cells) != 0).all(axis=1))
-            lo = dense * cells if len(dense) else _NO_ROWS
+        if dense and n < cells:
+            dense = False
+        elif dense and (k == 0 or n < w.size):
+            # the rows that stay dense: at the first level, those whose
+            # weights are all nonzero (NaN is nonzero, 0.0 and -0.0 are not;
+            # np.count_nonzero(w) would take four times as long as this
+            # compare), and those whose every cell the level keeps
+            whole = (w.reshape(rows, cells) != 0).all(axis=1) if k == 0 else True
+            if n < w.size:
+                whole &= keep.reshape(rows, cells).all(axis=1)
+            dense = bool(whole.any())
+            if dense and not whole.all():
+                part, pos = ~whole, np.arange(out.shape[1])[at]
+                rest = np.zeros((len(grid) - k, int(np.count_nonzero(part)), S))
+                w_part = _rows(w, part)  # the part's weights, as computed
+                _bin_chunk(rest, _rows(t, part), index, None, lambda _: w_part, grid[k:], ge)
+                out[k:, pos[part]] = rest
+                w, t, at = _rows(w, whole), _rows(t, whole), pos[whole]
+                rows = len(at)
+                n, idx = w.size, index[: w.size]
         if n < w.size:
             keep = np.flatnonzero(keep)
-            if len(dense) and n >= cells:
-                dense, lo = _whole_rows(keep, dense, lo, cells)
-            elif len(dense):
-                dense = lo = _NO_ROWS
             t, idx, w = t[keep], idx[keep], w[keep]
             if n == 0:
                 return
-        if len(dense) == rows:  # every cell of the chunk: the segments as precomputed
+        if dense:  # every cell of the rows: the segments as precomputed
             starts, seg_bins, per_row = segments
             m = rows * per_row
-            sums = np.bincount(seg_bins[:m], np.add.reduceat(w, starts[:m]), bins)
-        elif len(dense):
-            sums = _mixed_sums(idx, w, dense, lo, cells, segments, S, bins)
+            sums = np.bincount(seg_bins[:m], np.add.reduceat(w, starts[:m]), rows * S)
         else:
-            sums = np.bincount(idx, w, bins)
-        out[k] = sums.reshape(rows, S)
+            sums = np.bincount(idx, w, rows * S)
+        out[k, at] = sums.reshape(rows, S)
 
 
-def _whole_rows(
-    keep: np.ndarray, dense: np.ndarray, lo: np.ndarray, cells: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Of the rows `dense`, whose cells start at lo, those that keep every
-    cell when the cells listed in keep (increasing) are taken, and where
-    their cells then start."""
-    first = np.searchsorted(keep, lo)
-    last = first + (cells - 1)
-    whole = (last < len(keep)) & (keep[np.minimum(last, len(keep) - 1)] == lo + (cells - 1))
-    return dense[whole], first[whole]
-
-
-def _mixed_sums(
-    idx: np.ndarray,
-    w: np.ndarray,
-    dense: np.ndarray,
-    lo: np.ndarray,
-    cells: int,
-    segments: tuple[np.ndarray, np.ndarray, int],
-    S: int,
-    bins: int,
-) -> np.ndarray:
-    """The bin sums of a chunk of which some rows are dense (cells from lo in
-    idx and w) and some are not: the dense rows by their line segments, the
-    others cell by cell. One np.add.reduceat runs over the dense rows, cut at
-    each segment and at the end of each dense row, and the sum from such an
-    end to the next dense row goes to a spare bin. The two bincounts fill
-    disjoint bins, and neither leaves a -0.0, so adding them is exact."""
-    starts, seg_bins, per_row = segments
-    row_starts, row_shells = starts[:per_row], seg_bins[:per_row]
-    cut = (lo[:, None] + np.append(row_starts, cells)).ravel()
-    to = np.empty((len(dense), len(row_starts) + 1), dtype=np.int64)
-    to[:, :-1] = dense[:, None] * S + row_shells
-    to[:, -1] = bins
-    if cut[-1] == len(w):  # the last dense row ends the chunk
-        cut = cut[:-1]
-    sums = np.bincount(to.ravel()[: len(cut)], np.add.reduceat(w, cut), bins + 1)[:bins]
-    # runs of cells that alternate: up to the first dense row, that row, up to
-    # the next dense row, ..., after the last dense row
-    bounds = np.empty(2 * len(dense) + 2, dtype=np.int64)
-    bounds[0], bounds[-1] = 0, len(w)
-    bounds[1:-1:2], bounds[2:-1:2] = lo, lo + cells
-    sparse = np.repeat(np.arange(len(bounds) - 1) % 2 == 0, np.diff(bounds))
-    return sums + np.bincount(idx[sparse], w[sparse], bins)
+def _rows(a: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The cells of the rows `which` (a mask) of the flat, uncompressed a."""
+    return a.reshape(len(which), -1)[which].ravel()
 
 
 def dyadic_boxes(horizon: MultiIndex) -> list[MultiIndex]:

@@ -506,23 +506,35 @@ class TestReplay:
         err = capsys.readouterr().err
         assert "'reps'" in err and str(old) in err
 
-    def test_plugin_centered_manifest_is_rejected_on_replay(self, tmp_path, capsys):
-        # l1 on pareto alpha 0.8 once ran, centered by the per-cell mean over
-        # reps; a manifest written then replays to the usage error, not a crash
+    def converge_manifest(self, tmp_path, mode, alpha):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
             "command": "converge",
-            "config": {"bound": None, "mode": "l1", "p": 1.0, "reps": 200,
+            "config": {"bound": None, "mode": mode, "p": 1.0, "reps": 200,
                        "schedule": ["2", "4", "8", "16"], "seed": 0,
                        "spec": {"dim_D": 1, "family": "pareto_radial",
-                                "moment_mode": "analytic", "params": {"alpha": 0.8}}},
+                                "moment_mode": "analytic", "params": {"alpha": alpha}}},
             "duration_seconds": 0.04, "outputs": ["series.csv", "series.json"],
             "seed": 0, "version": "0.1.0",
         }))
+        return manifest
+
+    def test_plugin_centered_manifest_is_rejected_on_replay(self, tmp_path, capsys):
+        # l1 on pareto alpha 0.8 once ran, centered by the per-cell mean over
+        # reps; a manifest written then replays to the usage error, not a crash
         out = tmp_path / "second"
-        assert self.replay(manifest, out) == 2
+        assert self.replay(self.converge_manifest(tmp_path, "l1", 0.8), out) == 2
         err = capsys.readouterr().err
         assert "no finite mean; use --mode lp" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unknown_mode_is_rejected_on_replay(self, tmp_path, capsys):
+        # a hand-edited manifest can name any mode: neither lp nor l1 is a
+        # usage error, and nothing is written
+        out = tmp_path / "second"
+        assert self.replay(self.converge_manifest(tmp_path, "l2", 3.0), out) == 2
+        err = capsys.readouterr().err
+        assert "unknown mode 'l2': expected lp or l1" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_check_cui_replay(self, tmp_path):
@@ -854,6 +866,8 @@ def raise_horizon_error(*args, **kwargs):
 REJECTED_RUNS = {
     "check-cui-a-grid": (["check-cui", "--spec", "SPEC", "--a-grid", "1,inf", "--horizon", "64",
                           "--reps", "5"], 2, None),
+    "check-cui-negative-level": (["check-cui", "--spec", "SPEC", "--a-grid=-1,2", "--horizon",
+                                  "64", "--reps", "5"], 2, None),
     "check-cui-spiked-2d": (["check-cui", "--spec", "SPIKED", "--horizon", "8x8", "--reps", "5"],
                             2, None),
     "check-cui-domain": (["check-cui", "--spec", "SPEC", "--horizon", "64", "--reps", "5"], 3,
@@ -862,12 +876,19 @@ REJECTED_RUNS = {
                      "--eps", "0.5,-1"], 2, None),
     "poussin-n-max": (["poussin", "--spec", "SPEC", "--horizon", "256", "--j-max", "4",
                        "--search-cap", "64", "--reps", "20", "--n-max", "3"], 2, None),
+    "poussin-search-cap-0": (["poussin", "--spec", "SPEC", "--horizon", "256",
+                              "--search-cap", "0", "--reps", "5"], 2, None),
     "poussin-search-cap": (["poussin", "--spec", "GROWING", "--horizon", "4096",
                             "--search-cap", "8", "--reps", "5"], 3, None),
     "converge-duplicate-box": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
                                 "--schedule", "2;2;4", "--reps", "5"], 2, None),
     "converge-bound": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
                         "--schedule", "2;4", "--reps", "5", "--bound", "inf,1"], 2, None),
+    "converge-bound-not-numbers": (["converge", "--mode", "lp", "--p", "0.5", "--spec",
+                                    "ANALYTIC", "--schedule", "2;4", "--reps", "5", "--bound",
+                                    "a,b"], 2, None),
+    "converge-no-boxes": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
+                           "--schedule", ";", "--reps", "5"], 2, None),
     "converge-lp-at-p-1": (["converge", "--mode", "lp", "--p", "1", "--spec", "ANALYTIC",
                             "--schedule", "2;4", "--reps", "5"], 2, None),
     "converge-domain": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
@@ -922,8 +943,8 @@ def test_rejected_run_writes_nothing(tmp_path, capsys, monkeypatch, argv, code, 
 
 def test_rejected_replay_writes_nothing(tmp_path, capsys):
     # exit 3: tails that do not decay within the search cap; the exit-2
-    # replays are TestReplay's no-finite-mean manifest, TestPoussin's bad eps
-    # and REJECTED_RUNS's --out under a file
+    # replays are TestReplay's no-finite-mean and unknown-mode manifests,
+    # TestPoussin's bad eps and REJECTED_RUNS's --out under a file
     config = {"eps": [0.5], "horizon": "4096", "j_max": 8, "n_max": None, "reps": 5,
               "search_cap": 8, "seed": 0, "spec": SPECS["GROWING"]}
     manifest = tmp_path / "manifest.json"

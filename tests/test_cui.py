@@ -98,6 +98,14 @@ class TestTailSup:
         assert emp.value == pytest.approx(0.375, abs=0.05)
         assert not emp.low_reps
 
+    def test_one_replication_reads_its_row_with_stderr_0(self):
+        spec = spec_of("pareto_radial", alpha=3.0, mode="empirical")
+        box = MultiIndex((64,))
+        est = cesaro_tail_sup(NormSample(spec, box, seed=3, reps=1), 1.0, 1.5)
+        row = dist.norm_batch(spec, box, 3, 1)
+        assert est.value == profile_by_segments(row, box, levels=[1.5]).max()
+        assert est.stderr == 0.0 and est.low_reps
+
     def test_low_reps_flag(self):
         emp = cesaro_tail_sup(
             NormSample(spec_of("iid_gaussian"), MultiIndex((32,)), seed=0, reps=5), 1.0, 1.0
@@ -432,6 +440,27 @@ class TestCuiReport:
         report = build_cui_report(NormSample(spec_of("constant", c=0.7), box), 1.0)
         in_order = profile_by_segments(np.full(box.coords, 0.7), box, segments=False)
         assert abs(report.mean_sup - 0.7) <= abs(in_order.max() - 0.7)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            spec_of("growing_non_cui", mode="empirical", exponent=0.5),
+            spec_of("constant", mode="empirical", c=0.7),
+        ],
+        ids=["growing_non_cui", "constant"],
+    )
+    def test_identical_replications_read_their_value_with_stderr_0(self, spec):
+        """A deterministic family draws one row 20 times: every estimate is
+        the sup of that row's profile, bit for bit, with stderr 0 (a float64
+        mean of 20 equal values can be an ulp off them)."""
+        box, grid = MultiIndex((4096,)), (1.0, 4.0, 16.0)
+        report = build_cui_report(NormSample(spec, box, seed=0, reps=20), 0.5, a_grid=grid)
+        row = dist.norm_batch(spec, box, 0, 1)
+        mean = profile_by_segments(row, box, levels=[0.0])
+        tails = profile_by_segments(row, box, Tail(0.5, 0.0).power, grid)
+        assert report.mean_sup == mean.max() and report.mean_stderr == 0.0
+        assert report.tail_sup == tuple(tails.max(axis=(1, 2)))
+        assert report.stderr == (0.0,) * len(grid)
 
 
 NAN = math.nan

@@ -87,6 +87,18 @@ class TestSpecSerialization:
             with pytest.raises(ValueError):
                 DistributionSpec.from_json(payload)
 
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [("pareto_radial", {"alpha": 0.0}, "alpha must be > 0"),
+         ("pareto_radial", {"alpha": -3.0}, "alpha must be > 0"),
+         ("growing_non_cui", {"exponent": 0.0}, "exponent must be > 0"),
+         ("spiked_cui", {"bulk": -0.5}, "bulk must be >= 0")],
+        ids=["alpha-0", "alpha-negative", "exponent-0", "bulk-negative"],
+    )
+    def test_param_out_of_range(self, family, params, message):
+        with pytest.raises(ValueError, match=message):
+            spec_of(family, **params)
+
     def test_dimension_cap_enforced(self):
         spiked = spec_of("spiked_cui")
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -68,6 +70,8 @@ class TestMultiIndex:
             MultiIndex((2, -1))
         with pytest.raises(ValueError):
             MultiIndex((2.5,))
+        with pytest.raises(ValueError, match="iterable"):
+            MultiIndex(3)
 
     def test_leq(self):
         assert leq(MultiIndex((1, 1)), MultiIndex((2, 3)))
@@ -833,6 +837,30 @@ class TestSegmentSums:
             assert np.array_equal(got, profile_by_segments(field, box, *q), equal_nan=True)
 
 
+    def test_rows_that_leave_the_dense_rows_one_level_at_a_time(self):
+        """One chunk of 200 rows of box 64, in random order, whose minima are
+        1, 2, ..., 200 and whose other cells lie less than 1 above: from level
+        1.5 on, each level 0.5, 1.5, ..., 199.5 takes one more row off the
+        dense rows. Against the oracle, with the recursion limit 100 frames
+        above the caller's, so a chunk that went one call deeper at each
+        parting would fail."""
+        box, rows = MultiIndex((64,)), 200
+        gen = np.random.default_rng(64)
+        minima = gen.permutation(np.arange(1.0, rows + 1.0))
+        field = minima[:, None] + gen.random((rows, 64))
+        field[np.arange(rows), gen.integers(64, size=rows)] = minima
+        levels = np.arange(0.5, rows).tolist()
+        queries = [(None, levels, False), (np.sqrt, levels, True)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
+        try:
+            answers = schedule_profiles(row_chunks(field, box), rows, box, queries)
+        finally:
+            sys.setrecursionlimit(limit)
+        for got, q in zip(answers, queries):
+            assert np.array_equal(got, profile_by_segments(field, box, *q))
+
+
 class TestScheduleProfilesOracle:
     """Several queries answered in one pass over chunks of rows: each answer
     is bit-equal to its one-query call and matches brute-force block means,
@@ -899,3 +927,9 @@ def test_dyadic_square_schedule():
     assert [b.coords for b in sched] == [(2, 2), (4, 4), (8, 8)]
     sched1 = dyadic_square_schedule(1, max_total=16)
     assert [b.coords[0] for b in sched1] == [2, 4, 8, 16]
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        dyadic_square_schedule(0)
+    # the smallest cube of d = 2 is 2x2, four cells
+    assert len(dyadic_square_schedule(2, max_total=4)) == 1
+    with pytest.raises(ValueError, match="max_total too small"):
+        dyadic_square_schedule(2, max_total=3)
