@@ -35,15 +35,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import convergence, cui, poussin
+from . import __version__ as _pkg_version, convergence, cui, poussin
 from .distributions import DistributionSpec, NormSample
 from .errors import HorizonTooSmallError, PhiDomainError
 from .lattice import MultiIndex, dyadic_square_schedule
-
-try:
-    from . import __version__ as _pkg_version
-except ImportError:  # pragma: no cover
-    _pkg_version = "0.0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +241,9 @@ def _poussin_files(config: dict) -> dict:
 
 def _converge_files(config: dict) -> dict:
     bound = config["bound"]
+    if bound is not None:
+        # every field given, read or not: the manifest records it, and NaN is no JSON token
+        convergence.check_bound(**{k: v for k, v in bound.items() if v is not None})
     cfg = convergence.ExperimentConfig(
         spec=DistributionSpec.from_json(config["spec"]),
         p=config["p"],

@@ -96,7 +96,8 @@ class ConvergenceSeries:
         return "\n".join(lines) + "\n"
 
 
-def _check_envelope(**params) -> None:
+def check_bound(**params) -> None:
+    """The rule for envelope parameters: each finite and > 0 (so NaN fails)."""
     for name, x in params.items():
         if not (0 < x < math.inf):
             raise ValueError(f"bound {name} must be finite and > 0, got {x!r}")
@@ -104,7 +105,7 @@ def _check_envelope(**params) -> None:
 
 def bound_eq23(eps: float, a: float, p: float, n: MultiIndex) -> float:
     """Envelope for the lp moment: eps + a^p / |n|^(1-p)."""
-    _check_envelope(eps=eps, a=a)
+    check_bound(eps=eps, a=a)
     if not (0 < p < 1):
         raise ValueError("p must lie in (0, 1)")
     return eps + a**p / n.size ** (1.0 - p)
@@ -113,7 +114,7 @@ def bound_eq23(eps: float, a: float, p: float, n: MultiIndex) -> float:
 def bound_eq27(a: float, C: float, n: MultiIndex) -> float:
     """Envelope for the centered l1 moment:
     2 a C log(2 n_1) ... log(2 n_d) / |n|^(1/2), natural logs."""
-    _check_envelope(a=a, C=C)
+    check_bound(a=a, C=C)
     logs = math.prod(math.log(2.0 * c) for c in n.coords)
     return 2.0 * a * C * logs / math.sqrt(n.size)
 
@@ -226,7 +227,7 @@ def run_lp_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     if not (0 < cfg.p < 1):
         raise ValueError("lp mode needs 0 < p < 1")
     if cfg.bound_params is not None:
-        _check_envelope(eps=cfg.bound_params.eps, a=cfg.bound_params.a)
+        check_bound(eps=cfg.bound_params.eps, a=cfg.bound_params.a)
     return _series(
         cfg, "lp",
         values=lambda M, n: (M / n.size ** (1.0 / cfg.p)) ** cfg.p,
@@ -245,7 +246,7 @@ def run_l1_experiment(cfg: ExperimentConfig) -> ConvergenceSeries:
     if cfg.bound_params is not None:
         if cfg.bound_params.C is None:
             raise ValueError("l1 bound needs C in bound_params")
-        _check_envelope(a=cfg.bound_params.a, C=cfg.bound_params.C)
+        check_bound(a=cfg.bound_params.a, C=cfg.bound_params.C)
     if dist.mean(cfg.spec, cfg.n_schedule[-1]) is None:
         raise ValueError(f"l1 mode centers with the family's mean, and {cfg.spec.family} "
                          f"{cfg.spec.params} has no finite mean; use --mode lp")

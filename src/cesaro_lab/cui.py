@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import LOW_REPS_FLOOR, NormFunctional, NormSample, Tail
-from .lattice import MultiIndex, dyadic_boxes, rep_sum, schedule_averages, schedule_profiles
+from .lattice import MultiIndex, dyadic_boxes, dyadic_shells, rep_sum
+from .lattice import schedule_averages, schedule_profiles
 
 DEFAULT_A_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -55,23 +56,24 @@ class TailEstimate:
         return self.value + 2.0 * self.stderr
 
 
-def _estimate(avgs: np.ndarray, exact: bool, schedule: Sequence[MultiIndex]) -> TailEstimate:
+def _estimate(avgs: np.ndarray, schedule: Sequence[MultiIndex]) -> TailEstimate:
     """The sup over the schedule of one level of a profile.
 
-    Exact averages (shape (boxes,)) give their argmax. Realized averages
+    Closed-form averages (shape (boxes,)) give their argmax. Realized averages
     (shape (reps, boxes)) give the replication mean at the box maximizing it,
     with the stderr of that mean from the replication spread. A box whose
     replications all read one value (a deterministic family) reads that
     value with stderr 0: a float64 mean of equal values can be an ulp off
     them, and their std then not 0.
     """
-    if exact:
+    if avgs.ndim == 1:
         j = int(np.argmax(avgs))
         return TailEstimate(float(avgs[j]), 0.0, "analytic", schedule[j])
     reps = avgs.shape[0]
     means = avgs.mean(axis=0)
     if reps > 1:
-        ses = avgs.std(axis=0, ddof=1) / math.sqrt(reps)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf averages: NaN or inf
+            ses = avgs.std(axis=0, ddof=1) / math.sqrt(reps)
     else:
         ses = np.zeros_like(means)
     same = (avgs == avgs[0]).all(axis=0)
@@ -108,9 +110,10 @@ def _sups(
     An ask takes the sample's closed form when there is one. The others share
     one pass of schedule_profiles over the sample's chunks, so the pass draws
     each rep at most once and holds no more than a chunk unless the sample
-    holds its draw: the Tails of one (p, ge) are one query over their
-    distinct levels, and any other functional is a query of its own. A
-    repeated ask gets the same estimate."""
+    holds its draw: the Tails of one p are one query over their distinct
+    strict levels (Tail.level), and any other functional is a query of its
+    own. A repeated ask, or a Tail of the same p and strict level, gets the
+    same estimate."""
     box = sample.box
     schedule = dyadic_boxes(box)
 
@@ -123,30 +126,30 @@ def _sups(
     def weight(g: NormFunctional) -> NormFunctional:
         return g if cells is None else (lambda t: scale(g(t)))
 
-    found: dict = {}
-    levels: dict[tuple[float, bool], set] = {}  # (p, ge) -> the levels of its Tails
+    found: dict = {}  # an ask, or (p, strict level) for a Tail of the pass
+    levels: dict[float, set] = {}  # p -> the strict levels of its Tails
     others = []
     for g in asks:
         if g in found:
             continue
         fld = sample.closed_form(g)
         if fld is not None:
-            found[g] = _estimate(schedule_averages(scale(fld), box), True, schedule)
+            found[g] = _estimate(schedule_averages(scale(fld), box), schedule)
         elif isinstance(g, Tail):
-            levels.setdefault((g.p, g.ge), set()).add(g.a)
+            levels.setdefault(g.p, set()).add(g.level)
         elif g not in others:
             others.append(g)
     if levels or others:
-        grids = {key: sorted(grid) for key, grid in levels.items()}
-        queries = [(weight(Tail(p, 0.0).power), grid, ge) for (p, ge), grid in grids.items()]
-        queries += [(weight(g), None, False) for g in others]
+        grids = {p: sorted(grid) for p, grid in levels.items()}
+        queries = [(weight(Tail(p, 0.0).power), grid) for p, grid in grids.items()]
+        queries += [(weight(g), None) for g in others]
         profiles = schedule_profiles(sample.chunks(), sample.reps, box, queries)
-        for ((p, ge), grid), profile in zip(grids.items(), profiles):
+        for (p, grid), profile in zip(grids.items(), profiles):
             for a, avgs in zip(grid, profile):
-                found[Tail(p, a, ge)] = _estimate(avgs, False, schedule)
+                found[p, a] = _estimate(avgs, schedule)
         for g, (avgs,) in zip(others, profiles[len(grids):]):
-            found[g] = _estimate(avgs, False, schedule)
-    return [found[g] for g in asks]
+            found[g] = _estimate(avgs, schedule)
+    return [found[g] if g in found else found[g.p, g.level] for g in asks]
 
 
 def cesaro_tail_sup(
@@ -275,7 +278,7 @@ def check_event_criterion(
         # events independent of the array (the adversarial construction uses
         # 0/1 probabilities, where independence is vacuous)
         box = sample.box
-        prob = _estimate(schedule_averages(events.probs, box), True, dyadic_boxes(box))
+        prob = _estimate(schedule_averages(events.probs, box), dyadic_boxes(box))
         (mom,) = _sups(sample, [Tail(1.0, 0.0)], cells=events.probs)
     premise = prob.upper() < delta
     conclusion = mom.upper() < eps
@@ -299,30 +302,26 @@ def adversarial_event_array(sample: NormSample, delta: float) -> EventArray:
     if not (delta > 0):
         raise ValueError("delta must be > 0")
     horizon = sample.box
-    sched = dyadic_boxes(horizon)
     fld = sample.closed_form(Tail(1.0, 0.0))
     if fld is None:
         # the mean over reps, summed rep by rep in order as np.mean does
         fld = rep_sum((f, Tail(1.0, 0.0)(q)) for f, q in sample.chunks()) / sample.reps
     flat = fld.ravel(order="C")
     order = np.argsort(-flat, kind="stable")
-    coords = np.unravel_index(np.arange(flat.size), horizon.coords)
-    membership = np.stack(
-        [
-            np.all(
-                [coords[k] < n.coords[k] for k in range(horizon.d)], axis=0
-            )
-            for n in sched
-        ]
-    )  # (len(sched), cells)
-    sizes = np.array([n.size for n in sched], dtype=np.float64)
-    counts = np.zeros(len(sched), dtype=np.int64)
+    _, corners, box_order, cell_shells = dyadic_shells(horizon)
+    cell_shell = cell_shells()
+    corners = np.array(corners)
+    boxes = corners[box_order]
+    # per shell, the dyadic boxes that hold its corner, and so its cells
+    inside = (corners[:, None] <= boxes).all(axis=2)
+    sizes = boxes.prod(axis=1).astype(np.float64)
+    counts = np.zeros(len(boxes), dtype=np.int64)
     chosen = np.zeros(flat.size, dtype=bool)
     for cell in order:
-        inside = membership[:, cell]
-        if np.all((counts[inside] + 1) / sizes[inside] < delta):
+        holds = inside[cell_shell[cell]]
+        if np.all((counts[holds] + 1) / sizes[holds] < delta):
             chosen[cell] = True
-            counts = counts + inside
+            counts = counts + holds
     return EventArray(horizon, probs=chosen.astype(np.float64).reshape(horizon.coords))
 
 

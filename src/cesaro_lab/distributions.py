@@ -123,8 +123,13 @@ class Tail:
     ge: bool = False
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        mask = (t >= self.a) if self.ge else (t > self.a)
-        return np.where(mask, self.power(t), 0.0)
+        return np.where(t > self.level, self.power(t), 0.0)
+
+    @property
+    def level(self) -> np.float64:
+        """a, or the float below a when ge, a float64 (not rounded to narrower
+        cells): for every t and a > -inf, t >= a exactly when t > the level."""
+        return np.float64(math.nextafter(self.a, -math.inf) if self.ge else self.a)
 
     def power(self, t: np.ndarray) -> np.ndarray:
         """t^p, the weight of a cell above the level."""
@@ -299,7 +304,8 @@ class ParetoRadialFamily(Family):
         keys, mixing = out.view(np.uint64), scratch[0]
         rng.substream(head, last, 0, out=keys, scratch=mixing)
         rng.uniform_open01(keys, out=out, scratch=mixing)
-        out **= -1.0 / float(spec.param("alpha"))  # in place, as u ** (-1 / alpha)
+        with np.errstate(over="ignore"):  # past the largest float: inf, correctly rounded
+            out **= -1.0 / float(spec.param("alpha"))  # in place, as u ** (-1 / alpha)
 
     def norm_planes(self, spec):
         return self.scratch_planes(spec)

@@ -5,23 +5,24 @@ fastest); every floating reduction in this module follows that fixed order,
 so identical input bits always produce identical output bits.
 
 A tail query reads one dyadic tail profile: schedule_profiles bins every
-cell of a sample by its dyadic shell (and, for a grid of truncation levels,
-by the levels it exceeds), sums the weights per shell in chunks of whole
+cell of a sample by its dyadic shell (dyadic_shells, which also fixes the
+dyadic boxes and their order), and for a grid of truncation levels by the
+levels it exceeds, sums the weights per shell in chunks of whole
 replications, and turns shell sums into sums over every dyadic box with one
-cumsum per axis. At each level, a row whose weights are all nonzero and
-whose cells the level all keeps (a dense row) sums each line segment, a run
-of cells along the last axis in one shell, by np.add.reduceat and bincounts
-the segment sums; any other row bincounts its kept cells in cell order.
-Where the rows of a chunk part, the rows that are not dense are binned
-from there on as a chunk of their own, so a row's bits never depend on
-the rows chunked with it. It answers several (weight, levels, ge) queries
-from one pass, and takes its rows as (first row, chunk) pairs: slices of a held
-field (row_chunks: the one row of schedule_averages, or a NormSample that
-holds its draw) or chunks drawn one at a time into a reused buffer (a
-NormSample's chunks()), so a sample that is not held is binned chunk by
-chunk while it is in cache. So every truncation level and every
-box comes from one pass over the sample, and a norm functional is applied
-chunk by chunk, never to the whole sample.
+cumsum per axis. At each level, a row whose weights are all nonzero and whose cells the
+level all keeps (a dense row) sums each line segment, a run of cells along
+the last axis in one shell, by np.add.reduceat and bincounts the segment
+sums; any other row bincounts its kept cells in cell order. Where the rows
+of a chunk part, the rows that are not dense are binned from there on as a
+chunk of their own, so a row's bits never depend on the rows chunked with
+it. It answers several (weight, levels) queries from one pass, each level
+strict (Tail.level turns a >= level into one), and takes its rows as (first
+row, chunk) pairs: slices of a held field (row_chunks: the one row of
+schedule_averages, or a NormSample that holds its draw) or chunks drawn one
+at a time into a reused buffer (a NormSample's chunks()), so a sample that
+is not held is binned chunk by chunk while it is in cache. So every
+truncation level and every box comes from one pass over the sample, and a
+norm functional is applied chunk by chunk, never to the whole sample.
 prefix_table serves the convergence series, plane_sum adds up the squared
 columns of its plane-major table in np.sum's order, and box_maxima reads M_n
 of each schedule box from those squared norms. A series chunk of one column
@@ -299,19 +300,25 @@ def rep_sum(chunks: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
     return total
 
 
-def _dyadic_levels(horizon: MultiIndex) -> list[list[int]]:
-    """Per axis, the powers of two up to the horizon's side, plus the side."""
-    per_axis = []
-    for h in horizon.coords:
-        levels = []
-        v = 1
-        while v <= h:
-            levels.append(v)
-            v *= 2
-        if levels[-1] != h:
-            levels.append(h)
-        per_axis.append(levels)
-    return per_axis
+def dyadic_shells(box: MultiIndex) -> tuple[list, list, list, Callable[[], np.ndarray]]:
+    """The dyadic shells of the box [1, n], the one place that fixes their
+    ratio, 2, as (levels, corners, order, cell_shells): per axis, the powers
+    of two up to the side, plus the side; every corner, one level per axis,
+    in itertools.product order (the row-major order of the shells); the
+    dyadic boxes, which are the corners, by size then coordinates, as
+    indices into corners; and a function that gives the shell of every cell,
+    in cell order: on each axis, the smallest level at or above the cell. A
+    cell lies in a dyadic box exactly when its shell's corner does."""
+    levels = [[2**j for j in range(side.bit_length())] for side in box.coords]
+    levels = [lv if lv[-1] == side else lv + [side] for lv, side in zip(levels, box.coords)]
+    corners = list(itertools.product(*levels))
+    order = sorted(range(len(corners)), key=lambda j: (math.prod(corners[j]), corners[j]))
+
+    def cell_shells() -> np.ndarray:
+        axes = (np.searchsorted(lv, np.arange(1, lv[-1] + 1)) for lv in levels)
+        return np.ravel_multi_index(np.ix_(*axes), [len(lv) for lv in levels]).ravel()
+
+    return levels, corners, order, cell_shells
 
 
 def schedule_averages(field: np.ndarray, box: MultiIndex) -> np.ndarray:
@@ -320,7 +327,7 @@ def schedule_averages(field: np.ndarray, box: MultiIndex) -> np.ndarray:
     is the one-row, one-query case of schedule_profiles."""
     if field.shape != box.coords:
         raise ValueError(f"field shape {field.shape} is not the box {box.coords}")
-    (sums,) = schedule_profiles(row_chunks(field[None], box), 1, box, [(None, None, False)])
+    (sums,) = schedule_profiles(row_chunks(field[None], box), 1, box, [(None, None)])
     return sums[0, 0]
 
 
@@ -336,12 +343,10 @@ def schedule_profiles(
     chunks: Iterable[tuple[int, np.ndarray]],
     rows: int,
     box: MultiIndex,
-    queries: Sequence[
-        tuple[Callable[[np.ndarray], np.ndarray] | None, Sequence[float] | None, bool]
-    ],
+    queries: Sequence[tuple[Callable[[np.ndarray], np.ndarray] | None, Sequence[float] | None]],
 ) -> list[np.ndarray]:
     """Cesaro averages over every box of dyadic_boxes(box), in that order, for
-    every (weight, levels, ge) query from one pass over `rows` rows of cells
+    every (weight, levels) query from one pass over `rows` rows of cells
     that arrive as (first row, chunk) pairs, each chunk of shape (k,) +
     box.coords; together the chunks cover every row once. Query q's answer
     has shape (len(levels) or 1, rows, boxes).
@@ -349,17 +354,16 @@ def schedule_profiles(
     A query averages weight(cells), or the cells when weight is None; weight
     is applied elementwise to whole chunks, so a box-shaped factor
     broadcasts against it. With `levels` (increasing), the average at level k
-    keeps only the cells > levels[k] (>= when ge): NaN cells then drop out at
-    every level and inf cells add inf, as with Tail.
+    keeps only the cells > levels[k] (a >= level is Tail.level): NaN cells
+    then drop out at every level and inf cells add inf, as with Tail.
 
     A chunk is binned into every query before the next is read, so a chunk
     may live in a buffer that the next one overwrites, and no more than one
     chunk of cells need exist at a time.
 
-    Each cell belongs to one dyadic shell, the index on each axis of the
-    smallest dyadic level at or above its coordinate. A query's weights are
-    summed per (row, shell) and level, chunk by chunk, and one cumsum per
-    shell axis turns shell sums into box sums. At a level that keeps every
+    Each cell belongs to one dyadic shell (dyadic_shells). A query's weights
+    are summed per (row, shell) and level, chunk by chunk, and one cumsum
+    per shell axis turns shell sums into box sums. At a level that keeps every
     cell of a row whose weights are all nonzero, the row sums each line
     segment (the cells of one shell in one line along the last axis) with
     np.add.reduceat and bincounts the segment sums in row order, when its
@@ -373,19 +377,13 @@ def schedule_profiles(
     every answer is bit-equal to that of a one-level, one-query call at that
     level, however the rows are chunked and whatever else is asked.
     """
-    d = box.d
-    per_axis = _dyadic_levels(box)
-    shells = tuple(len(v) for v in per_axis)
-    S = math.prod(shells)
-    cell_shell = np.zeros((1,) * d, dtype=np.int64)
-    for k, (side, lv) in enumerate(zip(box.coords, per_axis)):
-        axis = np.searchsorted(lv, np.arange(1, side + 1)).reshape(
-            (1,) * k + (side,) + (1,) * (d - 1 - k)
-        )
-        cell_shell = cell_shell * shells[k] + axis
+    levels, corners, order, cell_shells = dyadic_shells(box)
+    shells = tuple(len(v) for v in levels)
+    S = len(corners)
+    cell_shell = cell_shells()
     grids = []
-    for _, levels, _ in queries:
-        grid = [None] if levels is None else list(levels)
+    for _, grid in queries:
+        grid = [None] if grid is None else list(grid)
         # a != a holds for NaN only, which no ordering test rejects
         if any(a != a for a in grid) or any(b <= a for a, b in zip(grid[:-1], grid[1:])):
             raise ValueError("levels must be strictly increasing and not NaN")
@@ -394,7 +392,7 @@ def schedule_profiles(
     # the first cell of each line segment of a row: per line along the last
     # axis, its first cell and the first cell of each later shell
     side = box.coords[-1]
-    line_starts = np.array([0] + per_axis[-1][:-1])
+    line_starts = np.array([0] + levels[-1][:-1])
     row_starts = (np.arange(box.size // side, dtype=np.int64)[:, None] * side + line_starts).ravel()
     if box.size < SEGMENT_CELLS * len(row_starts):
         row_starts = None
@@ -402,19 +400,17 @@ def schedule_profiles(
     segments = None
     for first, chunk in chunks:
         if chunk.size > index.size:
-            index = (np.arange(len(chunk), dtype=np.int64)[:, None] * S + cell_shell.ravel()).ravel()
+            index = (np.arange(len(chunk), dtype=np.int64)[:, None] * S + cell_shell).ravel()
             if row_starts is not None:
                 first_cells = np.arange(len(chunk), dtype=np.int64)[:, None] * box.size
                 starts = (first_cells + row_starts).ravel()
                 segments = (starts, index[starts], len(row_starts))
-        for (weight, _, ge), grid, sums in zip(queries, grids, answers):
-            _bin_chunk(sums[:, first : first + len(chunk)], chunk, index, segments, weight, grid, ge)
-    corners = list(itertools.product(*per_axis))
+        for (weight, _), grid, sums in zip(queries, grids, answers):
+            _bin_chunk(sums[:, first : first + len(chunk)], chunk, index, segments, weight, grid)
     sizes = np.array([math.prod(c) for c in corners], dtype=np.float64).reshape(shells)
-    order = sorted(range(S), key=lambda j: (math.prod(corners[j]), corners[j]))
     for sums in answers:
         table = sums.reshape((len(sums), rows) + shells)
-        for ax in range(2, 2 + d):
+        for ax in range(2, 2 + box.d):
             np.cumsum(table, axis=ax, out=table)
         table /= sizes
         for level in sums:
@@ -429,7 +425,6 @@ def _bin_chunk(
     segments: tuple[np.ndarray, np.ndarray, int] | None,
     weight: Callable[[np.ndarray], np.ndarray] | None,
     grid: Sequence[float | None],
-    ge: bool,
 ) -> None:
     """Shell sums of one chunk of whole rows into out, shape (levels, rows,
     shells). index holds the (row, shell) bin of each cell of the rows, and
@@ -437,9 +432,9 @@ def _bin_chunk(
     the number of segments in a row, or None when a row has fewer than
     SEGMENT_CELLS cells per segment.
 
-    A level keeps the cells the level before it kept that exceed it. A row
-    is dense at a level when its weights are all nonzero and the level keeps
-    every one of its cells. While every row is dense, no cell has been
+    A level keeps the cells the level before it kept that exceed it, strictly.
+    A row is dense at a level when its weights are all nonzero and the level
+    keeps every one of its cells. While every row is dense, no cell has been
     dropped, and the chunk sums each line segment by np.add.reduceat (the
     segment's first cell plus numpy's pairwise sum of the others) and
     bincounts the segment sums in row order. Once no row is dense, the chunk
@@ -463,7 +458,7 @@ def _bin_chunk(
     for k, a in enumerate(grid):
         n = w.size
         if a is not None:
-            keep = t >= a if ge else t > a
+            keep = t > a
             n = int(np.count_nonzero(keep))
         if dense and n < cells:
             dense = False
@@ -480,7 +475,7 @@ def _bin_chunk(
                 part, pos = ~whole, np.arange(out.shape[1])[at]
                 rest = np.zeros((len(grid) - k, int(np.count_nonzero(part)), S))
                 w_part = _rows(w, part)  # the part's weights, as computed
-                _bin_chunk(rest, _rows(t, part), index, None, lambda _: w_part, grid[k:], ge)
+                _bin_chunk(rest, _rows(t, part), index, None, lambda _: w_part, grid[k:])
                 out[k:, pos[part]] = rest
                 w, t, at = _rows(w, whole), _rows(t, whole), pos[whole]
                 rows = len(at)
@@ -505,11 +500,11 @@ def _rows(a: np.ndarray, which: np.ndarray) -> np.ndarray:
 
 
 def dyadic_boxes(horizon: MultiIndex) -> list[MultiIndex]:
-    """Default tail-sup schedule: every box whose coordinates are powers of two
-    up to the horizon, plus the horizon box itself, by size then coordinates."""
-    boxes = [MultiIndex(t) for t in itertools.product(*_dyadic_levels(horizon))]
-    boxes.sort(key=lambda b: (b.size, b.coords))
-    return boxes
+    """Default tail-sup schedule: the corners of the horizon's dyadic shells,
+    every box whose coordinates are powers of two up to the horizon or its
+    sides, by size then coordinates."""
+    _, corners, order, _ = dyadic_shells(horizon)
+    return [MultiIndex(corners[j]) for j in order]
 
 
 def dyadic_square_schedule(d: int, max_total: int = 4096) -> list[MultiIndex]:

@@ -124,3 +124,29 @@ def profile_by_segments(field, box, weight=None, levels=None, ge=False, segments
     table /= np.array([math.prod(c) for c in corners], dtype=np.float64).reshape(shells)
     order = sorted(range(len(corners)), key=lambda j: (math.prod(corners[j]), corners[j]))
     return sums[..., order]
+
+
+def adversarial_by_coords(fld, horizon, delta) -> np.ndarray:
+    """The adversarial event array's probabilities for the mean field fld over
+    the box horizon: the cells with the largest means first (ties in cell
+    order), each made certain when every dyadic box that holds it keeps its
+    event average strictly below delta. A box holds a cell when every
+    coordinate of the cell lies below the box's: how the greedy found its
+    boxes, one compare per cell and box, before it read them off the cell's
+    dyadic shell."""
+    sched = lattice.dyadic_boxes(horizon)
+    flat = fld.ravel(order="C")
+    order = np.argsort(-flat, kind="stable")
+    coords = np.unravel_index(np.arange(flat.size), horizon.coords)
+    membership = np.stack(
+        [np.all([coords[k] < n.coords[k] for k in range(horizon.d)], axis=0) for n in sched]
+    )  # (len(sched), cells)
+    sizes = np.array([n.size for n in sched], dtype=np.float64)
+    counts = np.zeros(len(sched), dtype=np.int64)
+    chosen = np.zeros(flat.size, dtype=bool)
+    for cell in order:
+        inside = membership[:, cell]
+        if np.all((counts[inside] + 1) / sizes[inside] < delta):
+            chosen[cell] = True
+            counts = counts + inside
+    return chosen.astype(np.float64).reshape(horizon.coords)

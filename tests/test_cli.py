@@ -324,6 +324,25 @@ class TestConverge:
             "2,64x64,4096,inf,nan,,\n"
         )
 
+    def test_draws_past_the_largest_float_print_no_warning(self, tmp_path, capsys):
+        # pareto alpha 0.01 draws u ** -100, inf (correctly rounded) for u
+        # below about 1e-3.08: tail averages of inf and their NaN stderr, as
+        # the reports write them, with nothing on stderr
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": "pareto_radial", "params": {"alpha": 0.01},
+                                    "dim_D": 1, "moment_mode": "empirical"}))
+        spec = str(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check-cui", "--spec", spec, "--horizon", "64x64", "--reps", "20",
+                             "--out", str(tmp_path / "cui")]) == 0
+            assert cli.main(["converge", "--mode", "lp", "--p", "0.5", "--spec", spec,
+                             "--schedule", "8x8;64x64", "--reps", "20",
+                             "--out", str(tmp_path / "lp")]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "cui" / "cui_report.csv")
+        assert [row[1:] for row in rows] == [["inf", "nan"]] * 7
+
 
 class TestPoussin:
     def test_constant_round_trip(self, tmp_path):
@@ -884,6 +903,11 @@ REJECTED_RUNS = {
                                 "--schedule", "2;2;4", "--reps", "5"], 2, None),
     "converge-bound": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
                         "--schedule", "2;4", "--reps", "5", "--bound", "inf,1"], 2, None),
+    # every field that --bound gives, also one the mode does not read
+    "converge-l1-nan-eps": (["converge", "--mode", "l1", "--spec", "ANALYTIC", "--schedule",
+                             "2;4", "--reps", "5", "--bound", "nan,1,1"], 2, None),
+    "converge-lp-nan-C": (["converge", "--mode", "lp", "--p", "0.5", "--spec", "ANALYTIC",
+                           "--schedule", "2;4", "--reps", "5", "--bound", "0.1,1,nan"], 2, None),
     "converge-bound-not-numbers": (["converge", "--mode", "lp", "--p", "0.5", "--spec",
                                     "ANALYTIC", "--schedule", "2;4", "--reps", "5", "--bound",
                                     "a,b"], 2, None),

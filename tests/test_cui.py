@@ -27,14 +27,14 @@ from cesaro_lab.cui import (
 )
 import cesaro_lab.distributions as dist
 from cesaro_lab.distributions import DistributionSpec, NormSample, Tail
-from cesaro_lab.lattice import MultiIndex, dyadic_boxes
+from cesaro_lab.lattice import MultiIndex, dyadic_boxes, row_chunks
 from cesaro_lab.poussin import (
     PhiFunction,
     phi_eval_many,
     poussin_forward_check,
     poussin_moment_check,
 )
-from oracles import profile_by_segments
+from oracles import adversarial_by_coords, profile_by_segments, rep_sum_by_rows
 
 
 def spec_of(family, d=1, mode="analytic", **params):
@@ -275,6 +275,41 @@ class TestAdversarialEvents:
     def test_validation(self):
         with pytest.raises(ValueError):
             adversarial_event_array(NormSample(GROWING, MultiIndex((8,))), 0.0)
+
+    @pytest.mark.parametrize("box", [(7,), (3, 57), (5, 1, 9)], ids=str)
+    def test_equals_the_coordinate_greedy(self, box):
+        """The boxes that hold a cell, read off its dyadic shell, are those
+        whose coordinates all exceed the cell's: the same events as the
+        coordinate-compare greedy, from a closed-form mean and from a
+        realized one, on sides that are not powers of two. Means drawn from
+        a few values tie often, and ties go in cell order."""
+        horizon = MultiIndex(box)
+        gen = np.random.default_rng(box)
+        spec = spec_of("pareto_radial", mode="empirical", alpha=1.5)
+
+        class ClosedForm(NormSample):
+            def closed_form(self, g):
+                return self.mean
+
+        class Realized(NormSample):
+            def closed_form(self, g):
+                return None
+
+            def chunks(self):
+                return row_chunks(self.norms.copy(), self.box)
+
+        for values in (2, 5, 1000):
+            closed = ClosedForm(spec, horizon)
+            closed.mean = gen.integers(0, values, size=box).astype(np.float64)
+            realized = Realized(spec, horizon, reps=6)
+            realized.norms = gen.integers(0, values, size=(6,) + box).astype(np.float64)
+            mean = rep_sum_by_rows([(0, Tail(1.0, 0.0)(realized.norms))]) / 6
+            for delta in (0.05, 0.2, 0.5, 0.9):
+                for sample, fld in [(closed, closed.mean), (realized, mean)]:
+                    assert np.array_equal(
+                        adversarial_event_array(sample, delta).probs,
+                        adversarial_by_coords(fld, horizon, delta),
+                    )
 
     @pytest.mark.parametrize("box", [(64,), (8, 8), (4, 2, 4)])
     def test_streamed_mean_picks_the_cells_of_the_whole_sample_mean(self, box):
@@ -616,8 +651,8 @@ ENGINE_BOX = MultiIndex((16, 8))
 ENGINE_REPS = 20
 # phi's domain covers every norm the engine's samples draw
 ENGINE_PHI = functools.partial(phi_eval_many, PhiFunction(np.repeat(np.arange(1, 9), 128)))
-# several (p, ge) groups, repeated and unsorted levels, level 0 beside a grid,
-# and a functional that is not a Tail
+# several p, a >= level among the > levels of its p, repeated and unsorted
+# levels, level 0 beside a grid, and a functional that is not a Tail
 ENGINE_ASKS = [
     Tail(0.5, 2.0),
     Tail(1.0, 4.0),
@@ -631,13 +666,13 @@ ENGINE_ASKS = [
     ENGINE_PHI,
     Tail(1.0, 0.0),
 ]
-# the queries of one pass over a sample with no closed form, as (levels, ge)
+# the queries of one pass over a sample with no closed form, as their strict
+# levels: one query per p, a >= level a at the float below a
 ENGINE_QUERIES = [
-    ([1.0, 2.0], False),
-    ([0.0, 1.0, 4.0], False),
-    ([1.5], True),
-    ([1.0], True),
-    (None, False),
+    [1.0, 2.0],
+    [0.0, math.nextafter(1.0, -math.inf), 1.0, 4.0],
+    [math.nextafter(1.5, -math.inf)],
+    None,
 ]
 # a box-shaped factor field: probabilities of an event, 0 on the first row
 ENGINE_CELLS = np.linspace(0.0, 1.0, ENGINE_BOX.size).reshape(ENGINE_BOX.coords)
@@ -668,7 +703,7 @@ class TestSups:
         real_profiles, real_batch = cui.schedule_profiles, dist.norm_batch
 
         def recording_profiles(chunks, rows, box, qs):
-            passes.append([(levels, ge) for _, levels, ge in qs])
+            passes.append([levels for _, levels in qs])
             return real_profiles(chunks, rows, box, qs)
 
         def counting_norm_batch(spec, n, seed, reps, first_rep=0, *args, **kwargs):

@@ -107,6 +107,30 @@ class TestSpecSerialization:
             one_array(spec_of("growing_non_cui"), MultiIndex((2, 2)))
 
 
+# levels at the edges of the floats: both zeros, the least subnormal, 1 and
+# the float above it, and inf
+EDGE_LEVELS = (0.0, -0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), math.inf)
+
+
+@pytest.mark.parametrize("a", EDGE_LEVELS, ids=repr)
+def test_ge_is_a_strict_level(a):
+    """t >= a exactly when t > Tail.level, for each level and its neighbours,
+    NaN (which fails both), both zeros and both infinities."""
+    t = np.array([x for b in EDGE_LEVELS for x in (math.nextafter(b, -math.inf), b,
+                                                    math.nextafter(b, math.inf))]
+                 + [math.nan, -math.inf, -1.0])
+    ge, gt = Tail(0.0, a, ge=True), Tail(0.0, a)
+    assert np.array_equal(t > ge.level, t >= a)
+    assert gt.level == a and math.copysign(1.0, gt.level) == math.copysign(1.0, a)
+    # float32 cells compare with the level as their float64 values do
+    with np.errstate(over="ignore"):  # past float32's range: inf
+        narrow = t.astype(np.float32)
+    for cells in (t, narrow):
+        wide = cells.astype(np.float64)
+        assert np.array_equal(ge(cells), np.where(wide >= a, 1.0, 0.0))
+        assert np.array_equal(gt(cells), np.where(wide > a, 1.0, 0.0))
+
+
 class TestConstant:
     def test_values_and_bound(self):
         spec = spec_of("constant", d=3, c=2.0)

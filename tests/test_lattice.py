@@ -560,14 +560,20 @@ def test_schedule_averages_match_direct_means():
         assert value == pytest.approx(sub.mean(), rel=1e-12)
 
 
+def strict(weight, levels, ge):
+    """The schedule_profiles query of a grid of levels, each level a >= one
+    when ge: (weight, each level's Tail.level)."""
+    return weight, None if levels is None else [Tail(1.0, a, ge).level for a in levels]
+
+
 def profile(field, box: MultiIndex, weight=None, levels=None, ge=False) -> np.ndarray:
-    """One (weight, levels, ge) query of schedule_profiles over the row_chunks
-    of a field with any leading axes: shape lead + (boxes,), or
+    """One schedule_profiles query of the levels (>= levels when ge) over the
+    row_chunks of a field with any leading axes: shape lead + (boxes,), or
     (len(levels),) + lead + (boxes,) with levels."""
     lead = field.shape[: field.ndim - box.d]
     rows = math.prod(lead)
     flat = field.reshape((rows,) + box.coords)
-    (sums,) = schedule_profiles(row_chunks(flat, box), rows, box, [(weight, levels, ge)])
+    (sums,) = schedule_profiles(row_chunks(flat, box), rows, box, [strict(weight, levels, ge)])
     out = sums.reshape((len(sums),) + lead + (sums.shape[-1],))
     return out[0] if levels is None else out
 
@@ -780,6 +786,8 @@ class TestSegmentSums:
     the rows are chunked (one per chunk, ragged chunks of two, all eight in
     one chunk that mixes dense and sparse rows), for any weight and level."""
 
+    # (weight, levels, ge), as the oracles take them; strict() makes each a
+    # schedule_profiles query
     QUERIES = [
         (None, None, False),
         (np.sqrt, (0.0, 0.5, 1.0, 2.0, 3.5), True),
@@ -802,7 +810,8 @@ class TestSegmentSums:
         assert (not all(same)) == long
         for chunk_cells in (1, 2 * box.size + 1, lattice.CHUNK_CELLS):
             monkeypatch.setattr(lattice, "CHUNK_CELLS", chunk_cells)
-            answers = schedule_profiles(row_chunks(field, box), 8, box, self.QUERIES)
+            queries = [strict(*q) for q in self.QUERIES]
+            answers = schedule_profiles(row_chunks(field, box), 8, box, queries)
             for got, want in zip(answers, wants):
                 assert np.array_equal(got, want, equal_nan=True)
 
@@ -819,7 +828,7 @@ class TestSegmentSums:
                 chunk[...] = field[first:last]
                 yield first, chunk
 
-        answers = schedule_profiles(runs(), 8, box, self.QUERIES)
+        answers = schedule_profiles(runs(), 8, box, [strict(*q) for q in self.QUERIES])
         for got, q in zip(answers, self.QUERIES):
             assert np.array_equal(got, profile_by_segments(field, box, *q), equal_nan=True)
 
@@ -833,7 +842,7 @@ class TestSegmentSums:
         field = np.stack([np.full(4096, -0.0), np.full(4096, 0.7), np.zeros(4096),
                           np.full(4096, 5.0), np.linspace(1.0, 4.0, 4096)])
         for q in self.QUERIES:
-            (got,) = schedule_profiles(row_chunks(field, box), 5, box, [q])
+            (got,) = schedule_profiles(row_chunks(field, box), 5, box, [strict(*q)])
             assert np.array_equal(got, profile_by_segments(field, box, *q), equal_nan=True)
 
 
@@ -854,7 +863,9 @@ class TestSegmentSums:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
         try:
-            answers = schedule_profiles(row_chunks(field, box), rows, box, queries)
+            answers = schedule_profiles(
+                row_chunks(field, box), rows, box, [strict(*q) for q in queries]
+            )
         finally:
             sys.setrecursionlimit(limit)
         for got, q in zip(answers, queries):
@@ -866,6 +877,7 @@ class TestScheduleProfilesOracle:
     is bit-equal to its one-query call and matches brute-force block means,
     however the rows are chunked."""
 
+    # (weight, levels, ge), made schedule_profiles queries by strict()
     QUERIES = [(None, None, False), (np.sqrt, LEVELS, True), (np.square, (0.5, 2.0), False)]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -894,7 +906,7 @@ class TestScheduleProfilesOracle:
                     yield first, chunk
 
             for chunks in (row_chunks(field, box), reused()):
-                answers = schedule_profiles(chunks, reps, box, self.QUERIES)
+                answers = schedule_profiles(chunks, reps, box, [strict(*q) for q in self.QUERIES])
                 for (weight, levels, ge), got in zip(self.QUERIES, answers):
                     one = profile(field, box, weight, levels, ge)
                     assert np.array_equal(got if levels else got[0], one, equal_nan=True)
