@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -107,30 +108,37 @@ def load_spec(path: str) -> DistributionSpec:
     return DistributionSpec.from_json(payload)
 
 
-def _py(obj):
+def _py(obj, strict=False):
     """Recursively coerce numpy scalars/arrays, boxes and dataclasses (by their
-    fields) into plain JSON types."""
+    fields) into plain JSON types. JSON has no token for a non-finite float,
+    so with strict each becomes the string protobuf's JSON mapping writes,
+    "NaN", "Infinity" or "-Infinity"."""
     if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
+        return {k: _py(v, strict) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
+        return [_py(v, strict) for v in obj]
     if isinstance(obj, MultiIndex):
         return str(obj)
     if dataclasses.is_dataclass(obj):
-        return {f.name: _py(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: _py(getattr(obj, f.name), strict) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
+        return [_py(v, strict) for v in obj.tolist()]
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if strict and not math.isfinite(x):
+            return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+        return x
     return obj
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_py(payload), indent=2, sort_keys=True) + "\n")
+    """payload as strict JSON: a non-finite float that _py missed raises."""
+    text = json.dumps(_py(payload, strict=True), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def write_manifest(

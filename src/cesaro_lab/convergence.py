@@ -14,6 +14,10 @@ with c >= 0, spiked_cui, growing_non_cui) no partial sum exceeds the one at
 a box's corner, because correctly rounded addition is monotone, so M_n is
 ||S_n|| there; every other chunk takes the max of its squared partial norms
 over each box. Both give the same bits.
+
+A point's moment and stderr come from distributions.replication_mean, as a
+cui tail sup's do: replications that all agree read their value, stderr 0.
+Its envelope verdict, moment <= envelope + 3 stderr, is SeriesPoint.bound_pass.
 """
 
 from __future__ import annotations
@@ -58,8 +62,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("schedule |n| must be strictly increasing")
         dist.check_reps(self.reps)
-        if not (0 < self.p <= 1):
-            raise ValueError("p must lie in (0, 1]")
+        dist.check_p(self.p)
         object.__setattr__(self, "n_schedule", sched)
 
 
@@ -191,21 +194,13 @@ def _square_maxima(spec, top, seed, reps, means, boxes) -> np.ndarray:
     return out
 
 
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    reps = vals.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return m, se
-
-
 def _series(cfg, mode, values, bound) -> ConvergenceSeries:
     """Per schedule box n, the mean and stderr over reps of values(M_n, n),
     and the envelope bound(bound_params, n) with its verdict when cfg has one."""
     points = []
     M = _maxima(cfg.spec, cfg.n_schedule, cfg.seed, cfg.reps, mode == "l1")
     for n, m in zip(cfg.n_schedule, M):
-        moment, se = _mean_se(values(m, n))
+        moment, se = map(float, dist.replication_mean(values(m, n)))
         envelope = ok = None
         if cfg.bound_params is not None:
             envelope = bound(cfg.bound_params, n)
@@ -295,7 +290,7 @@ def moricz_ratio(
             raise ValueError("second moments must be finite and not all zero")
         logs = math.prod(math.log(2.0 * c) ** 2 for c in n.coords)
         dens.append(logs * total)
-    stats = [_mean_se(M * M) for M in _maxima(spec, sched, seed, reps)]
+    stats = [map(float, dist.replication_mean(M * M)) for M in _maxima(spec, sched, seed, reps)]
     return [MoriczPoint(n, num, se, den, num / den)
             for n, (num, se), den in zip(sched, stats, dens)]
 
@@ -343,8 +338,8 @@ class BoundReport:
 
 
 def bound_domination_check(series: ConvergenceSeries) -> BoundReport:
-    """Every observed moment must sit at or below its envelope within 3 stderr."""
+    """all_pass reads each point's verdict (bound_pass); margins are file data."""
     if any(pt.bound is None for pt in series.points):
         raise ValueError("series has no bound column; rerun with bound_params")
     margins = tuple(pt.bound + 3.0 * pt.stderr - pt.moment for pt in series.points)
-    return BoundReport(all_pass=all(m >= 0 for m in margins), margins=margins)
+    return BoundReport(all_pass=all(pt.bound_pass for pt in series.points), margins=margins)

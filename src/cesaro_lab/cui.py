@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import LOW_REPS_FLOOR, NormFunctional, NormSample, Tail
+from .distributions import LOW_REPS_FLOOR, NormFunctional, NormSample, Tail, check_p, replication_mean
 from .lattice import MultiIndex, dyadic_boxes, dyadic_shells, rep_sum
 from .lattice import schedule_averages, schedule_profiles
 
@@ -44,7 +44,9 @@ def _levels(a_grid: Sequence[float]) -> list[float]:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """A schedule supremum with its Monte Carlo uncertainty (0 when analytic)."""
+    """A schedule supremum with its Monte Carlo uncertainty: the stderr of a
+    replication mean (distributions.replication_mean), 0 when analytic or
+    when every replication reads one value."""
 
     value: float
     stderr: float
@@ -60,33 +62,16 @@ def _estimate(avgs: np.ndarray, schedule: Sequence[MultiIndex]) -> TailEstimate:
     """The sup over the schedule of one level of a profile.
 
     Closed-form averages (shape (boxes,)) give their argmax. Realized averages
-    (shape (reps, boxes)) give the replication mean at the box maximizing it,
-    with the stderr of that mean from the replication spread. A box whose
-    replications all read one value (a deterministic family) reads that
-    value with stderr 0: a float64 mean of equal values can be an ulp off
-    them, and their std then not 0.
+    (shape (reps, boxes)) give the replication mean (replication_mean) at
+    the box maximizing it, with the stderr of that mean.
     """
     if avgs.ndim == 1:
         j = int(np.argmax(avgs))
         return TailEstimate(float(avgs[j]), 0.0, "analytic", schedule[j])
-    reps = avgs.shape[0]
-    means = avgs.mean(axis=0)
-    if reps > 1:
-        with np.errstate(invalid="ignore", over="ignore"):  # inf averages: NaN or inf
-            ses = avgs.std(axis=0, ddof=1) / math.sqrt(reps)
-    else:
-        ses = np.zeros_like(means)
-    same = (avgs == avgs[0]).all(axis=0)
-    means[same], ses[same] = avgs[0, same], 0.0
+    means, ses = replication_mean(avgs)
     j = int(np.argmax(means))
-    return TailEstimate(
-        float(means[j]), float(ses[j]), "empirical", schedule[j], low_reps=reps < LOW_REPS_FLOOR
-    )
-
-
-def _check_p(p: float) -> None:
-    if not (0 < p <= 1):
-        raise ValueError("p must lie in (0, 1]")
+    return TailEstimate(float(means[j]), float(ses[j]), "empirical", schedule[j],
+                        low_reps=avgs.shape[0] < LOW_REPS_FLOOR)
 
 
 def check_eps(eps_list: Sequence[float]) -> None:
@@ -168,7 +153,7 @@ def cesaro_tail_sup(
     standard error propagated from the replication spread. This is the
     one-level case of the tail profile, bit for bit.
     """
-    _check_p(p)
+    check_p(p)
     if not (a >= 0):
         raise ValueError("a must be >= 0")
     return _sups(sample, [Tail(p, a, ge)])[0]
@@ -191,7 +176,7 @@ def cui_certificate(
     Empirical estimates certify at point + 2*stderr; the grid and horizon are
     part of the verdict's meaning and must be disclosed with it.
     """
-    _check_p(p)
+    check_p(p)
     check_eps([eps])
     grid = _levels(a_grid)
     return _first_certified(grid, _sups(sample, [Tail(p, a) for a in grid]), eps)
@@ -503,7 +488,7 @@ def build_cui_report(
     """Tail sups at every grid level and the sup of the first moment
     (criterion (i)), all over the dyadic boxes of the sample's box, from one
     streamed pass over the sample."""
-    _check_p(p)
+    check_p(p)
     grid = _levels(a_grid)
     *ests, mean_est = _sups(sample, [Tail(p, a, ge) for a in grid] + [Tail(1.0, 0.0)])
     return CuiReport(

@@ -100,6 +100,26 @@ def check_reps(reps) -> None:
         raise ValueError(f"reps must be an integer >= 1, got {reps!r}")
 
 
+def check_p(p) -> None:
+    """Reject a norm power outside (0, 1] (so NaN fails)."""
+    if not (0 < p <= 1):
+        raise ValueError("p must lie in (0, 1]")
+
+
+def replication_mean(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of vals over replications (axis 0) and its stderr, the ddof-1
+    spread over sqrt(reps), 0 from one rep. Where every replication reads one
+    value, that value with stderr 0 (a float64 mean of equal values can be an
+    ulp off them). numpy adds a C-contiguous (reps, boxes) array rep by rep
+    and a 1-D row pairwise, so each caller keeps its layout."""
+    reps = vals.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf values: NaN or inf
+        means = vals.mean(axis=0)
+        ses = vals.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros_like(means)
+    same = (vals == vals[0]).all(axis=0)
+    return np.where(same, vals[0], means), np.where(same, 0.0, ses)
+
+
 def _coord_grids(box: MultiIndex) -> list[np.ndarray]:
     """Sparse coordinate grids with a leading replication axis slot."""
     d = box.d

@@ -310,7 +310,8 @@ class TestConverge:
 
     def test_inf_maximum_prints_no_warning(self, tmp_path):
         # pareto alpha 0.02 draws |s| > 1e154, whose square overflows to inf:
-        # the documented maximum, written as before, with nothing on stderr
+        # the documented maximum, with nothing on stderr. At 64x64 all 20 reps
+        # read inf, so the point reads inf with stderr 0, as a tail sup does
         spec = write_spec(tmp_path, "pareto_radial", alpha=0.02)
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -321,7 +322,7 @@ class TestConverge:
         assert (out / "series.csv").read_text() == (
             "d,n_coords,size,moment,stderr,bound,pass\n"
             "2,8x8,64,1.8453829674875047e+71,1.8443205339522248e+71,,\n"
-            "2,64x64,4096,inf,nan,,\n"
+            "2,64x64,4096,inf,0.0,,\n"
         )
 
     def test_draws_past_the_largest_float_print_no_warning(self, tmp_path, capsys):
@@ -342,6 +343,40 @@ class TestConverge:
         assert capsys.readouterr().err == ""
         _, rows = read_csv(tmp_path / "cui" / "cui_report.csv")
         assert [row[1:] for row in rows] == [["inf", "nan"]] * 7
+        # the JSON files write each non-finite value as a string
+        report = strict_json(tmp_path / "cui" / "cui_report.json")
+        assert report["mean_sup"] == "Infinity" and report["mean_stderr"] == "NaN"
+        assert report["tail_sup"] == ["Infinity"] * 7
+        points = strict_json(tmp_path / "lp" / "series.json")["series"]["points"]
+        assert [pt["moment"] for pt in points] == ["Infinity", "Infinity"]
+        for out in tmp_path.glob("*/*.json"):
+            strict_json(out)
+
+    def test_nan_slope_is_a_json_string(self, tmp_path):
+        # the centered series of a deterministic family is 0 at every box, so
+        # the trend's slope is NaN
+        spec = write_spec(tmp_path, "growing_non_cui", exponent=0.5)
+        out = tmp_path / "out"
+        assert cli.main(["converge", "--mode", "l1", "--spec", spec, "--reps", "20",
+                         "--out", str(out)]) == 0
+        assert strict_json(out / "series.json")["trend"]["slope"] == "NaN"
+
+
+def strict_json(path):
+    """The JSON in path, read by a parser that rejects NaN, Infinity and -Infinity."""
+
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_write_json_names_non_finite_floats(tmp_path):
+    path = tmp_path / "out.json"
+    cli.write_json(path, {"x": [math.nan, math.inf, -math.inf, 1.5],
+                          "y": (np.float32(-np.inf), np.float64(np.nan), np.array([np.inf]))})
+    assert strict_json(path) == {"x": ["NaN", "Infinity", "-Infinity", 1.5],
+                                 "y": ["-Infinity", "NaN", ["Infinity"]]}
 
 
 class TestPoussin:

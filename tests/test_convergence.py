@@ -149,6 +149,31 @@ class TestLpExperiment:
         assert np.allclose(got, want, rtol=1e-12)
         assert all(pt.stderr == 0.0 for pt in series.points)
 
+    @pytest.mark.parametrize("moment_mode", dist.MOMENT_MODES)
+    @pytest.mark.parametrize("spec", [CONSTANT, spec_of("spiked_cui"),
+                                      spec_of("growing_non_cui")], ids=lambda s: s.family)
+    @pytest.mark.parametrize("reps", [20, 200])
+    def test_deterministic_families_read_the_replicated_value(self, spec, moment_mode, reps):
+        # every replication of a deterministic family reads one value: the
+        # moment is that value, bit for bit the one-rep series', with stderr
+        # 0, where a float64 mean of the equal values can be an ulp off them
+        spec = DistributionSpec(spec.family, spec.params, dim_D=1, moment_mode=moment_mode)
+        sched = tuple(dyadic_square_schedule(1, max_total=4096))
+        series = run_lp_experiment(ExperimentConfig(spec, 0.5, sched, reps=reps, seed=0))
+        one = run_lp_experiment(ExperimentConfig(spec, 0.5, sched, reps=1, seed=0))
+        assert [pt.stderr for pt in series.points] == [0.0] * len(sched)
+        assert [pt.moment for pt in series.points] == [pt.moment for pt in one.points]
+
+    def test_random_moments_are_row_means(self):
+        # a point reduces its 1-D row of reps, which numpy adds pairwise; a
+        # (reps, boxes) reduction would add rep by rep, in another order
+        cfg = lp_config(PARETO, reps=200, seed=3)
+        M = convergence._maxima(cfg.spec, cfg.n_schedule, cfg.seed, cfg.reps)
+        for pt, m in zip(run_lp_experiment(cfg).points, M):
+            vals = (m / pt.size**2.0) ** 0.5
+            assert pt.moment == float(vals.mean())
+            assert pt.stderr == float(vals.std(ddof=1) / math.sqrt(cfg.reps))
+
     def test_zero_family_is_identically_zero(self):
         series = run_lp_experiment(lp_config(ZERO, reps=3))
         assert all(pt.moment == 0.0 for pt in series.points)
@@ -667,6 +692,27 @@ class TestDomination:
     def test_requires_bounds(self):
         with pytest.raises(ValueError):
             bound_domination_check(series_from_moments([1.0, 0.5]))
+
+    def test_verdict_is_the_margin_rule(self):
+        # each point's bound_pass, moment <= envelope + 3 stderr, against its
+        # margin >= 0, over rows of reps whose moment and stderr are finite,
+        # inf or NaN, and envelopes below, at and above the moment
+        big = np.finfo(np.float64).max
+        rows = [[0.5, 0.5], [0.25, 0.75], [1.0, 3.0], [math.inf, math.inf],
+                [math.inf, 1.0], [math.nan, 1.0], [big, -big], [big, big]]
+        envelopes = [1e-300, 0.25, 0.5, 1.0, 2.0, 1e300]
+        grid = [(r, e) for r in rows for e in envelopes]
+        sched = tuple(MultiIndex((k,)) for k in range(1, len(grid) + 1))
+        cfg = ExperimentConfig(CONSTANT, 0.5, sched, reps=2, seed=0,
+                               bound_params=BoundParams(1.0, 1.0))
+        series = convergence._series(cfg, "lp", values=lambda M, n: np.array(grid[n.size - 1][0]),
+                                     bound=lambda bp, n: grid[n.size - 1][1])
+        report = bound_domination_check(series)
+        stderrs = {pt.stderr for pt in series.points}
+        assert {0.0, math.inf} <= stderrs and any(math.isnan(se) for se in stderrs)
+        for pt, margin in zip(series.points, report.margins):
+            assert pt.bound_pass is (margin >= 0)
+        assert report.all_pass is False and any(pt.bound_pass for pt in series.points)
 
 
 class TestSeriesSerialization:

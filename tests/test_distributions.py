@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,88 @@ def test_ge_is_a_strict_level(a):
         wide = cells.astype(np.float64)
         assert np.array_equal(ge(cells), np.where(wide >= a, 1.0, 0.0))
         assert np.array_equal(gt(cells), np.where(wide > a, 1.0, 0.0))
+
+
+def reference_mean_se(vals):
+    """The replication mean and stderr by the formulas the estimator keeps:
+    np.mean and the ddof-1 std over sqrt(reps) along axis 0, stderr 0 from
+    one rep; a column whose reps all read one value reads it with stderr 0."""
+    reps = vals.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.array(vals.mean(axis=0))
+        ses = np.array(vals.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros_like(means))
+    same = np.array((vals == vals[0]).all(axis=0))
+    means[same], ses[same] = np.array(vals[0])[same], 0.0
+    return means, ses
+
+
+class TestReplicationMean:
+    @pytest.mark.parametrize("shape", [(2, 1), (20, 13), (200, 81), (7, 3)])
+    def test_c_contiguous_columns(self, shape):
+        # a (reps, boxes) array is added one rep after another, column by column
+        vals = np.random.default_rng(shape[0]).pareto(1.5, size=shape)
+        vals[:, 0] = 0.375  # a column that does not vary
+        means, ses = dist.replication_mean(vals)
+        assert np.array_equal(means[1:], vals.mean(axis=0)[1:])
+        assert np.array_equal(ses[1:], vals.std(axis=0, ddof=1)[1:] / math.sqrt(shape[0]))
+        assert means[0] == 0.375 and ses[0] == 0.0
+
+    @pytest.mark.parametrize("reps", [2, 3, 20, 200, 1000])
+    def test_rows_match_the_series_formula(self, reps):
+        # a 1-D row of reps is added pairwise, as np.mean of the row does
+        row = np.random.default_rng(reps).pareto(1.5, size=reps)
+        mean, se = dist.replication_mean(row)
+        assert mean.shape == se.shape == ()
+        assert float(mean) == float(row.mean())
+        assert float(se) == float(row.std(ddof=1) / math.sqrt(reps))
+
+    def test_one_rep_has_stderr_zero(self):
+        vals = np.array([[1.5, math.inf, math.nan, 0.0]])
+        means, ses = dist.replication_mean(vals)
+        assert np.array_equal(means, vals[0], equal_nan=True)
+        assert np.array_equal(ses, np.zeros(4))
+        mean, se = dist.replication_mean(np.array([math.nan]))
+        assert math.isnan(mean) and se == 0.0
+
+    def test_equal_replications_read_their_value(self):
+        # the float64 mean of 20 copies of 0.1 is an ulp off 0.1, and their
+        # std is then not 0
+        row = np.full(20, 0.1)
+        assert row.mean() != 0.1
+        mean, se = dist.replication_mean(row)
+        assert float(mean) == 0.1 and float(se) == 0.0
+
+    def test_non_finite_columns_print_no_warning(self):
+        big = np.finfo(np.float64).max
+        cols = [
+            [math.inf] * 4,  # every rep inf: inf, stderr 0
+            [math.inf, 1.0, 2.0, 3.0],  # mean inf, stderr NaN
+            [math.nan, 1.0, 2.0, 3.0],
+            [math.nan] * 4,  # NaN equals nothing: NaN, NaN
+            [big, big, big, 0.0],  # the sum overflows: mean inf
+            [big, -big, big, -big],  # the squares overflow: stderr inf
+            [-math.inf, math.inf, 1.0, 1.0],
+        ]
+        vals = np.ascontiguousarray(np.array(cols).T)
+        want = reference_mean_se(vals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dist.replication_mean(vals)
+            rows = [dist.replication_mean(np.array(c)) for c in cols]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        for j, c in enumerate(cols):
+            w = reference_mean_se(np.array(c))
+            assert np.array_equal(rows[j][0], w[0], equal_nan=True)
+            assert np.array_equal(rows[j][1], w[1], equal_nan=True)
+        assert list(got[0][:2]) == [math.inf, math.inf] and got[1][0] == 0.0
+        assert math.isnan(got[1][1]) and got[1][5] == math.inf
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.0 + 1e-12, math.nan, math.inf])
+def test_check_p_rejects(p):
+    with pytest.raises(ValueError, match=r"p must lie in \(0, 1\]"):
+        dist.check_p(p)
 
 
 class TestConstant:
