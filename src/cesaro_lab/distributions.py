@@ -657,7 +657,9 @@ class NormSample:
     its questions reads chunks() once, which draws each rep once and holds
     no more than a chunk; a caller that reads chunks() more than once calls
     hold() first, so the sample keeps its draw and every later pass slices
-    it. A sample is not shared across threads: every run is single-threaded.
+    it. The least and the largest norm are computed by the first
+    norm_range() and kept: every draw of a sample gives the same norms. A
+    sample is not shared across threads: every run is single-threaded.
     """
 
     def __init__(self, spec: DistributionSpec, box: MultiIndex, seed: int = 0, reps: int = 200):
@@ -668,6 +670,7 @@ class NormSample:
         self.reps = reps
         self._hold = False
         self._norms: np.ndarray | None = None
+        self._range: tuple[float, float] | None = None
 
     def hold(self) -> None:
         """Keep the next draw, read-only, for every later chunks() pass to
@@ -689,6 +692,16 @@ class NormSample:
         if held is not None:
             held.flags.writeable = False
             self._norms = held
+
+    def norm_range(self) -> tuple[float, float]:
+        """The least and the largest realized norm (NaN if any norm is NaN),
+        from one pass over chunks() the first time it is asked."""
+        if self._range is None:
+            lo, hi = np.inf, -np.inf
+            for _, norms in self.chunks():
+                lo, hi = np.minimum(lo, norms.min()), np.maximum(hi, norms.max())
+            self._range = lo, hi
+        return self._range
 
     def closed_form(self, g: NormFunctional) -> np.ndarray | None:
         """E g(||X_i||) per cell, shape box.coords, when the spec's

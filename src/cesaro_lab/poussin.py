@@ -6,6 +6,12 @@ the step function with those slopes into a convex piecewise-linear phi with
 phi(t)/t nondecreasing and unbounded. The family's Cesaro-averaged
 E(phi(||X_i||)) then stays at or below 1, and conversely a slope level a
 with phi(a)/a >= (K+1)/eps pushes the tail sup at a below eps.
+
+On a realized sample the construction and its checks read one held draw in
+five passes: the scan of the probe levels, the probe profile, one norm
+range (NormSample.norm_range(), read by the calibration and by the moment
+check's domain check), the phi-moment and the forward tails. phi is
+evaluated only from its first breakpoint on: below it phi is +0.0.
 """
 
 from __future__ import annotations
@@ -86,24 +92,32 @@ def _check_domain(phi: PhiFunction, lo, hi) -> None:
         )
 
 
-def _norm_range(sample: NormSample):
-    """The least and the largest realized norm of the sample (NaN if any is),
-    from one pass over its chunks."""
-    lo, hi = np.inf, -np.inf
-    for _, norms in sample.chunks():
-        lo, hi = np.minimum(lo, norms.min()), np.maximum(hi, norms.max())
-    return lo, hi
-
-
 def phi_eval_many(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
     """phi(t) at every t of ts, an array or a scalar: on [k, k+1) this is
     phi(k) + (t - k) u[k], continuous across pieces, and at t = n_max the
     last piece gives phi(n_max) exactly (every term is an integer below
-    2^53). A t outside [0, n_max], or NaN, raises PhiDomainError."""
+    2^53). A t outside [0, n_max], or NaN, raises PhiDomainError.
+
+    Below phi's first positive slope, u[k] = prefix[k] = 0 and phi is +0.0,
+    so when half of ts or more lies below it only the other values are
+    evaluated.
+    """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size:
         _check_domain(phi, ts.min(), ts.max())
-    # prefix[k] + (t - k) u[k], built in one output buffer
+    start = np.searchsorted(phi.u, 0, side="right")  # the first positive slope
+    if start:
+        at = np.flatnonzero(ts >= start)
+        if 2 * at.size <= ts.size:
+            out = np.zeros(ts.shape)
+            out.put(at, _pieces(phi, ts.take(at)))
+            return out[()]  # a scalar for a scalar ts, as _pieces gives
+    return _pieces(phi, ts)
+
+
+def _pieces(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
+    """prefix[k] + (t - k) u[k] at every t of ts, k = min(floor(t), n_max - 1),
+    built in one output buffer."""
     k = np.minimum(np.floor(ts), phi.n_max - 1)
     out = ts - k
     k = k.astype(np.int64)
@@ -203,12 +217,7 @@ def _probes(sample: NormSample, search_cap: int) -> Callable[[int], float]:
     if sample.closed_form(dist.Tail(1.0, 1.0, ge=True)) is not None:
         return lambda level: cesaro_tail_sup(sample, 1.0, float(level), ge=True).upper()
     sample.hold()  # the scan and the profile read the same draw
-    present = np.zeros(search_cap + 1, dtype=bool)
-    for _, norms in sample.chunks():
-        # fmin sends a NaN norm to the cap, where it only adds a level (the
-        # profile drops NaN cells); no probe reads a level below 1
-        present[np.fmin(np.floor(norms), search_cap).astype(np.int64)] = True
-    levels = np.flatnonzero(present[1:]) + 1
+    levels = _floor_levels(sample, search_cap)
     uppers = [e.upper() for e in _sups(sample, [dist.Tail(1.0, float(a), True) for a in levels])]
 
     def sup_at(level: int) -> float:
@@ -217,6 +226,26 @@ def _probes(sample: NormSample, search_cap: int) -> Callable[[int], float]:
         return uppers[i] if i < len(uppers) else 0.0
 
     return sup_at
+
+
+def _floor_levels(sample: NormSample, search_cap: int) -> np.ndarray:
+    """The distinct values of min(floor(||X||), search_cap) in the sample
+    that are 1 or more, increasing, from one pass over its chunks. The floors
+    and their integer levels go to two buffers of the longest chunk, whose
+    front a shorter chunk uses; they are freed before the profile's pass."""
+    present = np.zeros(search_cap + 1, dtype=bool)
+    floors, cells = np.empty(0), np.empty(0, dtype=np.int64)
+    for _, norms in sample.chunks():
+        if norms.size > floors.size:  # the first chunk is the longest
+            floors, cells = np.empty(norms.size), np.empty(norms.size, dtype=np.int64)
+        f, c = floors[: norms.size], cells[: norms.size]
+        # fmin sends a NaN norm to the cap, where it only adds a level (the
+        # profile drops NaN cells); no probe reads a level below 1
+        np.floor(norms.ravel(), out=f)
+        np.fmin(f, search_cap, out=f)
+        c[...] = f
+        present[c] = True
+    return np.flatnonzero(present[1:]) + 1
 
 
 @dataclass(frozen=True)
@@ -243,7 +272,7 @@ def build_phi_from_cui(
         raise ValueError("n_max must be >= 1")
     thresholds = thresholds_from_cui(sample, j_max, search_cap)
     norms = dist.fixed_norms(sample.spec, sample.box)
-    calib = float(_norm_range(sample)[1] if norms is None else norms.max())
+    calib = float(sample.norm_range()[1] if norms is None else norms.max())
     if n_max is None:
         n_max = max(math.ceil(4 * calib), 2 * max(thresholds), 64)
     if n_max < max(thresholds):
@@ -269,7 +298,7 @@ def poussin_moment_check(sample: NormSample, phi: PhiFunction) -> TailEstimate:
         # phi is evaluated chunk by chunk inside the reduction; check the
         # whole sample first, so an error names its max and not one chunk's
         sample.hold()
-        _check_domain(phi, *_norm_range(sample))
+        _check_domain(phi, *sample.norm_range())
     return _sups(sample, [phi])[0]
 
 

@@ -5,6 +5,7 @@ the single-query path, which asks one level of a fresh draw per query."""
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +202,33 @@ def test_cli_command_draws_once(monkeypatch, tmp_path, draws, argv, spec):
     code = cli.main([*argv, "--spec", str(spec_path), "--out", str(tmp_path / "out")])
     assert code == 0
     assert_each_rep_drawn_once(draws, box, seed=0, spec=spec)
+
+
+@pytest.mark.parametrize(
+    "argv, spec, readers",
+    [
+        # the scan, the probe profile, one range (the calibration and the
+        # moment check's domain check), the phi-moment and the forward tails
+        (POUSSIN_ARGV, PARETO_EMPIRICAL,
+         ["_floor_levels", "_sups", "norm_range", "_sups", "_sups"]),
+        (POUSSIN_ARGV[:-1] + ["2.0,1.0"], SPECS["pareto_radial"], ["norm_range", "_sups"]),
+    ],
+    ids=["poussin", "poussin-analytic"],
+)
+def test_poussin_command_passes_over_its_draw(monkeypatch, tmp_path, argv, spec, readers):
+    passes = []
+    real = NormSample.chunks
+
+    def recording_chunks(self):
+        passes.append(sys._getframe(1).f_code.co_name)
+        return real(self)
+
+    monkeypatch.setattr(NormSample, "chunks", recording_chunks)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec.to_json()))
+    code = cli.main([*argv, "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert passes == readers
 
 
 # --- every tail query through the public binding ---------------------------

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import cesaro_lab.distributions as dist
 import cesaro_lab.poussin as poussin
 from cesaro_lab.distributions import DistributionSpec, NormSample
 from cesaro_lab.errors import HorizonTooSmallError, PhiDomainError
-from cesaro_lab.lattice import MultiIndex
+from cesaro_lab.lattice import MultiIndex, row_chunks
 from cesaro_lab.poussin import (
     PhiFunction,
     build_phi_from_cui,
@@ -114,6 +116,76 @@ class TestPhiEvaluation:
         oracle = np.array([phi_eval(phi, float(t)) for t in ts])
         assert np.array_equal(many, each)
         assert np.array_equal(many, oracle)
+
+    # phi's first slope at 0, a long run of zero slopes, and slopes all 0
+    GAUGES = {
+        "first-slope-at-0": np.array([1, 1, 2, 3, 3, 5]),
+        "long-zero-run": u_from_thresholds([40, 41, 45, 60], 64),
+        "all-zero": np.zeros(8, dtype=np.int64),
+    }
+
+    @staticmethod
+    def points(phi):
+        """A dense grid of [0, n_max], the integers, the floats next to phi's
+        first positive slope and that slope, 0.0, -0.0 and n_max."""
+        n_max = float(phi.n_max)
+        start = float(np.searchsorted(phi.u, 0, side="right"))
+        near = [np.nextafter(start, -np.inf), start, np.nextafter(start, np.inf)]
+        return np.concatenate([
+            np.linspace(0.0, n_max, 1001),
+            np.arange(phi.n_max + 1, dtype=np.float64),
+            [t for t in near if 0.0 <= t <= n_max],
+            [0.0, -0.0, n_max],
+        ])
+
+    @staticmethod
+    def assert_oracle_bits(phi, ts):
+        """phi_eval_many(phi, ts) has the shape of ts and, value for value and
+        sign bit for sign bit, the oracle's phi(t) at every t."""
+        ts = np.asarray(ts, dtype=np.float64)
+        got = np.asarray(phi_eval_many(phi, ts))
+        want = np.array([phi_eval(phi, t) for t in ts.ravel()]).reshape(ts.shape)
+        assert got.shape == ts.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("name", sorted(GAUGES))
+    def test_equals_oracle_bit_for_bit(self, name):
+        phi = PhiFunction(self.GAUGES[name])
+        ts = self.points(phi)
+        start = np.searchsorted(phi.u, 0, side="right")
+        # the whole array, the values at or above the first positive slope
+        # (the whole formula), and the values below it (phi's zeros)
+        for part in (ts, ts[ts >= start], ts[ts < start], ts[::-1]):
+            self.assert_oracle_bits(phi, part)
+        for t in ts:
+            self.assert_oracle_bits(phi, t)
+            assert phi_eval_many(phi, t) == phi_eval(phi, t)
+            assert np.shape(phi_eval_many(phi, t)) == ()
+
+    @pytest.mark.parametrize("name", sorted(GAUGES))
+    def test_input_forms_equal_oracle(self, name):
+        phi = PhiFunction(self.GAUGES[name])
+        ts = self.points(phi)
+        for t in (0.0, -0.0, 0.5, float(phi.n_max)):
+            self.assert_oracle_bits(phi, np.array(t))  # 0-d
+            self.assert_oracle_bits(phi, np.broadcast_to(t, (5, 7)))  # stride 0
+        for empty in (np.empty(0), np.empty((0, 3)), []):
+            self.assert_oracle_bits(phi, empty)
+        listed = phi_eval_many(phi, ts.tolist())
+        assert np.array_equal(listed.view(np.int64), phi_eval_many(phi, ts).view(np.int64))
+        pairs = ts[: ts.size // 2 * 2].reshape(-1, 2)
+        self.assert_oracle_bits(phi, pairs[:, ::-1])  # a strided 2-d view
+        self.assert_oracle_bits(phi, np.broadcast_to(ts, (3, ts.size)))
+
+    @pytest.mark.parametrize("name", sorted(GAUGES))
+    def test_domain_errors_name_the_max(self, name):
+        phi = PhiFunction(self.GAUGES[name])
+        n_max = float(phi.n_max)
+        for bad in (-0.1, np.nextafter(n_max, np.inf), math.nan, [0.0, 1.0, n_max + 1.0],
+                    np.broadcast_to(-1.0, (4, 4)), [0.0] * 9 + [math.inf]):
+            hi = np.max(np.asarray(bad, dtype=np.float64))
+            with pytest.raises(PhiDomainError, match=re.escape(f"max seen: {hi!r})")):
+                phi_eval_many(phi, bad)
 
     def test_phi_is_its_own_functional(self):
         phi = self.phi_2j()
@@ -231,6 +303,73 @@ class TestThresholdSearch:
     def test_validation(self):
         with pytest.raises(ValueError):
             thresholds_from_cui(NormSample(CONSTANT, MultiIndex((64,))), j_max=0)
+
+
+class FieldSample(NormSample):
+    """A realized sample whose norms are a given field of shape (reps,) + box."""
+
+    def __init__(self, field, box):
+        super().__init__(PARETO_EMPIRICAL, box, reps=len(field))
+        self.field = field
+
+    def chunks(self):
+        return row_chunks(self.field, self.box)
+
+
+PARETO_EMPIRICAL = DistributionSpec("pareto_radial", {"alpha": 3.0}, dim_D=1,
+                                    moment_mode="empirical")
+# held draws whose last chunk is short: 16 and 4 reps of 4096, 6, 6 and 1 of 100x100
+RAGGED = {"1d": ((4096,), 20, [16, 4]), "2d": ((100, 100), 13, [6, 6, 1])}
+
+
+def held(alpha, box, reps):
+    """An empirical pareto sample of alpha, set to hold its first draw, and
+    that draw as one array."""
+    spec = dataclasses.replace(PARETO_EMPIRICAL, params={"alpha": alpha})
+    sample = NormSample(spec, MultiIndex(box), seed=5, reps=reps)
+    sample.hold()
+    return sample, dist.norm_batch(spec, MultiIndex(box), 5, reps)
+
+
+class TestHeldDrawPasses:
+    """The probe scan and the norm range read a held draw chunk by chunk, a
+    short last chunk included, and equal their one-array expressions."""
+
+    CAP = 64
+
+    @staticmethod
+    def one_line_levels(field, cap):
+        present = np.zeros(cap + 1, dtype=bool)
+        present[np.fmin(np.floor(field), cap).astype(np.int64)] = True
+        return (np.flatnonzero(present[1:]) + 1).tolist()
+
+    def fields(self, box, reps):
+        """Held pareto draws of alpha 3 and 0.01 (inf norms), and a stub
+        field with a NaN norm in its last chunk and an inf one in its first."""
+        out = [held(alpha, box, reps) for alpha in (3.0, 0.01)]
+        assert np.isinf(out[1][1]).any()
+        field = out[0][1].copy()
+        field[-1].flat[-1] = np.nan
+        field[0].flat[0] = np.inf
+        out.append((FieldSample(field, MultiIndex(box)), field))
+        return out
+
+    @pytest.mark.parametrize("shape", sorted(RAGGED))
+    def test_scan_levels_equal_the_one_line_scan(self, shape):
+        box, reps, chunk_reps = RAGGED[shape]
+        for sample, field in self.fields(box, reps):
+            # the drawing pass, then a pass over the held draw
+            for cap in (self.CAP, 3):
+                levels = poussin._floor_levels(sample, cap).tolist()
+                assert levels == self.one_line_levels(field, cap)
+            assert [len(norms) for _, norms in sample.chunks()] == chunk_reps
+
+    @pytest.mark.parametrize("shape", sorted(RAGGED))
+    def test_norm_range_equals_min_and_max_of_the_draw(self, shape):
+        box, reps, _ = RAGGED[shape]
+        for sample, field in self.fields(box, reps):
+            want = (field.min(), field.max())
+            assert np.array_equal(sample.norm_range(), want, equal_nan=True)
 
 
 class TestConstruction:
