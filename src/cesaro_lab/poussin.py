@@ -99,31 +99,22 @@ def phi_eval_many(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
     2^53). A t outside [0, n_max], or NaN, raises PhiDomainError.
 
     Below phi's first positive slope, u[k] = prefix[k] = 0 and phi is +0.0,
-    so when half of ts or more lies below it only the other values are
-    evaluated.
+    so only the values at or above it are evaluated.
     """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size:
         _check_domain(phi, ts.min(), ts.max())
     start = np.searchsorted(phi.u, 0, side="right")  # the first positive slope
-    if start:
-        at = np.flatnonzero(ts >= start)
-        if 2 * at.size <= ts.size:
-            out = np.zeros(ts.shape)
-            out.put(at, _pieces(phi, ts.take(at)))
-            return out[()]  # a scalar for a scalar ts, as _pieces gives
-    return _pieces(phi, ts)
-
-
-def _pieces(phi: PhiFunction, ts: np.ndarray) -> np.ndarray:
-    """prefix[k] + (t - k) u[k] at every t of ts, k = min(floor(t), n_max - 1),
-    built in one output buffer."""
-    k = np.minimum(np.floor(ts), phi.n_max - 1)
-    out = ts - k
+    at = np.flatnonzero(ts >= start)
+    t = ts.take(at)
+    k = np.minimum(np.floor(t), phi.n_max - 1)
+    t -= k
     k = k.astype(np.int64)
-    out *= phi.u[k]
-    out += phi.prefix[k]
-    return out
+    t *= phi.u[k]
+    t += phi.prefix[k]
+    out = np.zeros(ts.shape)
+    out.put(at, t)
+    return out[()]  # a scalar for a scalar ts
 
 
 @dataclass(frozen=True)
