@@ -17,7 +17,7 @@ over each box. Both give the same bits.
 
 A point's moment and stderr come from distributions.replication_mean, as a
 cui tail sup's do: replications that all agree read their value, stderr 0.
-Its envelope verdict, moment <= envelope + 3 stderr, is SeriesPoint.bound_pass.
+Its envelope verdict, SeriesPoint.bound_pass, is a row of distributions.CONFIDENCE.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def _series(cfg, mode, values, bound) -> ConvergenceSeries:
         envelope = ok = None
         if cfg.bound_params is not None:
             envelope = bound(cfg.bound_params, n)
-            ok = moment <= envelope + 3.0 * se
+            ok = dist.confident("envelope", moment, se, envelope)
         points.append(SeriesPoint(n, n.size, moment, se, envelope, ok))
     return ConvergenceSeries(
         mode=mode,
@@ -306,13 +306,15 @@ class TrendVerdict:
 
 
 def trend_test(series: ConvergenceSeries) -> TrendVerdict:
-    """Decreasing-trend gate: the last moment (plus noise) must fall below half
-    the first (minus noise), and log-moment vs log-size must slope downward."""
+    """Decreasing-trend gate: the last moment must fall below half the first by
+    the "halving" row of distributions.CONFIDENCE, and log-moment vs log-size
+    must slope downward."""
     pts = series.points
     if len(pts) < MIN_TREND_POINTS:
         raise ValueError(f"trend test needs at least {MIN_TREND_POINTS} schedule points")
     first, last = pts[0], pts[-1]
-    halving = (last.moment + 2.0 * last.stderr) < (first.moment - 2.0 * first.stderr) / 2.0
+    half = dist.confidence_limit("halving", first.moment, first.stderr, lower=True) / 2.0
+    halving = dist.confident("halving", last.moment, last.stderr, half)
     moments = np.array([pt.moment for pt in pts])
     sizes = np.array([pt.size for pt in pts], dtype=np.float64)
     if np.all(moments > 0):
@@ -341,5 +343,5 @@ def bound_domination_check(series: ConvergenceSeries) -> BoundReport:
     """all_pass reads each point's verdict (bound_pass); margins are file data."""
     if any(pt.bound is None for pt in series.points):
         raise ValueError("series has no bound column; rerun with bound_params")
-    margins = tuple(pt.bound + 3.0 * pt.stderr - pt.moment for pt in series.points)
+    margins = tuple(dist.confidence_limit("envelope", p.bound, p.stderr) - p.moment for p in series.points)
     return BoundReport(all_pass=all(pt.bound_pass for pt in series.points), margins=margins)

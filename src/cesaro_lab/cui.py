@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import LOW_REPS_FLOOR, NormFunctional, NormSample, Tail, check_p, replication_mean
+from .distributions import LOW_REPS_FLOOR, NormFunctional, NormSample, Tail, check_p, confident
+from .distributions import replication_mean
 from .lattice import MultiIndex, dyadic_boxes, dyadic_shells, rep_sum
 from .lattice import schedule_averages, schedule_profiles
 
@@ -53,9 +54,6 @@ class TailEstimate:
     mode: str  # "analytic" | "empirical"
     argmax_box: MultiIndex
     low_reps: bool = False
-
-    def upper(self) -> float:
-        return self.value + 2.0 * self.stderr
 
 
 def _estimate(avgs: np.ndarray, schedule: Sequence[MultiIndex]) -> TailEstimate:
@@ -162,7 +160,8 @@ def cesaro_tail_sup(
 def _first_certified(
     grid: Sequence[float], ests: Sequence[TailEstimate], eps: float
 ) -> Optional[float]:
-    return next((a for a, e in zip(grid, ests) if e.upper() < eps), None)
+    return next((a for a, e in zip(grid, ests)
+                 if confident("tail_certified", e.value, e.stderr, eps)), None)
 
 
 def cui_certificate(
@@ -173,8 +172,8 @@ def cui_certificate(
 ) -> Optional[float]:
     """Smallest grid level whose tail sup is certified below eps, else None.
 
-    Empirical estimates certify at point + 2*stderr; the grid and horizon are
-    part of the verdict's meaning and must be disclosed with it.
+    Certified by distributions.CONFIDENCE["tail_certified"]; the grid and
+    horizon are part of the verdict's meaning and must be disclosed with it.
     """
     check_p(p)
     check_eps([eps])
@@ -265,8 +264,8 @@ def check_event_criterion(
         box = sample.box
         prob = _estimate(schedule_averages(events.probs, box), dyadic_boxes(box))
         (mom,) = _sups(sample, [Tail(1.0, 0.0)], cells=events.probs)
-    premise = prob.upper() < delta
-    conclusion = mom.upper() < eps
+    premise = confident("event_criterion", prob.value, prob.stderr, delta)
+    conclusion = confident("event_criterion", mom.value, mom.stderr, eps)
     return EventCriterionReport(
         delta=delta,
         eps=eps,
@@ -347,8 +346,6 @@ def verify_criterion_equivalence(
     """
     check_eps(eps_list)
     horizon = sample.box
-    checks: list[CheckRecord] = []
-
     grid = _levels(a_grid)
     # K, the first moment (criterion (i)), and the grid in one pass over a draw
     # that the event checks below read again
@@ -358,26 +355,17 @@ def verify_criterion_equivalence(
 
     a0_bound = _first_certified(grid, grid_ests, 1.0)
     certified = a0_bound is not None
-    if certified:
-        checks.append(
-            CheckRecord(
-                "criterion_i_bounded_means",
-                value=K,
-                bound=a0_bound + 1.0,
-                passed=K <= a0_bound + 1.0 + 2.0 * k_est.stderr,
-                note=f"tail level at eps=1: a0={a0_bound}",
-            )
+    bound = a0_bound + 1.0 if certified else math.nan  # no verdict passes a NaN bound
+    checks = [
+        CheckRecord(
+            "criterion_i_bounded_means",
+            value=K,
+            bound=bound,
+            passed=confident("bounded_means", K, k_est.stderr, bound),
+            note=f"tail level at eps=1: a0={a0_bound}" if certified
+            else "no tail level certified below 1 on the disclosed grid",
         )
-    else:
-        checks.append(
-            CheckRecord(
-                "criterion_i_bounded_means",
-                value=K,
-                bound=math.nan,
-                passed=False,
-                note="no tail level certified below 1 on the disclosed grid",
-            )
-        )
+    ]
 
     for eps in eps_list:
         a0 = _first_certified(grid, grid_ests, eps / 2.0)
@@ -428,7 +416,7 @@ def verify_criterion_equivalence(
                 f"eps={eps}:markov_events_small",
                 value=markov.prob_sup,
                 bound=delta,
-                passed=markov.prob_sup <= delta + 2.0 * markov.prob_stderr,
+                passed=confident("markov_events", markov.prob_sup, markov.prob_stderr, delta),
                 note=f"threshold K/delta={K / delta!r}",
             )
         )
@@ -446,7 +434,7 @@ def verify_criterion_equivalence(
                 f"eps={eps}:cui_tail_recovered",
                 value=tail.value,
                 bound=eps,
-                passed=tail.upper() < eps,
+                passed=confident("tail_certified", tail.value, tail.stderr, eps),
                 note=f"a=K/delta={K / delta!r}",
             )
         )

@@ -120,6 +120,36 @@ def replication_mean(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(same, vals[0], means), np.where(same, 0.0, ses)
 
 
+# Every Monte Carlo verdict's confidence rule, a row per verdict: (width in
+# stderrs, strict, side). Side "value": value + width*stderr below the bound;
+# side "bound" (lenient): value below bound + width*stderr. Below: < if strict, else <=.
+CONFIDENCE = {
+    "tail_certified": (2.0, True, "value"),  # cui certificates, the recovered tail
+    "event_criterion": (2.0, True, "value"),  # an event criterion's premise and conclusion
+    "threshold": (2.0, False, "value"),  # poussin's levels N_j
+    "forward": (2.0, True, "value"),  # poussin's K and forward checks
+    "bounded_means": (2.0, False, "bound"),  # the equivalence's criterion (i)
+    "markov_events": (2.0, False, "bound"),  # the equivalence's Markov events below delta
+    "envelope": (3.0, False, "bound"),  # a series point's bound_pass and its margin
+    "halving": (2.0, True, "value"),  # the trend's last point below half the first's lower limit
+}
+
+
+def confidence_limit(row: str, value: float, stderr: float, lower: bool = False) -> float:
+    """value + width*stderr by the row's width, or value - width*stderr when
+    lower: a bound read off an estimate, such as poussin's K."""
+    width = CONFIDENCE[row][0]
+    return value - width * stderr if lower else value + width * stderr
+
+
+def confident(row: str, value: float, stderr: float, bound: float) -> bool:
+    """`row`'s verdict on an estimate against its bound; False on a NaN."""
+    _, strict, side = CONFIDENCE[row]
+    lhs = confidence_limit(row, value, stderr) if side == "value" else value
+    rhs = confidence_limit(row, bound, stderr) if side == "bound" else bound
+    return lhs < rhs if strict else lhs <= rhs
+
+
 def _coord_grids(box: MultiIndex) -> list[np.ndarray]:
     """Sparse coordinate grids with a leading replication axis slot."""
     d = box.d

@@ -159,11 +159,11 @@ def thresholds_from_cui(
     sample: NormSample, j_max: int = DEFAULT_J_MAX, search_cap: int = DEFAULT_SEARCH_CAP
 ) -> tuple[int, ...]:
     """Strictly increasing integer levels N_j whose first-moment tail sup
-    (indicator ||X|| >= N_j) over the dyadic boxes of the sample's box is at
-    or below 2^-j, searched up to `search_cap`. N_j is the level a bisection
-    on upper() settles on between N_{j-1} + 1 and the cap. upper() need not
-    fall as the level rises (an empirical stderr can grow), so N_j need not
-    be the minimal such level.
+    (indicator ||X|| >= N_j) over the dyadic boxes of the sample's box is
+    below 2^-j by the "threshold" row of distributions.CONFIDENCE, searched up
+    to `search_cap`: N_j is where a bisection on that rule settles between
+    N_{j-1} + 1 and the cap. An empirical stderr can grow with the level, so
+    N_j need not be the minimal such level.
 
     A closed form answers each probe on its own. A realized sample answers
     every probe from one tail profile whose levels are the distinct values of
@@ -180,19 +180,23 @@ def thresholds_from_cui(
         raise ValueError("search_cap must be >= 1")
     sup_at = _probes(sample, search_cap)
 
+    def below(level: int, target: float) -> bool:
+        est = sup_at(level)
+        return dist.confident("threshold", est.value, est.stderr, target)
+
     out: list[int] = []
     prev = 0
     for j in range(1, j_max + 1):
         target = 2.0**-j
         lo, hi = prev + 1, search_cap
-        if lo > hi or sup_at(hi) > target:
+        if lo > hi or not below(hi, target):
             raise HorizonTooSmallError(
                 f"no tail level <= {search_cap} reaches 2^-{j} on horizon {sample.box}; "
                 "the family's Cesaro tails do not decay within the disclosed cap"
             )
         while lo < hi:
             mid = (lo + hi) // 2
-            if sup_at(mid) <= target:
+            if below(mid, target):
                 hi = mid
             else:
                 lo = mid + 1
@@ -201,22 +205,18 @@ def thresholds_from_cui(
     return tuple(out)
 
 
-def _probes(sample: NormSample, search_cap: int) -> Callable[[int], float]:
-    """upper() of the tail sup with indicator ||X|| >= level, for integer
-    levels in [1, search_cap]."""
+def _probes(sample: NormSample, search_cap: int) -> Callable[[int], TailEstimate]:
+    """The tail sup with indicator ||X|| >= level, for integer levels in
+    [1, search_cap]."""
     # a family's closed form covers a functional at every level or at none
     if sample.closed_form(dist.Tail(1.0, 1.0, ge=True)) is not None:
-        return lambda level: cesaro_tail_sup(sample, 1.0, float(level), ge=True).upper()
+        return lambda level: cesaro_tail_sup(sample, 1.0, float(level), ge=True)
     sample.hold()  # the scan and the profile read the same draw
     levels = _floor_levels(sample, search_cap)
-    uppers = [e.upper() for e in _sups(sample, [dist.Tail(1.0, float(a), True) for a in levels])]
-
-    def sup_at(level: int) -> float:
-        # no cell reaches a level above every value: the sup is 0 +- 0
-        i = int(np.searchsorted(levels, level))
-        return uppers[i] if i < len(uppers) else 0.0
-
-    return sup_at
+    ests = _sups(sample, [dist.Tail(1.0, float(a), True) for a in levels])
+    # no cell reaches a level above every value: the sup is 0 +- 0
+    ests.append(TailEstimate(0.0, 0.0, "empirical", sample.box))
+    return lambda level: ests[int(np.searchsorted(levels, level))]
 
 
 def _floor_levels(sample: NormSample, search_cap: int) -> np.ndarray:
@@ -307,12 +307,12 @@ class ForwardCheck:
 def poussin_forward_check(
     sample: NormSample, phi: PhiFunction, eps_list: Sequence[float], moment: TailEstimate
 ) -> list[ForwardCheck]:
-    """Forward direction: with K = moment.upper(), moment being the
-    poussin_moment_check of the same sample and phi, the first integer level
-    a where phi(a)/a >= (K+1)/eps must push the tail sup at a below eps. The
-    levels of every eps are one list of asks, so one pass answers them."""
+    """Forward direction: with K the "forward" row's limit of moment (the
+    poussin_moment_check of the same sample and phi; distributions.CONFIDENCE),
+    the first integer level a where phi(a)/a >= (K+1)/eps must push the tail
+    sup at a below eps by that row. One list of asks answers every eps."""
     check_eps(eps_list)
-    K = moment.upper()
+    K = dist.confidence_limit("forward", moment.value, moment.stderr)
     levels = np.arange(1, phi.n_max + 1, dtype=np.float64)
     ratios = phi.prefix[1:] / levels
     chosen = []
@@ -343,7 +343,7 @@ def poussin_forward_check(
             ratio=float(ratios[a - 1]),
             tail_sup=tail.value,
             tail_stderr=tail.stderr,
-            passed=tail.upper() < eps,
+            passed=dist.confident("forward", tail.value, tail.stderr, eps),
         )
         for eps, a, tail in zip(eps_list, chosen, tails)
     ]

@@ -596,15 +596,17 @@ def test_infinite_tail_level_stays_legal():
 
 
 class TestOneEstimator:
-    def test_event_criterion_reads_upper(self, monkeypatch):
+    def test_event_criterion_reads_the_rule(self, monkeypatch):
         full = EventArray(MultiIndex((8,)), probs=np.ones(8))
         # premise and conclusion both fail on their own: prob 1 >= 0.5, moment 1 >= 1e-9
         rep = check_event_criterion(SMALL, full, delta=0.5, eps=1e-9)
         assert not rep.premise_holds and not rep.conclusion_holds
-        monkeypatch.setattr(cui.TailEstimate, "upper", lambda self: -math.inf)
+        asked = []
+        monkeypatch.setattr(cui, "confident", lambda *args: asked.append(args) or True)
         rep = check_event_criterion(SMALL, full, delta=0.5, eps=1e-9)
         assert rep.premise_holds and rep.conclusion_holds
         assert (rep.prob_sup, rep.moment_sup) == (1.0, 1.0)
+        assert asked == [("event_criterion", 1.0, 0.0, 0.5), ("event_criterion", 1.0, 0.0, 1e-9)]
 
     def test_realized_events_report_the_argmax_stderr(self):
         spec = spec_of("pareto_radial", alpha=3.0, mode="empirical")

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -206,6 +208,146 @@ class TestReplicationMean:
             assert np.array_equal(rows[j][1], w[1], equal_nan=True)
         assert list(got[0][:2]) == [math.inf, math.inf] and got[1][0] == 0.0
         assert math.isnan(got[1][1]) and got[1][5] == math.inf
+
+
+# each row's verdict as its site wrote it by hand before the table: the oracle
+# of the port, float expression for float expression
+HAND_WRITTEN = {
+    "tail_certified": lambda v, s, b: v + 2.0 * s < b,
+    "event_criterion": lambda v, s, b: v + 2.0 * s < b,
+    "threshold": lambda v, s, b: v + 2.0 * s <= b,
+    "forward": lambda v, s, b: v + 2.0 * s < b,
+    "bounded_means": lambda v, s, b: v <= b + 2.0 * s,
+    "markov_events": lambda v, s, b: v <= b + 2.0 * s,
+    "envelope": lambda v, s, b: v <= b + 3.0 * s,
+    "halving": lambda v, s, b: v + 2.0 * s < b,
+}
+STRICT = {row for row, (_, strict, _) in dist.CONFIDENCE.items() if strict}
+LENIENT = {row for row, (_, _, side) in dist.CONFIDENCE.items() if side == "bound"}
+SPECIAL = [0.0, -0.0, 5e-324, 0.1, 0.5, 1.0, 1.5, 1e300, math.inf, -math.inf, math.nan, -1.0]
+
+
+class TestConfidence:
+    def test_every_row_has_its_hand_written_rule(self):
+        assert set(dist.CONFIDENCE) == set(HAND_WRITTEN)
+        assert STRICT == {"tail_certified", "event_criterion", "forward", "halving"}
+        assert LENIENT == {"bounded_means", "markov_events", "envelope"}
+
+    @pytest.mark.parametrize("row", sorted(HAND_WRITTEN))
+    def test_rows_equal_their_sites_on_special_and_random_floats(self, row):
+        rng_ = np.random.default_rng(len(row))
+        drawn = list(rng_.standard_normal(40) * 10.0 ** rng_.integers(-3, 3, 40))
+        values = SPECIAL + drawn
+        stderrs = [0.0, 5e-324, 0.25, 1e-17, math.inf, math.nan] + [abs(x) for x in drawn[:10]]
+        for v in values:
+            for s in stderrs:
+                for b in values[::3]:
+                    assert dist.confident(row, v, s, b) == HAND_WRITTEN[row](v, s, b), (v, s, b)
+
+    @pytest.mark.parametrize("row", sorted(HAND_WRITTEN))
+    def test_a_value_at_the_bound(self, row):
+        # stderr 0: strict rows fail a value equal to the bound, the others pass it
+        assert dist.confident(row, 0.5, 0.0, 0.5) is (row not in STRICT)
+        # a value whose width of stderrs lands exactly on the bound (all exact in binary)
+        width = dist.CONFIDENCE[row][0]
+        if row in LENIENT:
+            at = 1.0 + width * 0.25
+            assert dist.confident(row, at, 0.25, 1.0) is (row not in STRICT)
+        else:
+            assert dist.confident(row, 1.0 - width * 0.25, 0.25, 1.0) is (row not in STRICT)
+
+    @pytest.mark.parametrize("row", sorted(HAND_WRITTEN))
+    def test_stderr_zero_compares_the_value_itself(self, row):
+        below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+        assert dist.confident(row, below, 0.0, 1.0)
+        assert not dist.confident(row, above, 0.0, 1.0)
+        assert dist.confidence_limit(row, 0.7, 0.0) == 0.7
+        assert dist.confidence_limit(row, 0.7, 0.0, lower=True) == 0.7
+
+    @pytest.mark.parametrize("row", sorted(HAND_WRITTEN))
+    def test_nan_is_never_a_pass(self, row):
+        for v, s, b in [(0.0, math.nan, 1.0), (math.nan, 0.0, 1.0), (0.0, 0.0, math.nan),
+                        (-math.inf, math.nan, 1.0), (math.inf, math.nan, math.inf)]:
+            assert dist.confident(row, v, s, b) is False
+
+    @pytest.mark.parametrize("row", sorted(HAND_WRITTEN))
+    def test_infinite_values(self, row):
+        # inf never lies below a finite bound; -inf lies below any finite
+        # bound unless its stderr is infinite (-inf + inf is NaN)
+        for s in (0.0, 0.25):
+            assert not dist.confident(row, math.inf, s, 1e308)
+            assert dist.confident(row, -math.inf, s, -1e308)
+        assert dist.confident(row, -math.inf, math.inf, 1.0) is (row in LENIENT)
+        # an infinite stderr passes no value on the value side, and every
+        # finite value on the lenient side
+        assert dist.confident(row, 1e308, math.inf, 0.0) is (row in LENIENT)
+
+    @pytest.mark.parametrize("row", ["bounded_means", "markov_events"])
+    def test_lenient_rows_pass_up_to_two_stderrs_above_the_bound(self, row):
+        assert dist.CONFIDENCE[row] == (2.0, False, "bound")
+        bound, se = 0.1, 0.01
+        top = bound + 2.0 * se
+        assert dist.confident(row, top, se, bound)
+        assert not dist.confident(row, math.nextafter(top, 1.0), se, bound)
+        # the same estimate fails every row whose slack is on the value's side
+        for other in set(HAND_WRITTEN) - LENIENT:
+            assert not dist.confident(other, top, se, bound)
+            assert not dist.confident(other, bound, se, bound)
+
+    def test_limits_are_the_sites_numbers(self):
+        # poussin's K, the envelope margin and the halving bound, bit for bit
+        def bits(x):
+            return np.float64(x).tobytes()
+
+        for v in SPECIAL:
+            for s in (0.0, 0.25, 1e-17, math.inf, math.nan):
+                assert bits(dist.confidence_limit("forward", v, s)) == bits(v + 2.0 * s)
+                half = dist.confidence_limit("halving", v, s, lower=True) / 2.0
+                assert bits(half) == bits((v - 2.0 * s) / 2.0)
+                for b in (0.0, 0.5, 1e300, math.inf):
+                    margin = dist.confidence_limit("envelope", b, s) - v
+                    assert bits(margin) == bits(b + 3.0 * s - v)
+
+
+class StderrProducts(ast.NodeVisitor):
+    """The functions ("<module>" outside any) of a module in which a stderr,
+    a name or attribute stderr, se, ses or *_stderr, is multiplied."""
+
+    STDERR = re.compile(r"(\w+_)?(stderr|se|ses)")
+
+    def __init__(self):
+        self.scopes, self.found = ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_BinOp(self, node):
+        names = [getattr(n, "id", getattr(n, "attr", "")) for n in (node.left, node.right)]
+        if isinstance(node.op, ast.Mult) and any(self.STDERR.fullmatch(n) for n in names):
+            self.found.add(self.scopes[-1])
+        self.generic_visit(node)
+
+
+def stderr_products(src: Path) -> set:
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        visitor = StderrProducts()
+        visitor.visit(ast.parse(path.read_text()))
+        found |= {(path.name, scope) for scope in visitor.found}
+    return found
+
+
+def test_only_the_rule_combines_a_stderr_with_a_width():
+    """A width times a stderr is written once, in distributions.confidence_limit;
+    every verdict names its row of CONFIDENCE instead, and TailEstimate has no
+    upper() of its own."""
+    from cesaro_lab.cui import TailEstimate
+
+    src = Path(cesaro_lab.__file__).parent
+    assert stderr_products(src) == {("distributions.py", "confidence_limit")}
+    assert not hasattr(TailEstimate, "upper")
 
 
 @pytest.mark.parametrize("p", [0.0, -0.5, 1.0 + 1e-12, math.nan, math.inf])

@@ -319,18 +319,19 @@ def reference_thresholds(spec, j_max=4, search_cap=64, seed=SEED):
     """The bisection of thresholds_from_cui, one tail query on a fresh draw
     per probe."""
 
-    def sup_at(level):
-        return tail(spec, 1.0, float(level), ge=True, seed=seed).upper()
+    def below(level, target):
+        t = tail(spec, 1.0, float(level), ge=True, seed=seed)
+        return dist.confident("threshold", t.value, t.stderr, target)
 
     out, prev = [], 0
     for j in range(1, j_max + 1):
         target = 2.0**-j
         lo, hi = prev + 1, search_cap
-        if lo > hi or sup_at(hi) > target:
+        if lo > hi or not below(hi, target):
             return HorizonTooSmallError
         while lo < hi:
             mid = (lo + hi) // 2
-            if sup_at(mid) <= target:
+            if below(mid, target):
                 hi = mid
             else:
                 lo = mid + 1
@@ -350,7 +351,8 @@ def test_cui_answers_equal_single_queries(spec):
     mean = cesaro_tail_sup(sample_of(spec), 1.0, 0.0)
     assert (report.mean_sup, report.mean_stderr) == (mean.value, mean.stderr)
 
-    certified = [a for a in GRID if tail(spec, 1.0, a).upper() < 0.2]
+    firsts = [(a, tail(spec, 1.0, a)) for a in GRID]
+    certified = [a for a, t in firsts if dist.confident("tail_certified", t.value, t.stderr, 0.2)]
     assert PUBLIC_CALLS["cui_certificate"](sample_of(spec)) == (
         certified[0] if certified else None
     )
@@ -382,7 +384,8 @@ def test_poussin_answers_equal_single_queries(spec):
     for fc in forward:
         assert fc.K == K
         t = tail(spec, 1.0, float(fc.level))
-        assert (fc.tail_sup, fc.tail_stderr, fc.passed) == (t.value, t.stderr, t.upper() < fc.eps)
+        passed = dist.confident("forward", t.value, t.stderr, fc.eps)
+        assert (fc.tail_sup, fc.tail_stderr, fc.passed) == (t.value, t.stderr, passed)
 
 
 class FreshSample(NormSample):

@@ -295,6 +295,17 @@ class TestThresholdSearch:
         with pytest.raises(HorizonTooSmallError):
             thresholds_from_cui(NormSample(GROWING, MultiIndex((10_000,))), j_max=1)
 
+    def test_a_nan_sup_at_the_cap_certifies_no_level(self):
+        # pareto alpha 0.01 draws inf norms: the tail sup at the cap is
+        # inf +- NaN, which the "threshold" row does not pass, so no level up
+        # to the cap is N_1 (the cap itself is not returned)
+        spec = dataclasses.replace(spec_of("pareto_radial", alpha=0.01), moment_mode="empirical")
+        sample = NormSample(spec, MultiIndex((256,)), seed=0, reps=20)
+        est = cui.cesaro_tail_sup(sample, 1.0, 64.0, ge=True)
+        assert est.value == math.inf and math.isnan(est.stderr)
+        with pytest.raises(HorizonTooSmallError, match="no tail level <= 64 reaches 2"):
+            thresholds_from_cui(sample, j_max=1, search_cap=64)
+
     def test_strictly_increasing(self):
         got = thresholds_from_cui(NormSample(SPIKED, MultiIndex((10_000,))), j_max=12,
                                   search_cap=256)
@@ -483,10 +494,17 @@ class TestOneEstimator:
         poussin_moment_check(NormSample(gauss, MultiIndex((64,)), seed=0, reps=5), phi)
         assert asks == [[phi]]
 
-    def test_forward_check_K_reads_upper(self, monkeypatch):
+    def test_forward_check_K_reads_the_rule(self, monkeypatch):
         sample = NormSample(CONSTANT, MultiIndex((64,)))
         built = build_phi_from_cui(sample, j_max=8)
-        monkeypatch.setattr(cui.TailEstimate, "upper", lambda self: self.value + 0.5)
+        rows = []
+
+        def limit(row, value, stderr, lower=False):
+            rows.append(row)
+            return value + 0.5
+
+        monkeypatch.setattr(dist, "confidence_limit", limit)
         checks = forward_check(sample, built.phi, [0.5, 0.25])
         K = poussin_moment_check(sample, built.phi).value + 0.5
         assert [c.K for c in checks] == [K, K]
+        assert set(rows) == {"forward"}
